@@ -25,11 +25,11 @@ from .characteristics import (
     flow,
     match_calibrated,
 )
-from .config import DEFAULT_SAMPLE_BOX, RunConfig, load_config
+from .config import RunConfig, load_config
 from .errors import ConfigurationError, NumericError
 from .fdoracle import LFConfig, lf_solve
-from .models import audit_assumptions
 from .semigroup import (
+    _march,
     check_properties,
     converge,
     extract_calibrated_curve,
@@ -111,14 +111,10 @@ def cmd_solve(cfg: RunConfig, out_dir: str, threads: int) -> int:
 def cmd_converge(cfg: RunConfig, out_dir: str, threads: int) -> int:
     t0 = time.perf_counter()
     phi = cfg.phi_field()
-    try:
-        rep = converge(
-            cfg.model, phi, cfg.dt, cfg.v_max, tol=cfg.tol,
-            t_checkpoints=cfg.checkpoints, stop_eps=cfg.stop_eps, quadrature=cfg.quadrature,
-        )
-    except NumericError as e:
-        print(f"converge: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
+    rep = converge(
+        cfg.model, phi, cfg.dt, cfg.v_max,
+        t_checkpoints=cfg.checkpoints, stop_eps=cfg.stop_eps, quadrature=cfg.quadrature,
+    )
     _write(out_dir, "convergence.csv", rep.to_csv())
     _write(out_dir, "u_inf.csv", _field_csv(rep.u_inf))
     res = rep.residual
@@ -188,9 +184,8 @@ def cmd_char(cfg: RunConfig, out_dir: str, threads: int) -> int:
 
 def cmd_oracle(cfg: RunConfig, out_dir: str, threads: int) -> int:
     t0 = time.perf_counter()
-    audit = audit_assumptions(cfg.model, DEFAULT_SAMPLE_BOX, 512)
     lf_cfg = LFConfig(
-        grid=cfg.grid, alpha=cfg.alpha, dt_fd=cfg.dt_fd, audited_max_hp=audit.max_Hp
+        grid=cfg.grid, alpha=cfg.alpha, dt_fd=cfg.dt_fd, audited_max_hp=cfg.audit.max_Hp
     )
     phi = cfg.phi_field()
     n = max(1, int(round(cfg.T / cfg.dt_fd)))
@@ -208,7 +203,7 @@ def cmd_check(cfg: RunConfig, out_dir: str, threads: int) -> int:
     failures = []
     rows = ["suite,passed,detail"]
 
-    audit = audit_assumptions(cfg.model, DEFAULT_SAMPLE_BOX, 512)
+    audit = cfg.audit
     ok = audit.passed
     detail = ";".join(f"{k}={v}" for k, v in sorted(audit.verdicts.items()))
     rows.append(f"assumptions,{int(ok)},{detail}")
@@ -221,19 +216,16 @@ def cmd_check(cfg: RunConfig, out_dir: str, threads: int) -> int:
         2 * np.pi * cfg.grid.points()[:, 0] + 1.0))
     t_list = [t for t in (0.5, 1.0) if t <= cfg.T + 1e-9] or [cfg.T]
     prop = check_properties(
-        cfg.model, phi, psi, t_list, cfg.dt, cfg.v_max,
-        tol=cfg.tol, quadrature=cfg.quadrature,
+        cfg.model, phi, psi, t_list, cfg.dt, cfg.v_max, quadrature=cfg.quadrature
     )
     ok = prop.all_within(2 * max(cfg.tol, 1e-12))
     rows.append(f"semigroup_properties,{int(ok)},uniform_bound={prop.uniform_bound!r}")
     if not ok:
         failures.append("semigroup_properties")
 
-    u, _ = fixed_point(cfg.model, phi, cfg.T, cfg.dt, cfg.v_max,
-                       tol=cfg.tol, quadrature=cfg.quadrature)
+    u = _march(cfg.model, phi, cfg.T, cfg.dt, cfg.v_max, cfg.quadrature)
     x_end = int(np.argmin(u.values[-1]))
-    curve = extract_calibrated_curve(cfg.model, u, x_end, cfg.v_max,
-                                     tol=max(10 * cfg.tol, 1e-8), quadrature=cfg.quadrature)
+    curve = extract_calibrated_curve(cfg.model, u, x_end, cfg.v_max, quadrature=cfg.quadrature)
     ok = curve.max_defect() <= 1e-9
     rows.append(f"calibrated_defect,{int(ok)},max_defect={curve.max_defect()!r}")
     if not ok:
@@ -300,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("command", choices=sorted(_COMMANDS))
     p.add_argument("--config", required=True, help="YAML run configuration")
     p.add_argument("--out", default=None, help="output directory (default from config)")
-    p.add_argument("--threads", type=int, default=1, help="worker thread budget")
+    p.add_argument(
+        "--threads", type=int, default=1, help="thread budget, only recorded in the manifest"
+    )
     p.add_argument("--overwrite", action="store_true", help="reuse a non-empty output directory")
     return p
 
@@ -310,9 +304,6 @@ def main(argv=None) -> int:
     if args.threads < 1:
         print("cli: --threads must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
-    # the kernels are data-parallel array ops; cap the BLAS/OpenMP pools
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(args.threads))
     try:
         cfg = load_config(args.config)
         out_dir = args.out or cfg.out_dir

@@ -20,8 +20,8 @@ Schema (defaults in parentheses):
       v_max: float > 0               (2*(1 + max |H_p| over the audit box))
     solver:
       T: float > 0                   (1.0)
-      tol: float >= 0                (1e-10)
-      max_iter: int >= 1             (60)
+      tol: float >= 0                (1e-10, see below)
+      max_iter: int >= 1             (60, see below)
       stop_eps: float > 0            (1e-6)
       checkpoints: [floats]          ([50.0])
       quadrature: left|midpoint|exact  (left)
@@ -36,6 +36,11 @@ Schema (defaults in parentheses):
     output:
       directory: str                 (overridden by --out)
     seed: int                        (0)
+
+The semigroup is computed by the forward march, which is its exact fixed
+point.  ``solver.tol`` and ``solver.max_iter`` only steer the Picard
+certificate that ``solve`` writes to ``fixedpoint.csv``; ``check`` also
+allows property gaps up to 2*max(tol, 1e-12).
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ import yaml
 
 from .errors import ConfigurationError
 from .models import (
+    AssumptionAudit,
     HamiltonianModel,
     PiecewiseLinearMap,
     TrigPotential,
@@ -144,6 +150,7 @@ class RunConfig:
     dt_fd: float
     out_dir: str | None
     seed: int
+    audit: AssumptionAudit = field(repr=False)
     raw: dict = field(default_factory=dict, repr=False)
 
     def resolved(self) -> dict:
@@ -234,10 +241,10 @@ def parse_config(data: dict) -> RunConfig:
             f"config key `grid.dt`: dt*lambda_L = {dt * model.lipschitz_u:g} exceeds 1 "
             f"(dt={dt:g}, lambda_L={model.lipschitz_u:g})"
         )
+    audit = audit_assumptions(model, DEFAULT_SAMPLE_BOX, 512)
     if "v_max" in gblock:
         v_max = _number(gblock, "grid", "v_max", lo=0.0, lo_strict=True)
     else:
-        audit = audit_assumptions(model, DEFAULT_SAMPLE_BOX, 512)
         v_max = 2.0 * (1.0 + audit.max_Hp)
     try:
         stencil_offsets(grid, v_max, dt)
@@ -280,7 +287,6 @@ def parse_config(data: dict) -> RunConfig:
 
     oblock = data.get("oracle", {})
     _check_keys(oblock, "oracle", _ORACLE_KEYS)
-    audit = audit_assumptions(model, DEFAULT_SAMPLE_BOX, 512)
     alpha_default = audit.max_Hp + 0.1
     alpha = _number(oblock, "oracle", "alpha", default=alpha_default, lo=0.0, lo_strict=True)
     if alpha < audit.max_Hp + 0.1 - 1e-12:
@@ -314,7 +320,7 @@ def parse_config(data: dict) -> RunConfig:
         model=model, grid=grid, dt=dt, v_max=v_max, T=T, tol=tol, max_iter=max_iter,
         stop_eps=stop_eps, checkpoints=tuple(float(c) for c in cps), quadrature=quad,
         a=a, t_max=t_max, phi_modes=phi_modes, char=char, alpha=alpha, dt_fd=dt_fd,
-        out_dir=out_dir, seed=seed, raw=data,
+        out_dir=out_dir, seed=seed, audit=audit, raw=data,
     )
 
 

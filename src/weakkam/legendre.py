@@ -104,13 +104,6 @@ def legendre_inverse(model: HamiltonianModel, x, u, p):
     return np.asarray(hp, dtype=float).reshape(model.dim)
 
 
-def momentum_from_velocity(model: HamiltonianModel, x, u, v):
-    """p = dL/dv at (x,u,v); identity for the quadratic catalog."""
-    return np.asarray(v, dtype=float).reshape(-1, model.dim) if np.ndim(v) > 1 else np.asarray(
-        v, dtype=float
-    ).reshape(model.dim)
-
-
 def check_L_properties(model: HamiltonianModel, sample_box, n_samples: int) -> AssumptionAudit:
     """Sampled audit of (L1) convexity, (L4) Lipschitz in u, (L5) dL/du <= 0."""
     from .models import _halton_samples

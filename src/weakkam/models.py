@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import qmc
 
 FAMILIES = ("quadratic-mechanical", "quadratic-discounted", "quadratic-nonlinear-u")
 
@@ -243,11 +242,21 @@ class AssumptionAudit:
 
 
 def _halton_samples(bounds, n):
+    """Unscrambled Halton points 0..n-1: per axis the radical inverse of the
+    point index in the axis' prime base, scaled to the box."""
+    primes = [c for c in range(2, 64) if all(c % p for p in range(2, c))]
     lo = np.asarray([b[0] for b in bounds], dtype=float)
     hi = np.asarray([b[1] for b in bounds], dtype=float)
     if np.any(hi <= lo):
         raise ValueError("empty sample box")
-    unit = qmc.Halton(d=len(bounds), scramble=False).random(n)
+    unit = np.zeros((n, len(bounds)))
+    for j in range(len(bounds)):
+        base = primes[j]
+        q, scale = np.arange(n), 1.0 / base
+        while np.any(q):
+            unit[:, j] += (q % base) * scale
+            scale /= base
+            q //= base
     return lo + unit * (hi - lo)
 
 

@@ -1,12 +1,13 @@
-"""The path-infimum operator, its Picard fixed point and the discrete
-solution semigroup, with the proved properties exposed as checks.
+"""The path-infimum operator, the discrete solution semigroup and its
+proved properties exposed as checks.
 
 The operator maps a candidate space-time field to the field of minimal
 path costs where the Lagrangian's u-argument is read from the frozen
-candidate.  Its unique fixed point defines the discrete semigroup; Picard
-iteration from the constantly-extended initial datum converges with the
-factorial contraction certificate, which the fixed-point report records
-next to the observed gaps.
+candidate.  A step reads the candidate only at its start slice, so the
+unique fixed point, which defines the discrete semigroup, is the forward
+march u[n+1] = step(u[n], u[n]) from u[0] = phi; every solution path
+marches.  Picard iteration from the constant extension of phi reaches the
+same field bitwise and is kept as the factorial contraction certificate.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action import discretization_slack
 from .errors import ConfigurationError, NumericError
 from .kernels import StepKernel
 from .legendre import lagrangian_values
@@ -53,14 +53,30 @@ def apply_A(
     kernel: StepKernel | None = None,
 ) -> SpaceTimeField:
     """One application of the path-infimum operator with frozen candidate u."""
-    if u.grid.size != phi.grid.size or u.grid.dim != phi.grid.dim:
-        raise ConfigurationError("candidate field shape does not match initial datum")
     kern = kernel or StepKernel(model, phi.grid, u.dt, v_max, quadrature)
     out = np.empty_like(u.values)
     out[0] = phi.values
     for n in range(u.n_steps):
         out[n + 1] = kern.apply(out[n], u.values[n])
     return SpaceTimeField(phi.grid, u.dt, out)
+
+
+def _horizon_steps(T: float, dt: float) -> int:
+    n_steps = int(round(T / dt))
+    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
+        raise ConfigurationError(f"horizon T={T:g} is not a positive multiple of dt={dt:g}")
+    return n_steps
+
+
+def _march(model, phi, T, dt, v_max, quadrature="left", kernel=None) -> SpaceTimeField:
+    """The fixed point of the path-infimum operator on [0, T], slice by slice."""
+    n_steps = _horizon_steps(T, dt)
+    kern = kernel or StepKernel(model, phi.grid, dt, v_max, quadrature)
+    out = np.empty((n_steps + 1, phi.grid.size))
+    out[0] = phi.values
+    for n in range(n_steps):
+        out[n + 1] = kern.apply(out[n], out[n])
+    return SpaceTimeField(phi.grid, dt, out)
 
 
 def fixed_point(
@@ -72,23 +88,19 @@ def fixed_point(
     tol: float = 1e-10,
     max_iter: int = 60,
     quadrature: str = "left",
-    initial: SpaceTimeField | None = None,
 ):
     """Picard iteration u^(k+1) = A[u^(k)] from the constant extension of phi.
 
-    Returns (field, report).  ``tol = 0`` iterates to bitwise stationarity
-    (guaranteed within n_steps iterations because slice k is exact after k
-    passes).  For u-independent models one pass is the fixed point.
+    Returns (field, report).  ``tol = 0`` iterates to bitwise stationarity,
+    guaranteed within n_steps + 1 passes because slice k is exact after k
+    passes; the field then equals the forward march bitwise.  For
+    u-independent models one pass is the fixed point.
     """
     if max_iter < 1 or tol < 0:
         raise ConfigurationError("need tol >= 0 and max_iter >= 1")
-    n_steps = int(round(T / dt))
-    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
-        raise ConfigurationError(f"horizon T={T:g} is not a positive multiple of dt={dt:g}")
+    n_steps = _horizon_steps(T, dt)
     kern = StepKernel(model, phi.grid, dt, v_max, quadrature)
-    cand = initial if initial is not None else _constant_extension(phi, n_steps, dt)
-    if cand.n_steps != n_steps:
-        raise ConfigurationError("initial candidate has the wrong number of slices")
+    cand = _constant_extension(phi, n_steps, dt)
 
     if model.lipschitz_u == 0.0:
         # the operator does not read the candidate: one pass is exact
@@ -122,7 +134,6 @@ def step_T(
     t: float,
     dt: float,
     v_max: float,
-    tol: float = 1e-10,
     quadrature: str = "left",
 ) -> GridField:
     """The discrete semigroup: final slice of the fixed point on [0, t]."""
@@ -130,8 +141,7 @@ def step_T(
         raise ConfigurationError("t must be nonnegative")
     if t == 0:
         return phi.copy()
-    u, _ = fixed_point(model, phi, t, dt, v_max, tol=tol, quadrature=quadrature)
-    return u.final()
+    return _march(model, phi, t, dt, v_max, quadrature).final()
 
 
 @dataclass
@@ -166,7 +176,6 @@ def check_properties(
     t_list,
     dt: float,
     v_max: float,
-    tol: float = 1e-10,
     delta: float = 0.25,
     quadrature: str = "left",
 ) -> PropertyReport:
@@ -180,10 +189,10 @@ def check_properties(
     lo = GridField(grid, np.minimum(phi.values, psi.values))
     hi = GridField(grid, np.maximum(phi.values, psi.values))
     t_max = max(t_list)
-    u_phi, _ = fixed_point(model, phi, t_max, dt, v_max, tol, quadrature=quadrature)
-    u_psi, _ = fixed_point(model, psi, t_max, dt, v_max, tol, quadrature=quadrature)
-    u_lo, _ = fixed_point(model, lo, t_max, dt, v_max, tol, quadrature=quadrature)
-    u_hi, _ = fixed_point(model, hi, t_max, dt, v_max, tol, quadrature=quadrature)
+    kern = StepKernel(model, grid, dt, v_max, quadrature)
+    u_phi, u_psi, u_lo, u_hi = (
+        _march(model, f, t_max, dt, v_max, kernel=kern) for f in (phi, psi, lo, hi)
+    )
 
     base_gap = float(np.max(np.abs(phi.values - psi.values)))
     report = PropertyReport(delta=delta)
@@ -382,22 +391,20 @@ def converge(
     phi: GridField,
     dt: float,
     v_max: float,
-    tol: float = 1e-10,
     t_checkpoints=(50.0,),
     stop_eps: float = 1e-6,
     quadrature: str = "left",
-    t_block: float | None = None,
 ) -> ConvergenceReport:
-    """March the semigroup in restart blocks until slice increments settle.
+    """March the semigroup until slice increments settle.
 
-    Each block is a fixed-point solve whose initial datum is the previous
-    block's final slice (valid by the semigroup law).  Stops once every
-    step increment within a block falls below stop_eps, or flags
+    The march is reported in windows of ``default_block_length``, each
+    continuing from the previous window's final slice.  Stops once every
+    step increment within a window falls below stop_eps, or flags
     non-convergence at the final checkpoint.
     """
     t_final = max(t_checkpoints)
-    block = t_block if t_block is not None else default_block_length(model)
-    block = max(dt, round(block / dt) * dt)
+    block = max(dt, round(default_block_length(model) / dt) * dt)
+    kern = StepKernel(model, phi.grid, dt, v_max, quadrature)
     cur = phi
     t = 0.0
     step_times, step_incs = [], []
@@ -406,7 +413,7 @@ def converge(
     while t < t_final - 1e-9:
         span = min(block, t_final - t)
         span = max(dt, round(span / dt) * dt)
-        u, _ = fixed_point(model, cur, span, dt, v_max, tol, quadrature=quadrature)
+        u = _march(model, cur, span, dt, v_max, kernel=kern)
         incs = np.max(np.abs(np.diff(u.values, axis=0)), axis=1)
         ts = t + dt * np.arange(1, u.n_steps + 1)
         step_times.extend(ts.tolist())
@@ -505,15 +512,11 @@ def check_Ltilde(
         better = lt < fan_min
         fan_min = np.where(better, lt, fan_min)
         argmin_v[better] = v
-    if grid.dim == 1:
-        expected = du.copy()
-    else:
-        expected = du.copy()  # H_p = p for the quadratic catalog
     return LtildeDiagnostic(
         smooth_mask=smooth,
         fan_min=fan_min,
         argmin_velocity=argmin_v,
-        expected_velocity=expected,
+        expected_velocity=du,  # H_p = p for the quadratic catalog
         fan_step=float(fan_step),
     )
 
@@ -556,15 +559,10 @@ def semigroup_defect(
     t: float,
     dt: float,
     v_max: float,
-    tol: float = 0.0,
     quadrature: str = "left",
 ) -> float:
     """||T_{s+t} phi - T_t T_s phi||_inf on the discrete objects."""
-    one = step_T(model, phi, s + t, dt, v_max, tol=tol, quadrature=quadrature)
-    mid = step_T(model, phi, s, dt, v_max, tol=tol, quadrature=quadrature)
-    two = step_T(model, mid, t, dt, v_max, tol=tol, quadrature=quadrature)
+    one = step_T(model, phi, s + t, dt, v_max, quadrature=quadrature)
+    mid = step_T(model, phi, s, dt, v_max, quadrature=quadrature)
+    two = step_T(model, mid, t, dt, v_max, quadrature=quadrature)
     return float(np.max(np.abs(one.values - two.values)))
-
-
-def discretization_slack_for(model, grid, dt, v_max) -> float:
-    return discretization_slack(model, grid, dt, v_max)

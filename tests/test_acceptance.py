@@ -22,6 +22,7 @@ from weakkam.cli import main as cli_main
 from weakkam.fdoracle import LFConfig, lf_final
 from weakkam.models import HamiltonianModel, TrigPotential
 from weakkam.semigroup import (
+    _march,
     check_Ltilde,
     check_properties,
     converge,
@@ -82,26 +83,26 @@ def test_criterion_2_semigroup_property_battery(capsys):
             return GridField(g, v)
 
         prop = check_properties(m, trig(), trig(), [0.5, 1.0, 2.0, 4.0],
-                                1.0 / 16, 4.0, tol=1e-10)
+                                1.0 / 16, 4.0)
         for e in prop.entries:
             worst = max(worst, e["monotonicity_gap"], e["nonexpansive_gap"])
     pair_ok = worst <= 2e-10
 
     phi = GridField(g, 0.3 * np.sin(2 * np.pi * x))
     psi = GridField(g, 0.2 * np.cos(2 * np.pi * x))
-    r8 = check_properties(m, phi, psi, [8.0], 1.0 / 16, 4.0, tol=1e-10)
-    r16 = check_properties(m, phi, psi, [16.0], 1.0 / 16, 4.0, tol=1e-10)
+    r8 = check_properties(m, phi, psi, [8.0], 1.0 / 16, 4.0)
+    r16 = check_properties(m, phi, psi, [16.0], 1.0 / 16, 4.0)
     k_drift = abs(r16.uniform_bound - r8.uniform_bound)
     bound_ok = k_drift < 1e-3
 
     g2 = Grid(1, 128)
     x2 = g2.points()[:, 0]
-    r_coarse = check_properties(m, phi, psi, [0.5, 1.0, 2.0, 4.0], 1.0 / 16, 4.0, tol=1e-10)
+    r_coarse = check_properties(m, phi, psi, [0.5, 1.0, 2.0, 4.0], 1.0 / 16, 4.0)
     r_fine = check_properties(
         m,
         GridField(g2, 0.3 * np.sin(2 * np.pi * x2)),
         GridField(g2, 0.2 * np.cos(2 * np.pi * x2)),
-        [0.5, 1.0, 2.0, 4.0], 1.0 / 16, 4.0, tol=1e-10,
+        [0.5, 1.0, 2.0, 4.0], 1.0 / 16, 4.0,
     )
     rel = abs(r_fine.equi_lipschitz - r_coarse.equi_lipschitz) / r_coarse.equi_lipschitz
     lip_ok = rel <= 0.20
@@ -118,7 +119,7 @@ def test_criterion_3_semigroup_law(capsys):
     for n, dtd in ((128, 16), (256, 32)):
         g = Grid(1, n)
         phi = GridField(g, np.zeros(n))
-        defects.append(semigroup_defect(m, phi, 0.5, 0.5, 1.0 / dtd, 4.0, tol=0.0))
+        defects.append(semigroup_defect(m, phi, 0.5, 0.5, 1.0 / dtd, 4.0))
     # bitwise fixed points make the law exact, so the C*(dx+dt) bound and
     # the refinement shrink factor hold with room to spare
     ok = defects[0] == 0.0 and defects[1] == 0.0
@@ -133,7 +134,7 @@ def test_criterion_4_viscosity_cross_validation(capsys):
     for n in (256, 512, 1024):
         g = Grid(1, n)
         phi = GridField(g, np.zeros(n))
-        u_dp = step_T(m, phi, 1.0, 1.0 / 64, 4.0, tol=0.0, quadrature="exact")
+        u_dp = step_T(m, phi, 1.0, 1.0 / 64, 4.0, quadrature="exact")
         dt_fd = 1.0 / math.ceil(1.0 / (0.5 * g.dx / 4.1))
         cfg = LFConfig(g, 4.1, dt_fd, audited_max_hp=4.0)
         u_fd = lf_final(m, phi, 1.0, cfg)
@@ -148,7 +149,7 @@ def test_criterion_5_analytic_exactness(capsys):
     m = HamiltonianModel("quadratic-discounted", lam=1.0)
     g = Grid(1, 512)
     phi = GridField(g, np.ones(g.size))
-    u_var = step_T(m, phi, 1.0, 1e-3, 4.0, tol=0.0)
+    u_var = step_T(m, phi, 1.0, 1e-3, 4.0)
     err_var = float(np.max(np.abs(u_var.values - np.exp(-1.0))))
     cfg = LFConfig(g, alpha=1.0, dt_fd=1e-4)
     u_fd = lf_final(m, phi, 1.0, cfg)
@@ -185,13 +186,13 @@ def test_criterion_7_long_time_convergence(capsys):
     mech = mech_pendulum_normalized()
     disc = discounted_pendulum()
 
-    rm = converge(mech, phi0, 1.0 / 16, 4.0, tol=0.0,
+    rm = converge(mech, phi0, 1.0 / 16, 4.0,
                   t_checkpoints=(50.0,), stop_eps=1e-6, quadrature="exact")
-    rm2 = converge(mech, phi2, 1.0 / 16, 4.0, tol=0.0,
+    rm2 = converge(mech, phi2, 1.0 / 16, 4.0,
                    t_checkpoints=(50.0,), stop_eps=1e-6, quadrature="exact")
-    rd = converge(disc, phi0, 1.0 / 64, 4.0, tol=1e-10,
+    rd = converge(disc, phi0, 1.0 / 64, 4.0,
                   t_checkpoints=(50.0,), stop_eps=1e-6, quadrature="exact")
-    rd2 = converge(disc, phi2, 1.0 / 64, 4.0, tol=1e-10,
+    rd2 = converge(disc, phi2, 1.0 / 64, 4.0,
                    t_checkpoints=(50.0,), stop_eps=1e-6, quadrature="exact")
 
     # the undiscounted limit is only fixed up to an additive constant,
@@ -243,7 +244,7 @@ def test_criterion_8_characteristics(capsys):
     for n, dtd in ((256, 64), (512, 128)):
         g = Grid(1, n)
         phi = GridField(g, np.zeros(n))
-        u_fp, _ = fixed_point(m, phi, 0.5, 1.0 / dtd, 4.0, tol=0.0, quadrature="exact")
+        u_fp = _march(m, phi, 0.5, 1.0 / dtd, 4.0, quadrature="exact")
         curve = extract_calibrated_curve(
             m, u_fp, x_end=round(0.55 * n), v_max=4.0, quadrature="exact"
         )
@@ -262,7 +263,7 @@ def test_criterion_9_velocity_fan_lower_bound(capsys):
     m = mech_pendulum_normalized()
     g = Grid(1, 2048)
     phi = GridField(g, np.zeros(g.size))
-    rep = converge(m, phi, 1.0 / 96, 4.0, tol=0.0,
+    rep = converge(m, phi, 1.0 / 96, 4.0,
                    t_checkpoints=(50.0,), stop_eps=1e-6, quadrature="exact")
     diag = check_Ltilde(m, rep.u_inf, 4.0)
     fan_min = diag.min_over_points()

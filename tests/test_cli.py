@@ -1,8 +1,10 @@
 import json
 import os
+import sys
 
 import yaml
 
+from weakkam import models
 from weakkam.cli import main
 
 
@@ -172,3 +174,19 @@ def test_runs_are_byte_identical_across_thread_counts(tmp_path):
             assert fa.read() == fb.read()
     with open(out1 / "slab.csv") as fh:
         assert "np." not in fh.read()
+
+
+def test_check_audits_assumptions_once(tmp_path, monkeypatch):
+    calls = []
+    orig = models.audit_assumptions
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "weakkam" and getattr(mod, "audit_assumptions", None) is orig:
+            monkeypatch.setattr(mod, "audit_assumptions", counting)
+    cfg = write_config(tmp_path / "run.yaml", solver={"T": 0.5}, oracle={"alpha": 4.1})
+    assert run(["check", "--config", cfg, "--out", tmp_path / "out"]) in (0, 1)
+    assert len(calls) == 1

@@ -82,5 +82,5 @@ def test_cross_check_against_variational_solver():
     dt_fd = 1.0 / math.ceil(1.0 / (0.5 * g.dx / 4.1))
     cfg = LFConfig(g, 4.1, dt_fd, audited_max_hp=4.0)
     u_fd = lf_final(m, phi, 1.0, cfg)
-    u_dp = step_T(m, phi, 1.0, 1.0 / 64, 4.0, tol=0.0, quadrature="exact")
+    u_dp = step_T(m, phi, 1.0, 1.0 / 64, 4.0, quadrature="exact")
     assert np.max(np.abs(u_fd.values - u_dp.values)) <= 0.05

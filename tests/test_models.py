@@ -5,6 +5,7 @@ from weakkam.models import (
     HamiltonianModel,
     PiecewiseLinearMap,
     TrigPotential,
+    _halton_samples,
     audit_assumptions,
     default_velocity_bound,
     eval_H,
@@ -135,3 +136,16 @@ def test_audit_is_deterministic():
     b = audit_assumptions(m, BOX, 512)
     assert a.max_Hp == b.max_Hp
     assert a.worst == b.worst
+
+
+def test_halton_samples_match_scipy():
+    pytest.importorskip("scipy")
+    from scipy.stats import qmc
+
+    for d in range(3, 9):
+        box = [(0.0, 1.0)] * (d - 2) + [(-3.0, 3.0), (-4.0, 4.0)]
+        lo = np.array([b[0] for b in box])
+        hi = np.array([b[1] for b in box])
+        for n in (64, 512, 1000, 4096):
+            unit = qmc.Halton(d=d, scramble=False).random(n)
+            assert np.array_equal(_halton_samples(box, n), lo + unit * (hi - lo))

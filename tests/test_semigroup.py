@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from weakkam.errors import ConfigurationError, NumericError
-from weakkam.models import HamiltonianModel, TrigPotential
+from weakkam.models import HamiltonianModel, PiecewiseLinearMap, TrigPotential
 from weakkam.semigroup import (
+    _march,
     check_properties,
     converge,
+    default_block_length,
     extract_calibrated_curve,
     fixed_point,
     semigroup_defect,
@@ -29,6 +31,21 @@ def discounted_pendulum(lam=1.0):
     )
 
 
+def nonlinear_pendulum():
+    return HamiltonianModel(
+        "quadratic-nonlinear-u",
+        potential=TrigPotential(1, (((1,), 1.0), ((2,), -0.4))),
+        f=PiecewiseLinearMap((-1.0, 0.0, 1.0), (-2.0, 0.0, 0.5)),
+    )
+
+
+def discounted_2d():
+    return HamiltonianModel(
+        "quadratic-discounted", dim=2, lam=1.0,
+        potential=TrigPotential(2, (((1, 0), 1.0), ((0, 1), 0.5))),
+    )
+
+
 def test_u_independent_model_is_single_pass():
     m = HamiltonianModel("quadratic-mechanical", dim=1)
     g = Grid(1, 32)
@@ -41,16 +58,26 @@ def test_u_independent_model_is_single_pass():
 
 
 def test_fixed_point_bitwise_stationary_within_step_count():
-    m = discounted_pendulum()
-    g = Grid(1, 128)
-    phi = GridField(g, np.zeros(g.size))
-    n_steps = 32
-    u, report = fixed_point(m, phi, 1.0, 1.0 / n_steps, 4.0, tol=0.0)
-    assert report.iterations <= n_steps
-    assert report.residual_history[-1] == 0.0
-    # certificate: observed gaps below twice the factorial bound
-    for gap, bound in zip(report.residual_history, report.contraction_bound):
-        assert gap <= 2.0 * bound + 1e-15
+    g2 = Grid(2, 24)
+    phi2 = GridField(g2, 0.3 * np.cos(2 * np.pi * (g2.points() @ [1.0, 1.0])))
+    x = Grid(1, 64).points()[:, 0]
+    cases = [  # model, phi, T, dt, quadrature
+        (discounted_pendulum(), GridField(Grid(1, 128), np.zeros(128)), 1.0, 1 / 32, "left"),
+        (discounted_pendulum(), GridField(Grid(1, 256), np.zeros(256)), 1.0, 1 / 64, "exact"),
+        (nonlinear_pendulum(), GridField(Grid(1, 64), 0.3 * np.cos(2 * np.pi * x)), 2.0, 1 / 16,
+         "left"),
+        (discounted_2d(), phi2, 1.0, 1 / 16, "left"),
+    ]
+    for m, phi, T, dt, quad in cases:
+        n_steps = round(T / dt)
+        u, report = fixed_point(m, phi, T, dt, 4.0, tol=0.0, quadrature=quad)
+        assert report.iterations <= n_steps
+        assert report.residual_history[-1] == 0.0
+        # certificate: observed gaps below twice the factorial bound
+        for gap, bound in zip(report.residual_history, report.contraction_bound):
+            assert gap <= 2.0 * bound + 1e-15
+        # the forward march is the same fixed point, bit for bit
+        assert np.array_equal(_march(m, phi, T, dt, 4.0, quadrature=quad).values, u.values)
 
 
 def test_fixed_point_raises_when_budget_too_small():
@@ -78,7 +105,7 @@ def test_discounted_constant_datum_decays_geometrically():
     g = Grid(1, 64)
     phi = GridField(g, np.ones(g.size))
     dt = 1.0 / 64
-    u = step_T(m, phi, 1.0, dt, 2.0, tol=0.0)
+    u = step_T(m, phi, 1.0, dt, 2.0)
     assert np.max(np.abs(u.values - (1 - dt) ** 64)) <= 1e-14
     assert np.max(np.abs(u.values - np.exp(-1.0))) <= 5e-3
 
@@ -90,7 +117,7 @@ def test_monotonicity_and_nonexpansiveness_are_exact():
     x = g.points()[:, 0]
     phi = GridField(g, 0.3 * np.sin(2 * np.pi * x) + rng.uniform(-0.1, 0.1, g.size))
     psi = GridField(g, 0.2 * np.cos(2 * np.pi * x) + rng.uniform(-0.1, 0.1, g.size))
-    report = check_properties(m, phi, psi, [0.5, 1.0], 1.0 / 16, 4.0, tol=0.0)
+    report = check_properties(m, phi, psi, [0.5, 1.0], 1.0 / 16, 4.0)
     assert report.all_within(0.0)
     for e in report.entries:
         assert e["monotonicity_gap"] == 0.0
@@ -103,8 +130,8 @@ def test_semigroup_law_exact_on_discrete_objects():
     m = discounted_pendulum()
     g = Grid(1, 64)
     phi = GridField(g, np.zeros(g.size))
-    assert semigroup_defect(m, phi, 0.5, 0.5, 1.0 / 32, 4.0, tol=0.0) == 0.0
-    assert semigroup_defect(m, phi, 0.25, 0.75, 1.0 / 32, 4.0, tol=0.0) == 0.0
+    assert semigroup_defect(m, phi, 0.5, 0.5, 1.0 / 32, 4.0) == 0.0
+    assert semigroup_defect(m, phi, 0.25, 0.75, 1.0 / 32, 4.0) == 0.0
 
 
 def test_converge_reaches_pendulum_weak_kam_solution():
@@ -114,8 +141,7 @@ def test_converge_reaches_pendulum_weak_kam_solution():
     g = Grid(1, 256)
     phi = GridField(g, np.zeros(g.size))
     report = converge(
-        m, phi, 1.0 / 16, 4.0, tol=0.0, t_checkpoints=(20.0,),
-        stop_eps=1e-9, quadrature="exact",
+        m, phi, 1.0 / 16, 4.0, t_checkpoints=(20.0,), stop_eps=1e-9, quadrature="exact"
     )
     assert report.converged
     assert report.tail_nonincreasing
@@ -126,6 +152,26 @@ def test_converge_reaches_pendulum_weak_kam_solution():
     # one kink at the cut point x = 1/2, small residual elsewhere
     assert report.residual.kink_count <= 3
     assert report.residual.max_abs_smooth <= 5e-2
+
+
+def test_converge_equals_picard_restart_blocks():
+    # reference: each reporting window solved by tol=0 Picard iteration from
+    # the previous window's final slice
+    m = nonlinear_pendulum()
+    g = Grid(1, 64)
+    phi = GridField(g, 0.3 * np.cos(2 * np.pi * g.points()[:, 0]))
+    dt, t_final = 1.0 / 16, 5.5
+    report = converge(m, phi, dt, 4.0, t_checkpoints=(t_final,), stop_eps=1e-12)
+    cur, t, block_times = phi, 0.0, []
+    while t < t_final - 1e-9:
+        span = min(default_block_length(m), t_final - t)
+        u, _ = fixed_point(m, cur, span, dt, 4.0, tol=0.0, max_iter=200)
+        t += span
+        block_times.append(t)
+        cur = u.final()
+    assert report.block_times == block_times
+    assert len(block_times) == 6
+    assert np.array_equal(report.u_inf.values, cur.values)
 
 
 def test_residual_zero_for_flat_discounted_solution():
@@ -146,8 +192,7 @@ def test_converged_field_is_a_subsolution_along_test_curves():
     g = Grid(1, 256)
     phi = GridField(g, np.zeros(g.size))
     report = converge(
-        m, phi, 1.0 / 16, 4.0, tol=0.0, t_checkpoints=(20.0,),
-        stop_eps=1e-9, quadrature="exact",
+        m, phi, 1.0 / 16, 4.0, t_checkpoints=(20.0,), stop_eps=1e-9, quadrature="exact"
     )
     gap = subsolution_gap(m, report.u_inf, np.random.default_rng(0), n_curves=50)
     assert gap <= 1e-9
@@ -157,7 +202,7 @@ def test_calibrated_curve_defect_is_roundoff():
     m = discounted_pendulum()
     g = Grid(1, 128)
     phi = GridField(g, np.zeros(g.size))
-    u, _ = fixed_point(m, phi, 1.0, 1.0 / 32, 4.0, tol=0.0)
+    u = _march(m, phi, 1.0, 1.0 / 32, 4.0)
     curve = extract_calibrated_curve(m, u, x_end=int(0.55 * g.size), v_max=4.0)
     assert curve.max_defect() <= 1e-12
     assert curve.indices.size == u.n_steps + 1
@@ -182,10 +227,10 @@ def test_report_csv_headers():
     phi = GridField(g, np.zeros(g.size))
     _, fp_report = fixed_point(m, phi, 0.5, 1.0 / 16, 4.0, tol=0.0)
     assert fp_report.to_csv().startswith("iter,gap,bound\n")
-    conv = converge(m, phi, 1.0 / 16, 4.0, tol=0.0, t_checkpoints=(2.0,), stop_eps=1e-8)
+    conv = converge(m, phi, 1.0 / 16, 4.0, t_checkpoints=(2.0,), stop_eps=1e-8)
     lines = conv.to_csv().strip().split("\n")
     assert lines[0] == "t,increment"
     assert "np." not in conv.to_csv()
     psi = GridField(g, np.full(g.size, 0.1))
-    props = check_properties(m, phi, psi, [0.5], 1.0 / 16, 4.0, tol=0.0)
+    props = check_properties(m, phi, psi, [0.5], 1.0 / 16, 4.0)
     assert props.to_csv().startswith("t,monotonicity_gap,nonexpansive_gap,sup_norm,lipschitz\n")
