@@ -2,22 +2,24 @@
 critical value of the frozen-u Lagrangian.
 
 The minimal action table h_t(x_i, x_j) is computed by dynamic programming
-over time slices with straight-segment costs; tables for doubled horizons
-are obtained by exact min-plus composition, which makes the growth-rate
-estimate of the critical value cheap at large horizons.
+over time slices with straight-segment costs; tables for longer horizons
+are obtained by exact min-plus composition.  The discrete critical value
+needs no table: -c*dt is the minimum cycle mean of the one-step DP graph,
+which Karp's formula gives exactly from grid.size steps of the vector
+kernel.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .kernels import StepKernel, min_plus_product
 from .models import HamiltonianModel
-from .torus import Grid, csv_float
+from .torus import Grid, _horizon_steps, csv_float
 
 
 @dataclass
@@ -32,9 +34,6 @@ class ActionTable:
     v_max: float
     values: np.ndarray
     quadrature: str = "left"
-
-    def diagonal(self) -> np.ndarray:
-        return np.diagonal(self.values).copy()
 
     def compose(self, other: "ActionTable") -> "ActionTable":
         """Exact composition h_{t+t'}(x,z) = min_y h_t(x,y) + h_{t'}(y,z)."""
@@ -78,15 +77,9 @@ class ActionTable:
 class CriticalValueResult:
     a: float
     c: float
-    diagnostics: list = field(default_factory=list)  # (T, raw estimate)
-    converged: bool = True
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("T,estimate\n")
-        for T, est in self.diagnostics:
-            buf.write(f"{csv_float(T)},{csv_float(est)}\n")
-        return buf.getvalue()
+        return f"a,c\n{csv_float(self.a)},{csv_float(self.c)}\n"
 
 
 def discretization_slack(model: HamiltonianModel, grid: Grid, dt: float, v_max: float) -> float:
@@ -111,9 +104,7 @@ def min_action(
     """DP table of minimal actions over horizon t at frozen u-level a."""
     if not (t >= dt > 0):
         raise ConfigurationError("need t >= dt > 0")
-    n_steps = int(round(t / dt))
-    if abs(n_steps * dt - t) > 1e-9 * max(1.0, t):
-        raise ConfigurationError(f"horizon t={t:g} is not a multiple of dt={dt:g}")
+    n_steps = _horizon_steps(t, dt)
     kern = StepKernel(model, grid, dt, v_max, quadrature)
     w = np.full((grid.size, grid.size), np.inf)
     np.fill_diagonal(w, 0.0)
@@ -124,13 +115,21 @@ def min_action(
     )
 
 
-def _doubling_tables(base: ActionTable, t_max: float):
-    """Yield tables at horizons t0, 2*t0, 4*t0, ... up to t_max."""
-    table = base
-    yield table
-    while table.t * 2.0 <= t_max * (1.0 + 1e-9):
-        table = table.compose(table)
-        yield table
+def _min_cycle_mean(kern: StepKernel, a: float) -> float:
+    """Minimum mean step cost over the cycles of the DP graph at level a.
+
+    Karp's formula with every vertex a source: D_k(x) is the cheapest
+    k-step path ending at x, and the mean is
+    min_x max_{k<n} (D_n(x) - D_k(x)) / (n - k) with n = grid.size.
+    """
+    n = kern.grid.size
+    level = np.full(n, a)
+    d = np.empty((n + 1, n))
+    d[0] = 0.0
+    for k in range(n):
+        d[k + 1] = kern.apply(d[k], level)
+    lengths = (n - np.arange(n))[:, None]
+    return float(np.min(np.max((d[n] - d[:n]) / lengths, axis=0)))
 
 
 def critical_value(
@@ -139,37 +138,16 @@ def critical_value(
     grid: Grid,
     dt: float,
     v_max: float,
-    t_max: float,
-    tol: float = 1e-6,
-    t0: float = 1.0,
     quadrature: str = "left",
 ) -> CriticalValueResult:
-    """Estimate c = -lim min_x h_T(x,x)/T over geometrically increasing T.
+    """The discrete critical value c = -(minimum cycle mean)/dt at level a.
 
-    The raw sequence behaves like c - beta/T once the transient has passed,
-    so the Richardson pair 2*c(2T) - c(T) removes the leading term; the raw
-    estimates are reported as diagnostics.
+    It is the exact limit of -min_x h_T(x,x)/T on the grid, computed
+    without action tables.
     """
-    if t_max < 4:
-        raise ConfigurationError("T_max must be >= 4")
-    base = min_action(model, a, t0, grid, dt, v_max, quadrature)
-    diagnostics = []
-    raw = []
-    prev_extrap = None
-    extrap = None
-    converged = False
-    for table in _doubling_tables(base, t_max):
-        est = -float(np.min(table.diagonal())) / table.t
-        diagnostics.append((table.t, est))
-        raw.append(est)
-        if len(raw) >= 2:
-            extrap = 2.0 * raw[-1] - raw[-2]
-            if prev_extrap is not None and abs(extrap - prev_extrap) < tol:
-                converged = True
-                break
-            prev_extrap = extrap
-    c = extrap if extrap is not None else raw[-1]
-    return CriticalValueResult(a=a, c=float(c), diagnostics=diagnostics, converged=converged)
+    kern = StepKernel(model, grid, dt, v_max, quadrature)
+    c = -_min_cycle_mean(kern, a) / dt
+    return CriticalValueResult(a=a, c=c + 0.0)  # + 0.0 turns -0.0 into +0.0
 
 
 def peierls_barrier(

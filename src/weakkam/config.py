@@ -26,7 +26,7 @@ Schema (defaults in parentheses):
       checkpoints: [floats]          ([50.0])
       quadrature: left|midpoint|exact  (left)
       a: float                       (0.0, frozen u-level for action/critical)
-      T_max: float >= 4              (64.0, critical-value horizon)
+      T_max: float >= 4              (64.0, only recorded in the manifest)
       phi: [[k..., amplitude], ...]  ([], initial datum as trig modes)
     char:
       x0: [floats]  u0: float  p0: [floats]  t: float  dt_ode: float

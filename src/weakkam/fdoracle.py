@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .models import HamiltonianModel, eval_H
-from .torus import Grid, GridField, SpaceTimeField
+from .torus import Grid, GridField, SpaceTimeField, _horizon_steps
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,7 @@ def lf_step(model: HamiltonianModel, u: GridField, cfg: LFConfig) -> GridField:
 
 def lf_solve(model: HamiltonianModel, phi: GridField, T: float, cfg: LFConfig) -> SpaceTimeField:
     """Iterate lf_step over [0, T] and return the slab."""
-    n = int(round(T / cfg.dt_fd))
-    if n < 1 or abs(n * cfg.dt_fd - T) > 1e-9 * max(1.0, T):
-        raise ConfigurationError(f"T={T:g} is not a positive multiple of dt_fd={cfg.dt_fd:g}")
+    n = _horizon_steps(T, cfg.dt_fd)
     out = np.empty((n + 1, phi.grid.size))
     out[0] = phi.values
     cur = phi
@@ -75,9 +73,7 @@ def lf_solve(model: HamiltonianModel, phi: GridField, T: float, cfg: LFConfig) -
 
 def lf_final(model: HamiltonianModel, phi: GridField, T: float, cfg: LFConfig) -> GridField:
     """Final slice only (avoids storing long slabs)."""
-    n = int(round(T / cfg.dt_fd))
-    if n < 1 or abs(n * cfg.dt_fd - T) > 1e-9 * max(1.0, T):
-        raise ConfigurationError(f"T={T:g} is not a positive multiple of dt_fd={cfg.dt_fd:g}")
+    n = _horizon_steps(T, cfg.dt_fd)
     cur = phi
     for _ in range(n):
         cur = lf_step(model, cur, cfg)

@@ -22,7 +22,9 @@ from .errors import ConfigurationError, NumericError
 from .kernels import StepKernel
 from .legendre import lagrangian_values
 from .models import HamiltonianModel, eval_H
-from .torus import Grid, GridField, SpaceTimeField, csv_float, interp_periodic, periodic_delta
+from .torus import (
+    Grid, GridField, SpaceTimeField, _horizon_steps, csv_float, interp_periodic, periodic_delta,
+)
 
 
 @dataclass
@@ -59,13 +61,6 @@ def apply_A(
     for n in range(u.n_steps):
         out[n + 1] = kern.apply(out[n], u.values[n])
     return SpaceTimeField(phi.grid, u.dt, out)
-
-
-def _horizon_steps(T: float, dt: float) -> int:
-    n_steps = int(round(T / dt))
-    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
-        raise ConfigurationError(f"horizon T={T:g} is not a positive multiple of dt={dt:g}")
-    return n_steps
 
 
 def _march(model, phi, T, dt, v_max, quadrature="left", kernel=None) -> SpaceTimeField:

@@ -91,6 +91,14 @@ class Grid:
         return (i1 * self.n + i2).ravel()
 
 
+def _horizon_steps(T: float, dt: float) -> int:
+    """Number of steps of dt in the horizon T; T must be a positive multiple."""
+    n_steps = int(round(T / dt))
+    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
+        raise ConfigurationError(f"horizon T={T:g} is not a positive multiple of dt={dt:g}")
+    return n_steps
+
+
 def stencil_offsets(grid: Grid, v_max: float, dt: float) -> np.ndarray:
     """Integer cell offsets reachable at speed <= v_max in one step of dt.
 

@@ -169,9 +169,9 @@ def test_criterion_6_critical_value(capsys):
     pend3 = HamiltonianModel(
         "quadratic-mechanical", potential=TrigPotential(1, (((1,), 3.0),))
     )
-    c0 = critical_value(free, 0.0, g, 1.0 / 16, 2.0, 16.0).c
-    c1 = critical_value(pend, 0.0, g, 1.0 / 16, 4.0, 32.0).c
-    c3 = critical_value(pend3, 0.0, g, 1.0 / 16, 6.0, 32.0).c
+    c0 = critical_value(free, 0.0, g, 1.0 / 16, 2.0).c
+    c1 = critical_value(pend, 0.0, g, 1.0 / 16, 4.0).c
+    c3 = critical_value(pend3, 0.0, g, 1.0 / 16, 6.0).c
     ok = abs(c0) <= 1e-3 and abs(c1 - 1.0) <= 2e-2 and abs(c3 - 3.0) <= 6e-2
     report(capsys, 6, "critical values", ok,
            f"free={c0:.2e}, pendulum={c1:.4f}, scaled={c3:.4f}")

@@ -2,6 +2,7 @@ import json
 import os
 import sys
 
+import numpy as np
 import yaml
 
 from weakkam import models
@@ -98,8 +99,12 @@ def test_critical_value_run(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["critical", "--config", cfg, "--out", out]) == 0
     assert "critical value estimate" in capsys.readouterr().out
+    with open(out / "manifest.json") as fh:
+        c = json.load(fh)["c"]
+    # the rest step at the maximum of V = cos(2 pi x) is the critical cycle
+    assert abs(c - np.max(np.cos(2 * np.pi * np.arange(128) / 128))) <= 1e-12
     with open(out / "critical.csv") as fh:
-        assert fh.readline().strip() == "T,estimate"
+        assert fh.read().splitlines() == ["a,c", f"0.0,{c!r}"]
 
 
 def test_char_requires_char_block(tmp_path, capsys):

@@ -90,3 +90,12 @@ def test_load_config_rejects_bad_yaml(tmp_path):
     p.write_text("model: [unclosed\n")
     with pytest.raises(ConfigurationError, match="YAML"):
         load_config(str(p))
+
+
+def test_t_max_is_validated_and_recorded():
+    doc = base()
+    doc["solver"] = {"T_max": 2.0}
+    with pytest.raises(ConfigurationError, match="solver.T_max"):
+        parse_config(doc)
+    doc["solver"]["T_max"] = 32.0
+    assert parse_config(doc).resolved()["solver.T_max"] == 32.0
