@@ -36,7 +36,7 @@ from .semigroup import (
     fixed_point,
     weak_kam_residual,
 )
-from .torus import GridField, csv_float
+from .torus import GridField, _point_columns
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -46,17 +46,10 @@ EXIT_NUMERIC = 3
 
 def _field_csv(f: GridField) -> str:
     buf = io.StringIO()
-    pts = f.grid.points()
-    if f.grid.dim == 1:
-        buf.write("j,x,u\n")
-        for j in range(f.grid.size):
-            buf.write(f"{j},{csv_float(pts[j, 0])},{csv_float(f.values[j])}\n")
-    else:
-        buf.write("j,x1,x2,u\n")
-        for j in range(f.grid.size):
-            buf.write(
-                f"{j},{csv_float(pts[j, 0])},{csv_float(pts[j, 1])},{csv_float(f.values[j])}\n"
-            )
+    head, cols = _point_columns(f.grid)
+    buf.write(f"{head}u\n")
+    for col, u in zip(cols, f.values.tolist()):
+        buf.write(f"{col}{u!r}\n")
     return buf.getvalue()
 
 

@@ -6,9 +6,15 @@ A step advances a value slice by
 
 where y ranges over grid points within periodic distance v_max*dt of x_j
 and the displacement is the minimal periodic representative.  The kernel
-precomputes, per admissible cell offset, the start-index map and the
-u-independent part of the segment cost; only the u-coupling is recomputed
-per step.
+precomputes one table, the u-independent part of the segment cost of each
+admissible cell offset, indexed by the destination x_j; only the u-coupling
+is recomputed per step.
+
+The start points y = x_j - offset*dx are read without an index table: each
+step pads the start values periodically by the largest offset and takes the
+sliding windows of the padded array, so the starts of one offset are one
+window (a view).  Candidates are formed in blocks of offsets and their
+per-destination min is folded in lexicographic offset order.
 
 Quadrature of the potential along the straight segment ("left", "midpoint"
 or "exact" trigonometric line integral) is fixed at kernel construction.
@@ -20,6 +26,7 @@ access to the previous slice, so results do not depend on thread count.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
 from .models import HamiltonianModel
@@ -27,9 +34,19 @@ from .torus import Grid, stencil_offsets
 
 QUADRATURES = ("left", "midpoint", "exact")
 
+# candidate elements formed at once: bounds the temporaries of one block
+_BLOCK_ELEMENTS = 1 << 16
+
 
 class StepKernel:
-    """Precomputed DP step for a fixed (model, grid, dt, v_max, quadrature)."""
+    """Precomputed DP step for a fixed (model, grid, dt, v_max, quadrature).
+
+    ``base_cost[k, j]`` is dt*L without the u-coupling for the step with
+    offset ``offsets[k]`` that ends at x_j (it starts at x_j - offsets[k]*dx,
+    periodically).  It is the only stored table; the start values of a step
+    are periodic views of the padded slice, and ``start_index`` is derived
+    from the same views on demand.
+    """
 
     def __init__(
         self,
@@ -59,36 +76,76 @@ class StepKernel:
         offsets = offsets[order]
         self.offsets = offsets
         self.n_offsets = offsets.shape[0]
+        # padding width m; the starts of offset o are window m - o of the padded slice
+        self._pad = int(np.max(np.abs(offsets)))
+        self._window_pos = tuple(self._pad - offsets.T)
 
         pts = grid.points()
         disp = offsets.astype(float) * grid.dx  # (n_off, dim)
         self.velocities = disp / dt
         kinetic = 0.5 * np.sum(self.velocities**2, axis=1)  # (n_off,)
 
-        self.start_index = np.empty((self.n_offsets, grid.size), dtype=np.intp)
         self.base_cost = np.empty((self.n_offsets, grid.size))
         for k in range(self.n_offsets):
-            self.start_index[k] = grid.shift_indices(offsets[k])
             if quadrature == "left":
                 vterm = model.potential(pts)
             elif quadrature == "midpoint":
                 vterm = model.potential(pts + 0.5 * disp[k])
             else:
                 vterm = model.potential.segment_average(pts, np.broadcast_to(disp[k], pts.shape))
-            # cost dt*L(y, ., v) without the u-coupling, indexed by start y
-            self.base_cost[k] = dt * (kinetic[k] - vterm + model.action_shift)
+            # the cost at start y, moved to the destination y + offset*dx
+            cost = dt * (kinetic[k] - vterm + model.action_shift)
+            self.base_cost[k] = cost[grid.shift_indices(offsets[k])]
+
+    @property
+    def start_index(self) -> np.ndarray:
+        """Start grid index of each (offset, destination) step, (n_offsets, size)."""
+        return self._starts(self._windows(np.arange(self.grid.size)), slice(None))
 
     def step_cost(self, u_slice: np.ndarray) -> np.ndarray:
         """Start-point term W-independent of the offset: -dt * coupling(u(y))."""
         return -self.dt * self.model.coupling(u_slice)
 
+    def _windows(self, a: np.ndarray) -> np.ndarray:
+        """Sliding windows of the last axis of a (per-point values), padded periodically.
+
+        The window at position m - o along each grid axis holds a at the
+        start points x_j - o*dx of the steps with offset o.
+        """
+        n, dim, lead = self.grid.n, self.grid.dim, a.ndim - 1
+        shaped = a.reshape(a.shape[:-1] + (n,) * dim)
+        padded = np.pad(shaped, [(0, 0)] * lead + [(self._pad, self._pad)] * dim, mode="wrap")
+        return sliding_window_view(padded, (n,) * dim, axis=tuple(range(lead, lead + dim)))
+
+    def _starts(self, windows: np.ndarray, blk: slice) -> np.ndarray:
+        """Start values of the offsets in blk, shape (..., len(blk), size) (a copy)."""
+        lead = windows.ndim - 2 * self.grid.dim
+        got = windows[(slice(None),) * lead + tuple(p[blk] for p in self._window_pos)]
+        return got.reshape(got.shape[: lead + 1] + (self.grid.size,))
+
+    def _candidates(self, windows: np.ndarray, blk: slice) -> np.ndarray:
+        """Candidates a(x_j - offsets[k]*dx) + base_cost[k, j] of the offsets k in blk."""
+        cand = self._starts(windows, blk)
+        cand += self.base_cost[blk]
+        return cand
+
+    def _blocks(self, rows: int):
+        """Consecutive offset slices whose candidates hold about _BLOCK_ELEMENTS."""
+        per = max(1, _BLOCK_ELEMENTS // (rows * self.grid.size))
+        return [slice(lo, lo + per) for lo in range(0, self.n_offsets, per)]
+
+    def _min_over_offsets(self, a: np.ndarray) -> np.ndarray:
+        """min_k a(x_j - offsets[k]*dx) + base_cost[k, j] over the last axis of a."""
+        windows = self._windows(a)
+        blocks = self._blocks(a.size // self.grid.size)
+        out = self._candidates(windows, blocks[0]).min(axis=-2)
+        for blk in blocks[1:]:
+            np.minimum(out, self._candidates(windows, blk).min(axis=-2), out=out)
+        return out
+
     def apply(self, w: np.ndarray, u_slice: np.ndarray) -> np.ndarray:
         """One DP step of a single slice (shape (size,))."""
-        a = w + self.step_cost(u_slice)
-        out = np.take(a + self.base_cost[0], self.start_index[0])
-        for k in range(1, self.n_offsets):
-            np.minimum(out, np.take(a + self.base_cost[k], self.start_index[k]), out=out)
-        return out
+        return self._min_over_offsets(w + self.step_cost(u_slice))
 
     def apply_with_argmin(self, w: np.ndarray, u_slice: np.ndarray):
         """One DP step returning (values, start indices of the minimizers).
@@ -96,26 +153,20 @@ class StepKernel:
         Ties are broken toward the smallest start grid index.
         """
         a = w + self.step_cost(u_slice)
-        cand = np.empty((self.n_offsets, self.grid.size))
-        for k in range(self.n_offsets):
-            cand[k] = np.take(a + self.base_cost[k], self.start_index[k])
-        vals = np.min(cand, axis=0)
-        tied = cand <= vals[None, :]
-        start = np.where(tied, self.start_index, self.grid.size)
-        return vals, np.min(start, axis=0)
+        vals = self._min_over_offsets(a)
+        windows = self._windows(a)
+        index_windows = self._windows(np.arange(self.grid.size))
+        arg = np.full(self.grid.size, self.grid.size, dtype=np.intp)
+        for blk in self._blocks(1):
+            tied = self._candidates(windows, blk) <= vals
+            starts = np.where(tied, self._starts(index_windows, blk), self.grid.size)
+            np.minimum(arg, starts.min(axis=0), out=arg)
+        return vals, arg
 
     def apply_table(self, w: np.ndarray, a_level: float) -> np.ndarray:
         """One DP step of an action table (rows = start points, frozen u)."""
         shift = self.step_cost(np.full(1, a_level))[0]
-        a = w + shift
-        out = np.take(a + self.base_cost[0][None, :], self.start_index[0], axis=1)
-        for k in range(1, self.n_offsets):
-            np.minimum(
-                out,
-                np.take(a + self.base_cost[k][None, :], self.start_index[k], axis=1),
-                out=out,
-            )
-        return out
+        return self._min_over_offsets(w + shift)
 
 
 def min_plus_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

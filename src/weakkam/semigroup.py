@@ -272,13 +272,14 @@ def extract_calibrated_curve(
     u_along = spacetime.values[np.arange(n + 1), idx]
 
     # bookkeeping defect measured on the recomputed pass
-    start_u = spacetime.values[np.arange(n), idx[:-1]]
+    cells = np.stack(np.unravel_index(idx, (grid.n,) * grid.dim), axis=-1)
     seg_cost = np.empty(n)
     for k in range(n):
-        # recover the exact kernel cost of the chosen transition
-        off = kern.start_index[:, idx[k + 1]] == idx[k]
-        ks = np.nonzero(off)[0]
-        costs = kern.base_cost[ks, idx[k]] + kern.step_cost(spacetime.values[k])[idx[k]]
+        # recover the exact kernel cost of the chosen transition: the offsets
+        # whose step into x_{idx[k+1]} starts at x_{idx[k]}
+        starts = (cells[k + 1] - kern.offsets) % grid.n
+        ks = np.nonzero(np.all(starts == cells[k], axis=1))[0]
+        costs = kern.base_cost[ks, idx[k + 1]] + kern.step_cost(spacetime.values[k])[idx[k]]
         seg_cost[k] = np.min(costs)
     defects = (w[np.arange(1, n + 1), idx[1:]] - w[np.arange(n), idx[:-1]]) - seg_cost
     return CalibratedCurve(

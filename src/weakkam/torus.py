@@ -20,6 +20,13 @@ def csv_float(v) -> str:
     return repr(float(v))
 
 
+def _point_columns(grid: Grid) -> tuple[str, list[str]]:
+    """CSV header "j,x," (d=2: "j,x1,x2,") and each point's row prefix in that form."""
+    head = "j,x," if grid.dim == 1 else "j,x1,x2,"
+    cols = [f"{j}," + "".join(f"{csv_float(c)}," for c in p) for j, p in enumerate(grid.points())]
+    return head, cols
+
+
 def wrap(x):
     """Map coordinates to the fundamental domain [0,1)^d."""
     return np.asarray(x, dtype=float) % 1.0
@@ -215,20 +222,11 @@ class SpaceTimeField:
     def to_csv(self) -> str:
         """Slab export with columns k,t,j,x,u (x omits extra axes for d=2)."""
         buf = io.StringIO()
-        pts = self.grid.points()
-        if self.grid.dim == 1:
-            buf.write("k,t,j,x,u\n")
-            for k in range(self.values.shape[0]):
-                t = csv_float(k * self.dt)
-                for j in range(self.grid.size):
-                    buf.write(f"{k},{t},{j},{csv_float(pts[j, 0])},{csv_float(self.values[k, j])}\n")
-        else:
-            buf.write("k,t,j,x1,x2,u\n")
-            for k in range(self.values.shape[0]):
-                t = csv_float(k * self.dt)
-                for j in range(self.grid.size):
-                    buf.write(
-                        f"{k},{t},{j},{csv_float(pts[j, 0])},{csv_float(pts[j, 1])},"
-                        f"{csv_float(self.values[k, j])}\n"
-                    )
+        head, cols = _point_columns(self.grid)
+        buf.write(f"k,t,{head}u\n")
+        for k in range(self.values.shape[0]):
+            pre = f"{k},{csv_float(k * self.dt)},"
+            # repr of the Python floats from tolist() is csv_float, without a call per value
+            for col, u in zip(cols, self.values[k].tolist()):
+                buf.write(f"{pre}{col}{u!r}\n")
         return buf.getvalue()

@@ -55,6 +55,73 @@ def test_apply_matches_brute_force_2d():
     assert np.allclose(kern.apply(w, u), brute_step(m, g, dt, v_max, w, u), atol=1e-12)
 
 
+def gather_reference(kern):
+    """The plain kernel's tables: costs indexed by start point, start index maps."""
+    model, grid, dt = kern.model, kern.grid, kern.dt
+    pts = grid.points()
+    disp = kern.offsets.astype(float) * grid.dx
+    kinetic = 0.5 * np.sum((disp / dt) ** 2, axis=1)
+    cost = np.empty((kern.n_offsets, grid.size))
+    start = np.empty((kern.n_offsets, grid.size), dtype=np.intp)
+    for k in range(kern.n_offsets):
+        start[k] = grid.shift_indices(kern.offsets[k])
+        if kern.quadrature == "left":
+            vterm = model.potential(pts)
+        elif kern.quadrature == "midpoint":
+            vterm = model.potential(pts + 0.5 * disp[k])
+        else:
+            vterm = model.potential.segment_average(pts, np.broadcast_to(disp[k], pts.shape))
+        cost[k] = dt * (kinetic[k] - vterm + model.action_shift)
+    return cost, start
+
+
+def gather_step(kern, a):
+    """min over offsets of take(a + cost[k], start[k]) along the last axis, with argmins."""
+    cost, start = gather_reference(kern)
+    cand = np.stack([np.take(a + cost[k], start[k], axis=-1) for k in range(kern.n_offsets)])
+    vals = cand[0].copy()
+    for k in range(1, kern.n_offsets):
+        np.minimum(vals, cand[k], out=vals)
+    starts = start.reshape((kern.n_offsets,) + (1,) * (a.ndim - 1) + (-1,))
+    arg = np.min(np.where(cand <= vals, starts, kern.grid.size), axis=0)
+    return vals, arg
+
+
+ORACLE_CASES = [
+    (Grid(1, 16), 0.125, 2.0),
+    (Grid(1, 17), 0.125, 2.0),
+    (Grid(2, 24), 0.125, 2.0),
+    (Grid(2, 8), 0.25, 100.0),  # stencil clipped at m = n // 2
+]
+
+
+@pytest.mark.parametrize("quadrature", ["left", "midpoint", "exact"])
+@pytest.mark.parametrize(
+    "grid,dt,v_max", ORACLE_CASES, ids=["1d16", "1d17", "2d24", "2d8-clipped"]
+)
+def test_window_kernel_equals_gather_reference(grid, dt, v_max, quadrature):
+    # the padded-window kernel must reproduce the plain gather kernel bitwise
+    modes = (((1,) * grid.dim, 0.7), ((2,) + (0,) * (grid.dim - 1), -0.4))
+    m = HamiltonianModel(
+        "quadratic-discounted", dim=grid.dim, lam=1.0, potential=TrigPotential(grid.dim, modes)
+    )
+    kern = StepKernel(m, grid, dt, v_max, quadrature)
+    _, start = gather_reference(kern)
+    assert np.array_equal(kern.start_index, start)
+    rng = np.random.default_rng(grid.size)
+    w = rng.uniform(-1, 1, grid.size)
+    u = rng.uniform(-1, 1, grid.size)
+    ref_vals, ref_arg = gather_step(kern, w + kern.step_cost(u))
+    assert kern.apply(w, u).tobytes() == ref_vals.tobytes()
+    vals, arg = kern.apply_with_argmin(w, u)
+    assert vals.tobytes() == ref_vals.tobytes()
+    assert np.array_equal(arg, ref_arg)
+    table = rng.uniform(-1, 1, (7, grid.size))
+    table[2, 3] = np.inf
+    ref_table, _ = gather_step(kern, table + kern.step_cost(np.full(1, 0.3))[0])
+    assert kern.apply_table(table, 0.3).tobytes() == ref_table.tobytes()
+
+
 def test_argmin_indices_reproduce_values():
     m = pendulum()
     g = Grid(1, 32)
@@ -70,7 +137,7 @@ def test_argmin_indices_reproduce_values():
         realized = np.inf
         for k in range(kern.n_offsets):
             if kern.start_index[k, j] == arg[j]:
-                realized = min(realized, a[arg[j]] + kern.base_cost[k, arg[j]])
+                realized = min(realized, a[arg[j]] + kern.base_cost[k, j])
         assert realized == pytest.approx(vals[j], abs=1e-14)
 
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from weakkam.cli import _field_csv
 from weakkam.errors import ConfigurationError
 from weakkam.torus import (
     Grid,
     GridField,
     SpaceTimeField,
+    csv_float,
     interp_periodic,
     periodic_delta,
     periodic_distance,
@@ -114,3 +116,51 @@ def test_spacetime_csv_roundtrip_header():
     assert lines[0] == "k,t,j,x,u"
     assert len(lines) == 1 + 2 * 4
     assert lines[1] == "0,0.0,0,0.0,0.0"
+
+
+def per_value_slab_csv(f):
+    """The per-value slab writer the fast one replaced, kept as its reference."""
+    pts = f.grid.points()
+    if f.grid.dim == 1:
+        out = "k,t,j,x,u\n"
+        for k in range(f.values.shape[0]):
+            t = csv_float(k * f.dt)
+            for j in range(f.grid.size):
+                out += f"{k},{t},{j},{csv_float(pts[j, 0])},{csv_float(f.values[k, j])}\n"
+        return out
+    out = "k,t,j,x1,x2,u\n"
+    for k in range(f.values.shape[0]):
+        t = csv_float(k * f.dt)
+        for j in range(f.grid.size):
+            out += (
+                f"{k},{t},{j},{csv_float(pts[j, 0])},{csv_float(pts[j, 1])},"
+                f"{csv_float(f.values[k, j])}\n"
+            )
+    return out
+
+
+def per_value_field_csv(f):
+    """The per-value field writer (cli u_inf.csv) the fast one replaced."""
+    pts = f.grid.points()
+    if f.grid.dim == 1:
+        out = "j,x,u\n"
+        for j in range(f.grid.size):
+            out += f"{j},{csv_float(pts[j, 0])},{csv_float(f.values[j])}\n"
+        return out
+    out = "j,x1,x2,u\n"
+    for j in range(f.grid.size):
+        out += f"{j},{csv_float(pts[j, 0])},{csv_float(pts[j, 1])},{csv_float(f.values[j])}\n"
+    return out
+
+
+@pytest.mark.parametrize("dim,n", [(1, 6), (2, 3)], ids=["1d", "2d"])
+def test_csv_writers_match_per_value_writers(dim, n):
+    g = Grid(dim, n)
+    special = [-0.0, 5e-324, 1e22, 1 / 3]
+    vals = np.random.default_rng(n).uniform(-1, 1, (3, g.size))
+    vals[0, : len(special)] = special
+    vals[2, -len(special):] = special
+    f = SpaceTimeField(g, 0.1, vals)
+    assert f.to_csv() == per_value_slab_csv(f)
+    for k in (0, 2):
+        assert _field_csv(f.slice(k)) == per_value_field_csv(f.slice(k))
