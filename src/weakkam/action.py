@@ -128,8 +128,14 @@ def _min_cycle_mean(kern: StepKernel, a: float) -> float:
     d[0] = 0.0
     for k in range(n):
         d[k + 1] = kern.apply(d[k], level)
-    lengths = (n - np.arange(n))[:, None]
-    return float(np.min(np.max((d[n] - d[:n]) / lengths, axis=0)))
+    # running max over k in place: no n x n temporary beside d
+    best = (d[n] - d[0]) / n
+    ratio = np.empty(n)
+    for k in range(1, n):
+        np.subtract(d[n], d[k], out=ratio)
+        ratio /= n - k
+        np.maximum(best, ratio, out=best)
+    return float(np.min(best))
 
 
 def critical_value(

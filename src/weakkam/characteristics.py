@@ -71,16 +71,23 @@ class Trajectory:
 
 
 def _rhs(model, x, u, p):
-    """Vector field of the contact system; x shape (b,d), u (b,), p (b,d)."""
-    hx, hu, hp = grad_H(model, x, u, p)
-    hx = np.atleast_2d(hx)
-    hp = np.atleast_2d(hp)
-    hu = np.atleast_1d(hu)
-    h = np.atleast_1d(eval_H(model, x, u, p))
-    dx = hp
-    dp = -hx - hu[:, None] * p
-    du = np.sum(hp * p, axis=1) - h
-    return dx, du, dp
+    """Vector field of the contact system; x shape (b,d), u (b,), p (b,d).
+
+    Each mode's phase is computed once for V and its gradient.  The
+    expressions are those of ``eval_H`` and ``grad_H``, without their input
+    validation: ``flow`` checks every step's state for finiteness.
+    """
+    pot = np.zeros(x.shape[0])
+    hx = np.zeros_like(x)
+    for k, a in model.potential.modes:
+        kv = np.asarray(k, dtype=float)
+        phase = 2.0 * np.pi * (x @ kv)
+        pot += a * np.cos(phase)
+        hx += (-a * 2.0 * np.pi * np.sin(phase))[:, None] * kv
+    pp = np.sum(p * p, axis=1)
+    h = 0.5 * pp + model.coupling(u) + pot - model.action_shift
+    dp = -hx - model.coupling_derivative(u)[:, None] * p
+    return p, pp - h, dp
 
 
 def flow(

@@ -27,7 +27,8 @@ from .characteristics import (
 )
 from .config import RunConfig, load_config
 from .errors import ConfigurationError, NumericError
-from .fdoracle import LFConfig, lf_solve
+from .fdoracle import LFConfig, lf_final, lf_solve
+from .kernels import StepKernel
 from .semigroup import (
     _march,
     check_properties,
@@ -198,17 +199,19 @@ def cmd_check(cfg: RunConfig, out_dir: str, threads: int) -> int:
     psi = GridField(cfg.grid, phi.values + 0.2 * np.cos(
         2 * np.pi * cfg.grid.points()[:, 0] + 1.0))
     t_list = [t for t in (0.5, 1.0) if t <= cfg.T + 1e-9] or [cfg.T]
+    # one kernel and one march of phi serve every suite below
+    kern = StepKernel(cfg.model, cfg.grid, cfg.dt, cfg.v_max, cfg.quadrature)
+    u = _march(cfg.model, phi, cfg.T, cfg.dt, cfg.v_max, kernel=kern)
     prop = check_properties(
-        cfg.model, phi, psi, t_list, cfg.dt, cfg.v_max, quadrature=cfg.quadrature
+        cfg.model, phi, psi, t_list, cfg.dt, cfg.v_max, kernel=kern, phi_march=u
     )
     ok = prop.all_within(2 * max(cfg.tol, 1e-12))
     rows.append(f"semigroup_properties,{int(ok)},uniform_bound={prop.uniform_bound!r}")
     if not ok:
         failures.append("semigroup_properties")
 
-    u = _march(cfg.model, phi, cfg.T, cfg.dt, cfg.v_max, cfg.quadrature)
     x_end = int(np.argmin(u.values[-1]))
-    curve = extract_calibrated_curve(cfg.model, u, x_end, cfg.v_max, quadrature=cfg.quadrature)
+    curve = extract_calibrated_curve(cfg.model, u, x_end, cfg.v_max, kernel=kern)
     ok = curve.max_defect() <= 1e-9
     rows.append(f"calibrated_defect,{int(ok)},max_defect={curve.max_defect()!r}")
     if not ok:
@@ -234,8 +237,8 @@ def cmd_check(cfg: RunConfig, out_dir: str, threads: int) -> int:
     lf_cfg = LFConfig(grid=cfg.grid, alpha=cfg.alpha, dt_fd=cfg.dt_fd,
                       audited_max_hp=audit.max_Hp)
     n = max(1, int(round(cfg.T / cfg.dt_fd)))
-    fd = lf_solve(cfg.model, phi, n * cfg.dt_fd, lf_cfg)
-    gap = float(np.max(np.abs(fd.values[-1] - u.values[-1])))
+    fd = lf_final(cfg.model, phi, n * cfg.dt_fd, lf_cfg)
+    gap = float(np.max(np.abs(fd.values - u.values[-1])))
     ok = gap <= 0.1
     rows.append(f"oracle_cross,{int(ok)},sup_gap={gap!r}")
     if not ok:

@@ -150,7 +150,10 @@ class StepKernel:
     def apply_with_argmin(self, w: np.ndarray, u_slice: np.ndarray):
         """One DP step returning (values, start indices of the minimizers).
 
-        Ties are broken toward the smallest start grid index.
+        Ties are broken toward the smallest start grid index.  The
+        calibrated-curve backtrack finds the same minimizer for one
+        destination at a time; this pass over every destination is its
+        test reference.
         """
         a = w + self.step_cost(u_slice)
         vals = self._min_over_offsets(a)

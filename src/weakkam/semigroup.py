@@ -173,21 +173,33 @@ def check_properties(
     v_max: float,
     delta: float = 0.25,
     quadrature: str = "left",
+    kernel: StepKernel | None = None,
+    phi_march: SpaceTimeField | None = None,
 ) -> PropertyReport:
     """Evaluate monotonicity, non-expansiveness, uniform bound and the
     equi-Lipschitz seminorm for slices with t >= delta.
 
     Monotonicity is probed on the ordered pair (phi ^ psi, phi v psi);
-    violations are recorded in the report, never raised.
+    violations are recorded in the report, never raised.  A given
+    ``kernel`` is used in place of one built from (dt, v_max, quadrature);
+    ``phi_march``, a march of phi by that kernel over at least max(t_list),
+    is read in place of marching phi again.  The report is the same.
     """
     grid = phi.grid
     lo = GridField(grid, np.minimum(phi.values, psi.values))
     hi = GridField(grid, np.maximum(phi.values, psi.values))
     t_max = max(t_list)
-    kern = StepKernel(model, grid, dt, v_max, quadrature)
-    u_phi, u_psi, u_lo, u_hi = (
-        _march(model, f, t_max, dt, v_max, kernel=kern) for f in (phi, psi, lo, hi)
-    )
+    kern = kernel or StepKernel(model, grid, dt, v_max, quadrature)
+    if phi_march is None:
+        u_phi = _march(model, phi, t_max, dt, v_max, kernel=kern)
+    else:
+        n = _horizon_steps(t_max, dt)
+        if n > phi_march.n_steps:
+            raise ConfigurationError(
+                f"phi_march has {phi_march.n_steps} steps, fewer than t={t_max:g} needs"
+            )
+        u_phi = SpaceTimeField(grid, dt, phi_march.values[: n + 1])
+    u_psi, u_lo, u_hi = (_march(model, f, t_max, dt, v_max, kernel=kern) for f in (psi, lo, hi))
 
     base_gap = float(np.max(np.abs(phi.values - psi.values)))
     report = PropertyReport(delta=delta)
@@ -241,46 +253,52 @@ def extract_calibrated_curve(
     v_max: float,
     tol: float = 1e-8,
     quadrature: str = "left",
+    kernel: StepKernel | None = None,
 ) -> CalibratedCurve:
-    """Backtrack the argmin chain of the final operator pass from x_end.
+    """Backtrack the DP argmin chain of a fixed-point field from x_end.
 
-    Precondition: ``spacetime`` is a fixed point (checked by one operator
-    application; residual must stay below tol).  The calibration defect is
-    the bookkeeping identity of the recomputed pass and vanishes to
-    round-off by construction.
+    Precondition: ``spacetime`` is a fixed point, checked by one operator
+    pass w[k+1] = step(w[k], u[k]) from w[0] = u[0]; its residual must stay
+    below tol.  Going back from x_end, each slice forms only the chain
+    destination's candidates over the offsets, from that pass, and takes
+    the smallest start index among those equal to their min: the
+    minimizer ``StepKernel.apply_with_argmin`` gives for that destination.
+    The calibration defect is the bookkeeping identity of the pass along
+    the chain and vanishes to round-off by construction.  A given
+    ``kernel`` is used in place of one built from (v_max, quadrature).
     """
     grid = spacetime.grid
-    kern = StepKernel(model, grid, spacetime.dt, v_max, quadrature)
+    kern = kernel or StepKernel(model, grid, spacetime.dt, v_max, quadrature)
     n = spacetime.n_steps
-    w = np.empty_like(spacetime.values)
-    w[0] = spacetime.values[0]
-    argmins = np.empty((n, grid.size), dtype=np.intp)
+    u = spacetime.values
+    w = np.empty_like(u)
+    w[0] = u[0]
     for k in range(n):
-        w[k + 1], argmins[k] = kern.apply_with_argmin(w[k], spacetime.values[k])
-    residual = float(np.max(np.abs(w - spacetime.values)))
+        w[k + 1] = kern.apply(w[k], u[k])
+    residual = float(np.max(np.abs(w - u)))
     if not residual < tol:
         raise ConfigurationError(
             f"spacetime is not a fixed point: operator residual {residual:g} >= tol {tol:g}"
         )
 
+    shape = (grid.n,) * grid.dim
     idx = np.empty(n + 1, dtype=np.intp)
     idx[n] = int(x_end)
+    seg_cost = np.empty(n)
     for k in range(n - 1, -1, -1):
-        idx[k] = argmins[k][idx[k + 1]]
+        # the steps into x_{idx[k+1]}: one start per offset, periodically
+        end = np.array(np.unravel_index(idx[k + 1], shape))
+        starts = np.ravel_multi_index(tuple((end - kern.offsets).T), shape, mode="wrap")
+        coupling = kern.step_cost(u[k, starts])
+        cost = kern.base_cost[:, idx[k + 1]]
+        cand = (w[k, starts] + coupling) + cost
+        idx[k] = starts[cand == cand.min()].min()
+        # exact kernel cost of the chosen transition (offsets that wrap onto one start)
+        chosen = starts == idx[k]
+        seg_cost[k] = np.min(cost[chosen] + coupling[chosen])
     pts = grid.index_coords(idx)
     vel = periodic_delta(pts[:-1], pts[1:]) / spacetime.dt
-    u_along = spacetime.values[np.arange(n + 1), idx]
-
-    # bookkeeping defect measured on the recomputed pass
-    cells = np.stack(np.unravel_index(idx, (grid.n,) * grid.dim), axis=-1)
-    seg_cost = np.empty(n)
-    for k in range(n):
-        # recover the exact kernel cost of the chosen transition: the offsets
-        # whose step into x_{idx[k+1]} starts at x_{idx[k]}
-        starts = (cells[k + 1] - kern.offsets) % grid.n
-        ks = np.nonzero(np.all(starts == cells[k], axis=1))[0]
-        costs = kern.base_cost[ks, idx[k + 1]] + kern.step_cost(spacetime.values[k])[idx[k]]
-        seg_cost[k] = np.min(costs)
+    u_along = u[np.arange(n + 1), idx]
     defects = (w[np.arange(1, n + 1), idx[1:]] - w[np.arange(n), idx[:-1]]) - seg_cost
     return CalibratedCurve(
         dt=spacetime.dt,

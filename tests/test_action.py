@@ -157,6 +157,13 @@ def test_min_cycle_mean_matches_brute_force(grid):
         shift = float(kern.step_cost(np.full(1, a))[0])
         assert brute < float(np.min(kern.base_cost[rest])) + shift
         assert _min_cycle_mean(kern, a) == pytest.approx(brute, abs=1e-12)
+        # bitwise equal to Karp's formula over the whole ratio array at once
+        n = grid.size
+        d = np.zeros((n + 1, n))
+        for k in range(n):
+            d[k + 1] = kern.apply(d[k], np.full(n, a))
+        ratios = (d[n] - d[:n]) / (n - np.arange(n))[:, None]
+        assert _min_cycle_mean(kern, a) == float(np.min(np.max(ratios, axis=0)))
 
 
 def test_normalize_shifts_and_zeroes_critical_value():

@@ -4,11 +4,13 @@ import pytest
 from weakkam.characteristics import (
     CharacteristicState,
     Trajectory,
+    _rhs,
     dH_law_residual,
     flow,
     match_calibrated,
 )
-from weakkam.models import HamiltonianModel, TrigPotential
+from weakkam.errors import NumericError
+from weakkam.models import HamiltonianModel, PiecewiseLinearMap, TrigPotential, eval_H, grad_H
 from weakkam.semigroup import _march, extract_calibrated_curve
 from weakkam.torus import Grid, GridField
 
@@ -86,6 +88,45 @@ def test_flow_rejects_bad_step():
     m = discounted_pendulum()
     with pytest.raises(ValueError):
         flow(m, CharacteristicState(x=[0.1], u=0.0, p=[0.1]), 1.0, 0.0)
+
+
+def formula_rhs(model, x, u, p):
+    """The contact vector field from grad_H and eval_H: the reference."""
+    hx, hu, hp = grad_H(model, x, u, p)
+    hx = np.atleast_2d(hx)
+    hp = np.atleast_2d(hp)
+    hu = np.atleast_1d(hu)
+    h = np.atleast_1d(eval_H(model, x, u, p))
+    return hp, np.sum(hp * p, axis=1) - h, -hx - hu[:, None] * p
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_rhs_equals_grad_h_eval_h_formula(dim, batch):
+    modes = (((1,), 1.0), ((2,), -0.4)) if dim == 1 else (
+        ((1, 0), 1.0), ((0, 1), 0.5), ((1, 1), -0.3))
+    pot = TrigPotential(dim, modes)
+    f = PiecewiseLinearMap((-1.0, 0.0, 1.0), (-2.0, 0.0, 0.5))
+    models = [
+        HamiltonianModel("quadratic-mechanical", dim=dim, potential=pot),
+        HamiltonianModel("quadratic-discounted", dim=dim, potential=pot, lam=1.0),
+        HamiltonianModel("quadratic-nonlinear-u", dim=dim, potential=pot, f=f).normalized(0.3),
+    ]
+    rng = np.random.default_rng(10 * dim + batch)
+    for m in models:
+        for _ in range(5):
+            x = rng.uniform(0, 1, (batch, dim))
+            u = rng.uniform(-1.5, 1.5, batch)
+            p = rng.uniform(-3, 3, (batch, dim))
+            for got, want in zip(_rhs(m, x, u, p), formula_rhs(m, x, u, p)):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+
+
+def test_non_finite_stage_raises_numeric_error():
+    m = discounted_pendulum()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+        flow(m, CharacteristicState(x=[0.1], u=0.0, p=[1e200]), 0.1, 0.01)
 
 
 def test_match_calibrated_chain_within_grid_cells():

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import yaml
 
-from weakkam import models
+from weakkam import fdoracle, kernels, models
 from weakkam.cli import main
 
 
@@ -195,3 +195,39 @@ def test_check_audits_assumptions_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "run.yaml", solver={"T": 0.5}, oracle={"alpha": 4.1})
     assert run(["check", "--config", cfg, "--out", tmp_path / "out"]) in (0, 1)
     assert len(calls) == 1
+
+
+def test_check_2d_builds_one_kernel_and_stores_no_lf_slab(tmp_path, monkeypatch):
+    builds, lf_solves = [], []
+    init = kernels.StepKernel.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(kernels.StepKernel, "__init__", counting_init)
+    orig = fdoracle.lf_solve
+
+    def counting_lf_solve(*args, **kwargs):
+        lf_solves.append(args)
+        return orig(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "weakkam" and getattr(mod, "lf_solve", None) is orig:
+            monkeypatch.setattr(mod, "lf_solve", counting_lf_solve)
+    cfg = write_config(
+        tmp_path / "run.yaml",
+        model={"dim": 2, "potential": [[1, 0, 1.0], [0, 1, 0.5]]},
+        grid={"N": 16, "dt": 1.0 / 16, "v_max": 4.0},
+        solver={"T": 0.5, "tol": 0.0, "phi": [[1, 1, 0.3]]},
+    )
+    out = tmp_path / "out"
+    assert run(["check", "--config", cfg, "--out", out]) in (0, 1)
+    with open(out / "check.csv") as fh:
+        rows = fh.read().strip().split("\n")
+    assert [row.split(",")[0] for row in rows[1:]] == [
+        "assumptions", "semigroup_properties", "calibrated_defect", "dh_law", "char_match",
+        "oracle_cross",
+    ]
+    assert len(builds) == 1
+    assert lf_solves == []

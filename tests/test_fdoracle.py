@@ -5,7 +5,7 @@ import pytest
 
 from weakkam.errors import ConfigurationError
 from weakkam.fdoracle import LFConfig, lf_final, lf_solve, lf_step
-from weakkam.models import HamiltonianModel, TrigPotential
+from weakkam.models import HamiltonianModel, PiecewiseLinearMap, TrigPotential, eval_H
 from weakkam.semigroup import step_T
 from weakkam.torus import Grid, GridField
 
@@ -84,3 +84,63 @@ def test_cross_check_against_variational_solver():
     u_fd = lf_final(m, phi, 1.0, cfg)
     u_dp = step_T(m, phi, 1.0, 1.0 / 64, 4.0, quadrature="exact")
     assert np.max(np.abs(u_fd.values - u_dp.values)) <= 0.05
+
+
+def eval_h_step(model, u, cfg):
+    """The scheme's step with H from eval_H on the flat slice: the reference."""
+    grid = u.grid
+    v = u.values.reshape((grid.n,) * grid.dim)
+    dplus, dminus, lap = [], [], np.zeros_like(v)
+    for ax in range(grid.dim):
+        dp = (np.roll(v, -1, axis=ax) - v) / grid.dx
+        dm = (v - np.roll(v, 1, axis=ax)) / grid.dx
+        dplus.append(dp)
+        dminus.append(dm)
+        lap += dp - dm
+    central = np.stack([(0.5 * (dp + dm)).ravel() for dp, dm in zip(dplus, dminus)], axis=-1)
+    ham = np.atleast_1d(eval_H(model, grid.points(), u.values, central))
+    return GridField(grid, u.values - cfg.dt_fd * (ham - 0.5 * cfg.alpha * lap.ravel()))
+
+
+def family_model(family, dim):
+    modes = (((1,), 1.0), ((2,), -0.4)) if dim == 1 else (
+        ((1, 0), 1.0), ((0, 1), 0.5), ((1, 1), -0.3))
+    pot = TrigPotential(dim, modes)
+    f = PiecewiseLinearMap((-1.0, 0.0, 1.0), (-2.0, 0.0, 0.5))
+    if family == "quadratic-mechanical":
+        m = HamiltonianModel(family, dim=dim, potential=pot)
+    elif family == "quadratic-discounted":
+        m = HamiltonianModel(family, dim=dim, potential=pot, lam=1.0)
+    else:
+        m = HamiltonianModel(family, dim=dim, potential=pot, f=f)
+    return m.normalized(0.3)
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+@pytest.mark.parametrize(
+    "family", ["quadratic-mechanical", "quadratic-discounted", "quadratic-nonlinear-u"]
+)
+def test_stepper_equals_eval_h_step(family, dim):
+    m = family_model(family, dim)
+    g = Grid(dim, 64 if dim == 1 else 16)
+    cfg = LFConfig(g, 5.8, 0.5 * g.dx / 5.8)
+    rng = np.random.default_rng(dim)
+    phi = GridField(g, rng.uniform(-0.5, 0.5, g.size))
+    n = 12
+    slab = lf_solve(m, phi, n * cfg.dt_fd, cfg)
+    cur = phi
+    for k in range(1, n + 1):
+        cur = eval_h_step(m, cur, cfg)
+        assert np.array_equal(slab.values[k], cur.values)
+    assert np.array_equal(lf_step(m, phi, cfg).values, slab.values[1])
+    assert np.array_equal(lf_final(m, phi, n * cfg.dt_fd, cfg).values, slab.values[-1])
+
+
+def test_non_finite_step_raises_value_error():
+    m = discounted_pendulum()
+    g = Grid(1, 16)
+    cfg = LFConfig(g, 4.1, 1e-3)
+    # finite data whose difference quotients overflow
+    phi = GridField(g, np.where(np.arange(g.size) % 2, 1e308, -1e308))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        lf_final(m, phi, 2e-3, cfg)

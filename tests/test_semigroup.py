@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from weakkam.errors import ConfigurationError, NumericError
+from weakkam.kernels import StepKernel
 from weakkam.models import HamiltonianModel, PiecewiseLinearMap, TrigPotential
 from weakkam.semigroup import (
     _march,
@@ -208,6 +209,92 @@ def test_calibrated_curve_defect_is_roundoff():
     assert curve.indices.size == u.n_steps + 1
     assert curve.velocities.shape == (u.n_steps, 1)
     assert np.all(np.abs(curve.velocities) <= 4.0 + 1e-12)
+
+
+def argmin_backtrack(kern, u, x_end):
+    """Chain and defects from apply_with_argmin over every destination: the reference."""
+    grid, n = kern.grid, u.n_steps
+    w = np.empty_like(u.values)
+    w[0] = u.values[0]
+    argmins = np.empty((n, grid.size), dtype=np.intp)
+    for k in range(n):
+        w[k + 1], argmins[k] = kern.apply_with_argmin(w[k], u.values[k])
+    idx = np.empty(n + 1, dtype=np.intp)
+    idx[n] = x_end
+    for k in range(n - 1, -1, -1):
+        idx[k] = argmins[k][idx[k + 1]]
+    cells = np.stack(np.unravel_index(idx, (grid.n,) * grid.dim), axis=-1)
+    seg_cost = np.empty(n)
+    for k in range(n):
+        starts = (cells[k + 1] - kern.offsets) % grid.n
+        ks = np.nonzero(np.all(starts == cells[k], axis=1))[0]
+        costs = kern.base_cost[ks, idx[k + 1]] + kern.step_cost(u.values[k])[idx[k]]
+        seg_cost[k] = np.min(costs)
+    defects = (w[np.arange(1, n + 1), idx[1:]] - w[np.arange(n), idx[:-1]]) - seg_cost
+    return idx, defects
+
+
+def tied_destinations(kern, u):
+    """Count of (slice, destination) pairs whose minimum is reached from two starts."""
+    count = 0
+    for k in range(u.n_steps):
+        a = u.values[k] + kern.step_cost(u.values[k])
+        cand = a[kern.start_index] + kern.base_cost
+        tied = cand == cand.min(axis=0)
+        count += sum(np.unique(kern.start_index[tied[:, j], j]).size > 1
+                     for j in range(kern.grid.size))
+    return count
+
+
+@pytest.mark.parametrize("phi_kind", ["zero", "trig", "tent"])
+@pytest.mark.parametrize("quadrature", ["left", "midpoint", "exact"])
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_backtrack_equals_argmin_chain_for_every_destination(dim, quadrature, phi_kind):
+    # the stencil reaches n//2 cells, so two offsets wrap onto one start
+    if dim == 1:
+        g, modes = Grid(1, 16), (((1,), 1.0),)
+    else:
+        g, modes = Grid(2, 8), (((1, 0), 1.0), ((0, 1), 0.5))
+    x = g.points()
+    if phi_kind == "tent":
+        # dyadic data and no potential: every sum is exact, so mirror-image
+        # steps tie exactly and the tie rule decides the chain
+        modes = ()
+        phi_vals = np.abs(x - 0.5).sum(axis=1)
+    elif phi_kind == "zero":
+        phi_vals = np.zeros(g.size)
+    else:
+        phi_vals = 0.3 * np.cos(2 * np.pi * x.sum(axis=1))
+    m = HamiltonianModel("quadratic-discounted", dim=dim, lam=1.0,
+                         potential=TrigPotential(dim, modes))
+    dt, v_max = 0.125, 4.0
+    kern = StepKernel(m, g, dt, v_max, quadrature)
+    u = _march(m, GridField(g, phi_vals), 0.5, dt, v_max, kernel=kern)
+    if phi_kind == "tent":
+        assert tied_destinations(kern, u) > 0
+    for x_end in range(g.size):
+        curve = extract_calibrated_curve(m, u, x_end, v_max, kernel=kern)
+        idx, defects = argmin_backtrack(kern, u, x_end)
+        assert np.array_equal(curve.indices, idx)
+        assert np.array_equal(curve.defects, defects)
+
+
+def test_check_properties_reads_shared_kernel_and_march():
+    m = nonlinear_pendulum()
+    g = Grid(1, 64)
+    dt, v_max = 1.0 / 16, 4.0
+    x = g.points()[:, 0]
+    phi = GridField(g, 0.3 * np.sin(2 * np.pi * x))
+    psi = GridField(g, 0.2 * np.cos(4 * np.pi * x))
+    kern = StepKernel(m, g, dt, v_max, "exact")
+    # the march runs past max(t_list): only its prefix may enter the report
+    u = _march(m, phi, 1.5, dt, v_max, kernel=kern)
+    plain = check_properties(m, phi, psi, [0.5, 1.0], dt, v_max, quadrature="exact")
+    shared = check_properties(m, phi, psi, [0.5, 1.0], dt, v_max, kernel=kern, phi_march=u)
+    assert repr(shared) == repr(plain)
+    short = _march(m, phi, 0.5, dt, v_max, kernel=kern)
+    with pytest.raises(ConfigurationError, match="phi_march"):
+        check_properties(m, phi, psi, [0.5, 1.0], dt, v_max, kernel=kern, phi_march=short)
 
 
 def test_calibrated_curve_requires_fixed_point():
