@@ -3,10 +3,11 @@ u_t + H(x, u, Du) = 0 with u-dependent Hamiltonians on the flat torus.
 
 Two independent solution paths are provided: a variational dynamic
 programming semigroup, solved by the explicit forward march that is the
-exact fixed point of the path-infimum operator and certified by Picard
-iteration, and a monotone Lax-Friedrichs finite-difference oracle.  Around
-them sit minimal action tables, critical-value estimation, characteristic
-flows and the diagnostic battery tying them together.
+exact fixed point of the path-infimum operator, with the Picard iterates'
+contraction certificate computed in the same march, and a monotone
+Lax-Friedrichs finite-difference oracle.  Around them sit minimal action
+tables, critical-value estimation, characteristic flows and the diagnostic
+battery tying them together.
 """
 
 __version__ = "0.1.0"

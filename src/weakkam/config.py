@@ -38,9 +38,11 @@ Schema (defaults in parentheses):
     seed: int                        (0)
 
 The semigroup is computed by the forward march, which is its exact fixed
-point.  ``solver.tol`` and ``solver.max_iter`` only steer the Picard
-certificate that ``solve`` writes to ``fixedpoint.csv``; ``check`` also
-allows property gaps up to 2*max(tol, 1e-12).
+point, and ``solve``'s slab is always that march.  ``solver.tol`` and
+``solver.max_iter`` only decide where the Picard certificate in
+``fixedpoint.csv`` ends (the first gap that is 0, or below tol when
+tol > 0) and whether ``solve`` exits 3 because that gap comes after
+max_iter; ``check`` also allows property gaps up to 2*max(tol, 1e-12).
 """
 
 from __future__ import annotations

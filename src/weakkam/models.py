@@ -77,9 +77,6 @@ class TrigPotential:
             out += abs(a) * 2.0 * np.pi * float(np.linalg.norm(k))
         return out
 
-    def amplitude_bound(self) -> float:
-        return sum(abs(a) for _, a in self.modes)
-
 
 @dataclass(frozen=True)
 class PiecewiseLinearMap:
@@ -322,9 +319,3 @@ def audit_assumptions(model: HamiltonianModel, sample_box, n_samples: int) -> As
         empirical_lipschitz_u=emp,
         n_samples=n_samples,
     )
-
-
-def default_velocity_bound(model: HamiltonianModel, sample_box, n_samples: int = 512) -> float:
-    """Default DP velocity window: 2*(1 + max |H_p| over the audit box)."""
-    audit = audit_assumptions(model, sample_box, n_samples)
-    return 2.0 * (1.0 + audit.max_Hp)

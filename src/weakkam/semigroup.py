@@ -6,8 +6,9 @@ path costs where the Lagrangian's u-argument is read from the frozen
 candidate.  A step reads the candidate only at its start slice, so the
 unique fixed point, which defines the discrete semigroup, is the forward
 march u[n+1] = step(u[n], u[n]) from u[0] = phi; every solution path
-marches.  Picard iteration from the constant extension of phi reaches the
-same field bitwise and is kept as the factorial contraction certificate.
+marches.  The factorial contraction certificate of Picard iteration (from
+u^(0) = phi on every slice) is computed inside the march: all iterates
+advance together, one batched step per slice, and the top one is the march.
 """
 
 from __future__ import annotations
@@ -41,28 +42,6 @@ class FixedPointReport:
         return buf.getvalue()
 
 
-def _constant_extension(phi: GridField, n_steps: int, dt: float) -> SpaceTimeField:
-    vals = np.tile(phi.values, (n_steps + 1, 1))
-    return SpaceTimeField(phi.grid, dt, vals)
-
-
-def apply_A(
-    model: HamiltonianModel,
-    phi: GridField,
-    u: SpaceTimeField,
-    v_max: float,
-    quadrature: str = "left",
-    kernel: StepKernel | None = None,
-) -> SpaceTimeField:
-    """One application of the path-infimum operator with frozen candidate u."""
-    kern = kernel or StepKernel(model, phi.grid, u.dt, v_max, quadrature)
-    out = np.empty_like(u.values)
-    out[0] = phi.values
-    for n in range(u.n_steps):
-        out[n + 1] = kern.apply(out[n], u.values[n])
-    return SpaceTimeField(phi.grid, u.dt, out)
-
-
 def _march(model, phi, T, dt, v_max, quadrature="left", kernel=None) -> SpaceTimeField:
     """The fixed point of the path-infimum operator on [0, T], slice by slice."""
     n_steps = _horizon_steps(T, dt)
@@ -84,43 +63,58 @@ def fixed_point(
     max_iter: int = 60,
     quadrature: str = "left",
 ):
-    """Picard iteration u^(k+1) = A[u^(k)] from the constant extension of phi.
+    """Picard iteration u^(k+1) = A[u^(k)] from u^(0) = phi on every slice,
+    run as one wavefront.
 
-    Returns (field, report).  ``tol = 0`` iterates to bitwise stationarity,
-    guaranteed within n_steps + 1 passes because slice k is exact after k
-    passes; the field then equals the forward march bitwise.  For
-    u-independent models one pass is the fixed point.
+    Iterate k at slice n+1 reads only iterates k and k-1 at slice n, so one
+    batched kernel step per slice advances every iterate, and each gap
+    ||u^(k) - u^(k-1)||_inf is a running max over the slices.  Rows are
+    added lazily: while the top two rows agree bitwise, every higher iterate
+    equals the top one on the slices so far and the next, so a copy of the
+    top row is appended only once the top gap turns nonzero (at most
+    n_steps + 1 rows).  The top row is the forward march, the exact fixed
+    point, and is the returned field for any tol.
+
+    Returns (field, report).  The report ends at the first gap that is 0,
+    or below tol when tol > 0, within n_steps + 1 iterations; NumericError
+    if that gap comes after max_iter.  For u-independent models the first
+    iterate is the fixed point and the report is one zero gap.
     """
     if max_iter < 1 or tol < 0:
         raise ConfigurationError("need tol >= 0 and max_iter >= 1")
     n_steps = _horizon_steps(T, dt)
     kern = StepKernel(model, phi.grid, dt, v_max, quadrature)
-    cand = _constant_extension(phi, n_steps, dt)
-
+    out = np.empty((n_steps + 1, phi.grid.size))
+    out[0] = phi.values
+    rows = np.stack([phi.values, phi.values])  # iterates 0 (stays phi) and 1
+    gaps = np.zeros(1)
+    for n in range(n_steps):
+        if gaps[-1] > 0.0 and model.lipschitz_u != 0.0:
+            rows = np.concatenate([rows, rows[-1:]])
+            gaps = np.append(gaps, 0.0)
+        rows[1:] = kern.apply(rows[1:], rows[:-1])
+        np.maximum(gaps, np.max(np.abs(rows[1:] - rows[:-1]), axis=1), out=gaps)
+        out[n + 1] = rows[-1]
+    u = SpaceTimeField(phi.grid, dt, out)
     if model.lipschitz_u == 0.0:
-        # the operator does not read the candidate: one pass is exact
-        u = apply_A(model, phi, cand, v_max, quadrature, kernel=kern)
+        # the operator does not read the candidate: the first iterate is exact
         return u, FixedPointReport(iterations=1, residual_history=[0.0], contraction_bound=[0.0])
 
-    g1 = None
-    history, bounds = [], []
+    # a nonzero top gap leaves the next iterate equal to the top row: its gap is 0
+    history = gaps.tolist() + ([0.0] if gaps[-1] > 0.0 else [])
+    stop = next((k for k, g in enumerate(history, 1) if g == 0.0 or g < tol), None)
+    k_end = max_iter if stop is None else min(stop, max_iter)
+    history = history[:k_end]
     tl = T * model.lipschitz_u
-    for k in range(1, max_iter + 1):
-        nxt = apply_A(model, phi, cand, v_max, quadrature, kernel=kern)
-        gap = float(np.max(np.abs(nxt.values - cand.values)))
-        if g1 is None:
-            g1 = gap
-        history.append(gap)
-        bound = g1 * tl ** (k - 1) / float(math.factorial(k - 1)) if k > 1 else g1
-        bounds.append(bound)
-        cand = nxt
-        if gap == 0.0 or (tol > 0 and gap < tol):
-            return cand, FixedPointReport(k, history, bounds)
-    raise NumericError(
-        f"Picard iteration did not reach tol={tol:g} in {max_iter} iterations",
-        last_iterate=cand,
-        report=FixedPointReport(max_iter, history, bounds),
-    )
+    bounds = [history[0] * tl**k / float(math.factorial(k)) for k in range(len(history))]
+    report = FixedPointReport(k_end, history, bounds)
+    if stop is None or stop > max_iter:
+        raise NumericError(
+            f"Picard iteration did not reach tol={tol:g} in {max_iter} iterations",
+            last_iterate=u,
+            report=report,
+        )
+    return u, report
 
 
 def step_T(
@@ -320,10 +314,6 @@ class ResidualStats:
     max_abs_smooth: float
     rms_smooth: float
     onesided_max: float
-
-    @property
-    def values_smooth(self) -> np.ndarray:
-        return self.residuals[self.smooth_mask]
 
 
 def _axis_gradients(field: GridField):

@@ -7,6 +7,8 @@ import yaml
 
 from weakkam import fdoracle, kernels, models
 from weakkam.cli import main
+from weakkam.config import load_config
+from weakkam.semigroup import _march
 
 
 def write_config(path, **overrides):
@@ -45,6 +47,29 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     with open(out / "slab.csv") as fh:
         head = fh.readline().strip()
     assert head == "k,t,j,x,u"
+
+
+def test_solve_2d_writes_march_and_certificate(tmp_path):
+    cfg_path = write_config(
+        tmp_path / "run.yaml",
+        model={"dim": 2, "potential": [[1, 0, 1.0], [0, 1, 0.5]]},
+        grid={"N": 16, "dt": 1.0 / 16, "v_max": 4.0},
+        solver={"T": 0.5, "tol": 0.0, "phi": [[1, 1, 0.3]]},
+    )
+    out = tmp_path / "out"
+    assert run(["solve", "--config", cfg_path, "--out", out]) == 0
+    cfg = load_config(cfg_path)
+    march = _march(cfg.model, cfg.phi_field(), cfg.T, cfg.dt, cfg.v_max, cfg.quadrature)
+    with open(out / "slab.csv") as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == "k,t,j,x1,x2,u"
+    slab = np.array([float(line.rsplit(",", 1)[1]) for line in lines[1:]])
+    assert slab.tobytes() == march.values.ravel().tobytes()
+    with open(out / "fixedpoint.csv") as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+    gaps, bounds = [float(r[1]) for r in rows], [float(r[2]) for r in rows]
+    assert gaps[-1] == 0.0
+    assert all(g <= 2.0 * b + 1e-15 for g, b in zip(gaps, bounds))
 
 
 def test_invalid_dt_names_key(tmp_path, capsys):

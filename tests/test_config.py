@@ -34,6 +34,7 @@ def test_default_v_max_covers_audited_gradient_range():
     doc["grid"]["dt"] = 0.25
     cfg = parse_config(doc)
     # |H_p| = |p| <= 4 on the audit box, so the default is 2*(1+4)
+    assert cfg.v_max == 2.0 * (1.0 + cfg.audit.max_Hp)
     assert cfg.v_max == pytest.approx(10.0, rel=0.05)
 
 

@@ -7,7 +7,6 @@ from weakkam.models import (
     TrigPotential,
     _halton_samples,
     audit_assumptions,
-    default_velocity_bound,
     eval_H,
     grad_H,
 )
@@ -121,13 +120,6 @@ def test_lipschitz_u_formula():
         "quadratic-nonlinear-u", f=PiecewiseLinearMap((0.0, 1.0, 2.0), (0.0, 0.5, 2.5))
     )
     assert m.lipschitz_u == pytest.approx(2.0)
-
-
-def test_default_velocity_bound_covers_box():
-    m = pendulum()
-    vb = default_velocity_bound(m, BOX, 256)
-    # |H_p| = |p| <= 3 on the box; bound is 2*(1 + max)
-    assert vb == pytest.approx(2.0 * (1.0 + 3.0), rel=0.05)
 
 
 def test_audit_is_deterministic():

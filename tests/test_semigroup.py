@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from weakkam.errors import ConfigurationError, NumericError
 from weakkam.kernels import StepKernel
 from weakkam.models import HamiltonianModel, PiecewiseLinearMap, TrigPotential
 from weakkam.semigroup import (
+    FixedPointReport,
     _march,
     check_properties,
     converge,
@@ -16,7 +19,7 @@ from weakkam.semigroup import (
     subsolution_gap,
     weak_kam_residual,
 )
-from weakkam.torus import Grid, GridField
+from weakkam.torus import Grid, GridField, SpaceTimeField
 
 
 def pendulum_normalized():
@@ -45,6 +48,83 @@ def discounted_2d():
         "quadratic-discounted", dim=2, lam=1.0,
         potential=TrigPotential(2, (((1, 0), 1.0), ((0, 1), 0.5))),
     )
+
+
+def picard_reference(model, phi, T, dt, v_max, tol, max_iter, quadrature):
+    """Picard iteration pass by pass over whole slabs: from the constant
+    extension of phi, each pass is out[n+1] = step(out[n], cand[n]).
+
+    Returns (last iterate, report, reached): the reference for the
+    wavefront in ``fixed_point``.
+    """
+    n_steps = round(T / dt)
+    kern = StepKernel(model, phi.grid, dt, v_max, quadrature)
+    cand = np.tile(phi.values, (n_steps + 1, 1))
+    history, bounds = [], []
+    tl = T * model.lipschitz_u
+    for k in range(1, max_iter + 1):
+        out = np.empty_like(cand)
+        out[0] = phi.values
+        for n in range(n_steps):
+            out[n + 1] = kern.apply(out[n], cand[n])
+        if model.lipschitz_u == 0.0:
+            return out, FixedPointReport(1, [0.0], [0.0]), True
+        gap = float(np.max(np.abs(out - cand)))
+        history.append(gap)
+        g1 = history[0]
+        bounds.append(g1 * tl ** (k - 1) / float(math.factorial(k - 1)) if k > 1 else g1)
+        cand = out
+        if gap == 0.0 or (tol > 0 and gap < tol):
+            return cand, FixedPointReport(k, history, bounds), True
+    return cand, FixedPointReport(max_iter, history, bounds), False
+
+
+def _wavefront_cases():
+    g1 = Grid(1, 64)
+    x = g1.points()[:, 0]
+    g2 = Grid(2, 24)
+    phi2 = GridField(g2, 0.3 * np.cos(2 * np.pi * (g2.points() @ [1.0, 1.0])))
+    flat_branch = HamiltonianModel(
+        "quadratic-nonlinear-u", f=PiecewiseLinearMap((-1.0, 0.0, 1.0), (0.0, 0.0, 2.0))
+    )
+    return {  # model, phi, T, dt, quadrature
+        "solve-benchmark": (discounted_pendulum(), GridField(Grid(1, 1024), np.zeros(1024)),
+                            1.0, 1 / 256, "exact"),
+        "discounted-left": (discounted_pendulum(), GridField(Grid(1, 128), np.zeros(128)),
+                            1.0, 1 / 32, "left"),
+        "nonlinear-T2": (nonlinear_pendulum(), GridField(g1, 0.3 * np.cos(2 * np.pi * x)),
+                         2.0, 1 / 16, "left"),
+        "2d-left": (discounted_2d(), phi2, 1.0, 1 / 16, "left"),
+        "2d-midpoint": (discounted_2d(), phi2, 1.0, 1 / 16, "midpoint"),
+        "mechanical-exact": (pendulum_normalized(), GridField(g1, 0.3 * np.sin(2 * np.pi * x)),
+                             1.0, 1 / 16, "exact"),
+        # f = 0 for u <= 0: the gap of iterate 3 opens mid-horizon and closes again,
+        # so only a running max over the slices reports it
+        "nonlinear-gap-closes": (flat_branch, GridField(g1, 0.3 * np.cos(2 * np.pi * x)),
+                                 2.0, 1 / 16, "left"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_wavefront_cases()))
+def test_fixed_point_wavefront_equals_picard_passes(case):
+    m, phi, T, dt, quad = _wavefront_cases()[case]
+    march = _march(m, phi, T, dt, 4.0, quadrature=quad).values
+    for tol in (0.0, 1e-10):
+        ref, ref_report, reached = picard_reference(m, phi, T, dt, 4.0, tol, 60, quad)
+        assert reached
+        u, report = fixed_point(m, phi, T, dt, 4.0, tol=tol, quadrature=quad)
+        assert repr(report) == repr(ref_report)
+        # bitwise, zero signs included; with tol > 0 the slab is the fixed point itself
+        assert u.values.tobytes() == (ref if tol == 0.0 else march).tobytes()
+    _, ref_report, reached = picard_reference(m, phi, T, dt, 4.0, 0.0, 2, quad)
+    if reached:
+        _, report = fixed_point(m, phi, T, dt, 4.0, tol=0.0, max_iter=2, quadrature=quad)
+        assert repr(report) == repr(ref_report)
+    else:
+        with pytest.raises(NumericError, match="in 2 iterations") as err:
+            fixed_point(m, phi, T, dt, 4.0, tol=0.0, max_iter=2, quadrature=quad)
+        assert repr(err.value.report) == repr(ref_report)
+        assert err.value.last_iterate.values.tobytes() == march.tobytes()
 
 
 def test_u_independent_model_is_single_pass():
@@ -166,10 +246,11 @@ def test_converge_equals_picard_restart_blocks():
     cur, t, block_times = phi, 0.0, []
     while t < t_final - 1e-9:
         span = min(default_block_length(m), t_final - t)
-        u, _ = fixed_point(m, cur, span, dt, 4.0, tol=0.0, max_iter=200)
+        u, _, reached = picard_reference(m, cur, span, dt, 4.0, 0.0, 200, "left")
+        assert reached
         t += span
         block_times.append(t)
-        cur = u.final()
+        cur = GridField(g, u[-1])
     assert report.block_times == block_times
     assert len(block_times) == 6
     assert np.array_equal(report.u_inf.values, cur.values)
@@ -301,9 +382,7 @@ def test_calibrated_curve_requires_fixed_point():
     m = discounted_pendulum()
     g = Grid(1, 64)
     phi = GridField(g, np.zeros(g.size))
-    from weakkam.semigroup import _constant_extension
-
-    not_fixed = _constant_extension(phi, 8, 1.0 / 16)
+    not_fixed = SpaceTimeField(g, 1.0 / 16, np.tile(phi.values, (9, 1)))
     with pytest.raises(ConfigurationError, match="not a fixed point"):
         extract_calibrated_curve(m, not_fixed, x_end=5, v_max=4.0)
 
