@@ -122,6 +122,14 @@ def test_lipschitz_u_formula():
     assert m.lipschitz_u == pytest.approx(2.0)
 
 
+def test_default_velocity_bound_covers_box():
+    # parse_config's default v_max is 2*(1 + audited max |H_p|); on this box
+    # |H_p| = |p| <= 3, so the audit must reach the edge and the bound is ~8
+    audit = audit_assumptions(pendulum(), BOX, 256)
+    vb = 2.0 * (1.0 + audit.max_Hp)
+    assert vb == pytest.approx(2.0 * (1.0 + 3.0), rel=0.05)
+
+
 def test_audit_is_deterministic():
     m = pendulum(lam=1.0)
     a = audit_assumptions(m, BOX, 512)
