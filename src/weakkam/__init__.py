@@ -17,7 +17,6 @@ from .action import (
     CriticalValueResult,
     critical_value,
     min_action,
-    normalize,
     peierls_barrier,
 )
 from .characteristics import (
@@ -29,6 +28,7 @@ from .characteristics import (
 )
 from .errors import ConfigurationError, NumericError
 from .fdoracle import LFConfig, lf_final, lf_solve, lf_step
+from .kernels import StepKernel
 from .legendre import lagrangian_values, legendre_inverse, legendre_transform
 from .models import (
     HamiltonianModel,
@@ -67,6 +67,7 @@ __all__ = [
     "NumericError",
     "PiecewiseLinearMap",
     "SpaceTimeField",
+    "StepKernel",
     "Trajectory",
     "TrigPotential",
     "audit_assumptions",
@@ -89,7 +90,6 @@ __all__ = [
     "lf_step",
     "match_calibrated",
     "min_action",
-    "normalize",
     "peierls_barrier",
     "step_T",
     "weak_kam_residual",

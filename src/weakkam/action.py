@@ -7,6 +7,9 @@ are obtained by exact min-plus composition.  The discrete critical value
 needs no table: -c*dt is the minimum cycle mean of the one-step DP graph,
 which Karp's formula gives exactly from grid.size steps of the vector
 kernel.
+
+Every entry point takes the discretization as one ``StepKernel`` and reads
+the model, grid, dt, v_max and quadrature from it.
 """
 
 from __future__ import annotations
@@ -92,26 +95,18 @@ def discretization_slack(model: HamiltonianModel, grid: Grid, dt: float, v_max: 
     return k_l * (grid.dx + dt)
 
 
-def min_action(
-    model: HamiltonianModel,
-    a: float,
-    t: float,
-    grid: Grid,
-    dt: float,
-    v_max: float,
-    quadrature: str = "left",
-) -> ActionTable:
+def min_action(kern: StepKernel, a: float, t: float) -> ActionTable:
     """DP table of minimal actions over horizon t at frozen u-level a."""
-    if not (t >= dt > 0):
-        raise ConfigurationError("need t >= dt > 0")
-    n_steps = _horizon_steps(t, dt)
-    kern = StepKernel(model, grid, dt, v_max, quadrature)
-    w = np.full((grid.size, grid.size), np.inf)
+    if not t >= kern.dt:
+        raise ConfigurationError("need t >= dt")
+    n_steps = _horizon_steps(t, kern.dt)
+    w = np.full((kern.grid.size, kern.grid.size), np.inf)
     np.fill_diagonal(w, 0.0)
     for _ in range(n_steps):
         w = kern.apply_table(w, a)
     return ActionTable(
-        model=model, a=a, t=t, dt=dt, grid=grid, v_max=v_max, values=w, quadrature=quadrature
+        model=kern.model, a=a, t=t, dt=kern.dt, grid=kern.grid, v_max=kern.v_max, values=w,
+        quadrature=kern.quadrature,
     )
 
 
@@ -138,34 +133,17 @@ def _min_cycle_mean(kern: StepKernel, a: float) -> float:
     return float(np.min(best))
 
 
-def critical_value(
-    model: HamiltonianModel,
-    a: float,
-    grid: Grid,
-    dt: float,
-    v_max: float,
-    quadrature: str = "left",
-) -> CriticalValueResult:
+def critical_value(kern: StepKernel, a: float) -> CriticalValueResult:
     """The discrete critical value c = -(minimum cycle mean)/dt at level a.
 
     It is the exact limit of -min_x h_T(x,x)/T on the grid, computed
     without action tables.
     """
-    kern = StepKernel(model, grid, dt, v_max, quadrature)
-    c = -_min_cycle_mean(kern, a) / dt
+    c = -_min_cycle_mean(kern, a) / kern.dt
     return CriticalValueResult(a=a, c=c + 0.0)  # + 0.0 turns -0.0 into +0.0
 
 
-def peierls_barrier(
-    model: HamiltonianModel,
-    a: float,
-    grid: Grid,
-    dt: float,
-    v_max: float,
-    c: float,
-    t_list,
-    quadrature: str = "left",
-):
+def peierls_barrier(kern: StepKernel, a: float, c: float, t_list):
     """Barrier iterates h_T(x,y) + c*T and their pointwise tail minimum.
 
     Returns (liminf_estimate, report).  The report carries the per-horizon
@@ -182,7 +160,7 @@ def peierls_barrier(
         gap = t - prev_t
         if gap <= 0:
             raise ConfigurationError("T_list must be strictly increasing")
-        piece = min_action(model, a, gap, grid, dt, v_max, quadrature)
+        piece = min_action(kern, a, gap)
         table = piece if table is None else table.compose(piece)
         barriers[t] = table.values + c * t
         prev_t = t
@@ -198,8 +176,3 @@ def peierls_barrier(
         "bounded": c_t0 < np.inf,
     }
     return liminf, report
-
-
-def normalize(model: HamiltonianModel, c: float) -> HamiltonianModel:
-    """Replace H by H - c (L by L + c)."""
-    return model.normalized(c)

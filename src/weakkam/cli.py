@@ -28,7 +28,6 @@ from .characteristics import (
 from .config import RunConfig, load_config
 from .errors import ConfigurationError, NumericError
 from .fdoracle import LFConfig, lf_final, lf_solve
-from .kernels import StepKernel
 from .semigroup import (
     _march,
     check_properties,
@@ -87,10 +86,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str, threads: int) -> int:
     t0 = time.perf_counter()
     phi = cfg.phi_field()
     try:
-        u, report = fixed_point(
-            cfg.model, phi, cfg.T, cfg.dt, cfg.v_max,
-            tol=cfg.tol, max_iter=cfg.max_iter, quadrature=cfg.quadrature,
-        )
+        u, report = fixed_point(cfg.kernel(), phi, cfg.T, tol=cfg.tol, max_iter=cfg.max_iter)
     except NumericError as e:
         print(f"solve: {e}", file=sys.stderr)
         if e.report is not None:
@@ -105,10 +101,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str, threads: int) -> int:
 def cmd_converge(cfg: RunConfig, out_dir: str, threads: int) -> int:
     t0 = time.perf_counter()
     phi = cfg.phi_field()
-    rep = converge(
-        cfg.model, phi, cfg.dt, cfg.v_max,
-        t_checkpoints=cfg.checkpoints, stop_eps=cfg.stop_eps, quadrature=cfg.quadrature,
-    )
+    rep = converge(cfg.kernel(), phi, t_checkpoints=cfg.checkpoints, stop_eps=cfg.stop_eps)
     _write(out_dir, "convergence.csv", rep.to_csv())
     _write(out_dir, "u_inf.csv", _field_csv(rep.u_inf))
     res = rep.residual
@@ -127,7 +120,7 @@ def cmd_converge(cfg: RunConfig, out_dir: str, threads: int) -> int:
 
 def cmd_critical(cfg: RunConfig, out_dir: str, threads: int) -> int:
     t0 = time.perf_counter()
-    res = critical_value(cfg.model, cfg.a, cfg.grid, cfg.dt, cfg.v_max, quadrature=cfg.quadrature)
+    res = critical_value(cfg.kernel(), cfg.a)
     _write(out_dir, "critical.csv", res.to_csv())
     _manifest(cfg, out_dir, "critical", threads, t0, {"c": res.c})
     print(f"critical value estimate: {res.c!r}")
@@ -136,9 +129,7 @@ def cmd_critical(cfg: RunConfig, out_dir: str, threads: int) -> int:
 
 def cmd_action(cfg: RunConfig, out_dir: str, threads: int) -> int:
     t0 = time.perf_counter()
-    table = min_action(
-        cfg.model, cfg.a, cfg.T, cfg.grid, cfg.dt, cfg.v_max, quadrature=cfg.quadrature
-    )
+    table = min_action(cfg.kernel(), cfg.a, cfg.T)
     _write(out_dir, "action.csv", table.to_csv())
     _manifest(cfg, out_dir, "action", threads, t0)
     return EXIT_OK
@@ -200,18 +191,16 @@ def cmd_check(cfg: RunConfig, out_dir: str, threads: int) -> int:
         2 * np.pi * cfg.grid.points()[:, 0] + 1.0))
     t_list = [t for t in (0.5, 1.0) if t <= cfg.T + 1e-9] or [cfg.T]
     # one kernel and one march of phi serve every suite below
-    kern = StepKernel(cfg.model, cfg.grid, cfg.dt, cfg.v_max, cfg.quadrature)
-    u = _march(cfg.model, phi, cfg.T, cfg.dt, cfg.v_max, kernel=kern)
-    prop = check_properties(
-        cfg.model, phi, psi, t_list, cfg.dt, cfg.v_max, kernel=kern, phi_march=u
-    )
+    kern = cfg.kernel()
+    u = _march(kern, phi, cfg.T)
+    prop = check_properties(kern, phi, psi, t_list, phi_march=u)
     ok = prop.all_within(2 * max(cfg.tol, 1e-12))
     rows.append(f"semigroup_properties,{int(ok)},uniform_bound={prop.uniform_bound!r}")
     if not ok:
         failures.append("semigroup_properties")
 
     x_end = int(np.argmin(u.values[-1]))
-    curve = extract_calibrated_curve(cfg.model, u, x_end, cfg.v_max, kernel=kern)
+    curve = extract_calibrated_curve(kern, u, x_end)
     ok = curve.max_defect() <= 1e-9
     rows.append(f"calibrated_defect,{int(ok)},max_defect={curve.max_defect()!r}")
     if not ok:

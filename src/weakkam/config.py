@@ -53,6 +53,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigurationError
+from .kernels import StepKernel
 from .models import (
     AssumptionAudit,
     HamiltonianModel,
@@ -184,6 +185,10 @@ class RunConfig:
             "output.directory": self.out_dir,
             "seed": self.seed,
         }
+
+    def kernel(self) -> StepKernel:
+        """The run's discretization: the step kernel every solver takes."""
+        return StepKernel(self.model, self.grid, self.dt, self.v_max, self.quadrature)
 
     def phi_field(self):
         from .torus import GridField

@@ -1,6 +1,11 @@
 """The path-infimum operator, the discrete solution semigroup and its
 proved properties exposed as checks.
 
+The discretization is one ``StepKernel``: every entry point that steps
+takes it as its first argument and reads the model, grid and dt from it,
+and a field or slab on another grid (or a slab marched at another dt) is
+rejected with ConfigurationError.
+
 The operator maps a candidate space-time field to the field of minimal
 path costs where the Lagrangian's u-argument is read from the frozen
 candidate.  A step reads the candidate only at its start slice, so the
@@ -42,26 +47,32 @@ class FixedPointReport:
         return buf.getvalue()
 
 
-def _march(model, phi, T, dt, v_max, quadrature="left", kernel=None) -> SpaceTimeField:
+def _on_grid(kern: StepKernel, f, name: str):
+    """Reject a field or slab that is not on the kernel's grid."""
+    if f.grid != kern.grid:
+        raise ConfigurationError(f"{name} is on {f.grid}, the kernel on {kern.grid}")
+
+
+def _on_steps(kern: StepKernel, slab: SpaceTimeField, name: str):
+    """Reject a slab that is not on the kernel's grid and time step."""
+    _on_grid(kern, slab, name)
+    if slab.dt != kern.dt:
+        raise ConfigurationError(f"{name} has dt={slab.dt:g}, the kernel dt={kern.dt:g}")
+
+
+def _march(kern: StepKernel, phi: GridField, T: float) -> SpaceTimeField:
     """The fixed point of the path-infimum operator on [0, T], slice by slice."""
-    n_steps = _horizon_steps(T, dt)
-    kern = kernel or StepKernel(model, phi.grid, dt, v_max, quadrature)
+    _on_grid(kern, phi, "phi")
+    n_steps = _horizon_steps(T, kern.dt)
     out = np.empty((n_steps + 1, phi.grid.size))
     out[0] = phi.values
     for n in range(n_steps):
         out[n + 1] = kern.apply(out[n], out[n])
-    return SpaceTimeField(phi.grid, dt, out)
+    return SpaceTimeField(phi.grid, kern.dt, out)
 
 
 def fixed_point(
-    model: HamiltonianModel,
-    phi: GridField,
-    T: float,
-    dt: float,
-    v_max: float,
-    tol: float = 1e-10,
-    max_iter: int = 60,
-    quadrature: str = "left",
+    kern: StepKernel, phi: GridField, T: float, tol: float = 1e-10, max_iter: int = 60
 ):
     """Picard iteration u^(k+1) = A[u^(k)] from u^(0) = phi on every slice,
     run as one wavefront.
@@ -82,8 +93,9 @@ def fixed_point(
     """
     if max_iter < 1 or tol < 0:
         raise ConfigurationError("need tol >= 0 and max_iter >= 1")
-    n_steps = _horizon_steps(T, dt)
-    kern = StepKernel(model, phi.grid, dt, v_max, quadrature)
+    _on_grid(kern, phi, "phi")
+    model = kern.model
+    n_steps = _horizon_steps(T, kern.dt)
     out = np.empty((n_steps + 1, phi.grid.size))
     out[0] = phi.values
     rows = np.stack([phi.values, phi.values])  # iterates 0 (stays phi) and 1
@@ -95,7 +107,7 @@ def fixed_point(
         rows[1:] = kern.apply(rows[1:], rows[:-1])
         np.maximum(gaps, np.max(np.abs(rows[1:] - rows[:-1]), axis=1), out=gaps)
         out[n + 1] = rows[-1]
-    u = SpaceTimeField(phi.grid, dt, out)
+    u = SpaceTimeField(phi.grid, kern.dt, out)
     if model.lipschitz_u == 0.0:
         # the operator does not read the candidate: the first iterate is exact
         return u, FixedPointReport(iterations=1, residual_history=[0.0], contraction_bound=[0.0])
@@ -117,20 +129,14 @@ def fixed_point(
     return u, report
 
 
-def step_T(
-    model: HamiltonianModel,
-    phi: GridField,
-    t: float,
-    dt: float,
-    v_max: float,
-    quadrature: str = "left",
-) -> GridField:
+def step_T(kern: StepKernel, phi: GridField, t: float) -> GridField:
     """The discrete semigroup: final slice of the fixed point on [0, t]."""
     if t < 0:
         raise ConfigurationError("t must be nonnegative")
+    _on_grid(kern, phi, "phi")
     if t == 0:
         return phi.copy()
-    return _march(model, phi, t, dt, v_max, quadrature).final()
+    return _march(kern, phi, t).final()
 
 
 @dataclass
@@ -159,41 +165,42 @@ class PropertyReport:
 
 
 def check_properties(
-    model: HamiltonianModel,
+    kern: StepKernel,
     phi: GridField,
     psi: GridField,
     t_list,
-    dt: float,
-    v_max: float,
     delta: float = 0.25,
-    quadrature: str = "left",
-    kernel: StepKernel | None = None,
     phi_march: SpaceTimeField | None = None,
 ) -> PropertyReport:
     """Evaluate monotonicity, non-expansiveness, uniform bound and the
-    equi-Lipschitz seminorm for slices with t >= delta.
+    equi-Lipschitz seminorm of the semigroup stepped by ``kern`` for slices
+    with t >= delta.
 
     Monotonicity is probed on the ordered pair (phi ^ psi, phi v psi);
-    violations are recorded in the report, never raised.  A given
-    ``kernel`` is used in place of one built from (dt, v_max, quadrature);
-    ``phi_march``, a march of phi by that kernel over at least max(t_list),
-    is read in place of marching phi again.  The report is the same.
+    violations are recorded in the report, never raised.  ``phi_march``,
+    a march of phi by ``kern`` over at least max(t_list), is read in place
+    of marching phi again and gives the same report; a slab on another grid
+    or dt, or whose slice 0 is not phi, is rejected.
     """
-    grid = phi.grid
+    _on_grid(kern, phi, "phi")
+    _on_grid(kern, psi, "psi")
+    grid, dt = kern.grid, kern.dt
     lo = GridField(grid, np.minimum(phi.values, psi.values))
     hi = GridField(grid, np.maximum(phi.values, psi.values))
     t_max = max(t_list)
-    kern = kernel or StepKernel(model, grid, dt, v_max, quadrature)
     if phi_march is None:
-        u_phi = _march(model, phi, t_max, dt, v_max, kernel=kern)
+        u_phi = _march(kern, phi, t_max)
     else:
+        _on_steps(kern, phi_march, "phi_march")
+        if not np.array_equal(phi_march.values[0], phi.values):
+            raise ConfigurationError("phi_march does not start at phi")
         n = _horizon_steps(t_max, dt)
         if n > phi_march.n_steps:
             raise ConfigurationError(
                 f"phi_march has {phi_march.n_steps} steps, fewer than t={t_max:g} needs"
             )
         u_phi = SpaceTimeField(grid, dt, phi_march.values[: n + 1])
-    u_psi, u_lo, u_hi = (_march(model, f, t_max, dt, v_max, kernel=kern) for f in (psi, lo, hi))
+    u_psi, u_lo, u_hi = (_march(kern, f, t_max) for f in (psi, lo, hi))
 
     base_gap = float(np.max(np.abs(phi.values - psi.values)))
     report = PropertyReport(delta=delta)
@@ -241,28 +248,22 @@ class CalibratedCurve:
 
 
 def extract_calibrated_curve(
-    model: HamiltonianModel,
-    spacetime: SpaceTimeField,
-    x_end: int,
-    v_max: float,
-    tol: float = 1e-8,
-    quadrature: str = "left",
-    kernel: StepKernel | None = None,
+    kern: StepKernel, spacetime: SpaceTimeField, x_end: int, tol: float = 1e-8
 ) -> CalibratedCurve:
     """Backtrack the DP argmin chain of a fixed-point field from x_end.
 
-    Precondition: ``spacetime`` is a fixed point, checked by one operator
-    pass w[k+1] = step(w[k], u[k]) from w[0] = u[0]; its residual must stay
-    below tol.  Going back from x_end, each slice forms only the chain
+    Precondition: ``spacetime`` lies on the grid and dt of ``kern`` and is
+    a fixed point of its operator, checked by one operator pass
+    w[k+1] = step(w[k], u[k]) from w[0] = u[0]; its residual must stay
+    below tol.  Either failure raises ConfigurationError.  Going back from x_end, each slice forms only the chain
     destination's candidates over the offsets, from that pass, and takes
     the smallest start index among those equal to their min: the
     minimizer ``StepKernel.apply_with_argmin`` gives for that destination.
     The calibration defect is the bookkeeping identity of the pass along
-    the chain and vanishes to round-off by construction.  A given
-    ``kernel`` is used in place of one built from (v_max, quadrature).
+    the chain and vanishes to round-off by construction.
     """
-    grid = spacetime.grid
-    kern = kernel or StepKernel(model, grid, spacetime.dt, v_max, quadrature)
+    _on_steps(kern, spacetime, "spacetime")
+    grid = kern.grid
     n = spacetime.n_steps
     u = spacetime.values
     w = np.empty_like(u)
@@ -308,12 +309,9 @@ def extract_calibrated_curve(
 class ResidualStats:
     """Stationary residual |H(x, u, Du)| with kink points excluded."""
 
-    residuals: np.ndarray  # centered-gradient residual at every point
-    smooth_mask: np.ndarray
     kink_count: int
     max_abs_smooth: float
     rms_smooth: float
-    onesided_max: float
 
 
 def _axis_gradients(field: GridField):
@@ -344,25 +342,15 @@ def weak_kam_residual(model: HamiltonianModel, u: GridField) -> ResidualStats:
     thr = kink_threshold(grid)
     smooth = np.ones(grid.size, dtype=bool)
     centered = np.empty((grid.size, grid.dim))
-    onesided_l = np.empty((grid.size, grid.dim))
-    onesided_r = np.empty((grid.size, grid.dim))
     for ax, (c, l, r) in enumerate(grads):
         centered[:, ax] = c.ravel()
-        onesided_l[:, ax] = l.ravel()
-        onesided_r[:, ax] = r.ravel()
         smooth &= (np.abs(l - r) <= thr).ravel()
-    pts = grid.points()
-    res = np.atleast_1d(eval_H(model, pts, u.values, centered))
-    res_l = np.atleast_1d(eval_H(model, pts, u.values, onesided_l))
-    res_r = np.atleast_1d(eval_H(model, pts, u.values, onesided_r))
+    res = np.atleast_1d(eval_H(model, grid.points(), u.values, centered))
     sm = np.abs(res[smooth])
     return ResidualStats(
-        residuals=res,
-        smooth_mask=smooth,
         kink_count=int(grid.size - np.count_nonzero(smooth)),
         max_abs_smooth=float(np.max(sm)) if sm.size else 0.0,
         rms_smooth=float(np.sqrt(np.mean(sm**2))) if sm.size else 0.0,
-        onesided_max=float(np.max(np.abs(np.concatenate([res_l[smooth], res_r[smooth]])))),
     )
 
 
@@ -391,13 +379,7 @@ def default_block_length(model: HamiltonianModel) -> float:
 
 
 def converge(
-    model: HamiltonianModel,
-    phi: GridField,
-    dt: float,
-    v_max: float,
-    t_checkpoints=(50.0,),
-    stop_eps: float = 1e-6,
-    quadrature: str = "left",
+    kern: StepKernel, phi: GridField, t_checkpoints=(50.0,), stop_eps: float = 1e-6
 ) -> ConvergenceReport:
     """March the semigroup until slice increments settle.
 
@@ -406,9 +388,9 @@ def converge(
     step increment within a window falls below stop_eps, or flags
     non-convergence at the final checkpoint.
     """
+    model, dt = kern.model, kern.dt
     t_final = max(t_checkpoints)
     block = max(dt, round(default_block_length(model) / dt) * dt)
-    kern = StepKernel(model, phi.grid, dt, v_max, quadrature)
     cur = phi
     t = 0.0
     step_times, step_incs = [], []
@@ -417,7 +399,7 @@ def converge(
     while t < t_final - 1e-9:
         span = min(block, t_final - t)
         span = max(dt, round(span / dt) * dt)
-        u = _march(model, cur, span, dt, v_max, kernel=kern)
+        u = _march(kern, cur, span)
         incs = np.max(np.abs(np.diff(u.values, axis=0)), axis=1)
         ts = t + dt * np.arange(1, u.n_steps + 1)
         step_times.extend(ts.tolist())
@@ -445,19 +427,10 @@ def converge(
 
 @dataclass
 class LtildeDiagnostic:
-    smooth_mask: np.ndarray
     fan_min: np.ndarray  # min over the velocity fan per smooth point
-    argmin_velocity: np.ndarray
-    expected_velocity: np.ndarray  # H_p(x, u, Du) at the same points
-    fan_step: float
 
     def min_over_points(self) -> float:
         return float(np.min(self.fan_min)) if self.fan_min.size else 0.0
-
-    def max_argmin_mismatch(self) -> float:
-        if self.argmin_velocity.size == 0:
-            return 0.0
-        return float(np.max(np.abs(self.argmin_velocity - self.expected_velocity)))
 
 
 def check_Ltilde(
@@ -470,7 +443,7 @@ def check_Ltilde(
     """Evaluate L(x, u, v) - <Du, v> over a velocity fan at smooth points.
 
     The pointwise minimum should be bounded below by the discretization
-    slack and attained near H_p(x, u(x), Du(x)).
+    slack.
 
     Du is the symmetric difference over ``gradient_halfwidth`` cells
     (default about sqrt(N)/2).  DP fixed points carry a velocity-lattice
@@ -506,23 +479,12 @@ def check_Ltilde(
     else:
         f1, f2 = np.meshgrid(axis, axis, indexing="ij")
         fan = np.stack([f1.ravel(), f2.ravel()], axis=-1)
-    fan_step = axis[1] - axis[0]
 
-    m = pts.shape[0]
-    fan_min = np.full(m, np.inf)
-    argmin_v = np.zeros((m, grid.dim))
+    fan_min = np.full(pts.shape[0], np.inf)
     for v in fan:
         lt = lagrangian_values(model, pts, uu, np.broadcast_to(v, pts.shape)) - du @ v
-        better = lt < fan_min
-        fan_min = np.where(better, lt, fan_min)
-        argmin_v[better] = v
-    return LtildeDiagnostic(
-        smooth_mask=smooth,
-        fan_min=fan_min,
-        argmin_velocity=argmin_v,
-        expected_velocity=du,  # H_p = p for the quadratic catalog
-        fan_step=float(fan_step),
-    )
+        fan_min = np.where(lt < fan_min, lt, fan_min)
+    return LtildeDiagnostic(fan_min=fan_min)
 
 
 def subsolution_gap(
@@ -556,17 +518,9 @@ def subsolution_gap(
     return worst
 
 
-def semigroup_defect(
-    model: HamiltonianModel,
-    phi: GridField,
-    s: float,
-    t: float,
-    dt: float,
-    v_max: float,
-    quadrature: str = "left",
-) -> float:
+def semigroup_defect(kern: StepKernel, phi: GridField, s: float, t: float) -> float:
     """||T_{s+t} phi - T_t T_s phi||_inf on the discrete objects."""
-    one = step_T(model, phi, s + t, dt, v_max, quadrature=quadrature)
-    mid = step_T(model, phi, s, dt, v_max, quadrature=quadrature)
-    two = step_T(model, mid, t, dt, v_max, quadrature=quadrature)
+    one = step_T(kern, phi, s + t)
+    mid = step_T(kern, phi, s)
+    two = step_T(kern, mid, t)
     return float(np.max(np.abs(one.values - two.values)))

@@ -150,9 +150,6 @@ class GridField:
     def copy(self) -> "GridField":
         return GridField(self.grid, self.values.copy())
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
     def lipschitz_seminorm(self) -> float:
         """Max forward difference quotient over all axes."""
         out = 0.0

@@ -20,6 +20,7 @@ from weakkam.characteristics import (
 )
 from weakkam.cli import main as cli_main
 from weakkam.fdoracle import LFConfig, lf_final
+from weakkam.kernels import StepKernel
 from weakkam.models import HamiltonianModel, TrigPotential
 from weakkam.semigroup import (
     _march,
@@ -57,7 +58,7 @@ def test_criterion_1_fixed_point_certificate(capsys):
     g = Grid(1, 256)
     phi = GridField(g, np.zeros(g.size))
     t0 = time.perf_counter()
-    _, rep = fixed_point(m, phi, 1.0, 1.0 / 256, 4.0, tol=1e-10)
+    _, rep = fixed_point(StepKernel(m, g, 1.0 / 256, 4.0), phi, 1.0, tol=1e-10)
     elapsed = time.perf_counter() - t0
     cert = all(
         gap <= 2.0 * bound + 1e-15
@@ -73,6 +74,7 @@ def test_criterion_2_semigroup_property_battery(capsys):
     m = discounted_pendulum()
     g = Grid(1, 64)
     x = g.points()[:, 0]
+    kern = StepKernel(m, g, 1.0 / 16, 4.0)
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(20):
@@ -82,27 +84,26 @@ def test_criterion_2_semigroup_property_battery(capsys):
                 v += rng.uniform(-0.3, 0.3) * np.sin(2 * np.pi * (k * x + rng.uniform()))
             return GridField(g, v)
 
-        prop = check_properties(m, trig(), trig(), [0.5, 1.0, 2.0, 4.0],
-                                1.0 / 16, 4.0)
+        prop = check_properties(kern, trig(), trig(), [0.5, 1.0, 2.0, 4.0])
         for e in prop.entries:
             worst = max(worst, e["monotonicity_gap"], e["nonexpansive_gap"])
     pair_ok = worst <= 2e-10
 
     phi = GridField(g, 0.3 * np.sin(2 * np.pi * x))
     psi = GridField(g, 0.2 * np.cos(2 * np.pi * x))
-    r8 = check_properties(m, phi, psi, [8.0], 1.0 / 16, 4.0)
-    r16 = check_properties(m, phi, psi, [16.0], 1.0 / 16, 4.0)
+    r8 = check_properties(kern, phi, psi, [8.0])
+    r16 = check_properties(kern, phi, psi, [16.0])
     k_drift = abs(r16.uniform_bound - r8.uniform_bound)
     bound_ok = k_drift < 1e-3
 
     g2 = Grid(1, 128)
     x2 = g2.points()[:, 0]
-    r_coarse = check_properties(m, phi, psi, [0.5, 1.0, 2.0, 4.0], 1.0 / 16, 4.0)
+    r_coarse = check_properties(kern, phi, psi, [0.5, 1.0, 2.0, 4.0])
     r_fine = check_properties(
-        m,
+        StepKernel(m, g2, 1.0 / 16, 4.0),
         GridField(g2, 0.3 * np.sin(2 * np.pi * x2)),
         GridField(g2, 0.2 * np.cos(2 * np.pi * x2)),
-        [0.5, 1.0, 2.0, 4.0], 1.0 / 16, 4.0,
+        [0.5, 1.0, 2.0, 4.0],
     )
     rel = abs(r_fine.equi_lipschitz - r_coarse.equi_lipschitz) / r_coarse.equi_lipschitz
     lip_ok = rel <= 0.20
@@ -119,7 +120,7 @@ def test_criterion_3_semigroup_law(capsys):
     for n, dtd in ((128, 16), (256, 32)):
         g = Grid(1, n)
         phi = GridField(g, np.zeros(n))
-        defects.append(semigroup_defect(m, phi, 0.5, 0.5, 1.0 / dtd, 4.0))
+        defects.append(semigroup_defect(StepKernel(m, g, 1.0 / dtd, 4.0), phi, 0.5, 0.5))
     # bitwise fixed points make the law exact, so the C*(dx+dt) bound and
     # the refinement shrink factor hold with room to spare
     ok = defects[0] == 0.0 and defects[1] == 0.0
@@ -134,7 +135,7 @@ def test_criterion_4_viscosity_cross_validation(capsys):
     for n in (256, 512, 1024):
         g = Grid(1, n)
         phi = GridField(g, np.zeros(n))
-        u_dp = step_T(m, phi, 1.0, 1.0 / 64, 4.0, quadrature="exact")
+        u_dp = step_T(StepKernel(m, g, 1.0 / 64, 4.0, "exact"), phi, 1.0)
         dt_fd = 1.0 / math.ceil(1.0 / (0.5 * g.dx / 4.1))
         cfg = LFConfig(g, 4.1, dt_fd, audited_max_hp=4.0)
         u_fd = lf_final(m, phi, 1.0, cfg)
@@ -149,7 +150,7 @@ def test_criterion_5_analytic_exactness(capsys):
     m = HamiltonianModel("quadratic-discounted", lam=1.0)
     g = Grid(1, 512)
     phi = GridField(g, np.ones(g.size))
-    u_var = step_T(m, phi, 1.0, 1e-3, 4.0)
+    u_var = step_T(StepKernel(m, g, 1e-3, 4.0), phi, 1.0)
     err_var = float(np.max(np.abs(u_var.values - np.exp(-1.0))))
     cfg = LFConfig(g, alpha=1.0, dt_fd=1e-4)
     u_fd = lf_final(m, phi, 1.0, cfg)
@@ -169,9 +170,9 @@ def test_criterion_6_critical_value(capsys):
     pend3 = HamiltonianModel(
         "quadratic-mechanical", potential=TrigPotential(1, (((1,), 3.0),))
     )
-    c0 = critical_value(free, 0.0, g, 1.0 / 16, 2.0).c
-    c1 = critical_value(pend, 0.0, g, 1.0 / 16, 4.0).c
-    c3 = critical_value(pend3, 0.0, g, 1.0 / 16, 6.0).c
+    c0 = critical_value(StepKernel(free, g, 1.0 / 16, 2.0), 0.0).c
+    c1 = critical_value(StepKernel(pend, g, 1.0 / 16, 4.0), 0.0).c
+    c3 = critical_value(StepKernel(pend3, g, 1.0 / 16, 6.0), 0.0).c
     ok = abs(c0) <= 1e-3 and abs(c1 - 1.0) <= 2e-2 and abs(c3 - 3.0) <= 6e-2
     report(capsys, 6, "critical values", ok,
            f"free={c0:.2e}, pendulum={c1:.4f}, scaled={c3:.4f}")
@@ -186,14 +187,12 @@ def test_criterion_7_long_time_convergence(capsys):
     mech = mech_pendulum_normalized()
     disc = discounted_pendulum()
 
-    rm = converge(mech, phi0, 1.0 / 16, 4.0,
-                  t_checkpoints=(50.0,), stop_eps=1e-6, quadrature="exact")
-    rm2 = converge(mech, phi2, 1.0 / 16, 4.0,
-                   t_checkpoints=(50.0,), stop_eps=1e-6, quadrature="exact")
-    rd = converge(disc, phi0, 1.0 / 64, 4.0,
-                  t_checkpoints=(50.0,), stop_eps=1e-6, quadrature="exact")
-    rd2 = converge(disc, phi2, 1.0 / 64, 4.0,
-                   t_checkpoints=(50.0,), stop_eps=1e-6, quadrature="exact")
+    k_mech = StepKernel(mech, g, 1.0 / 16, 4.0, "exact")
+    k_disc = StepKernel(disc, g, 1.0 / 64, 4.0, "exact")
+    rm = converge(k_mech, phi0, t_checkpoints=(50.0,), stop_eps=1e-6)
+    rm2 = converge(k_mech, phi2, t_checkpoints=(50.0,), stop_eps=1e-6)
+    rd = converge(k_disc, phi0, t_checkpoints=(50.0,), stop_eps=1e-6)
+    rd2 = converge(k_disc, phi2, t_checkpoints=(50.0,), stop_eps=1e-6)
 
     # the undiscounted limit is only fixed up to an additive constant,
     # so cross-initial-data distances are compared mean-aligned there
@@ -244,10 +243,9 @@ def test_criterion_8_characteristics(capsys):
     for n, dtd in ((256, 64), (512, 128)):
         g = Grid(1, n)
         phi = GridField(g, np.zeros(n))
-        u_fp = _march(m, phi, 0.5, 1.0 / dtd, 4.0, quadrature="exact")
-        curve = extract_calibrated_curve(
-            m, u_fp, x_end=round(0.55 * n), v_max=4.0, quadrature="exact"
-        )
+        kern = StepKernel(m, g, 1.0 / dtd, 4.0, "exact")
+        u_fp = _march(kern, phi, 0.5)
+        curve = extract_calibrated_curve(kern, u_fp, x_end=round(0.55 * n))
         rep = match_calibrated(m, curve, u_fp, dt_ode=1.0 / (4 * dtd))
         sup.append((rep.sup_distance, 5 * g.dx))
     match_ok = all(d <= lim for d, lim in sup) and sup[1][0] <= 0.6 * sup[0][0]
@@ -263,8 +261,8 @@ def test_criterion_9_velocity_fan_lower_bound(capsys):
     m = mech_pendulum_normalized()
     g = Grid(1, 2048)
     phi = GridField(g, np.zeros(g.size))
-    rep = converge(m, phi, 1.0 / 96, 4.0,
-                   t_checkpoints=(50.0,), stop_eps=1e-6, quadrature="exact")
+    rep = converge(StepKernel(m, g, 1.0 / 96, 4.0, "exact"), phi,
+                   t_checkpoints=(50.0,), stop_eps=1e-6)
     diag = check_Ltilde(m, rep.u_inf, 4.0)
     fan_min = diag.min_over_points()
     ok = rep.converged and fan_min >= -1e-3

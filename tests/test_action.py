@@ -8,7 +8,6 @@ from weakkam.action import (
     critical_value,
     discretization_slack,
     min_action,
-    normalize,
     peierls_barrier,
 )
 from weakkam.errors import ConfigurationError
@@ -32,7 +31,7 @@ def test_free_particle_action_matches_formula():
     # t*dv^2/8 (spreading the residual displacement over the steps)
     g = Grid(1, 256)
     t, dt = 0.5, 1.0 / 128
-    table = min_action(free_model(), 0.0, t, g, dt, v_max=2.0)
+    table = min_action(StepKernel(free_model(), g, dt, 2.0), 0.0, t)
     i, j = 0, 64  # x=0, y=0.25
     assert table.values[i, j] == pytest.approx(0.0625, abs=5e-3)
     dv = g.dx / dt
@@ -49,19 +48,17 @@ def test_free_particle_exact_at_commensurate_displacements():
     # minimizer hits the continuum value exactly (no quantization residue)
     for n, dtd in ((64, 32), (128, 64)):
         g = Grid(1, n)
-        table = min_action(free_model(), 0.0, 0.5, g, 1.0 / dtd, v_max=2.0)
+        table = min_action(StepKernel(free_model(), g, 1.0 / dtd, 2.0), 0.0, 0.5)
         assert abs(table.values[0, n // 4] - 0.0625) <= 1e-12
 
 
 def test_pendulum_refinement_first_order():
-    ref = min_action(pendulum(), 0.0, 1.0, Grid(1, 512), 1.0 / 128, 2.0,
-                     quadrature="exact")
+    ref = min_action(StepKernel(pendulum(), Grid(1, 512), 1.0 / 128, 2.0, "exact"), 0.0, 1.0)
     ref_val = ref.values[0, 128]
     errs = []
     for n, dtd in ((64, 16), (128, 32), (256, 64)):
         g = Grid(1, n)
-        table = min_action(pendulum(), 0.0, 1.0, g, 1.0 / dtd, 2.0,
-                           quadrature="exact")
+        table = min_action(StepKernel(pendulum(), g, 1.0 / dtd, 2.0, "exact"), 0.0, 1.0)
         errs.append(abs(table.values[0, n // 4] - ref_val))
     assert errs[0] > errs[1] > errs[2]
     assert errs[1] / max(errs[2], 1e-15) >= 2.0  # empirical order >= 1
@@ -71,7 +68,7 @@ def test_stay_put_bound():
     m = pendulum()
     g = Grid(1, 64)
     t = 1.0
-    table = min_action(m, 0.0, t, g, 1.0 / 16, v_max=2.0)
+    table = min_action(StepKernel(m, g, 1.0 / 16, 2.0), 0.0, t)
     slack = discretization_slack(m, g, 1.0 / 16, 2.0)
     x = g.points()
     L0 = 0.5 * 0.0 - m.potential(x)  # L(x, a, 0)
@@ -79,19 +76,20 @@ def test_stay_put_bound():
 
 
 def test_horizon_validation():
-    g = Grid(1, 64)
+    kern = StepKernel(free_model(), Grid(1, 64), 0.25, 2.0)
     with pytest.raises(ConfigurationError):
-        min_action(free_model(), 0.0, 0.3, g, 0.25, 2.0)
+        min_action(kern, 0.0, 0.3)
     with pytest.raises(ConfigurationError):
-        min_action(free_model(), 0.0, 0.1, g, 0.25, 2.0)
+        min_action(kern, 0.0, 0.1)
 
 
 def test_compose_matches_single_run_within_slack():
     m = pendulum()
     g = Grid(1, 64)
     dt = 1.0 / 16
-    one = min_action(m, 0.0, 2.0, g, dt, 2.0)
-    half = min_action(m, 0.0, 1.0, g, dt, 2.0)
+    kern = StepKernel(m, g, dt, 2.0)
+    one = min_action(kern, 0.0, 2.0)
+    half = min_action(kern, 0.0, 1.0)
     two = half.compose(half)
     diff = two.values - one.values
     # composed tables restrict the path to pass through a grid point at
@@ -107,19 +105,19 @@ def test_table_symmetry_for_even_potential():
     g = Grid(1, 64)
     # segment-average cost is direction independent, so for a reversible
     # Lagrangian the table must be symmetric; one-sided quadrature is not
-    table = min_action(m, 0.0, 1.0, g, 1.0 / 16, 2.0, quadrature="exact")
+    table = min_action(StepKernel(m, g, 1.0 / 16, 2.0, "exact"), 0.0, 1.0)
     assert np.allclose(table.values, table.values.T, atol=1e-12)
 
 
 def test_critical_value_free_pendulum_scaled():
     g = Grid(1, 128)
     dt = 1.0 / 16
-    c0 = critical_value(free_model(), 0.0, g, dt, 2.0).c
+    c0 = critical_value(StepKernel(free_model(), g, dt, 2.0), 0.0).c
     assert c0 == pytest.approx(0.0, abs=1e-3)
     assert math.copysign(1.0, c0) == 1.0
-    res = critical_value(pendulum(), 0.0, g, dt, 4.0)
+    res = critical_value(StepKernel(pendulum(), g, dt, 4.0), 0.0)
     assert res.c == pytest.approx(1.0, abs=2e-2)
-    res3 = critical_value(pendulum(3.0), 0.0, g, dt, 6.0)
+    res3 = critical_value(StepKernel(pendulum(3.0), g, dt, 6.0), 0.0)
     assert res3.c == pytest.approx(3.0, abs=6e-2)
 
 
@@ -130,8 +128,8 @@ def test_critical_value_invariant_under_constant_shift():
         "quadratic-mechanical",
         potential=TrigPotential(1, (((1,), 1.0), ((0,), 0.5))),
     )
-    c0 = critical_value(m, 0.0, g, 1.0 / 16, 4.0).c
-    c1 = critical_value(shifted, 0.0, g, 1.0 / 16, 4.0).c
+    c0 = critical_value(StepKernel(m, g, 1.0 / 16, 4.0), 0.0).c
+    c1 = critical_value(StepKernel(shifted, g, 1.0 / 16, 4.0), 0.0).c
     assert c1 - 0.5 == pytest.approx(c0, abs=2e-8)
 
 
@@ -168,11 +166,11 @@ def test_min_cycle_mean_matches_brute_force(grid):
 
 def test_normalize_shifts_and_zeroes_critical_value():
     m = pendulum()
-    mc = normalize(m, 1.0)
+    mc = m.normalized(1.0)
     assert eval_H(mc, [0.2], 0.0, [0.3]) == pytest.approx(eval_H(m, [0.2], 0.0, [0.3]) - 1.0)
     g = Grid(1, 128)
-    assert critical_value(mc, 0.0, g, 1.0 / 16, 4.0).c == pytest.approx(0.0, abs=2e-2)
-    assert normalize(m, 0.0) == m
+    assert critical_value(StepKernel(mc, g, 1.0 / 16, 4.0), 0.0).c == pytest.approx(0.0, abs=2e-2)
+    assert m.normalized(0.0) == m
 
 
 def test_peierls_barrier_free_particle_hits_quantization_floor():
@@ -183,7 +181,7 @@ def test_peierls_barrier_free_particle_hits_quantization_floor():
     for n, dtd in ((64, 16), (128, 16)):
         g = Grid(1, n)
         liminf, report = peierls_barrier(
-            free_model(), 0.0, g, 1.0 / dtd, 2.0, 0.0, [1, 2, 4, 8, 16]
+            StepKernel(free_model(), g, 1.0 / dtd, 2.0), 0.0, 0.0, [1, 2, 4, 8, 16]
         )
         assert report["bounded"]
         floor = 0.5 * (g.dx * dtd) / 2
@@ -194,7 +192,9 @@ def test_peierls_barrier_free_particle_hits_quantization_floor():
 
 def test_peierls_barrier_pendulum_aubry_point():
     g = Grid(1, 128)
-    liminf, report = peierls_barrier(pendulum(), 0.0, g, 1.0 / 16, 4.0, 1.0, [2, 4, 8, 16, 32])
+    liminf, report = peierls_barrier(
+        StepKernel(pendulum(), g, 1.0 / 16, 4.0), 0.0, 1.0, [2, 4, 8, 16, 32]
+    )
     diag = np.diagonal(liminf)
     assert np.min(diag) == pytest.approx(0.0, abs=5e-2)
     # Aubry point of L = v^2/2 - V + c sits at the potential maximum x = 0
@@ -204,7 +204,7 @@ def test_peierls_barrier_pendulum_aubry_point():
 
 def test_csv_export_headers():
     g = Grid(1, 4)
-    table = min_action(free_model(), 0.0, 0.5, g, 0.25, 2.1)
+    table = min_action(StepKernel(free_model(), g, 0.25, 2.1), 0.0, 0.5)
     lines = table.to_csv().strip().split("\n")
     assert lines[0] == "i,j,x_i,x_j,h"
     assert len(lines) == 17

@@ -10,6 +10,7 @@ from weakkam.characteristics import (
     match_calibrated,
 )
 from weakkam.errors import NumericError
+from weakkam.kernels import StepKernel
 from weakkam.models import HamiltonianModel, PiecewiseLinearMap, TrigPotential, eval_H, grad_H
 from weakkam.semigroup import _march, extract_calibrated_curve
 from weakkam.torus import Grid, GridField
@@ -135,10 +136,9 @@ def test_match_calibrated_chain_within_grid_cells():
     for n, dtd in ((256, 64), (512, 128)):
         g = Grid(1, n)
         phi = GridField(g, np.zeros(n))
-        u = _march(m, phi, 0.5, 1.0 / dtd, 4.0, quadrature="exact")
-        curve = extract_calibrated_curve(
-            m, u, x_end=round(0.55 * n), v_max=4.0, quadrature="exact"
-        )
+        kern = StepKernel(m, g, 1.0 / dtd, 4.0, "exact")
+        u = _march(kern, phi, 0.5)
+        curve = extract_calibrated_curve(kern, u, x_end=round(0.55 * n))
         report = match_calibrated(m, curve, u, dt_ode=1.0 / (4 * dtd))
         assert report.sup_distance <= 5 * g.dx
         sup.append(report.sup_distance)

@@ -3,6 +3,7 @@ import os
 import sys
 
 import numpy as np
+import pytest
 import yaml
 
 from weakkam import fdoracle, kernels, models
@@ -59,7 +60,7 @@ def test_solve_2d_writes_march_and_certificate(tmp_path):
     out = tmp_path / "out"
     assert run(["solve", "--config", cfg_path, "--out", out]) == 0
     cfg = load_config(cfg_path)
-    march = _march(cfg.model, cfg.phi_field(), cfg.T, cfg.dt, cfg.v_max, cfg.quadrature)
+    march = _march(cfg.kernel(), cfg.phi_field(), cfg.T)
     with open(out / "slab.csv") as fh:
         lines = fh.read().splitlines()
     assert lines[0] == "k,t,j,x1,x2,u"
@@ -222,8 +223,9 @@ def test_check_audits_assumptions_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_check_2d_builds_one_kernel_and_stores_no_lf_slab(tmp_path, monkeypatch):
-    builds, lf_solves = [], []
+def count_kernel_builds(monkeypatch) -> list:
+    """Record the arguments of every StepKernel construction."""
+    builds = []
     init = kernels.StepKernel.__init__
 
     def counting_init(self, *args, **kwargs):
@@ -231,6 +233,20 @@ def test_check_2d_builds_one_kernel_and_stores_no_lf_slab(tmp_path, monkeypatch)
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(kernels.StepKernel, "__init__", counting_init)
+    return builds
+
+
+@pytest.mark.parametrize("command", ["solve", "converge", "critical", "action"])
+def test_stepping_command_builds_one_kernel(tmp_path, monkeypatch, command):
+    builds = count_kernel_builds(monkeypatch)
+    cfg = write_config(tmp_path / "run.yaml", solver={"T": 0.5, "checkpoints": [2.0]})
+    assert run([command, "--config", cfg, "--out", tmp_path / "out"]) in (0, 3)
+    assert len(builds) == 1
+
+
+def test_check_2d_builds_one_kernel_and_stores_no_lf_slab(tmp_path, monkeypatch):
+    builds = count_kernel_builds(monkeypatch)
+    lf_solves = []
     orig = fdoracle.lf_solve
 
     def counting_lf_solve(*args, **kwargs):

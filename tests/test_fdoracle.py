@@ -5,6 +5,7 @@ import pytest
 
 from weakkam.errors import ConfigurationError
 from weakkam.fdoracle import LFConfig, lf_final, lf_solve, lf_step
+from weakkam.kernels import StepKernel
 from weakkam.models import HamiltonianModel, PiecewiseLinearMap, TrigPotential, eval_H
 from weakkam.semigroup import step_T
 from weakkam.torus import Grid, GridField
@@ -82,7 +83,7 @@ def test_cross_check_against_variational_solver():
     dt_fd = 1.0 / math.ceil(1.0 / (0.5 * g.dx / 4.1))
     cfg = LFConfig(g, 4.1, dt_fd, audited_max_hp=4.0)
     u_fd = lf_final(m, phi, 1.0, cfg)
-    u_dp = step_T(m, phi, 1.0, 1.0 / 64, 4.0, quadrature="exact")
+    u_dp = step_T(StepKernel(m, g, 1.0 / 64, 4.0, "exact"), phi, 1.0)
     assert np.max(np.abs(u_fd.values - u_dp.values)) <= 0.05
 
 

@@ -50,15 +50,15 @@ def discounted_2d():
     )
 
 
-def picard_reference(model, phi, T, dt, v_max, tol, max_iter, quadrature):
+def picard_reference(kern, phi, T, tol, max_iter):
     """Picard iteration pass by pass over whole slabs: from the constant
     extension of phi, each pass is out[n+1] = step(out[n], cand[n]).
 
     Returns (last iterate, report, reached): the reference for the
     wavefront in ``fixed_point``.
     """
-    n_steps = round(T / dt)
-    kern = StepKernel(model, phi.grid, dt, v_max, quadrature)
+    model = kern.model
+    n_steps = round(T / kern.dt)
     cand = np.tile(phi.values, (n_steps + 1, 1))
     history, bounds = [], []
     tl = T * model.lipschitz_u
@@ -108,21 +108,22 @@ def _wavefront_cases():
 @pytest.mark.parametrize("case", list(_wavefront_cases()))
 def test_fixed_point_wavefront_equals_picard_passes(case):
     m, phi, T, dt, quad = _wavefront_cases()[case]
-    march = _march(m, phi, T, dt, 4.0, quadrature=quad).values
+    kern = StepKernel(m, phi.grid, dt, 4.0, quad)
+    march = _march(kern, phi, T).values
     for tol in (0.0, 1e-10):
-        ref, ref_report, reached = picard_reference(m, phi, T, dt, 4.0, tol, 60, quad)
+        ref, ref_report, reached = picard_reference(kern, phi, T, tol, 60)
         assert reached
-        u, report = fixed_point(m, phi, T, dt, 4.0, tol=tol, quadrature=quad)
+        u, report = fixed_point(kern, phi, T, tol=tol)
         assert repr(report) == repr(ref_report)
         # bitwise, zero signs included; with tol > 0 the slab is the fixed point itself
         assert u.values.tobytes() == (ref if tol == 0.0 else march).tobytes()
-    _, ref_report, reached = picard_reference(m, phi, T, dt, 4.0, 0.0, 2, quad)
+    _, ref_report, reached = picard_reference(kern, phi, T, 0.0, 2)
     if reached:
-        _, report = fixed_point(m, phi, T, dt, 4.0, tol=0.0, max_iter=2, quadrature=quad)
+        _, report = fixed_point(kern, phi, T, tol=0.0, max_iter=2)
         assert repr(report) == repr(ref_report)
     else:
         with pytest.raises(NumericError, match="in 2 iterations") as err:
-            fixed_point(m, phi, T, dt, 4.0, tol=0.0, max_iter=2, quadrature=quad)
+            fixed_point(kern, phi, T, tol=0.0, max_iter=2)
         assert repr(err.value.report) == repr(ref_report)
         assert err.value.last_iterate.values.tobytes() == march.tobytes()
 
@@ -131,7 +132,7 @@ def test_u_independent_model_is_single_pass():
     m = HamiltonianModel("quadratic-mechanical", dim=1)
     g = Grid(1, 32)
     phi = GridField(g, np.cos(2 * np.pi * g.points()[:, 0]))
-    u, report = fixed_point(m, phi, 0.5, 1.0 / 16, 2.0, tol=0.0)
+    u, report = fixed_point(StepKernel(m, g, 1.0 / 16, 2.0), phi, 0.5, tol=0.0)
     assert report.iterations == 1
     assert report.residual_history == [0.0]
     assert u.n_steps == 8
@@ -151,14 +152,15 @@ def test_fixed_point_bitwise_stationary_within_step_count():
     ]
     for m, phi, T, dt, quad in cases:
         n_steps = round(T / dt)
-        u, report = fixed_point(m, phi, T, dt, 4.0, tol=0.0, quadrature=quad)
+        kern = StepKernel(m, phi.grid, dt, 4.0, quad)
+        u, report = fixed_point(kern, phi, T, tol=0.0)
         assert report.iterations <= n_steps
         assert report.residual_history[-1] == 0.0
         # certificate: observed gaps below twice the factorial bound
         for gap, bound in zip(report.residual_history, report.contraction_bound):
             assert gap <= 2.0 * bound + 1e-15
         # the forward march is the same fixed point, bit for bit
-        assert np.array_equal(_march(m, phi, T, dt, 4.0, quadrature=quad).values, u.values)
+        assert np.array_equal(_march(kern, phi, T).values, u.values)
 
 
 def test_fixed_point_raises_when_budget_too_small():
@@ -166,17 +168,18 @@ def test_fixed_point_raises_when_budget_too_small():
     g = Grid(1, 64)
     phi = GridField(g, np.zeros(g.size))
     with pytest.raises(NumericError):
-        fixed_point(m, phi, 1.0, 1.0 / 32, 4.0, tol=0.0, max_iter=2)
+        fixed_point(StepKernel(m, g, 1.0 / 32, 4.0), phi, 1.0, tol=0.0, max_iter=2)
 
 
 def test_fixed_point_horizon_validation():
     m = discounted_pendulum()
     g = Grid(1, 32)
     phi = GridField(g, np.zeros(g.size))
+    kern = StepKernel(m, g, 0.25, 4.0)
     with pytest.raises(ConfigurationError):
-        fixed_point(m, phi, 0.3, 0.25, 4.0)
+        fixed_point(kern, phi, 0.3)
     with pytest.raises(ConfigurationError):
-        fixed_point(m, phi, 1.0, 0.25, 4.0, tol=-1.0)
+        fixed_point(kern, phi, 1.0, tol=-1.0)
 
 
 def test_discounted_constant_datum_decays_geometrically():
@@ -186,7 +189,7 @@ def test_discounted_constant_datum_decays_geometrically():
     g = Grid(1, 64)
     phi = GridField(g, np.ones(g.size))
     dt = 1.0 / 64
-    u = step_T(m, phi, 1.0, dt, 2.0)
+    u = step_T(StepKernel(m, g, dt, 2.0), phi, 1.0)
     assert np.max(np.abs(u.values - (1 - dt) ** 64)) <= 1e-14
     assert np.max(np.abs(u.values - np.exp(-1.0))) <= 5e-3
 
@@ -198,7 +201,7 @@ def test_monotonicity_and_nonexpansiveness_are_exact():
     x = g.points()[:, 0]
     phi = GridField(g, 0.3 * np.sin(2 * np.pi * x) + rng.uniform(-0.1, 0.1, g.size))
     psi = GridField(g, 0.2 * np.cos(2 * np.pi * x) + rng.uniform(-0.1, 0.1, g.size))
-    report = check_properties(m, phi, psi, [0.5, 1.0], 1.0 / 16, 4.0)
+    report = check_properties(StepKernel(m, g, 1.0 / 16, 4.0), phi, psi, [0.5, 1.0])
     assert report.all_within(0.0)
     for e in report.entries:
         assert e["monotonicity_gap"] == 0.0
@@ -211,8 +214,9 @@ def test_semigroup_law_exact_on_discrete_objects():
     m = discounted_pendulum()
     g = Grid(1, 64)
     phi = GridField(g, np.zeros(g.size))
-    assert semigroup_defect(m, phi, 0.5, 0.5, 1.0 / 32, 4.0) == 0.0
-    assert semigroup_defect(m, phi, 0.25, 0.75, 1.0 / 32, 4.0) == 0.0
+    kern = StepKernel(m, g, 1.0 / 32, 4.0)
+    assert semigroup_defect(kern, phi, 0.5, 0.5) == 0.0
+    assert semigroup_defect(kern, phi, 0.25, 0.75) == 0.0
 
 
 def test_converge_reaches_pendulum_weak_kam_solution():
@@ -222,7 +226,7 @@ def test_converge_reaches_pendulum_weak_kam_solution():
     g = Grid(1, 256)
     phi = GridField(g, np.zeros(g.size))
     report = converge(
-        m, phi, 1.0 / 16, 4.0, t_checkpoints=(20.0,), stop_eps=1e-9, quadrature="exact"
+        StepKernel(m, g, 1.0 / 16, 4.0, "exact"), phi, t_checkpoints=(20.0,), stop_eps=1e-9
     )
     assert report.converged
     assert report.tail_nonincreasing
@@ -242,11 +246,12 @@ def test_converge_equals_picard_restart_blocks():
     g = Grid(1, 64)
     phi = GridField(g, 0.3 * np.cos(2 * np.pi * g.points()[:, 0]))
     dt, t_final = 1.0 / 16, 5.5
-    report = converge(m, phi, dt, 4.0, t_checkpoints=(t_final,), stop_eps=1e-12)
+    kern = StepKernel(m, g, dt, 4.0)
+    report = converge(kern, phi, t_checkpoints=(t_final,), stop_eps=1e-12)
     cur, t, block_times = phi, 0.0, []
     while t < t_final - 1e-9:
         span = min(default_block_length(m), t_final - t)
-        u, _, reached = picard_reference(m, cur, span, dt, 4.0, 0.0, 200, "left")
+        u, _, reached = picard_reference(kern, cur, span, 0.0, 200)
         assert reached
         t += span
         block_times.append(t)
@@ -274,7 +279,7 @@ def test_converged_field_is_a_subsolution_along_test_curves():
     g = Grid(1, 256)
     phi = GridField(g, np.zeros(g.size))
     report = converge(
-        m, phi, 1.0 / 16, 4.0, t_checkpoints=(20.0,), stop_eps=1e-9, quadrature="exact"
+        StepKernel(m, g, 1.0 / 16, 4.0, "exact"), phi, t_checkpoints=(20.0,), stop_eps=1e-9
     )
     gap = subsolution_gap(m, report.u_inf, np.random.default_rng(0), n_curves=50)
     assert gap <= 1e-9
@@ -284,8 +289,9 @@ def test_calibrated_curve_defect_is_roundoff():
     m = discounted_pendulum()
     g = Grid(1, 128)
     phi = GridField(g, np.zeros(g.size))
-    u = _march(m, phi, 1.0, 1.0 / 32, 4.0)
-    curve = extract_calibrated_curve(m, u, x_end=int(0.55 * g.size), v_max=4.0)
+    kern = StepKernel(m, g, 1.0 / 32, 4.0)
+    u = _march(kern, phi, 1.0)
+    curve = extract_calibrated_curve(kern, u, x_end=int(0.55 * g.size))
     assert curve.max_defect() <= 1e-12
     assert curve.indices.size == u.n_steps + 1
     assert curve.velocities.shape == (u.n_steps, 1)
@@ -350,11 +356,11 @@ def test_backtrack_equals_argmin_chain_for_every_destination(dim, quadrature, ph
                          potential=TrigPotential(dim, modes))
     dt, v_max = 0.125, 4.0
     kern = StepKernel(m, g, dt, v_max, quadrature)
-    u = _march(m, GridField(g, phi_vals), 0.5, dt, v_max, kernel=kern)
+    u = _march(kern, GridField(g, phi_vals), 0.5)
     if phi_kind == "tent":
         assert tied_destinations(kern, u) > 0
     for x_end in range(g.size):
-        curve = extract_calibrated_curve(m, u, x_end, v_max, kernel=kern)
+        curve = extract_calibrated_curve(kern, u, x_end)
         idx, defects = argmin_backtrack(kern, u, x_end)
         assert np.array_equal(curve.indices, idx)
         assert np.array_equal(curve.defects, defects)
@@ -369,13 +375,13 @@ def test_check_properties_reads_shared_kernel_and_march():
     psi = GridField(g, 0.2 * np.cos(4 * np.pi * x))
     kern = StepKernel(m, g, dt, v_max, "exact")
     # the march runs past max(t_list): only its prefix may enter the report
-    u = _march(m, phi, 1.5, dt, v_max, kernel=kern)
-    plain = check_properties(m, phi, psi, [0.5, 1.0], dt, v_max, quadrature="exact")
-    shared = check_properties(m, phi, psi, [0.5, 1.0], dt, v_max, kernel=kern, phi_march=u)
+    u = _march(kern, phi, 1.5)
+    plain = check_properties(kern, phi, psi, [0.5, 1.0])
+    shared = check_properties(kern, phi, psi, [0.5, 1.0], phi_march=u)
     assert repr(shared) == repr(plain)
-    short = _march(m, phi, 0.5, dt, v_max, kernel=kern)
+    short = _march(kern, phi, 0.5)
     with pytest.raises(ConfigurationError, match="phi_march"):
-        check_properties(m, phi, psi, [0.5, 1.0], dt, v_max, kernel=kern, phi_march=short)
+        check_properties(kern, phi, psi, [0.5, 1.0], phi_march=short)
 
 
 def test_calibrated_curve_requires_fixed_point():
@@ -384,19 +390,58 @@ def test_calibrated_curve_requires_fixed_point():
     phi = GridField(g, np.zeros(g.size))
     not_fixed = SpaceTimeField(g, 1.0 / 16, np.tile(phi.values, (9, 1)))
     with pytest.raises(ConfigurationError, match="not a fixed point"):
-        extract_calibrated_curve(m, not_fixed, x_end=5, v_max=4.0)
+        extract_calibrated_curve(StepKernel(m, g, 1.0 / 16, 4.0), not_fixed, x_end=5)
+
+
+def test_field_off_the_kernel_grid_is_rejected():
+    m = discounted_pendulum()
+    kern = StepKernel(m, Grid(1, 64), 1.0 / 16, 4.0)
+    g32 = Grid(1, 32)
+    phi = GridField(g32, 0.3 * np.sin(2 * np.pi * g32.points()[:, 0]))
+    slab = _march(StepKernel(m, g32, 1.0 / 16, 4.0), phi, 0.5)
+    calls = {
+        "_march": lambda: _march(kern, phi, 0.5),
+        "fixed_point": lambda: fixed_point(kern, phi, 0.5),
+        "step_T": lambda: step_T(kern, phi, 0.0),
+        "converge": lambda: converge(kern, phi, t_checkpoints=(1.0,)),
+        "check_properties": lambda: check_properties(kern, phi, phi, [0.5]),
+        "extract_calibrated_curve": lambda: extract_calibrated_curve(kern, slab, x_end=3),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ConfigurationError, match="the kernel on Grid"):
+            call()
+
+
+def test_slab_of_another_dt_or_datum_is_rejected():
+    m = discounted_pendulum()
+    g = Grid(1, 64)
+    x = g.points()[:, 0]
+    phi = GridField(g, 0.3 * np.sin(2 * np.pi * x))
+    psi = GridField(g, 0.2 * np.cos(2 * np.pi * x))
+    coarse = StepKernel(m, g, 1.0 / 16, 4.0)
+    fine = StepKernel(m, g, 1.0 / 32, 4.0)
+    u = _march(coarse, phi, 0.5)
+    # u is a fixed point of the coarse kernel: only the dt mismatch can reject it
+    extract_calibrated_curve(coarse, u, x_end=5)
+    with pytest.raises(ConfigurationError, match="dt=0.0625, the kernel dt=0.03125"):
+        extract_calibrated_curve(fine, u, x_end=5)
+    with pytest.raises(ConfigurationError, match="phi_march has dt"):
+        check_properties(fine, phi, psi, [0.5], phi_march=u)
+    with pytest.raises(ConfigurationError, match="phi_march does not start at phi"):
+        check_properties(coarse, phi, psi, [0.5], phi_march=_march(coarse, psi, 0.5))
 
 
 def test_report_csv_headers():
     m = discounted_pendulum()
     g = Grid(1, 32)
     phi = GridField(g, np.zeros(g.size))
-    _, fp_report = fixed_point(m, phi, 0.5, 1.0 / 16, 4.0, tol=0.0)
+    kern = StepKernel(m, g, 1.0 / 16, 4.0)
+    _, fp_report = fixed_point(kern, phi, 0.5, tol=0.0)
     assert fp_report.to_csv().startswith("iter,gap,bound\n")
-    conv = converge(m, phi, 1.0 / 16, 4.0, t_checkpoints=(2.0,), stop_eps=1e-8)
+    conv = converge(kern, phi, t_checkpoints=(2.0,), stop_eps=1e-8)
     lines = conv.to_csv().strip().split("\n")
     assert lines[0] == "t,increment"
     assert "np." not in conv.to_csv()
     psi = GridField(g, np.full(g.size, 0.1))
-    props = check_properties(m, phi, psi, [0.5], 1.0 / 16, 4.0)
+    props = check_properties(kern, phi, psi, [0.5])
     assert props.to_csv().startswith("t,monotonicity_gap,nonexpansive_gap,sup_norm,lipschitz\n")
