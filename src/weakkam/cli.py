@@ -4,6 +4,10 @@ Thin wrappers around the library: each subcommand loads a validated run
 configuration, performs one computation, and writes CSV artifacts plus a
 run manifest into the output directory.  Exit codes: 0 success, 1 check
 failure, 2 invalid configuration, 3 numeric non-convergence.
+
+``critical`` and ``action`` hold arrays of grid.size**2 values.  Before the
+output directory is made, their size is estimated and a config whose
+estimate exceeds ``MEMORY_BUDGET_BYTES`` is rejected, naming ``grid.N``.
 """
 
 from __future__ import annotations
@@ -43,6 +47,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
+# the most bytes _check_budget lets critical or action plan to hold (1 GiB)
+MEMORY_BUDGET_BYTES = 1 << 30
+
 
 def _field_csv(f: GridField) -> str:
     buf = io.StringIO()
@@ -51,6 +58,31 @@ def _field_csv(f: GridField) -> str:
     for col, u in zip(cols, f.values.tolist()):
         buf.write(f"{col}{u!r}\n")
     return buf.getvalue()
+
+
+def _check_budget(command: str, cfg: RunConfig):
+    """Reject a ``critical`` or ``action`` config whose size**2 arrays would not fit.
+
+    The estimate for ``critical`` is Karp's D_k for k = 0..size,
+    (size + 1)*size floats; for ``action`` three size x size tables alive
+    in one DP step (the table, its shifted copy and the stepped one) and
+    the CSV text, whose rows hold two indices and 2*dim + 1 floats of at
+    most 25 characters each.
+    """
+    size = cfg.grid.size
+    if command == "critical":
+        planned = (size + 1) * size * 8
+    elif command == "action":
+        row = 2 * (len(str(size)) + 1) + (2 * cfg.grid.dim + 1) * 25
+        planned = size * size * (3 * 8 + row)
+    else:
+        return
+    if planned > MEMORY_BUDGET_BYTES:
+        raise ConfigurationError(
+            f"config key `grid.N`: {command} on {cfg.grid.dim}-D N={cfg.grid.n} would hold "
+            f"about {planned / 2**30:.1f} GiB, above the budget of "
+            f"{MEMORY_BUDGET_BYTES / 2**30:g} GiB"
+        )
 
 
 def _prepare_out(out_dir: str, overwrite: bool):
@@ -286,6 +318,7 @@ def main(argv=None) -> int:
             raise ConfigurationError(
                 "config key `output.directory`: required unless --out is given"
             )
+        _check_budget(args.command, cfg)
         _prepare_out(out_dir, args.overwrite)
         return _COMMANDS[args.command](cfg, out_dir, args.threads)
     except (ConfigurationError, OSError) as e:

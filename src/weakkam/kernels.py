@@ -10,14 +10,29 @@ precomputes one table, the u-independent part of the segment cost of each
 admissible cell offset, indexed by the destination x_j; only the u-coupling
 is recomputed per step.
 
-The start points y = x_j - offset*dx are read without an index table: each
-step pads the start values periodically by the largest offset and takes the
-sliding windows of the padded array, so the starts of one offset are one
-window (a view).  Candidates are formed in blocks of offsets and their
-per-destination min is folded in lexicographic offset order.
-
 Quadrature of the potential along the straight segment ("left", "midpoint"
 or "exact" trigonometric line integral) is fixed at kernel construction.
+
+Two paths take the same min over the same candidates:
+
+- The window path reads ``base_cost``.  The start points y = x_j - offset*dx
+  are read without an index table: each step pads the start values
+  periodically by the largest offset and takes the sliding windows of the
+  padded array, so the starts of one offset are one window (a view).
+  Candidates are formed in blocks of offsets and their per-destination min
+  is folded in lexicographic offset order.  It serves 1-D, "midpoint" and
+  "exact" (whose V term depends on the offset) and ``apply_with_argmin``.
+- The row path serves ``apply`` and ``apply_table`` on 2-D grids with
+  "left" quadrature, where every term but the kinetic one depends only on
+  the start and the kinetic term splits per axis.  It reads the per-start
+  table dt*(action_shift - V) and the per-axis kinetic cost
+  c(o) = (o*dx)^2/(2*dt).  The disk-shaped stencil is a union of rows: row
+  o1 holds the offsets (o1, o2) with |o2| <= r(o1).  Pass 1 builds the
+  nested minima B_r = min(B_{r-1}, a(., x2 -+ r) + c(+-r)) along x2, pass 2
+  takes min over o1 of B_{r(o1)}(x1 - o1, .) + c(o1): O(m) window passes
+  instead of one per offset (m is the stencil radius in cells).  Only the
+  order of the sums differs from the window path, so the two agree to
+  rounding (bitwise where every sum is exact).
 
 The per-destination min is a map over destination points with read-only
 access to the previous slice, so results do not depend on thread count.
@@ -43,9 +58,11 @@ class StepKernel:
 
     ``base_cost[k, j]`` is dt*L without the u-coupling for the step with
     offset ``offsets[k]`` that ends at x_j (it starts at x_j - offsets[k]*dx,
-    periodically).  It is the only stored table; the start values of a step
-    are periodic views of the padded slice, and ``start_index`` is derived
-    from the same views on demand.
+    periodically).  The window path, the calibrated-curve backtrack and
+    ``start_index`` (derived from the padded views on demand) read it.  On
+    2-D grids with "left" quadrature ``apply`` and ``apply_table`` take the
+    row path instead, which reads only dt*(action_shift - V) per start and
+    the per-axis kinetic cost (see the module docstring).
     """
 
     def __init__(
@@ -97,6 +114,18 @@ class StepKernel:
             cost = dt * (kinetic[k] - vterm + model.action_shift)
             self.base_cost[k] = cost[grid.shift_indices(offsets[k])]
 
+        self._row_reach = None
+        if grid.dim == 2 and quadrature == "left":
+            m = self._pad
+            self._wrap = np.arange(-m, grid.n + m) % grid.n
+            start_cost = (dt * (model.action_shift - model.potential(pts))).reshape(grid.n, -1)
+            self._start_cost = start_cost[np.ix_(self._wrap, self._wrap)]  # wrap-padded
+            self._axis_cost = (np.arange(-m, m + 1) * grid.dx) ** 2 / (2 * dt)
+            # r(o1) = largest o2 with (o1, o2) in offsets; rows grouped by r
+            reach = np.zeros(2 * m + 1, dtype=int)
+            np.maximum.at(reach, offsets[:, 0] + m, offsets[:, 1])
+            self._row_reach = [(np.flatnonzero(reach == r) - m).tolist() for r in range(m + 1)]
+
     @property
     def start_index(self) -> np.ndarray:
         """Start grid index of each (offset, destination) step, (n_offsets, size)."""
@@ -135,7 +164,16 @@ class StepKernel:
         return [slice(lo, lo + per) for lo in range(0, self.n_offsets, per)]
 
     def _min_over_offsets(self, a: np.ndarray) -> np.ndarray:
-        """min_k a(x_j - offsets[k]*dx) + base_cost[k, j] over the last axis of a."""
+        """min_k a(x_j - offsets[k]*dx) + base_cost[k, j] over the last axis of a.
+
+        The row path forms the same candidates with the sums in another order.
+        """
+        if self._row_reach is not None:
+            return self._row_min(a)
+        return self._window_min(a)
+
+    def _window_min(self, a: np.ndarray) -> np.ndarray:
+        """The window path of _min_over_offsets."""
         windows = self._windows(a)
         blocks = self._blocks(a.size // self.grid.size)
         out = self._candidates(windows, blocks[0]).min(axis=-2)
@@ -143,8 +181,45 @@ class StepKernel:
             np.minimum(out, self._candidates(windows, blk).min(axis=-2), out=out)
         return out
 
+    def _row_min(self, a: np.ndarray) -> np.ndarray:
+        """The row path of _min_over_offsets (2-D, "left"), in blocks of leading rows.
+
+        Each row is wrap-padded by m on both axes and flattened, width
+        W = n + 2m, so that every shift along either axis is one contiguous
+        slice; the last 2m columns of each x1-row hold unused values.
+        """
+        n, m, c = self.grid.n, self._pad, self._axis_cost
+        width = n + 2 * m
+        span = width * width - 2 * m  # B is formed at flat positions [0, span)
+        rows = a.reshape(-1, n, n)
+        out = np.empty_like(rows)
+        per = max(1, _BLOCK_ELEMENTS // (width * width))
+        for lo in range(0, rows.shape[0], per):
+            blk = rows[lo:lo + per]
+            b = blk.shape[0]
+            padded = np.take(np.take(blk, self._wrap, axis=1), self._wrap, axis=2)
+            padded += self._start_cost
+            padded = padded.reshape(b, -1)
+            best = np.empty_like(padded)
+            best[:, span:] = np.inf
+            np.add(padded[:, m:m + span], c[m], out=best[:, :span])
+            step = np.empty((b, span))
+            res = np.full((b, n * width), np.inf)
+            shifted = np.empty_like(res)
+            # res folds pass 2 over the rows of reach r as soon as B_r is formed
+            for r, row_offsets in enumerate(self._row_reach):
+                for o2 in (-r, r) if r else ():
+                    np.add(padded[:, m - o2:m - o2 + span], c[m + o2], out=step)
+                    np.minimum(best[:, :span], step, out=best[:, :span])
+                for o1 in row_offsets:
+                    lo1 = (m - o1) * width
+                    np.add(best[:, lo1:lo1 + n * width], c[m + o1], out=shifted)
+                    np.minimum(res, shifted, out=res)
+            out[lo:lo + per] = res.reshape(b, n, width)[:, :, :n]
+        return out.reshape(a.shape)
+
     def apply(self, w: np.ndarray, u_slice: np.ndarray) -> np.ndarray:
-        """One DP step of a single slice (shape (size,))."""
+        """One DP step of a slice (shape (size,)), each row on its own if stacked."""
         return self._min_over_offsets(w + self.step_cost(u_slice))
 
     def apply_with_argmin(self, w: np.ndarray, u_slice: np.ndarray):
@@ -156,7 +231,7 @@ class StepKernel:
         test reference.
         """
         a = w + self.step_cost(u_slice)
-        vals = self._min_over_offsets(a)
+        vals = self._window_min(a)
         windows = self._windows(a)
         index_windows = self._windows(np.arange(self.grid.size))
         arg = np.full(self.grid.size, self.grid.size, dtype=np.intp)

@@ -133,27 +133,36 @@ def test_critical_value_invariant_under_constant_shift():
     assert c1 - 0.5 == pytest.approx(c0, abs=2e-8)
 
 
-@pytest.mark.parametrize("grid", [Grid(1, 11), Grid(2, 5)], ids=["1d", "2d"])
-def test_min_cycle_mean_matches_brute_force(grid):
+@pytest.mark.parametrize(
+    "grid,quadrature,inject",
+    [(Grid(1, 11), "left", True), (Grid(2, 5), "midpoint", True), (Grid(2, 5), "left", False)],
+    ids=["1d", "2d", "2d-left"],
+)
+def test_min_cycle_mean_matches_brute_force(grid, quadrature, inject):
     # random step costs with a costly rest step, so every optimum is a moving
     # cycle; the brute force takes min diag(W_k)/k over the action tables
-    # W_k of k = 1..size steps, which covers every simple cycle
+    # W_k of k = 1..size steps, which covers every simple cycle.  The costs
+    # are injected into base_cost, which 2-D "left" (the row path) does not
+    # read, so that case keeps the kernel's own costs under a potential.
     rng = np.random.default_rng(grid.n)
-    model = HamiltonianModel("quadratic-discounted", dim=grid.dim, lam=1.0)
+    potential = None if inject else TrigPotential(grid.dim, (((1,) * grid.dim, 1.0),))
+    model = HamiltonianModel("quadratic-discounted", dim=grid.dim, lam=1.0, potential=potential)
     a = 0.3
-    for _ in range(20):
-        kern = StepKernel(model, grid, 0.125, 16.0 / grid.n)  # two cells per step
-        kern.base_cost = rng.random(kern.base_cost.shape)
+    for _ in range(20 if inject else 1):
+        kern = StepKernel(model, grid, 0.125, 16.0 / grid.n, quadrature)  # two cells per step
         rest = int(np.flatnonzero(~kern.offsets.any(axis=1))[0])
-        kern.base_cost[rest] += 1.5
+        if inject:
+            kern.base_cost = rng.random(kern.base_cost.shape)
+            kern.base_cost[rest] += 1.5
         w = np.full((grid.size, grid.size), np.inf)
         np.fill_diagonal(w, 0.0)
         brute = np.inf
         for k in range(1, grid.size + 1):
             w = kern.apply_table(w, a)
             brute = min(brute, float(np.min(np.diagonal(w))) / k)
-        shift = float(kern.step_cost(np.full(1, a))[0])
-        assert brute < float(np.min(kern.base_cost[rest])) + shift
+        if inject:
+            shift = float(kern.step_cost(np.full(1, a))[0])
+            assert brute < float(np.min(kern.base_cost[rest])) + shift
         assert _min_cycle_mean(kern, a) == pytest.approx(brute, abs=1e-12)
         # bitwise equal to Karp's formula over the whole ratio array at once
         n = grid.size

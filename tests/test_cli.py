@@ -272,3 +272,17 @@ def test_check_2d_builds_one_kernel_and_stores_no_lf_slab(tmp_path, monkeypatch)
     ]
     assert len(builds) == 1
     assert lf_solves == []
+
+
+@pytest.mark.parametrize("command", ["critical", "action"])
+def test_size_squared_command_over_budget_is_rejected_before_output(tmp_path, capsys, command):
+    # 2-D N=256: Karp's D_k alone is 34 GB, the action table as much again
+    cfg = write_config(
+        tmp_path / "run.yaml",
+        model={"dim": 2, "potential": [[1, 0, 1.0]]},
+        grid={"N": 256, "dt": 1.0 / 256, "v_max": 4.0},
+    )
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    assert "config key `grid.N`" in capsys.readouterr().err
+    assert not out.exists()

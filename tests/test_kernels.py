@@ -100,7 +100,8 @@ ORACLE_CASES = [
     "grid,dt,v_max", ORACLE_CASES, ids=["1d16", "1d17", "2d24", "2d8-clipped"]
 )
 def test_window_kernel_equals_gather_reference(grid, dt, v_max, quadrature):
-    # the padded-window kernel must reproduce the plain gather kernel bitwise
+    # the padded-window kernel must reproduce the plain gather kernel bitwise;
+    # 2-D "left" apply and apply_table take the row path, tested below
     modes = (((1,) * grid.dim, 0.7), ((2,) + (0,) * (grid.dim - 1), -0.4))
     m = HamiltonianModel(
         "quadratic-discounted", dim=grid.dim, lam=1.0, potential=TrigPotential(grid.dim, modes)
@@ -112,14 +113,74 @@ def test_window_kernel_equals_gather_reference(grid, dt, v_max, quadrature):
     w = rng.uniform(-1, 1, grid.size)
     u = rng.uniform(-1, 1, grid.size)
     ref_vals, ref_arg = gather_step(kern, w + kern.step_cost(u))
-    assert kern.apply(w, u).tobytes() == ref_vals.tobytes()
     vals, arg = kern.apply_with_argmin(w, u)
     assert vals.tobytes() == ref_vals.tobytes()
     assert np.array_equal(arg, ref_arg)
+    if grid.dim == 2 and quadrature == "left":
+        return
+    assert kern.apply(w, u).tobytes() == ref_vals.tobytes()
     table = rng.uniform(-1, 1, (7, grid.size))
     table[2, 3] = np.inf
     ref_table, _ = gather_step(kern, table + kern.step_cost(np.full(1, 0.3))[0])
     assert kern.apply_table(table, 0.3).tobytes() == ref_table.tobytes()
+
+
+def assert_row_path_matches(got, ref, exact):
+    """Bitwise if every sum is exact, else within 4 ULP of max|ref|."""
+    if exact:
+        assert got.tobytes() == ref.tobytes()
+    else:
+        assert np.max(np.abs(got - ref)) <= 4 * np.spacing(np.max(np.abs(ref)))
+
+
+ROW_CASES = [
+    (Grid(2, 24), 0.125, 2.0, False),
+    (Grid(2, 8), 0.25, 100.0, False),  # stencil clipped at m = n // 2
+    (Grid(2, 17), 0.125, 2.0, False),
+    (Grid(2, 7), 0.25, 100.0, False),  # odd n, clipped
+    (Grid(2, 16), 0.125, 2.0, True),
+    (Grid(2, 8), 0.25, 100.0, True),
+]
+
+
+@pytest.mark.parametrize(
+    "grid,dt,v_max,exact",
+    ROW_CASES,
+    ids=["2d24", "2d8-clipped", "2d17", "2d7-clipped", "2d16-dyadic", "2d8-clipped-dyadic"],
+)
+def test_row_path_equals_window_oracle(grid, dt, v_max, exact):
+    # 2-D "left": the row path must take the min over the gather kernel's
+    # candidates; with V = 0 and dyadic w, u, dt, dx every sum is exact
+    rng = np.random.default_rng(grid.size)
+    if exact:
+        modes = ()
+
+        def draw(shape):
+            return rng.integers(-64, 65, shape) / 64.0
+    else:
+        modes = (((1, 1), 0.7), ((2, 0), -0.4), ((0, 1), 0.3))
+
+        def draw(shape):
+            return rng.uniform(-1, 1, shape)
+    m = HamiltonianModel(
+        "quadratic-discounted", dim=2, lam=1.0, potential=TrigPotential(2, modes)
+    )
+    kern = StepKernel(m, grid, dt, v_max, "left")
+    w, u = draw(grid.size), draw(grid.size)
+    ref, _ = gather_step(kern, w + kern.step_cost(u))
+    assert_row_path_matches(kern.apply(w, u), ref, exact)
+    # stacked rows, more than one block of them: each row as its own call
+    ws, us = draw((300, grid.size)), draw((300, grid.size))
+    stacked = kern.apply(ws, us)
+    for i in range(ws.shape[0]):
+        assert stacked[i].tobytes() == kern.apply(ws[i], us[i]).tobytes()
+    table = draw((7, grid.size))
+    table[2, 3] = np.inf
+    ref_table, _ = gather_step(kern, table + kern.step_cost(np.full(1, 0.25))[0])
+    got = kern.apply_table(table, 0.25)
+    assert_row_path_matches(got, ref_table, exact)
+    for i in range(table.shape[0]):
+        assert got[i].tobytes() == kern.apply(table[i], np.full(grid.size, 0.25)).tobytes()
 
 
 def test_argmin_indices_reproduce_values():

@@ -299,13 +299,18 @@ def test_calibrated_curve_defect_is_roundoff():
 
 
 def argmin_backtrack(kern, u, x_end):
-    """Chain and defects from apply_with_argmin over every destination: the reference."""
+    """Chain and defects from apply_with_argmin over every destination: the reference.
+
+    The operator pass is kern.apply, the pass extract_calibrated_curve checks;
+    only the argmins come from apply_with_argmin.
+    """
     grid, n = kern.grid, u.n_steps
     w = np.empty_like(u.values)
     w[0] = u.values[0]
     argmins = np.empty((n, grid.size), dtype=np.intp)
     for k in range(n):
-        w[k + 1], argmins[k] = kern.apply_with_argmin(w[k], u.values[k])
+        w[k + 1] = kern.apply(w[k], u.values[k])
+        argmins[k] = kern.apply_with_argmin(w[k], u.values[k])[1]
     idx = np.empty(n + 1, dtype=np.intp)
     idx[n] = x_end
     for k in range(n - 1, -1, -1):
@@ -364,6 +369,44 @@ def test_backtrack_equals_argmin_chain_for_every_destination(dim, quadrature, ph
         idx, defects = argmin_backtrack(kern, u, x_end)
         assert np.array_equal(curve.indices, idx)
         assert np.array_equal(curve.defects, defects)
+
+
+def test_separable_2d_march_is_sum_of_1d_marches():
+    # V = V1(x1) + V2(x2) and phi = phi1 + phi2: with left quadrature the step
+    # cost splits per axis, so where the v_max disk does not bind the 2-D
+    # march is the sum of the two 1-D marches
+    g1, g2 = Grid(1, 32), Grid(2, 32)
+    dt, v_max, T = 1.0 / 32, 6.0, 1.0
+    x = g1.points()[:, 0]
+    parts = [
+        ((((1,), 1.0), ((2,), 0.3)), 0.4 * np.sin(2 * np.pi * x)),
+        ((((1,), 0.5),), 0.3 * np.cos(2 * np.pi * x) + 0.1 * np.sin(4 * np.pi * x)),
+    ]
+    marches, offsets = [], []
+    for modes, phi in parts:
+        kern = StepKernel(
+            HamiltonianModel("quadratic-mechanical", potential=TrigPotential(1, modes)),
+            g1, dt, v_max, "left",
+        )
+        u = _march(kern, GridField(g1, phi), T)
+        starts = np.stack([kern.apply_with_argmin(w, w)[1] for w in u.values[:-1]])
+        offsets.append((np.arange(g1.n) - starts + g1.n // 2) % g1.n - g1.n // 2)
+        marches.append(u.values)
+    # every pair of 1-D minimizing offsets is a 2-D stencil offset, and some move
+    reach = v_max * dt / g2.dx
+    assert np.all(offsets[0][:, :, None] ** 2 + offsets[1][:, None, :] ** 2 <= reach**2)
+    assert all(np.any(o != 0) for o in offsets)
+    modes_2d = tuple(((k[0], 0), a) for k, a in parts[0][0]) + tuple(
+        ((0, k[0]), a) for k, a in parts[1][0]
+    )
+    kern = StepKernel(
+        HamiltonianModel("quadratic-mechanical", dim=2, potential=TrigPotential(2, modes_2d)),
+        g2, dt, v_max, "left",
+    )
+    phi = (parts[0][1][:, None] + parts[1][1][None, :]).ravel()
+    u2 = _march(kern, GridField(g2, phi), T).values
+    summed = (marches[0][:, :, None] + marches[1][:, None, :]).reshape(u2.shape)
+    assert np.max(np.abs(u2 - summed)) <= 1e-13
 
 
 def test_check_properties_reads_shared_kernel_and_march():
