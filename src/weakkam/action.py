@@ -9,7 +9,9 @@ which Karp's formula gives exactly from grid.size steps of the vector
 kernel.
 
 Every entry point takes the discretization as one ``StepKernel`` and reads
-the model, grid, dt, v_max and quadrature from it.
+the model, grid, dt, v_max and quadrature from it.  An ``ActionTable``
+keeps its kernel, so ``compose`` refuses a table of another kernel or
+u-level.
 """
 
 from __future__ import annotations
@@ -21,58 +23,38 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .kernels import StepKernel, min_plus_product
-from .models import HamiltonianModel
-from .torus import Grid, _horizon_steps, csv_float
+from .torus import _horizon_steps, csv_float
 
 
 @dataclass
 class ActionTable:
     """h_t(x_i, x_j) for a frozen u-level; row = start, column = end."""
 
-    model: HamiltonianModel
+    kern: StepKernel
     a: float
     t: float
-    dt: float
-    grid: Grid
-    v_max: float
     values: np.ndarray
-    quadrature: str = "left"
 
     def compose(self, other: "ActionTable") -> "ActionTable":
         """Exact composition h_{t+t'}(x,z) = min_y h_t(x,y) + h_{t'}(y,z)."""
-        if other.grid is not self.grid and other.grid != self.grid:
-            raise ConfigurationError("cannot compose tables on different grids")
+        if other.kern is not self.kern or other.a != self.a:
+            raise ConfigurationError(
+                "cannot compose tables of different kernels or u-levels "
+                f"(a={self.a:g} and a={other.a:g})"
+            )
         return ActionTable(
-            model=self.model,
-            a=self.a,
-            t=self.t + other.t,
-            dt=self.dt,
-            grid=self.grid,
-            v_max=self.v_max,
-            values=min_plus_product(self.values, other.values),
-            quadrature=self.quadrature,
+            self.kern, self.a, self.t + other.t, min_plus_product(self.values, other.values)
         )
 
     def to_csv(self) -> str:
+        grid = self.kern.grid
         buf = io.StringIO()
-        pts = self.grid.points()
-        if self.grid.dim == 1:
-            buf.write("i,j,x_i,x_j,h\n")
-            for i in range(self.grid.size):
-                for j in range(self.grid.size):
-                    buf.write(
-                        f"{i},{j},{csv_float(pts[i, 0])},{csv_float(pts[j, 0])},"
-                        f"{csv_float(self.values[i, j])}\n"
-                    )
-        else:
-            buf.write("i,j,xi1,xi2,xj1,xj2,h\n")
-            for i in range(self.grid.size):
-                for j in range(self.grid.size):
-                    buf.write(
-                        f"{i},{j},{csv_float(pts[i, 0])},{csv_float(pts[i, 1])},"
-                        f"{csv_float(pts[j, 0])},{csv_float(pts[j, 1])},"
-                        f"{csv_float(self.values[i, j])}\n"
-                    )
+        buf.write("i,j,x_i,x_j,h\n" if grid.dim == 1 else "i,j,xi1,xi2,xj1,xj2,h\n")
+        coords = [",".join(csv_float(c) for c in p) for p in grid.points()]
+        # repr of the Python floats from tolist() is csv_float, without a call per value
+        for i, (ci, row) in enumerate(zip(coords, self.values.tolist())):
+            for j, (cj, h) in enumerate(zip(coords, row)):
+                buf.write(f"{i},{j},{ci},{cj},{h!r}\n")
         return buf.getvalue()
 
 
@@ -85,14 +67,14 @@ class CriticalValueResult:
         return f"a,c\n{csv_float(self.a)},{csv_float(self.c)}\n"
 
 
-def discretization_slack(model: HamiltonianModel, grid: Grid, dt: float, v_max: float) -> float:
+def discretization_slack(kern: StepKernel) -> float:
     """Slack K_L*(dx + dt) for discrete action identities.
 
     K_L combines the potential's gradient bound with the velocity scale of
     the window, the local Lipschitz data of the segment costs.
     """
-    k_l = model.potential.gradient_bound() + v_max
-    return k_l * (grid.dx + dt)
+    k_l = kern.model.potential.gradient_bound() + kern.v_max
+    return k_l * (kern.grid.dx + kern.dt)
 
 
 def min_action(kern: StepKernel, a: float, t: float) -> ActionTable:
@@ -104,10 +86,7 @@ def min_action(kern: StepKernel, a: float, t: float) -> ActionTable:
     np.fill_diagonal(w, 0.0)
     for _ in range(n_steps):
         w = kern.apply_table(w, a)
-    return ActionTable(
-        model=kern.model, a=a, t=t, dt=kern.dt, grid=kern.grid, v_max=kern.v_max, values=w,
-        quadrature=kern.quadrature,
-    )
+    return ActionTable(kern, a, t, w)
 
 
 def _min_cycle_mean(kern: StepKernel, a: float) -> float:
@@ -166,8 +145,8 @@ def peierls_barrier(kern: StepKernel, a: float, c: float, t_list):
         prev_t = t
     tail = t_list[len(t_list) // 2 :]
     liminf = np.min(np.stack([barriers[t] for t in tail]), axis=0)
-    c_t0 = max(float(np.max(np.abs(barriers[t]))) for t in t_list)
     sup_seq = [float(np.max(np.abs(barriers[t]))) for t in t_list]
+    c_t0 = max(sup_seq)
     report = {
         "T_list": t_list,
         "barriers": barriers,

@@ -5,9 +5,11 @@ configuration, performs one computation, and writes CSV artifacts plus a
 run manifest into the output directory.  Exit codes: 0 success, 1 check
 failure, 2 invalid configuration, 3 numeric non-convergence.
 
-``critical`` and ``action`` hold arrays of grid.size**2 values.  Before the
-output directory is made, their size is estimated and a config whose
-estimate exceeds ``MEMORY_BUDGET_BYTES`` is rejected, naming ``grid.N``.
+Commands take their discretizations from ``RunConfig.kernel()`` and
+``RunConfig.lf()``.  Before the output directory is made, ``main``
+rejects a horizon the command cannot step by grid.dt, naming
+``solver.T``, and a planned size above ``MEMORY_BUDGET_BYTES``, naming
+``grid.N``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .characteristics import (
 )
 from .config import RunConfig, load_config
 from .errors import ConfigurationError, NumericError
-from .fdoracle import LFConfig, lf_final, lf_solve
+from .fdoracle import lf_final, lf_solve
 from .semigroup import (
     _march,
     check_properties,
@@ -40,14 +42,14 @@ from .semigroup import (
     fixed_point,
     weak_kam_residual,
 )
-from .torus import GridField, _point_columns
+from .torus import GridField, _horizon_steps, _point_columns, stencil_offsets
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# the most bytes _check_budget lets critical or action plan to hold (1 GiB)
+# the most bytes _check_budget lets a command plan to hold (1 GiB)
 MEMORY_BUDGET_BYTES = 1 << 30
 
 
@@ -60,26 +62,51 @@ def _field_csv(f: GridField) -> str:
     return buf.getvalue()
 
 
-def _check_budget(command: str, cfg: RunConfig):
-    """Reject a ``critical`` or ``action`` config whose size**2 arrays would not fit.
+def _property_horizons(cfg: RunConfig) -> list:
+    """The horizons at which ``check`` compares the semigroup properties."""
+    return [t for t in (0.5, 1.0) if t <= cfg.T + 1e-9] or [cfg.T]
 
-    The estimate for ``critical`` is Karp's D_k for k = 0..size,
-    (size + 1)*size floats; for ``action`` three size x size tables alive
-    in one DP step (the table, its shifted copy and the stepped one) and
-    the CSV text, whose rows hold two indices and 2*dim + 1 floats of at
-    most 25 characters each.
+
+def _check_horizons(command: str, cfg: RunConfig):
+    """Reject a horizon that ``solve``, ``action`` or ``check`` steps by
+    grid.dt when it is not a positive multiple of grid.dt."""
+    horizons = {"solve": [cfg.T], "action": [cfg.T], "check": [cfg.T, *_property_horizons(cfg)]}
+    for t in horizons.get(command, ()):
+        try:
+            _horizon_steps(t, cfg.dt)
+        except ConfigurationError as e:
+            raise ConfigurationError(f"config key `solver.T`: {e}") from e
+
+
+def _check_budget(command: str, cfg: RunConfig):
+    """Reject a config whose arrays and CSV text would not fit.
+
+    ``critical`` holds Karp's D_k for k = 0..size, (size + 1)*size floats;
+    ``action`` three size x size tables in one DP step (the table, its
+    shifted copy and the stepped one) and the CSV text.  ``oracle`` holds
+    its slab over ``T_fd`` and the CSV text; ``solve`` its slab, as much
+    again for the Picard wavefront, the kernel's n_offsets*size
+    ``base_cost`` and the CSV text.  A CSV row holds two indices and
+    floats of at most 25 characters each.
     """
-    size = cfg.grid.size
+    grid, size = cfg.grid, cfg.grid.size
     if command == "critical":
         planned = (size + 1) * size * 8
     elif command == "action":
-        row = 2 * (len(str(size)) + 1) + (2 * cfg.grid.dim + 1) * 25
+        row = 2 * (len(str(size)) + 1) + (2 * grid.dim + 1) * 25
         planned = size * size * (3 * 8 + row)
+    elif command in ("solve", "oracle"):
+        n = _horizon_steps(cfg.T, cfg.dt) if command == "solve" else round(cfg.T_fd / cfg.dt_fd)
+        row = len(str(n)) + len(str(size)) + 3 + (grid.dim + 2) * 25
+        planned = (n + 1) * size * (8 + row)
+        if command == "solve":
+            offsets = len(stencil_offsets(grid, cfg.v_max, cfg.dt))
+            planned += (n + 1 + offsets) * size * 8
     else:
         return
     if planned > MEMORY_BUDGET_BYTES:
         raise ConfigurationError(
-            f"config key `grid.N`: {command} on {cfg.grid.dim}-D N={cfg.grid.n} would hold "
+            f"config key `grid.N`: {command} on {grid.dim}-D N={grid.n} would hold "
             f"about {planned / 2**30:.1f} GiB, above the budget of "
             f"{MEMORY_BUDGET_BYTES / 2**30:g} GiB"
         )
@@ -191,12 +218,7 @@ def cmd_char(cfg: RunConfig, out_dir: str, threads: int) -> int:
 
 def cmd_oracle(cfg: RunConfig, out_dir: str, threads: int) -> int:
     t0 = time.perf_counter()
-    lf_cfg = LFConfig(
-        grid=cfg.grid, alpha=cfg.alpha, dt_fd=cfg.dt_fd, audited_max_hp=cfg.audit.max_Hp
-    )
-    phi = cfg.phi_field()
-    n = max(1, int(round(cfg.T / cfg.dt_fd)))
-    slab = lf_solve(cfg.model, phi, n * cfg.dt_fd, lf_cfg)
+    slab = lf_solve(cfg.lf(), cfg.phi_field(), cfg.T_fd)
     _write(out_dir, "slab_fd.csv", slab.to_csv())
     _manifest(cfg, out_dir, "oracle", threads, t0)
     return EXIT_OK
@@ -210,60 +232,43 @@ def cmd_check(cfg: RunConfig, out_dir: str, threads: int) -> int:
     failures = []
     rows = ["suite,passed,detail"]
 
-    audit = cfg.audit
-    ok = audit.passed
-    detail = ";".join(f"{k}={v}" for k, v in sorted(audit.verdicts.items()))
-    rows.append(f"assumptions,{int(ok)},{detail}")
-    if not ok:
-        failures.append("assumptions (" + ",".join(
-            k for k, v in sorted(audit.verdicts.items()) if not v) + ")")
+    def record(suite, ok, detail, failure=None):
+        rows.append(f"{suite},{int(ok)},{detail}")
+        if not ok:
+            failures.append(failure or suite)
+
+    verdicts = sorted(cfg.audit.verdicts.items())
+    record("assumptions", cfg.audit.passed, ";".join(f"{k}={v}" for k, v in verdicts),
+           "assumptions (" + ",".join(k for k, v in verdicts if not v) + ")")
 
     phi = cfg.phi_field()
     psi = GridField(cfg.grid, phi.values + 0.2 * np.cos(
         2 * np.pi * cfg.grid.points()[:, 0] + 1.0))
-    t_list = [t for t in (0.5, 1.0) if t <= cfg.T + 1e-9] or [cfg.T]
     # one kernel and one march of phi serve every suite below
     kern = cfg.kernel()
     u = _march(kern, phi, cfg.T)
-    prop = check_properties(kern, phi, psi, t_list, phi_march=u)
-    ok = prop.all_within(2 * max(cfg.tol, 1e-12))
-    rows.append(f"semigroup_properties,{int(ok)},uniform_bound={prop.uniform_bound!r}")
-    if not ok:
-        failures.append("semigroup_properties")
+    prop = check_properties(kern, phi, psi, _property_horizons(cfg), phi_march=u)
+    record("semigroup_properties", prop.all_within(2 * max(cfg.tol, 1e-12)),
+           f"uniform_bound={prop.uniform_bound!r}")
 
     x_end = int(np.argmin(u.values[-1]))
     curve = extract_calibrated_curve(kern, u, x_end)
-    ok = curve.max_defect() <= 1e-9
-    rows.append(f"calibrated_defect,{int(ok)},max_defect={curve.max_defect()!r}")
-    if not ok:
-        failures.append("calibrated_defect")
+    record("calibrated_defect", curve.max_defect() <= 1e-9, f"max_defect={curve.max_defect()!r}")
 
     s0 = CharacteristicState(
         x=cfg.grid.points()[x_end], u=float(u.values[-1, x_end]),
         p=rng.uniform(-1.0, 1.0, size=cfg.grid.dim),
     )
-    traj = flow(cfg.model, s0, min(cfg.T, 1.0), 1e-3)
-    law = dH_law_residual(cfg.model, traj)
-    ok = law.rms_residual <= 1e-4
-    rows.append(f"dh_law,{int(ok)},rms={law.rms_residual!r}")
-    if not ok:
-        failures.append("dh_law")
+    law = dH_law_residual(cfg.model, flow(cfg.model, s0, min(cfg.T, 1.0), 1e-3))
+    record("dh_law", law.rms_residual <= 1e-4, f"rms={law.rms_residual!r}")
 
     match = match_calibrated(cfg.model, curve, u, dt_ode=cfg.dt / 4)
-    ok = match.sup_distance <= 5 * cfg.grid.dx
-    rows.append(f"char_match,{int(ok)},sup_distance={match.sup_distance!r}")
-    if not ok:
-        failures.append("char_match")
+    record("char_match", match.sup_distance <= 5 * cfg.grid.dx,
+           f"sup_distance={match.sup_distance!r}")
 
-    lf_cfg = LFConfig(grid=cfg.grid, alpha=cfg.alpha, dt_fd=cfg.dt_fd,
-                      audited_max_hp=audit.max_Hp)
-    n = max(1, int(round(cfg.T / cfg.dt_fd)))
-    fd = lf_final(cfg.model, phi, n * cfg.dt_fd, lf_cfg)
+    fd = lf_final(cfg.lf(), phi, cfg.T_fd)
     gap = float(np.max(np.abs(fd.values - u.values[-1])))
-    ok = gap <= 0.1
-    rows.append(f"oracle_cross,{int(ok)},sup_gap={gap!r}")
-    if not ok:
-        failures.append("oracle_cross")
+    record("oracle_cross", gap <= 0.1, f"sup_gap={gap!r}")
 
     _write(out_dir, "check.csv", "\n".join(rows) + "\n")
     res = weak_kam_residual(cfg.model, u.final())
@@ -318,6 +323,7 @@ def main(argv=None) -> int:
             raise ConfigurationError(
                 "config key `output.directory`: required unless --out is given"
             )
+        _check_horizons(args.command, cfg)
         _check_budget(args.command, cfg)
         _prepare_out(out_dir, args.overwrite)
         return _COMMANDS[args.command](cfg, out_dir, args.threads)

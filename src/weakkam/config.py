@@ -37,6 +37,12 @@ Schema (defaults in parentheses):
       directory: str                 (overridden by --out)
     seed: int                        (0)
 
+``RunConfig.kernel()`` and ``RunConfig.lf()`` build the run's two
+discretizations; ``stencil_offsets`` and ``LFConfig`` validate ``grid.dt``
+and ``oracle.dt_fd``, re-raised naming the key.  What depends on the
+command (stepped horizons, memory) ``weakkam.cli.main`` checks before it
+makes the output directory.
+
 The semigroup is computed by the forward march, which is its exact fixed
 point, and ``solve``'s slab is always that march.  ``solver.tol`` and
 ``solver.max_iter`` only decide where the Picard certificate in
@@ -53,6 +59,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigurationError
+from .fdoracle import LFConfig
 from .kernels import StepKernel
 from .models import (
     AssumptionAudit,
@@ -61,7 +68,7 @@ from .models import (
     TrigPotential,
     audit_assumptions,
 )
-from .torus import Grid, stencil_offsets
+from .torus import Grid, GridField, stencil_offsets
 
 _BLOCKS = {"model", "grid", "solver", "char", "oracle", "output", "seed"}
 _MODEL_KEYS = {"family", "dim", "lambda", "potential", "f", "action_shift"}
@@ -190,9 +197,16 @@ class RunConfig:
         """The run's discretization: the step kernel every solver takes."""
         return StepKernel(self.model, self.grid, self.dt, self.v_max, self.quadrature)
 
-    def phi_field(self):
-        from .torus import GridField
+    def lf(self) -> LFConfig:
+        """The oracle's discretization: the Lax-Friedrichs scheme on the run's grid."""
+        return LFConfig(self.model, self.grid, self.alpha, self.dt_fd, self.audit.max_Hp)
 
+    @property
+    def T_fd(self) -> float:
+        """T rounded to a whole number (at least 1) of oracle steps."""
+        return max(1, int(round(self.T / self.dt_fd))) * self.dt_fd
+
+    def phi_field(self):
         pot = TrigPotential(self.model.dim, self.phi_modes)
         return GridField(self.grid, pot(self.grid.points()))
 
@@ -201,8 +215,8 @@ def parse_config(data: dict) -> RunConfig:
     """Validate a parsed mapping and resolve every default.
 
     All numeric coupling constraints (dt*lambda_L <= 1, non-empty stencil,
-    CFL of the difference oracle) are checked here so no command starts
-    work on an invalid configuration.
+    both conditions of the difference oracle) are checked here so no
+    command starts work on an invalid configuration.
     """
     _check_keys(data, "config", _BLOCKS)
 
@@ -304,15 +318,10 @@ def parse_config(data: dict) -> RunConfig:
     dt_fd_default = min(0.5 * grid.dx / alpha, 1e-3 if model.lipschitz_u == 0
                         else min(1e-3, 1.0 / model.lipschitz_u))
     dt_fd = _number(oblock, "oracle", "dt_fd", default=dt_fd_default, lo=0.0, lo_strict=True)
-    if alpha * dt_fd / grid.dx > 0.5 + 1e-12:
-        raise ConfigurationError(
-            f"config key `oracle.dt_fd`: CFL ratio alpha*dt_fd/dx = "
-            f"{alpha * dt_fd / grid.dx:g} exceeds 1/2"
-        )
-    if dt_fd * model.lipschitz_u > 1.0 + 1e-12:
-        raise ConfigurationError(
-            f"config key `oracle.dt_fd`: dt_fd*lambda_L = {dt_fd * model.lipschitz_u:g} exceeds 1"
-        )
+    try:
+        LFConfig(model, grid, alpha, dt_fd, audited_max_hp=audit.max_Hp)
+    except ConfigurationError as e:
+        raise ConfigurationError(f"config key `oracle.dt_fd`: {e}") from e
 
     outblock = data.get("output", {})
     _check_keys(outblock, "output", _OUTPUT_KEYS)

@@ -1,16 +1,15 @@
 """Independent monotone Lax-Friedrichs finite-difference solver.
 
 Serves as the cross-validation oracle for the variational path: a global
-artificial-viscosity discretization of u_t + H(x, u, Du) = 0 that is
-provably monotone under alpha*dt/dx <= 1/2 and dt*lambda_L <= 1, sharing
-no code with the dynamic-programming kernels beyond the model's potential
-and coupling terms.
+artificial-viscosity discretization of u_t + H(x, u, Du) = 0, monotone
+under alpha*dt/dx <= 1/2 and dt*lambda_L <= 1, sharing no code with the
+dynamic-programming kernels beyond the model's potential and coupling.
 
-One private stepper marches the scheme for ``lf_step``, ``lf_solve`` and
-``lf_final``: it evaluates V on the grid once per run, keeps the slice in
-grid shape, and forms H in the floating-point order of ``eval_H``.
-``lf_solve`` stores every slice (the ``oracle`` command's slab);
-``lf_final`` keeps only the last one (the ``check`` command's cross-check).
+``LFConfig`` is the oracle's discretization: it checks both conditions
+when built, and every entry point takes it first and rejects a datum on
+another grid.  One private stepper evaluates V once per run and forms H
+in the floating-point order of ``eval_H``; ``lf_solve`` stores every
+slice (``oracle``), ``lf_final`` only the last (``check``).
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from .torus import Grid, GridField, SpaceTimeField, _horizon_steps
 
 @dataclass(frozen=True)
 class LFConfig:
+    model: HamiltonianModel
     grid: Grid
     alpha: float  # artificial viscosity, >= max reachable |H_p| + margin
     dt_fd: float
@@ -36,25 +36,24 @@ class LFConfig:
             raise ConfigurationError(
                 f"alpha={self.alpha:g} below audited max |H_p| {self.audited_max_hp:g} + 0.1"
             )
-        if self.cfl_ratio > 0.5 + 1e-12:
+        cfl = self.alpha * self.dt_fd / self.grid.dx
+        if cfl > 0.5 + 1e-12:
+            raise ConfigurationError(f"CFL violation: alpha*dt_fd/dx = {cfl:g} > 1/2")
+        if self.dt_fd * self.model.lipschitz_u > 1.0 + 1e-12:
             raise ConfigurationError(
-                f"CFL violation: alpha*dt_fd/dx = {self.cfl_ratio:g} > 1/2"
+                f"dt_fd*lambda_L = {self.dt_fd * self.model.lipschitz_u:g} exceeds 1"
             )
 
-    @property
-    def cfl_ratio(self) -> float:
-        return self.alpha * self.dt_fd / self.grid.dx
 
-
-def _lf_march(model: HamiltonianModel, phi: GridField, n: int, cfg: LFConfig):
+def _lf_march(cfg: LFConfig, phi: GridField, n: int):
     """Yield the n slices after phi of the explicit scheme, flat.
 
     V is evaluated on the grid once; H is formed in the floating-point order
     of ``eval_H``, so each slice is bitwise the one a step calling it gives.
     """
-    if cfg.dt_fd * model.lipschitz_u > 1.0 + 1e-12:
-        raise ConfigurationError("dt_fd violates dt_fd*lambda_L <= 1")
-    grid = phi.grid
+    if phi.grid != cfg.grid:
+        raise ConfigurationError(f"phi is on {phi.grid}, the oracle on {cfg.grid}")
+    model, grid = cfg.model, cfg.grid
     pot = model.potential(grid.points()).reshape((grid.n,) * grid.dim)
     v = phi.values.reshape(pot.shape)
     for k in range(n):
@@ -72,24 +71,24 @@ def _lf_march(model: HamiltonianModel, phi: GridField, n: int, cfg: LFConfig):
         yield v.ravel()
 
 
-def lf_step(model: HamiltonianModel, u: GridField, cfg: LFConfig) -> GridField:
+def lf_step(cfg: LFConfig, u: GridField) -> GridField:
     """One explicit step with central Hamiltonian and global dissipation."""
-    return GridField(u.grid, next(_lf_march(model, u, 1, cfg)))
+    return GridField(cfg.grid, next(_lf_march(cfg, u, 1)))
 
 
-def lf_solve(model: HamiltonianModel, phi: GridField, T: float, cfg: LFConfig) -> SpaceTimeField:
+def lf_solve(cfg: LFConfig, phi: GridField, T: float) -> SpaceTimeField:
     """Iterate the scheme over [0, T] and return the slab."""
     n = _horizon_steps(T, cfg.dt_fd)
-    out = np.empty((n + 1, phi.grid.size))
-    out[0] = phi.values
-    for k, values in enumerate(_lf_march(model, phi, n, cfg), 1):
+    out = np.empty((n + 1, cfg.grid.size))
+    for k, values in enumerate(_lf_march(cfg, phi, n), 1):
         out[k] = values
-    return SpaceTimeField(phi.grid, cfg.dt_fd, out)
+    out[0] = phi.values  # after the march, whose first step checks phi's grid
+    return SpaceTimeField(cfg.grid, cfg.dt_fd, out)
 
 
-def lf_final(model: HamiltonianModel, phi: GridField, T: float, cfg: LFConfig) -> GridField:
+def lf_final(cfg: LFConfig, phi: GridField, T: float) -> GridField:
     """Final slice only, without storing the slab."""
     values = phi.values
-    for values in _lf_march(model, phi, _horizon_steps(T, cfg.dt_fd), cfg):
+    for values in _lf_march(cfg, phi, _horizon_steps(T, cfg.dt_fd)):
         pass
-    return GridField(phi.grid, values)
+    return GridField(cfg.grid, values)

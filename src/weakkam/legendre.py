@@ -4,9 +4,10 @@ For the quadratic catalog the conjugate has the closed form
 
     L(x,u,v) = |v|^2/2 - coupling(u) - V(x) + action_shift,   argmax p = v.
 
-A guarded Newton maximizer is kept as the family-agnostic path so nothing
-downstream silently depends on the quadratic structure; tests exercise it
-against the closed forms.
+The kernel (and its per-axis row split), the Lax-Friedrichs stepper and
+the characteristic field hard-code the kinetic term |p|^2/2.  The guarded
+Newton maximizer is called nowhere in the package: it is the tests'
+reference for the closed form.
 """
 
 from __future__ import annotations

@@ -137,8 +137,8 @@ def test_criterion_4_viscosity_cross_validation(capsys):
         phi = GridField(g, np.zeros(n))
         u_dp = step_T(StepKernel(m, g, 1.0 / 64, 4.0, "exact"), phi, 1.0)
         dt_fd = 1.0 / math.ceil(1.0 / (0.5 * g.dx / 4.1))
-        cfg = LFConfig(g, 4.1, dt_fd, audited_max_hp=4.0)
-        u_fd = lf_final(m, phi, 1.0, cfg)
+        cfg = LFConfig(m, g, 4.1, dt_fd, audited_max_hp=4.0)
+        u_fd = lf_final(cfg, phi, 1.0)
         gaps.append(float(np.max(np.abs(u_dp.values - u_fd.values))))
     ok = gaps[0] <= 0.05 and gaps[0] > gaps[1] > gaps[2]
     report(capsys, 4, "variational vs Lax-Friedrichs", ok,
@@ -152,8 +152,8 @@ def test_criterion_5_analytic_exactness(capsys):
     phi = GridField(g, np.ones(g.size))
     u_var = step_T(StepKernel(m, g, 1e-3, 4.0), phi, 1.0)
     err_var = float(np.max(np.abs(u_var.values - np.exp(-1.0))))
-    cfg = LFConfig(g, alpha=1.0, dt_fd=1e-4)
-    u_fd = lf_final(m, phi, 1.0, cfg)
+    cfg = LFConfig(m, g, alpha=1.0, dt_fd=1e-4)
+    u_fd = lf_final(cfg, phi, 1.0)
     err_fd = float(np.max(np.abs(u_fd.values - np.exp(-1.0))))
     ok = err_var <= 1e-3 and err_fd <= 1e-3
     report(capsys, 5, "analytic discounted decay", ok,

@@ -68,8 +68,9 @@ def test_stay_put_bound():
     m = pendulum()
     g = Grid(1, 64)
     t = 1.0
-    table = min_action(StepKernel(m, g, 1.0 / 16, 2.0), 0.0, t)
-    slack = discretization_slack(m, g, 1.0 / 16, 2.0)
+    kern = StepKernel(m, g, 1.0 / 16, 2.0)
+    table = min_action(kern, 0.0, t)
+    slack = discretization_slack(kern)
     x = g.points()
     L0 = 0.5 * 0.0 - m.potential(x)  # L(x, a, 0)
     assert np.all(np.diagonal(table.values) <= t * L0 + slack + 1e-12)
@@ -84,20 +85,30 @@ def test_horizon_validation():
 
 
 def test_compose_matches_single_run_within_slack():
+    # a DP path passes through a grid point at every step, the splitting
+    # time included, so composition is exact up to the rounding of the sums
+    for quadrature in ("left", "midpoint", "exact"):
+        kern = StepKernel(pendulum(), Grid(1, 64), 1.0 / 16, 2.0, quadrature)
+        one = min_action(kern, 0.0, 2.0)
+        half = min_action(kern, 0.0, 1.0)
+        two = half.compose(half)
+        assert np.max(np.abs(two.values - one.values)) <= 1e-12
+        assert two.t == pytest.approx(2.0)
+        assert two.kern is kern and two.a == 0.0
+
+
+def test_compose_rejects_other_kernel_or_level():
+    # composing across kernels or u-levels would label the result with the
+    # first table's dt or level while it holds another horizon or cost
     m = pendulum()
     g = Grid(1, 64)
-    dt = 1.0 / 16
-    kern = StepKernel(m, g, dt, 2.0)
-    one = min_action(kern, 0.0, 2.0)
-    half = min_action(kern, 0.0, 1.0)
-    two = half.compose(half)
-    diff = two.values - one.values
-    # composed tables restrict the path to pass through a grid point at
-    # the splitting time, so they can only be larger, and by at most the
-    # discretization slack
-    assert diff.min() >= -1e-12
-    assert diff.max() <= discretization_slack(m, g, dt, 2.0) + 1e-12
-    assert two.t == pytest.approx(2.0)
+    kern = StepKernel(m, g, 1.0 / 8, 2.0)
+    table = min_action(kern, 0.0, 0.5)
+    finer = min_action(StepKernel(m, g, 1.0 / 16, 2.0), 0.0, 0.5)
+    mech = min_action(StepKernel(free_model(), g, 1.0 / 8, 2.0), 0.7, 0.5)
+    for other in (finer, mech, min_action(kern, 0.7, 0.5)):
+        with pytest.raises(ConfigurationError, match="compose"):
+            table.compose(other)
 
 
 def test_table_symmetry_for_even_potential():

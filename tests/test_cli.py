@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 from weakkam import fdoracle, kernels, models
-from weakkam.cli import main
+from weakkam.cli import _check_budget, main
 from weakkam.config import load_config
 from weakkam.semigroup import _march
 
@@ -286,3 +286,51 @@ def test_size_squared_command_over_budget_is_rejected_before_output(tmp_path, ca
     assert run([command, "--config", cfg, "--out", out]) == 2
     assert "config key `grid.N`" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,dt,T",
+    [("solve", 0.125, 0.3), ("action", 0.125, 0.3), ("check", 0.125, 0.3), ("check", 0.3, 0.9)],
+    ids=["solve", "action", "check", "check-property-horizon"],
+)
+def test_horizon_off_the_time_grid_is_rejected_before_output(tmp_path, capsys, command, dt, T):
+    # check also steps its property horizons: 0.5 is not a multiple of 0.3
+    cfg = write_config(tmp_path / "run.yaml", grid={"dt": dt}, solver={"T": T})
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    assert "config key `solver.T`" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,grid",
+    [("oracle", {"N": 256, "dt": 1.0 / 256}), ("solve", {"N": 512, "dt": 1.0 / 64})],
+    ids=["oracle-N256", "solve-N512"],
+)
+def test_slab_command_over_budget_is_rejected_before_output(tmp_path, capsys, command, grid):
+    # oracle: 2,948 Lax-Friedrichs steps of 65,536 points, 1.44 GiB of slab
+    # alone; solve: 3,209 offsets of 262,144 points, 6.3 GiB of base_cost
+    cfg = write_config(
+        tmp_path / "run.yaml",
+        model={"dim": 2, "potential": [[1, 0, 1.0]]},
+        grid=dict(grid, v_max=4.0),
+    )
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    assert "config key `grid.N`" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_benchmark_sized_slab_commands_fit_the_budget(tmp_path):
+    # 1-D N=1024 solve (257 slices) and oracle (8,397 steps, a 521 MB CSV),
+    # and the 2-D N=96 oracle at T=0.5 (557 steps, a 408 MB CSV)
+    one_d = write_config(tmp_path / "a.yaml", grid={"N": 1024, "dt": 1.0 / 256})
+    two_d = write_config(
+        tmp_path / "b.yaml",
+        model={"dim": 2, "potential": [[1, 0, 1.0], [0, 1, 0.5]]},
+        grid={"N": 96, "dt": 1.0 / 64, "v_max": 4.0},
+        solver={"T": 0.5},
+        oracle={"alpha": 5.8},
+    )
+    for command, path in (("solve", one_d), ("oracle", one_d), ("oracle", two_d)):
+        _check_budget(command, load_config(path))

@@ -77,6 +77,29 @@ def test_oracle_cfl_is_checked():
         parse_config(doc)
 
 
+def test_oracle_u_sensitivity_is_checked():
+    # within the CFL bound, dt_fd*lambda_L = 1.5 still breaks monotonicity
+    doc = base()
+    doc["model"]["lambda"] = 1000.0
+    doc["grid"] = {"N": 64, "dt": 0.001, "v_max": 20.0}
+    doc["oracle"] = {"alpha": 4.1, "dt_fd": 0.0015}
+    with pytest.raises(ConfigurationError, match="`oracle.dt_fd`: dt_fd\\*lambda_L"):
+        parse_config(doc)
+
+
+def test_oracle_discretization_and_horizon():
+    doc = base()
+    doc["solver"] = {"T": 0.3}
+    doc["oracle"] = {"alpha": 4.1, "dt_fd": 0.0017}
+    cfg = parse_config(doc)
+    lf = cfg.lf()
+    assert (lf.model, lf.grid, lf.alpha, lf.dt_fd) == (cfg.model, cfg.grid, 4.1, 0.0017)
+    assert lf.audited_max_hp == cfg.audit.max_Hp
+    assert cfg.T_fd == 176 * 0.0017  # 0.3 / 0.0017 = 176.47 rounds to 176 steps
+    doc["solver"] = {"T": 0.0001}
+    assert parse_config(doc).T_fd == 0.0017
+
+
 def test_phi_field_from_modes():
     doc = base()
     doc["solver"] = {"phi": [[1, 0.5]]}

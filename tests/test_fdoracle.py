@@ -20,21 +20,37 @@ def discounted_pendulum():
 def test_config_rejects_cfl_violation():
     g = Grid(1, 64)
     with pytest.raises(ConfigurationError, match="CFL"):
-        LFConfig(g, alpha=2.0, dt_fd=g.dx)
+        LFConfig(discounted_pendulum(), g, alpha=2.0, dt_fd=g.dx)
 
 
 def test_config_rejects_alpha_below_audited_bound():
     g = Grid(1, 64)
     with pytest.raises(ConfigurationError, match="alpha"):
-        LFConfig(g, alpha=2.0, dt_fd=1e-4, audited_max_hp=3.0)
+        LFConfig(discounted_pendulum(), g, alpha=2.0, dt_fd=1e-4, audited_max_hp=3.0)
 
 
 def test_step_rejects_large_dt_for_u_sensitivity():
+    # dt_fd*lambda_L = 300/256 > 1 is refused when the oracle is built
     m = HamiltonianModel("quadratic-discounted", lam=300.0)
     g = Grid(1, 64)
-    cfg = LFConfig(g, alpha=1.0, dt_fd=0.25 * g.dx)
     with pytest.raises(ConfigurationError, match="lambda_L"):
-        lf_step(m, GridField(g, np.zeros(g.size)), cfg)
+        LFConfig(m, g, alpha=1.0, dt_fd=0.25 * g.dx)
+
+
+@pytest.mark.parametrize("entry", ["step", "solve", "final"])
+def test_entry_points_reject_phi_on_another_grid(entry):
+    # the CFL ratio is checked on the oracle's grid; a finer phi would march
+    # at alpha*dt_fd/dx = 2.05 and return a field of an unstable scheme
+    m = discounted_pendulum()
+    cfg = LFConfig(m, Grid(1, 32), 4.1, 1.0 / 512, audited_max_hp=4.0)
+    phi = GridField(Grid(1, 256), np.zeros(256))
+    with pytest.raises(ConfigurationError, match="oracle"):
+        if entry == "step":
+            lf_step(cfg, phi)
+        elif entry == "solve":
+            lf_solve(cfg, phi, 0.0625)
+        else:
+            lf_final(cfg, phi, 0.0625)
 
 
 def test_step_is_monotone_on_lipschitz_data():
@@ -42,37 +58,37 @@ def test_step_is_monotone_on_lipschitz_data():
     # actually reached by the one-sided slopes of the data
     m = discounted_pendulum()
     g = Grid(1, 128)
-    cfg = LFConfig(g, 4.1, 0.99 * 0.5 * g.dx / 4.1, audited_max_hp=4.0)
+    cfg = LFConfig(m, g, 4.1, 0.99 * 0.5 * g.dx / 4.1, audited_max_hp=4.0)
     rng = np.random.default_rng(0)
     x = g.points()[:, 0]
     for _ in range(20):
         a = rng.uniform(-0.5, 0.5) * np.sin(2 * np.pi * (x + rng.uniform()))
         a += rng.uniform(-0.3, 0.3) * np.cos(4 * np.pi * x)
         c = rng.uniform(0, 0.3) * (1 + np.sin(2 * np.pi * (x + rng.uniform())))
-        fa = lf_step(m, GridField(g, a), cfg)
-        fb = lf_step(m, GridField(g, a + c), cfg)
+        fa = lf_step(cfg, GridField(g, a))
+        fb = lf_step(cfg, GridField(g, a + c))
         assert np.min(fb.values - fa.values) >= -1e-12
 
 
 def test_flat_discounted_decay_matches_exponential():
     m = HamiltonianModel("quadratic-discounted", lam=1.0)
     g = Grid(1, 128)
-    cfg = LFConfig(g, alpha=1.0, dt_fd=1e-4)
+    cfg = LFConfig(m, g, alpha=1.0, dt_fd=1e-4)
     phi = GridField(g, np.ones(g.size))
-    u = lf_final(m, phi, 1.0, cfg)
+    u = lf_final(cfg, phi, 1.0)
     assert np.max(np.abs(u.values - np.exp(-1.0))) <= 1e-4
 
 
 def test_solve_returns_slab_and_validates_horizon():
     m = discounted_pendulum()
     g = Grid(1, 64)
-    cfg = LFConfig(g, 4.1, 1.0 / 2048, audited_max_hp=4.0)
+    cfg = LFConfig(m, g, 4.1, 1.0 / 2048, audited_max_hp=4.0)
     phi = GridField(g, np.zeros(g.size))
-    slab = lf_solve(m, phi, 0.125, cfg)
+    slab = lf_solve(cfg, phi, 0.125)
     assert slab.n_steps == 256
     assert np.array_equal(slab.values[0], phi.values)
     with pytest.raises(ConfigurationError):
-        lf_solve(m, phi, 0.1001, cfg)
+        lf_solve(cfg, phi, 0.1001)
 
 
 def test_cross_check_against_variational_solver():
@@ -81,8 +97,8 @@ def test_cross_check_against_variational_solver():
     g = Grid(1, 256)
     phi = GridField(g, np.zeros(g.size))
     dt_fd = 1.0 / math.ceil(1.0 / (0.5 * g.dx / 4.1))
-    cfg = LFConfig(g, 4.1, dt_fd, audited_max_hp=4.0)
-    u_fd = lf_final(m, phi, 1.0, cfg)
+    cfg = LFConfig(m, g, 4.1, dt_fd, audited_max_hp=4.0)
+    u_fd = lf_final(cfg, phi, 1.0)
     u_dp = step_T(StepKernel(m, g, 1.0 / 64, 4.0, "exact"), phi, 1.0)
     assert np.max(np.abs(u_fd.values - u_dp.values)) <= 0.05
 
@@ -124,24 +140,24 @@ def family_model(family, dim):
 def test_stepper_equals_eval_h_step(family, dim):
     m = family_model(family, dim)
     g = Grid(dim, 64 if dim == 1 else 16)
-    cfg = LFConfig(g, 5.8, 0.5 * g.dx / 5.8)
+    cfg = LFConfig(m, g, 5.8, 0.5 * g.dx / 5.8)
     rng = np.random.default_rng(dim)
     phi = GridField(g, rng.uniform(-0.5, 0.5, g.size))
     n = 12
-    slab = lf_solve(m, phi, n * cfg.dt_fd, cfg)
+    slab = lf_solve(cfg, phi, n * cfg.dt_fd)
     cur = phi
     for k in range(1, n + 1):
         cur = eval_h_step(m, cur, cfg)
         assert np.array_equal(slab.values[k], cur.values)
-    assert np.array_equal(lf_step(m, phi, cfg).values, slab.values[1])
-    assert np.array_equal(lf_final(m, phi, n * cfg.dt_fd, cfg).values, slab.values[-1])
+    assert np.array_equal(lf_step(cfg, phi).values, slab.values[1])
+    assert np.array_equal(lf_final(cfg, phi, n * cfg.dt_fd).values, slab.values[-1])
 
 
 def test_non_finite_step_raises_value_error():
     m = discounted_pendulum()
     g = Grid(1, 16)
-    cfg = LFConfig(g, 4.1, 1e-3)
+    cfg = LFConfig(m, g, 4.1, 1e-3)
     # finite data whose difference quotients overflow
     phi = GridField(g, np.where(np.arange(g.size) % 2, 1e308, -1e308))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
-        lf_final(m, phi, 2e-3, cfg)
+        lf_final(cfg, phi, 2e-3)
