@@ -16,14 +16,13 @@ u-level.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .kernels import StepKernel, min_plus_product
-from .torus import _horizon_steps, csv_float
+from .torus import _horizon_steps, _write_csv, csv_float
 
 
 @dataclass
@@ -46,16 +45,15 @@ class ActionTable:
             self.kern, self.a, self.t + other.t, min_plus_product(self.values, other.values)
         )
 
-    def to_csv(self) -> str:
+    def write_csv(self, fh):
+        """Table export i,j,x_i,x_j,h (d=2: i,j,xi1,xi2,xj1,xj2,h) to the open file fh, by rows."""
         grid = self.kern.grid
-        buf = io.StringIO()
-        buf.write("i,j,x_i,x_j,h\n" if grid.dim == 1 else "i,j,xi1,xi2,xj1,xj2,h\n")
+        head = "i,j,x_i,x_j,h\n" if grid.dim == 1 else "i,j,xi1,xi2,xj1,xj2,h\n"
         coords = [",".join(csv_float(c) for c in p) for p in grid.points()]
-        # repr of the Python floats from tolist() is csv_float, without a call per value
-        for i, (ci, row) in enumerate(zip(coords, self.values.tolist())):
-            for j, (cj, h) in enumerate(zip(coords, row)):
-                buf.write(f"{i},{j},{ci},{cj},{h!r}\n")
-        return buf.getvalue()
+        _write_csv(fh, head, (
+            (f"{i},", [f"{j},{ci},{cj}," for j, cj in enumerate(coords)], row)
+            for i, (ci, row) in enumerate(zip(coords, self.values))
+        ))
 
 
 @dataclass

@@ -10,7 +10,6 @@ backtracked calibrated curve and the trajectory launched from its state.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .errors import NumericError
 from .models import HamiltonianModel, eval_H, grad_H
 from .semigroup import CalibratedCurve
-from .torus import SpaceTimeField, csv_float, periodic_delta, periodic_distance, wrap
+from .torus import SpaceTimeField, _write_table, periodic_delta, periodic_distance, wrap
 
 
 @dataclass
@@ -53,21 +52,14 @@ class Trajectory:
             x=self.xs[k, b], u=float(self.us[k, b]), p=self.ps[k, b], t=float(self.times[k])
         )
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        d = self.xs.shape[2]
+    def write_csv(self, fh):
+        """Rows t,x,u,p,H (d=2: t,x1,x2,u,p1,p2,H) per state and member to the open file fh."""
+        n, b, d = self.xs.shape
         xcols = ",".join(f"x{i+1}" for i in range(d)) if d > 1 else "x"
         pcols = ",".join(f"p{i+1}" for i in range(d)) if d > 1 else "p"
-        buf.write(f"t,{xcols},u,{pcols},H\n")
-        for k in range(self.times.size):
-            for b in range(self.batch):
-                xs = ",".join(csv_float(v) for v in self.xs[k, b])
-                ps = ",".join(csv_float(v) for v in self.ps[k, b])
-                buf.write(
-                    f"{csv_float(self.times[k])},{xs},{csv_float(self.us[k, b])},{ps},"
-                    f"{csv_float(self.h_values[k, b])}\n"
-                )
-        return buf.getvalue()
+        t = np.broadcast_to(self.times[:, None, None], (n, b, 1))
+        cells = [t, self.xs, self.us[..., None], self.ps, self.h_values[..., None]]
+        _write_table(fh, f"t,{xcols},u,{pcols},H\n", np.concatenate(cells, axis=2).reshape(n * b, -1))
 
 
 def _rhs(model, x, u, p):

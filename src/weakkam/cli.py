@@ -15,7 +15,6 @@ rejects a horizon the command cannot step by grid.dt, naming
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -34,6 +33,7 @@ from .characteristics import (
 from .config import RunConfig, load_config
 from .errors import ConfigurationError, NumericError
 from .fdoracle import lf_final, lf_solve
+from .kernels import _BLOCK_ELEMENTS
 from .semigroup import (
     _march,
     check_properties,
@@ -42,7 +42,7 @@ from .semigroup import (
     fixed_point,
     weak_kam_residual,
 )
-from .torus import GridField, _horizon_steps, _point_columns, stencil_offsets
+from .torus import GridField, _horizon_steps, stencil_offsets
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -51,15 +51,10 @@ EXIT_NUMERIC = 3
 
 # the most bytes _check_budget lets a command plan to hold (1 GiB)
 MEMORY_BUDGET_BYTES = 1 << 30
-
-
-def _field_csv(f: GridField) -> str:
-    buf = io.StringIO()
-    head, cols = _point_columns(f.grid)
-    buf.write(f"{head}u\n")
-    for col, u in zip(cols, f.values.tolist()):
-        buf.write(f"{col}{u!r}\n")
-    return buf.getvalue()
+# per stacked row, the slices a kernel or Lax-Friedrichs step holds beside its
+# input (measured: at most 7.4 and 14.3), and the bytes one CSV row of a block
+# holds in strings and floats (measured: at most about 370)
+_KERNEL_COPIES, _LF_COPIES, _ROW_BYTES = 8, 16, 512
 
 
 def _property_horizons(cfg: RunConfig) -> list:
@@ -78,38 +73,42 @@ def _check_horizons(command: str, cfg: RunConfig):
             raise ConfigurationError(f"config key `solver.T`: {e}") from e
 
 
-def _check_budget(command: str, cfg: RunConfig):
-    """Reject a config whose arrays and CSV text would not fit.
+def _check_budget(command: str, cfg: RunConfig) -> int:
+    """Return the bytes a command plans to hold; reject a config above the budget.
 
-    ``critical`` holds Karp's D_k for k = 0..size, (size + 1)*size floats;
-    ``action`` three size x size tables in one DP step (the table, its
-    shifted copy and the stepped one) and the CSV text.  ``oracle`` holds
-    its slab over ``T_fd`` and the CSV text; ``solve`` its slab, as much
-    again for the Picard wavefront, the kernel's n_offsets*size
-    ``base_cost`` and the CSV text.  A CSV row holds two indices and
-    floats of at most 25 characters each.
+    CSVs are streamed one block of at most grid.size rows at a time, so this
+    counts the arrays plus one text block of ``_ROW_BYTES`` a row.  A step
+    holds one block of ``_BLOCK_ELEMENTS`` floats and, per stacked row,
+    ``_KERNEL_COPIES`` (kernel) or ``_LF_COPIES`` (Lax-Friedrichs) slices.
+    ``critical`` holds Karp's (size + 1) x size D_k; ``action`` its table and
+    a step of its size rows; ``oracle`` its slab over ``T_fd`` and a step;
+    ``solve`` its slab, the kernel's tables (n_offsets*size ``base_cost``,
+    on 2-D "left" a padded start cost of at most 4*size) and the Picard
+    wavefront (iterate 0 and up to n + 1 rows, one if H does not depend on
+    u) with a step of its rows.
     """
     grid, size = cfg.grid, cfg.grid.size
     if command == "critical":
         planned = (size + 1) * size * 8
     elif command == "action":
-        row = 2 * (len(str(size)) + 1) + (2 * grid.dim + 1) * 25
-        planned = size * size * (3 * 8 + row)
-    elif command in ("solve", "oracle"):
-        n = _horizon_steps(cfg.T, cfg.dt) if command == "solve" else round(cfg.T_fd / cfg.dt_fd)
-        row = len(str(n)) + len(str(size)) + 3 + (grid.dim + 2) * 25
-        planned = (n + 1) * size * (8 + row)
-        if command == "solve":
-            offsets = len(stencil_offsets(grid, cfg.v_max, cfg.dt))
-            planned += (n + 1 + offsets) * size * 8
+        planned = (1 + _KERNEL_COPIES) * size * size * 8
+    elif command == "oracle":
+        planned = (round(cfg.T_fd / cfg.dt_fd) + 1 + _LF_COPIES) * size * 8
+    elif command == "solve":
+        n = _horizon_steps(cfg.T, cfg.dt)
+        rows = n + 1 if cfg.model.lipschitz_u else 1
+        tables = len(stencil_offsets(grid, cfg.v_max, cfg.dt)) + 4
+        planned = (n + 2 + (1 + _KERNEL_COPIES) * rows + tables) * size * 8
     else:
-        return
+        return 0
+    planned += _BLOCK_ELEMENTS * 8 + size * _ROW_BYTES
     if planned > MEMORY_BUDGET_BYTES:
         raise ConfigurationError(
             f"config key `grid.N`: {command} on {grid.dim}-D N={grid.n} would hold "
             f"about {planned / 2**30:.1f} GiB, above the budget of "
             f"{MEMORY_BUDGET_BYTES / 2**30:g} GiB"
         )
+    return planned
 
 
 def _prepare_out(out_dir: str, overwrite: bool):
@@ -122,9 +121,13 @@ def _prepare_out(out_dir: str, overwrite: bool):
         os.makedirs(out_dir)
 
 
-def _write(out_dir: str, name: str, text: str):
+def _write(out_dir: str, name: str, content):
+    """Write out_dir/name from a string, or by a function that writes to the open file."""
     with open(os.path.join(out_dir, name), "w") as fh:
-        fh.write(text)
+        if callable(content):
+            content(fh)
+        else:
+            fh.write(content)
 
 
 def _manifest(cfg: RunConfig, out_dir: str, command: str, threads: int, t0: float, extra=None):
@@ -151,7 +154,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str, threads: int) -> int:
         if e.report is not None:
             _write(out_dir, "fixedpoint.csv", e.report.to_csv())
         return EXIT_NUMERIC
-    _write(out_dir, "slab.csv", u.to_csv())
+    _write(out_dir, "slab.csv", u.write_csv)
     _write(out_dir, "fixedpoint.csv", report.to_csv())
     _manifest(cfg, out_dir, "solve", threads, t0, {"iterations": report.iterations})
     return EXIT_OK
@@ -161,15 +164,14 @@ def cmd_converge(cfg: RunConfig, out_dir: str, threads: int) -> int:
     t0 = time.perf_counter()
     phi = cfg.phi_field()
     rep = converge(cfg.kernel(), phi, t_checkpoints=cfg.checkpoints, stop_eps=cfg.stop_eps)
-    _write(out_dir, "convergence.csv", rep.to_csv())
-    _write(out_dir, "u_inf.csv", _field_csv(rep.u_inf))
+    _write(out_dir, "convergence.csv", rep.write_csv)
+    _write(out_dir, "u_inf.csv", rep.u_inf.write_csv)
     res = rep.residual
-    summary = io.StringIO()
-    summary.write("converged,max_residual_smooth,rms_residual_smooth,kink_count\n")
-    summary.write(
-        f"{int(rep.converged)},{res.max_abs_smooth!r},{res.rms_smooth!r},{res.kink_count}\n"
+    _write(
+        out_dir, "residual.csv",
+        "converged,max_residual_smooth,rms_residual_smooth,kink_count\n"
+        f"{int(rep.converged)},{res.max_abs_smooth!r},{res.rms_smooth!r},{res.kink_count}\n",
     )
-    _write(out_dir, "residual.csv", summary.getvalue())
     _manifest(cfg, out_dir, "converge", threads, t0, {"converged": rep.converged})
     if not rep.converged:
         print("converge: increments did not settle before the final checkpoint", file=sys.stderr)
@@ -189,7 +191,7 @@ def cmd_critical(cfg: RunConfig, out_dir: str, threads: int) -> int:
 def cmd_action(cfg: RunConfig, out_dir: str, threads: int) -> int:
     t0 = time.perf_counter()
     table = min_action(cfg.kernel(), cfg.a, cfg.T)
-    _write(out_dir, "action.csv", table.to_csv())
+    _write(out_dir, "action.csv", table.write_csv)
     _manifest(cfg, out_dir, "action", threads, t0)
     return EXIT_OK
 
@@ -206,7 +208,7 @@ def cmd_char(cfg: RunConfig, out_dir: str, threads: int) -> int:
     except NumericError as e:
         print(f"char: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    _write(out_dir, "trajectory.csv", traj.to_csv())
+    _write(out_dir, "trajectory.csv", traj.write_csv)
     law = dH_law_residual(cfg.model, traj)
     _write(
         out_dir, "dh_law.csv",
@@ -219,7 +221,7 @@ def cmd_char(cfg: RunConfig, out_dir: str, threads: int) -> int:
 def cmd_oracle(cfg: RunConfig, out_dir: str, threads: int) -> int:
     t0 = time.perf_counter()
     slab = lf_solve(cfg.lf(), cfg.phi_field(), cfg.T_fd)
-    _write(out_dir, "slab_fd.csv", slab.to_csv())
+    _write(out_dir, "slab_fd.csv", slab.write_csv)
     _manifest(cfg, out_dir, "oracle", threads, t0)
     return EXIT_OK
 

@@ -60,7 +60,7 @@ import yaml
 
 from .errors import ConfigurationError
 from .fdoracle import LFConfig
-from .kernels import StepKernel
+from .kernels import StepKernel, check_dt_lambda
 from .models import (
     AssumptionAudit,
     HamiltonianModel,
@@ -257,11 +257,10 @@ def parse_config(data: dict) -> RunConfig:
     n = _integer(gblock, "grid", "N", lo=2)
     dt = _number(gblock, "grid", "dt", lo=0.0, lo_strict=True)
     grid = Grid(dim, n)
-    if dt * model.lipschitz_u > 1.0 + 1e-12:
-        raise ConfigurationError(
-            f"config key `grid.dt`: dt*lambda_L = {dt * model.lipschitz_u:g} exceeds 1 "
-            f"(dt={dt:g}, lambda_L={model.lipschitz_u:g})"
-        )
+    try:
+        check_dt_lambda(model, dt)
+    except ConfigurationError as e:
+        raise ConfigurationError(f"config key `grid.dt`: {e}") from e
     audit = audit_assumptions(model, DEFAULT_SAMPLE_BOX, 512)
     if "v_max" in gblock:
         v_max = _number(gblock, "grid", "v_max", lo=0.0, lo_strict=True)

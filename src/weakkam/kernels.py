@@ -53,6 +53,15 @@ QUADRATURES = ("left", "midpoint", "exact")
 _BLOCK_ELEMENTS = 1 << 16
 
 
+def check_dt_lambda(model: HamiltonianModel, dt: float):
+    """Raise unless dt*lambda_L <= 1, under which a step of dt is monotone in u."""
+    if dt * model.lipschitz_u > 1.0 + 1e-12:
+        raise ConfigurationError(
+            f"dt*lambda_L = {dt * model.lipschitz_u:g} exceeds 1 "
+            f"(dt={dt:g}, lambda_L={model.lipschitz_u:g})"
+        )
+
+
 class StepKernel:
     """Precomputed DP step for a fixed (model, grid, dt, v_max, quadrature).
 
@@ -77,10 +86,7 @@ class StepKernel:
             raise ConfigurationError(f"unknown quadrature {quadrature!r}")
         if dt <= 0:
             raise ConfigurationError("dt must be positive")
-        if dt * model.lipschitz_u > 1.0 + 1e-12:
-            raise ConfigurationError(
-                f"dt violates dt*lambda_L <= 1: dt={dt:g}, lambda_L={model.lipschitz_u:g}"
-            )
+        check_dt_lambda(model, dt)
         self.model = model
         self.grid = grid
         self.dt = float(dt)

@@ -29,7 +29,7 @@ from .kernels import StepKernel
 from .legendre import lagrangian_values
 from .models import HamiltonianModel, eval_H
 from .torus import (
-    Grid, GridField, SpaceTimeField, _horizon_steps, csv_float, interp_periodic, periodic_delta,
+    Grid, GridField, SpaceTimeField, _horizon_steps, _write_table, interp_periodic, periodic_delta,
 )
 
 
@@ -365,12 +365,9 @@ class ConvergenceReport:
     residual: ResidualStats
     tail_nonincreasing: bool
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t,increment\n")
-        for t, inc in zip(self.step_times, self.step_increments):
-            buf.write(f"{csv_float(t)},{csv_float(inc)}\n")
-        return buf.getvalue()
+    def write_csv(self, fh):
+        """Step history with columns t,increment to the open text file fh."""
+        _write_table(fh, "t,increment\n", np.column_stack([self.step_times, self.step_increments]))
 
 
 def default_block_length(model: HamiltonianModel) -> float:

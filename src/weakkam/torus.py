@@ -1,14 +1,19 @@
-"""Flat-torus geometry and uniform periodic grids.
+"""Flat-torus geometry, uniform periodic grids and the CSV row writer.
 
 All positions live on [0,1)^d with d in {1, 2}.  Displacements are always
 reduced to the minimal periodic representative in [-1/2, 1/2)^d, so the
 periodic distance never exceeds sqrt(d)/2.
+
+Every CSV whose row count grows with the run is streamed to its open file by
+``_write_csv`` one block of rows per write, so its text is never held whole.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add
 
 import numpy as np
 
@@ -18,6 +23,30 @@ from .errors import ConfigurationError
 def csv_float(v) -> str:
     """Shortest round-trip decimal form, identical across runs."""
     return repr(float(v))
+
+
+def _write_csv(fh, head: str, blocks):
+    """Write the header line ``head`` and then each block of rows to the open text file fh.
+
+    A block ``(pre, cols, values)`` is one write of len(values) > 0 rows: row j
+    is pre + cols[j] and then repr of values[j] when values is 1-D, or of
+    each float in values[j], comma-separated, when it is 2-D.  repr of the
+    Python floats from tolist() is csv_float without a call per value.
+    """
+    fh.write(head)
+    for pre, cols, values in blocks:
+        rows = values.tolist()
+        cells = map(repr, rows) if values.ndim == 1 else (",".join(map(repr, r)) for r in rows)
+        fh.write(pre + ("\n" + pre).join(map(add, cols, cells)) + "\n")
+
+
+_TABLE_ROWS = 4096  # rows per write of a table without a grid axis
+
+
+def _write_table(fh, head: str, table: np.ndarray):
+    """Write a 2-D float table as CSV rows, _TABLE_ROWS rows per write."""
+    starts = range(0, len(table), _TABLE_ROWS)
+    _write_csv(fh, head, (("", repeat(""), table[i:i + _TABLE_ROWS]) for i in starts))
 
 
 def _point_columns(grid: Grid) -> tuple[str, list[str]]:
@@ -164,6 +193,11 @@ class GridField:
             return self.values
         return self.values.reshape(self.grid.n, self.grid.n)
 
+    def write_csv(self, fh):
+        """Field export with columns j,x,u (d=2: j,x1,x2,u) to the open text file fh."""
+        head, cols = _point_columns(self.grid)
+        _write_csv(fh, f"{head}u\n", [("", cols, self.values)])
+
 
 def interp_periodic(grid: Grid, values: np.ndarray, x) -> np.ndarray:
     """Periodic (bi)linear interpolation of flattened grid values at x."""
@@ -216,14 +250,15 @@ class SpaceTimeField:
     def final(self) -> GridField:
         return self.slice(self.n_steps)
 
-    def to_csv(self) -> str:
-        """Slab export with columns k,t,j,x,u (x omits extra axes for d=2)."""
-        buf = io.StringIO()
+    def write_csv(self, fh):
+        """Slab export k,t,j,x,u (d=2: k,t,j,x1,x2,u) to the open text file fh, a slice a write."""
         head, cols = _point_columns(self.grid)
-        buf.write(f"k,t,{head}u\n")
-        for k in range(self.values.shape[0]):
-            pre = f"{k},{csv_float(k * self.dt)},"
-            # repr of the Python floats from tolist() is csv_float, without a call per value
-            for col, u in zip(cols, self.values[k].tolist()):
-                buf.write(f"{pre}{col}{u!r}\n")
+        _write_csv(fh, f"k,t,{head}u\n", (
+            (f"{k},{csv_float(k * self.dt)},", cols, row) for k, row in enumerate(self.values)
+        ))
+
+    def to_csv(self) -> str:
+        """The text ``write_csv`` writes, as one string."""
+        buf = io.StringIO()
+        self.write_csv(buf)
         return buf.getvalue()

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -225,6 +226,8 @@ def test_peierls_barrier_pendulum_aubry_point():
 def test_csv_export_headers():
     g = Grid(1, 4)
     table = min_action(StepKernel(free_model(), g, 0.25, 2.1), 0.0, 0.5)
-    lines = table.to_csv().strip().split("\n")
+    buf = io.StringIO()
+    table.write_csv(buf)
+    lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "i,j,x_i,x_j,h"
     assert len(lines) == 17

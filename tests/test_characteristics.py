@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -149,9 +151,11 @@ def test_match_calibrated_chain_within_grid_cells():
 def test_trajectory_csv_header_and_state_access():
     m = discounted_pendulum()
     traj = flow(m, CharacteristicState(x=[0.3], u=0.1, p=[0.5]), 0.1, 0.05)
-    lines = traj.to_csv().strip().split("\n")
+    buf = io.StringIO()
+    traj.write_csv(buf)
+    lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "t,x,u,p,H"
     assert len(lines) == 1 + traj.times.size
-    assert "np." not in traj.to_csv()
+    assert "np." not in buf.getvalue()
     s = traj.state(1)
     assert s.t == pytest.approx(0.05)

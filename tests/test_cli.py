@@ -1,15 +1,17 @@
 import json
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import yaml
 
+import weakkam
 from weakkam import fdoracle, kernels, models
-from weakkam.cli import _check_budget, main
+from weakkam.cli import _COMMANDS, _check_budget, main
 from weakkam.config import load_config
-from weakkam.semigroup import _march
+from weakkam.semigroup import _march, fixed_point
 
 
 def write_config(path, **overrides):
@@ -48,6 +50,18 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     with open(out / "slab.csv") as fh:
         head = fh.readline().strip()
     assert head == "k,t,j,x,u"
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_solve_slab_file_is_the_fixed_point_text(tmp_path, dim):
+    model = {"dim": 2, "potential": [[1, 0, 1.0], [0, 1, 0.5]]} if dim == 2 else {}
+    grid = {"N": 16} if dim == 2 else {}
+    cfg_path = write_config(tmp_path / "run.yaml", model=model, grid=grid)
+    out = tmp_path / "out"
+    assert run(["solve", "--config", cfg_path, "--out", out]) == 0
+    cfg = load_config(cfg_path)
+    u, _ = fixed_point(cfg.kernel(), cfg.phi_field(), cfg.T, tol=cfg.tol, max_iter=cfg.max_iter)
+    assert (out / "slab.csv").read_bytes() == u.to_csv().encode()
 
 
 def test_solve_2d_writes_march_and_certificate(tmp_path):
@@ -334,3 +348,39 @@ def test_benchmark_sized_slab_commands_fit_the_budget(tmp_path):
     )
     for command, path in (("solve", one_d), ("oracle", one_d), ("oracle", two_d)):
         _check_budget(command, load_config(path))
+
+
+@pytest.mark.parametrize(
+    "command,overrides",
+    [
+        # nonlinear u-coupling with T*lambda_L = 8: the Picard wavefront grows to 40 rows
+        ("solve", dict(
+            model={"family": "quadratic-nonlinear-u", "potential": [[1, 1.0], [2, -0.4]],
+                   "f": {"knots_u": [-1.0, 0.0, 1.0], "knots_f": [-2.0, 0.0, 0.5]}},
+            grid={"N": 512, "dt": 1.0 / 16}, solver={"T": 4.0, "quadrature": "midpoint"},
+        )),
+        ("action", dict(grid={"N": 256, "dt": 1.0 / 64}, solver={"T": 0.25})),
+        ("oracle", dict(grid={"N": 256, "dt": 1.0 / 64}, solver={"T": 0.25})),
+    ],
+    ids=["solve", "action", "oracle"],
+)
+def test_budget_estimate_bounds_the_traced_peak(tmp_path, command, overrides):
+    # the arrays (0.2-4 MB) outweigh the constant terms here; tracemalloc sees
+    # numpy's buffers and every Python object, so no OS-level measurement is needed
+    cfg = load_config(write_config(tmp_path / "run.yaml", **overrides))
+    planned = _check_budget(command, cfg)
+    out = tmp_path / "out"
+    out.mkdir()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert _COMMANDS[command](cfg, str(out), 1) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= planned
+
+
+def test_public_api_stays_flat():
+    assert len(weakkam.__all__) <= 40
+    assert all(hasattr(weakkam, name) and not name.startswith("_") for name in weakkam.__all__)

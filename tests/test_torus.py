@@ -1,8 +1,14 @@
+import io
+
 import numpy as np
 import pytest
 
-from weakkam.cli import _field_csv
+from weakkam.action import ActionTable
+from weakkam.characteristics import Trajectory
 from weakkam.errors import ConfigurationError
+from weakkam.kernels import StepKernel
+from weakkam.models import HamiltonianModel
+from weakkam.semigroup import ConvergenceReport
 from weakkam.torus import (
     Grid,
     GridField,
@@ -153,14 +159,89 @@ def per_value_field_csv(f):
     return out
 
 
+def per_value_action_csv(table):
+    """The per-value action table writer the streamed one replaced."""
+    pts = table.kern.grid.points()
+    out = "i,j,x_i,x_j,h\n" if pts.shape[1] == 1 else "i,j,xi1,xi2,xj1,xj2,h\n"
+    for i in range(len(pts)):
+        ci = ",".join(csv_float(c) for c in pts[i])
+        for j in range(len(pts)):
+            cj = ",".join(csv_float(c) for c in pts[j])
+            out += f"{i},{j},{ci},{cj},{csv_float(table.values[i, j])}\n"
+    return out
+
+
+def per_value_convergence_csv(rep):
+    """The per-value convergence history writer the streamed one replaced."""
+    out = "t,increment\n"
+    for t, inc in zip(rep.step_times, rep.step_increments):
+        out += f"{csv_float(t)},{csv_float(inc)}\n"
+    return out
+
+
+def per_value_trajectory_csv(traj):
+    """The per-value trajectory writer the streamed one replaced."""
+    d = traj.xs.shape[2]
+    xcols = ",".join(f"x{i+1}" for i in range(d)) if d > 1 else "x"
+    pcols = ",".join(f"p{i+1}" for i in range(d)) if d > 1 else "p"
+    out = f"t,{xcols},u,{pcols},H\n"
+    for k in range(traj.times.size):
+        for b in range(traj.batch):
+            xs = ",".join(csv_float(v) for v in traj.xs[k, b])
+            ps = ",".join(csv_float(v) for v in traj.ps[k, b])
+            out += (
+                f"{csv_float(traj.times[k])},{xs},{csv_float(traj.us[k, b])},{ps},"
+                f"{csv_float(traj.h_values[k, b])}\n"
+            )
+    return out
+
+
+def written(obj, tmp_path):
+    """The text obj.write_csv writes to a StringIO, and the bytes it writes to a file."""
+    buf = io.StringIO()
+    obj.write_csv(buf)
+    path = tmp_path / "out.csv"
+    with open(path, "w") as fh:
+        obj.write_csv(fh)
+    return buf.getvalue(), path.read_bytes()
+
+
 @pytest.mark.parametrize("dim,n", [(1, 6), (2, 3)], ids=["1d", "2d"])
-def test_csv_writers_match_per_value_writers(dim, n):
+def test_csv_writers_match_per_value_writers(dim, n, tmp_path):
     g = Grid(dim, n)
     special = [-0.0, 5e-324, 1e22, 1 / 3]
-    vals = np.random.default_rng(n).uniform(-1, 1, (3, g.size))
+    rng = np.random.default_rng(n)
+    vals = rng.uniform(-1, 1, (3, g.size))
     vals[0, : len(special)] = special
     vals[2, -len(special):] = special
     f = SpaceTimeField(g, 0.1, vals)
-    assert f.to_csv() == per_value_slab_csv(f)
+    ref = per_value_slab_csv(f)
+    assert f.to_csv() == ref
+    assert written(f, tmp_path) == (ref, ref.encode())
     for k in (0, 2):
-        assert _field_csv(f.slice(k)) == per_value_field_csv(f.slice(k))
+        ref = per_value_field_csv(f.slice(k))
+        assert written(f.slice(k), tmp_path) == (ref, ref.encode())
+
+    h = rng.uniform(-1, 1, (g.size, g.size))
+    h[0, : len(special)] = special
+    h[-1, -len(special):] = special
+    kern = StepKernel(HamiltonianModel("quadratic-mechanical", dim=dim), g, 0.1, 4.0)
+    table = ActionTable(kern, 0.0, 0.1, h)
+    ref = per_value_action_csv(table)
+    assert written(table, tmp_path) == (ref, ref.encode())
+
+    times = 0.1 * np.arange(7)
+    incs = rng.uniform(0, 1, 7)
+    incs[: len(special)] = special
+    for m in (7, 0):  # a report with no steps writes the header alone
+        rep = ConvergenceReport(times[:m], incs[:m], [], [], None, False, None, False)
+        ref = per_value_convergence_csv(rep)
+        assert written(rep, tmp_path) == (ref, ref.encode())
+
+    xs = rng.uniform(0, 1, (5, 2, dim))
+    ps = rng.uniform(-1, 1, (5, 2, dim))
+    us, hs = rng.uniform(-1, 1, (2, 5, 2))
+    xs[1, 0, 0], ps[2, 1, -1], us[3, 0], hs[4, 1] = special
+    traj = Trajectory(0.1, 0.1 * np.arange(5), xs, us, ps, hs)
+    ref = per_value_trajectory_csv(traj)
+    assert written(traj, tmp_path) == (ref, ref.encode())
