@@ -6,16 +6,26 @@ integrated with the classical fixed-step 4th-order one-step rule, plus the
 diagnostics tying the flow back to the dynamic-programming chains: the
 evolution law dH/ds = -H_u * H along trajectories and the match between a
 backtracked calibrated curve and the trajectory launched from its state.
+
+``flow`` has two paths with the same arithmetic.  A batch ``(x, u, p)`` is
+stepped on numpy arrays with a leading batch axis (``_rhs``); one
+``CharacteristicState`` is stepped on Python floats (``_state_rhs``), which
+avoids numpy's per-call cost on (1, d) arrays.  The numpy path is the test
+oracle: the float path equals a batch of one bitwise, except that it sums a
+mode's phase k.x without the fused multiply-add a BLAS dot may use, a
+rounding-level difference when a product after the first is inexact.  Both
+take H at each state from the first stage of the step that leaves it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError
-from .models import HamiltonianModel, eval_H, grad_H
+from .models import HamiltonianModel, grad_H
 from .semigroup import CalibratedCurve
 from .torus import SpaceTimeField, _write_table, periodic_delta, periodic_distance, wrap
 
@@ -63,7 +73,7 @@ class Trajectory:
 
 
 def _rhs(model, x, u, p):
-    """Vector field of the contact system; x shape (b,d), u (b,), p (b,d).
+    """Vector field of the contact system and H; x shape (b,d), u (b,), p (b,d).
 
     Each mode's phase is computed once for V and its gradient.  The
     expressions are those of ``eval_H`` and ``grad_H``, without their input
@@ -79,7 +89,103 @@ def _rhs(model, x, u, p):
     pp = np.sum(p * p, axis=1)
     h = 0.5 * pp + model.coupling(u) + pot - model.action_shift
     dp = -hx - model.coupling_derivative(u)[:, None] * p
-    return p, pp - h, dp
+    return p, pp - h, dp, h
+
+
+def _state_rhs(model: HamiltonianModel, d: int):
+    """``_rhs`` in the same operation order for one state held as a flat list
+    y = [x_1..x_d, u, p_1..p_d] of Python floats; returns the flat derivative
+    and H.  A phase k.x is summed as x_1*k_1 + x_2*k_2 + ... (see the module
+    docstring for where a BLAS dot differs).
+    """
+    tau = 2.0 * math.pi
+    modes = [(tuple(map(float, k)), a, -a * 2.0 * math.pi) for k, a in model.potential.modes]
+    coupling, coupling_u, shift = model.coupling, model.coupling_derivative, model.action_shift
+
+    def rhs(y):
+        x, u, p = y[:d], y[d], y[d + 1 :]
+        pot, hx = 0.0, [0.0] * d
+        for k, a, c in modes:
+            kx = x[0] * k[0]
+            for i in range(1, d):
+                kx += x[i] * k[i]
+            phase = tau * kx
+            pot += a * math.cos(phase)
+            s = c * math.sin(phase)
+            hx = [g + s * ki for g, ki in zip(hx, k)]
+        pp = p[0] * p[0]
+        for i in range(1, d):
+            pp += p[i] * p[i]
+        h = 0.5 * pp + float(coupling(u)) + pot - shift
+        hu = float(coupling_u(u))
+        return [*p, pp - h, *[-g - hu * pi for g, pi in zip(hx, p)]], h
+
+    return rhs
+
+
+def _non_finite(k, xs, us, ps):
+    return NumericError(
+        f"characteristic flow produced a non-finite state at step {k + 1}",
+        last_iterate=(xs[k], us[k], ps[k]),
+    )
+
+
+def _flow_batch(model, x, u, p, n, h):
+    """RK4 on numpy arrays with a leading batch axis: the oracle of ``_flow_state``."""
+    xs = np.empty((n + 1,) + x.shape)
+    us = np.empty((n + 1,) + u.shape)
+    ps = np.empty((n + 1,) + p.shape)
+    hs = np.empty((n + 1,) + u.shape)
+    xs[0], us[0], ps[0] = wrap(x), u, p
+    for k in range(n):
+        k1 = _rhs(model, x, u, p)
+        hs[k] = k1[3]
+        k2 = _rhs(model, x + 0.5 * h * k1[0], u + 0.5 * h * k1[1], p + 0.5 * h * k1[2])
+        k3 = _rhs(model, x + 0.5 * h * k2[0], u + 0.5 * h * k2[1], p + 0.5 * h * k2[2])
+        k4 = _rhs(model, x + h * k3[0], u + h * k3[1], p + h * k3[2])
+        x = x + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        u = u + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        p = p + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u)) and np.all(np.isfinite(p))):
+            raise _non_finite(k, xs, us, ps)
+        x = wrap(x)
+        xs[k + 1], us[k + 1], ps[k + 1] = x, u, p
+    hs[n] = _rhs(model, x, u, p)[3]
+    return xs, us, ps, hs
+
+
+def _state_arrays(ys, d):
+    """Recorded flat states as the (n, 1, d), (n, 1), (n, 1, d) arrays of a batch of one."""
+    arr = np.array(ys)
+    return arr[:, None, :d], arr[:, None, d], arr[:, None, d + 1 :]
+
+
+def _flow_state(model, s0: CharacteristicState, n, h):
+    """The steps of ``_flow_batch`` for one state, on Python floats."""
+    d = s0.x.size
+    rhs = _state_rhs(model, d)
+    hh, h6 = 0.5 * h, h / 6.0
+    y = [*s0.x.tolist(), float(s0.u), *s0.p.tolist()]
+    ys = [[v % 1.0 for v in y[:d]] + y[d:]]
+    hs = []
+    for k in range(n):
+        try:
+            k1, hk = rhs(y)
+            k2 = rhs([a + hh * b for a, b in zip(y, k1)])[0]
+            k3 = rhs([a + hh * b for a, b in zip(y, k2)])[0]
+            k4 = rhs([a + h * b for a, b in zip(y, k3)])[0]
+        except ValueError:  # math.cos and math.sin reject an infinite stage
+            y = None
+        else:
+            y = [a + h6 * (b1 + 2 * b2 + 2 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        if y is None or not all(map(math.isfinite, y)):
+            raise _non_finite(k, *_state_arrays(ys, d))
+        hs.append(hk)
+        y[:d] = [v % 1.0 for v in y[:d]]
+        ys.append(y)
+    hs.append(rhs(y)[1])
+    return (*_state_arrays(ys, d), np.array(hs)[:, None])
 
 
 def flow(
@@ -90,48 +196,25 @@ def flow(
 ) -> Trajectory:
     """Integrate the characteristic system from one state or a batch.
 
-    ``s0`` may be a CharacteristicState or a tuple of arrays (x, u, p) with
-    a leading batch axis.  Fixed-step integration keeps runs reproducible;
-    a non-finite state aborts with the last good state attached.
+    ``s0`` may be a CharacteristicState, stepped on Python floats, or a
+    tuple of arrays (x, u, p) with a leading batch axis, stepped on numpy
+    arrays.  Fixed-step integration keeps runs reproducible; a non-finite
+    state aborts with the last good state attached.
     """
     if dt_ode <= 0:
         raise ValueError("dt_ode must be positive")
+    n = int(round(t / dt_ode))
     if isinstance(s0, CharacteristicState):
-        x = s0.x[None, :].copy()
-        u = np.array([s0.u])
-        p = s0.p[None, :].copy()
+        xs, us, ps, hs = _flow_state(model, s0, n, dt_ode)
         t0 = s0.t
     else:
         x, u, p = s0
         x = np.atleast_2d(np.asarray(x, dtype=float)).copy()
         u = np.atleast_1d(np.asarray(u, dtype=float)).copy()
         p = np.atleast_2d(np.asarray(p, dtype=float)).copy()
+        xs, us, ps, hs = _flow_batch(model, x, u, p, n, dt_ode)
         t0 = 0.0
-    n = int(round(t / dt_ode))
     times = t0 + dt_ode * np.arange(n + 1)
-    xs = np.empty((n + 1,) + x.shape)
-    us = np.empty((n + 1,) + u.shape)
-    ps = np.empty((n + 1,) + p.shape)
-    hs = np.empty((n + 1,) + u.shape)
-    xs[0], us[0], ps[0] = wrap(x), u, p
-    hs[0] = np.atleast_1d(eval_H(model, x, u, p))
-    h = dt_ode
-    for k in range(n):
-        k1 = _rhs(model, x, u, p)
-        k2 = _rhs(model, x + 0.5 * h * k1[0], u + 0.5 * h * k1[1], p + 0.5 * h * k1[2])
-        k3 = _rhs(model, x + 0.5 * h * k2[0], u + 0.5 * h * k2[1], p + 0.5 * h * k2[2])
-        k4 = _rhs(model, x + h * k3[0], u + h * k3[1], p + h * k3[2])
-        x = x + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        u = u + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        p = p + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u)) and np.all(np.isfinite(p))):
-            raise NumericError(
-                f"characteristic flow produced a non-finite state at step {k + 1}",
-                last_iterate=(xs[k], us[k], ps[k]),
-            )
-        x = wrap(x)
-        xs[k + 1], us[k + 1], ps[k + 1] = x, u, p
-        hs[k + 1] = np.atleast_1d(eval_H(model, x, u, p))
     return Trajectory(dt_ode=dt_ode, times=times, xs=xs, us=us, ps=ps, h_values=hs)
 
 

@@ -108,10 +108,11 @@ class StepKernel:
         self.velocities = disp / dt
         kinetic = 0.5 * np.sum(self.velocities**2, axis=1)  # (n_off,)
 
+        v_start = model.potential(pts) if quadrature == "left" else None
         self.base_cost = np.empty((self.n_offsets, grid.size))
         for k in range(self.n_offsets):
             if quadrature == "left":
-                vterm = model.potential(pts)
+                vterm = v_start
             elif quadrature == "midpoint":
                 vterm = model.potential(pts + 0.5 * disp[k])
             else:
@@ -124,7 +125,7 @@ class StepKernel:
         if grid.dim == 2 and quadrature == "left":
             m = self._pad
             self._wrap = np.arange(-m, grid.n + m) % grid.n
-            start_cost = (dt * (model.action_shift - model.potential(pts))).reshape(grid.n, -1)
+            start_cost = (dt * (model.action_shift - v_start)).reshape(grid.n, -1)
             self._start_cost = start_cost[np.ix_(self._wrap, self._wrap)]  # wrap-padded
             self._axis_cost = (np.arange(-m, m + 1) * grid.dx) ** 2 / (2 * dt)
             # r(o1) = largest o2 with (o1, o2) in offsets; rows grouped by r

@@ -153,16 +153,6 @@ class PropertyReport:
             e["monotonicity_gap"] <= tol and e["nonexpansive_gap"] <= tol for e in self.entries
         )
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t,monotonicity_gap,nonexpansive_gap,sup_norm,lipschitz\n")
-        for e in self.entries:
-            buf.write(
-                f"{e['t']!r},{e['monotonicity_gap']!r},{e['nonexpansive_gap']!r},"
-                f"{e['sup_norm']!r},{e['lipschitz']!r}\n"
-            )
-        return buf.getvalue()
-
 
 def check_properties(
     kern: StepKernel,

@@ -100,7 +100,7 @@ def formula_rhs(model, x, u, p):
     hp = np.atleast_2d(hp)
     hu = np.atleast_1d(hu)
     h = np.atleast_1d(eval_H(model, x, u, p))
-    return hp, np.sum(hp * p, axis=1) - h, -hx - hu[:, None] * p
+    return hp, np.sum(hp * p, axis=1) - h, -hx - hu[:, None] * p, h
 
 
 @pytest.mark.parametrize("batch", [1, 3])
@@ -130,6 +130,73 @@ def test_non_finite_stage_raises_numeric_error():
     m = discounted_pendulum()
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
         flow(m, CharacteristicState(x=[0.1], u=0.0, p=[1e200]), 0.1, 0.01)
+
+
+def catalog(dim, modes):
+    """The three families on one potential, with nonzero normalization shifts."""
+    pot = TrigPotential(dim, modes)
+    f = PiecewiseLinearMap((-1.0, 0.0, 1.0), (-2.0, 0.0, 0.5))
+    return [
+        HamiltonianModel("quadratic-mechanical", dim=dim, potential=pot).normalized(0.2),
+        HamiltonianModel("quadratic-discounted", dim=dim, potential=pot, lam=1.0).normalized(-0.3),
+        HamiltonianModel("quadratic-nonlinear-u", dim=dim, potential=pot, f=f).normalized(0.3),
+    ]
+
+
+def state_and_batch_of_one(model, seed, t=1.0, dt_ode=1e-3):
+    rng = np.random.default_rng(seed)
+    d = model.dim
+    x, u, p = rng.uniform(0, 1, d), float(rng.uniform(-1, 1)), rng.uniform(-2, 2, d)
+    one = flow(model, CharacteristicState(x=x, u=u, p=p, t=0.37), t, dt_ode)
+    batch = flow(model, (x[None], [u], p[None]), t, dt_ode)
+    return one, batch
+
+
+@pytest.mark.parametrize(
+    "dim,mode",
+    [(1, (1,)), (2, (1, 0)), (2, (0, 1)), (2, (1, 1)), (2, (3, 2)), (2, (2, -1))],
+    ids=["1d", "2d-10", "2d-01", "2d-11", "2d-32", "2d-2m1"],
+)
+def test_state_flow_equals_batch_of_one(dim, mode):
+    # every phase product after the first is exact, so the float path and
+    # the numpy oracle agree bitwise whatever the dot's summation
+    second = ((2,), -0.4) if dim == 1 else ((1, 0), 0.5)
+    for i, m in enumerate(catalog(dim, ((mode, 0.8), second))):
+        one, batch = state_and_batch_of_one(m, seed=10 * dim + i)
+        for name in ("xs", "us", "ps", "h_values"):
+            a, b = getattr(one, name), getattr(batch, name)
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), name
+        assert one.times.tobytes() == (0.37 + batch.times).tobytes()
+
+
+def test_state_flow_inexact_second_product_within_rounding():
+    # k = (1, -5): -5*x2 rounds, and a BLAS dot may fuse it into the sum
+    for i, m in enumerate(catalog(2, (((1, -5), 0.8), ((1, 0), 0.5)))):
+        one, batch = state_and_batch_of_one(m, seed=i)
+        for name in ("xs", "us", "ps", "h_values"):
+            assert np.max(np.abs(getattr(one, name) - getattr(batch, name))) <= 1e-12
+
+
+def test_state_flow_without_steps_records_the_start():
+    m = catalog(2, (((1, 1), 0.8),))[2]
+    one, batch = state_and_batch_of_one(m, seed=5, t=1e-4, dt_ode=1e-3)
+    assert one.times.size == 1
+    assert one.h_values.tobytes() == batch.h_values.tobytes()
+
+
+def test_non_finite_stage_2d_raises_numeric_error():
+    # the second stage moves x to inf, where math.cos raises ValueError
+    m = catalog(2, (((1, 0), 1.0), ((0, 1), 0.5)))[1]
+    s0 = CharacteristicState(x=[0.1, 0.2], u=0.0, p=[1e306, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in (s0, (s0.x[None], [s0.u], s0.p[None])):
+            with pytest.raises(NumericError, match="at step 1") as err:
+                flow(m, start, 1000.0, 1000.0)
+            x, u, p = err.value.last_iterate
+            assert x.tobytes() == s0.x[None].tobytes()
+            assert u.tobytes() == np.array([0.0]).tobytes()
+            assert p.tobytes() == s0.p[None].tobytes()
 
 
 def test_match_calibrated_chain_within_grid_cells():

@@ -488,6 +488,3 @@ def test_report_csv_headers():
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "t,increment"
     assert "np." not in buf.getvalue()
-    psi = GridField(g, np.full(g.size, 0.1))
-    props = check_properties(kern, phi, psi, [0.5])
-    assert props.to_csv().startswith("t,monotonicity_gap,nonexpansive_gap,sup_norm,lipschitz\n")
