@@ -29,7 +29,6 @@ from .characteristics import (
 from .errors import ConfigurationError, NumericError
 from .fdoracle import LFConfig, lf_final, lf_solve, lf_step
 from .kernels import StepKernel
-from .legendre import lagrangian_values, legendre_inverse, legendre_transform
 from .models import (
     HamiltonianModel,
     PiecewiseLinearMap,
@@ -37,6 +36,7 @@ from .models import (
     audit_assumptions,
     eval_H,
     grad_H,
+    lagrangian_values,
 )
 from .semigroup import (
     CalibratedCurve,
@@ -83,8 +83,6 @@ __all__ = [
     "grad_H",
     "interp_periodic",
     "lagrangian_values",
-    "legendre_inverse",
-    "legendre_transform",
     "lf_final",
     "lf_solve",
     "lf_step",

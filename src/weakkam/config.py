@@ -23,7 +23,8 @@ Schema (defaults in parentheses):
       tol: float >= 0                (1e-10, see below)
       max_iter: int >= 1             (60, see below)
       stop_eps: float > 0            (1e-6)
-      checkpoints: [floats]          ([50.0])
+      checkpoints: [floats]          ([50.0], converge marches to the largest;
+                                      the others are only recorded)
       quadrature: left|midpoint|exact  (left)
       a: float                       (0.0, frozen u-level for action/critical)
       T_max: float >= 4              (64.0, only recorded in the manifest)
@@ -60,7 +61,7 @@ import yaml
 
 from .errors import ConfigurationError
 from .fdoracle import LFConfig
-from .kernels import StepKernel, check_dt_lambda
+from .kernels import QUADRATURES, StepKernel, check_dt_lambda
 from .models import (
     AssumptionAudit,
     HamiltonianModel,
@@ -161,7 +162,6 @@ class RunConfig:
     out_dir: str | None
     seed: int
     audit: AssumptionAudit = field(repr=False)
-    raw: dict = field(default_factory=dict, repr=False)
 
     def resolved(self) -> dict:
         """Flat resolved-config mapping for the run manifest."""
@@ -283,7 +283,7 @@ def parse_config(data: dict) -> RunConfig:
         _require(isinstance(c, (int, float)) and not isinstance(c, bool) and c > 0,
                  f"solver.checkpoints[{i}]", "must be a positive number")
     quad = sblock.get("quadrature", "left")
-    _require(quad in ("left", "midpoint", "exact"), "solver.quadrature",
+    _require(quad in QUADRATURES, "solver.quadrature",
              f"must be left, midpoint or exact, got {quad!r}")
     a = _number(sblock, "solver", "a", default=0.0)
     t_max = _number(sblock, "solver", "T_max", default=64.0, lo=4.0)
@@ -335,7 +335,7 @@ def parse_config(data: dict) -> RunConfig:
         model=model, grid=grid, dt=dt, v_max=v_max, T=T, tol=tol, max_iter=max_iter,
         stop_eps=stop_eps, checkpoints=tuple(float(c) for c in cps), quadrature=quad,
         a=a, t_max=t_max, phi_modes=phi_modes, char=char, alpha=alpha, dt_fd=dt_fd,
-        out_dir=out_dir, seed=seed, audit=audit, raw=data,
+        out_dir=out_dir, seed=seed, audit=audit,
     )
 
 

@@ -84,8 +84,6 @@ class StepKernel:
     ):
         if quadrature not in QUADRATURES:
             raise ConfigurationError(f"unknown quadrature {quadrature!r}")
-        if dt <= 0:
-            raise ConfigurationError("dt must be positive")
         check_dt_lambda(model, dt)
         self.model = model
         self.grid = grid

@@ -10,6 +10,10 @@ with V a trigonometric polynomial and f a non-decreasing globally Lipschitz
 piecewise-linear map.  An optional additive normalization shifts H by -c
 (equivalently the Lagrangian by +c), used to set the critical value to zero.
 
+The Legendre conjugate L(x,u,v) = sup_p { <v,p> - H(x,u,p) } has the closed
+form L = |v|^2/2 - coupling(u) - V(x) + action_shift with argmax p = v, so
+the assumptions on L follow from those audited on H.
+
 Partial derivatives are analytic; the standing structural assumptions
 (strict convexity in p, uniform Lipschitz continuity and monotonicity in u)
 can be audited on sampled boxes.
@@ -181,6 +185,11 @@ class HamiltonianModel:
             return float(self.lam)
         return self.f.lipschitz_constant()
 
+    @property
+    def kinks_u(self) -> tuple:
+        """The u values where H_u jumps: the interior knots of f."""
+        return self.f.knots_u[1:-1] if self.family == "quadratic-nonlinear-u" else ()
+
     def normalized(self, c: float) -> "HamiltonianModel":
         """Model with H replaced by H - c (L by L + c); idempotent for c=0."""
         return replace(self, action_shift=self.action_shift + float(c))
@@ -219,6 +228,24 @@ def grad_H(model: HamiltonianModel, x, u, p):
     if pts.shape[0] == 1:
         return hx[0], float(hu[0]), hp[0]
     return hx, hu, hp
+
+
+def lagrangian_values(model: HamiltonianModel, x, u, v):
+    """Vectorized closed-form L(x,u,v) for the catalog (value only).
+
+    The kernel (and its per-axis row split), the Lax-Friedrichs stepper and
+    the characteristic field hard-code the kinetic term |p|^2/2 instead of
+    calling this.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    vv = np.asarray(v, dtype=float).reshape(-1, model.dim)
+    uu = np.asarray(u, dtype=float).ravel()
+    return (
+        0.5 * np.sum(vv * vv, axis=1)
+        - model.coupling(uu)
+        - model.potential(x)
+        + model.action_shift
+    )
 
 
 @dataclass

@@ -26,11 +26,19 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 from .kernels import StepKernel
-from .legendre import lagrangian_values
-from .models import HamiltonianModel, eval_H
+from .models import HamiltonianModel, eval_H, lagrangian_values
 from .torus import (
     Grid, GridField, SpaceTimeField, _horizon_steps, _write_table, interp_periodic, periodic_delta,
 )
+
+# the equi-Lipschitz seminorm of check_properties is taken over slices t >= this
+EQUI_LIPSCHITZ_DELTA = 0.25
+# the largest operator residual extract_calibrated_curve accepts as a fixed point
+FIXED_POINT_TOL = 1e-8
+# check_Ltilde: velocities per axis of the fan over [-v_max, v_max]
+FAN_SIZE = 257
+# subsolution_gap: random test curves, their duration, nodes and quadrature points per segment
+N_CURVES, CURVE_DURATION, N_NODES, N_QUAD = 50, 1.0, 8, 64
 
 
 @dataclass
@@ -146,7 +154,6 @@ class PropertyReport:
     entries: list = field(default_factory=list)
     uniform_bound: float = 0.0
     equi_lipschitz: float = 0.0
-    delta: float = 0.0
 
     def all_within(self, tol: float) -> bool:
         return all(
@@ -159,12 +166,11 @@ def check_properties(
     phi: GridField,
     psi: GridField,
     t_list,
-    delta: float = 0.25,
     phi_march: SpaceTimeField | None = None,
 ) -> PropertyReport:
     """Evaluate monotonicity, non-expansiveness, uniform bound and the
     equi-Lipschitz seminorm of the semigroup stepped by ``kern`` for slices
-    with t >= delta.
+    with t >= EQUI_LIPSCHITZ_DELTA.
 
     Monotonicity is probed on the ordered pair (phi ^ psi, phi v psi);
     violations are recorded in the report, never raised.  ``phi_march``,
@@ -193,8 +199,8 @@ def check_properties(
     u_psi, u_lo, u_hi = (_march(kern, f, t_max) for f in (psi, lo, hi))
 
     base_gap = float(np.max(np.abs(phi.values - psi.values)))
-    report = PropertyReport(delta=delta)
-    k_min = int(np.ceil(delta / dt - 1e-9))
+    report = PropertyReport()
+    k_min = int(np.ceil(EQUI_LIPSCHITZ_DELTA / dt - 1e-9))
     equi = 0.0
     for k in range(k_min, u_phi.n_steps + 1):
         equi = max(equi, u_phi.slice(k).lipschitz_seminorm(), u_psi.slice(k).lipschitz_seminorm())
@@ -238,14 +244,15 @@ class CalibratedCurve:
 
 
 def extract_calibrated_curve(
-    kern: StepKernel, spacetime: SpaceTimeField, x_end: int, tol: float = 1e-8
+    kern: StepKernel, spacetime: SpaceTimeField, x_end: int
 ) -> CalibratedCurve:
     """Backtrack the DP argmin chain of a fixed-point field from x_end.
 
     Precondition: ``spacetime`` lies on the grid and dt of ``kern`` and is
     a fixed point of its operator, checked by one operator pass
     w[k+1] = step(w[k], u[k]) from w[0] = u[0]; its residual must stay
-    below tol.  Either failure raises ConfigurationError.  Going back from x_end, each slice forms only the chain
+    below FIXED_POINT_TOL.  Either failure raises ConfigurationError.
+    Going back from x_end, each slice forms only the chain
     destination's candidates over the offsets, from that pass, and takes
     the smallest start index among those equal to their min: the
     minimizer ``StepKernel.apply_with_argmin`` gives for that destination.
@@ -261,9 +268,10 @@ def extract_calibrated_curve(
     for k in range(n):
         w[k + 1] = kern.apply(w[k], u[k])
     residual = float(np.max(np.abs(w - u)))
-    if not residual < tol:
+    if not residual < FIXED_POINT_TOL:
         raise ConfigurationError(
-            f"spacetime is not a fixed point: operator residual {residual:g} >= tol {tol:g}"
+            f"spacetime is not a fixed point: operator residual {residual:g}"
+            f" >= tol {FIXED_POINT_TOL:g}"
         )
 
     shape = (grid.n,) * grid.dim
@@ -304,21 +312,24 @@ class ResidualStats:
     rms_smooth: float
 
 
-def _axis_gradients(field: GridField):
-    """(centered, left, right) difference quotients per axis."""
-    grid = field.grid
-    v = field._shaped()
-    grads = []
-    for ax in range(grid.dim):
-        fwd = (np.roll(v, -1, axis=ax) - v) / grid.dx
-        bwd = (v - np.roll(v, 1, axis=ax)) / grid.dx
-        grads.append((0.5 * (fwd + bwd), bwd, fwd))
-    return grads
-
-
 def kink_threshold(grid: Grid) -> float:
     """Slope-jump threshold separating kinks from smooth curvature."""
     return 10.0 * np.sqrt(grid.dx)
+
+
+def _one_sided_slopes(field: GridField):
+    """Per axis the (backward, forward) difference quotients, and the flat
+    mask of smooth points: where on every axis the two slopes differ by at
+    most the kink threshold."""
+    grid = field.grid
+    v = field._shaped()
+    slopes, smooth = [], np.ones(grid.size, dtype=bool)
+    for ax in range(grid.dim):
+        bwd = (v - np.roll(v, 1, axis=ax)) / grid.dx
+        fwd = (np.roll(v, -1, axis=ax) - v) / grid.dx
+        slopes.append((bwd, fwd))
+        smooth &= (np.abs(bwd - fwd) <= kink_threshold(grid)).ravel()
+    return slopes, smooth
 
 
 def weak_kam_residual(model: HamiltonianModel, u: GridField) -> ResidualStats:
@@ -328,13 +339,8 @@ def weak_kam_residual(model: HamiltonianModel, u: GridField) -> ResidualStats:
     threshold are excluded from the statistics and counted as kinks.
     """
     grid = u.grid
-    grads = _axis_gradients(u)
-    thr = kink_threshold(grid)
-    smooth = np.ones(grid.size, dtype=bool)
-    centered = np.empty((grid.size, grid.dim))
-    for ax, (c, l, r) in enumerate(grads):
-        centered[:, ax] = c.ravel()
-        smooth &= (np.abs(l - r) <= thr).ravel()
+    slopes, smooth = _one_sided_slopes(u)
+    centered = np.stack([(0.5 * (fwd + bwd)).ravel() for bwd, fwd in slopes], axis=1)
     res = np.atleast_1d(eval_H(model, grid.points(), u.values, centered))
     sm = np.abs(res[smooth])
     return ResidualStats(
@@ -420,47 +426,36 @@ class LtildeDiagnostic:
         return float(np.min(self.fan_min)) if self.fan_min.size else 0.0
 
 
-def check_Ltilde(
-    model: HamiltonianModel,
-    u_inf: GridField,
-    v_max: float,
-    n_fan: int = 257,
-    gradient_halfwidth: int | None = None,
-) -> LtildeDiagnostic:
+def check_Ltilde(model: HamiltonianModel, u_inf: GridField, v_max: float) -> LtildeDiagnostic:
     """Evaluate L(x, u, v) - <Du, v> over a velocity fan at smooth points.
 
     The pointwise minimum should be bounded below by the discretization
     slack.
 
-    Du is the symmetric difference over ``gradient_halfwidth`` cells
-    (default about sqrt(N)/2).  DP fixed points carry a velocity-lattice
-    staircase whose wavelength is the one-step stencil extent; the plain
-    two-cell centered difference amplifies it into a spurious positive
-    part of H, while the wide stencil averages it away at a curvature
-    bias of only (k*dx)^2.
+    Du is the symmetric difference over k = max(1, round(sqrt(N)/2))
+    cells, which must stay below N/2 (so N <= 3 is rejected).  DP fixed
+    points carry a velocity-lattice staircase whose wavelength is the
+    one-step stencil extent; the plain two-cell centered difference
+    amplifies it into a spurious positive part of H, while the wide
+    stencil averages it away at a curvature bias of only (k*dx)^2.
     """
     grid = u_inf.grid
-    k_grad = gradient_halfwidth
-    if k_grad is None:
-        k_grad = max(1, int(round(np.sqrt(grid.n) / 2.0)))
-    if not 1 <= k_grad < grid.n // 2:
-        raise ConfigurationError("gradient_halfwidth must be in [1, N/2)")
-    grads = _axis_gradients(u_inf)
-    thr = kink_threshold(grid)
-    smooth = np.ones(grid.size, dtype=bool)
-    centered = np.empty((grid.size, grid.dim))
+    k_grad = max(1, int(round(np.sqrt(grid.n) / 2.0)))
+    if not k_grad < grid.n // 2:
+        raise ConfigurationError(f"gradient half-width {k_grad} must be below N/2 (N={grid.n})")
+    _, smooth = _one_sided_slopes(u_inf)
     v_sh = u_inf._shaped()
-    for ax, (c, l, r) in enumerate(grads):
+    centered = np.empty((grid.size, grid.dim))
+    for ax in range(grid.dim):
         wide = (np.roll(v_sh, -k_grad, axis=ax) - np.roll(v_sh, k_grad, axis=ax)) / (
             2.0 * k_grad * grid.dx
         )
         centered[:, ax] = wide.ravel()
-        smooth &= (np.abs(l - r) <= thr).ravel()
     pts = grid.points()[smooth]
     du = centered[smooth]
     uu = u_inf.values[smooth]
 
-    axis = np.linspace(-v_max, v_max, n_fan)
+    axis = np.linspace(-v_max, v_max, FAN_SIZE)
     if grid.dim == 1:
         fan = axis[:, None]
     else:
@@ -474,27 +469,19 @@ def check_Ltilde(
     return LtildeDiagnostic(fan_min=fan_min)
 
 
-def subsolution_gap(
-    model: HamiltonianModel,
-    u: GridField,
-    rng: np.random.Generator,
-    n_curves: int = 50,
-    duration: float = 1.0,
-    n_nodes: int = 8,
-    n_quad: int = 64,
-) -> float:
-    """Worst defect u(gamma(t2)) - u(gamma(t1)) - int L over random
+def subsolution_gap(model: HamiltonianModel, u: GridField, rng: np.random.Generator) -> float:
+    """Worst defect u(gamma(t2)) - u(gamma(t1)) - int L over N_CURVES random
     piecewise-linear test curves (positive means a violation)."""
     grid = u.grid
     worst = -np.inf
-    seg_dt = duration / (n_nodes - 1)
-    for _ in range(n_curves):
-        nodes = rng.uniform(0.0, 1.0, size=(n_nodes, grid.dim))
+    seg_dt = CURVE_DURATION / (N_NODES - 1)
+    for _ in range(N_CURVES):
+        nodes = rng.uniform(0.0, 1.0, size=(N_NODES, grid.dim))
         total = 0.0
-        for k in range(n_nodes - 1):
+        for k in range(N_NODES - 1):
             d = periodic_delta(nodes[k], nodes[k + 1])
             v = d / seg_dt
-            s = (np.arange(n_quad) + 0.5) / n_quad
+            s = (np.arange(N_QUAD) + 0.5) / N_QUAD
             xq = (nodes[k][None, :] + s[:, None] * d[None, :]) % 1.0
             uq = interp_periodic(grid, u.values, xq)
             lq = lagrangian_values(model, xq, uq, np.broadcast_to(v, xq.shape))

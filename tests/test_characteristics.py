@@ -65,6 +65,44 @@ def test_dH_evolution_law():
     assert np.max(np.abs(traj.h_values[:, 0] - h0 * np.exp(-traj.times))) <= 1e-6
 
 
+def kinked_coupling_model():
+    # f has slope 2 below u = 0 and 0.5 above: H_u jumps at the interior knot
+    return HamiltonianModel(
+        "quadratic-nonlinear-u",
+        f=PiecewiseLinearMap((-1.0, 0.0, 1.0), (-2.0, 0.0, 0.5)),
+        potential=TrigPotential(1, (((1,), 1.0),)),
+    )
+
+
+def test_dH_law_excludes_states_straddling_a_kink():
+    m = kinked_coupling_model()
+    traj = flow(m, CharacteristicState(x=[0.02], u=0.05, p=[0.3]), 1.0, 1e-3)
+    assert traj.us.min() < 0.0 < traj.us.max()  # u crosses the knot
+    stats = dH_law_residual(m, traj)
+    assert stats.kink_count == 4
+    assert stats.rms_residual <= 1e-6
+    assert stats.max_residual <= 1e-5
+    # the exclusion does not hide wrong energies
+    rng = np.random.default_rng(0)
+    traj.h_values = traj.h_values + 1e-6 * rng.standard_normal(traj.h_values.shape)
+    assert dH_law_residual(m, traj).rms_residual > 1e-4
+
+
+def test_dH_law_without_kink_crossing_keeps_every_state():
+    m = kinked_coupling_model()
+    traj = flow(m, CharacteristicState(x=[0.02], u=0.2, p=[0.3]), 1.0, 1e-3)
+    assert traj.us.min() > 0.0
+    stats = dH_law_residual(m, traj)
+    # the plain centered residual over every inner state, bit for bit
+    dh = (traj.h_values[2:] - traj.h_values[:-2]) / (2.0 * traj.dt_ode)
+    _, hu, _ = grad_H(m, traj.xs[1:-1].reshape(-1, 1), traj.us[1:-1].reshape(-1),
+                      traj.ps[1:-1].reshape(-1, 1))
+    res = dh - (-hu.reshape(-1, 1) * traj.h_values[1:-1])
+    assert stats.kink_count == 0
+    assert stats.rms_residual == float(np.sqrt(np.mean(res**2)))
+    assert stats.max_residual == float(np.max(np.abs(res)))
+
+
 def test_zero_energy_level_is_invariant():
     # start on {H = 0}: x = 1/4 kills the potential, u = -p^2/2
     m = discounted_pendulum()

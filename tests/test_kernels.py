@@ -3,8 +3,7 @@ import pytest
 
 from weakkam.errors import ConfigurationError
 from weakkam.kernels import StepKernel, min_plus_product
-from weakkam.legendre import lagrangian_values
-from weakkam.models import HamiltonianModel, TrigPotential
+from weakkam.models import HamiltonianModel, TrigPotential, lagrangian_values
 from weakkam.torus import Grid, periodic_delta
 
 

@@ -1,15 +1,17 @@
+"""The closed-form Legendre conjugate of the catalog against a Newton maximizer."""
+
 import numpy as np
 import pytest
 
-from weakkam.legendre import (
-    check_L_properties,
+from weakkam.errors import NumericError
+from weakkam.models import (
+    HamiltonianModel,
+    PiecewiseLinearMap,
+    TrigPotential,
+    eval_H,
+    grad_H,
     lagrangian_values,
-    legendre_inverse,
-    legendre_transform,
 )
-from weakkam.models import HamiltonianModel, PiecewiseLinearMap, TrigPotential, eval_H
-
-BOX = {"x": (0.0, 1.0), "u": (-2.0, 2.0), "p": (-3.0, 3.0)}
 
 
 def models():
@@ -24,18 +26,62 @@ def models():
     ]
 
 
+def _hessian_p(model, x, u, p, h=1e-6):
+    d = model.dim
+    hess = np.zeros((d, d))
+    for k in range(d):
+        e = np.zeros(d)
+        e[k] = h
+        _, _, hp_plus = grad_H(model, x, u, p + e)
+        _, _, hp_minus = grad_H(model, x, u, p - e)
+        hess[:, k] = (np.asarray(hp_plus) - np.asarray(hp_minus)).reshape(d) / (2 * h)
+    return 0.5 * (hess + hess.T)
+
+
+def newton_transform(model, x, u, v, tol=1e-12, max_iter=100):
+    """(L, argmax p) by a safeguarded Newton iteration maximizing
+    p -> <v,p> - H(x,u,p): the reference for the closed form."""
+    v = np.asarray(v, dtype=float).reshape(model.dim)
+    p = np.zeros(model.dim)
+
+    def objective(pp):
+        return float(np.dot(v, pp)) - float(eval_H(model, x, u, pp))
+
+    obj = objective(p)
+    for _ in range(max_iter):
+        _, _, hp = grad_H(model, x, u, p)
+        grad = v - np.asarray(hp, dtype=float).reshape(model.dim)
+        if np.max(np.abs(grad)) < tol:
+            return obj, p
+        hess = _hessian_p(model, x, u, p)
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            step = grad
+        # step halving until the strictly concave objective increases
+        scale = 1.0
+        for _ in range(60):
+            cand = p + scale * step
+            cand_obj = objective(cand)
+            if cand_obj >= obj:
+                break
+            scale *= 0.5
+        else:
+            raise NumericError("Newton line search stalled", last_iterate=p)
+        p, obj = cand, cand_obj
+    raise NumericError("Newton maximizer did not converge", last_iterate=p)
+
+
 def test_closed_form_conjugacy_identity():
-    # L(x,u,v) + H(x,u,p) = <v,p> at p = argmax, for every catalog member
+    # L(x,u,v) + H(x,u,p) = <v,p> at the argmax p = v, for every catalog member
     rng = np.random.default_rng(1)
     for m in models():
         for _ in range(20):
             x = rng.uniform(0, 1, m.dim)
             u = rng.uniform(-1, 1)
             v = rng.uniform(-2, 2, m.dim)
-            lv = legendre_transform(m, x, u, v)
-            assert lv.converged
-            total = lv.value + eval_H(m, x, u, lv.argmax_p)
-            assert total == pytest.approx(float(np.dot(v, lv.argmax_p)), abs=1e-12)
+            total = float(lagrangian_values(m, x, u, v)[0]) + eval_H(m, x, u, v)
+            assert total == pytest.approx(float(np.dot(v, v)), abs=1e-12)
 
 
 def test_newton_agrees_with_closed_form():
@@ -45,17 +91,17 @@ def test_newton_agrees_with_closed_form():
             x = rng.uniform(0, 1, m.dim)
             u = rng.uniform(-1, 1)
             v = rng.uniform(-2, 2, m.dim)
-            a = legendre_transform(m, x, u, v)
-            b = legendre_transform(m, x, u, v, use_closed_form=False)
-            assert b.value == pytest.approx(a.value, abs=1e-9)
-            assert np.allclose(b.argmax_p, a.argmax_p, atol=1e-9)
+            value, argmax_p = newton_transform(m, x, u, v)
+            assert value == pytest.approx(float(lagrangian_values(m, x, u, v)[0]), abs=1e-9)
+            assert np.allclose(argmax_p, v, atol=1e-9)
 
 
 def test_inverse_roundtrip():
+    # the inverse Legendre map v = H_p(x,u,p) is undone by the maximizer
     m = models()[1]
     p = np.array([0.8])
-    v = legendre_inverse(m, [0.3], 0.1, p)
-    assert np.allclose(legendre_transform(m, [0.3], 0.1, v).argmax_p, p)
+    _, _, v = grad_H(m, [0.3], 0.1, p)
+    assert np.allclose(newton_transform(m, [0.3], 0.1, v)[1], p)
 
 
 def test_lagrangian_values_vectorized():
@@ -65,9 +111,3 @@ def test_lagrangian_values_vectorized():
     got = lagrangian_values(m, x, np.zeros(7), v)
     expect = 0.5 * v[:, 0] ** 2 - np.cos(2 * np.pi * x[:, 0])
     assert np.allclose(got, expect)
-
-
-def test_L_properties_audit():
-    for m in models()[:3]:
-        audit = check_L_properties(m, BOX, 512)
-        assert audit.passed, audit.worst

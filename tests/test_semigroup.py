@@ -10,6 +10,7 @@ from weakkam.models import HamiltonianModel, PiecewiseLinearMap, TrigPotential
 from weakkam.semigroup import (
     FixedPointReport,
     _march,
+    check_Ltilde,
     check_properties,
     converge,
     default_block_length,
@@ -282,8 +283,16 @@ def test_converged_field_is_a_subsolution_along_test_curves():
     report = converge(
         StepKernel(m, g, 1.0 / 16, 4.0, "exact"), phi, t_checkpoints=(20.0,), stop_eps=1e-9
     )
-    gap = subsolution_gap(m, report.u_inf, np.random.default_rng(0), n_curves=50)
+    gap = subsolution_gap(m, report.u_inf, np.random.default_rng(0))
     assert gap <= 1e-9
+
+
+def test_check_Ltilde_rejects_grids_too_small_for_its_gradient():
+    m = pendulum_normalized()
+    for n in (2, 3):
+        with pytest.raises(ConfigurationError, match="half-width"):
+            check_Ltilde(m, GridField(Grid(1, n), np.zeros(n)), 2.0)
+    assert check_Ltilde(m, GridField(Grid(1, 4), np.zeros(4)), 2.0).fan_min.size == 4
 
 
 def test_calibrated_curve_defect_is_roundoff():
