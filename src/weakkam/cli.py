@@ -10,13 +10,23 @@ Commands take their discretizations from ``RunConfig.kernel()`` and
 rejects a horizon the command cannot step by grid.dt, naming
 ``solver.T``, and a planned size above ``MEMORY_BUDGET_BYTES``, naming
 ``grid.N``.
+
+``solve`` hands ``fixed_point`` a slab in an anonymous shared mapping and a
+slice signal: after each slice of the wavefront's top row is final, one
+byte down a pipe tells a forked writer process (``_SlabWriter``) to format
+that slice into slab.csv, so the text overlaps the march.  This needs two
+usable CPUs; with one, the slab is written after the march as before.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
+import mmap
 import os
+import signal
 import sys
 import time
 
@@ -38,11 +48,12 @@ from .semigroup import (
     _march,
     check_properties,
     converge,
+    default_block_length,
     extract_calibrated_curve,
     fixed_point,
     weak_kam_residual,
 )
-from .torus import GridField, _horizon_steps, stencil_offsets
+from .torus import _TABLE_ROWS, GridField, SpaceTimeField, _horizon_steps, stencil_offsets
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -55,6 +66,9 @@ MEMORY_BUDGET_BYTES = 1 << 30
 # input (measured: at most 7.4 and 14.3), and the bytes one CSV row of a block
 # holds in strings and floats (measured: at most about 370)
 _KERNEL_COPIES, _LF_COPIES, _ROW_BYTES = 8, 16, 512
+# the bytes converge keeps per step of its history: two Python floats in lists,
+# their two arrays and the stacked table converge writes
+_HISTORY_BYTES = 128
 
 
 def _property_horizons(cfg: RunConfig) -> list:
@@ -76,18 +90,32 @@ def _check_horizons(command: str, cfg: RunConfig):
 def _check_budget(command: str, cfg: RunConfig) -> int:
     """Return the bytes a command plans to hold; reject a config above the budget.
 
-    CSVs are streamed one block of at most grid.size rows at a time, so this
-    counts the arrays plus one text block of ``_ROW_BYTES`` a row.  A step
-    holds one block of ``_BLOCK_ELEMENTS`` floats and, per stacked row,
-    ``_KERNEL_COPIES`` (kernel) or ``_LF_COPIES`` (Lax-Friedrichs) slices.
-    ``critical`` holds Karp's (size + 1) x size D_k; ``action`` its table and
-    a step of its size rows; ``oracle`` its slab over ``T_fd`` and a step;
-    ``solve`` its slab, the kernel's tables (n_offsets*size ``base_cost``,
-    on 2-D "left" a padded start cost of at most 4*size) and the Picard
-    wavefront (iterate 0 and up to n + 1 rows, one if H does not depend on
-    u) with a step of its rows.
+    CSVs are streamed one block of at most grid.size rows (``_TABLE_ROWS``
+    for a table without a grid axis) at a time, so this counts the arrays
+    plus one text block of ``_ROW_BYTES`` a row.  A step holds one block of
+    ``_BLOCK_ELEMENTS`` floats and, per stacked row, ``_KERNEL_COPIES``
+    (kernel) or ``_LF_COPIES`` (Lax-Friedrichs) slices.  A kernel's tables
+    are its n_offsets*size ``base_cost`` and, on 2-D "left", a padded start
+    cost of at most 4*size.
+    - ``critical`` holds Karp's (size + 1) x size D_k;
+    - ``action`` its table and a step of its size rows;
+    - ``oracle`` its slab over ``T_fd`` and a step;
+    - ``solve`` its slab, the kernel's tables and the Picard wavefront
+      (iterate 0 and up to n + 1 rows, one if H does not depend on u) with a
+      step of its rows.  The slab is one mapping shared with the writer
+      process and is counted once; the writer holds the one text block;
+    - ``check`` the kernel's tables, one step of each solver, and five
+      slabs over [0, T]: the march with either the three further marches
+      of ``check_properties`` or the backtrack's operator pass and its
+      residual, and the absolute value of one of them;
+    - ``converge`` the kernel's tables, a step, one reporting window (its
+      slab, the increments and their absolute values) and
+      ``_HISTORY_BYTES`` per step of its history.
     """
     grid, size = cfg.grid, cfg.grid.size
+    text_rows = size
+    if command in ("solve", "check", "converge"):
+        tables = len(stencil_offsets(grid, cfg.v_max, cfg.dt)) + 4
     if command == "critical":
         planned = (size + 1) * size * 8
     elif command == "action":
@@ -97,11 +125,19 @@ def _check_budget(command: str, cfg: RunConfig) -> int:
     elif command == "solve":
         n = _horizon_steps(cfg.T, cfg.dt)
         rows = n + 1 if cfg.model.lipschitz_u else 1
-        tables = len(stencil_offsets(grid, cfg.v_max, cfg.dt)) + 4
         planned = (n + 2 + (1 + _KERNEL_COPIES) * rows + tables) * size * 8
+    elif command == "check":
+        n = _horizon_steps(cfg.T, cfg.dt)
+        planned = (5 * (n + 1) + _KERNEL_COPIES + _LF_COPIES + tables) * size * 8
+    elif command == "converge":
+        window = max(1, round(default_block_length(cfg.model) / cfg.dt))
+        steps = math.ceil(max(cfg.checkpoints) / cfg.dt) + 1
+        planned = (3 * window + 2 + _KERNEL_COPIES + tables) * size * 8
+        planned += steps * _HISTORY_BYTES
+        text_rows = max(size, _TABLE_ROWS)
     else:
         return 0
-    planned += _BLOCK_ELEMENTS * 8 + size * _ROW_BYTES
+    planned += _BLOCK_ELEMENTS * 8 + text_rows * _ROW_BYTES
     if planned > MEMORY_BUDGET_BYTES:
         raise ConfigurationError(
             f"config key `grid.N`: {command} on {grid.dim}-D N={grid.n} would hold "
@@ -144,19 +180,135 @@ def _manifest(cfg: RunConfig, out_dir: str, command: str, threads: int, t0: floa
     _write(out_dir, "manifest.json", json.dumps(doc, indent=2, default=str) + "\n")
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, or os.cpu_count()
+    where the platform has no sched_getaffinity."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _signalled(fd: int, n: int):
+    """Yield 0, 1, ..., n - 1, index k once k + 1 bytes have arrived on fd,
+    one byte per final slice; EOFError if the pipe closes first."""
+    k = 0
+    while k < n:
+        chunk = os.read(fd, n - k)
+        if not chunk:
+            raise EOFError(f"the slab pipe closed after {k} of {n} slices")
+        yield from range(k, k + len(chunk))
+        k += len(chunk)
+
+
+class _SlabWriter:
+    """slab.csv written by a forked child process while this one marches.
+
+    The slab is an anonymous shared mapping, so the child sees each slice
+    the parent stores in ``slab``.  The parent sends one byte down a pipe
+    per final slice (``slice_final``); the child formats each slice as it is
+    signalled, with ``SpaceTimeField.write_csv``, into slab.csv.part, and
+    leaves by os._exit.  ``finish`` reaps it, renames the file to slab.csv
+    and returns the child's CPU seconds and peak RSS, or raises OSError
+    naming slab.csv; ``close`` kills and reaps a child still running and
+    removes the partial file.  The child only formats floats and writes a
+    file, so it takes no lock another thread of the parent could hold at
+    the fork.
+    """
+
+    def __init__(self, out_dir: str, grid, dt: float, n_slices: int):
+        self.path = os.path.join(out_dir, "slab.csv")
+        self.part = self.path + ".part"
+        mapping = mmap.mmap(-1, n_slices * grid.size * 8)
+        values = np.frombuffer(mapping, dtype=float).reshape(n_slices, grid.size)
+        self.slab = SpaceTimeField(grid, dt, values)
+        read_fd, self._write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(self._write_fd)
+            raise
+        if self.pid == 0:  # the child never returns into the caller's stack
+            code = 1
+            try:
+                os.close(self._write_fd)
+                with open(self.part, "w") as fh:
+                    self.slab.write_csv(fh, _signalled(read_fd, n_slices))
+                code = 0
+            except Exception as e:
+                os.write(2, f"solve: slab writer: {e}\n".encode())
+            finally:
+                os._exit(code)
+        os.close(read_fd)
+
+    def slice_final(self, k: int):
+        """Tell the child that slice k is final (slices arrive in order)."""
+        with contextlib.suppress(BrokenPipeError):  # the child failed; finish reports it
+            os.write(self._write_fd, b"\0")
+
+    def finish(self) -> dict:
+        """Reap the child after the last slice; rename its file to slab.csv."""
+        os.close(self._write_fd)
+        self._write_fd = None
+        _, status, usage = os.wait4(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            raise OSError(f"writing {self.path}: the slab writer exited with status {code}")
+        os.replace(self.part, self.path)
+        return {"cpu_seconds": usage.ru_utime + usage.ru_stime,
+                "max_rss_mb": usage.ru_maxrss / 1024.0}
+
+    def close(self):
+        """Kill and reap a child still running; remove the partial file."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        if self._write_fd is not None:
+            os.close(self._write_fd)
+            self._write_fd = None
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(self.part)
+
+
 def cmd_solve(cfg: RunConfig, out_dir: str, threads: int) -> int:
+    """Fixed point on [0, T]: slab.csv, fixedpoint.csv and the manifest.
+
+    When this process may run on at least two CPUs (``_usable_cpus``), a
+    forked ``_SlabWriter`` writes slab.csv while the Picard wavefront
+    marches; with one CPU, or when no process can be forked, slab.csv is
+    written here after the march.  The bytes are the same either way.  A
+    run that exits 3, or whose forked writer fails (exit 2, naming
+    slab.csv), leaves no slab.csv and no partial file.
+    """
     t0 = time.perf_counter()
-    phi = cfg.phi_field()
+    phi, kern = cfg.phi_field(), cfg.kernel()
+    writer = None
+    if _usable_cpus() > 1:
+        with contextlib.suppress(OSError):  # no process to spare: write after the march
+            writer = _SlabWriter(out_dir, cfg.grid, cfg.dt, _horizon_steps(cfg.T, cfg.dt) + 1)
     try:
-        u, report = fixed_point(cfg.kernel(), phi, cfg.T, tol=cfg.tol, max_iter=cfg.max_iter)
+        u, report = fixed_point(
+            kern, phi, cfg.T, tol=cfg.tol, max_iter=cfg.max_iter,
+            out=writer and writer.slab.values, on_slice=writer and writer.slice_final,
+        )
+        if writer is None:
+            _write(out_dir, "slab.csv", u.write_csv)
+            usage = None
+        else:
+            usage = writer.finish()
     except NumericError as e:
         print(f"solve: {e}", file=sys.stderr)
         if e.report is not None:
             _write(out_dir, "fixedpoint.csv", e.report.to_csv())
         return EXIT_NUMERIC
-    _write(out_dir, "slab.csv", u.write_csv)
+    finally:
+        if writer is not None:
+            writer.close()
     _write(out_dir, "fixedpoint.csv", report.to_csv())
-    _manifest(cfg, out_dir, "solve", threads, t0, {"iterations": report.iterations})
+    _manifest(cfg, out_dir, "solve", threads, t0,
+              {"iterations": report.iterations, "slab_writer": usage})
     return EXIT_OK
 
 

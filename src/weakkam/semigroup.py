@@ -80,7 +80,13 @@ def _march(kern: StepKernel, phi: GridField, T: float) -> SpaceTimeField:
 
 
 def fixed_point(
-    kern: StepKernel, phi: GridField, T: float, tol: float = 1e-10, max_iter: int = 60
+    kern: StepKernel,
+    phi: GridField,
+    T: float,
+    tol: float = 1e-10,
+    max_iter: int = 60,
+    out: np.ndarray | None = None,
+    on_slice=None,
 ):
     """Picard iteration u^(k+1) = A[u^(k)] from u^(0) = phi on every slice,
     run as one wavefront.
@@ -94,6 +100,13 @@ def fixed_point(
     n_steps + 1 rows).  The top row is the forward march, the exact fixed
     point, and is the returned field for any tol.
 
+    The field is filled into ``out`` when given, an (n_steps + 1, size)
+    float array such as a slab shared with a writer process, else into a
+    new array.  Slice k is final as soon as the top row reaches it, so
+    ``on_slice(k)``, when given, is called once for each k = 0..n_steps in
+    order, right after slice k is stored: a writer may read slices 0..k
+    then, while the wavefront marches on.
+
     Returns (field, report).  The report ends at the first gap that is 0,
     or below tol when tol > 0, within n_steps + 1 iterations; NumericError
     if that gap comes after max_iter.  For u-independent models the first
@@ -104,8 +117,14 @@ def fixed_point(
     _on_grid(kern, phi, "phi")
     model = kern.model
     n_steps = _horizon_steps(T, kern.dt)
-    out = np.empty((n_steps + 1, phi.grid.size))
+    shape = (n_steps + 1, phi.grid.size)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ConfigurationError(f"out is {out.dtype} {out.shape}, need float64 {shape}")
+    slice_done = on_slice or (lambda k: None)
     out[0] = phi.values
+    slice_done(0)
     rows = np.stack([phi.values, phi.values])  # iterates 0 (stays phi) and 1
     gaps = np.zeros(1)
     for n in range(n_steps):
@@ -115,6 +134,7 @@ def fixed_point(
         rows[1:] = kern.apply(rows[1:], rows[:-1])
         np.maximum(gaps, np.max(np.abs(rows[1:] - rows[:-1]), axis=1), out=gaps)
         out[n + 1] = rows[-1]
+        slice_done(n + 1)
     u = SpaceTimeField(phi.grid, kern.dt, out)
     if model.lipschitz_u == 0.0:
         # the operator does not read the candidate: the first iterate is exact

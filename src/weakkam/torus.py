@@ -250,11 +250,17 @@ class SpaceTimeField:
     def final(self) -> GridField:
         return self.slice(self.n_steps)
 
-    def write_csv(self, fh):
-        """Slab export k,t,j,x,u (d=2: k,t,j,x1,x2,u) to the open text file fh, a slice a write."""
+    def write_csv(self, fh, slices=None):
+        """Slab export k,t,j,x,u (d=2: k,t,j,x1,x2,u) to the open text file fh, a slice a write.
+
+        ``slices`` gives the slice indices in order (default: every slice).
+        It is consumed one index per write, so an iterator that waits until
+        slice k is final lets the export follow a slab still being filled.
+        """
         head, cols = _point_columns(self.grid)
+        ks = range(len(self.values)) if slices is None else slices
         _write_csv(fh, f"k,t,{head}u\n", (
-            (f"{k},{csv_float(k * self.dt)},", cols, row) for k, row in enumerate(self.values)
+            (f"{k},{csv_float(k * self.dt)},", cols, self.values[k]) for k in ks
         ))
 
     def to_csv(self) -> str:

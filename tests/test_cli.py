@@ -1,4 +1,6 @@
+import errno
 import json
+import mmap
 import os
 import sys
 import tracemalloc
@@ -8,9 +10,10 @@ import pytest
 import yaml
 
 import weakkam
-from weakkam import fdoracle, kernels, models
+from weakkam import fdoracle, kernels, models, torus
 from weakkam.cli import _COMMANDS, _check_budget, main
 from weakkam.config import load_config
+from weakkam.errors import NumericError
 from weakkam.semigroup import _march, fixed_point
 
 
@@ -38,6 +41,16 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def with_cpus(monkeypatch, n):
+    """Make this process look as if it may run on n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 def test_solve_writes_artifacts(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.yaml")
     out = tmp_path / "out"
@@ -53,15 +66,89 @@ def test_solve_writes_artifacts(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
-def test_solve_slab_file_is_the_fixed_point_text(tmp_path, dim):
+def test_solve_slab_file_is_the_fixed_point_text(tmp_path, monkeypatch, dim):
+    # two CPUs: a forked process writes the slab while the wavefront marches
+    with_cpus(monkeypatch, 2)
     model = {"dim": 2, "potential": [[1, 0, 1.0], [0, 1, 0.5]]} if dim == 2 else {}
     grid = {"N": 16} if dim == 2 else {}
     cfg_path = write_config(tmp_path / "run.yaml", model=model, grid=grid)
     out = tmp_path / "out"
     assert run(["solve", "--config", cfg_path, "--out", out]) == 0
+    assert_no_child_process()
+    assert sorted(os.listdir(out)) == ["fixedpoint.csv", "manifest.json", "slab.csv"]
     cfg = load_config(cfg_path)
     u, _ = fixed_point(cfg.kernel(), cfg.phi_field(), cfg.T, tol=cfg.tol, max_iter=cfg.max_iter)
     assert (out / "slab.csv").read_bytes() == u.to_csv().encode()
+    writer = json.loads((out / "manifest.json").read_text())["slab_writer"]
+    assert writer["cpu_seconds"] >= 0.0 and writer["max_rss_mb"] > 0.0
+
+
+def _no_affinity_call(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+
+def _fork_fails(monkeypatch):
+    with_cpus(monkeypatch, 2)
+
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def _one_cpu(monkeypatch):
+    with_cpus(monkeypatch, 1)
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [_one_cpu, _no_affinity_call, _fork_fails],
+    ids=["one-cpu", "one-cpu-no-affinity-call", "fork-fails"],
+)
+def test_solve_without_a_writer_process_writes_the_same_bytes(tmp_path, monkeypatch, setup):
+    with_cpus(monkeypatch, 2)
+    cfg = write_config(tmp_path / "run.yaml")
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "forked"]) == 0
+    with monkeypatch.context() as mp:
+        setup(mp)
+        if setup is not _fork_fails:
+            mp.setattr(os, "fork", lambda: pytest.fail("forked with one usable CPU"))
+        assert run(["solve", "--config", cfg, "--out", tmp_path / "here"]) == 0
+    assert_no_child_process()
+    for name in ("slab.csv", "fixedpoint.csv"):
+        assert (tmp_path / "here" / name).read_bytes() == (tmp_path / "forked" / name).read_bytes()
+    assert json.loads((tmp_path / "here" / "manifest.json").read_text())["slab_writer"] is None
+
+
+def test_solve_that_does_not_converge_leaves_only_the_report(tmp_path, monkeypatch, capsys):
+    with_cpus(monkeypatch, 2)
+    cfg_path = write_config(tmp_path / "run.yaml", solver={"T": 1.0, "tol": 0.0, "max_iter": 2})
+    out = tmp_path / "out"
+    assert run(["solve", "--config", cfg_path, "--out", out]) == 3
+    assert_no_child_process()
+    assert "solve: Picard iteration did not reach" in capsys.readouterr().err
+    assert os.listdir(out) == ["fixedpoint.csv"]
+    cfg = load_config(cfg_path)
+    with pytest.raises(NumericError) as err:
+        fixed_point(cfg.kernel(), cfg.phi_field(), cfg.T, tol=cfg.tol, max_iter=cfg.max_iter)
+    assert (out / "fixedpoint.csv").read_text() == err.value.report.to_csv()
+
+
+def test_solve_whose_slab_writer_fails_leaves_no_file(tmp_path, monkeypatch, capsys):
+    with_cpus(monkeypatch, 2)
+
+    def failing_write_csv(fh, head, blocks):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    # the forked writer inherits the patched module
+    monkeypatch.setattr(torus, "_write_csv", failing_write_csv)
+    cfg = write_config(tmp_path / "run.yaml")
+    out = tmp_path / "out"
+    assert run(["solve", "--config", cfg, "--out", out]) == 2
+    assert_no_child_process()
+    assert "slab.csv" in capsys.readouterr().err
+    assert os.listdir(out) == []
 
 
 def test_solve_2d_writes_march_and_certificate(tmp_path):
@@ -318,12 +405,19 @@ def test_horizon_off_the_time_grid_is_rejected_before_output(tmp_path, capsys, c
 
 @pytest.mark.parametrize(
     "command,grid",
-    [("oracle", {"N": 256, "dt": 1.0 / 256}), ("solve", {"N": 512, "dt": 1.0 / 64})],
-    ids=["oracle-N256", "solve-N512"],
+    [
+        ("oracle", {"N": 256, "dt": 1.0 / 256}),
+        ("solve", {"N": 512, "dt": 1.0 / 64}),
+        ("check", {"N": 256, "dt": 1.0 / 512}),
+        ("converge", {"N": 256, "dt": 1.0 / 512}),
+    ],
+    ids=["oracle-N256", "solve-N512", "check-N256", "converge-N256"],
 )
 def test_slab_command_over_budget_is_rejected_before_output(tmp_path, capsys, command, grid):
     # oracle: 2,948 Lax-Friedrichs steps of 65,536 points, 1.44 GiB of slab
-    # alone; solve: 3,209 offsets of 262,144 points, 6.3 GiB of base_cost
+    # alone; solve: 3,209 offsets of 262,144 points, 6.3 GiB of base_cost;
+    # check: five slabs of 513 slices of 65,536 points, 1.3 GiB; converge:
+    # a reporting window of 1,024 steps held three times, 1.5 GiB
     cfg = write_config(
         tmp_path / "run.yaml",
         model={"dim": 2, "potential": [[1, 0, 1.0]]},
@@ -337,36 +431,59 @@ def test_slab_command_over_budget_is_rejected_before_output(tmp_path, capsys, co
 
 def test_benchmark_sized_slab_commands_fit_the_budget(tmp_path):
     # 1-D N=1024 solve (257 slices) and oracle (8,397 steps, a 521 MB CSV),
-    # and the 2-D N=96 oracle at T=0.5 (557 steps, a 408 MB CSV)
+    # the 2-D N=96 oracle and check at T=0.5 (557 steps, a 408 MB CSV), and
+    # converge to t=64 on the 1-D N=512 nonlinear-u config
     one_d = write_config(tmp_path / "a.yaml", grid={"N": 1024, "dt": 1.0 / 256})
     two_d = write_config(
         tmp_path / "b.yaml",
         model={"dim": 2, "potential": [[1, 0, 1.0], [0, 1, 0.5]]},
         grid={"N": 96, "dt": 1.0 / 64, "v_max": 4.0},
-        solver={"T": 0.5},
+        solver={"T": 0.5, "quadrature": "left", "phi": [[1, 1, 0.3]]},
         oracle={"alpha": 5.8},
     )
-    for command, path in (("solve", one_d), ("oracle", one_d), ("oracle", two_d)):
+    longtime = write_config(
+        tmp_path / "c.yaml",
+        model={"family": "quadratic-nonlinear-u", "potential": [[1, 1.0], [2, -0.4]],
+               "f": {"knots_u": [-1.0, 0.0, 1.0], "knots_f": [-2.0, 0.0, 0.5]}},
+        grid={"N": 512, "dt": 1.0 / 32},
+        solver={"quadrature": "exact", "checkpoints": [64.0], "stop_eps": 1e-6},
+    )
+    for command, path in (("solve", one_d), ("oracle", one_d), ("oracle", two_d),
+                          ("check", two_d), ("converge", longtime)):
         _check_budget(command, load_config(path))
 
 
 @pytest.mark.parametrize(
-    "command,overrides",
+    "command,overrides,code",
     [
         # nonlinear u-coupling with T*lambda_L = 8: the Picard wavefront grows to 40 rows
         ("solve", dict(
             model={"family": "quadratic-nonlinear-u", "potential": [[1, 1.0], [2, -0.4]],
                    "f": {"knots_u": [-1.0, 0.0, 1.0], "knots_f": [-2.0, 0.0, 0.5]}},
             grid={"N": 512, "dt": 1.0 / 16}, solver={"T": 4.0, "quadrature": "midpoint"},
-        )),
-        ("action", dict(grid={"N": 256, "dt": 1.0 / 64}, solver={"T": 0.25})),
-        ("oracle", dict(grid={"N": 256, "dt": 1.0 / 64}, solver={"T": 0.25})),
+        ), 0),
+        ("action", dict(grid={"N": 256, "dt": 1.0 / 64}, solver={"T": 0.25}), 0),
+        ("oracle", dict(grid={"N": 256, "dt": 1.0 / 64}, solver={"T": 0.25}), 0),
+        ("check", dict(grid={"N": 1024, "dt": 1.0 / 256}, oracle={"alpha": 4.1},
+                       solver={"T": 0.25, "quadrature": "exact"}), 0),
+        # one reporting window of 512 steps, not settled at t=2
+        ("converge", dict(grid={"N": 512, "dt": 1.0 / 256}, solver={"checkpoints": [2.0]}), 3),
     ],
-    ids=["solve", "action", "oracle"],
+    ids=["solve", "action", "oracle", "check", "converge"],
 )
-def test_budget_estimate_bounds_the_traced_peak(tmp_path, command, overrides):
+def test_budget_estimate_bounds_the_traced_peak(tmp_path, monkeypatch, command, overrides, code):
     # the arrays (0.2-4 MB) outweigh the constant terms here; tracemalloc sees
-    # numpy's buffers and every Python object, so no OS-level measurement is needed
+    # numpy's buffers and every Python object, so no OS-level measurement is
+    # needed, except for solve's shared slab mapping, which is added to the peak
+    mappings = []
+    real_mmap = mmap.mmap
+
+    def recording_mmap(*args, **kwargs):
+        mappings.append(real_mmap(*args, **kwargs))
+        return mappings[-1]
+
+    monkeypatch.setattr(mmap, "mmap", recording_mmap)
+    np.random.default_rng(0)  # check imports numpy.random on first use: code, not data
     cfg = load_config(write_config(tmp_path / "run.yaml", **overrides))
     planned = _check_budget(command, cfg)
     out = tmp_path / "out"
@@ -374,11 +491,11 @@ def test_budget_estimate_bounds_the_traced_peak(tmp_path, command, overrides):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        assert _COMMANDS[command](cfg, str(out), 1) == 0
+        assert _COMMANDS[command](cfg, str(out), 1) == code
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= planned
+    assert peak + sum(map(len, mappings)) <= planned
 
 
 def test_public_api_stays_flat():

@@ -165,6 +165,29 @@ def test_fixed_point_bitwise_stationary_within_step_count():
         assert np.array_equal(_march(kern, phi, T).values, u.values)
 
 
+def test_fixed_point_fills_the_given_slab_and_signals_each_final_slice():
+    x = Grid(1, 64).points()[:, 0]
+    phi = GridField(Grid(1, 64), 0.3 * np.cos(2 * np.pi * x))
+    kern = StepKernel(nonlinear_pendulum(), phi.grid, 1 / 16, 4.0)
+    march = _march(kern, phi, 2.0)
+    out = np.full_like(march.values, np.nan)
+    signalled = []
+
+    def on_slice(k):
+        # slice k is final when signalled; the next is not yet written
+        assert np.array_equal(out[k], march.values[k])
+        assert k == march.n_steps or np.isnan(out[k + 1]).all()
+        signalled.append(k)
+
+    u, report = fixed_point(kern, phi, 2.0, tol=0.0, out=out, on_slice=on_slice)
+    assert signalled == list(range(march.n_steps + 1))
+    assert np.shares_memory(u.values, out)
+    assert report.iterations > 1
+    for bad in (out[1:], out.astype(np.float32)):
+        with pytest.raises(ConfigurationError):
+            fixed_point(kern, phi, 2.0, out=bad)
+
+
 def test_fixed_point_raises_when_budget_too_small():
     m = discounted_pendulum()
     g = Grid(1, 64)
