@@ -48,7 +48,6 @@ from .semigroup import (
     _march,
     check_properties,
     converge,
-    default_block_length,
     extract_calibrated_curve,
     fixed_point,
     weak_kam_residual,
@@ -104,12 +103,10 @@ def _check_budget(command: str, cfg: RunConfig) -> int:
       (iterate 0 and up to n + 1 rows, one if H does not depend on u) with a
       step of its rows.  The slab is one mapping shared with the writer
       process and is counted once; the writer holds the one text block;
-    - ``check`` the kernel's tables, one step of each solver, and five
-      slabs over [0, T]: the march with either the three further marches
-      of ``check_properties`` or the backtrack's operator pass and its
-      residual, and the absolute value of one of them;
-    - ``converge`` the kernel's tables, a step, one reporting window (its
-      slab, the increments and their absolute values) and
+    - ``check`` the kernel's tables, its one slab over [0, T] (the march
+      the backtrack walks), the four rows ``check_properties`` steps
+      together with one step of them, and one Lax-Friedrichs step;
+    - ``converge`` the kernel's tables, its slice and one step of it, and
       ``_HISTORY_BYTES`` per step of its history.
     """
     grid, size = cfg.grid, cfg.grid.size
@@ -128,11 +125,10 @@ def _check_budget(command: str, cfg: RunConfig) -> int:
         planned = (n + 2 + (1 + _KERNEL_COPIES) * rows + tables) * size * 8
     elif command == "check":
         n = _horizon_steps(cfg.T, cfg.dt)
-        planned = (5 * (n + 1) + _KERNEL_COPIES + _LF_COPIES + tables) * size * 8
+        planned = (n + 1 + 4 * (1 + _KERNEL_COPIES) + _LF_COPIES + tables) * size * 8
     elif command == "converge":
-        window = max(1, round(default_block_length(cfg.model) / cfg.dt))
         steps = math.ceil(max(cfg.checkpoints) / cfg.dt) + 1
-        planned = (3 * window + 2 + _KERNEL_COPIES + tables) * size * 8
+        planned = (2 + _KERNEL_COPIES + tables) * size * 8
         planned += steps * _HISTORY_BYTES
         text_rows = max(size, _TABLE_ROWS)
     else:
@@ -398,10 +394,11 @@ def cmd_check(cfg: RunConfig, out_dir: str, threads: int) -> int:
     phi = cfg.phi_field()
     psi = GridField(cfg.grid, phi.values + 0.2 * np.cos(
         2 * np.pi * cfg.grid.points()[:, 0] + 1.0))
-    # one kernel and one march of phi serve every suite below
+    # one kernel serves every suite below; the march of phi is the slab the
+    # backtrack, the match and the cross-solver comparison read
     kern = cfg.kernel()
     u = _march(kern, phi, cfg.T)
-    prop = check_properties(kern, phi, psi, _property_horizons(cfg), phi_march=u)
+    prop = check_properties(kern, phi, psi, _property_horizons(cfg))
     record("semigroup_properties", prop.all_within(2 * max(cfg.tol, 1e-12)),
            f"uniform_bound={prop.uniform_bound!r}")
 

@@ -14,6 +14,13 @@ march u[n+1] = step(u[n], u[n]) from u[0] = phi; every solution path
 marches.  The factorial contraction certificate of Picard iteration (from
 u^(0) = phi on every slice) is computed inside the march: all iterates
 advance together, one batched step per slice, and the top one is the march.
+
+Storage rule: a space-time slab is stored only where a caller reads it
+whole: ``_march`` (the field ``check`` backtracks and matches, and whose
+final slice ``step_T`` returns) and ``fixed_point`` (``solve``'s slab.csv).
+The property battery of ``check_properties``, the fixed-point check of
+``extract_calibrated_curve`` and ``converge`` step rows and reduce each
+slice as it is formed, holding a few slices at a time.
 """
 
 from __future__ import annotations
@@ -181,66 +188,43 @@ class PropertyReport:
         )
 
 
-def check_properties(
-    kern: StepKernel,
-    phi: GridField,
-    psi: GridField,
-    t_list,
-    phi_march: SpaceTimeField | None = None,
-) -> PropertyReport:
+def check_properties(kern: StepKernel, phi: GridField, psi: GridField, t_list) -> PropertyReport:
     """Evaluate monotonicity, non-expansiveness, uniform bound and the
     equi-Lipschitz seminorm of the semigroup stepped by ``kern`` for slices
     with t >= EQUI_LIPSCHITZ_DELTA.
 
     Monotonicity is probed on the ordered pair (phi ^ psi, phi v psi);
-    violations are recorded in the report, never raised.  ``phi_march``,
-    a march of phi by ``kern`` over at least max(t_list), is read in place
-    of marching phi again and gives the same report; a slab on another grid
-    or dt, or whose slice 0 is not phi, is rejected.
+    violations are recorded in the report, never raised.  The four marches
+    advance together, one batched step per slice, and each slice is reduced
+    as it is formed, so no slab is stored.  A horizon that is not a positive
+    multiple of the kernel's dt is rejected with ConfigurationError.
     """
     _on_grid(kern, phi, "phi")
     _on_grid(kern, psi, "psi")
     grid, dt = kern.grid, kern.dt
-    lo = GridField(grid, np.minimum(phi.values, psi.values))
-    hi = GridField(grid, np.maximum(phi.values, psi.values))
-    t_max = max(t_list)
-    if phi_march is None:
-        u_phi = _march(kern, phi, t_max)
-    else:
-        _on_steps(kern, phi_march, "phi_march")
-        if not np.array_equal(phi_march.values[0], phi.values):
-            raise ConfigurationError("phi_march does not start at phi")
-        n = _horizon_steps(t_max, dt)
-        if n > phi_march.n_steps:
-            raise ConfigurationError(
-                f"phi_march has {phi_march.n_steps} steps, fewer than t={t_max:g} needs"
-            )
-        u_phi = SpaceTimeField(grid, dt, phi_march.values[: n + 1])
-    u_psi, u_lo, u_hi = (_march(kern, f, t_max) for f in (psi, lo, hi))
-
+    steps = [_horizon_steps(t, dt) for t in t_list]
+    rows = np.stack([phi.values, psi.values, np.minimum(phi.values, psi.values),
+                     np.maximum(phi.values, psi.values)])
     base_gap = float(np.max(np.abs(phi.values - psi.values)))
-    report = PropertyReport()
     k_min = int(np.ceil(EQUI_LIPSCHITZ_DELTA / dt - 1e-9))
-    equi = 0.0
-    for k in range(k_min, u_phi.n_steps + 1):
-        equi = max(equi, u_phi.slice(k).lipschitz_seminorm(), u_psi.slice(k).lipschitz_seminorm())
-    report.equi_lipschitz = equi
-    report.uniform_bound = max(
-        float(np.max(np.abs(u_phi.values))), float(np.max(np.abs(u_psi.values)))
-    )
-    for t in t_list:
-        k = int(round(t / dt))
-        mono = float(np.max(u_lo.values[k] - u_hi.values[k]))
-        nonexp = float(np.max(np.abs(u_phi.values[k] - u_psi.values[k]))) - base_gap
-        report.entries.append(
-            {
-                "t": float(t),
-                "monotonicity_gap": max(mono, 0.0),
-                "nonexpansive_gap": max(nonexp, 0.0),
-                "sup_norm": float(np.max(np.abs(u_phi.values[k]))),
-                "lipschitz": u_phi.slice(k).lipschitz_seminorm(),
+    report = PropertyReport()
+    at = {}
+    for k in range(max(steps) + 1):
+        if k:
+            rows = kern.apply(rows, rows)
+        report.uniform_bound = max(report.uniform_bound, float(np.max(np.abs(rows[:2]))))
+        if k >= k_min:
+            report.equi_lipschitz = max(
+                report.equi_lipschitz, *(GridField(grid, r).lipschitz_seminorm() for r in rows[:2])
+            )
+        if k in steps:
+            at[k] = {
+                "monotonicity_gap": max(float(np.max(rows[2] - rows[3])), 0.0),
+                "nonexpansive_gap": max(float(np.max(np.abs(rows[0] - rows[1]))) - base_gap, 0.0),
+                "sup_norm": float(np.max(np.abs(rows[0]))),
+                "lipschitz": GridField(grid, rows[0]).lipschitz_seminorm(),
             }
-        )
+    report.entries = [{"t": float(t), **at[k]} for t, k in zip(t_list, steps)]
     return report
 
 
@@ -270,24 +254,26 @@ def extract_calibrated_curve(
 
     Precondition: ``spacetime`` lies on the grid and dt of ``kern`` and is
     a fixed point of its operator, checked by one operator pass
-    w[k+1] = step(w[k], u[k]) from w[0] = u[0]; its residual must stay
-    below FIXED_POINT_TOL.  Either failure raises ConfigurationError.
-    Going back from x_end, each slice forms only the chain
-    destination's candidates over the offsets, from that pass, and takes
-    the smallest start index among those equal to their min: the
-    minimizer ``StepKernel.apply_with_argmin`` gives for that destination.
-    The calibration defect is the bookkeeping identity of the pass along
-    the chain and vanishes to round-off by construction.
+    w[k+1] = step(w[k], u[k]) from w[0] = u[0] whose residual, the running
+    max of |w[k] - u[k]| over the slices, must stay below FIXED_POINT_TOL;
+    the pass holds one slice.  Either failure raises ConfigurationError.
+    Going back from x_end, each slice forms only the chain destination's
+    candidates over the offsets, from the field u, and takes the smallest
+    start index among those equal to their min: the minimizer
+    ``StepKernel.apply_with_argmin`` gives for that destination.  The
+    calibration defect is the bookkeeping identity of u along the chain.
+    On a march by the same kernel w equals u bitwise and the defect is
+    round-off; on any other field that passes, the defect exceeds round-off
+    by at most twice the residual.
     """
     _on_steps(kern, spacetime, "spacetime")
     grid = kern.grid
     n = spacetime.n_steps
     u = spacetime.values
-    w = np.empty_like(u)
-    w[0] = u[0]
+    w, residual = u[0], 0.0
     for k in range(n):
-        w[k + 1] = kern.apply(w[k], u[k])
-    residual = float(np.max(np.abs(w - u)))
+        w = kern.apply(w, u[k])
+        residual = np.maximum(residual, np.max(np.abs(w - u[k + 1])))  # keeps a NaN
     if not residual < FIXED_POINT_TOL:
         raise ConfigurationError(
             f"spacetime is not a fixed point: operator residual {residual:g}"
@@ -304,7 +290,7 @@ def extract_calibrated_curve(
         starts = np.ravel_multi_index(tuple((end - kern.offsets).T), shape, mode="wrap")
         coupling = kern.step_cost(u[k, starts])
         cost = kern.base_cost[:, idx[k + 1]]
-        cand = (w[k, starts] + coupling) + cost
+        cand = (u[k, starts] + coupling) + cost
         idx[k] = starts[cand == cand.min()].min()
         # exact kernel cost of the chosen transition (offsets that wrap onto one start)
         chosen = starts == idx[k]
@@ -312,7 +298,7 @@ def extract_calibrated_curve(
     pts = grid.index_coords(idx)
     vel = periodic_delta(pts[:-1], pts[1:]) / spacetime.dt
     u_along = u[np.arange(n + 1), idx]
-    defects = (w[np.arange(1, n + 1), idx[1:]] - w[np.arange(n), idx[:-1]]) - seg_cost
+    defects = (u_along[1:] - u_along[:-1]) - seg_cost
     return CalibratedCurve(
         dt=spacetime.dt,
         indices=idx,
@@ -396,15 +382,17 @@ def converge(
 ) -> ConvergenceReport:
     """March the semigroup until slice increments settle.
 
-    The march is reported in windows of ``default_block_length``, each
-    continuing from the previous window's final slice.  Stops once every
+    One slice is held: each step records its increment max|next - cur| as
+    it goes.  Windows of ``default_block_length`` group the steps for
+    ``block_increments`` and the stopping rule: the march stops once every
     step increment within a window falls below stop_eps, or flags
     non-convergence at the final checkpoint.
     """
+    _on_grid(kern, phi, "phi")
     model, dt = kern.model, kern.dt
     t_final = max(t_checkpoints)
     block = max(dt, round(default_block_length(model) / dt) * dt)
-    cur = phi
+    cur = phi.values
     t = 0.0
     step_times, step_incs = [], []
     block_times, block_incs = [], []
@@ -412,18 +400,19 @@ def converge(
     while t < t_final - 1e-9:
         span = min(block, t_final - t)
         span = max(dt, round(span / dt) * dt)
-        u = _march(kern, cur, span)
-        incs = np.max(np.abs(np.diff(u.values, axis=0)), axis=1)
-        ts = t + dt * np.arange(1, u.n_steps + 1)
-        step_times.extend(ts.tolist())
-        step_incs.extend(incs.tolist())
+        n_steps = int(round(span / dt))
+        step_times.extend((t + dt * np.arange(1, n_steps + 1)).tolist())
+        for _ in range(n_steps):
+            nxt = kern.apply(cur, cur)
+            step_incs.append(float(np.max(np.abs(nxt - cur))))
+            cur = nxt
         t += span
         block_times.append(t)
-        block_incs.append(float(np.max(incs)))
-        cur = u.final()
+        block_incs.append(float(np.max(step_incs[-n_steps:])))
         if block_incs[-1] < stop_eps:
             converged = True
             break
+    u_inf = GridField(phi.grid, cur)
     tail = block_incs[len(block_incs) // 2 :]
     noninc = all(b <= a + 1e-15 for a, b in zip(tail, tail[1:]))
     return ConvergenceReport(
@@ -431,9 +420,9 @@ def converge(
         step_increments=np.asarray(step_incs),
         block_times=block_times,
         block_increments=block_incs,
-        u_inf=cur,
+        u_inf=u_inf,
         converged=converged,
-        residual=weak_kam_residual(model, cur),
+        residual=weak_kam_residual(model, u_inf),
         tail_nonincreasing=noninc,
     )
 

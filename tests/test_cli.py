@@ -408,16 +408,16 @@ def test_horizon_off_the_time_grid_is_rejected_before_output(tmp_path, capsys, c
     [
         ("oracle", {"N": 256, "dt": 1.0 / 256}),
         ("solve", {"N": 512, "dt": 1.0 / 64}),
-        ("check", {"N": 256, "dt": 1.0 / 512}),
-        ("converge", {"N": 256, "dt": 1.0 / 512}),
+        ("check", {"N": 512, "dt": 1.0 / 1024}),
+        ("converge", {"N": 1024, "dt": 1.0 / 256}),
     ],
-    ids=["oracle-N256", "solve-N512", "check-N256", "converge-N256"],
+    ids=["oracle-N256", "solve-N512", "check-N512", "converge-N1024"],
 )
 def test_slab_command_over_budget_is_rejected_before_output(tmp_path, capsys, command, grid):
     # oracle: 2,948 Lax-Friedrichs steps of 65,536 points, 1.44 GiB of slab
     # alone; solve: 3,209 offsets of 262,144 points, 6.3 GiB of base_cost;
-    # check: five slabs of 513 slices of 65,536 points, 1.3 GiB; converge:
-    # a reporting window of 1,024 steps held three times, 1.5 GiB
+    # check: its one slab of 1,025 slices of 262,144 points, 2.0 GiB;
+    # converge: 797 offsets of 1,048,576 points, 6.7 GB of base_cost
     cfg = write_config(
         tmp_path / "run.yaml",
         model={"dim": 2, "potential": [[1, 0, 1.0]]},

@@ -8,7 +8,10 @@ from weakkam.errors import ConfigurationError, NumericError
 from weakkam.kernels import StepKernel
 from weakkam.models import HamiltonianModel, PiecewiseLinearMap, TrigPotential
 from weakkam.semigroup import (
+    EQUI_LIPSCHITZ_DELTA,
+    FIXED_POINT_TOL,
     FixedPointReport,
+    PropertyReport,
     _march,
     check_Ltilde,
     check_properties,
@@ -442,22 +445,142 @@ def test_separable_2d_march_is_sum_of_1d_marches():
     assert np.max(np.abs(u2 - summed)) <= 1e-13
 
 
-def test_check_properties_reads_shared_kernel_and_march():
-    m = nonlinear_pendulum()
-    g = Grid(1, 64)
-    dt, v_max = 1.0 / 16, 4.0
+def properties_reference(kern, phi, psi, t_list):
+    """The property battery over four stored marches and whole-slab
+    reductions: the reference for ``check_properties``."""
+    grid, dt = kern.grid, kern.dt
+    lo = GridField(grid, np.minimum(phi.values, psi.values))
+    hi = GridField(grid, np.maximum(phi.values, psi.values))
+    u_phi, u_psi, u_lo, u_hi = (_march(kern, f, max(t_list)) for f in (phi, psi, lo, hi))
+    base_gap = float(np.max(np.abs(phi.values - psi.values)))
+    report = PropertyReport()
+    k_min = int(np.ceil(EQUI_LIPSCHITZ_DELTA / dt - 1e-9))
+    equi = 0.0
+    for k in range(k_min, u_phi.n_steps + 1):
+        equi = max(equi, u_phi.slice(k).lipschitz_seminorm(), u_psi.slice(k).lipschitz_seminorm())
+    report.equi_lipschitz = equi
+    report.uniform_bound = max(
+        float(np.max(np.abs(u_phi.values))), float(np.max(np.abs(u_psi.values)))
+    )
+    for t in t_list:
+        k = int(round(t / dt))
+        mono = float(np.max(u_lo.values[k] - u_hi.values[k]))
+        nonexp = float(np.max(np.abs(u_phi.values[k] - u_psi.values[k]))) - base_gap
+        report.entries.append(
+            {
+                "t": float(t),
+                "monotonicity_gap": max(mono, 0.0),
+                "nonexpansive_gap": max(nonexp, 0.0),
+                "sup_norm": float(np.max(np.abs(u_phi.values[k]))),
+                "lipschitz": u_phi.slice(k).lipschitz_seminorm(),
+            }
+        )
+    return report
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d-nonlinear-exact", "2d-left"])
+def test_check_properties_equals_slab_reference(dim):
+    # the four marches step as one batch of rows and are reduced slice by slice
+    if dim == 1:
+        g, m, quadrature = Grid(1, 64), nonlinear_pendulum(), "exact"
+        x = g.points()[:, 0]
+        phi = GridField(g, 0.3 * np.sin(2 * np.pi * x))
+        psi = GridField(g, 0.2 * np.cos(4 * np.pi * x))
+    else:
+        g, m, quadrature = Grid(2, 24), discounted_2d(), "left"
+        x = g.points()
+        phi = GridField(g, 0.3 * np.cos(2 * np.pi * (x @ [1.0, 1.0])))
+        psi = GridField(g, 0.2 * np.sin(2 * np.pi * x[:, 0]) - 0.1)
+    kern = StepKernel(m, g, 1.0 / 16, 4.0, quadrature)
+    t_list = [1.0, 0.5]
+    report = check_properties(kern, phi, psi, t_list)
+    assert repr(report) == repr(properties_reference(kern, phi, psi, t_list))
+    assert [e["t"] for e in report.entries] == t_list
+
+
+def test_check_properties_rejects_a_horizon_off_the_time_grid():
+    # at dt = 1/8 the horizon 0.3 has no slice: it must not be reported as t = 0.25
+    g = Grid(1, 32)
     x = g.points()[:, 0]
     phi = GridField(g, 0.3 * np.sin(2 * np.pi * x))
-    psi = GridField(g, 0.2 * np.cos(4 * np.pi * x))
-    kern = StepKernel(m, g, dt, v_max, "exact")
-    # the march runs past max(t_list): only its prefix may enter the report
-    u = _march(kern, phi, 1.5)
-    plain = check_properties(kern, phi, psi, [0.5, 1.0])
-    shared = check_properties(kern, phi, psi, [0.5, 1.0], phi_march=u)
-    assert repr(shared) == repr(plain)
-    short = _march(kern, phi, 0.5)
-    with pytest.raises(ConfigurationError, match="phi_march"):
-        check_properties(kern, phi, psi, [0.5, 1.0], phi_march=short)
+    kern = StepKernel(discounted_pendulum(), g, 1.0 / 8, 4.0)
+    with pytest.raises(ConfigurationError, match="T=0.3 is not a positive multiple"):
+        check_properties(kern, phi, GridField(g, np.zeros(g.size)), [0.3, 1.0])
+
+
+def test_fixed_point_check_is_not_loosened():
+    # one interior point of one slice raised above the march: the running
+    # residual sees it at its full size, and the defect along a chain
+    # through it stays within twice that
+    g = Grid(1, 64)
+    dt = 1.0 / 16
+    kern = StepKernel(discounted_pendulum(), g, dt, 4.0)
+    u = _march(kern, GridField(g, 0.3 * np.sin(2 * np.pi * g.points()[:, 0])), 1.0)
+    x_end, j = 20, 8
+    chain = extract_calibrated_curve(kern, u, x_end).indices
+
+    def raised(by):
+        vals = u.values.copy()
+        vals[j, chain[j]] += by
+        return SpaceTimeField(g, dt, vals)
+
+    with pytest.raises(ConfigurationError, match="not a fixed point: operator residual 1e-07"):
+        extract_calibrated_curve(kern, raised(10 * FIXED_POINT_TOL), x_end)
+    small = FIXED_POINT_TOL / 10
+    curve = extract_calibrated_curve(kern, raised(small), x_end)
+    assert curve.max_defect() <= 2 * small
+    assert curve.max_defect() >= small / 2  # the defects read the raised field
+
+
+def converge_reference(kern, phi, t_final, stop_eps):
+    """Each window of default_block_length a stored march from the previous
+    window's final slice; its increments from the whole slab.  Returns the
+    step increments, the window maxima and the final slice."""
+    dt = kern.dt
+    block = max(dt, round(default_block_length(kern.model) / dt) * dt)
+    cur, t, incs, block_incs = phi, 0.0, [], []
+    while t < t_final - 1e-9:
+        span = max(dt, round(min(block, t_final - t) / dt) * dt)
+        u = _march(kern, cur, span)
+        window = np.max(np.abs(np.diff(u.values, axis=0)), axis=1)
+        incs.extend(window.tolist())
+        block_incs.append(float(np.max(window)))
+        t += span
+        cur = u.final()
+        if block_incs[-1] < stop_eps:
+            break
+    return np.asarray(incs), block_incs, cur
+
+
+@pytest.mark.parametrize(
+    "case", ["mechanical-1d-stops", "discounted-1d", "mechanical-2d", "discounted-2d"]
+)
+def test_converge_equals_windowed_marches(case):
+    g1, g2 = Grid(1, 64), Grid(2, 16)
+    x1, x2 = g1.points()[:, 0], g2.points()
+    mech_2d = HamiltonianModel(
+        "quadratic-mechanical", dim=2, potential=TrigPotential(2, (((1, 0), 1.0), ((1, 1), 0.3)))
+    )
+    model, phi, quadrature, t_final, stop_eps = {
+        "mechanical-1d-stops": (pendulum_normalized(), GridField(g1, 0.3 * np.sin(2 * np.pi * x1)),
+                                "exact", 40.0, 1e-9),
+        # the last window is cut to the 1.0 left before the checkpoint
+        "discounted-1d": (discounted_pendulum(), GridField(g1, 0.3 * np.cos(2 * np.pi * x1)),
+                          "left", 5.0, 1e-12),
+        "mechanical-2d": (mech_2d, GridField(g2, 0.3 * np.cos(2 * np.pi * x2.sum(axis=1))),
+                          "left", 6.0, 1e-12),
+        "discounted-2d": (discounted_2d(), GridField(g2, 0.2 * np.sin(2 * np.pi * x2[:, 1])),
+                          "midpoint", 3.0, 1e-12),
+    }[case]
+    kern = StepKernel(model, phi.grid, 1.0 / 16, 4.0, quadrature)
+    report = converge(kern, phi, t_checkpoints=(t_final,), stop_eps=stop_eps)
+    incs, block_incs, u_inf = converge_reference(kern, phi, t_final, stop_eps)
+    assert np.array_equal(report.step_increments, incs)
+    assert report.block_increments == block_incs
+    assert np.array_equal(report.u_inf.values, u_inf.values)
+    assert report.step_times.size == incs.size
+    stopped = report.step_times[-1] < t_final - 1e-9
+    assert report.converged == stopped == (case == "mechanical-1d-stops")
 
 
 def test_calibrated_curve_requires_fixed_point():
@@ -493,7 +616,6 @@ def test_slab_of_another_dt_or_datum_is_rejected():
     g = Grid(1, 64)
     x = g.points()[:, 0]
     phi = GridField(g, 0.3 * np.sin(2 * np.pi * x))
-    psi = GridField(g, 0.2 * np.cos(2 * np.pi * x))
     coarse = StepKernel(m, g, 1.0 / 16, 4.0)
     fine = StepKernel(m, g, 1.0 / 32, 4.0)
     u = _march(coarse, phi, 0.5)
@@ -501,10 +623,6 @@ def test_slab_of_another_dt_or_datum_is_rejected():
     extract_calibrated_curve(coarse, u, x_end=5)
     with pytest.raises(ConfigurationError, match="dt=0.0625, the kernel dt=0.03125"):
         extract_calibrated_curve(fine, u, x_end=5)
-    with pytest.raises(ConfigurationError, match="phi_march has dt"):
-        check_properties(fine, phi, psi, [0.5], phi_march=u)
-    with pytest.raises(ConfigurationError, match="phi_march does not start at phi"):
-        check_properties(coarse, phi, psi, [0.5], phi_march=_march(coarse, psi, 0.5))
 
 
 def test_report_csv_headers():
