@@ -6,7 +6,8 @@ programming semigroup, solved by the explicit forward march that is the
 exact fixed point of the path-infimum operator, with the Picard iterates'
 contraction certificate computed in the same march, and a monotone
 Lax-Friedrichs finite-difference oracle.  Around them sit minimal action
-tables, critical-value estimation, characteristic flows and the diagnostic
+tables, the discrete critical value (exact, by Howard policy iteration,
+with a certifying residual), characteristic flows and the diagnostic
 battery tying them together.
 """
 

@@ -5,8 +5,10 @@ The minimal action table h_t(x_i, x_j) is computed by dynamic programming
 over time slices with straight-segment costs; tables for longer horizons
 are obtained by exact min-plus composition.  The discrete critical value
 needs no table: -c*dt is the minimum cycle mean of the one-step DP graph,
-which Karp's formula gives exactly from grid.size steps of the vector
-kernel.
+which Howard policy iteration gives exactly from the kernel's per-offset
+costs and start indices, with a bias v and the critical cycles.  For a
+u-independent model v is a discrete weak KAM solution, and the critical
+cycles of the final policy form a discrete Aubry set.
 
 Every entry point takes the discretization as one ``StepKernel`` and reads
 the model, grid, dt, v_max and quadrature from it.  An ``ActionTable``
@@ -20,9 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericError
 from .kernels import StepKernel, min_plus_product
 from .torus import _horizon_steps, _write_csv, csv_float
+
+# policy iterations critical_value runs before it raises NumericError
+_MAX_POLICY_ITERATIONS = 1000
+# a node changes its start on the bias only if that gains more than this
+# fraction of max(1, max|v|)
+_IMPROVEMENT_RTOL = 1e-12
 
 
 @dataclass
@@ -58,8 +66,13 @@ class ActionTable:
 
 @dataclass
 class CriticalValueResult:
+    """The critical value c at level a, with the policy iterations that found
+    it and the eigen-equation residual that certifies it."""
+
     a: float
     c: float
+    iterations: int
+    residual: float
 
     def to_csv(self) -> str:
         return f"a,c\n{csv_float(self.a)},{csv_float(self.c)}\n"
@@ -87,37 +100,123 @@ def min_action(kern: StepKernel, a: float, t: float) -> ActionTable:
     return ActionTable(kern, a, t, w)
 
 
-def _min_cycle_mean(kern: StepKernel, a: float) -> float:
-    """Minimum mean step cost over the cycles of the DP graph at level a.
+def _evaluate(policy: np.ndarray, cost: np.ndarray, v_prev: np.ndarray):
+    """Cycle means and bias of a functional policy graph, by pointer doubling.
 
-    Karp's formula with every vertex a source: D_k(x) is the cheapest
-    k-step path ending at x, and the mean is
-    min_x max_{k<n} (D_n(x) - D_k(x)) / (n - k) with n = grid.size.
+    Node x steps back to policy[x] at cost[x].  The chain x, policy[x], ...
+    reaches a cycle, whose root is its smallest index.  Returns (eta, v):
+    eta[x] is the mean cost of that cycle, and v the bias solving
+    v(x) = v(policy[x]) + cost[x] - eta[x] with v(root) = v_prev(root).
+    """
+    n = policy.size
+    depth = (n - 1).bit_length()  # 2**depth >= n: every chain is on its cycle by then
+    # after the loop jump = policy^(2**depth), a node on the cycle, and low[x]
+    # is the least index among the first 2**depth nodes of x's chain
+    jump, low = policy, np.arange(n)
+    for _ in range(depth):
+        np.minimum(low, low[jump], out=low)
+        jump = jump[jump]
+    root = low[jump]
+    on_cycle = np.zeros(n, dtype=bool)
+    on_cycle[jump] = True
+    ids = root[on_cycle]
+    sums = np.bincount(ids, weights=cost[on_cycle], minlength=n)
+    eta = sums[root] / np.bincount(ids, minlength=n)[root]
+    # sum cost - eta along each chain up to its root, which is cut to a fixed point
+    acc = cost - eta
+    nxt = policy.copy()
+    roots = np.flatnonzero(root == np.arange(n))
+    acc[roots] = 0.0
+    nxt[roots] = roots
+    for _ in range(depth):
+        acc += acc[nxt]
+        nxt = nxt[nxt]
+    return eta, acc + v_prev[root]
+
+
+def _best_starts(kern: StepKernel, starts: np.ndarray, shift: float, eta: np.ndarray,
+                 v: np.ndarray):
+    """Per destination x, the start y of least eta(y), then least v(y) + cost(y, x).
+
+    Returns (best_eta, best_val, best_k, lowest): that start's eta and
+    v(y) + cost(y, x), its offset index (ties to the first offset), and
+    min_y v(y) + cost(y, x) over every start.  Candidates are formed in the
+    kernel's offset blocks; cost(y, x) is base_cost + shift.
     """
     n = kern.grid.size
-    level = np.full(n, a)
-    d = np.empty((n + 1, n))
-    d[0] = 0.0
-    for k in range(n):
-        d[k + 1] = kern.apply(d[k], level)
-    # running max over k in place: no n x n temporary beside d
-    best = (d[n] - d[0]) / n
-    ratio = np.empty(n)
-    for k in range(1, n):
-        np.subtract(d[n], d[k], out=ratio)
-        ratio /= n - k
-        np.maximum(best, ratio, out=best)
-    return float(np.min(best))
+    nodes = np.arange(n)
+    best_eta = np.full(n, np.inf)
+    best_val = np.full(n, np.inf)
+    best_k = np.zeros(n, dtype=np.intp)
+    lowest = np.full(n, np.inf)
+    for blk in kern._blocks(1):
+        s = starts[blk]
+        val = kern.base_cost[blk] + shift
+        val += v[s]
+        np.minimum(lowest, val.min(axis=0), out=lowest)
+        e = eta[s]
+        blk_eta = e.min(axis=0)
+        val[e > blk_eta] = np.inf
+        k = val.argmin(axis=0)
+        blk_val = val[k, nodes]
+        better = (blk_eta < best_eta) | ((blk_eta == best_eta) & (blk_val < best_val))
+        best_eta[better] = blk_eta[better]
+        best_val[better] = blk_val[better]
+        best_k[better] = k[better] + blk.start
+    return best_eta, best_val, best_k, lowest
+
+
+def _policy_iteration(kern: StepKernel, a: float):
+    """Howard policy iteration for the minimum cycle mean of the DP graph at level a.
+
+    A policy picks one start per destination, so its graph is functional.
+    Each iteration evaluates the policy (``_evaluate``) and improves it
+    (``_best_starts``): nodes whose best start has a smaller cycle mean eta
+    move to it; if there are none, nodes move to the start of least
+    v(y) + cost(y, x) - eta among the eta-optimal ones, when that gains more
+    than ``_IMPROVEMENT_RTOL`` of max(1, max|v|).  It stops when no node
+    moves.  Edge costs are base_cost + step_cost(a).
+
+    Returns (policy, eta, v, iterations, residual), where residual is
+    max_x |min_y (v(y) + cost(y, x)) - v(x) - eta(x)| of the final policy.
+    Raises NumericError after ``_MAX_POLICY_ITERATIONS`` iterations.
+    """
+    n = kern.grid.size
+    nodes = np.arange(n)
+    starts = kern.start_index
+    shift = float(kern.step_cost(np.full(1, a))[0])
+    v = np.zeros(n)
+    # with eta and v equal everywhere, the best start is the cheapest step into each node
+    choice = _best_starts(kern, starts, shift, v, v)[2]
+    for iteration in range(1, _MAX_POLICY_ITERATIONS + 1):
+        policy = starts[choice, nodes]
+        eta, v = _evaluate(policy, kern.base_cost[choice, nodes] + shift, v)
+        best_eta, best_val, best_k, lowest = _best_starts(kern, starts, shift, eta, v)
+        move = best_eta < eta
+        if not move.any():
+            tol = _IMPROVEMENT_RTOL * max(1.0, float(np.max(np.abs(v))))
+            move = best_val - eta < v - tol
+            if not move.any():
+                residual = float(np.max(np.abs(lowest - v - eta)))
+                return policy, eta, v, iteration, residual
+        choice[move] = best_k[move]
+    raise NumericError(
+        f"policy iteration did not converge in {_MAX_POLICY_ITERATIONS} iterations"
+    )
 
 
 def critical_value(kern: StepKernel, a: float) -> CriticalValueResult:
     """The discrete critical value c = -(minimum cycle mean)/dt at level a.
 
     It is the exact limit of -min_x h_T(x,x)/T on the grid, computed
-    without action tables.
+    without action tables by Howard policy iteration (``_policy_iteration``).
+    The result carries the iteration count and the eigen-equation residual
+    r: summed around any cycle of the DP graph, the final bias shows that
+    every cycle mean is at least -c*dt - r.
     """
-    c = -_min_cycle_mean(kern, a) / kern.dt
-    return CriticalValueResult(a=a, c=c + 0.0)  # + 0.0 turns -0.0 into +0.0
+    _, eta, _, iterations, residual = _policy_iteration(kern, a)
+    c = -float(np.min(eta)) / kern.dt + 0.0  # + 0.0 turns -0.0 into +0.0
+    return CriticalValueResult(a=a, c=c, iterations=iterations, residual=residual)
 
 
 def peierls_barrier(kern: StepKernel, a: float, c: float, t_list):

@@ -68,6 +68,10 @@ _KERNEL_COPIES, _LF_COPIES, _ROW_BYTES = 8, 16, 512
 # the bytes converge keeps per step of its history: two Python floats in lists,
 # their two arrays and the stacked table converge writes
 _HISTORY_BYTES = 128
+# beside the kernel's tables and its start indices, critical's policy iteration
+# holds size-length vectors and temporaries of its candidate blocks of
+# _BLOCK_ELEMENTS (measured: at most 3.5 blocks where the vectors are negligible)
+_POLICY_VECTORS, _POLICY_BLOCKS = 32, 4
 
 
 def _property_horizons(cfg: RunConfig) -> list:
@@ -96,7 +100,9 @@ def _check_budget(command: str, cfg: RunConfig) -> int:
     (kernel) or ``_LF_COPIES`` (Lax-Friedrichs) slices.  A kernel's tables
     are its n_offsets*size ``base_cost`` and, on 2-D "left", a padded start
     cost of at most 4*size.
-    - ``critical`` holds Karp's (size + 1) x size D_k;
+    - ``critical`` the kernel's tables, the n_offsets*size start indices
+      policy iteration reads, ``_POLICY_VECTORS`` size-length vectors and
+      ``_POLICY_BLOCKS`` candidate blocks;
     - ``action`` its table and a step of its size rows;
     - ``oracle`` its slab over ``T_fd`` and a step;
     - ``solve`` its slab, the kernel's tables and the Picard wavefront
@@ -111,10 +117,12 @@ def _check_budget(command: str, cfg: RunConfig) -> int:
     """
     grid, size = cfg.grid, cfg.grid.size
     text_rows = size
-    if command in ("solve", "check", "converge"):
-        tables = len(stencil_offsets(grid, cfg.v_max, cfg.dt)) + 4
+    if command in ("solve", "check", "converge", "critical"):
+        offsets = len(stencil_offsets(grid, cfg.v_max, cfg.dt))
+        tables = offsets + 4
     if command == "critical":
-        planned = (size + 1) * size * 8
+        planned = (tables + offsets + _POLICY_VECTORS) * size * 8
+        planned += _POLICY_BLOCKS * _BLOCK_ELEMENTS * 8
     elif command == "action":
         planned = (1 + _KERNEL_COPIES) * size * size * 8
     elif command == "oracle":
@@ -328,10 +336,17 @@ def cmd_converge(cfg: RunConfig, out_dir: str, threads: int) -> int:
 
 
 def cmd_critical(cfg: RunConfig, out_dir: str, threads: int) -> int:
+    """critical.csv with the one row a,c; the manifest adds c, the policy
+    iterations and the eigen-equation residual that certifies c."""
     t0 = time.perf_counter()
-    res = critical_value(cfg.kernel(), cfg.a)
+    try:
+        res = critical_value(cfg.kernel(), cfg.a)
+    except NumericError as e:
+        print(f"critical: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
     _write(out_dir, "critical.csv", res.to_csv())
-    _manifest(cfg, out_dir, "critical", threads, t0, {"c": res.c})
+    _manifest(cfg, out_dir, "critical", threads, t0,
+              {"c": res.c, "iterations": res.iterations, "residual": res.residual})
     print(f"critical value estimate: {res.c!r}")
     return EXIT_OK
 

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import yaml
 
+from test_action import assert_matches_karp
 from weakkam.action import critical_value
 from weakkam.characteristics import (
     CharacteristicState,
@@ -170,13 +171,15 @@ def test_criterion_6_critical_value(capsys):
     pend3 = HamiltonianModel(
         "quadratic-mechanical", potential=TrigPotential(1, (((1,), 3.0),))
     )
-    c0 = critical_value(StepKernel(free, g, 1.0 / 16, 2.0), 0.0).c
-    c1 = critical_value(StepKernel(pend, g, 1.0 / 16, 4.0), 0.0).c
-    c3 = critical_value(StepKernel(pend3, g, 1.0 / 16, 6.0), 0.0).c
+    kernels = [StepKernel(free, g, 1.0 / 16, 2.0), StepKernel(pend, g, 1.0 / 16, 4.0),
+               StepKernel(pend3, g, 1.0 / 16, 6.0)]
+    c0, c1, c3 = (critical_value(kern, 0.0).c for kern in kernels)
     ok = abs(c0) <= 1e-3 and abs(c1 - 1.0) <= 2e-2 and abs(c3 - 3.0) <= 6e-2
     report(capsys, 6, "critical values", ok,
            f"free={c0:.2e}, pendulum={c1:.4f}, scaled={c3:.4f}")
     assert ok
+    for kern, c in zip(kernels, (c0, c1, c3)):
+        assert_matches_karp(kern, 0.0, c)
 
 
 def test_criterion_7_long_time_convergence(capsys):

@@ -4,17 +4,54 @@ import math
 import numpy as np
 import pytest
 
+from weakkam import action
 from weakkam.action import (
-    _min_cycle_mean,
+    _policy_iteration,
     critical_value,
     discretization_slack,
     min_action,
     peierls_barrier,
 )
-from weakkam.errors import ConfigurationError
+from weakkam.errors import ConfigurationError, NumericError
 from weakkam.kernels import StepKernel
 from weakkam.models import HamiltonianModel, TrigPotential, eval_H
-from weakkam.torus import Grid, periodic_distance
+from weakkam.semigroup import converge
+from weakkam.torus import Grid, GridField, periodic_distance
+
+
+def karp_min_cycle_mean(kern, a):
+    """Minimum mean step cost over the cycles of the DP graph at level a.
+
+    Karp's formula with every vertex a source: D_k(x) is the cheapest
+    k-step path ending at x, and the mean is
+    min_x max_{k<n} (D_n(x) - D_k(x)) / (n - k) with n = grid.size.  It
+    takes grid.size kernel steps and holds (size + 1) x size D_k; it is the
+    oracle of the policy iteration in ``critical_value``.
+    """
+    n = kern.grid.size
+    level = np.full(n, a)
+    d = np.empty((n + 1, n))
+    d[0] = 0.0
+    for k in range(n):
+        d[k + 1] = kern.apply(d[k], level)
+    best = (d[n] - d[0]) / n
+    for k in range(1, n):
+        np.maximum(best, (d[n] - d[k]) / (n - k), out=best)
+    return float(np.min(best))
+
+
+def assert_matches_karp(kern, a, c):
+    """c is within 1e-12 of the critical value by Karp's formula."""
+    assert abs(c + karp_min_cycle_mean(kern, a) / kern.dt) <= 1e-12
+
+
+def critical_cycles(policy, eta):
+    """The nodes on the cycles of the policy graph whose mean is the least eta."""
+    ends = np.arange(policy.size)
+    for _ in range(policy.size):
+        ends = policy[ends]
+    on_cycle = np.unique(ends)
+    return on_cycle[eta[on_cycle] == np.min(eta)]
 
 
 def free_model(dim=1):
@@ -124,13 +161,19 @@ def test_table_symmetry_for_even_potential():
 def test_critical_value_free_pendulum_scaled():
     g = Grid(1, 128)
     dt = 1.0 / 16
-    c0 = critical_value(StepKernel(free_model(), g, dt, 2.0), 0.0).c
+    free = StepKernel(free_model(), g, dt, 2.0)
+    c0 = critical_value(free, 0.0).c
     assert c0 == pytest.approx(0.0, abs=1e-3)
     assert math.copysign(1.0, c0) == 1.0
-    res = critical_value(StepKernel(pendulum(), g, dt, 4.0), 0.0)
-    assert res.c == pytest.approx(1.0, abs=2e-2)
-    res3 = critical_value(StepKernel(pendulum(3.0), g, dt, 6.0), 0.0)
-    assert res3.c == pytest.approx(3.0, abs=6e-2)
+    assert_matches_karp(free, 0.0, c0)
+    for amp, v_max, tol in ((1.0, 4.0, 2e-2), (3.0, 6.0, 6e-2)):
+        kern = StepKernel(pendulum(amp), g, dt, v_max)
+        res = critical_value(kern, 0.0)
+        assert res.c == pytest.approx(amp, abs=tol)
+        assert_matches_karp(kern, 0.0, res.c)
+        # the eigen-equation residual certifies c: every cycle mean is at
+        # least -c*dt - residual
+        assert res.iterations >= 1 and 0.0 <= res.residual <= 1e-12
 
 
 def test_critical_value_invariant_under_constant_shift():
@@ -140,9 +183,12 @@ def test_critical_value_invariant_under_constant_shift():
         "quadratic-mechanical",
         potential=TrigPotential(1, (((1,), 1.0), ((0,), 0.5))),
     )
-    c0 = critical_value(StepKernel(m, g, 1.0 / 16, 4.0), 0.0).c
-    c1 = critical_value(StepKernel(shifted, g, 1.0 / 16, 4.0), 0.0).c
+    kern0, kern1 = StepKernel(m, g, 1.0 / 16, 4.0), StepKernel(shifted, g, 1.0 / 16, 4.0)
+    c0 = critical_value(kern0, 0.0).c
+    c1 = critical_value(kern1, 0.0).c
     assert c1 - 0.5 == pytest.approx(c0, abs=2e-8)
+    assert_matches_karp(kern0, 0.0, c0)
+    assert_matches_karp(kern1, 0.0, c1)
 
 
 @pytest.mark.parametrize(
@@ -175,14 +221,18 @@ def test_min_cycle_mean_matches_brute_force(grid, quadrature, inject):
         if inject:
             shift = float(kern.step_cost(np.full(1, a))[0])
             assert brute < float(np.min(kern.base_cost[rest])) + shift
-        assert _min_cycle_mean(kern, a) == pytest.approx(brute, abs=1e-12)
-        # bitwise equal to Karp's formula over the whole ratio array at once
+        res = critical_value(kern, a)
+        assert -res.c * kern.dt == pytest.approx(brute, abs=1e-12)
+        assert res.residual <= 1e-12
+        assert karp_min_cycle_mean(kern, a) == pytest.approx(brute, abs=1e-12)
+        assert_matches_karp(kern, a, res.c)
+        # the Karp oracle is bitwise equal to its formula over the whole ratio array at once
         n = grid.size
         d = np.zeros((n + 1, n))
         for k in range(n):
             d[k + 1] = kern.apply(d[k], np.full(n, a))
         ratios = (d[n] - d[:n]) / (n - np.arange(n))[:, None]
-        assert _min_cycle_mean(kern, a) == float(np.min(np.max(ratios, axis=0)))
+        assert karp_min_cycle_mean(kern, a) == float(np.min(np.max(ratios, axis=0)))
 
 
 def test_normalize_shifts_and_zeroes_critical_value():
@@ -190,8 +240,68 @@ def test_normalize_shifts_and_zeroes_critical_value():
     mc = m.normalized(1.0)
     assert eval_H(mc, [0.2], 0.0, [0.3]) == pytest.approx(eval_H(m, [0.2], 0.0, [0.3]) - 1.0)
     g = Grid(1, 128)
-    assert critical_value(StepKernel(mc, g, 1.0 / 16, 4.0), 0.0).c == pytest.approx(0.0, abs=2e-2)
+    kern = StepKernel(mc, g, 1.0 / 16, 4.0)
+    c = critical_value(kern, 0.0).c
+    assert c == pytest.approx(0.0, abs=2e-2)
+    assert_matches_karp(kern, 0.0, c)
     assert m.normalized(0.0) == m
+
+
+def test_policy_iteration_cap_raises_numeric_error(monkeypatch):
+    # the first policy rests at every node; it is not optimal under a potential
+    monkeypatch.setattr(action, "_MAX_POLICY_ITERATIONS", 1)
+    with pytest.raises(NumericError, match="did not converge in 1 iterations"):
+        critical_value(StepKernel(pendulum(), Grid(1, 64), 1.0 / 16, 4.0), 0.0)
+
+
+def test_bias_is_the_weak_kam_solution_on_the_aubry_point():
+    # V = cos(2 pi x): the one critical cycle is the rest step at x = 0,
+    # argmax V; for a u-independent model the bias v solves the discrete
+    # eigen-equation, as the long-time limit of the normalized semigroup
+    # does, and with a single static class the two agree up to a constant
+    g = Grid(1, 256)
+    kern = StepKernel(pendulum(), g, 1.0 / 16, 4.0, "exact")
+    policy, eta, v, _, residual = _policy_iteration(kern, 0.0)
+    assert critical_cycles(policy, eta).tolist() == [0]
+    assert residual <= 1e-12
+    c = critical_value(kern, 0.0).c
+    normalized = StepKernel(pendulum().normalized(c), g, 1.0 / 16, 4.0, "exact")
+    rep = converge(normalized, GridField(g, np.zeros(g.size)), (200.0,), stop_eps=1e-14)
+    assert rep.converged
+    u_inf = rep.u_inf.values
+    assert np.max(np.abs((v - v.mean()) - (u_inf - u_inf.mean()))) <= 1e-12
+
+
+def test_critical_cycles_sit_at_both_maxima_of_a_double_well():
+    # V = cos(2 pi x) - 0.4 cos(4 pi x) has two maxima, at x = 0.1406 and
+    # 0.8594 (grid points 36 and 220 of 256): two static classes
+    g = Grid(1, 256)
+    model = HamiltonianModel(
+        "quadratic-mechanical", potential=TrigPotential(1, (((1,), 1.0), ((2,), -0.4)))
+    )
+    kern = StepKernel(model, g, 1.0 / 16, 4.0, "exact")
+    policy, eta, _, _, residual = _policy_iteration(kern, 0.0)
+    cycles = critical_cycles(policy, eta)
+    potential = model.potential(g.points())
+    assert cycles.tolist() == np.flatnonzero(potential == np.max(potential)).tolist()
+    assert g.points()[cycles, 0] == pytest.approx([0.140625, 0.859375])
+    assert residual <= 1e-12
+    assert_matches_karp(kern, 0.0, critical_value(kern, 0.0).c)
+
+
+def test_critical_cycle_2d_is_the_maximum_of_the_potential():
+    g = Grid(2, 24)
+    model = HamiltonianModel(
+        "quadratic-mechanical", dim=2,
+        potential=TrigPotential(2, (((1, 0), 1.0), ((0, 1), 0.5))),
+    )
+    kern = StepKernel(model, g, 1.0 / 16, 4.0, "exact")
+    policy, eta, _, _, residual = _policy_iteration(kern, 0.0)
+    potential = model.potential(g.points())
+    assert critical_cycles(policy, eta).tolist() == [int(np.argmax(potential))] == [0]
+    assert residual <= 1e-12
+    assert policy[0] == 0  # the rest step
+    assert_matches_karp(kern, 0.0, critical_value(kern, 0.0).c)
 
 
 def test_peierls_barrier_free_particle_hits_quantization_floor():

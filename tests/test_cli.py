@@ -10,7 +10,8 @@ import pytest
 import yaml
 
 import weakkam
-from weakkam import fdoracle, kernels, models, torus
+from test_action import assert_matches_karp
+from weakkam import action, fdoracle, kernels, models, torus
 from weakkam.cli import _COMMANDS, _check_budget, main
 from weakkam.config import load_config
 from weakkam.errors import NumericError
@@ -227,11 +228,27 @@ def test_critical_value_run(tmp_path, capsys):
     assert run(["critical", "--config", cfg, "--out", out]) == 0
     assert "critical value estimate" in capsys.readouterr().out
     with open(out / "manifest.json") as fh:
-        c = json.load(fh)["c"]
+        manifest = json.load(fh)
+    c = manifest["c"]
     # the rest step at the maximum of V = cos(2 pi x) is the critical cycle
     assert abs(c - np.max(np.cos(2 * np.pi * np.arange(128) / 128))) <= 1e-12
+    assert_matches_karp(load_config(cfg).kernel(), 0.0, c)
+    assert manifest["iterations"] >= 1 and 0.0 <= manifest["residual"] <= 1e-12
     with open(out / "critical.csv") as fh:
         assert fh.read().splitlines() == ["a,c", f"0.0,{c!r}"]
+
+
+def test_critical_exits_3_at_the_policy_iteration_cap(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(action, "_MAX_POLICY_ITERATIONS", 1)
+    cfg = write_config(
+        tmp_path / "run.yaml",
+        model={"family": "quadratic-mechanical", "lambda": 0.0},
+        grid={"N": 64, "dt": 0.0625, "v_max": 4.0},
+    )
+    out = tmp_path / "out"
+    assert run(["critical", "--config", cfg, "--out", out]) == 3
+    assert "did not converge in 1 iterations" in capsys.readouterr().err
+    assert not (out / "critical.csv").exists()
 
 
 def test_char_requires_char_block(tmp_path, capsys):
@@ -375,9 +392,9 @@ def test_check_2d_builds_one_kernel_and_stores_no_lf_slab(tmp_path, monkeypatch)
     assert lf_solves == []
 
 
-@pytest.mark.parametrize("command", ["critical", "action"])
+@pytest.mark.parametrize("command", ["action"])
 def test_size_squared_command_over_budget_is_rejected_before_output(tmp_path, capsys, command):
-    # 2-D N=256: Karp's D_k alone is 34 GB, the action table as much again
+    # 2-D N=256: the action table alone is 34 GB
     cfg = write_config(
         tmp_path / "run.yaml",
         model={"dim": 2, "potential": [[1, 0, 1.0]]},
@@ -453,6 +470,17 @@ def test_benchmark_sized_slab_commands_fit_the_budget(tmp_path):
         _check_budget(command, load_config(path))
 
 
+def test_2d_n128_critical_fits_the_budget(tmp_path):
+    # policy iteration holds the kernel's tables and 197 offsets of start
+    # indices, about 67 MB; Karp's (size + 1) x size D_k was 2.0 GiB
+    cfg = write_config(
+        tmp_path / "run.yaml",
+        model={"dim": 2, "potential": [[1, 0, 1.0], [0, 1, 0.5]]},
+        grid={"N": 128, "dt": 1.0 / 64, "v_max": 4.0},
+    )
+    assert _check_budget("critical", load_config(cfg)) <= 80e6
+
+
 @pytest.mark.parametrize(
     "command,overrides,code",
     [
@@ -463,13 +491,14 @@ def test_benchmark_sized_slab_commands_fit_the_budget(tmp_path):
             grid={"N": 512, "dt": 1.0 / 16}, solver={"T": 4.0, "quadrature": "midpoint"},
         ), 0),
         ("action", dict(grid={"N": 256, "dt": 1.0 / 64}, solver={"T": 0.25}), 0),
+        ("critical", dict(grid={"N": 2048, "dt": 1.0 / 256}, solver={"quadrature": "exact"}), 0),
         ("oracle", dict(grid={"N": 256, "dt": 1.0 / 64}, solver={"T": 0.25}), 0),
         ("check", dict(grid={"N": 1024, "dt": 1.0 / 256}, oracle={"alpha": 4.1},
                        solver={"T": 0.25, "quadrature": "exact"}), 0),
         # one reporting window of 512 steps, not settled at t=2
         ("converge", dict(grid={"N": 512, "dt": 1.0 / 256}, solver={"checkpoints": [2.0]}), 3),
     ],
-    ids=["solve", "action", "oracle", "check", "converge"],
+    ids=["solve", "action", "critical", "oracle", "check", "converge"],
 )
 def test_budget_estimate_bounds_the_traced_peak(tmp_path, monkeypatch, command, overrides, code):
     # the arrays (0.2-4 MB) outweigh the constant terms here; tracemalloc sees
