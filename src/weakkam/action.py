@@ -6,9 +6,9 @@ over time slices with straight-segment costs; tables for longer horizons
 are obtained by exact min-plus composition.  The discrete critical value
 needs no table: -c*dt is the minimum cycle mean of the one-step DP graph,
 which Howard policy iteration gives exactly from the kernel's per-offset
-costs and start indices, with a bias v and the critical cycles.  For a
-u-independent model v is a discrete weak KAM solution, and the critical
-cycles of the final policy form a discrete Aubry set.
+costs and periodic start shifts, with a bias v and the critical cycles.
+For a u-independent model v is a discrete weak KAM solution, and the
+critical cycles of the final policy form a discrete Aubry set.
 
 Every entry point takes the discretization as one ``StepKernel`` and reads
 the model, grid, dt, v_max and quadrature from it.  An ``ActionTable``
@@ -134,27 +134,27 @@ def _evaluate(policy: np.ndarray, cost: np.ndarray, v_prev: np.ndarray):
     return eta, acc + v_prev[root]
 
 
-def _best_starts(kern: StepKernel, starts: np.ndarray, shift: float, eta: np.ndarray,
-                 v: np.ndarray):
+def _best_starts(kern: StepKernel, shift: float, eta: np.ndarray, v: np.ndarray):
     """Per destination x, the start y of least eta(y), then least v(y) + cost(y, x).
 
     Returns (best_eta, best_val, best_k, lowest): that start's eta and
     v(y) + cost(y, x), its offset index (ties to the first offset), and
     min_y v(y) + cost(y, x) over every start.  Candidates are formed in the
-    kernel's offset blocks; cost(y, x) is base_cost + shift.
+    kernel's offset blocks, reading v and eta at the starts through the
+    kernel's padded windows; cost(y, x) is base_cost + shift.
     """
     n = kern.grid.size
     nodes = np.arange(n)
+    v_windows, eta_windows = kern._windows(v), kern._windows(eta)
     best_eta = np.full(n, np.inf)
     best_val = np.full(n, np.inf)
     best_k = np.zeros(n, dtype=np.intp)
     lowest = np.full(n, np.inf)
     for blk in kern._blocks(1):
-        s = starts[blk]
         val = kern.base_cost[blk] + shift
-        val += v[s]
+        val += kern._starts(v_windows, blk)
         np.minimum(lowest, val.min(axis=0), out=lowest)
-        e = eta[s]
+        e = kern._starts(eta_windows, blk)
         blk_eta = e.min(axis=0)
         val[e > blk_eta] = np.inf
         k = val.argmin(axis=0)
@@ -183,15 +183,17 @@ def _policy_iteration(kern: StepKernel, a: float):
     """
     n = kern.grid.size
     nodes = np.arange(n)
-    starts = kern.start_index
+    shape = (kern.grid.n,) * kern.grid.dim
+    coords = np.array(np.unravel_index(nodes, shape))
     shift = float(kern.step_cost(np.full(1, a))[0])
     v = np.zeros(n)
     # with eta and v equal everywhere, the best start is the cheapest step into each node
-    choice = _best_starts(kern, starts, shift, v, v)[2]
+    choice = _best_starts(kern, shift, v, v)[2]
     for iteration in range(1, _MAX_POLICY_ITERATIONS + 1):
-        policy = starts[choice, nodes]
+        # node x starts its step at x - offsets[choice[x]], periodically
+        policy = np.ravel_multi_index(tuple(coords - kern.offsets[choice].T), shape, mode="wrap")
         eta, v = _evaluate(policy, kern.base_cost[choice, nodes] + shift, v)
-        best_eta, best_val, best_k, lowest = _best_starts(kern, starts, shift, eta, v)
+        best_eta, best_val, best_k, lowest = _best_starts(kern, shift, eta, v)
         move = best_eta < eta
         if not move.any():
             tol = _IMPROVEMENT_RTOL * max(1.0, float(np.max(np.abs(v))))

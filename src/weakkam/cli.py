@@ -68,9 +68,10 @@ _KERNEL_COPIES, _LF_COPIES, _ROW_BYTES = 8, 16, 512
 # the bytes converge keeps per step of its history: two Python floats in lists,
 # their two arrays and the stacked table converge writes
 _HISTORY_BYTES = 128
-# beside the kernel's tables and its start indices, critical's policy iteration
-# holds size-length vectors and temporaries of its candidate blocks of
-# _BLOCK_ELEMENTS (measured: at most 3.5 blocks where the vectors are negligible)
+# beside the kernel's tables, critical's policy iteration holds size-length
+# vectors (padded windows of v and eta among them) and temporaries of its
+# candidate blocks of _BLOCK_ELEMENTS (measured: at most 3.5 blocks where the
+# vectors are negligible)
 _POLICY_VECTORS, _POLICY_BLOCKS = 32, 4
 
 
@@ -100,9 +101,8 @@ def _check_budget(command: str, cfg: RunConfig) -> int:
     (kernel) or ``_LF_COPIES`` (Lax-Friedrichs) slices.  A kernel's tables
     are its n_offsets*size ``base_cost`` and, on 2-D "left", a padded start
     cost of at most 4*size.
-    - ``critical`` the kernel's tables, the n_offsets*size start indices
-      policy iteration reads, ``_POLICY_VECTORS`` size-length vectors and
-      ``_POLICY_BLOCKS`` candidate blocks;
+    - ``critical`` the kernel's tables, ``_POLICY_VECTORS`` size-length
+      vectors and ``_POLICY_BLOCKS`` candidate blocks;
     - ``action`` its table and a step of its size rows;
     - ``oracle`` its slab over ``T_fd`` and a step;
     - ``solve`` its slab, the kernel's tables and the Picard wavefront
@@ -121,7 +121,7 @@ def _check_budget(command: str, cfg: RunConfig) -> int:
         offsets = len(stencil_offsets(grid, cfg.v_max, cfg.dt))
         tables = offsets + 4
     if command == "critical":
-        planned = (tables + offsets + _POLICY_VECTORS) * size * 8
+        planned = (tables + _POLICY_VECTORS) * size * 8
         planned += _POLICY_BLOCKS * _BLOCK_ELEMENTS * 8
     elif command == "action":
         planned = (1 + _KERNEL_COPIES) * size * size * 8
@@ -283,8 +283,8 @@ def cmd_solve(cfg: RunConfig, out_dir: str, threads: int) -> int:
     forked ``_SlabWriter`` writes slab.csv while the Picard wavefront
     marches; with one CPU, or when no process can be forked, slab.csv is
     written here after the march.  The bytes are the same either way.  A
-    run that exits 3, or whose forked writer fails (exit 2, naming
-    slab.csv), leaves no slab.csv and no partial file.
+    forked writer that fails makes the run exit 2 naming slab.csv; that or
+    any error in the march leaves no slab.csv and no partial file.
     """
     t0 = time.perf_counter()
     phi, kern = cfg.phi_field(), cfg.kernel()
@@ -294,7 +294,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str, threads: int) -> int:
             writer = _SlabWriter(out_dir, cfg.grid, cfg.dt, _horizon_steps(cfg.T, cfg.dt) + 1)
     try:
         u, report = fixed_point(
-            kern, phi, cfg.T, tol=cfg.tol, max_iter=cfg.max_iter,
+            kern, phi, cfg.T, tol=cfg.tol,
             out=writer and writer.slab.values, on_slice=writer and writer.slice_final,
         )
         if writer is None:
@@ -302,11 +302,6 @@ def cmd_solve(cfg: RunConfig, out_dir: str, threads: int) -> int:
             usage = None
         else:
             usage = writer.finish()
-    except NumericError as e:
-        print(f"solve: {e}", file=sys.stderr)
-        if e.report is not None:
-            _write(out_dir, "fixedpoint.csv", e.report.to_csv())
-        return EXIT_NUMERIC
     finally:
         if writer is not None:
             writer.close()

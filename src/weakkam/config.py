@@ -21,7 +21,6 @@ Schema (defaults in parentheses):
     solver:
       T: float > 0                   (1.0)
       tol: float >= 0                (1e-10, see below)
-      max_iter: int >= 1             (60, see below)
       stop_eps: float > 0            (1e-6)
       checkpoints: [floats]          ([50.0], converge marches to the largest;
                                       the others are only recorded)
@@ -29,8 +28,12 @@ Schema (defaults in parentheses):
       a: float                       (0.0, frozen u-level for action/critical)
       T_max: float >= 4              (64.0, only recorded in the manifest)
       phi: [[k..., amplitude], ...]  ([], initial datum as trig modes)
-    char:
-      x0: [floats]  u0: float  p0: [floats]  t: float  dt_ode: float
+    char:                            (required by the char command)
+      x0: [floats]                   (dim entries)
+      u0: float                      (0.0)
+      p0: [floats]                   (dim entries)
+      t: float > 0                   (1.0)
+      dt_ode: float > 0              (1e-3)
     oracle:
       alpha: float                   (audited max |H_p| + 0.1)
       dt_fd: float                   (respecting both CFL conditions)
@@ -45,11 +48,10 @@ command (stepped horizons, memory) ``weakkam.cli.main`` checks before it
 makes the output directory.
 
 The semigroup is computed by the forward march, which is its exact fixed
-point, and ``solve``'s slab is always that march.  ``solver.tol`` and
-``solver.max_iter`` only decide where the Picard certificate in
-``fixedpoint.csv`` ends (the first gap that is 0, or below tol when
-tol > 0) and whether ``solve`` exits 3 because that gap comes after
-max_iter; ``check`` also allows property gaps up to 2*max(tol, 1e-12).
+point, and ``solve``'s slab is always that march.  ``solver.tol`` only
+decides where the Picard certificate in ``fixedpoint.csv`` ends (the first
+gap that is 0, or below tol when tol > 0, within n_steps + 1 iterations);
+``check`` also allows property gaps up to 2*max(tol, 1e-12).
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from .torus import Grid, GridField, stencil_offsets
 _BLOCKS = {"model", "grid", "solver", "char", "oracle", "output", "seed"}
 _MODEL_KEYS = {"family", "dim", "lambda", "potential", "f", "action_shift"}
 _GRID_KEYS = {"N", "dt", "v_max"}
-_SOLVER_KEYS = {"T", "tol", "max_iter", "stop_eps", "checkpoints", "quadrature", "a", "T_max", "phi"}
+_SOLVER_KEYS = {"T", "tol", "stop_eps", "checkpoints", "quadrature", "a", "T_max", "phi"}
 _CHAR_KEYS = {"x0", "u0", "p0", "t", "dt_ode"}
 _ORACLE_KEYS = {"alpha", "dt_fd"}
 _OUTPUT_KEYS = {"directory"}
@@ -149,7 +151,6 @@ class RunConfig:
     v_max: float
     T: float
     tol: float
-    max_iter: int
     stop_eps: float
     checkpoints: tuple
     quadrature: str
@@ -179,7 +180,6 @@ class RunConfig:
             "grid.v_max": self.v_max,
             "solver.T": self.T,
             "solver.tol": self.tol,
-            "solver.max_iter": self.max_iter,
             "solver.stop_eps": self.stop_eps,
             "solver.checkpoints": list(self.checkpoints),
             "solver.quadrature": self.quadrature,
@@ -275,7 +275,6 @@ def parse_config(data: dict) -> RunConfig:
     _check_keys(sblock, "solver", _SOLVER_KEYS)
     T = _number(sblock, "solver", "T", default=1.0, lo=0.0, lo_strict=True)
     tol = _number(sblock, "solver", "tol", default=1e-10, lo=0.0)
-    max_iter = _integer(sblock, "solver", "max_iter", default=60, lo=1)
     stop_eps = _number(sblock, "solver", "stop_eps", default=1e-6, lo=0.0, lo_strict=True)
     cps = sblock.get("checkpoints", [50.0])
     _require(isinstance(cps, list) and cps, "solver.checkpoints", "must be a non-empty list")
@@ -332,10 +331,10 @@ def parse_config(data: dict) -> RunConfig:
     _require(isinstance(seed, int) and not isinstance(seed, bool), "seed", "must be an integer")
 
     return RunConfig(
-        model=model, grid=grid, dt=dt, v_max=v_max, T=T, tol=tol, max_iter=max_iter,
-        stop_eps=stop_eps, checkpoints=tuple(float(c) for c in cps), quadrature=quad,
-        a=a, t_max=t_max, phi_modes=phi_modes, char=char, alpha=alpha, dt_fd=dt_fd,
-        out_dir=out_dir, seed=seed, audit=audit,
+        model=model, grid=grid, dt=dt, v_max=v_max, T=T, tol=tol, stop_eps=stop_eps,
+        checkpoints=tuple(float(c) for c in cps), quadrature=quad, a=a, t_max=t_max,
+        phi_modes=phi_modes, char=char, alpha=alpha, dt_fd=dt_fd, out_dir=out_dir,
+        seed=seed, audit=audit,
     )
 
 

@@ -11,7 +11,6 @@ class NumericError(RuntimeError):
     The offending last iterate (if any) is attached as ``last_iterate``.
     """
 
-    def __init__(self, message, last_iterate=None, report=None):
+    def __init__(self, message, last_iterate=None):
         super().__init__(message)
         self.last_iterate = last_iterate
-        self.report = report

@@ -60,7 +60,7 @@ def _lf_march(cfg: LFConfig, phi: GridField, n: int):
         sq, lap = 0.0, np.zeros_like(v)  # |central gradient|^2, Laplacian * dx
         for ax in range(grid.dim):
             dp = (np.roll(v, -1, axis=ax) - v) / grid.dx
-            dm = (v - np.roll(v, 1, axis=ax)) / grid.dx
+            dm = np.roll(dp, 1, axis=ax)  # bitwise (v_j - v_{j-1}) / dx
             lap += dp - dm
             c = 0.5 * (dp + dm)
             sq = sq + c * c

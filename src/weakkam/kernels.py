@@ -67,11 +67,13 @@ class StepKernel:
 
     ``base_cost[k, j]`` is dt*L without the u-coupling for the step with
     offset ``offsets[k]`` that ends at x_j (it starts at x_j - offsets[k]*dx,
-    periodically).  The window path, the calibrated-curve backtrack and
-    ``start_index`` (derived from the padded views on demand) read it.  On
-    2-D grids with "left" quadrature ``apply`` and ``apply_table`` take the
-    row path instead, which reads only dt*(action_shift - V) per start and
-    the per-axis kinetic cost (see the module docstring).
+    periodically).  The window path, ``apply_with_argmin``, the
+    calibrated-curve backtrack and the policy iteration of
+    ``action.critical_value`` read it; ``start_index`` is derived on demand
+    from windows of the grid indices.  On 2-D grids with "left" quadrature
+    ``apply`` and ``apply_table`` take the row path instead, which reads
+    only dt*(action_shift - V) per start and the per-axis kinetic cost (see
+    the module docstring).
     """
 
     def __init__(

@@ -16,9 +16,9 @@ u^(0) = phi on every slice) is computed inside the march: all iterates
 advance together, one batched step per slice, and the top one is the march.
 
 Storage rule: a space-time slab is stored only where a caller reads it
-whole: ``_march`` (the field ``check`` backtracks and matches, and whose
-final slice ``step_T`` returns) and ``fixed_point`` (``solve``'s slab.csv).
-The property battery of ``check_properties``, the fixed-point check of
+whole: ``_march`` (the field ``check`` backtracks and matches) and
+``fixed_point`` (``solve``'s slab.csv).  ``step_T``, the property battery
+of ``check_properties``, the fixed-point check of
 ``extract_calibrated_curve`` and ``converge`` step rows and reduce each
 slice as it is formed, holding a few slices at a time.
 """
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError
 from .kernels import StepKernel
 from .models import HamiltonianModel, eval_H, lagrangian_values
 from .torus import (
@@ -91,7 +91,6 @@ def fixed_point(
     phi: GridField,
     T: float,
     tol: float = 1e-10,
-    max_iter: int = 60,
     out: np.ndarray | None = None,
     on_slice=None,
 ):
@@ -115,12 +114,12 @@ def fixed_point(
     then, while the wavefront marches on.
 
     Returns (field, report).  The report ends at the first gap that is 0,
-    or below tol when tol > 0, within n_steps + 1 iterations; NumericError
-    if that gap comes after max_iter.  For u-independent models the first
-    iterate is the fixed point and the report is one zero gap.
+    or below tol when tol > 0, which comes within n_steps + 1 iterations.
+    For u-independent models the first iterate is the fixed point and the
+    report is one zero gap.
     """
-    if max_iter < 1 or tol < 0:
-        raise ConfigurationError("need tol >= 0 and max_iter >= 1")
+    if tol < 0:
+        raise ConfigurationError("need tol >= 0")
     _on_grid(kern, phi, "phi")
     model = kern.model
     n_steps = _horizon_steps(T, kern.dt)
@@ -147,31 +146,27 @@ def fixed_point(
         # the operator does not read the candidate: the first iterate is exact
         return u, FixedPointReport(iterations=1, residual_history=[0.0], contraction_bound=[0.0])
 
-    # a nonzero top gap leaves the next iterate equal to the top row: its gap is 0
-    history = gaps.tolist() + ([0.0] if gaps[-1] > 0.0 else [])
-    stop = next((k for k, g in enumerate(history, 1) if g == 0.0 or g < tol), None)
-    k_end = max_iter if stop is None else min(stop, max_iter)
-    history = history[:k_end]
+    # the iterate after the top row equals it: its gap is 0
+    history = gaps.tolist() + [0.0]
+    stop = next(k for k, g in enumerate(history, 1) if g == 0.0 or g < tol)
+    history = history[:stop]
     tl = T * model.lipschitz_u
     bounds = [history[0] * tl**k / float(math.factorial(k)) for k in range(len(history))]
-    report = FixedPointReport(k_end, history, bounds)
-    if stop is None or stop > max_iter:
-        raise NumericError(
-            f"Picard iteration did not reach tol={tol:g} in {max_iter} iterations",
-            last_iterate=u,
-            report=report,
-        )
-    return u, report
+    return u, FixedPointReport(stop, history, bounds)
 
 
 def step_T(kern: StepKernel, phi: GridField, t: float) -> GridField:
-    """The discrete semigroup: final slice of the fixed point on [0, t]."""
+    """The discrete semigroup: final slice of the fixed point on [0, t],
+    marched one slice at a time."""
     if t < 0:
         raise ConfigurationError("t must be nonnegative")
     _on_grid(kern, phi, "phi")
     if t == 0:
         return phi.copy()
-    return _march(kern, phi, t).final()
+    u = phi.values
+    for _ in range(_horizon_steps(t, kern.dt)):
+        u = kern.apply(u, u)
+    return GridField(phi.grid, u)
 
 
 @dataclass

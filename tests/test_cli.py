@@ -14,7 +14,6 @@ from test_action import assert_matches_karp
 from weakkam import action, fdoracle, kernels, models, torus
 from weakkam.cli import _COMMANDS, _check_budget, main
 from weakkam.config import load_config
-from weakkam.errors import NumericError
 from weakkam.semigroup import _march, fixed_point
 
 
@@ -78,7 +77,7 @@ def test_solve_slab_file_is_the_fixed_point_text(tmp_path, monkeypatch, dim):
     assert_no_child_process()
     assert sorted(os.listdir(out)) == ["fixedpoint.csv", "manifest.json", "slab.csv"]
     cfg = load_config(cfg_path)
-    u, _ = fixed_point(cfg.kernel(), cfg.phi_field(), cfg.T, tol=cfg.tol, max_iter=cfg.max_iter)
+    u, _ = fixed_point(cfg.kernel(), cfg.phi_field(), cfg.T, tol=cfg.tol)
     assert (out / "slab.csv").read_bytes() == u.to_csv().encode()
     writer = json.loads((out / "manifest.json").read_text())["slab_writer"]
     assert writer["cpu_seconds"] >= 0.0 and writer["max_rss_mb"] > 0.0
@@ -122,18 +121,50 @@ def test_solve_without_a_writer_process_writes_the_same_bytes(tmp_path, monkeypa
     assert json.loads((tmp_path / "here" / "manifest.json").read_text())["slab_writer"] is None
 
 
-def test_solve_that_does_not_converge_leaves_only_the_report(tmp_path, monkeypatch, capsys):
+def test_solve_whose_march_fails_leaves_no_file(tmp_path, monkeypatch, capsys):
     with_cpus(monkeypatch, 2)
-    cfg_path = write_config(tmp_path / "run.yaml", solver={"T": 1.0, "tol": 0.0, "max_iter": 2})
+    forks, applies = [], []
+    real_fork, real_apply = os.fork, kernels.StepKernel.apply
+
+    def recording_fork():
+        forks.append(1)
+        return real_fork()
+
+    def failing_apply(self, w, u_slice):
+        applies.append(1)
+        if len(applies) > 5:
+            raise OSError(errno.EIO, "Input/output error")
+        return real_apply(self, w, u_slice)
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(kernels.StepKernel, "apply", failing_apply)
+    cfg = write_config(tmp_path / "run.yaml")
     out = tmp_path / "out"
-    assert run(["solve", "--config", cfg_path, "--out", out]) == 3
+    assert run(["solve", "--config", cfg, "--out", out]) == 2
     assert_no_child_process()
-    assert "solve: Picard iteration did not reach" in capsys.readouterr().err
-    assert os.listdir(out) == ["fixedpoint.csv"]
-    cfg = load_config(cfg_path)
-    with pytest.raises(NumericError) as err:
-        fixed_point(cfg.kernel(), cfg.phi_field(), cfg.T, tol=cfg.tol, max_iter=cfg.max_iter)
-    assert (out / "fixedpoint.csv").read_text() == err.value.report.to_csv()
+    assert len(forks) == 1 and len(applies) == 6
+    assert "Input/output error" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def test_long_horizon_solve_ends_its_certificate_inside_the_march(tmp_path):
+    # T*lambda_L = 24: the certificate needs 77 of the 385 possible Picard
+    # iterations at the default tol, which no fixed iteration cap may refuse
+    doc = {
+        "model": {"family": "quadratic-discounted", "lambda": 1.0, "potential": [[1, 1.0]]},
+        "grid": {"N": 64, "dt": 1.0 / 16, "v_max": 4.0},
+        "solver": {"T": 24.0, "phi": [[1, 0.3]]},
+    }
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert run(["solve", "--config", cfg_path, "--out", out]) == 0
+    cfg = load_config(str(cfg_path))
+    assert cfg.tol == 1e-10
+    march = _march(cfg.kernel(), cfg.phi_field(), cfg.T)
+    assert (out / "slab.csv").read_bytes() == march.to_csv().encode()
+    last = (out / "fixedpoint.csv").read_text().splitlines()[-1].split(",")
+    assert int(last[0]) == 77 and float(last[1]) < 1e-10
 
 
 def test_solve_whose_slab_writer_fails_leaves_no_file(tmp_path, monkeypatch, capsys):
@@ -471,8 +502,8 @@ def test_benchmark_sized_slab_commands_fit_the_budget(tmp_path):
 
 
 def test_2d_n128_critical_fits_the_budget(tmp_path):
-    # policy iteration holds the kernel's tables and 197 offsets of start
-    # indices, about 67 MB; Karp's (size + 1) x size D_k was 2.0 GiB
+    # policy iteration holds the kernel's tables of 197 offsets and a few
+    # size-length vectors, about 41.5 MB; Karp's (size + 1) x size D_k was 2.0 GiB
     cfg = write_config(
         tmp_path / "run.yaml",
         model={"dim": 2, "potential": [[1, 0, 1.0], [0, 1, 0.5]]},

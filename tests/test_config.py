@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from weakkam import config
 from weakkam.config import load_config, parse_config
 from weakkam.errors import ConfigurationError
 
@@ -17,7 +18,6 @@ def test_defaults_are_resolved():
     cfg = parse_config(base())
     assert cfg.T == 1.0
     assert cfg.tol == 1e-10
-    assert cfg.max_iter == 60
     assert cfg.quadrature == "left"
     assert cfg.checkpoints == (50.0,)
     assert cfg.seed == 0
@@ -61,6 +61,38 @@ def test_unknown_block_and_key_are_named():
     doc["solver"] = {"warp": 9}
     with pytest.raises(ConfigurationError, match="solver.warp"):
         parse_config(doc)
+    # the Picard certificate always ends within the march: no iteration cap
+    doc["solver"] = {"max_iter": 60}
+    with pytest.raises(ConfigurationError, match="solver.max_iter`: is not a recognized key"):
+        parse_config(doc)
+
+
+def _docstring_schema():
+    """Block name -> the keys the config module docstring lists under it."""
+    text = config.__doc__.split("Schema (defaults in parentheses):\n\n")[1].split("\n\n")[0]
+    schema, block = {}, None
+    for line in text.splitlines():
+        indent = len(line) - len(line.lstrip())
+        name = line.split(":")[0].strip()
+        if indent == 4:
+            block = name
+            schema[block] = set()
+        elif indent == 6:
+            schema[block].add(name)
+    return schema
+
+
+def test_schema_docstring_lists_exactly_the_accepted_keys():
+    assert _docstring_schema() == {
+        "model": config._MODEL_KEYS,
+        "grid": config._GRID_KEYS,
+        "solver": config._SOLVER_KEYS,
+        "char": config._CHAR_KEYS,
+        "oracle": config._ORACLE_KEYS,
+        "output": config._OUTPUT_KEYS,
+        "seed": set(),
+    }
+    assert set(_docstring_schema()) == config._BLOCKS
 
 
 def test_potential_mode_shape_is_checked():
