@@ -28,7 +28,7 @@ from .characteristics import (
     match_calibrated,
 )
 from .errors import ConfigurationError, NumericError
-from .fdoracle import LFConfig, lf_final, lf_solve, lf_step
+from .fdoracle import LFConfig, lf_final
 from .kernels import StepKernel
 from .models import (
     HamiltonianModel,
@@ -85,8 +85,6 @@ __all__ = [
     "interp_periodic",
     "lagrangian_values",
     "lf_final",
-    "lf_solve",
-    "lf_step",
     "match_calibrated",
     "min_action",
     "peierls_barrier",

@@ -2,8 +2,9 @@
 critical value of the frozen-u Lagrangian.
 
 The minimal action table h_t(x_i, x_j) is computed by dynamic programming
-over time slices with straight-segment costs; tables for longer horizons
-are obtained by exact min-plus composition.  The discrete critical value
+over time slices with straight-segment costs, and the Peierls barrier marches
+one table through its horizons; ``compose`` (exact min-plus composition,
+h_{t+s} = min_y h_t + h_s) is that march's test reference.  The discrete critical value
 needs no table: -c*dt is the minimum cycle mean of the one-step DP graph,
 which Howard policy iteration gives exactly from the kernel's per-offset
 costs and periodic start shifts, with a bias v and the critical cycles.
@@ -88,16 +89,23 @@ def discretization_slack(kern: StepKernel) -> float:
     return k_l * (kern.grid.dx + kern.dt)
 
 
-def min_action(kern: StepKernel, a: float, t: float) -> ActionTable:
-    """DP table of minimal actions over horizon t at frozen u-level a."""
-    if not t >= kern.dt:
-        raise ConfigurationError("need t >= dt")
-    n_steps = _horizon_steps(t, kern.dt)
+def _table_march(kern: StepKernel, a: float, horizons):
+    """Yield the DP table of minimal actions at each increasing horizon, marching one table."""
     w = np.full((kern.grid.size, kern.grid.size), np.inf)
     np.fill_diagonal(w, 0.0)
-    for _ in range(n_steps):
-        w = kern.apply_table(w, a)
-    return ActionTable(kern, a, t, w)
+    prev_t = 0.0
+    for t in horizons:
+        if t <= prev_t:
+            raise ConfigurationError(f"horizons must increase from 0: t={t:g} after {prev_t:g}")
+        for _ in range(_horizon_steps(t - prev_t, kern.dt)):
+            w = kern.apply_table(w, a)
+        yield w
+        prev_t = t
+
+
+def min_action(kern: StepKernel, a: float, t: float) -> ActionTable:
+    """DP table of minimal actions over horizon t at frozen u-level a."""
+    return ActionTable(kern, a, t, next(_table_march(kern, a, [t])))
 
 
 def _evaluate(policy: np.ndarray, cost: np.ndarray, v_prev: np.ndarray):
@@ -231,17 +239,7 @@ def peierls_barrier(kern: StepKernel, a: float, c: float, t_list):
     t_list = sorted(float(t) for t in t_list)
     if not t_list:
         raise ConfigurationError("T_list must be non-empty")
-    barriers = {}
-    table = None
-    prev_t = 0.0
-    for t in t_list:
-        gap = t - prev_t
-        if gap <= 0:
-            raise ConfigurationError("T_list must be strictly increasing")
-        piece = min_action(kern, a, gap)
-        table = piece if table is None else table.compose(piece)
-        barriers[t] = table.values + c * t
-        prev_t = t
+    barriers = {t: h + c * t for t, h in zip(t_list, _table_march(kern, a, t_list))}
     tail = t_list[len(t_list) // 2 :]
     liminf = np.min(np.stack([barriers[t] for t in tail]), axis=0)
     sup_seq = [float(np.max(np.abs(barriers[t]))) for t in t_list]

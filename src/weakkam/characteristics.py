@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NumericError
 from .models import HamiltonianModel, grad_H
 from .semigroup import CalibratedCurve
-from .torus import SpaceTimeField, _write_table, periodic_delta, periodic_distance, wrap
+from .torus import SpaceTimeField, _write_table, periodic_distance, wrap
 
 
 @dataclass

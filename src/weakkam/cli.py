@@ -9,13 +9,14 @@ Commands take their discretizations from ``RunConfig.kernel()`` and
 ``RunConfig.lf()``.  Before the output directory is made, ``main``
 rejects a horizon the command cannot step by grid.dt, naming
 ``solver.T``, and a planned size above ``MEMORY_BUDGET_BYTES``, naming
-``grid.N``.
+``grid.N``.  A file is written as name.part and renamed once complete.
 
+``oracle`` writes each Lax-Friedrichs slice as the scheme yields it.
 ``solve`` hands ``fixed_point`` a slab in an anonymous shared mapping and a
 slice signal: after each slice of the wavefront's top row is final, one
 byte down a pipe tells a forked writer process (``_SlabWriter``) to format
 that slice into slab.csv, so the text overlaps the march.  This needs two
-usable CPUs; with one, the slab is written after the march as before.
+usable CPUs; with one, the slab is written after the march.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .characteristics import (
 )
 from .config import RunConfig, load_config
 from .errors import ConfigurationError, NumericError
-from .fdoracle import lf_final, lf_solve
+from .fdoracle import _lf_march, lf_final
 from .kernels import _BLOCK_ELEMENTS
 from .semigroup import (
     _march,
@@ -52,7 +53,7 @@ from .semigroup import (
     fixed_point,
     weak_kam_residual,
 )
-from .torus import _TABLE_ROWS, GridField, SpaceTimeField, _horizon_steps, stencil_offsets
+from .torus import _TABLE_ROWS, GridField, _horizon_steps, _write_slab, stencil_offsets
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -104,7 +105,7 @@ def _check_budget(command: str, cfg: RunConfig) -> int:
     - ``critical`` the kernel's tables, ``_POLICY_VECTORS`` size-length
       vectors and ``_POLICY_BLOCKS`` candidate blocks;
     - ``action`` its table and a step of its size rows;
-    - ``oracle`` its slab over ``T_fd`` and a step;
+    - ``oracle`` one Lax-Friedrichs step (the slice it streams), no slab;
     - ``solve`` its slab, the kernel's tables and the Picard wavefront
       (iterate 0 and up to n + 1 rows, one if H does not depend on u) with a
       step of its rows.  The slab is one mapping shared with the writer
@@ -126,7 +127,7 @@ def _check_budget(command: str, cfg: RunConfig) -> int:
     elif command == "action":
         planned = (1 + _KERNEL_COPIES) * size * size * 8
     elif command == "oracle":
-        planned = (round(cfg.T_fd / cfg.dt_fd) + 1 + _LF_COPIES) * size * 8
+        planned = (1 + _LF_COPIES) * size * 8
     elif command == "solve":
         n = _horizon_steps(cfg.T, cfg.dt)
         rows = n + 1 if cfg.model.lipschitz_u else 1
@@ -162,12 +163,19 @@ def _prepare_out(out_dir: str, overwrite: bool):
 
 
 def _write(out_dir: str, name: str, content):
-    """Write out_dir/name from a string, or by a function that writes to the open file."""
-    with open(os.path.join(out_dir, name), "w") as fh:
-        if callable(content):
-            content(fh)
-        else:
-            fh.write(content)
+    """Write out_dir/name from a string, or by a function of the open file, via name.part."""
+    path = os.path.join(out_dir, name)
+    try:
+        with open(path + ".part", "w") as fh:
+            if callable(content):
+                content(fh)
+            else:
+                fh.write(content)
+        os.replace(path + ".part", path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path + ".part")
+        raise
 
 
 def _manifest(cfg: RunConfig, out_dir: str, command: str, threads: int, t0: float, extra=None):
@@ -208,23 +216,21 @@ class _SlabWriter:
     """slab.csv written by a forked child process while this one marches.
 
     The slab is an anonymous shared mapping, so the child sees each slice
-    the parent stores in ``slab``.  The parent sends one byte down a pipe
-    per final slice (``slice_final``); the child formats each slice as it is
-    signalled, with ``SpaceTimeField.write_csv``, into slab.csv.part, and
-    leaves by os._exit.  ``finish`` reaps it, renames the file to slab.csv
-    and returns the child's CPU seconds and peak RSS, or raises OSError
-    naming slab.csv; ``close`` kills and reaps a child still running and
-    removes the partial file.  The child only formats floats and writes a
-    file, so it takes no lock another thread of the parent could hold at
-    the fork.
+    the parent stores in ``values``.  The parent sends one byte down a pipe
+    per final slice (``slice_final``); the child writes each slice as it is
+    signalled to slab.csv by ``_write``, and leaves by os._exit.
+    ``finish`` reaps it and returns its CPU seconds and peak RSS, or raises
+    OSError naming slab.csv; ``close`` kills and reaps a child still
+    running and removes the partial file.  The child only formats floats
+    and writes a file, so it takes no lock another thread of the parent
+    could hold at the fork.
     """
 
     def __init__(self, out_dir: str, grid, dt: float, n_slices: int):
         self.path = os.path.join(out_dir, "slab.csv")
         self.part = self.path + ".part"
         mapping = mmap.mmap(-1, n_slices * grid.size * 8)
-        values = np.frombuffer(mapping, dtype=float).reshape(n_slices, grid.size)
-        self.slab = SpaceTimeField(grid, dt, values)
+        self.values = np.frombuffer(mapping, dtype=float).reshape(n_slices, grid.size)
         read_fd, self._write_fd = os.pipe()
         try:
             self.pid = os.fork()
@@ -236,8 +242,8 @@ class _SlabWriter:
             code = 1
             try:
                 os.close(self._write_fd)
-                with open(self.part, "w") as fh:
-                    self.slab.write_csv(fh, _signalled(read_fd, n_slices))
+                slices = (self.values[k] for k in _signalled(read_fd, n_slices))
+                _write(out_dir, "slab.csv", lambda fh: _write_slab(fh, grid, dt, slices))
                 code = 0
             except Exception as e:
                 os.write(2, f"solve: slab writer: {e}\n".encode())
@@ -251,7 +257,7 @@ class _SlabWriter:
             os.write(self._write_fd, b"\0")
 
     def finish(self) -> dict:
-        """Reap the child after the last slice; rename its file to slab.csv."""
+        """Reap the child after the last slice, which has renamed its file to slab.csv."""
         os.close(self._write_fd)
         self._write_fd = None
         _, status, usage = os.wait4(self.pid, 0)
@@ -259,7 +265,6 @@ class _SlabWriter:
         code = os.waitstatus_to_exitcode(status)
         if code != 0:
             raise OSError(f"writing {self.path}: the slab writer exited with status {code}")
-        os.replace(self.part, self.path)
         return {"cpu_seconds": usage.ru_utime + usage.ru_stime,
                 "max_rss_mb": usage.ru_maxrss / 1024.0}
 
@@ -295,7 +300,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str, threads: int) -> int:
     try:
         u, report = fixed_point(
             kern, phi, cfg.T, tol=cfg.tol,
-            out=writer and writer.slab.values, on_slice=writer and writer.slice_final,
+            out=writer and writer.values, on_slice=writer and writer.slice_final,
         )
         if writer is None:
             _write(out_dir, "slab.csv", u.write_csv)
@@ -377,9 +382,15 @@ def cmd_char(cfg: RunConfig, out_dir: str, threads: int) -> int:
 
 
 def cmd_oracle(cfg: RunConfig, out_dir: str, threads: int) -> int:
+    """slab_fd.csv, written slice by slice as the scheme yields it; a non-finite step exits 3."""
     t0 = time.perf_counter()
-    slab = lf_solve(cfg.lf(), cfg.phi_field(), cfg.T_fd)
-    _write(out_dir, "slab_fd.csv", slab.write_csv)
+    lf = cfg.lf()
+    slices = _lf_march(lf, cfg.phi_field(), _horizon_steps(cfg.T_fd, lf.dt_fd))
+    try:
+        _write(out_dir, "slab_fd.csv", lambda fh: _write_slab(fh, lf.grid, lf.dt_fd, slices))
+    except NumericError as e:
+        print(f"oracle: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
     _manifest(cfg, out_dir, "oracle", threads, t0)
     return EXIT_OK
 
@@ -427,9 +438,11 @@ def cmd_check(cfg: RunConfig, out_dir: str, threads: int) -> int:
     record("char_match", match.sup_distance <= 5 * cfg.grid.dx,
            f"sup_distance={match.sup_distance!r}")
 
-    fd = lf_final(cfg.lf(), phi, cfg.T_fd)
-    gap = float(np.max(np.abs(fd.values - u.values[-1])))
-    record("oracle_cross", gap <= 0.1, f"sup_gap={gap!r}")
+    try:
+        gap = float(np.max(np.abs(lf_final(cfg.lf(), phi, cfg.T_fd).values - u.values[-1])))
+        record("oracle_cross", gap <= 0.1, f"sup_gap={gap!r}")
+    except NumericError as e:  # the message names the step
+        record("oracle_cross", False, str(e))
 
     _write(out_dir, "check.csv", "\n".join(rows) + "\n")
     res = weak_kam_residual(cfg.model, u.final())

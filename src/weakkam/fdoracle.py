@@ -7,9 +7,10 @@ dynamic-programming kernels beyond the model's potential and coupling.
 
 ``LFConfig`` is the oracle's discretization: it checks both conditions
 when built, and every entry point takes it first and rejects a datum on
-another grid.  One private stepper evaluates V once per run and forms H
-in the floating-point order of ``eval_H``; ``lf_solve`` stores every
-slice (``oracle``), ``lf_final`` only the last (``check``).
+another grid.  One private stepper, ``_lf_march``, evaluates V once per
+run, forms H in the floating-point order of ``eval_H`` and yields slice by
+slice: ``oracle`` streams them to its CSV, ``lf_final`` keeps the last
+(``check``) and ``lf_solve``, the tests' reference, stores them all.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericError
 from .models import HamiltonianModel
 from .torus import Grid, GridField, SpaceTimeField, _horizon_steps
 
@@ -46,7 +47,7 @@ class LFConfig:
 
 
 def _lf_march(cfg: LFConfig, phi: GridField, n: int):
-    """Yield the n slices after phi of the explicit scheme, flat.
+    """Yield phi's values and then the n slices after it of the explicit scheme, flat.
 
     V is evaluated on the grid once; H is formed in the floating-point order
     of ``eval_H``, so each slice is bitwise the one a step calling it gives.
@@ -56,6 +57,7 @@ def _lf_march(cfg: LFConfig, phi: GridField, n: int):
     model, grid = cfg.model, cfg.grid
     pot = model.potential(grid.points()).reshape((grid.n,) * grid.dim)
     v = phi.values.reshape(pot.shape)
+    yield phi.values
     for k in range(n):
         sq, lap = 0.0, np.zeros_like(v)  # |central gradient|^2, Laplacian * dx
         for ax in range(grid.dim):
@@ -67,28 +69,18 @@ def _lf_march(cfg: LFConfig, phi: GridField, n: int):
         ham = 0.5 * sq + model.coupling(v) + pot - model.action_shift
         v = v - cfg.dt_fd * (ham - 0.5 * cfg.alpha * lap)
         if not np.all(np.isfinite(v)):
-            raise ValueError(f"Lax-Friedrichs step {k + 1} produced a non-finite value")
+            raise NumericError(f"Lax-Friedrichs step {k + 1} produced a non-finite value")
         yield v.ravel()
-
-
-def lf_step(cfg: LFConfig, u: GridField) -> GridField:
-    """One explicit step with central Hamiltonian and global dissipation."""
-    return GridField(cfg.grid, next(_lf_march(cfg, u, 1)))
 
 
 def lf_solve(cfg: LFConfig, phi: GridField, T: float) -> SpaceTimeField:
     """Iterate the scheme over [0, T] and return the slab."""
-    n = _horizon_steps(T, cfg.dt_fd)
-    out = np.empty((n + 1, cfg.grid.size))
-    for k, values in enumerate(_lf_march(cfg, phi, n), 1):
-        out[k] = values
-    out[0] = phi.values  # after the march, whose first step checks phi's grid
-    return SpaceTimeField(cfg.grid, cfg.dt_fd, out)
+    values = np.array(list(_lf_march(cfg, phi, _horizon_steps(T, cfg.dt_fd))))
+    return SpaceTimeField(cfg.grid, cfg.dt_fd, values)
 
 
 def lf_final(cfg: LFConfig, phi: GridField, T: float) -> GridField:
     """Final slice only, without storing the slab."""
-    values = phi.values
     for values in _lf_march(cfg, phi, _horizon_steps(T, cfg.dt_fd)):
         pass
     return GridField(cfg.grid, values)

@@ -234,10 +234,6 @@ class CalibratedCurve:
     velocities: np.ndarray  # discrete velocities per step, shape (n_steps, dim)
     defects: np.ndarray  # per-step calibration defect of the bookkeeping
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.indices.size) * self.dt
-
     def max_defect(self) -> float:
         return float(np.max(np.abs(self.defects))) if self.defects.size else 0.0
 

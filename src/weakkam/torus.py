@@ -56,6 +56,18 @@ def _point_columns(grid: Grid) -> tuple[str, list[str]]:
     return head, cols
 
 
+def _write_slab(fh, grid: Grid, dt: float, slices):
+    """Slab CSV k,t,j,x,u (d=2: k,t,j,x1,x2,u) to the open text file fh, a slice a write.
+
+    ``slices`` yields the flat values of slice k = 0, 1, ... (time k*dt); a
+    generator lets the export follow a solver that yields slice by slice.
+    """
+    head, cols = _point_columns(grid)
+    _write_csv(fh, f"k,t,{head}u\n", (
+        (f"{k},{csv_float(k * dt)},", cols, values) for k, values in enumerate(slices)
+    ))
+
+
 def wrap(x):
     """Map coordinates to the fundamental domain [0,1)^d."""
     return np.asarray(x, dtype=float) % 1.0
@@ -240,28 +252,15 @@ class SpaceTimeField:
     def n_steps(self) -> int:
         return self.values.shape[0] - 1
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.values.shape[0]) * self.dt
-
     def slice(self, k: int) -> GridField:
         return GridField(self.grid, self.values[k].copy())
 
     def final(self) -> GridField:
         return self.slice(self.n_steps)
 
-    def write_csv(self, fh, slices=None):
-        """Slab export k,t,j,x,u (d=2: k,t,j,x1,x2,u) to the open text file fh, a slice a write.
-
-        ``slices`` gives the slice indices in order (default: every slice).
-        It is consumed one index per write, so an iterator that waits until
-        slice k is final lets the export follow a slab still being filled.
-        """
-        head, cols = _point_columns(self.grid)
-        ks = range(len(self.values)) if slices is None else slices
-        _write_csv(fh, f"k,t,{head}u\n", (
-            (f"{k},{csv_float(k * self.dt)},", cols, self.values[k]) for k in ks
-        ))
+    def write_csv(self, fh):
+        """Slab export k,t,j,x,u (d=2: k,t,j,x1,x2,u) to the open text file fh, a slice a write."""
+        _write_slab(fh, self.grid, self.dt, self.values)
 
     def to_csv(self) -> str:
         """The text ``write_csv`` writes, as one string."""

@@ -333,6 +333,45 @@ def test_peierls_barrier_pendulum_aubry_point():
     assert report["C_t0"] < 10.0
 
 
+def composed_barriers(kern, a, c, t_list):
+    """Peierls barriers by min-plus composition: min_action over each gap
+    between sorted horizons, composed onto the table of the previous one."""
+    barriers, table, prev_t = {}, None, 0.0
+    for t in sorted(t_list):
+        piece = min_action(kern, a, t - prev_t)
+        table = piece if table is None else table.compose(piece)
+        barriers[t] = table.values + c * t
+        prev_t = t
+    return barriers
+
+
+@pytest.mark.parametrize("quadrature", ["left", "midpoint", "exact"])
+@pytest.mark.parametrize(
+    "model,n,t_list",
+    [(pendulum(), 128, [2, 4, 8]), (free_model(), 64, [1, 2, 4, 8])],
+    ids=["pendulum", "free"],
+)
+def test_peierls_march_equals_composed_tables(model, n, t_list, quadrature):
+    # h_{t+s} = min_y h_t + h_s: one marched table gives the composed chain
+    # up to the rounding of the sums
+    kern = StepKernel(model, Grid(1, n), 1.0 / 16, 4.0, quadrature)
+    _, report = peierls_barrier(kern, 0.0, 0.5, t_list)
+    ref = composed_barriers(kern, 0.0, 0.5, t_list)
+    assert list(report["barriers"]) == [float(t) for t in t_list]
+    for t in t_list:
+        assert np.max(np.abs(report["barriers"][t] - ref[t])) <= 1e-12
+
+
+def test_peierls_rejects_repeated_or_off_grid_horizons():
+    kern = StepKernel(pendulum(), Grid(1, 32), 1.0 / 16, 4.0)
+    with pytest.raises(ConfigurationError, match="increase"):
+        peierls_barrier(kern, 0.0, 1.0, [1, 2, 2])
+    with pytest.raises(ConfigurationError, match="multiple"):
+        peierls_barrier(kern, 0.0, 1.0, [1, 1.1])
+    with pytest.raises(ConfigurationError, match="non-empty"):
+        peierls_barrier(kern, 0.0, 1.0, [])
+
+
 def test_csv_export_headers():
     g = Grid(1, 4)
     table = min_action(StepKernel(free_model(), g, 0.25, 2.1), 0.0, 0.5)

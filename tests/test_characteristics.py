@@ -5,7 +5,6 @@ import pytest
 
 from weakkam.characteristics import (
     CharacteristicState,
-    Trajectory,
     _rhs,
     dH_law_residual,
     flow,

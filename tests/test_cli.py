@@ -183,6 +183,25 @@ def test_solve_whose_slab_writer_fails_leaves_no_file(tmp_path, monkeypatch, cap
     assert os.listdir(out) == []
 
 
+def test_solve_whose_in_process_write_fails_leaves_no_file(tmp_path, monkeypatch, capsys):
+    with_cpus(monkeypatch, 1)
+    real_write_csv = torus._write_csv
+
+    def failing_blocks(blocks):
+        for i, block in enumerate(blocks):
+            if i == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            yield block
+
+    monkeypatch.setattr(torus, "_write_csv",
+                        lambda fh, head, blocks: real_write_csv(fh, head, failing_blocks(blocks)))
+    cfg = write_config(tmp_path / "run.yaml")
+    out = tmp_path / "out"
+    assert run(["solve", "--config", cfg, "--out", out]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 def test_solve_2d_writes_march_and_certificate(tmp_path):
     cfg_path = write_config(
         tmp_path / "run.yaml",
@@ -307,6 +326,44 @@ def test_oracle_writes_fd_slab(tmp_path):
     assert run(["oracle", "--config", cfg, "--out", out]) == 0
     with open(out / "slab_fd.csv") as fh:
         assert fh.readline().strip() == "k,t,j,x,u"
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_oracle_slab_file_is_the_lf_solve_text(tmp_path, dim):
+    # the streamed slices give the bytes of the stored slab
+    model = {"dim": 2, "potential": [[1, 0, 1.0], [0, 1, 0.5]]} if dim == 2 else {}
+    grid = {"N": 16} if dim == 2 else {}
+    cfg_path = write_config(tmp_path / "run.yaml", model=model, grid=grid, solver={"T": 0.1})
+    out = tmp_path / "out"
+    assert run(["oracle", "--config", cfg_path, "--out", out]) == 0
+    assert sorted(os.listdir(out)) == ["manifest.json", "slab_fd.csv"]
+    cfg = load_config(cfg_path)
+    slab = fdoracle.lf_solve(cfg.lf(), cfg.phi_field(), cfg.T_fd)
+    assert slab.n_steps > 1
+    with open(tmp_path / "ref.csv", "w") as fh:
+        slab.write_csv(fh)
+    assert (out / "slab_fd.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_oracle_peak_does_not_grow_with_the_horizon(tmp_path):
+    # the config of test_budget_estimate_bounds_the_traced_peak[oracle] at
+    # two horizons: 4x the steps, and the oracle still holds one slice
+    np.random.default_rng(0)
+    peaks = []
+    for T in (0.25, 1.0):
+        cfg = load_config(write_config(
+            tmp_path / f"run{T}.yaml", grid={"N": 256, "dt": 1.0 / 64}, solver={"T": T}))
+        out = tmp_path / f"out{T}"
+        out.mkdir()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert _COMMANDS["oracle"](cfg, str(out), 1) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    # a stored slab would be 4.3 MB at T=1 (2,100 slices) against 1.1 MB at T=0.25
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 def test_check_reports_broken_monotonicity_assumption(tmp_path, capsys):
@@ -454,17 +511,17 @@ def test_horizon_off_the_time_grid_is_rejected_before_output(tmp_path, capsys, c
 @pytest.mark.parametrize(
     "command,grid",
     [
-        ("oracle", {"N": 256, "dt": 1.0 / 256}),
+        ("oracle", {"N": 2048, "dt": 1.0 / 256}),
         ("solve", {"N": 512, "dt": 1.0 / 64}),
         ("check", {"N": 512, "dt": 1.0 / 1024}),
         ("converge", {"N": 1024, "dt": 1.0 / 256}),
     ],
-    ids=["oracle-N256", "solve-N512", "check-N512", "converge-N1024"],
+    ids=["oracle-N2048", "solve-N512", "check-N512", "converge-N1024"],
 )
 def test_slab_command_over_budget_is_rejected_before_output(tmp_path, capsys, command, grid):
-    # oracle: 2,948 Lax-Friedrichs steps of 65,536 points, 1.44 GiB of slab
-    # alone; solve: 3,209 offsets of 262,144 points, 6.3 GiB of base_cost;
-    # check: its one slab of 1,025 slices of 262,144 points, 2.0 GiB;
+    # oracle: one Lax-Friedrichs step of 4,194,304 points and the text block
+    # of its slice, 2.5 GiB; solve: 3,209 offsets of 262,144 points, 6.3 GiB
+    # of base_cost; check: its one slab of 1,025 slices of 262,144 points, 2.0 GiB;
     # converge: 797 offsets of 1,048,576 points, 6.7 GB of base_cost
     cfg = write_config(
         tmp_path / "run.yaml",
@@ -558,6 +615,39 @@ def test_budget_estimate_bounds_the_traced_peak(tmp_path, monkeypatch, command, 
     assert peak + sum(map(len, mappings)) <= planned
 
 
+def non_finite_oracle_config(path):
+    # valid, but |Dphi| = 6 pi exceeds the |H_p| <= 4 of the audit box that
+    # sets the default oracle.alpha: the Lax-Friedrichs step 36 overflows
+    return write_config(
+        path,
+        model={"family": "quadratic-mechanical", "lambda": 0.0},
+        grid={"N": 256, "dt": 1.0 / 64, "v_max": 4.0},
+        solver={"phi": [[1, 3.0]]},
+    )
+
+
+def test_oracle_whose_step_is_not_finite_exits_3_and_leaves_no_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["oracle", "--config", non_finite_oracle_config(tmp_path / "run.yaml"),
+                    "--out", out])
+    assert code == 3
+    assert "Lax-Friedrichs step 36 produced a non-finite value" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def test_check_records_a_non_finite_oracle_step_as_a_failed_suite(tmp_path, capsys):
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["check", "--config", non_finite_oracle_config(tmp_path / "run.yaml"),
+                    "--out", out])
+    assert code == 1
+    assert "oracle_cross" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["check.csv", "manifest.json", "residual.csv"]
+    rows = (out / "check.csv").read_text().splitlines()
+    assert rows[-1] == "oracle_cross,0,Lax-Friedrichs step 36 produced a non-finite value"
+
+
 def test_public_api_stays_flat():
-    assert len(weakkam.__all__) <= 40
+    assert len(weakkam.__all__) <= 36
     assert all(hasattr(weakkam, name) and not name.startswith("_") for name in weakkam.__all__)

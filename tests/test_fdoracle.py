@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from weakkam.errors import ConfigurationError
-from weakkam.fdoracle import LFConfig, lf_final, lf_solve, lf_step
+from weakkam.errors import ConfigurationError, NumericError
+from weakkam.fdoracle import LFConfig, lf_final, lf_solve
 from weakkam.kernels import StepKernel
 from weakkam.models import HamiltonianModel, PiecewiseLinearMap, TrigPotential, eval_H
 from weakkam.semigroup import step_T
@@ -46,7 +46,7 @@ def test_entry_points_reject_phi_on_another_grid(entry):
     phi = GridField(Grid(1, 256), np.zeros(256))
     with pytest.raises(ConfigurationError, match="oracle"):
         if entry == "step":
-            lf_step(cfg, phi)
+            lf_final(cfg, phi, cfg.dt_fd)
         elif entry == "solve":
             lf_solve(cfg, phi, 0.0625)
         else:
@@ -65,8 +65,8 @@ def test_step_is_monotone_on_lipschitz_data():
         a = rng.uniform(-0.5, 0.5) * np.sin(2 * np.pi * (x + rng.uniform()))
         a += rng.uniform(-0.3, 0.3) * np.cos(4 * np.pi * x)
         c = rng.uniform(0, 0.3) * (1 + np.sin(2 * np.pi * (x + rng.uniform())))
-        fa = lf_step(cfg, GridField(g, a))
-        fb = lf_step(cfg, GridField(g, a + c))
+        fa = lf_final(cfg, GridField(g, a), cfg.dt_fd)
+        fb = lf_final(cfg, GridField(g, a + c), cfg.dt_fd)
         assert np.min(fb.values - fa.values) >= -1e-12
 
 
@@ -149,15 +149,16 @@ def test_stepper_equals_eval_h_step(family, dim):
     for k in range(1, n + 1):
         cur = eval_h_step(m, cur, cfg)
         assert np.array_equal(slab.values[k], cur.values)
-    assert np.array_equal(lf_step(cfg, phi).values, slab.values[1])
+    assert np.array_equal(lf_final(cfg, phi, cfg.dt_fd).values, slab.values[1])
     assert np.array_equal(lf_final(cfg, phi, n * cfg.dt_fd).values, slab.values[-1])
 
 
-def test_non_finite_step_raises_value_error():
+def test_non_finite_step_raises_numeric_error():
     m = discounted_pendulum()
     g = Grid(1, 16)
     cfg = LFConfig(m, g, 4.1, 1e-3)
     # finite data whose difference quotients overflow
     phi = GridField(g, np.where(np.arange(g.size) % 2, 1e308, -1e308))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
-        lf_final(cfg, phi, 2e-3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="step 1 "):
+            lf_final(cfg, phi, 2e-3)
