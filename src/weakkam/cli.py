@@ -12,11 +12,16 @@ rejects a horizon the command cannot step by grid.dt, naming
 ``grid.N``.  A file is written as name.part and renamed once complete.
 
 ``oracle`` writes each Lax-Friedrichs slice as the scheme yields it.
-``solve`` hands ``fixed_point`` a slab in an anonymous shared mapping and a
-slice signal: after each slice of the wavefront's top row is final, one
-byte down a pipe tells a forked writer process (``_SlabWriter``) to format
-that slice into slab.csv, so the text overlaps the march.  This needs two
-usable CPUs; with one, the slab is written after the march.
+Two commands hand independent work to a forked child process (``_Forked``)
+that shares an anonymous mapping with this one.  ``solve`` hands
+``fixed_point`` its slab there and a slice signal: after each slice of the
+wavefront's top row is final, one byte down a pipe tells the child to
+format that slice into slab.csv, so the text overlaps the march.  ``check``
+runs its Lax-Friedrichs oracle in the child while the variational suites
+run here, and reads the final slice from the mapping.  This needs two
+usable CPUs; with one, or when no process can be forked, the same work
+runs here afterwards: the slab is written after the march and the oracle
+after the suites.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import json
 import math
 import mmap
 import os
+import pickle
 import signal
 import sys
 import time
@@ -202,117 +208,127 @@ def _usable_cpus() -> int:
 
 def _signalled(fd: int, n: int):
     """Yield 0, 1, ..., n - 1, index k once k + 1 bytes have arrived on fd,
-    one byte per final slice; EOFError if the pipe closes first."""
+    one byte per ready index; EOFError if the pipe closes first."""
     k = 0
     while k < n:
         chunk = os.read(fd, n - k)
         if not chunk:
-            raise EOFError(f"the slab pipe closed after {k} of {n} slices")
+            raise EOFError(f"the ready pipe closed after {k} of {n} indices")
         yield from range(k, k + len(chunk))
         k += len(chunk)
 
 
-class _SlabWriter:
-    """slab.csv written by a forked child process while this one marches.
+class _Forked:
+    """``work(values, ready)`` run by a forked child process beside this one.
 
-    The slab is an anonymous shared mapping, so the child sees each slice
-    the parent stores in ``values``.  The parent sends one byte down a pipe
-    per final slice (``slice_final``); the child writes each slice as it is
-    signalled to slab.csv by ``_write``, and leaves by os._exit.
-    ``finish`` reaps it and returns its CPU seconds and peak RSS, or raises
-    OSError naming slab.csv; ``close`` kills and reaps a child still
-    running and removes the partial file.  The child only formats floats
-    and writes a file, so it takes no lock another thread of the parent
-    could hold at the fork.
+    ``values`` is a float array of the given shape in an anonymous shared
+    mapping, so each process sees what the other stores there.  The child's
+    ``ready`` yields 0, 1, ..., n_ready - 1, index k once the parent has
+    called ``ready()`` k + 1 times (one byte each down a pipe).  ``finish``
+    reaps the child and sets ``usage`` to its CPU seconds and peak RSS from
+    wait4; an exception the child raised comes back pickled down a second
+    pipe and is raised there unchanged.  ``close`` kills and reaps a child
+    still running.  With one usable CPU, or when os.fork fails, nothing is
+    forked: ``finish`` runs ``work(values, range(n_ready))`` here and
+    ``usage`` stays None.  A child only steps arrays and writes a file, so
+    it takes no lock another thread of the parent could hold at the fork.
     """
 
-    def __init__(self, out_dir: str, grid, dt: float, n_slices: int):
-        self.path = os.path.join(out_dir, "slab.csv")
-        self.part = self.path + ".part"
-        mapping = mmap.mmap(-1, n_slices * grid.size * 8)
-        self.values = np.frombuffer(mapping, dtype=float).reshape(n_slices, grid.size)
-        read_fd, self._write_fd = os.pipe()
+    def __init__(self, shape, work, n_ready: int = 0):
+        mapping = mmap.mmap(-1, math.prod(shape) * 8)
+        self.values = np.frombuffer(mapping, dtype=float).reshape(shape)
+        self.work, self.n_ready, self.pid, self.usage = work, n_ready, None, None
+        if _usable_cpus() == 1:
+            return
+        (ready_r, ready_w), (error_r, error_w) = os.pipe(), os.pipe()
         try:
             self.pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(self._write_fd)
-            raise
+        except OSError:  # no process to spare: finish runs work here
+            for fd in (ready_r, ready_w, error_r, error_w):
+                os.close(fd)
+            return
         if self.pid == 0:  # the child never returns into the caller's stack
             code = 1
             try:
-                os.close(self._write_fd)
-                slices = (self.values[k] for k in _signalled(read_fd, n_slices))
-                _write(out_dir, "slab.csv", lambda fh: _write_slab(fh, grid, dt, slices))
+                os.close(ready_w)
+                work(self.values, _signalled(ready_r, n_ready))
                 code = 0
             except Exception as e:
-                os.write(2, f"solve: slab writer: {e}\n".encode())
+                with os.fdopen(error_w, "wb") as fh:
+                    fh.write(pickle.dumps(e))
             finally:
                 os._exit(code)
-        os.close(read_fd)
+        os.close(ready_r)
+        os.close(error_w)
+        self._ready, self._errors = os.fdopen(ready_w, "wb", buffering=0), os.fdopen(error_r, "rb")
 
-    def slice_final(self, k: int):
-        """Tell the child that slice k is final (slices arrive in order)."""
-        with contextlib.suppress(BrokenPipeError):  # the child failed; finish reports it
-            os.write(self._write_fd, b"\0")
+    def ready(self, k: int):
+        """Tell a child that index k is ready (indices come in order)."""
+        if self.pid is not None:
+            with contextlib.suppress(BrokenPipeError):  # the child failed; finish reports it
+                self._ready.write(b"\0")
 
-    def finish(self) -> dict:
-        """Reap the child after the last slice, which has renamed its file to slab.csv."""
-        os.close(self._write_fd)
-        self._write_fd = None
+    def finish(self):
+        """Wait for work to end, here or in the child, and raise what it raised."""
+        if self.pid is None:
+            self.work(self.values, range(self.n_ready))
+            return
+        self._ready.close()
+        error = self._errors.read()
+        self._errors.close()
         _, status, usage = os.wait4(self.pid, 0)
         self.pid = None
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            raise OSError(f"writing {self.path}: the slab writer exited with status {code}")
-        return {"cpu_seconds": usage.ru_utime + usage.ru_stime,
-                "max_rss_mb": usage.ru_maxrss / 1024.0}
+        self.usage = {"cpu_seconds": usage.ru_utime + usage.ru_stime,
+                      "max_rss_mb": usage.ru_maxrss / 1024.0}
+        if error:
+            raise pickle.loads(error)
+        if status != 0:
+            code = os.waitstatus_to_exitcode(status)
+            raise OSError(f"the forked child exited with status {code}")
 
     def close(self):
-        """Kill and reap a child still running; remove the partial file."""
+        """Kill and reap a child still running."""
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
-        if self._write_fd is not None:
-            os.close(self._write_fd)
-            self._write_fd = None
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(self.part)
+            self._ready.close()
+            self._errors.close()
 
 
 def cmd_solve(cfg: RunConfig, out_dir: str, threads: int) -> int:
     """Fixed point on [0, T]: slab.csv, fixedpoint.csv and the manifest.
 
-    When this process may run on at least two CPUs (``_usable_cpus``), a
-    forked ``_SlabWriter`` writes slab.csv while the Picard wavefront
-    marches; with one CPU, or when no process can be forked, slab.csv is
-    written here after the march.  The bytes are the same either way.  A
-    forked writer that fails makes the run exit 2 naming slab.csv; that or
-    any error in the march leaves no slab.csv and no partial file.
+    The wavefront marches into the shared slab of a ``_Forked`` writer, which
+    writes slab.csv while the march goes on when this process may run on at
+    least two CPUs (``_usable_cpus``), and here after the march otherwise;
+    the bytes are the same either way.  A failed write makes the run exit 2
+    naming slab.csv; that or any error in the march leaves no slab.csv and
+    no partial file.
     """
     t0 = time.perf_counter()
     phi, kern = cfg.phi_field(), cfg.kernel()
-    writer = None
-    if _usable_cpus() > 1:
-        with contextlib.suppress(OSError):  # no process to spare: write after the march
-            writer = _SlabWriter(out_dir, cfg.grid, cfg.dt, _horizon_steps(cfg.T, cfg.dt) + 1)
+    n_slices = _horizon_steps(cfg.T, cfg.dt) + 1
+
+    def write_slab(values, ready):
+        slices = (values[k] for k in ready)
+        _write(out_dir, "slab.csv", lambda fh: _write_slab(fh, cfg.grid, cfg.dt, slices))
+
+    writer = _Forked((n_slices, cfg.grid.size), write_slab, n_slices)
     try:
-        u, report = fixed_point(
-            kern, phi, cfg.T, tol=cfg.tol,
-            out=writer and writer.values, on_slice=writer and writer.slice_final,
-        )
-        if writer is None:
-            _write(out_dir, "slab.csv", u.write_csv)
-            usage = None
-        else:
-            usage = writer.finish()
-    finally:
-        if writer is not None:
-            writer.close()
+        _, report = fixed_point(kern, phi, cfg.T, tol=cfg.tol,
+                                out=writer.values, on_slice=writer.ready)
+        try:
+            writer.finish()
+        except OSError as e:
+            raise OSError(f"writing {os.path.join(out_dir, 'slab.csv')}: {e}") from e
+    finally:  # a killed writer leaves its partial file
+        writer.close()
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, "slab.csv.part"))
     _write(out_dir, "fixedpoint.csv", report.to_csv())
     _manifest(cfg, out_dir, "solve", threads, t0,
-              {"iterations": report.iterations, "slab_writer": usage})
+              {"iterations": report.iterations, "slab_writer": writer.usage})
     return EXIT_OK
 
 
@@ -397,7 +413,13 @@ def cmd_oracle(cfg: RunConfig, out_dir: str, threads: int) -> int:
 
 def cmd_check(cfg: RunConfig, out_dir: str, threads: int) -> int:
     """Property battery: assumptions, semigroup properties, characteristic
-    law, calibrated-curve match, and the cross-solver comparison."""
+    law, calibrated-curve match, and the cross-solver comparison.
+
+    The Lax-Friedrichs oracle shares nothing with the rest, so a ``_Forked``
+    child runs it beside the variational suites and leaves its final slice
+    in a shared mapping (on one CPU it runs here, after them); the manifest's
+    ``oracle_process`` block is the child's CPU and peak RSS, or null.
+    """
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     failures = []
@@ -413,36 +435,43 @@ def cmd_check(cfg: RunConfig, out_dir: str, threads: int) -> int:
            "assumptions (" + ",".join(k for k, v in verdicts if not v) + ")")
 
     phi = cfg.phi_field()
-    psi = GridField(cfg.grid, phi.values + 0.2 * np.cos(
-        2 * np.pi * cfg.grid.points()[:, 0] + 1.0))
-    # one kernel serves every suite below; the march of phi is the slab the
-    # backtrack, the match and the cross-solver comparison read
-    kern = cfg.kernel()
-    u = _march(kern, phi, cfg.T)
-    prop = check_properties(kern, phi, psi, _property_horizons(cfg))
-    record("semigroup_properties", prop.all_within(2 * max(cfg.tol, 1e-12)),
-           f"uniform_bound={prop.uniform_bound!r}")
 
-    x_end = int(np.argmin(u.values[-1]))
-    curve = extract_calibrated_curve(kern, u, x_end)
-    record("calibrated_defect", curve.max_defect() <= 1e-9, f"max_defect={curve.max_defect()!r}")
+    def run_oracle(values, ready):
+        values[:] = lf_final(cfg.lf(), phi, cfg.T_fd).values
 
-    s0 = CharacteristicState(
-        x=cfg.grid.points()[x_end], u=float(u.values[-1, x_end]),
-        p=rng.uniform(-1.0, 1.0, size=cfg.grid.dim),
-    )
-    law = dH_law_residual(cfg.model, flow(cfg.model, s0, min(cfg.T, 1.0), 1e-3))
-    record("dh_law", law.rms_residual <= 1e-4, f"rms={law.rms_residual!r}")
+    with contextlib.closing(_Forked((cfg.grid.size,), run_oracle)) as oracle:
+        psi = GridField(cfg.grid, phi.values + 0.2 * np.cos(
+            2 * np.pi * cfg.grid.points()[:, 0] + 1.0))
+        # one kernel serves every suite below; the march of phi is the slab the
+        # backtrack, the match and the cross-solver comparison read
+        kern = cfg.kernel()
+        u = _march(kern, phi, cfg.T)
+        prop = check_properties(kern, phi, psi, _property_horizons(cfg))
+        record("semigroup_properties", prop.all_within(2 * max(cfg.tol, 1e-12)),
+               f"uniform_bound={prop.uniform_bound!r}")
 
-    match = match_calibrated(cfg.model, curve, u, dt_ode=cfg.dt / 4)
-    record("char_match", match.sup_distance <= 5 * cfg.grid.dx,
-           f"sup_distance={match.sup_distance!r}")
+        x_end = int(np.argmin(u.values[-1]))
+        curve = extract_calibrated_curve(kern, u, x_end)
+        record("calibrated_defect", curve.max_defect() <= 1e-9,
+               f"max_defect={curve.max_defect()!r}")
 
-    try:
-        gap = float(np.max(np.abs(lf_final(cfg.lf(), phi, cfg.T_fd).values - u.values[-1])))
-        record("oracle_cross", gap <= 0.1, f"sup_gap={gap!r}")
-    except NumericError as e:  # the message names the step
-        record("oracle_cross", False, str(e))
+        s0 = CharacteristicState(
+            x=cfg.grid.points()[x_end], u=float(u.values[-1, x_end]),
+            p=rng.uniform(-1.0, 1.0, size=cfg.grid.dim),
+        )
+        law = dH_law_residual(cfg.model, flow(cfg.model, s0, min(cfg.T, 1.0), 1e-3))
+        record("dh_law", law.rms_residual <= 1e-4, f"rms={law.rms_residual!r}")
+
+        match = match_calibrated(cfg.model, curve, u, dt_ode=cfg.dt / 4)
+        record("char_match", match.sup_distance <= 5 * cfg.grid.dx,
+               f"sup_distance={match.sup_distance!r}")
+
+        try:
+            oracle.finish()
+            gap = float(np.max(np.abs(oracle.values - u.values[-1])))
+            record("oracle_cross", gap <= 0.1, f"sup_gap={gap!r}")
+        except NumericError as e:  # the message names the step
+            record("oracle_cross", False, str(e))
 
     _write(out_dir, "check.csv", "\n".join(rows) + "\n")
     res = weak_kam_residual(cfg.model, u.final())
@@ -451,7 +480,8 @@ def cmd_check(cfg: RunConfig, out_dir: str, threads: int) -> int:
         "max_residual_smooth,rms_residual_smooth,kink_count\n"
         f"{res.max_abs_smooth!r},{res.rms_smooth!r},{res.kink_count}\n",
     )
-    _manifest(cfg, out_dir, "check", threads, t0, {"failures": failures})
+    _manifest(cfg, out_dir, "check", threads, t0,
+              {"failures": failures, "oracle_process": oracle.usage})
     if failures:
         print("check: failing suites: " + ", ".join(failures), file=sys.stderr)
         return EXIT_CHECK_FAILED

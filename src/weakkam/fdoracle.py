@@ -59,15 +59,17 @@ def _lf_march(cfg: LFConfig, phi: GridField, n: int):
     v = phi.values.reshape(pot.shape)
     yield phi.values
     for k in range(n):
-        sq, lap = 0.0, np.zeros_like(v)  # |central gradient|^2, Laplacian * dx
-        for ax in range(grid.dim):
-            dp = (np.roll(v, -1, axis=ax) - v) / grid.dx
-            dm = np.roll(dp, 1, axis=ax)  # bitwise (v_j - v_{j-1}) / dx
-            lap += dp - dm
-            c = 0.5 * (dp + dm)
-            sq = sq + c * c
-        ham = 0.5 * sq + model.coupling(v) + pot - model.action_shift
-        v = v - cfg.dt_fd * (ham - 0.5 * cfg.alpha * lap)
+        # a blown-up step overflows quietly; the isfinite check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq, lap = 0.0, np.zeros_like(v)  # |central gradient|^2, Laplacian * dx
+            for ax in range(grid.dim):
+                dp = (np.roll(v, -1, axis=ax) - v) / grid.dx
+                dm = np.roll(dp, 1, axis=ax)  # bitwise (v_j - v_{j-1}) / dx
+                lap += dp - dm
+                c = 0.5 * (dp + dm)
+                sq = sq + c * c
+            ham = 0.5 * sq + model.coupling(v) + pot - model.action_shift
+            v = v - cfg.dt_fd * (ham - 0.5 * cfg.alpha * lap)
         if not np.all(np.isfinite(v)):
             raise NumericError(f"Lax-Friedrichs step {k + 1} produced a non-finite value")
         yield v.ravel()

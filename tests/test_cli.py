@@ -3,6 +3,7 @@ import json
 import mmap
 import os
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -119,6 +120,62 @@ def test_solve_without_a_writer_process_writes_the_same_bytes(tmp_path, monkeypa
     for name in ("slab.csv", "fixedpoint.csv"):
         assert (tmp_path / "here" / name).read_bytes() == (tmp_path / "forked" / name).read_bytes()
     assert json.loads((tmp_path / "here" / "manifest.json").read_text())["slab_writer"] is None
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [_one_cpu, _no_affinity_call, _fork_fails],
+    ids=["one-cpu", "one-cpu-no-affinity-call", "fork-fails"],
+)
+def test_check_without_an_oracle_process_writes_the_same_bytes(tmp_path, monkeypatch, setup):
+    with_cpus(monkeypatch, 2)
+    cfg = write_config(tmp_path / "run.yaml", solver={"T": 0.5, "phi": [[1, 0.3]]},
+                       oracle={"alpha": 4.1})
+    code = run(["check", "--config", cfg, "--out", tmp_path / "forked"])
+    assert_no_child_process()
+    oracle = json.loads((tmp_path / "forked" / "manifest.json").read_text())["oracle_process"]
+    assert oracle["cpu_seconds"] >= 0.0 and oracle["max_rss_mb"] > 0.0
+    with monkeypatch.context() as mp:
+        setup(mp)
+        if setup is not _fork_fails:
+            mp.setattr(os, "fork", lambda: pytest.fail("forked with one usable CPU"))
+        assert run(["check", "--config", cfg, "--out", tmp_path / "here"]) == code
+    assert_no_child_process()
+    for name in ("check.csv", "residual.csv"):
+        assert (tmp_path / "here" / name).read_bytes() == (tmp_path / "forked" / name).read_bytes()
+    assert "oracle_cross,1," in (tmp_path / "here" / "check.csv").read_text()
+    assert json.loads((tmp_path / "here" / "manifest.json").read_text())["oracle_process"] is None
+
+
+def test_check_whose_battery_fails_leaves_no_oracle_process(tmp_path, monkeypatch, capsys):
+    with_cpus(monkeypatch, 2)
+    forks = []
+    real_fork = os.fork
+
+    def recording_fork():
+        forks.append(1)
+        return real_fork()
+
+    def failing_check_properties(*args, **kwargs):
+        raise OSError(errno.EIO, "Input/output error")
+
+    def slow_lf_final(*args, **kwargs):
+        time.sleep(30.0)
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr("weakkam.cli.check_properties", failing_check_properties)
+    # the forked oracle inherits the patched module and is still running when
+    # the battery fails, so only a kill ends it in time
+    monkeypatch.setattr("weakkam.cli.lf_final", slow_lf_final)
+    cfg = write_config(tmp_path / "run.yaml", solver={"T": 0.5}, oracle={"alpha": 4.1})
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    assert run(["check", "--config", cfg, "--out", out]) == 2
+    assert time.perf_counter() - t0 < 10.0
+    assert_no_child_process()
+    assert len(forks) == 1
+    assert "Input/output error" in capsys.readouterr().err
+    assert os.listdir(out) == []
 
 
 def test_solve_whose_march_fails_leaves_no_file(tmp_path, monkeypatch, capsys):
@@ -592,6 +649,14 @@ def test_budget_estimate_bounds_the_traced_peak(tmp_path, monkeypatch, command, 
     # the arrays (0.2-4 MB) outweigh the constant terms here; tracemalloc sees
     # numpy's buffers and every Python object, so no OS-level measurement is
     # needed, except for solve's shared slab mapping, which is added to the peak
+    cfg = load_config(write_config(tmp_path / "run.yaml", **overrides))
+    planned = _check_budget(command, cfg)
+    # one untraced run first: what a first run makes once and keeps (numpy.random
+    # imported on first use, the interpreter's interned-string table grown) is
+    # code and interpreter state, not data, and would make the peak depend on
+    # what ran before
+    (tmp_path / "warm").mkdir()
+    assert _COMMANDS[command](cfg, str(tmp_path / "warm"), 1) == code
     mappings = []
     real_mmap = mmap.mmap
 
@@ -600,9 +665,6 @@ def test_budget_estimate_bounds_the_traced_peak(tmp_path, monkeypatch, command, 
         return mappings[-1]
 
     monkeypatch.setattr(mmap, "mmap", recording_mmap)
-    np.random.default_rng(0)  # check imports numpy.random on first use: code, not data
-    cfg = load_config(write_config(tmp_path / "run.yaml", **overrides))
-    planned = _check_budget(command, cfg)
     out = tmp_path / "out"
     out.mkdir()
     tracemalloc.start()
@@ -626,26 +688,35 @@ def non_finite_oracle_config(path):
     )
 
 
+# a numpy overflow warning raised as an error fails these: the step that blows
+# up must report itself only through NumericError
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_oracle_whose_step_is_not_finite_exits_3_and_leaves_no_file(tmp_path, capsys):
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = run(["oracle", "--config", non_finite_oracle_config(tmp_path / "run.yaml"),
-                    "--out", out])
+    code = run(["oracle", "--config", non_finite_oracle_config(tmp_path / "run.yaml"),
+                "--out", out])
     assert code == 3
-    assert "Lax-Friedrichs step 36 produced a non-finite value" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "oracle: Lax-Friedrichs step 36 produced a non-finite value\n")
     assert os.listdir(out) == []
 
 
-def test_check_records_a_non_finite_oracle_step_as_a_failed_suite(tmp_path, capsys):
-    out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = run(["check", "--config", non_finite_oracle_config(tmp_path / "run.yaml"),
-                    "--out", out])
-    assert code == 1
-    assert "oracle_cross" in capsys.readouterr().err
-    assert sorted(os.listdir(out)) == ["check.csv", "manifest.json", "residual.csv"]
-    rows = (out / "check.csv").read_text().splitlines()
-    assert rows[-1] == "oracle_cross,0,Lax-Friedrichs step 36 produced a non-finite value"
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_records_a_non_finite_oracle_step_as_a_failed_suite(tmp_path, monkeypatch, capsys):
+    cfg = non_finite_oracle_config(tmp_path / "run.yaml")
+    for cpus, name in [(2, "forked"), (1, "here")]:
+        with_cpus(monkeypatch, cpus)
+        out = tmp_path / name
+        assert run(["check", "--config", cfg, "--out", out]) == 1
+        assert "oracle_cross" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["check.csv", "manifest.json", "residual.csv"]
+        rows = (out / "check.csv").read_text().splitlines()
+        assert rows[-1] == "oracle_cross,0,Lax-Friedrichs step 36 produced a non-finite value"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["oracle_process"] is None) == (cpus == 1)
+    assert_no_child_process()
+    for name in ("check.csv", "residual.csv"):
+        assert (tmp_path / "here" / name).read_bytes() == (tmp_path / "forked" / name).read_bytes()
 
 
 def test_public_api_stays_flat():
