@@ -191,15 +191,13 @@ def _policy_iteration(kern: StepKernel, a: float):
     """
     n = kern.grid.size
     nodes = np.arange(n)
-    shape = (kern.grid.n,) * kern.grid.dim
-    coords = np.array(np.unravel_index(nodes, shape))
     shift = float(kern.step_cost(np.full(1, a))[0])
     v = np.zeros(n)
     # with eta and v equal everywhere, the best start is the cheapest step into each node
     choice = _best_starts(kern, shift, v, v)[2]
     for iteration in range(1, _MAX_POLICY_ITERATIONS + 1):
         # node x starts its step at x - offsets[choice[x]], periodically
-        policy = np.ravel_multi_index(tuple(coords - kern.offsets[choice].T), shape, mode="wrap")
+        policy = kern._start_of(choice, nodes)
         eta, v = _evaluate(policy, kern.base_cost[choice, nodes] + shift, v)
         best_eta, best_val, best_k, lowest = _best_starts(kern, shift, eta, v)
         move = best_eta < eta

@@ -50,7 +50,7 @@ from .characteristics import (
 from .config import RunConfig, load_config
 from .errors import ConfigurationError, NumericError
 from .fdoracle import _lf_march, lf_final
-from .kernels import _BLOCK_ELEMENTS
+from .kernels import _BLOCK_ELEMENTS, row_path
 from .semigroup import (
     _march,
     check_properties,
@@ -106,8 +106,9 @@ def _check_budget(command: str, cfg: RunConfig) -> int:
     plus one text block of ``_ROW_BYTES`` a row.  A step holds one block of
     ``_BLOCK_ELEMENTS`` floats and, per stacked row, ``_KERNEL_COPIES``
     (kernel) or ``_LF_COPIES`` (Lax-Friedrichs) slices.  A kernel's tables
-    are its n_offsets*size ``base_cost`` and, on 2-D "left", a padded start
-    cost of at most 4*size.
+    are V and, on 2-D "left", a padded start cost (at most 5*size), and the
+    n_offsets*size ``base_cost`` where it is built: off the row path
+    (``kernels.row_path``) and by ``critical``.
     - ``critical`` the kernel's tables, ``_POLICY_VECTORS`` size-length
       vectors and ``_POLICY_BLOCKS`` candidate blocks;
     - ``action`` its table and a step of its size rows;
@@ -125,8 +126,9 @@ def _check_budget(command: str, cfg: RunConfig) -> int:
     grid, size = cfg.grid, cfg.grid.size
     text_rows = size
     if command in ("solve", "check", "converge", "critical"):
-        offsets = len(stencil_offsets(grid, cfg.v_max, cfg.dt))
-        tables = offsets + 4
+        tables = 5  # V and a padded start cost, and base_cost where it is built
+        if command == "critical" or not row_path(grid, cfg.quadrature):
+            tables += len(stencil_offsets(grid, cfg.v_max, cfg.dt))
     if command == "critical":
         planned = (tables + _POLICY_VECTORS) * size * 8
         planned += _POLICY_BLOCKS * _BLOCK_ELEMENTS * 8

@@ -6,9 +6,9 @@ A step advances a value slice by
 
 where y ranges over grid points within periodic distance v_max*dt of x_j
 and the displacement is the minimal periodic representative.  The kernel
-precomputes one table, the u-independent part of the segment cost of each
-admissible cell offset, indexed by the destination x_j; only the u-coupling
-is recomputed per step.
+holds one table, built on first read: the u-independent part of the segment
+cost of each admissible cell offset, indexed by the destination x_j; only
+the u-coupling is recomputed per step.
 
 Quadrature of the potential along the straight segment ("left", "midpoint"
 or "exact" trigonometric line integral) is fixed at kernel construction.
@@ -23,9 +23,10 @@ Two paths take the same min over the same candidates:
   is folded in lexicographic offset order.  It serves 1-D, "midpoint" and
   "exact" (whose V term depends on the offset) and ``apply_with_argmin``.
 - The row path serves ``apply`` and ``apply_table`` on 2-D grids with
-  "left" quadrature, where every term but the kinetic one depends only on
-  the start and the kinetic term splits per axis.  It reads the per-start
-  table dt*(action_shift - V) and the per-axis kinetic cost
+  "left" quadrature (``row_path``), where every term but the kinetic one
+  depends only on the start and the kinetic term splits per axis.  It
+  never reads ``base_cost``: it reads the per-start table
+  dt*(action_shift - V) and the per-axis kinetic cost
   c(o) = (o*dx)^2/(2*dt).  The disk-shaped stencil is a union of rows: row
   o1 holds the offsets (o1, o2) with |o2| <= r(o1).  Pass 1 builds the
   nested minima B_r = min(B_{r-1}, a(., x2 -+ r) + c(+-r)) along x2, pass 2
@@ -40,6 +41,8 @@ access to the previous slice, so results do not depend on thread count.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -51,6 +54,11 @@ QUADRATURES = ("left", "midpoint", "exact")
 
 # candidate elements formed at once: bounds the temporaries of one block
 _BLOCK_ELEMENTS = 1 << 16
+
+
+def row_path(grid: Grid, quadrature: str) -> bool:
+    """Whether kernels on grid step by the row path, which reads no ``base_cost``."""
+    return grid.dim == 2 and quadrature == "left"
 
 
 def check_dt_lambda(model: HamiltonianModel, dt: float):
@@ -66,14 +74,11 @@ class StepKernel:
     """Precomputed DP step for a fixed (model, grid, dt, v_max, quadrature).
 
     ``base_cost[k, j]`` is dt*L without the u-coupling for the step with
-    offset ``offsets[k]`` that ends at x_j (it starts at x_j - offsets[k]*dx,
-    periodically).  The window path, ``apply_with_argmin``, the
-    calibrated-curve backtrack and the policy iteration of
-    ``action.critical_value`` read it; ``start_index`` is derived on demand
-    from windows of the grid indices.  On 2-D grids with "left" quadrature
-    ``apply`` and ``apply_table`` take the row path instead, which reads
-    only dt*(action_shift - V) per start and the per-axis kinetic cost (see
-    the module docstring).
+    offset ``offsets[k]`` that ends at x_j and starts at x_j - offsets[k]*dx,
+    periodically (``_start_of`` states this rule once).  Window-path kernels
+    build it at construction; a 2-D "left" kernel (``row_path``) only when
+    ``action.critical_value`` reads it (the backtrack's ``_column`` forms a
+    "left" column from V, bitwise equal to the table's).
     """
 
     def __init__(
@@ -103,40 +108,59 @@ class StepKernel:
         self._pad = int(np.max(np.abs(offsets)))
         self._window_pos = tuple(self._pad - offsets.T)
 
-        pts = grid.points()
-        disp = offsets.astype(float) * grid.dx  # (n_off, dim)
-        self.velocities = disp / dt
-        kinetic = 0.5 * np.sum(self.velocities**2, axis=1)  # (n_off,)
+        self._kinetic = 0.5 * np.sum((offsets * grid.dx / dt) ** 2, axis=1)  # (n_off,)
+        self._potential = model.potential(grid.points()) if quadrature == "left" else None
 
-        v_start = model.potential(pts) if quadrature == "left" else None
-        self.base_cost = np.empty((self.n_offsets, grid.size))
-        for k in range(self.n_offsets):
-            if quadrature == "left":
-                vterm = v_start
-            elif quadrature == "midpoint":
-                vterm = model.potential(pts + 0.5 * disp[k])
-            else:
-                vterm = model.potential.segment_average(pts, np.broadcast_to(disp[k], pts.shape))
-            # the cost at start y, moved to the destination y + offset*dx
-            cost = dt * (kinetic[k] - vterm + model.action_shift)
-            self.base_cost[k] = cost[grid.shift_indices(offsets[k])]
-
-        self._row_reach = None
-        if grid.dim == 2 and quadrature == "left":
+        if row_path(grid, quadrature):
             m = self._pad
             self._wrap = np.arange(-m, grid.n + m) % grid.n
-            start_cost = (dt * (model.action_shift - v_start)).reshape(grid.n, -1)
+            start_cost = (dt * (model.action_shift - self._potential)).reshape(grid.n, -1)
             self._start_cost = start_cost[np.ix_(self._wrap, self._wrap)]  # wrap-padded
             self._axis_cost = (np.arange(-m, m + 1) * grid.dx) ** 2 / (2 * dt)
             # r(o1) = largest o2 with (o1, o2) in offsets; rows grouped by r
             reach = np.zeros(2 * m + 1, dtype=int)
             np.maximum.at(reach, offsets[:, 0] + m, offsets[:, 1])
             self._row_reach = [(np.flatnonzero(reach == r) - m).tolist() for r in range(m + 1)]
+        else:
+            self.base_cost  # the window path reads it every step: build it before any step
+
+    @functools.cached_property
+    def base_cost(self) -> np.ndarray:
+        """The (n_offsets, size) table of the class docstring, built on first read."""
+        pts, nodes = self.grid.points(), np.arange(self.grid.size)
+        table = np.empty((self.n_offsets, self.grid.size))
+        for k, disp in enumerate(self.offsets * self.grid.dx):
+            if self.quadrature == "left":
+                vterm = self._potential
+            elif self.quadrature == "midpoint":
+                vterm = self.model.potential(pts + 0.5 * disp)
+            else:
+                vterm = self.model.potential.segment_average(pts, np.broadcast_to(disp, pts.shape))
+            table[k] = self._cost(k, vterm[self._start_of(k, nodes)])
+        return table
+
+    def _cost(self, k, vterm):
+        """dt*L without the u-coupling of offsets k, given V's term at their starts."""
+        return self.dt * (self._kinetic[k] - vterm + self.model.action_shift)
+
+    def _start_of(self, k, j) -> np.ndarray:
+        """Flat index of x_j - offsets[k]*dx, periodically; k and j broadcast."""
+        n, o = self.grid.n, self.offsets[k]
+        if self.grid.dim == 1:
+            return (j - o[..., 0]) % n
+        return (j // n - o[..., 0]) % n * n + (j % n - o[..., 1]) % n
 
     @property
     def start_index(self) -> np.ndarray:
         """Start grid index of each (offset, destination) step, (n_offsets, size)."""
-        return self._starts(self._windows(np.arange(self.grid.size)), slice(None))
+        return self._start_of(np.arange(self.n_offsets)[:, None], np.arange(self.grid.size))
+
+    def _column(self, j: int):
+        """(starts, base_cost[:, j]) of the steps into x_j; "left" forms it from V."""
+        starts = self._start_of(np.arange(self.n_offsets), j)
+        if self.quadrature == "left":
+            return starts, self._cost(slice(None), self._potential[starts])
+        return starts, self.base_cost[:, j]
 
     def step_cost(self, u_slice: np.ndarray) -> np.ndarray:
         """Start-point term W-independent of the offset: -dt * coupling(u(y))."""
@@ -175,7 +199,7 @@ class StepKernel:
 
         The row path forms the same candidates with the sums in another order.
         """
-        if self._row_reach is not None:
+        if row_path(self.grid, self.quadrature):
             return self._row_min(a)
         return self._window_min(a)
 

@@ -249,16 +249,16 @@ def extract_calibrated_curve(
     max of |w[k] - u[k]| over the slices, must stay below FIXED_POINT_TOL;
     the pass holds one slice.  Either failure raises ConfigurationError.
     Going back from x_end, each slice forms only the chain destination's
-    candidates over the offsets, from the field u, and takes the smallest
-    start index among those equal to their min: the minimizer
-    ``StepKernel.apply_with_argmin`` gives for that destination.  The
-    calibration defect is the bookkeeping identity of u along the chain.
-    On a march by the same kernel w equals u bitwise and the defect is
-    round-off; on any other field that passes, the defect exceeds round-off
-    by at most twice the residual.
+    candidates over the offsets, from the field u and the cost column
+    ``StepKernel._column`` (V at the starts with "left" quadrature, else
+    ``base_cost``), and takes the smallest start index among those equal to
+    their min: the minimizer ``StepKernel.apply_with_argmin`` gives for that
+    destination.  The calibration defect is the bookkeeping identity of u
+    along the chain.  On a march by the same kernel w equals u bitwise and
+    the defect is round-off; on any other field that passes, the defect
+    exceeds round-off by at most twice the residual.
     """
     _on_steps(kern, spacetime, "spacetime")
-    grid = kern.grid
     n = spacetime.n_steps
     u = spacetime.values
     w, residual = u[0], 0.0
@@ -271,22 +271,19 @@ def extract_calibrated_curve(
             f" >= tol {FIXED_POINT_TOL:g}"
         )
 
-    shape = (grid.n,) * grid.dim
     idx = np.empty(n + 1, dtype=np.intp)
     idx[n] = int(x_end)
     seg_cost = np.empty(n)
     for k in range(n - 1, -1, -1):
-        # the steps into x_{idx[k+1]}: one start per offset, periodically
-        end = np.array(np.unravel_index(idx[k + 1], shape))
-        starts = np.ravel_multi_index(tuple((end - kern.offsets).T), shape, mode="wrap")
+        # the steps into x_{idx[k+1]}: one start per offset
+        starts, cost = kern._column(idx[k + 1])
         coupling = kern.step_cost(u[k, starts])
-        cost = kern.base_cost[:, idx[k + 1]]
         cand = (u[k, starts] + coupling) + cost
         idx[k] = starts[cand == cand.min()].min()
         # exact kernel cost of the chosen transition (offsets that wrap onto one start)
         chosen = starts == idx[k]
         seg_cost[k] = np.min(cost[chosen] + coupling[chosen])
-    pts = grid.index_coords(idx)
+    pts = kern.grid.points()[idx]
     vel = periodic_delta(pts[:-1], pts[1:]) / spacetime.dt
     u_along = u[np.arange(n + 1), idx]
     defects = (u_along[1:] - u_along[:-1]) - seg_cost

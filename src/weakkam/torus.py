@@ -116,28 +116,6 @@ class Grid:
         xx, yy = np.meshgrid(axis, axis, indexing="ij")
         return np.stack([xx.ravel(), yy.ravel()], axis=-1)
 
-    def index_coords(self, flat_index) -> np.ndarray:
-        """Coordinates of flat grid indices, shape (..., dim)."""
-        idx = np.asarray(flat_index)
-        if self.dim == 1:
-            return (idx / self.n)[..., None]
-        return np.stack([(idx // self.n) / self.n, (idx % self.n) / self.n], axis=-1)
-
-    def shift_indices(self, offset) -> np.ndarray:
-        """Flat index array mapping j -> index of (x_j - offset*dx).
-
-        ``offset`` is an integer cell offset (scalar for d=1, pair for d=2).
-        Used by the dynamic-programming kernels: the start point of the step
-        ending at x_j with that offset is x_j - offset*dx, periodically.
-        """
-        if self.dim == 1:
-            o = int(np.asarray(offset).reshape(()))
-            return (np.arange(self.n) - o) % self.n
-        o1, o2 = (int(v) for v in np.asarray(offset).reshape(2))
-        i1 = (np.arange(self.n)[:, None] - o1) % self.n
-        i2 = (np.arange(self.n)[None, :] - o2) % self.n
-        return (i1 * self.n + i2).ravel()
-
 
 def _horizon_steps(T: float, dt: float) -> int:
     """Number of steps of dt in the horizon T; T must be a positive multiple."""

@@ -15,6 +15,7 @@ from test_action import assert_matches_karp
 from weakkam import action, fdoracle, kernels, models, torus
 from weakkam.cli import _COMMANDS, _check_budget, main
 from weakkam.config import load_config
+from weakkam.errors import ConfigurationError
 from weakkam.semigroup import _march, fixed_point
 
 
@@ -566,24 +567,29 @@ def test_horizon_off_the_time_grid_is_rejected_before_output(tmp_path, capsys, c
 
 
 @pytest.mark.parametrize(
-    "command,grid",
+    "command,grid,solver",
     [
-        ("oracle", {"N": 2048, "dt": 1.0 / 256}),
-        ("solve", {"N": 512, "dt": 1.0 / 64}),
-        ("check", {"N": 512, "dt": 1.0 / 1024}),
-        ("converge", {"N": 1024, "dt": 1.0 / 256}),
+        ("oracle", {"N": 2048, "dt": 1.0 / 256}, {}),
+        ("solve", {"N": 512, "dt": 1.0 / 64}, {}),
+        ("check", {"N": 512, "dt": 1.0 / 1024}, {}),
+        ("converge", {"N": 1024, "dt": 1.0 / 256}, {"quadrature": "exact"}),
     ],
     ids=["oracle-N2048", "solve-N512", "check-N512", "converge-N1024"],
 )
-def test_slab_command_over_budget_is_rejected_before_output(tmp_path, capsys, command, grid):
+def test_slab_command_over_budget_is_rejected_before_output(
+    tmp_path, capsys, command, grid, solver
+):
     # oracle: one Lax-Friedrichs step of 4,194,304 points and the text block
-    # of its slice, 2.5 GiB; solve: 3,209 offsets of 262,144 points, 6.3 GiB
-    # of base_cost; check: its one slab of 1,025 slices of 262,144 points, 2.0 GiB;
-    # converge: 797 offsets of 1,048,576 points, 6.7 GB of base_cost
+    # of its slice, 2.5 GiB; solve ("left", no base_cost): its slab of 65
+    # slices and its Picard wavefront of 65 rows, of 262,144 points each,
+    # 1.4 GiB; check: its one slab of 1,025 slices of 262,144 points,
+    # 2.0 GiB; converge ("exact"): 797 offsets of 1,048,576 points, 6.7 GB
+    # of base_cost
     cfg = write_config(
         tmp_path / "run.yaml",
         model={"dim": 2, "potential": [[1, 0, 1.0]]},
         grid=dict(grid, v_max=4.0),
+        solver=solver,
     )
     out = tmp_path / "out"
     assert run([command, "--config", cfg, "--out", out]) == 2
@@ -615,9 +621,26 @@ def test_benchmark_sized_slab_commands_fit_the_budget(tmp_path):
         _check_budget(command, load_config(path))
 
 
+def test_2d_converge_budget_counts_base_cost_only_where_it_is_built(tmp_path):
+    # 2-D N=512, dt=1/64: on the row path ("left") the kernel holds V and a
+    # padded start cost, about 0.16 GiB in all; with "exact" it builds
+    # base_cost, 3,209 offsets of 262,144 points, 6.3 GiB
+    def config(quadrature):
+        return load_config(write_config(
+            tmp_path / f"{quadrature}.yaml",
+            model={"dim": 2, "potential": [[1, 0, 1.0]]},
+            grid={"N": 512, "dt": 1.0 / 64, "v_max": 4.0},
+            solver={"quadrature": quadrature},
+        ))
+
+    assert _check_budget("converge", config("left")) <= 0.2 * 2**30
+    with pytest.raises(ConfigurationError, match="config key `grid.N`"):
+        _check_budget("converge", config("exact"))
+
+
 def test_2d_n128_critical_fits_the_budget(tmp_path):
     # policy iteration holds the kernel's tables of 197 offsets and a few
-    # size-length vectors, about 41.5 MB; Karp's (size + 1) x size D_k was 2.0 GiB
+    # size-length vectors, about 41.7 MB; Karp's (size + 1) x size D_k was 2.0 GiB
     cfg = write_config(
         tmp_path / "run.yaml",
         model={"dim": 2, "potential": [[1, 0, 1.0], [0, 1, 0.5]]},
@@ -640,10 +663,14 @@ def test_2d_n128_critical_fits_the_budget(tmp_path):
         ("oracle", dict(grid={"N": 256, "dt": 1.0 / 64}, solver={"T": 0.25}), 0),
         ("check", dict(grid={"N": 1024, "dt": 1.0 / 256}, oracle={"alpha": 4.1},
                        solver={"T": 0.25, "quadrature": "exact"}), 0),
+        # 2-D "left" (the row path): no base_cost, which would add 8.0 MB
+        ("check", dict(model={"dim": 2, "potential": [[1, 0, 1.0], [0, 1, 0.5]]},
+                       grid={"N": 96, "dt": 1.0 / 64}, oracle={"alpha": 5.8},
+                       solver={"T": 0.25, "quadrature": "left", "phi": [[1, 1, 0.3]]}), 0),
         # one reporting window of 512 steps, not settled at t=2
         ("converge", dict(grid={"N": 512, "dt": 1.0 / 256}, solver={"checkpoints": [2.0]}), 3),
     ],
-    ids=["solve", "action", "critical", "oracle", "check", "converge"],
+    ids=["solve", "action", "critical", "oracle", "check", "check-2d-left", "converge"],
 )
 def test_budget_estimate_bounds_the_traced_peak(tmp_path, monkeypatch, command, overrides, code):
     # the arrays (0.2-4 MB) outweigh the constant terms here; tracemalloc sees

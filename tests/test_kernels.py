@@ -54,6 +54,12 @@ def test_apply_matches_brute_force_2d():
     assert np.allclose(kern.apply(w, u), brute_step(m, g, dt, v_max, w, u), atol=1e-12)
 
 
+def shifted_indices(grid, offset):
+    """Flat index of x_j - offset*dx for every j: the grid's indices rolled by offset."""
+    idx = np.arange(grid.size).reshape((grid.n,) * grid.dim)
+    return np.roll(idx, tuple(offset), axis=tuple(range(grid.dim))).ravel()
+
+
 def gather_reference(kern):
     """The plain kernel's tables: costs indexed by start point, start index maps."""
     model, grid, dt = kern.model, kern.grid, kern.dt
@@ -63,7 +69,7 @@ def gather_reference(kern):
     cost = np.empty((kern.n_offsets, grid.size))
     start = np.empty((kern.n_offsets, grid.size), dtype=np.intp)
     for k in range(kern.n_offsets):
-        start[k] = grid.shift_indices(kern.offsets[k])
+        start[k] = shifted_indices(grid, kern.offsets[k])
         if kern.quadrature == "left":
             vterm = model.potential(pts)
         elif kern.quadrature == "midpoint":
@@ -180,6 +186,23 @@ def test_row_path_equals_window_oracle(grid, dt, v_max, exact):
     assert_row_path_matches(got, ref_table, exact)
     for i in range(table.shape[0]):
         assert got[i].tobytes() == kern.apply(table[i], np.full(grid.size, 0.25)).tobytes()
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 17), Grid(2, 12)], ids=["1d17", "2d12"])
+def test_left_column_equals_base_cost_bitwise(grid):
+    # the backtrack forms a "left" kernel's cost column from V at the starts,
+    # which a 2-D kernel (the row path) does without building base_cost; it
+    # must be the table's column bitwise
+    modes = (((1,) * grid.dim, 0.7), ((2,) + (0,) * (grid.dim - 1), -0.4))
+    m = HamiltonianModel(
+        "quadratic-discounted", dim=grid.dim, lam=1.0, potential=TrigPotential(grid.dim, modes)
+    ).normalized(0.3)
+    kern = StepKernel(m, grid, 0.125, 2.0, "left")
+    columns = [kern._column(j) for j in range(grid.size)]
+    assert ("base_cost" in vars(kern)) == (grid.dim == 1)
+    for j, (starts, cost) in enumerate(columns):
+        assert np.array_equal(starts, kern.start_index[:, j])
+        assert cost.tobytes() == kern.base_cost[:, j].tobytes()
 
 
 def test_argmin_indices_reproduce_values():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from weakkam.action import critical_value
 from weakkam.errors import ConfigurationError
 from weakkam.kernels import StepKernel
 from weakkam.models import HamiltonianModel, PiecewiseLinearMap, TrigPotential
@@ -565,6 +566,29 @@ def test_converge_equals_windowed_marches(case):
     assert report.step_times.size == incs.size
     stopped = report.step_times[-1] < t_final - 1e-9
     assert report.converged == stopped == (case == "mechanical-1d-stops")
+
+
+def test_2d_left_kernel_builds_base_cost_only_for_the_critical_value():
+    # the row path and the backtrack's "left" cost column never read the
+    # table; the policy iteration of critical_value does
+    grid = Grid(2, 16)
+    m = HamiltonianModel(
+        "quadratic-discounted", dim=2, lam=1.0,
+        potential=TrigPotential(2, (((1, 0), 1.0), ((0, 1), 0.5))),
+    )
+    kern = StepKernel(m, grid, 1.0 / 16, 2.0, "left")
+    x = grid.points()
+    phi = GridField(grid, 0.3 * np.cos(2 * np.pi * (x[:, 0] + x[:, 1])))
+    psi = GridField(grid, 0.2 * np.sin(2 * np.pi * x[:, 1]))
+    slab = _march(kern, phi, 0.25)
+    check_properties(kern, phi, psi, [0.25])
+    extract_calibrated_curve(kern, slab, 37)
+    fixed_point(kern, phi, 0.25)
+    converge(kern, phi, (0.5,))
+    kern.apply_table(np.zeros((3, grid.size)), 0.0)
+    assert "base_cost" not in vars(kern)
+    critical_value(kern, 0.0)
+    assert "base_cost" in vars(kern)
 
 
 def test_calibrated_curve_requires_fixed_point():

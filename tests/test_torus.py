@@ -49,25 +49,35 @@ def test_grid_validation():
         Grid(1, 1)
 
 
-def test_grid_points_and_index_coords_agree():
+def test_grid_points_are_row_major():
+    # flat index j of a 2-D grid is the cell (j // n, j % n)
     for dim in (1, 2):
         g = Grid(dim, 8)
         pts = g.points()
         assert pts.shape == (g.size, dim)
-        assert np.allclose(g.index_coords(np.arange(g.size)), pts)
+        j = np.arange(g.size)
+        cells = j[:, None] if dim == 1 else np.stack([j // g.n, j % g.n], axis=-1)
+        assert np.allclose(cells / g.n, pts)
 
 
-def test_shift_indices_inverts_offset_1d():
+def start_of(g, offset):
+    """StepKernel._start_of over every destination, for one cell offset."""
+    kern = StepKernel(HamiltonianModel("quadratic-mechanical", dim=g.dim), g, 0.5, 2.0 * g.n)
+    k = int(np.flatnonzero(np.all(kern.offsets == offset, axis=1))[0])
+    return kern._start_of(k, np.arange(g.size))
+
+
+def test_start_of_inverts_offset_1d():
     g = Grid(1, 8)
-    idx = g.shift_indices(3)
+    idx = start_of(g, 3)
     pts = g.points()
     # x_idx[j] must equal x_j - 3*dx periodically
     assert np.allclose(wrap(pts[idx, 0]), wrap(pts[:, 0] - 3 * g.dx))
 
 
-def test_shift_indices_inverts_offset_2d():
+def test_start_of_inverts_offset_2d():
     g = Grid(2, 4)
-    idx = g.shift_indices((1, -2))
+    idx = start_of(g, (1, -2))
     pts = g.points()
     expect = wrap(pts - np.array([1, -2]) * g.dx)
     assert np.allclose(wrap(pts[idx]), expect)
