@@ -100,7 +100,10 @@ def _state_rhs(model: HamiltonianModel, d: int):
     """
     tau = 2.0 * math.pi
     modes = [(tuple(map(float, k)), a, -a * 2.0 * math.pi) for k, a in model.potential.modes]
-    coupling, coupling_u, shift = model.coupling, model.coupling_derivative, model.action_shift
+    shift = model.action_shift
+    # the mechanical (lam = 0) and discounted couplings lam*u and their H_u
+    # are formed on floats; 0.0*u adds a signed zero to 0.5*pp >= 0
+    nonlinear, lam = model.family == "quadratic-nonlinear-u", model.lipschitz_u
 
     def rhs(y):
         x, u, p = y[:d], y[d], y[d + 1 :]
@@ -116,8 +119,11 @@ def _state_rhs(model: HamiltonianModel, d: int):
         pp = p[0] * p[0]
         for i in range(1, d):
             pp += p[i] * p[i]
-        h = 0.5 * pp + float(coupling(u)) + pot - shift
-        hu = float(coupling_u(u))
+        if nonlinear:
+            gu, hu = float(model.coupling(u)), float(model.coupling_derivative(u))
+        else:
+            gu, hu = lam * u, lam
+        h = 0.5 * pp + gu + pot - shift
         return [*p, pp - h, *[-g - hu * pi for g, pi in zip(hx, p)]], h
 
     return rhs

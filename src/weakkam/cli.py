@@ -18,10 +18,12 @@ that shares an anonymous mapping with this one.  ``solve`` hands
 wavefront's top row is final, one byte down a pipe tells the child to
 format that slice into slab.csv, so the text overlaps the march.  ``check``
 runs its Lax-Friedrichs oracle in the child while the variational suites
-run here, and reads the final slice from the mapping.  This needs two
-usable CPUs; with one, or when no process can be forked, the same work
-runs here afterwards: the slab is written after the march and the oracle
-after the suites.
+run here, and reads the final slice from the mapping; the suites step phi
+once (the property battery fills the slab the backtrack and the match
+read), so the oracle is the longer branch.  This needs two usable CPUs;
+with one, or when no process can be forked, the same work runs here
+afterwards: the slab is written after the march and the oracle after the
+suites.
 """
 
 from __future__ import annotations
@@ -52,14 +54,15 @@ from .errors import ConfigurationError, NumericError
 from .fdoracle import _lf_march, lf_final
 from .kernels import _BLOCK_ELEMENTS, row_path
 from .semigroup import (
-    _march,
+    _backtrack,
     check_properties,
     converge,
-    extract_calibrated_curve,
     fixed_point,
     weak_kam_residual,
 )
-from .torus import _TABLE_ROWS, GridField, _horizon_steps, _write_slab, stencil_offsets
+from .torus import (
+    _TABLE_ROWS, GridField, SpaceTimeField, _horizon_steps, _write_slab, stencil_offsets,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -117,9 +120,10 @@ def _check_budget(command: str, cfg: RunConfig) -> int:
       (iterate 0 and up to n + 1 rows, one if H does not depend on u) with a
       step of its rows.  The slab is one mapping shared with the writer
       process and is counted once; the writer holds the one text block;
-    - ``check`` the kernel's tables, its one slab over [0, T] (the march
-      the backtrack walks), the four rows ``check_properties`` steps
-      together with one step of them, and one Lax-Friedrichs step;
+    - ``check`` the kernel's tables, its one slab over [0, T] (the march of
+      phi that row 0 of ``check_properties`` fills and the backtrack walks),
+      the four rows the battery steps together with one step of them, and
+      one Lax-Friedrichs step;
     - ``converge`` the kernel's tables, its slice and one step of it, and
       ``_HISTORY_BYTES`` per step of its history.
     """
@@ -444,16 +448,19 @@ def cmd_check(cfg: RunConfig, out_dir: str, threads: int) -> int:
     with contextlib.closing(_Forked((cfg.grid.size,), run_oracle)) as oracle:
         psi = GridField(cfg.grid, phi.values + 0.2 * np.cos(
             2 * np.pi * cfg.grid.points()[:, 0] + 1.0))
-        # one kernel serves every suite below; the march of phi is the slab the
-        # backtrack, the match and the cross-solver comparison read
+        # one kernel serves every suite below; the battery fills the slab with
+        # the march of phi, which the backtrack, the match and the cross-solver
+        # comparison read
         kern = cfg.kernel()
-        u = _march(kern, phi, cfg.T)
-        prop = check_properties(kern, phi, psi, _property_horizons(cfg))
+        slab = np.empty((_horizon_steps(cfg.T, kern.dt) + 1, cfg.grid.size))
+        prop = check_properties(kern, phi, psi, _property_horizons(cfg), out=slab)
+        u = SpaceTimeField(cfg.grid, kern.dt, slab)
         record("semigroup_properties", prop.all_within(2 * max(cfg.tol, 1e-12)),
                f"uniform_bound={prop.uniform_bound!r}")
 
+        # a march by this kernel is its operator's fixed point by construction
         x_end = int(np.argmin(u.values[-1]))
-        curve = extract_calibrated_curve(kern, u, x_end)
+        curve = _backtrack(kern, u, x_end)
         record("calibrated_defect", curve.max_defect() <= 1e-9,
                f"max_defect={curve.max_defect()!r}")
 

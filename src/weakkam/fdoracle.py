@@ -49,28 +49,50 @@ class LFConfig:
 def _lf_march(cfg: LFConfig, phi: GridField, n: int):
     """Yield phi's values and then the n slices after it of the explicit scheme, flat.
 
-    V is evaluated on the grid once; H is formed in the floating-point order
-    of ``eval_H``, so each slice is bitwise the one a step calling it gives.
+    V is evaluated on the grid once, and a step works in buffers made once
+    per run: each periodic shift is two slice copies and each operation an
+    ``out=`` ufunc.  H is formed in the floating-point order of ``eval_H``,
+    so each slice is bitwise the one a step calling it gives.  Every slice
+    yielded is a fresh array (``lf_solve`` stacks them).
     """
     if phi.grid != cfg.grid:
         raise ConfigurationError(f"phi is on {phi.grid}, the oracle on {cfg.grid}")
     model, grid = cfg.model, cfg.grid
     pot = model.potential(grid.points()).reshape((grid.n,) * grid.dim)
     v = phi.values.reshape(pot.shape)
+    dp, dm, c, sq, lap, ham = (np.empty_like(pot) for _ in range(6))
+    # per axis: all cells but the last, all but the first, the last, the first
+    cuts = [[(slice(None),) * ax + (s,) for s in
+             (slice(None, -1), slice(1, None), slice(-1, None), slice(0, 1))]
+            for ax in range(grid.dim)]
     yield phi.values
     for k in range(n):
         # a blown-up step overflows quietly; the isfinite check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            sq, lap = 0.0, np.zeros_like(v)  # |central gradient|^2, Laplacian * dx
-            for ax in range(grid.dim):
-                dp = (np.roll(v, -1, axis=ax) - v) / grid.dx
-                dm = np.roll(dp, 1, axis=ax)  # bitwise (v_j - v_{j-1}) / dx
-                lap += dp - dm
-                c = 0.5 * (dp + dm)
-                sq = sq + c * c
-            ham = 0.5 * sq + model.coupling(v) + pot - model.action_shift
-            v = v - cfg.dt_fd * (ham - 0.5 * cfg.alpha * lap)
-        if not np.all(np.isfinite(v)):
+            lap.fill(0.0)  # the Laplacian * dx; sq the |central gradient|^2
+            for ax, (head, tail, last, first) in enumerate(cuts):
+                np.subtract(v[tail], v[head], out=dp[head])
+                np.subtract(v[first], v[last], out=dp[last])
+                dp /= grid.dx  # (v_{j+1} - v_j) / dx
+                dm[tail], dm[first] = dp[head], dp[last]  # bitwise (v_j - v_{j-1}) / dx
+                np.subtract(dp, dm, out=c)
+                lap += c
+                np.add(dp, dm, out=c)
+                c *= 0.5
+                if ax:
+                    c *= c
+                    sq += c
+                else:
+                    np.multiply(c, c, out=sq)
+            np.multiply(sq, 0.5, out=ham)
+            ham += model.coupling(v)
+            ham += pot
+            ham -= model.action_shift
+            lap *= 0.5 * cfg.alpha
+            ham -= lap
+            ham *= cfg.dt_fd
+            v = v - ham
+        if not np.isfinite(v).all():
             raise NumericError(f"Lax-Friedrichs step {k + 1} produced a non-finite value")
         yield v.ravel()
 

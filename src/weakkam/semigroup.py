@@ -16,11 +16,13 @@ u^(0) = phi on every slice) is computed inside the march: all iterates
 advance together, one batched step per slice, and the top one is the march.
 
 Storage rule: a space-time slab is stored only where a caller reads it
-whole: ``_march`` (the field ``check`` backtracks and matches) and
-``fixed_point`` (``solve``'s slab.csv).  ``step_T``, the property battery
-of ``check_properties``, the fixed-point check of
-``extract_calibrated_curve`` and ``converge`` step rows and reduce each
-slice as it is formed, holding a few slices at a time.
+whole, and then into the caller's array: ``check_properties(out=)`` fills
+it with the march of phi that its battery steps anyway (the field
+``check`` backtracks and matches), and ``fixed_point(out=)`` with the
+wavefront's top row (``solve``'s slab.csv).  ``_march`` stores the plain
+march, the tests' reference.  ``step_T``, the battery's other rows, the
+fixed-point check of ``extract_calibrated_curve`` and ``converge`` step
+rows and reduce each slice as it is formed, holding a few slices at a time.
 """
 
 from __future__ import annotations
@@ -151,8 +153,28 @@ def fixed_point(
     stop = next(k for k, g in enumerate(history, 1) if g == 0.0 or g < tol)
     history = history[:stop]
     tl = T * model.lipschitz_u
-    bounds = [history[0] * tl**k / float(math.factorial(k)) for k in range(len(history))]
+    bounds = [_factorial_bound(history[0], tl, k) for k in range(len(history))]
     return u, FixedPointReport(stop, history, bounds)
+
+
+def _factorial_bound(g1: float, tl: float, k: int) -> float:
+    """g1 * tl**k / k!, the contraction bound of gap k + 1 (g1, tl > 0).
+
+    Formed as written wherever that stays in float range.  From k = 171 on
+    k! (and for tl > 1 sooner or later tl**k) leaves it, so the bound is
+    then exp(log g1 + k log tl - lgamma(k + 1)), which saturates to inf
+    where the bound itself exceeds the float range: inf still bounds the gap.
+    """
+    try:
+        bound = g1 * tl**k / float(math.factorial(k))
+        if math.isfinite(bound):
+            return bound
+    except OverflowError:
+        pass
+    try:
+        return math.exp(math.log(g1) + k * math.log(tl) - math.lgamma(k + 1))
+    except OverflowError:
+        return math.inf
 
 
 def step_T(kern: StepKernel, phi: GridField, t: float) -> GridField:
@@ -183,7 +205,9 @@ class PropertyReport:
         )
 
 
-def check_properties(kern: StepKernel, phi: GridField, psi: GridField, t_list) -> PropertyReport:
+def check_properties(
+    kern: StepKernel, phi: GridField, psi: GridField, t_list, out: np.ndarray | None = None
+) -> PropertyReport:
     """Evaluate monotonicity, non-expansiveness, uniform bound and the
     equi-Lipschitz seminorm of the semigroup stepped by ``kern`` for slices
     with t >= EQUI_LIPSCHITZ_DELTA.
@@ -193,11 +217,24 @@ def check_properties(kern: StepKernel, phi: GridField, psi: GridField, t_list) -
     advance together, one batched step per slice, and each slice is reduced
     as it is formed, so no slab is stored.  A horizon that is not a positive
     multiple of the kernel's dt is rejected with ConfigurationError.
+
+    Row 0 of the batch is the march of phi.  When ``out`` is given, a float
+    array of shape (n + 1, size), it is filled with slices 0..n of that
+    march, as ``fixed_point`` fills its ``out``.  Past the last horizon row 0
+    marches on alone, bitwise as in the batch; the report stays over the
+    slices up to the last horizon.
     """
     _on_grid(kern, phi, "phi")
     _on_grid(kern, psi, "psi")
     grid, dt = kern.grid, kern.dt
     steps = [_horizon_steps(t, dt) for t in t_list]
+    n_out = -1
+    if out is not None:
+        if out.ndim != 2 or out.shape[1] != grid.size or out.dtype != np.float64:
+            raise ConfigurationError(
+                f"out is {out.dtype} {out.shape}, need float64 (n + 1, {grid.size})")
+        n_out = out.shape[0] - 1
+        out[0] = phi.values
     rows = np.stack([phi.values, psi.values, np.minimum(phi.values, psi.values),
                      np.maximum(phi.values, psi.values)])
     base_gap = float(np.max(np.abs(phi.values - psi.values)))
@@ -207,6 +244,8 @@ def check_properties(kern: StepKernel, phi: GridField, psi: GridField, t_list) -
     for k in range(max(steps) + 1):
         if k:
             rows = kern.apply(rows, rows)
+            if k <= n_out:
+                out[k] = rows[0]
         report.uniform_bound = max(report.uniform_bound, float(np.max(np.abs(rows[:2]))))
         if k >= k_min:
             report.equi_lipschitz = max(
@@ -219,6 +258,8 @@ def check_properties(kern: StepKernel, phi: GridField, psi: GridField, t_list) -
                 "sup_norm": float(np.max(np.abs(rows[0]))),
                 "lipschitz": GridField(grid, rows[0]).lipschitz_seminorm(),
             }
+    for k in range(max(steps) + 1, n_out + 1):
+        out[k] = kern.apply(out[k - 1], out[k - 1])
     report.entries = [{"t": float(t), **at[k]} for t, k in zip(t_list, steps)]
     return report
 
@@ -248,21 +289,14 @@ def extract_calibrated_curve(
     w[k+1] = step(w[k], u[k]) from w[0] = u[0] whose residual, the running
     max of |w[k] - u[k]| over the slices, must stay below FIXED_POINT_TOL;
     the pass holds one slice.  Either failure raises ConfigurationError.
-    Going back from x_end, each slice forms only the chain destination's
-    candidates over the offsets, from the field u and the cost column
-    ``StepKernel._column`` (V at the starts with "left" quadrature, else
-    ``base_cost``), and takes the smallest start index among those equal to
-    their min: the minimizer ``StepKernel.apply_with_argmin`` gives for that
-    destination.  The calibration defect is the bookkeeping identity of u
-    along the chain.  On a march by the same kernel w equals u bitwise and
-    the defect is round-off; on any other field that passes, the defect
-    exceeds round-off by at most twice the residual.
+    The chain is then ``_backtrack``'s.  On a march by the same kernel w
+    equals u bitwise and the defect is round-off; on any other field that
+    passes, the defect exceeds round-off by at most twice the residual.
     """
     _on_steps(kern, spacetime, "spacetime")
-    n = spacetime.n_steps
     u = spacetime.values
     w, residual = u[0], 0.0
-    for k in range(n):
+    for k in range(spacetime.n_steps):
         w = kern.apply(w, u[k])
         residual = np.maximum(residual, np.max(np.abs(w - u[k + 1])))  # keeps a NaN
     if not residual < FIXED_POINT_TOL:
@@ -270,7 +304,23 @@ def extract_calibrated_curve(
             f"spacetime is not a fixed point: operator residual {residual:g}"
             f" >= tol {FIXED_POINT_TOL:g}"
         )
+    return _backtrack(kern, spacetime, x_end)
 
+
+def _backtrack(kern: StepKernel, spacetime: SpaceTimeField, x_end: int) -> CalibratedCurve:
+    """The DP argmin chain of ``spacetime`` from x_end, unchecked: the caller
+    knows the field is a march by ``kern`` (``check`` walks its own slab).
+
+    Going back from x_end, each slice forms only the chain destination's
+    candidates over the offsets, from the field u and the cost column
+    ``StepKernel._column`` (V at the starts with "left" quadrature, else
+    ``base_cost``), and takes the smallest start index among those equal to
+    their min: the minimizer ``StepKernel.apply_with_argmin`` gives for that
+    destination.  The calibration defect is the bookkeeping identity of u
+    along the chain.
+    """
+    n = spacetime.n_steps
+    u = spacetime.values
     idx = np.empty(n + 1, dtype=np.intp)
     idx[n] = int(x_end)
     seg_cost = np.empty(n)

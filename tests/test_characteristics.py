@@ -1,3 +1,4 @@
+import contextlib
 import io
 
 import numpy as np
@@ -180,13 +181,27 @@ def catalog(dim, modes):
     ]
 
 
-def state_and_batch_of_one(model, seed, t=1.0, dt_ode=1e-3):
+def state_and_batch_of_one(model, seed, t=1.0, dt_ode=1e-3, state_context=None):
+    """Flows of one random state on floats (inside state_context) and as a batch of one."""
     rng = np.random.default_rng(seed)
     d = model.dim
     x, u, p = rng.uniform(0, 1, d), float(rng.uniform(-1, 1)), rng.uniform(-2, 2, d)
-    one = flow(model, CharacteristicState(x=x, u=u, p=p, t=0.37), t, dt_ode)
+    with state_context or contextlib.nullcontext():
+        one = flow(model, CharacteristicState(x=x, u=u, p=p, t=0.37), t, dt_ode)
     batch = flow(model, (x[None], [u], p[None]), t, dt_ode)
     return one, batch
+
+
+@contextlib.contextmanager
+def numpy_coupling_refused():
+    """Inside, the model's numpy coupling and H_u raise."""
+    def refuse(self, u):
+        raise AssertionError("the float path called the model's numpy coupling")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("coupling", "coupling_derivative"):
+            mp.setattr(HamiltonianModel, name, refuse)
+        yield
 
 
 @pytest.mark.parametrize(
@@ -196,10 +211,13 @@ def state_and_batch_of_one(model, seed, t=1.0, dt_ode=1e-3):
 )
 def test_state_flow_equals_batch_of_one(dim, mode):
     # every phase product after the first is exact, so the float path and
-    # the numpy oracle agree bitwise whatever the dot's summation
+    # the numpy oracle agree bitwise whatever the dot's summation; the float
+    # path forms the mechanical and discounted couplings itself
     second = ((2,), -0.4) if dim == 1 else ((1, 0), 0.5)
     for i, m in enumerate(catalog(dim, ((mode, 0.8), second))):
-        one, batch = state_and_batch_of_one(m, seed=10 * dim + i)
+        floats = m.family in ("quadratic-mechanical", "quadratic-discounted")
+        one, batch = state_and_batch_of_one(
+            m, seed=10 * dim + i, state_context=numpy_coupling_refused() if floats else None)
         for name in ("xs", "us", "ps", "h_values"):
             a, b = getattr(one, name), getattr(batch, name)
             assert a.shape == b.shape

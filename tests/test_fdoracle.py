@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from weakkam.errors import ConfigurationError, NumericError
-from weakkam.fdoracle import LFConfig, lf_final, lf_solve
+from weakkam.fdoracle import LFConfig, _lf_march, lf_final, lf_solve
 from weakkam.kernels import StepKernel
 from weakkam.models import HamiltonianModel, PiecewiseLinearMap, TrigPotential, eval_H
 from weakkam.semigroup import step_T
@@ -162,3 +162,19 @@ def test_non_finite_step_raises_numeric_error():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="step 1 "):
             lf_final(cfg, phi, 2e-3)
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_march_yields_a_fresh_array_per_slice(dim):
+    # the step reuses its buffers; no slice it yields shares memory with another
+    m = family_model("quadratic-discounted", dim)
+    g = Grid(dim, 64 if dim == 1 else 16)
+    cfg = LFConfig(m, g, 5.8, 0.5 * g.dx / 5.8)
+    phi = GridField(g, np.random.default_rng(dim).uniform(-0.5, 0.5, g.size))
+    slices = list(_lf_march(cfg, phi, 6))
+    for i, a in enumerate(slices):
+        assert not any(np.shares_memory(a, b) for b in slices[i + 1:])
+    slab = lf_solve(cfg, phi, 6 * cfg.dt_fd)
+    assert all(np.array_equal(a, b) for a, b in zip(slices, slab.values))
+    assert not any(np.array_equal(a, b) for a, b in zip(slab.values, slab.values[1:]))
+

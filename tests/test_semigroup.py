@@ -1,5 +1,6 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from weakkam.semigroup import (
     FIXED_POINT_TOL,
     FixedPointReport,
     PropertyReport,
+    _backtrack,
+    _factorial_bound,
     _march,
     check_Ltilde,
     check_properties,
@@ -183,6 +186,35 @@ def test_fixed_point_fills_the_given_slab_and_signals_each_final_slice():
     for bad in (out[1:], out.astype(np.float32)):
         with pytest.raises(ConfigurationError):
             fixed_point(kern, phi, 2.0, out=bad)
+
+
+def test_long_horizon_certificate_bound_leaves_float_range_in_log_space():
+    # T*lambda_L = 64: the report runs past k = 170, where k! leaves float
+    # range; the bound is then formed in log space, and saturates to inf
+    g = Grid(1, 16)
+    phi = GridField(g, 0.3 * np.cos(2 * np.pi * g.points()[:, 0]))
+    kern = StepKernel(discounted_pendulum(), g, 1.0 / 16, 4.0, "exact")
+    _, report = fixed_point(kern, phi, 64.0, tol=0.0)
+    assert report.iterations > 172
+    assert report.residual_history[-1] == 0.0
+    g1, logged = report.residual_history[0], 0
+    for k, bound in enumerate(report.contraction_bound):
+        try:
+            plain = g1 * 64.0**k / float(math.factorial(k))
+        except OverflowError:
+            plain = math.inf
+        if math.isfinite(plain):  # the expression as written, bitwise
+            assert bound == plain
+        else:
+            logged += 1
+            exact = Fraction(g1) * Fraction(64) ** k / math.factorial(k)
+            assert bound == pytest.approx(float(exact), rel=1e-10)
+    assert logged >= report.iterations - 171 > 0  # every k >= 171, and k = 170 if g1 > 1.6
+    for gap, bound in zip(report.residual_history, report.contraction_bound):
+        assert gap <= 2.0 * bound + 1e-15
+    assert _factorial_bound(1.0, 1e6, 200) == math.inf  # 1e1200 / 200!
+    assert _factorial_bound(0.5, 1e3, 171) == pytest.approx(
+        float(Fraction(1, 2) * 1000**171 / math.factorial(171)), rel=1e-10)
 
 
 def test_fixed_point_horizon_validation():
@@ -463,9 +495,9 @@ def properties_reference(kern, phi, psi, t_list):
     return report
 
 
-@pytest.mark.parametrize("dim", [1, 2], ids=["1d-nonlinear-exact", "2d-left"])
-def test_check_properties_equals_slab_reference(dim):
-    # the four marches step as one batch of rows and are reduced slice by slice
+def battery_case(dim):
+    """(kernel, phi, psi): 1-D nonlinear-u "exact" on the window path, or 2-D
+    discounted "left" on the row path."""
     if dim == 1:
         g, m, quadrature = Grid(1, 64), nonlinear_pendulum(), "exact"
         x = g.points()[:, 0]
@@ -476,11 +508,45 @@ def test_check_properties_equals_slab_reference(dim):
         x = g.points()
         phi = GridField(g, 0.3 * np.cos(2 * np.pi * (x @ [1.0, 1.0])))
         psi = GridField(g, 0.2 * np.sin(2 * np.pi * x[:, 0]) - 0.1)
-    kern = StepKernel(m, g, 1.0 / 16, 4.0, quadrature)
+    return StepKernel(m, g, 1.0 / 16, 4.0, quadrature), phi, psi
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d-nonlinear-exact", "2d-left"])
+def test_check_properties_equals_slab_reference(dim):
+    # the four marches step as one batch of rows and are reduced slice by slice
+    kern, phi, psi = battery_case(dim)
     t_list = [1.0, 0.5]
     report = check_properties(kern, phi, psi, t_list)
     assert repr(report) == repr(properties_reference(kern, phi, psi, t_list))
     assert [e["t"] for e in report.entries] == t_list
+
+
+@pytest.mark.parametrize("T", [0.5, 1.0, 1.5], ids=["T-below", "T-at", "T-beyond"])
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d-window-path", "2d-row-path"])
+def test_check_properties_fills_the_march_of_phi(dim, T):
+    # row 0 of the battery is the march of phi, bitwise; past the last
+    # horizon (1.0) it marches on alone, and the report does not move
+    kern, phi, psi = battery_case(dim)
+    t_list = [1.0, 0.5]
+    march = _march(kern, phi, T)
+    out = np.full_like(march.values, np.nan)
+    report = check_properties(kern, phi, psi, t_list, out=out)
+    assert out.tobytes() == march.values.tobytes()
+    assert repr(report) == repr(check_properties(kern, phi, psi, t_list))
+    for bad in (out[:, 1:], out.astype(np.float32), out[0]):
+        with pytest.raises(ConfigurationError, match="need float64"):
+            check_properties(kern, phi, psi, t_list, out=bad)
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d-nonlinear-exact", "2d-left"])
+def test_unchecked_backtrack_equals_the_checked_one_on_a_march(dim):
+    kern, phi, _ = battery_case(dim)
+    u = _march(kern, phi, 1.0)
+    for x_end in (0, kern.grid.size // 3, int(np.argmin(u.values[-1]))):
+        checked = extract_calibrated_curve(kern, u, x_end)
+        walked = _backtrack(kern, u, x_end)
+        for name in ("indices", "points", "u_values", "velocities", "defects"):
+            assert getattr(walked, name).tobytes() == getattr(checked, name).tobytes(), name
 
 
 def test_check_properties_rejects_a_horizon_off_the_time_grid():
