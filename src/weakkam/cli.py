@@ -1,29 +1,31 @@
 """Command-line front end.
 
-Thin wrappers around the library: each subcommand loads a validated run
-configuration, performs one computation, and writes CSV artifacts plus a
-run manifest into the output directory.  Exit codes: 0 success, 1 check
-failure, 2 invalid configuration, 3 numeric non-convergence.
+Each subcommand computes one thing from a validated run configuration and
+writes CSVs and a ``manifest.json`` into the output directory, each file
+as name.part renamed once complete.  ``main`` owns the lifecycle: before
+it makes the output directory it rejects, naming the config key, a
+missing ``char`` block for ``char``, a horizon off the time grid
+(``solver.T``) and a planned size above ``MEMORY_BUDGET_BYTES``
+(``grid.N``, or ``solver.checkpoints`` when converge's history alone
+exceeds it); ``_run`` then times ``cmd_*(cfg, out_dir)``, which returns
+``(exit_code, manifest_extra)``, and writes the one manifest.
+
+Exit codes: 0 success, 1 a check suite failed, 2 an invalid configuration
+or a failed write, 3 a numeric failure.  A ``NumericError`` from any
+command prints one line ``<command>: <message>`` and exits 3 with no
+manifest (``check`` records its oracle's as a failed suite instead);
+``converge`` that does not settle exits 3 after writing its manifest.
 
 Commands take their discretizations from ``RunConfig.kernel()`` and
-``RunConfig.lf()``.  Before the output directory is made, ``main``
-rejects a horizon the command cannot step by grid.dt, naming
-``solver.T``, and a planned size above ``MEMORY_BUDGET_BYTES``, naming
-``grid.N``.  A file is written as name.part and renamed once complete.
-
-``oracle`` writes each Lax-Friedrichs slice as the scheme yields it.
-Two commands hand independent work to a forked child process (``_Forked``)
-that shares an anonymous mapping with this one.  ``solve`` hands
-``fixed_point`` its slab there and a slice signal: after each slice of the
-wavefront's top row is final, one byte down a pipe tells the child to
-format that slice into slab.csv, so the text overlaps the march.  ``check``
-runs its Lax-Friedrichs oracle in the child while the variational suites
-run here, and reads the final slice from the mapping; the suites step phi
-once (the property battery fills the slab the backtrack and the match
-read), so the oracle is the longer branch.  This needs two usable CPUs;
-with one, or when no process can be forked, the same work runs here
-afterwards: the slab is written after the march and the oracle after the
-suites.
+``RunConfig.lf()``; ``oracle`` streams each Lax-Friedrichs slice as the
+scheme yields it.  ``solve`` and ``check`` hand independent work to a
+forked child (``_Forked``) sharing an anonymous mapping: ``solve``'s child
+formats each slice of the wavefront's top row into slab.csv once a byte
+down a pipe says it is final, so the text overlaps the march; ``check``'s
+runs the Lax-Friedrichs oracle beside the variational suites, which step
+phi once (the property battery fills the slab the backtrack and the match
+read).  With one usable CPU, or when no process can be forked, the same
+work runs here afterwards.
 """
 
 from __future__ import annotations
@@ -125,10 +127,11 @@ def _check_budget(command: str, cfg: RunConfig) -> int:
       the four rows the battery steps together with one step of them, and
       one Lax-Friedrichs step;
     - ``converge`` the kernel's tables, its slice and one step of it, and
-      ``_HISTORY_BYTES`` per step of its history.
+      ``_HISTORY_BYTES`` per step of its history; when the history alone
+      exceeds the budget the message names ``solver.checkpoints``.
     """
     grid, size = cfg.grid, cfg.grid.size
-    text_rows = size
+    text_rows, key = size, "grid.N"
     if command in ("solve", "check", "converge", "critical"):
         tables = 5  # V and a padded start cost, and base_cost where it is built
         if command == "critical" or not row_path(grid, cfg.quadrature):
@@ -148,20 +151,21 @@ def _check_budget(command: str, cfg: RunConfig) -> int:
         n = _horizon_steps(cfg.T, cfg.dt)
         planned = (n + 1 + 4 * (1 + _KERNEL_COPIES) + _LF_COPIES + tables) * size * 8
     elif command == "converge":
-        steps = math.ceil(max(cfg.checkpoints) / cfg.dt) + 1
-        planned = (2 + _KERNEL_COPIES + tables) * size * 8
-        planned += steps * _HISTORY_BYTES
+        # a float, so a horizon past the float range of steps reads inf
+        history = (max(cfg.checkpoints) / cfg.dt + 2) * _HISTORY_BYTES
+        key = "solver.checkpoints" if history > MEMORY_BUDGET_BYTES else key
+        planned = (2 + _KERNEL_COPIES + tables) * size * 8 + history
         text_rows = max(size, _TABLE_ROWS)
     else:
         return 0
     planned += _BLOCK_ELEMENTS * 8 + text_rows * _ROW_BYTES
     if planned > MEMORY_BUDGET_BYTES:
         raise ConfigurationError(
-            f"config key `grid.N`: {command} on {grid.dim}-D N={grid.n} would hold "
-            f"about {planned / 2**30:.1f} GiB, above the budget of "
+            f"config key `{key}`: {command} on {grid.dim}-D N={grid.n} would hold "
+            f"about {planned / 2**30:.3g} GiB, above the budget of "
             f"{MEMORY_BUDGET_BYTES / 2**30:g} GiB"
         )
-    return planned
+    return int(planned)
 
 
 def _prepare_out(out_dir: str, overwrite: bool):
@@ -190,17 +194,16 @@ def _write(out_dir: str, name: str, content):
         raise
 
 
-def _manifest(cfg: RunConfig, out_dir: str, command: str, threads: int, t0: float, extra=None):
+def _manifest(cfg: RunConfig, out_dir: str, command: str, threads: int, elapsed: float, extra):
     doc = {
         "command": command,
         "version": __version__,
         "numpy": np.__version__,
         "threads": threads,
-        "elapsed_seconds": time.perf_counter() - t0,
+        "elapsed_seconds": elapsed,
         "resolved_config": cfg.resolved(),
+        **extra,
     }
-    if extra:
-        doc.update(extra)
     _write(out_dir, "manifest.json", json.dumps(doc, indent=2, default=str) + "\n")
 
 
@@ -302,7 +305,7 @@ class _Forked:
             self._errors.close()
 
 
-def cmd_solve(cfg: RunConfig, out_dir: str, threads: int) -> int:
+def cmd_solve(cfg: RunConfig, out_dir: str) -> tuple:
     """Fixed point on [0, T]: slab.csv, fixedpoint.csv and the manifest.
 
     The wavefront marches into the shared slab of a ``_Forked`` writer, which
@@ -312,7 +315,6 @@ def cmd_solve(cfg: RunConfig, out_dir: str, threads: int) -> int:
     naming slab.csv; that or any error in the march leaves no slab.csv and
     no partial file.
     """
-    t0 = time.perf_counter()
     phi, kern = cfg.phi_field(), cfg.kernel()
     n_slices = _horizon_steps(cfg.T, cfg.dt) + 1
 
@@ -333,15 +335,12 @@ def cmd_solve(cfg: RunConfig, out_dir: str, threads: int) -> int:
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(out_dir, "slab.csv.part"))
     _write(out_dir, "fixedpoint.csv", report.to_csv())
-    _manifest(cfg, out_dir, "solve", threads, t0,
-              {"iterations": report.iterations, "slab_writer": writer.usage})
-    return EXIT_OK
+    return EXIT_OK, {"iterations": report.iterations, "slab_writer": writer.usage}
 
 
-def cmd_converge(cfg: RunConfig, out_dir: str, threads: int) -> int:
-    t0 = time.perf_counter()
-    phi = cfg.phi_field()
-    rep = converge(cfg.kernel(), phi, t_checkpoints=cfg.checkpoints, stop_eps=cfg.stop_eps)
+def cmd_converge(cfg: RunConfig, out_dir: str) -> tuple:
+    rep = converge(cfg.kernel(), cfg.phi_field(), t_checkpoints=cfg.checkpoints,
+                   stop_eps=cfg.stop_eps)
     _write(out_dir, "convergence.csv", rep.write_csv)
     _write(out_dir, "u_inf.csv", rep.u_inf.write_csv)
     res = rep.residual
@@ -350,74 +349,47 @@ def cmd_converge(cfg: RunConfig, out_dir: str, threads: int) -> int:
         "converged,max_residual_smooth,rms_residual_smooth,kink_count\n"
         f"{int(rep.converged)},{res.max_abs_smooth!r},{res.rms_smooth!r},{res.kink_count}\n",
     )
-    _manifest(cfg, out_dir, "converge", threads, t0, {"converged": rep.converged})
     if not rep.converged:
         print("converge: increments did not settle before the final checkpoint", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return EXIT_OK if rep.converged else EXIT_NUMERIC, {"converged": rep.converged}
 
 
-def cmd_critical(cfg: RunConfig, out_dir: str, threads: int) -> int:
+def cmd_critical(cfg: RunConfig, out_dir: str) -> tuple:
     """critical.csv with the one row a,c; the manifest adds c, the policy
     iterations and the eigen-equation residual that certifies c."""
-    t0 = time.perf_counter()
-    try:
-        res = critical_value(cfg.kernel(), cfg.a)
-    except NumericError as e:
-        print(f"critical: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
+    res = critical_value(cfg.kernel(), cfg.a)
     _write(out_dir, "critical.csv", res.to_csv())
-    _manifest(cfg, out_dir, "critical", threads, t0,
-              {"c": res.c, "iterations": res.iterations, "residual": res.residual})
     print(f"critical value estimate: {res.c!r}")
-    return EXIT_OK
+    return EXIT_OK, {"c": res.c, "iterations": res.iterations, "residual": res.residual}
 
 
-def cmd_action(cfg: RunConfig, out_dir: str, threads: int) -> int:
-    t0 = time.perf_counter()
-    table = min_action(cfg.kernel(), cfg.a, cfg.T)
-    _write(out_dir, "action.csv", table.write_csv)
-    _manifest(cfg, out_dir, "action", threads, t0)
-    return EXIT_OK
+def cmd_action(cfg: RunConfig, out_dir: str) -> tuple:
+    _write(out_dir, "action.csv", min_action(cfg.kernel(), cfg.a, cfg.T).write_csv)
+    return EXIT_OK, {}
 
 
-def cmd_char(cfg: RunConfig, out_dir: str, threads: int) -> int:
-    t0 = time.perf_counter()
-    if cfg.char is None:
-        raise ConfigurationError("config key `char`: block is required for the char command")
-    s0 = CharacteristicState(
-        x=np.asarray(cfg.char["x0"]), u=cfg.char["u0"], p=np.asarray(cfg.char["p0"])
-    )
-    try:
-        traj = flow(cfg.model, s0, cfg.char["t"], cfg.char["dt_ode"])
-    except NumericError as e:
-        print(f"char: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
+def cmd_char(cfg: RunConfig, out_dir: str) -> tuple:
+    c = cfg.char
+    s0 = CharacteristicState(x=np.asarray(c["x0"]), u=c["u0"], p=np.asarray(c["p0"]))
+    traj = flow(cfg.model, s0, c["t"], c["dt_ode"])
     _write(out_dir, "trajectory.csv", traj.write_csv)
     law = dH_law_residual(cfg.model, traj)
     _write(
         out_dir, "dh_law.csv",
         f"max_residual,rms_residual\n{law.max_residual!r},{law.rms_residual!r}\n",
     )
-    _manifest(cfg, out_dir, "char", threads, t0)
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
-def cmd_oracle(cfg: RunConfig, out_dir: str, threads: int) -> int:
+def cmd_oracle(cfg: RunConfig, out_dir: str) -> tuple:
     """slab_fd.csv, written slice by slice as the scheme yields it; a non-finite step exits 3."""
-    t0 = time.perf_counter()
     lf = cfg.lf()
     slices = _lf_march(lf, cfg.phi_field(), _horizon_steps(cfg.T_fd, lf.dt_fd))
-    try:
-        _write(out_dir, "slab_fd.csv", lambda fh: _write_slab(fh, lf.grid, lf.dt_fd, slices))
-    except NumericError as e:
-        print(f"oracle: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    _manifest(cfg, out_dir, "oracle", threads, t0)
-    return EXIT_OK
+    _write(out_dir, "slab_fd.csv", lambda fh: _write_slab(fh, lf.grid, lf.dt_fd, slices))
+    return EXIT_OK, {}
 
 
-def cmd_check(cfg: RunConfig, out_dir: str, threads: int) -> int:
+def cmd_check(cfg: RunConfig, out_dir: str) -> tuple:
     """Property battery: assumptions, semigroup properties, characteristic
     law, calibrated-curve match, and the cross-solver comparison.
 
@@ -426,7 +398,6 @@ def cmd_check(cfg: RunConfig, out_dir: str, threads: int) -> int:
     in a shared mapping (on one CPU it runs here, after them); the manifest's
     ``oracle_process`` block is the child's CPU and peak RSS, or null.
     """
-    t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     failures = []
     rows = ["suite,passed,detail"]
@@ -489,12 +460,10 @@ def cmd_check(cfg: RunConfig, out_dir: str, threads: int) -> int:
         "max_residual_smooth,rms_residual_smooth,kink_count\n"
         f"{res.max_abs_smooth!r},{res.rms_smooth!r},{res.kink_count}\n",
     )
-    _manifest(cfg, out_dir, "check", threads, t0,
-              {"failures": failures, "oracle_process": oracle.usage})
     if failures:
         print("check: failing suites: " + ", ".join(failures), file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return EXIT_CHECK_FAILED if failures else EXIT_OK, {
+        "failures": failures, "oracle_process": oracle.usage}
 
 
 _COMMANDS = {
@@ -506,6 +475,19 @@ _COMMANDS = {
     "oracle": cmd_oracle,
     "check": cmd_check,
 }
+
+
+def _run(command: str, cfg: RunConfig, out_dir: str, threads: int) -> int:
+    """Time a command in its prepared output directory and write its manifest;
+    a ``NumericError`` prints ``<command>: <message>`` and exits 3 without one."""
+    t0 = time.perf_counter()
+    try:
+        code, extra = _COMMANDS[command](cfg, out_dir)
+    except NumericError as e:
+        print(f"{command}: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
+    _manifest(cfg, out_dir, command, threads, time.perf_counter() - t0, extra)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -536,10 +518,12 @@ def main(argv=None) -> int:
             raise ConfigurationError(
                 "config key `output.directory`: required unless --out is given"
             )
+        if args.command == "char" and cfg.char is None:
+            raise ConfigurationError("config key `char`: block is required for the char command")
         _check_horizons(args.command, cfg)
         _check_budget(args.command, cfg)
         _prepare_out(out_dir, args.overwrite)
-        return _COMMANDS[args.command](cfg, out_dir, args.threads)
+        return _run(args.command, cfg, out_dir, args.threads)
     except (ConfigurationError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -90,11 +90,17 @@ def _require(cond, key, msg):
 
 
 def _number(block, block_name, key, default=None, lo=None, lo_strict=False):
-    raw = block.get(key, default)
-    full = f"{block_name}.{key}"
+    """block[key] as a finite float; a list block's entry is named block_name[key]."""
+    if isinstance(block, list):
+        raw, full = block[key], f"{block_name}[{key}]"
+    else:
+        raw, full = block.get(key, default), f"{block_name}.{key}"
     _require(raw is not None, full, "is required")
     _require(isinstance(raw, (int, float)) and not isinstance(raw, bool), full, "must be a number")
-    v = float(raw)
+    try:
+        v = float(raw)
+    except OverflowError:  # an integer past the float range
+        v = np.inf
     _require(np.isfinite(v), full, "must be finite")
     if lo is not None:
         if lo_strict:
@@ -278,9 +284,7 @@ def parse_config(data: dict) -> RunConfig:
     stop_eps = _number(sblock, "solver", "stop_eps", default=1e-6, lo=0.0, lo_strict=True)
     cps = sblock.get("checkpoints", [50.0])
     _require(isinstance(cps, list) and cps, "solver.checkpoints", "must be a non-empty list")
-    for i, c in enumerate(cps):
-        _require(isinstance(c, (int, float)) and not isinstance(c, bool) and c > 0,
-                 f"solver.checkpoints[{i}]", "must be a positive number")
+    cps = [_number(cps, "solver.checkpoints", i, lo=0.0, lo_strict=True) for i in range(len(cps))]
     quad = sblock.get("quadrature", "left")
     _require(quad in QUADRATURES, "solver.quadrature",
              f"must be left, midpoint or exact, got {quad!r}")
@@ -297,9 +301,9 @@ def parse_config(data: dict) -> RunConfig:
         _require(isinstance(x0, list) and len(x0) == dim, "char.x0", f"must be a list of {dim} numbers")
         _require(isinstance(p0, list) and len(p0) == dim, "char.p0", f"must be a list of {dim} numbers")
         char = {
-            "x0": [float(v) for v in x0],
+            "x0": [_number(x0, "char.x0", i) for i in range(dim)],
             "u0": _number(cblock, "char", "u0", default=0.0),
-            "p0": [float(v) for v in p0],
+            "p0": [_number(p0, "char.p0", i) for i in range(dim)],
             "t": _number(cblock, "char", "t", default=1.0, lo=0.0, lo_strict=True),
             "dt_ode": _number(cblock, "char", "dt_ode", default=1e-3, lo=0.0, lo_strict=True),
         }
@@ -332,7 +336,7 @@ def parse_config(data: dict) -> RunConfig:
 
     return RunConfig(
         model=model, grid=grid, dt=dt, v_max=v_max, T=T, tol=tol, stop_eps=stop_eps,
-        checkpoints=tuple(float(c) for c in cps), quadrature=quad, a=a, t_max=t_max,
+        checkpoints=tuple(cps), quadrature=quad, a=a, t_max=t_max,
         phi_modes=phi_modes, char=char, alpha=alpha, dt_fd=dt_fd, out_dir=out_dir,
         seed=seed, audit=audit,
     )

@@ -13,7 +13,7 @@ import yaml
 import weakkam
 from test_action import assert_matches_karp
 from weakkam import action, fdoracle, kernels, models, torus
-from weakkam.cli import _COMMANDS, _check_budget, main
+from weakkam.cli import _check_budget, _run, main
 from weakkam.config import load_config
 from weakkam.errors import ConfigurationError
 from weakkam.semigroup import _march, fixed_point
@@ -336,6 +336,20 @@ def test_converge_flags_unsettled_run(tmp_path, capsys):
     assert run(["converge", "--config", cfg, "--out", out]) == 3
     assert "did not settle" in capsys.readouterr().err
     assert (out / "convergence.csv").exists()
+    # the one exit 3 that still writes the manifest
+    assert json.loads((out / "manifest.json").read_text())["converged"] is False
+
+
+def test_converge_history_past_the_budget_names_the_checkpoints(tmp_path, capsys):
+    # 1.6e301 steps of dt=1/16: the history alone is past the budget; 1e307
+    # steps would not fit a float
+    for t in (1e300, 1e307):
+        cfg = write_config(tmp_path / "run.yaml", solver={"checkpoints": [t]})
+        out = tmp_path / "out"
+        assert run(["converge", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config key `solver.checkpoints`" in err and len(err) < 200
+        assert not out.exists()
 
 
 def test_critical_value_run(tmp_path, capsys):
@@ -375,7 +389,47 @@ def test_critical_exits_3_at_the_policy_iteration_cap(tmp_path, monkeypatch, cap
 def test_char_requires_char_block(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.yaml")
     assert run(["char", "--config", cfg, "--out", tmp_path / "o"]) == 2
-    assert "char" in capsys.readouterr().err
+    assert "config key `char`" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command,overrides,key",
+    [
+        ("solve", dict(char={"x0": ["a"], "p0": [0.5]}), "char.x0[0]"),
+        ("char", dict(char={"x0": [float("nan")], "p0": [0.5]}), "char.x0[0]"),
+        ("char", dict(char={"x0": [0.3], "p0": [True]}), "char.p0[0]"),
+        ("converge", dict(solver={"checkpoints": [2.0, float("inf")]}), "solver.checkpoints[1]"),
+        # an integer past the float range is not a finite number either
+        ("converge", dict(solver={"checkpoints": [10**400]}), "solver.checkpoints[0]"),
+    ],
+    ids=["x0-string", "x0-nan", "p0-bool", "checkpoint-inf", "checkpoint-huge-int"],
+)
+def test_list_entry_that_is_not_a_finite_number_is_rejected_before_output(
+    tmp_path, capsys, command, overrides, key
+):
+    cfg = write_config(tmp_path / "run.yaml", **overrides)
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    assert f"config key `{key}`" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_whose_flow_overflows_exits_3_with_one_line_and_no_manifest(
+    tmp_path, monkeypatch, capsys
+):
+    # V = 1e200 cos 2 pi x: check's dH-law flow leaves the float range at its
+    # first RK4 step, while the forked oracle is still running
+    with_cpus(monkeypatch, 2)
+    cfg = write_config(tmp_path / "run.yaml",
+                       model={"family": "quadratic-mechanical", "potential": [[1, 1e200]]})
+    out = tmp_path / "out"
+    assert run(["check", "--config", cfg, "--out", out]) == 3
+    assert_no_child_process()
+    assert capsys.readouterr().err == (
+        "check: characteristic flow produced a non-finite state at step 1\n")
+    assert os.listdir(out) == []
 
 
 def test_char_writes_trajectory(tmp_path):
@@ -429,7 +483,7 @@ def test_oracle_peak_does_not_grow_with_the_horizon(tmp_path):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            assert _COMMANDS["oracle"](cfg, str(out), 1) == 0
+            assert _run("oracle", cfg, str(out), 1) == 0
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()
@@ -726,7 +780,7 @@ def test_budget_estimate_bounds_the_traced_peak(tmp_path, monkeypatch, command, 
     # code and interpreter state, not data, and would make the peak depend on
     # what ran before
     (tmp_path / "warm").mkdir()
-    assert _COMMANDS[command](cfg, str(tmp_path / "warm"), 1) == code
+    assert _run(command, cfg, str(tmp_path / "warm"), 1) == code
     real_mmap = mmap.mmap
 
     def recording_mmap(*args, **kwargs):
@@ -747,7 +801,7 @@ def test_budget_estimate_bounds_the_traced_peak(tmp_path, monkeypatch, command, 
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            assert _COMMANDS[command](cfg, str(out), 1) == code
+            assert _run(command, cfg, str(out), 1) == code
             peak = tracemalloc.get_traced_memory()[1] - base
             resized = any(t.size in INTERNED_TABLE_BYTES
                           for t in tracemalloc.take_snapshot().traces)

@@ -50,15 +50,19 @@ INDEX_CALLS = {"ravel_multi_index", "unravel_index"}
 SHIFT_HELPER = re.compile(r"shift_?ind|start_?of|start_?ind")
 
 
+def call_name(node: ast.Call):
+    """The name a call invokes: f(...) and m.f(...) give f, anything else None."""
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def start_index_rules(source: str) -> list:
     """The calls and function definitions of ``source`` that restate the start rule."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in INDEX_CALLS:
-                found.append(f"{name} (line {node.lineno})")
+            if call_name(node) in INDEX_CALLS:
+                found.append(f"{call_name(node)} (line {node.lineno})")
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if SHIFT_HELPER.search(node.name.lower()):
                 found.append(f"def {node.name} (line {node.lineno})")
@@ -87,3 +91,44 @@ def test_start_index_scan_sees_each_restatement():
         "def _start_of (line 8)",
     ]
     assert start_index_rules((ROOT / "src" / "weakkam" / "kernels.py").read_text()) != []
+
+
+# the lifecycle steps that only weakkam.cli._run takes for every command
+LIFECYCLE_CALLS = {"_manifest", "perf_counter"}
+
+
+def lifecycle_restatements(source: str) -> list:
+    """The timing and manifest calls of ``source`` outside ``_run``, and the
+    ``cmd_*`` functions that take a ``threads`` parameter."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and owner != "_run":
+                if call_name(node) in LIFECYCLE_CALLS:
+                    found.append(f"{call_name(node)} in {owner} (line {node.lineno})")
+            elif isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_"):
+                if any(a.arg == "threads" for a in node.args.args + node.args.kwonlyargs):
+                    found.append(f"def {node.name}(threads) (line {node.lineno})")
+    return found
+
+
+def test_only_run_times_a_command_and_writes_its_manifest():
+    source = (ROOT / "src" / "weakkam" / "cli.py").read_text()
+    assert lifecycle_restatements(source) == []
+    run = next(n for n in ast.parse(source).body if getattr(n, "name", None) == "_run")
+    called = {call_name(n) for n in ast.walk(run) if isinstance(n, ast.Call)}
+    assert LIFECYCLE_CALLS <= called
+
+
+def test_lifecycle_scan_sees_each_restatement():
+    source = (
+        "import time\nT0 = time.perf_counter()\n"
+        "def cmd_solve(cfg, out_dir, threads):\n    _manifest(cfg, out_dir)\n"
+        "def _run(command):\n    t0 = time.perf_counter()\n    _manifest(command)\n"
+    )
+    assert lifecycle_restatements(source) == [
+        "perf_counter in None (line 2)",
+        "def cmd_solve(threads) (line 3)",
+        "_manifest in cmd_solve (line 4)",
+    ]
