@@ -4,11 +4,13 @@ Each subcommand computes one thing from a validated run configuration and
 writes CSVs and a ``manifest.json`` into the output directory, each file
 as name.part renamed once complete.  ``main`` owns the lifecycle: before
 it makes the output directory it rejects, naming the config key, a
-missing ``char`` block for ``char``, a horizon off the time grid
-(``solver.T``) and a planned size above ``MEMORY_BUDGET_BYTES``
-(``grid.N``, or ``solver.checkpoints`` when converge's history alone
-exceeds it); ``_run`` then times ``cmd_*(cfg, out_dir)``, which returns
-``(exit_code, manifest_extra)``, and writes the one manifest.
+missing ``char`` block for ``char``, a horizon off the time grid or
+past the float range of steps (``solver.T``) and a planned size above
+``MEMORY_BUDGET_BYTES`` (``grid.N``; ``solver.checkpoints`` or
+``solver.T`` when converge's history or the horizon alone exceeds it;
+``char.t`` for char's trajectory); ``_run`` then times
+``cmd_*(cfg, out_dir)``, which returns ``(exit_code, manifest_extra)``,
+and writes the one manifest.
 
 Exit codes: 0 success, 1 a check suite failed, 2 an invalid configuration
 or a failed write, 3 a numeric failure.  A ``NumericError`` from any
@@ -80,6 +82,9 @@ _KERNEL_COPIES, _LF_COPIES, _ROW_BYTES = 8, 16, 512
 # the bytes converge keeps per step of its history: two Python floats in lists,
 # their two arrays and the stacked table converge writes
 _HISTORY_BYTES = 128
+# the bytes char holds per RK4 state: the Python floats of _flow_state, its
+# arrays, and the law's temporaries (measured: at most 266 in 1-D, 362 in 2-D)
+_CHAR_STATE_BYTES = 512
 # beside the kernel's tables, critical's policy iteration holds size-length
 # vectors (padded windows of v and eta among them) and temporaries of its
 # candidate blocks of _BLOCK_ELEMENTS (measured: at most 3.5 blocks where the
@@ -94,13 +99,16 @@ def _property_horizons(cfg: RunConfig) -> list:
 
 def _check_horizons(command: str, cfg: RunConfig):
     """Reject a horizon that ``solve``, ``action`` or ``check`` steps by
-    grid.dt when it is not a positive multiple of grid.dt."""
+    grid.dt when it is not a positive multiple of grid.dt, and one that is
+    past the float range of the oracle's steps for ``oracle`` and ``check``."""
     horizons = {"solve": [cfg.T], "action": [cfg.T], "check": [cfg.T, *_property_horizons(cfg)]}
     for t in horizons.get(command, ()):
         try:
             _horizon_steps(t, cfg.dt)
         except ConfigurationError as e:
             raise ConfigurationError(f"config key `solver.T`: {e}") from e
+    if command in ("oracle", "check"):
+        cfg.T_fd  # raises naming solver.T
 
 
 def _check_budget(command: str, cfg: RunConfig) -> int:
@@ -111,7 +119,7 @@ def _check_budget(command: str, cfg: RunConfig) -> int:
     plus one text block of ``_ROW_BYTES`` a row.  A step holds one block of
     ``_BLOCK_ELEMENTS`` floats and, per stacked row, ``_KERNEL_COPIES``
     (kernel) or ``_LF_COPIES`` (Lax-Friedrichs) slices.  A kernel's tables
-    are V and, on 2-D "left", a padded start cost (at most 5*size), and the
+    are V and, on 2-D "left", a start cost (at most 5*size), and the
     n_offsets*size ``base_cost`` where it is built: off the row path
     (``kernels.row_path``) and by ``critical``.
     - ``critical`` the kernel's tables, ``_POLICY_VECTORS`` size-length
@@ -128,12 +136,20 @@ def _check_budget(command: str, cfg: RunConfig) -> int:
       one Lax-Friedrichs step;
     - ``converge`` the kernel's tables, its slice and one step of it, and
       ``_HISTORY_BYTES`` per step of its history; when the history alone
-      exceeds the budget the message names ``solver.checkpoints``.
+      exceeds the budget the message names ``solver.checkpoints``;
+    - ``char`` ``_CHAR_STATE_BYTES`` per RK4 state of its one trajectory,
+      named ``char.t``.
+    For ``solve`` and ``check`` the message names ``solver.T`` when the
+    horizon alone exceeds the budget, its n + 1 slices at one float each
+    (no grid could hold them), and ``grid.N`` otherwise.
     """
     grid, size = cfg.grid, cfg.grid.size
     text_rows, key = size, "grid.N"
+    if command in ("solve", "check"):
+        n = _horizon_steps(cfg.T, cfg.dt)
+        key = "solver.T" if (n + 1) * 8 > MEMORY_BUDGET_BYTES else key
     if command in ("solve", "check", "converge", "critical"):
-        tables = 5  # V and a padded start cost, and base_cost where it is built
+        tables = 5  # V and a start cost, and base_cost where it is built
         if command == "critical" or not row_path(grid, cfg.quadrature):
             tables += len(stencil_offsets(grid, cfg.v_max, cfg.dt))
     if command == "critical":
@@ -144,11 +160,9 @@ def _check_budget(command: str, cfg: RunConfig) -> int:
     elif command == "oracle":
         planned = (1 + _LF_COPIES) * size * 8
     elif command == "solve":
-        n = _horizon_steps(cfg.T, cfg.dt)
         rows = n + 1 if cfg.model.lipschitz_u else 1
         planned = (n + 2 + (1 + _KERNEL_COPIES) * rows + tables) * size * 8
     elif command == "check":
-        n = _horizon_steps(cfg.T, cfg.dt)
         planned = (n + 1 + 4 * (1 + _KERNEL_COPIES) + _LF_COPIES + tables) * size * 8
     elif command == "converge":
         # a float, so a horizon past the float range of steps reads inf
@@ -156,6 +170,10 @@ def _check_budget(command: str, cfg: RunConfig) -> int:
         key = "solver.checkpoints" if history > MEMORY_BUDGET_BYTES else key
         planned = (2 + _KERNEL_COPIES + tables) * size * 8 + history
         text_rows = max(size, _TABLE_ROWS)
+    elif command == "char":
+        # a float, so a trajectory past the float range of states reads inf
+        planned = (cfg.char["t"] / cfg.char["dt_ode"] + 2) * _CHAR_STATE_BYTES
+        text_rows, key = _TABLE_ROWS, "char.t"
     else:
         return 0
     planned += _BLOCK_ELEMENTS * 8 + text_rows * _ROW_BYTES
@@ -335,12 +353,13 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> tuple:
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(out_dir, "slab.csv.part"))
     _write(out_dir, "fixedpoint.csv", report.to_csv())
-    return EXIT_OK, {"iterations": report.iterations, "slab_writer": writer.usage}
+    return EXIT_OK, {"iterations": report.iterations, "stencil_reach": kern.stencil_reach(),
+                     "slab_writer": writer.usage}
 
 
 def cmd_converge(cfg: RunConfig, out_dir: str) -> tuple:
-    rep = converge(cfg.kernel(), cfg.phi_field(), t_checkpoints=cfg.checkpoints,
-                   stop_eps=cfg.stop_eps)
+    kern = cfg.kernel()
+    rep = converge(kern, cfg.phi_field(), t_checkpoints=cfg.checkpoints, stop_eps=cfg.stop_eps)
     _write(out_dir, "convergence.csv", rep.write_csv)
     _write(out_dir, "u_inf.csv", rep.u_inf.write_csv)
     res = rep.residual
@@ -351,7 +370,8 @@ def cmd_converge(cfg: RunConfig, out_dir: str) -> tuple:
     )
     if not rep.converged:
         print("converge: increments did not settle before the final checkpoint", file=sys.stderr)
-    return EXIT_OK if rep.converged else EXIT_NUMERIC, {"converged": rep.converged}
+    return EXIT_OK if rep.converged else EXIT_NUMERIC, {
+        "converged": rep.converged, "stencil_reach": kern.stencil_reach()}
 
 
 def cmd_critical(cfg: RunConfig, out_dir: str) -> tuple:
@@ -463,7 +483,8 @@ def cmd_check(cfg: RunConfig, out_dir: str) -> tuple:
     if failures:
         print("check: failing suites: " + ", ".join(failures), file=sys.stderr)
     return EXIT_CHECK_FAILED if failures else EXIT_OK, {
-        "failures": failures, "oracle_process": oracle.usage}
+        "failures": failures, "stencil_reach": kern.stencil_reach(),
+        "oracle_process": oracle.usage}
 
 
 _COMMANDS = {

@@ -210,7 +210,10 @@ class RunConfig:
     @property
     def T_fd(self) -> float:
         """T rounded to a whole number (at least 1) of oracle steps."""
-        return max(1, int(round(self.T / self.dt_fd))) * self.dt_fd
+        steps = self.T / self.dt_fd
+        _require(np.isfinite(steps), "solver.T",
+                 f"{self.T:g} is past the float range of oracle steps of dt_fd={self.dt_fd:g}")
+        return max(1, int(round(steps))) * self.dt_fd
 
     def phi_field(self):
         pot = TrigPotential(self.model.dim, self.phi_modes)

@@ -17,11 +17,12 @@ Two paths take the same min over the same candidates:
 
 - The window path reads ``base_cost``.  The start points y = x_j - offset*dx
   are read without an index table: each step pads the start values
-  periodically by the largest offset and takes the sliding windows of the
-  padded array, so the starts of one offset are one window (a view).
-  Candidates are formed in blocks of offsets and their per-destination min
-  is folded in lexicographic offset order.  It serves 1-D, "midpoint" and
-  "exact" (whose V term depends on the offset) and ``apply_with_argmin``.
+  periodically by its radius (below) with slice copies and views the
+  padded array as sliding windows, so the starts of one offset are one
+  window.  Candidates are formed in blocks of offsets and their
+  per-destination min is folded in lexicographic offset order.  It serves
+  1-D, "midpoint" and "exact" (whose V term depends on the offset) and
+  ``apply_with_argmin``.
 - The row path serves ``apply`` and ``apply_table`` on 2-D grids with
   "left" quadrature (``row_path``), where every term but the kinetic one
   depends only on the start and the kinetic term splits per axis.  It
@@ -31,9 +32,44 @@ Two paths take the same min over the same candidates:
   o1 holds the offsets (o1, o2) with |o2| <= r(o1).  Pass 1 builds the
   nested minima B_r = min(B_{r-1}, a(., x2 -+ r) + c(+-r)) along x2, pass 2
   takes min over o1 of B_{r(o1)}(x1 - o1, .) + c(o1): O(m) window passes
-  instead of one per offset (m is the stencil radius in cells).  Only the
-  order of the sums differs from the window path, so the two agree to
-  rounding (bitwise where every sum is exact).
+  instead of one per offset (m is the stencil radius in cells).  Here a
+  is the start values plus dt*(action_shift - V), padded like the
+  windows.  Only the order of the sums differs from the window path, so
+  the two agree to rounding (bitwise where every sum is exact).
+
+Each pruned step (``apply`` and ``apply_table``) takes its min over the
+offsets it can prove might win only: those within a per-axis radius r of
+the zero offset (``_radius``).  r is exact, not a margin:
+
+- L_i is the input's largest one-cell change along axis i, over all
+  stacked rows and the periodic wrap pair; on the row path the input is
+  the start values plus the start cost.
+- The gain G_i(q) = min_j [cost(o, j) - cost(o - sign(o_i) e_i, j)] over
+  the offsets with |o_i| = q is what an offset's cost grows by one cell
+  outward; the costs are ``base_cost`` on the window path (read once, on
+  the first step) and the axis cost c on the row path.  S_i(r) is the
+  least gain beyond r, min over q > r of G_i(q).
+- r_i is the least r with S_i(r) > L_i (1 + 4 eps) + 16 eps (max|a| +
+  max|cost|), eps the float epsilon, and m if there is none or the input
+  is not finite.
+
+Proof that the kept min is bitwise the full one.  For |o_i| > r_i the
+exact candidates satisfy cand(o) - cand(o') >= G_i(|o_i|) - L_i for the
+inward neighbour o' = o - sign(o_i) e_i, and the threshold exceeds the
+rounding of the computed L_i, G_i and of the two candidate sums (on the
+row path, of its two sums and of the min over o2 that pass 2 reads), so
+the computed cand(o) > cand(o').  Walking inward along axis 1 and then
+along axis 2 stays inside the disk (|o_i| only falls) and ends at a kept
+offset, so every dropped candidate strictly exceeds a kept one and never
+ties the min.  A min of floats returns one of its arguments, so the kept
+min has the full min's value; it also has its bits, because no candidate
+is -0 (a sum is -0 only if both its terms are, and no cost is: a table
+holding a -0 gets no pruning).  The kept offsets of one stencil row form
+one run of offset indices, so the window path folds runs of offsets in
+blocks; the row path bounds its rows o1 by r_1 and its reach by r_2.
+``apply_with_argmin`` and ``action._best_starts`` take the full stencil.
+``stencil_reach`` reports the largest radii taken: a step whose radius is
+below m on every axis found each minimum strictly inside the stencil.
 
 The per-destination min is a map over destination points with read-only
 access to the previous slice, so results do not depend on thread count.
@@ -41,10 +77,11 @@ access to the previous slice, so results do not depend on thread count.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
 from .models import HamiltonianModel
@@ -54,6 +91,7 @@ QUADRATURES = ("left", "midpoint", "exact")
 
 # candidate elements formed at once: bounds the temporaries of one block
 _BLOCK_ELEMENTS = 1 << 16
+_EPS = float(np.finfo(float).eps)
 
 
 def row_path(grid: Grid, quadrature: str) -> bool:
@@ -68,6 +106,21 @@ def check_dt_lambda(model: HamiltonianModel, dt: float):
             f"dt*lambda_L = {dt * model.lipschitz_u:g} exceeds 1 "
             f"(dt={dt:g}, lambda_L={model.lipschitz_u:g})"
         )
+
+
+def _wrap_pad(shaped: np.ndarray, radius) -> np.ndarray:
+    """shaped (..., n[, n]) padded periodically by radius[i] cells on both sides of grid axis i."""
+    dim = len(radius)
+    n = shaped.shape[-1]
+    lead = shaped.shape[:-dim]
+    padded = np.empty(lead + tuple(n + 2 * r for r in radius), dtype=shaped.dtype)
+    padded[(Ellipsis,) + tuple(slice(r, r + n) for r in radius)] = shaped
+    # axis by axis over the full extent of the others, so the corners wrap too
+    for ax, r in enumerate(radius):
+        rest = (slice(None),) * (dim - 1 - ax)
+        padded[(Ellipsis, slice(r)) + rest] = padded[(Ellipsis, slice(n, n + r)) + rest]
+        padded[(Ellipsis, slice(n + r, None)) + rest] = padded[(Ellipsis, slice(r, 2 * r)) + rest]
+    return padded
 
 
 class StepKernel:
@@ -104,23 +157,26 @@ class StepKernel:
         offsets = offsets[order]
         self.offsets = offsets
         self.n_offsets = offsets.shape[0]
-        # padding width m; the starts of offset o are window m - o of the padded slice
-        self._pad = int(np.max(np.abs(offsets)))
-        self._window_pos = tuple(self._pad - offsets.T)
+        self._m = m = int(np.max(np.abs(offsets)))  # the stencil radius in cells
+        # the largest radius per axis and the counts of pruned steps (stencil_reach)
+        self._reach_seen, self._steps, self._full_steps = [0] * grid.dim, 0, 0
 
         self._kinetic = 0.5 * np.sum((offsets * grid.dx / dt) ** 2, axis=1)  # (n_off,)
         self._potential = model.potential(grid.points()) if quadrature == "left" else None
 
+        # stencil row o1 holds the offsets (o1, o2) with |o2| <= _row_reach[o1],
+        # and offset index _row_centre[o1] is (o1, 0); 1-D is the one row o1 = 0
+        if grid.dim == 1:
+            self._row_reach, self._row_centre = {0: m}, {0: m}
+        else:
+            self._row_reach = {o1: 0 for o1 in range(-m, m + 1)}
+            for o1, o2 in offsets.tolist():
+                self._row_reach[o1] = max(self._row_reach[o1], o2)
+            centres = np.flatnonzero(offsets[:, 1] == 0).tolist()
+            self._row_centre = dict(zip(range(-m, m + 1), centres))
         if row_path(grid, quadrature):
-            m = self._pad
-            self._wrap = np.arange(-m, grid.n + m) % grid.n
-            start_cost = (dt * (model.action_shift - self._potential)).reshape(grid.n, -1)
-            self._start_cost = start_cost[np.ix_(self._wrap, self._wrap)]  # wrap-padded
+            self._start_cost = (dt * (model.action_shift - self._potential)).reshape(grid.n, -1)
             self._axis_cost = (np.arange(-m, m + 1) * grid.dx) ** 2 / (2 * dt)
-            # r(o1) = largest o2 with (o1, o2) in offsets; rows grouped by r
-            reach = np.zeros(2 * m + 1, dtype=int)
-            np.maximum.at(reach, offsets[:, 0] + m, offsets[:, 1])
-            self._row_reach = [(np.flatnonzero(reach == r) - m).tolist() for r in range(m + 1)]
         else:
             self.base_cost  # the window path reads it every step: build it before any step
 
@@ -138,6 +194,76 @@ class StepKernel:
                 vterm = self.model.potential.segment_average(pts, np.broadcast_to(disp, pts.shape))
             table[k] = self._cost(k, vterm[self._start_of(k, nodes)])
         return table
+
+    @functools.cached_property
+    def _gains(self):
+        """(S, max|cost|) of the pruning rule: S[i][r] = S_i(r) for r < m, nondecreasing.
+
+        Read on the first pruned step.  A non-finite or -0 cost gives no
+        pruning (every S_i(r) = -inf); a NaN gain counts as -inf.
+        """
+        m, dim = self._m, self.grid.dim
+        gains = np.full((dim, m + 1), np.inf)
+        with np.errstate(invalid="ignore", over="ignore"):
+            if row_path(self.grid, self.quadrature):
+                c = self._axis_cost
+                gains[:, 1:] = c[m + 1:] - c[m:-1]
+                cost_max = float(c[-1])
+            else:
+                table = self.base_cost
+                cost_max = float(np.max(np.abs(table)))
+                if np.any((table == 0) & np.signbit(table)):
+                    cost_max = math.nan
+                index = {o: k for k, o in enumerate(map(tuple, self.offsets.tolist()))}
+                for k, o in enumerate(self.offsets.tolist()):
+                    for i in range(dim):
+                        if o[i]:
+                            inward = list(o)
+                            inward[i] -= 1 if o[i] > 0 else -1
+                            gain = np.min(table[k] - table[index[tuple(inward)]])
+                            gains[i, abs(o[i])] = min(gains[i, abs(o[i])], gain)
+        if not math.isfinite(cost_max):
+            gains[:] = -np.inf
+        gains[np.isnan(gains)] = -np.inf
+        # S_i(r) = min over q > r of G_i(q), for r = 0..m-1
+        suffix = np.minimum.accumulate(gains[:, :0:-1], axis=1)[:, ::-1]
+        return [row.tolist() for row in suffix], cost_max
+
+    def _radius(self, a: np.ndarray, scratch=None) -> tuple:
+        """The per-axis radius r of the pruning rule for the step input a,
+        (..., n[, n]); scratch, when given, is an array like a to overwrite."""
+        full = (self._m,) * self.grid.dim
+        hi, lo = float(a.max()), float(a.min())
+        if not math.isfinite(hi - lo):
+            return full
+        suffix, cost_max = self._gains
+        floor = 16 * _EPS * (max(hi, -lo) + cost_max)
+        radius = []
+        change = np.empty_like(a) if scratch is None else scratch
+        for i, s in enumerate(suffix):
+            cut = (slice(None),) * (a.ndim - self.grid.dim + i)
+            # change[..., k, ...] = a[..., k + 1, ...] - a[..., k, ...] along axis i, periodically
+            np.subtract(a[cut + (slice(1, None),)], a[cut + (slice(-1),)],
+                        out=change[cut + (slice(-1),)])
+            np.subtract(a[cut + (slice(1),)], a[cut + (slice(-1, None),)],
+                        out=change[cut + (slice(-1, None),)])
+            largest = float(np.abs(change, out=change).max())
+            radius.append(bisect.bisect_right(s, largest * (1 + 4 * _EPS) + floor))
+        return tuple(radius)
+
+    def _note(self, radius):
+        """Record a pruned step's radius for ``stencil_reach``."""
+        for i, r in enumerate(radius):
+            if r > self._reach_seen[i]:
+                self._reach_seen[i] = r
+        self._steps += 1
+        self._full_steps += max(radius) == self._m
+
+    def stencil_reach(self) -> dict:
+        """The largest radius per axis over the pruned steps so far, m, and
+        the counts of those steps and of those whose radius reached m."""
+        return {"radius": list(self._reach_seen), "m": self._m,
+                "steps": self._steps, "steps_at_m": self._full_steps}
 
     def _cost(self, k, vterm):
         """dt*L without the u-coupling of offsets k, given V's term at their starts."""
@@ -166,21 +292,33 @@ class StepKernel:
         """Start-point term W-independent of the offset: -dt * coupling(u(y))."""
         return -self.dt * self.model.coupling(u_slice)
 
-    def _windows(self, a: np.ndarray) -> np.ndarray:
-        """Sliding windows of the last axis of a (per-point values), padded periodically.
+    def _shaped(self, a: np.ndarray) -> np.ndarray:
+        """a (..., size) as (..., n[, n]), a view."""
+        return a.reshape(a.shape[:-1] + (self.grid.n,) * self.grid.dim)
 
-        The window at position m - o along each grid axis holds a at the
-        start points x_j - o*dx of the steps with offset o.
+    def _windows(self, a: np.ndarray, radius=None) -> np.ndarray:
+        """Sliding windows of the last axis of a (per-point values), padded
+        periodically by radius[i] cells along grid axis i (default m).
+
+        Shape (..., 2r_1 + 1[, 2r_2 + 1], n[, n]), a view of the padded
+        array: the window at position r - o along each grid axis holds a at
+        the start points x_j - o*dx of the steps with offset o.
         """
-        n, dim, lead = self.grid.n, self.grid.dim, a.ndim - 1
-        shaped = a.reshape(a.shape[:-1] + (n,) * dim)
-        padded = np.pad(shaped, [(0, 0)] * lead + [(self._pad, self._pad)] * dim, mode="wrap")
-        return sliding_window_view(padded, (n,) * dim, axis=tuple(range(lead, lead + dim)))
+        n, dim = self.grid.n, self.grid.dim
+        padded = _wrap_pad(self._shaped(a), radius or (self._m,) * dim)
+        lead = padded.ndim - dim
+        shape = padded.shape[:lead] + tuple(w - n + 1 for w in padded.shape[lead:]) + (n,) * dim
+        windows = np.ndarray(shape, padded.dtype, padded, 0, padded.strides + padded.strides[lead:])
+        windows.flags.writeable = False
+        return windows
 
     def _starts(self, windows: np.ndarray, blk: slice) -> np.ndarray:
         """Start values of the offsets in blk, shape (..., len(blk), size) (a copy)."""
-        lead = windows.ndim - 2 * self.grid.dim
-        got = windows[(slice(None),) * lead + tuple(p[blk] for p in self._window_pos)]
+        dim = self.grid.dim
+        lead = windows.ndim - 2 * dim
+        radius = [(w - 1) // 2 for w in windows.shape[lead:lead + dim]]
+        pos = tuple(r - o for r, o in zip(radius, self.offsets[blk].T))
+        got = windows[(slice(None),) * lead + pos]
         return got.reshape(got.shape[: lead + 1] + (self.grid.size,))
 
     def _candidates(self, windows: np.ndarray, blk: slice) -> np.ndarray:
@@ -189,24 +327,40 @@ class StepKernel:
         cand += self.base_cost[blk]
         return cand
 
-    def _blocks(self, rows: int):
-        """Consecutive offset slices whose candidates hold about _BLOCK_ELEMENTS."""
+    def _blocks(self, rows: int, radius=None):
+        """Consecutive offset slices whose candidates hold about _BLOCK_ELEMENTS,
+        over the offsets within radius (default all): one run per stencil row,
+        merged where adjacent."""
+        # 1-D is the one stencil row o1 = 0
+        r1, r2 = (0,) * (2 - self.grid.dim) + tuple(radius or (self._m,) * self.grid.dim)
+        runs = []
+        for o1 in range(-r1, r1 + 1):
+            half = min(self._row_reach[o1], r2)
+            lo, hi = self._row_centre[o1] - half, self._row_centre[o1] + half + 1
+            if runs and runs[-1][1] == lo:
+                runs[-1][1] = hi
+            else:
+                runs.append([lo, hi])
         per = max(1, _BLOCK_ELEMENTS // (rows * self.grid.size))
-        return [slice(lo, lo + per) for lo in range(0, self.n_offsets, per)]
+        return [slice(lo, min(lo + per, hi)) for start, hi in runs for lo in range(start, hi, per)]
 
     def _min_over_offsets(self, a: np.ndarray) -> np.ndarray:
-        """min_k a(x_j - offsets[k]*dx) + base_cost[k, j] over the last axis of a.
+        """min_k a(x_j - offsets[k]*dx) + base_cost[k, j] over the last axis of a,
+        over the offsets within the pruning radius (module docstring).
 
-        The row path forms the same candidates with the sums in another order.
+        a is the caller's temporary, which the row path overwrites; it forms
+        the same candidates with the sums in another order.
         """
         if row_path(self.grid, self.quadrature):
             return self._row_min(a)
-        return self._window_min(a)
+        radius = self._radius(self._shaped(a))
+        self._note(radius)
+        return self._window_min(a, radius)
 
-    def _window_min(self, a: np.ndarray) -> np.ndarray:
-        """The window path of _min_over_offsets."""
-        windows = self._windows(a)
-        blocks = self._blocks(a.size // self.grid.size)
+    def _window_min(self, a: np.ndarray, radius=None) -> np.ndarray:
+        """The window path of _min_over_offsets, over the offsets within radius (default all)."""
+        windows = self._windows(a, radius)
+        blocks = self._blocks(a.size // self.grid.size, radius)
         out = self._candidates(windows, blocks[0]).min(axis=-2)
         for blk in blocks[1:]:
             np.minimum(out, self._candidates(windows, blk).min(axis=-2), out=out)
@@ -215,35 +369,40 @@ class StepKernel:
     def _row_min(self, a: np.ndarray) -> np.ndarray:
         """The row path of _min_over_offsets (2-D, "left"), in blocks of leading rows.
 
-        Each row is wrap-padded by m on both axes and flattened, width
-        W = n + 2m, so that every shift along either axis is one contiguous
-        slice; the last 2m columns of each x1-row hold unused values.
+        The input plus the start cost is wrap-padded by the radius (r1, r2)
+        and each row flattened, width W = n + 2*r2, so that every shift
+        along either axis is one contiguous slice; the last 2*r2 columns of
+        each x1-row hold unused values.
         """
-        n, m, c = self.grid.n, self._pad, self._axis_cost
-        width = n + 2 * m
-        span = width * width - 2 * m  # B is formed at flat positions [0, span)
+        n, m, c = self.grid.n, self._m, self._axis_cost
         rows = a.reshape(-1, n, n)
+        rows += self._start_cost  # a is the step's own temporary
         out = np.empty_like(rows)
-        per = max(1, _BLOCK_ELEMENTS // (width * width))
+        r1, r2 = self._radius(rows, out)
+        self._note((r1, r2))
+        width = n + 2 * r2
+        span = (n + 2 * r1) * width - 2 * r2  # B is formed at flat positions [0, span)
+        # rows o1 (|o1| <= r1) are folded into res once B of their reach is formed
+        fold = [[] for _ in range(r2 + 1)]
+        for o1 in range(-r1, r1 + 1):
+            fold[min(self._row_reach[o1], r2)].append(o1)
+        per = max(1, _BLOCK_ELEMENTS // ((n + 2 * r1) * width))
         for lo in range(0, rows.shape[0], per):
-            blk = rows[lo:lo + per]
-            b = blk.shape[0]
-            padded = np.take(np.take(blk, self._wrap, axis=1), self._wrap, axis=2)
-            padded += self._start_cost
+            padded = _wrap_pad(rows[lo:lo + per], (r1, r2))
+            b = padded.shape[0]
             padded = padded.reshape(b, -1)
             best = np.empty_like(padded)
             best[:, span:] = np.inf
-            np.add(padded[:, m:m + span], c[m], out=best[:, :span])
+            np.add(padded[:, r2:r2 + span], c[m], out=best[:, :span])
             step = np.empty((b, span))
             res = np.full((b, n * width), np.inf)
             shifted = np.empty_like(res)
-            # res folds pass 2 over the rows of reach r as soon as B_r is formed
-            for r, row_offsets in enumerate(self._row_reach):
+            for r, row_offsets in enumerate(fold):
                 for o2 in (-r, r) if r else ():
-                    np.add(padded[:, m - o2:m - o2 + span], c[m + o2], out=step)
+                    np.add(padded[:, r2 - o2:r2 - o2 + span], c[m + o2], out=step)
                     np.minimum(best[:, :span], step, out=best[:, :span])
                 for o1 in row_offsets:
-                    lo1 = (m - o1) * width
+                    lo1 = (r1 - o1) * width
                     np.add(best[:, lo1:lo1 + n * width], c[m + o1], out=shifted)
                     np.minimum(res, shifted, out=res)
             out[lo:lo + per] = res.reshape(b, n, width)[:, :, :n]
@@ -254,7 +413,8 @@ class StepKernel:
         return self._min_over_offsets(w + self.step_cost(u_slice))
 
     def apply_with_argmin(self, w: np.ndarray, u_slice: np.ndarray):
-        """One DP step returning (values, start indices of the minimizers).
+        """One DP step over the full stencil returning (values, start indices
+        of the minimizers).
 
         Ties are broken toward the smallest start grid index.  The
         calibrated-curve backtrack finds the same minimizer for one

@@ -11,6 +11,7 @@ Every CSV whose row count grows with the run is streamed to its open file by
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add
@@ -119,6 +120,8 @@ class Grid:
 
 def _horizon_steps(T: float, dt: float) -> int:
     """Number of steps of dt in the horizon T; T must be a positive multiple."""
+    if not math.isfinite(T / dt):
+        raise ConfigurationError(f"horizon T={T:g} is past the float range of steps of dt={dt:g}")
     n_steps = int(round(T / dt))
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
         raise ConfigurationError(f"horizon T={T:g} is not a positive multiple of dt={dt:g}")

@@ -352,6 +352,53 @@ def test_converge_history_past_the_budget_names_the_checkpoints(tmp_path, capsys
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,T",
+    [("solve", 1e308), ("oracle", 1e308), ("check", 1e308), ("action", 1e308),
+     ("solve", 1e300), ("check", 1e300)],
+    ids=["solve-inf-steps", "oracle-inf-steps", "check-inf-steps", "action-inf-steps",
+         "solve-budget", "check-budget"],
+)
+def test_huge_horizon_is_rejected_before_output_naming_the_horizon(tmp_path, capsys, command, T):
+    # 1e308 / (1/16) is past the float range (an OverflowError traceback,
+    # and for oracle after its output directory); 1.6e301 steps of 1/16 hold
+    # a slab no grid could fit, so the budget names the horizon, not grid.N
+    cfg = write_config(tmp_path / "run.yaml", solver={"T": T})
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "config key `solver.T`" in err and len(err) < 200
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t,dt_ode", [(1e300, 1e-3), (1e3, 1e-303)], ids=["t", "dt_ode"])
+def test_char_past_the_budget_is_rejected_before_output(tmp_path, capsys, t, dt_ode):
+    # 1e303 RK4 states (and 1e306, past the float range of the count)
+    cfg = write_config(tmp_path / "run.yaml",
+                       char={"x0": [0.3], "p0": [0.5], "t": t, "dt_ode": dt_ode})
+    out = tmp_path / "out"
+    assert run(["char", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "config key `char.t`" in err and len(err) < 200
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("v_max,radius,m", [(2.0, 8, 8), (4.0, 13, 16)])
+def test_manifests_record_the_stencil_reach(tmp_path, v_max, radius, m):
+    # 1-D discounted, V = cos 2 pi x, phi = 0.5 cos 2 pi x: v_max 2 truncates
+    # minimizers (the reach is m), v_max 4 does not
+    cfg = write_config(tmp_path / "run.yaml", grid={"N": 256, "dt": 1 / 64, "v_max": v_max},
+                       solver={"phi": [[1, 0.5]], "quadrature": "exact", "checkpoints": [1.0]})
+    for command in ("solve", "converge", "check"):
+        out = tmp_path / command
+        assert run([command, "--config", cfg, "--out", out]) in (0, 1, 3)
+        reach = json.loads((out / "manifest.json").read_text())["stencil_reach"]
+        assert reach["m"] == m and reach["steps"] > 0
+        if command == "solve":
+            assert reach["radius"] == [radius]
+            assert (reach["steps_at_m"] > 0) == (radius == m)
+
+
 def test_critical_value_run(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "run.yaml",
@@ -766,8 +813,11 @@ INTERNED_TABLE_BYTES = {32 + 4 * 2**k + 16 * (2 ** (k + 1) // 3) for k in range(
                        solver={"T": 0.25, "quadrature": "left", "phi": [[1, 1, 0.3]]}), 0),
         # one reporting window of 512 steps, not settled at t=2
         ("converge", dict(grid={"N": 512, "dt": 1.0 / 256}, solver={"checkpoints": [2.0]}), 3),
+        # 4,000 RK4 states of a 2-D flow
+        ("char", dict(model={"dim": 2, "potential": [[1, 0, 1.0], [0, 1, 0.5]]},
+                      char={"x0": [0.3, 0.1], "p0": [0.5, -0.2], "t": 1.0, "dt_ode": 2.5e-4}), 0),
     ],
-    ids=["solve", "action", "critical", "oracle", "check", "check-2d-left", "converge"],
+    ids=["solve", "action", "critical", "oracle", "check", "check-2d-left", "converge", "char"],
 )
 def test_budget_estimate_bounds_the_traced_peak(tmp_path, monkeypatch, command, overrides, code):
     # the arrays (0.2-4 MB) outweigh the constant terms here; tracemalloc sees

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from weakkam.errors import ConfigurationError
-from weakkam.kernels import StepKernel, min_plus_product
+from weakkam.kernels import StepKernel, min_plus_product, row_path
 from weakkam.models import HamiltonianModel, TrigPotential, lagrangian_values
 from weakkam.torus import Grid, periodic_delta
 
@@ -273,3 +273,196 @@ def test_kernel_validation():
         StepKernel(m, g, 0.25, 2.0)
     with pytest.raises(ConfigurationError):
         StepKernel(pendulum(), g, -0.1, 2.0)
+
+
+def smooth_model(dim):
+    modes = (((1,) * dim, 0.7), ((2,) + (0,) * (dim - 1), -0.4))
+    return HamiltonianModel(
+        "quadratic-discounted", dim=dim, lam=1.0, potential=TrigPotential(dim, modes)
+    )
+
+
+def smooth_slice(grid, amplitude=0.3, phase=0.0):
+    x = grid.points()
+    return amplitude * np.cos(2 * np.pi * x.sum(axis=1) + phase) + 0.1 * np.sin(2 * np.pi * x[:, 0])
+
+
+def step_radius(kern, a):
+    """The radius kern's step takes on the input a (start values) in the last axis."""
+    shaped = kern._shaped(a)
+    return kern._radius(shaped + kern._start_cost if row_path(kern.grid, kern.quadrature)
+                        else shaped)
+
+
+def full_stencil(monkeypatch, kern):
+    """Make kern step over the whole stencil, as it did before pruning."""
+    monkeypatch.setattr(kern, "_radius", lambda *args: (kern._m,) * kern.grid.dim)
+
+
+REACH_CASES = [
+    (Grid(1, 128), 1 / 32, 4.0, "left"),
+    (Grid(1, 128), 1 / 32, 4.0, "midpoint"),
+    (Grid(1, 128), 1 / 32, 4.0, "exact"),
+    (Grid(2, 32), 1 / 16, 4.0, "midpoint"),  # 2-D window path
+    (Grid(2, 32), 1 / 16, 4.0, "exact"),
+    (Grid(2, 32), 1 / 16, 4.0, "left"),  # row path
+]
+
+
+@pytest.mark.parametrize(
+    "grid,dt,v_max,quadrature", REACH_CASES,
+    ids=["1d-left", "1d-midpoint", "1d-exact", "2d-midpoint", "2d-exact", "2d-left-rows"],
+)
+def test_pruned_step_equals_the_full_stencil_bitwise(monkeypatch, grid, dt, v_max, quadrature):
+    # on smooth slices the radius is below m: the pruned min must be the
+    # plain gather kernel's bitwise (the row path's within its rounding, and
+    # bitwise the full-stencil row path)
+    kern = StepKernel(smooth_model(grid.dim), grid, dt, v_max, quadrature)
+    w, u = smooth_slice(grid), smooth_slice(grid, 0.2, 1.0)
+    a = w + kern.step_cost(u)
+    radius = step_radius(kern, a)
+    assert max(radius) < kern._m
+    ref, _ = gather_step(kern, a)
+    got = kern.apply(w, u)
+    assert kern.stencil_reach() == {"radius": list(radius), "m": kern._m, "steps": 1,
+                                    "steps_at_m": 0}
+    table = np.stack([smooth_slice(grid, s, s) for s in (0.1, 0.25, 0.4)])
+    got_table = kern.apply_table(table, 0.3)
+    ref_table, _ = gather_step(kern, table + kern.step_cost(np.full(1, 0.3))[0])
+    if row_path(grid, quadrature):
+        assert_row_path_matches(got, ref, False)
+        assert_row_path_matches(got_table, ref_table, False)
+    else:
+        assert got.tobytes() == ref.tobytes()
+        assert got_table.tobytes() == ref_table.tobytes()
+    full_stencil(monkeypatch, kern)
+    assert kern.apply(w, u).tobytes() == got.tobytes()
+    assert kern.apply_table(table, 0.3).tobytes() == got_table.tobytes()
+
+
+def test_row_path_pruned_step_equals_gather_bitwise_when_sums_are_exact():
+    # V = 0 and dyadic values, dt and dx: every sum is exact, so the pruned
+    # row path must be the gather kernel bitwise
+    grid = Grid(2, 32)
+    m = HamiltonianModel("quadratic-discounted", dim=2, lam=1.0, potential=TrigPotential(2, ()))
+    kern = StepKernel(m, grid, 1 / 16, 4.0, "left")
+    w = np.round(64 * smooth_slice(grid)) / 64
+    u = np.round(64 * smooth_slice(grid, 0.2, 1.0)) / 64
+    ref, _ = gather_step(kern, w + kern.step_cost(u))
+    assert kern.apply(w, u).tobytes() == ref.tobytes()
+    assert max(kern.stencil_reach()["radius"]) < kern._m
+
+
+@pytest.mark.parametrize("grid,quadrature", [(Grid(1, 128), "exact"), (Grid(2, 32), "left"),
+                                             (Grid(2, 32), "midpoint")],
+                         ids=["1d", "2d-rows", "2d-windows"])
+def test_stacked_rows_equal_rows_stepped_one_at_a_time(grid, quadrature):
+    # one radius serves the whole stack (the steepest row sets it); each row
+    # must still be its own step bitwise
+    kern = StepKernel(smooth_model(grid.dim), grid, 1 / 16 if grid.dim == 2 else 1 / 32, 4.0,
+                      quadrature)
+    ws = np.stack([smooth_slice(grid, s, s) for s in (0.02, 0.1, 0.3)])
+    us = np.stack([smooth_slice(grid, s, 2 * s) for s in (0.1, 0.2, 0.3)])
+    a = ws + kern.step_cost(us)
+    radii = [step_radius(kern, row) for row in a]
+    assert radii[0] < radii[-1] and max(radii[-1]) < kern._m
+    assert step_radius(kern, a) == tuple(map(max, zip(*radii)))
+    stacked = kern.apply(ws, us)
+    for i in range(ws.shape[0]):
+        assert stacked[i].tobytes() == kern.apply(ws[i], us[i]).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("grid,quadrature", [(Grid(1, 64), "midpoint"), (Grid(2, 16), "left")],
+                         ids=["1d", "2d-rows"])
+def test_table_holding_inf_takes_the_full_stencil_without_warnings(grid, quadrature):
+    kern = StepKernel(smooth_model(grid.dim), grid, 1 / 16, 4.0, quadrature)
+    table = np.stack([smooth_slice(grid, s) for s in (0.1, 0.2)])
+    table[1, :3] = np.inf
+    got = kern.apply_table(table, 0.3)
+    assert kern.stencil_reach()["radius"] == [kern._m] * grid.dim
+    assert np.isfinite(got).all()
+    ref, _ = gather_step(kern, table + kern.step_cost(np.full(1, 0.3))[0])
+    assert_row_path_matches(got, ref, not row_path(grid, quadrature))
+
+
+def test_injected_base_cost_with_negative_gains_takes_the_full_stencil():
+    # a table whose cost falls outward: no radius below m is provable, and
+    # the step must take its min over the injected table
+    grid = Grid(1, 64)
+    kern = StepKernel(smooth_model(1), grid, 1 / 16, 4.0, "exact")
+    table = -np.abs(kern.offsets.astype(float)) * np.ones(grid.size)
+    kern.base_cost = table
+    w = smooth_slice(grid, 0.01)
+    got = kern.apply(w, w)
+    assert kern.stencil_reach()["radius"] == [kern._m]
+    a = w + kern.step_cost(w)
+    plain = np.min(a[kern.start_index] + table, axis=0)
+    assert got.tobytes() == plain.tobytes()
+
+
+def free_particle(grid):
+    """A free particle with dx = 1/64, dt = 1/16 and m = 8: the outward gains
+    are (2q - 1)/512; and each point's cell index along axis 1."""
+    kern = StepKernel(HamiltonianModel("quadratic-mechanical", dim=grid.dim), grid, 1 / 16, 2.0,
+                      "left")
+    assert kern._m == 8
+    return kern, (grid.points()[:, 0] * grid.n).round().astype(int)
+
+
+def critical_ramp(grid):
+    """A zigzag of slope 8/512 per cell along axis 1 on the free particle: the
+    slope lies strictly between the gains of q = 4 and q = 5 and every sum
+    is exact.  Rising runs are minimized at |o| = 4 = r."""
+    kern, i1 = free_particle(grid)
+    return kern, np.minimum(i1, grid.n - i1) / 64.0
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 64), Grid(2, 64)], ids=["1d-windows", "2d-rows"])
+def test_critical_ramp_is_minimized_at_the_radius(monkeypatch, grid):
+    kern, a = critical_ramp(grid)
+    zero = np.zeros(grid.size)
+    got = kern.apply(a, zero)
+    assert kern.stencil_reach()["radius"] == [4] + [0] * (grid.dim - 1)
+    ref, arg = gather_step(kern, a + kern.step_cost(zero))
+    assert got.tobytes() == ref.tobytes()
+    # destinations 5..32 cells up a rising run start 4 cells back, at |o| = r
+    rising = np.flatnonzero((grid.points()[:, 0] * grid.n).round() >= 5)
+    rising = rising[(grid.points()[rising, 0] * grid.n).round() <= 32]
+    offsets = kern.offsets[np.argmax(kern.start_index[:, rising] == arg[rising], axis=0)]
+    assert np.all(offsets[:, 0] == 4) and np.all(offsets[:, 1:] == 0)
+    # a radius one short of r misses those minimizers
+    monkeypatch.setattr(kern, "_radius", lambda *args: (3,) + (0,) * (grid.dim - 1))
+    short = kern.apply(a, zero)
+    assert np.all(short[rising] > ref[rising])
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 64), Grid(2, 64)], ids=["1d-windows", "2d-rows"])
+def test_wrap_pair_counts_as_a_one_cell_change(grid):
+    # a = i/512 along axis 1 changes by 1/512 per cell inside and by 63/512
+    # across the wrap; destination 58 is best reached from 6 cells on, across
+    # the wrap (cost 36/512 against 58/512 for staying), far beyond the
+    # radius 1 that the inside changes alone would give
+    kern, i1 = free_particle(grid)
+    a = i1 / 512.0
+    zero = np.zeros(grid.size)
+    got = kern.apply(a, zero)
+    assert kern.stencil_reach()["radius"][0] == kern._m
+    ref, _ = gather_step(kern, a + kern.step_cost(zero))
+    assert got.tobytes() == ref.tobytes()
+    assert np.all(got[i1 == 58] == 36 / 512)
+
+
+@pytest.mark.parametrize("v_max,m,radius,steps_at_m", [(2.0, 8, 8, 11), (4.0, 16, 13, 0)])
+def test_march_reach_shows_a_binding_v_max(v_max, m, radius, steps_at_m):
+    # 1-D discounted, V = cos 2 pi x, phi = 0.5 cos 2 pi x: v_max 2 binds at
+    # 11 of 64 steps, v_max 4 never
+    grid = Grid(1, 256)
+    model = HamiltonianModel(
+        "quadratic-discounted", lam=1.0, potential=TrigPotential(1, (((1,), 1.0),)))
+    kern = StepKernel(model, grid, 1 / 64, v_max, "exact")
+    u = 0.5 * np.cos(2 * np.pi * grid.points()[:, 0])
+    for _ in range(64):
+        u = kern.apply(u, u)
+    assert kern.stencil_reach() == {"radius": [radius], "m": m, "steps": 64,
+                                    "steps_at_m": steps_at_m}
