@@ -3,12 +3,12 @@
 Each subcommand computes one thing from a validated run configuration and
 writes CSVs and a ``manifest.json`` into the output directory, each file
 as name.part renamed once complete.  ``main`` owns the lifecycle: before
-it makes the output directory it rejects, naming the config key, a
-missing ``char`` block for ``char``, a horizon off the time grid or
-past the float range of steps (``solver.T``) and a planned size above
-``MEMORY_BUDGET_BYTES`` (``grid.N``; ``solver.checkpoints`` or
-``solver.T`` when converge's history or the horizon alone exceeds it;
-``char.t`` for char's trajectory); ``_run`` then times
+it makes the output directory, ``_check_command`` rejects, naming the
+config key, what the command cannot step or hold: a missing ``char``
+block; a horizon off the time grid or past the float range of steps, or
+for ``check`` under 3 steps of grid.dt or 2 RK4 steps of its dH-law flow
+(``solver.T``); a ``char`` flow under 2 RK4 steps (``char.t``); and a
+planned size above ``MEMORY_BUDGET_BYTES``.  ``_run`` then times
 ``cmd_*(cfg, out_dir)``, which returns ``(exit_code, manifest_extra)``,
 and writes the one manifest.
 
@@ -53,7 +53,7 @@ from .characteristics import (
     flow,
     match_calibrated,
 )
-from .config import RunConfig, load_config
+from .config import RunConfig, _named, _require, load_config
 from .errors import ConfigurationError, NumericError
 from .fdoracle import _lf_march, lf_final
 from .kernels import _BLOCK_ELEMENTS, row_path
@@ -73,7 +73,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# the most bytes _check_budget lets a command plan to hold (1 GiB)
+# the most bytes _check_command lets a command plan to hold (1 GiB)
 MEMORY_BUDGET_BYTES = 1 << 30
 # per stacked row, the slices a kernel or Lax-Friedrichs step holds beside its
 # input (measured: at most 7.4 and 14.3), and the bytes one CSV row of a block
@@ -90,6 +90,8 @@ _CHAR_STATE_BYTES = 512
 # candidate blocks of _BLOCK_ELEMENTS (measured: at most 3.5 blocks where the
 # vectors are negligible)
 _POLICY_VECTORS, _POLICY_BLOCKS = 32, 4
+# the RK4 step of check's dH-law flow
+_CHECK_DT_ODE = 1e-3
 
 
 def _property_horizons(cfg: RunConfig) -> list:
@@ -97,31 +99,29 @@ def _property_horizons(cfg: RunConfig) -> list:
     return [t for t in (0.5, 1.0) if t <= cfg.T + 1e-9] or [cfg.T]
 
 
-def _check_horizons(command: str, cfg: RunConfig):
-    """Reject a horizon that ``solve``, ``action`` or ``check`` steps by
-    grid.dt when it is not a positive multiple of grid.dt, and one that is
-    past the float range of the oracle's steps for ``oracle`` and ``check``."""
-    horizons = {"solve": [cfg.T], "action": [cfg.T], "check": [cfg.T, *_property_horizons(cfg)]}
-    for t in horizons.get(command, ()):
-        try:
-            _horizon_steps(t, cfg.dt)
-        except ConfigurationError as e:
-            raise ConfigurationError(f"config key `solver.T`: {e}") from e
-    if command in ("oracle", "check"):
-        cfg.T_fd  # raises naming solver.T
+def _check_command(command: str, cfg: RunConfig) -> int:
+    """Reject, naming the config key, what a command cannot step or hold;
+    return the bytes it plans to hold.
 
+    Steps: ``char`` needs its ``char`` block and at least 2 RK4 steps of
+    ``char.dt_ode`` (``flow``'s count, ``int(round(t / dt_ode))``) for the
+    dH law's centred difference, named ``char.t``.  ``solve``, ``action``
+    and ``check`` step solver.T, and ``check`` its property horizons, by
+    grid.dt: each must be a positive multiple of it, in a step count a
+    float can hold.  ``check`` also needs at least 3 steps (the calibrated
+    chain is matched from its first interior slice to the one before its
+    end) and a dH-law flow over min(T, 1) of at least 2 RK4 steps of
+    ``_CHECK_DT_ODE``; ``oracle`` and ``check`` need a count of oracle.dt_fd
+    steps a float can hold.  Each is named ``solver.T``.
 
-def _check_budget(command: str, cfg: RunConfig) -> int:
-    """Return the bytes a command plans to hold; reject a config above the budget.
-
-    CSVs are streamed one block of at most grid.size rows (``_TABLE_ROWS``
-    for a table without a grid axis) at a time, so this counts the arrays
-    plus one text block of ``_ROW_BYTES`` a row.  A step holds one block of
-    ``_BLOCK_ELEMENTS`` floats and, per stacked row, ``_KERNEL_COPIES``
-    (kernel) or ``_LF_COPIES`` (Lax-Friedrichs) slices.  A kernel's tables
-    are V and, on 2-D "left", a start cost (at most 5*size), and the
-    n_offsets*size ``base_cost`` where it is built: off the row path
-    (``kernels.row_path``) and by ``critical``.
+    Memory: CSVs are streamed one block of at most grid.size rows
+    (``_TABLE_ROWS`` for a table without a grid axis) at a time, so this
+    counts the arrays plus one text block of ``_ROW_BYTES`` a row.  A step
+    holds one block of ``_BLOCK_ELEMENTS`` floats and, per stacked row,
+    ``_KERNEL_COPIES`` (kernel) or ``_LF_COPIES`` (Lax-Friedrichs) slices.
+    A kernel's tables are V and, on 2-D "left", a start cost (at most
+    5*size), and the n_offsets*size ``base_cost`` where it is built: off
+    the row path (``kernels.row_path``) and by ``critical``.
     - ``critical`` the kernel's tables, ``_POLICY_VECTORS`` size-length
       vectors and ``_POLICY_BLOCKS`` candidate blocks;
     - ``action`` its table and a step of its size rows;
@@ -145,9 +145,18 @@ def _check_budget(command: str, cfg: RunConfig) -> int:
     """
     grid, size = cfg.grid, cfg.grid.size
     text_rows, key = size, "grid.N"
-    if command in ("solve", "check"):
-        n = _horizon_steps(cfg.T, cfg.dt)
+    if command in ("solve", "action", "check"):
+        n = _named("solver.T", _horizon_steps, cfg.T, cfg.dt)
         key = "solver.T" if (n + 1) * 8 > MEMORY_BUDGET_BYTES else key
+    if command == "check":
+        for t in _property_horizons(cfg):
+            _named("solver.T", _horizon_steps, t, cfg.dt)
+        _require(n >= 3, "solver.T", f"check needs at least 3 steps of grid.dt={cfg.dt:g}, got {n}")
+        law_steps = int(round(min(cfg.T, 1.0) / _CHECK_DT_ODE))
+        _require(law_steps >= 2, "solver.T", f"check's dH-law flow over min(T, 1) needs at "
+                 f"least 2 RK4 steps of {_CHECK_DT_ODE:g}, got {law_steps}")
+    if command in ("oracle", "check"):
+        cfg.T_fd  # raises naming solver.T
     if command in ("solve", "check", "converge", "critical"):
         tables = 5  # V and a start cost, and base_cost where it is built
         if command == "critical" or not row_path(grid, cfg.quadrature):
@@ -171,18 +180,20 @@ def _check_budget(command: str, cfg: RunConfig) -> int:
         planned = (2 + _KERNEL_COPIES + tables) * size * 8 + history
         text_rows = max(size, _TABLE_ROWS)
     elif command == "char":
+        _require(cfg.char is not None, "char", "block is required for the char command")
         # a float, so a trajectory past the float range of states reads inf
-        planned = (cfg.char["t"] / cfg.char["dt_ode"] + 2) * _CHAR_STATE_BYTES
+        states = cfg.char["t"] / cfg.char["dt_ode"]
+        steps = int(round(states)) if math.isfinite(states) else math.inf
+        _require(steps >= 2, "char.t", f"char needs at least 2 RK4 steps of "
+                 f"dt_ode={cfg.char['dt_ode']:g} for the dH law, got {steps}")
+        planned = (states + 2) * _CHAR_STATE_BYTES
         text_rows, key = _TABLE_ROWS, "char.t"
     else:
         return 0
     planned += _BLOCK_ELEMENTS * 8 + text_rows * _ROW_BYTES
-    if planned > MEMORY_BUDGET_BYTES:
-        raise ConfigurationError(
-            f"config key `{key}`: {command} on {grid.dim}-D N={grid.n} would hold "
-            f"about {planned / 2**30:.3g} GiB, above the budget of "
-            f"{MEMORY_BUDGET_BYTES / 2**30:g} GiB"
-        )
+    _require(planned <= MEMORY_BUDGET_BYTES, key,
+             f"{command} on {grid.dim}-D N={grid.n} would hold about {planned / 2**30:.3g} "
+             f"GiB, above the budget of {MEMORY_BUDGET_BYTES / 2**30:g} GiB")
     return int(planned)
 
 
@@ -459,7 +470,7 @@ def cmd_check(cfg: RunConfig, out_dir: str) -> tuple:
             x=cfg.grid.points()[x_end], u=float(u.values[-1, x_end]),
             p=rng.uniform(-1.0, 1.0, size=cfg.grid.dim),
         )
-        law = dH_law_residual(cfg.model, flow(cfg.model, s0, min(cfg.T, 1.0), 1e-3))
+        law = dH_law_residual(cfg.model, flow(cfg.model, s0, min(cfg.T, 1.0), _CHECK_DT_ODE))
         record("dh_law", law.rms_residual <= 1e-4, f"rms={law.rms_residual!r}")
 
         match = match_calibrated(cfg.model, curve, u, dt_ode=cfg.dt / 4)
@@ -535,14 +546,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         out_dir = args.out or cfg.out_dir
-        if out_dir is None:
-            raise ConfigurationError(
-                "config key `output.directory`: required unless --out is given"
-            )
-        if args.command == "char" and cfg.char is None:
-            raise ConfigurationError("config key `char`: block is required for the char command")
-        _check_horizons(args.command, cfg)
-        _check_budget(args.command, cfg)
+        _require(out_dir is not None, "output.directory", "required unless --out is given")
+        _check_command(args.command, cfg)
         _prepare_out(out_dir, args.overwrite)
         return _run(args.command, cfg, out_dir, args.threads)
     except (ConfigurationError, OSError) as e:

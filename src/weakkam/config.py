@@ -41,11 +41,16 @@ Schema (defaults in parentheses):
       directory: str                 (overridden by --out)
     seed: int                        (0)
 
-``RunConfig.kernel()`` and ``RunConfig.lf()`` build the run's two
-discretizations; ``stencil_offsets`` and ``LFConfig`` validate ``grid.dt``
-and ``oracle.dt_fd``, re-raised naming the key.  What depends on the
-command (stepped horizons, memory) ``weakkam.cli.main`` checks before it
-makes the output directory.
+Every number, a list entry or a mode's wavenumbers and amplitude too, is
+checked by ``_number`` (a finite float) or ``_integer``; a mode list's
+amplitudes must also have a finite sum of absolute values, which bounds
+|V| and |phi| without evaluating them.  ``RunConfig.kernel()`` and
+``RunConfig.lf()`` build the run's two discretizations; the library's own
+checks (``PiecewiseLinearMap``, ``HamiltonianModel``, ``check_dt_lambda``,
+``stencil_offsets``, ``LFConfig``) run through ``_named``, which re-raises
+a failure naming the key.  What depends on the command (stepped horizons,
+their least step counts, memory) ``weakkam.cli._check_command`` checks
+before the output directory is made.
 
 The semigroup is computed by the forward march, which is its exact fixed
 point, and ``solve``'s slab is always that march.  ``solver.tol`` only
@@ -89,12 +94,17 @@ def _require(cond, key, msg):
         raise ConfigurationError(f"config key `{key}`: {msg}")
 
 
-def _number(block, block_name, key, default=None, lo=None, lo_strict=False):
-    """block[key] as a finite float; a list block's entry is named block_name[key]."""
+def _lookup(block, block_name, key, default):
+    """block[key] and its name: block_name.key in a mapping (key alone at the
+    top level, block_name ""), block_name[key] in a list."""
     if isinstance(block, list):
-        raw, full = block[key], f"{block_name}[{key}]"
-    else:
-        raw, full = block.get(key, default), f"{block_name}.{key}"
+        return block[key], f"{block_name}[{key}]"
+    return block.get(key, default), f"{block_name}.{key}" if block_name else key
+
+
+def _number(block, block_name, key, default=None, lo=None, lo_strict=False):
+    """block[key] as a finite float."""
+    raw, full = _lookup(block, block_name, key, default)
     _require(raw is not None, full, "is required")
     _require(isinstance(raw, (int, float)) and not isinstance(raw, bool), full, "must be a number")
     try:
@@ -111,13 +121,20 @@ def _number(block, block_name, key, default=None, lo=None, lo_strict=False):
 
 
 def _integer(block, block_name, key, default=None, lo=None):
-    raw = block.get(key, default)
-    full = f"{block_name}.{key}"
+    raw, full = _lookup(block, block_name, key, default)
     _require(raw is not None, full, "is required")
     _require(isinstance(raw, int) and not isinstance(raw, bool), full, "must be an integer")
     if lo is not None:
         _require(raw >= lo, full, f"must be >= {lo}, got {raw}")
     return int(raw)
+
+
+def _named(key, build, *args, **kwargs):
+    """build(*args, **kwargs), a failure of its own checks re-raised naming key."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, TypeError) as e:
+        _require(False, key, e)
 
 
 def _check_keys(block, block_name, allowed):
@@ -127,7 +144,8 @@ def _check_keys(block, block_name, allowed):
 
 
 def _parse_modes(raw, dim, key):
-    """[[k..., amplitude], ...] with dim integer wavenumbers per entry."""
+    """[[k..., amplitude], ...] with dim integer wavenumbers per entry and a
+    finite sum of |amplitude|, which bounds the trig sum."""
     if raw is None:
         return ()
     _require(isinstance(raw, list), key, "must be a list of [k..., amplitude] entries")
@@ -136,14 +154,10 @@ def _parse_modes(raw, dim, key):
         full = f"{key}[{i}]"
         _require(isinstance(entry, list) and len(entry) == dim + 1, full,
                  f"must have {dim} wavenumber(s) plus an amplitude")
-        ks = entry[:dim]
-        for kv in ks:
-            _require(isinstance(kv, int) and not isinstance(kv, bool), full,
-                     "wavenumbers must be integers")
-        amp = entry[dim]
-        _require(isinstance(amp, (int, float)) and not isinstance(amp, bool), full,
-                 "amplitude must be a number")
-        modes.append((tuple(ks), float(amp)))
+        modes.append((tuple(_integer(entry, full, d) for d in range(dim)),
+                      _number(entry, full, dim)))
+    _require(np.isfinite(sum(abs(a) for _, a in modes)), key,
+             "the sum of |amplitude| is past the float range")
     return tuple(modes)
 
 
@@ -242,43 +256,26 @@ def parse_config(data: dict) -> RunConfig:
     if "f" in mblock:
         fraw = mblock["f"]
         _check_keys(fraw, "model.f", {"knots_u", "knots_f"})
-        try:
-            fmap = PiecewiseLinearMap(tuple(fraw.get("knots_u", ())), tuple(fraw.get("knots_f", ())))
-        except (ValueError, TypeError) as e:
-            raise ConfigurationError(f"config key `model.f`: {e}") from e
-    try:
-        # monotonicity of f is a model assumption audited by the check
-        # command, not a configuration validity issue
-        model = HamiltonianModel(
-            family=family,
-            dim=dim,
-            potential=TrigPotential(dim, modes),
-            lam=lam,
-            f=fmap,
-            action_shift=shift,
-            check_monotone=False,
-        )
-    except ValueError as e:
-        raise ConfigurationError(f"config key `model.family`: {e}") from e
+        fmap = _named("model.f", PiecewiseLinearMap,
+                      tuple(fraw.get("knots_u", ())), tuple(fraw.get("knots_f", ())))
+    # monotonicity of f is a model assumption audited by the check command,
+    # not a configuration validity issue
+    model = _named("model.family", HamiltonianModel, family=family, dim=dim,
+                   potential=TrigPotential(dim, modes), lam=lam, f=fmap,
+                   action_shift=shift, check_monotone=False)
 
     gblock = data.get("grid", {})
     _check_keys(gblock, "grid", _GRID_KEYS)
     n = _integer(gblock, "grid", "N", lo=2)
     dt = _number(gblock, "grid", "dt", lo=0.0, lo_strict=True)
     grid = Grid(dim, n)
-    try:
-        check_dt_lambda(model, dt)
-    except ConfigurationError as e:
-        raise ConfigurationError(f"config key `grid.dt`: {e}") from e
+    _named("grid.dt", check_dt_lambda, model, dt)
     audit = audit_assumptions(model, DEFAULT_SAMPLE_BOX, 512)
     if "v_max" in gblock:
         v_max = _number(gblock, "grid", "v_max", lo=0.0, lo_strict=True)
     else:
         v_max = 2.0 * (1.0 + audit.max_Hp)
-    try:
-        stencil_offsets(grid, v_max, dt)
-    except ConfigurationError as e:
-        raise ConfigurationError(f"config key `grid.dt`: {e}") from e
+    _named("grid.dt", stencil_offsets, grid, v_max, dt)
 
     sblock = data.get("solver", {})
     _check_keys(sblock, "solver", _SOLVER_KEYS)
@@ -315,18 +312,12 @@ def parse_config(data: dict) -> RunConfig:
     _check_keys(oblock, "oracle", _ORACLE_KEYS)
     alpha_default = audit.max_Hp + 0.1
     alpha = _number(oblock, "oracle", "alpha", default=alpha_default, lo=0.0, lo_strict=True)
-    if alpha < audit.max_Hp + 0.1 - 1e-12:
-        raise ConfigurationError(
-            f"config key `oracle.alpha`: {alpha:g} is below the audited "
-            f"max |H_p| {audit.max_Hp:g} + 0.1"
-        )
+    _require(alpha >= audit.max_Hp + 0.1 - 1e-12, "oracle.alpha",
+             f"{alpha:g} is below the audited max |H_p| {audit.max_Hp:g} + 0.1")
     dt_fd_default = min(0.5 * grid.dx / alpha, 1e-3 if model.lipschitz_u == 0
                         else min(1e-3, 1.0 / model.lipschitz_u))
     dt_fd = _number(oblock, "oracle", "dt_fd", default=dt_fd_default, lo=0.0, lo_strict=True)
-    try:
-        LFConfig(model, grid, alpha, dt_fd, audited_max_hp=audit.max_Hp)
-    except ConfigurationError as e:
-        raise ConfigurationError(f"config key `oracle.dt_fd`: {e}") from e
+    _named("oracle.dt_fd", LFConfig, model, grid, alpha, dt_fd, audited_max_hp=audit.max_Hp)
 
     outblock = data.get("output", {})
     _check_keys(outblock, "output", _OUTPUT_KEYS)
@@ -334,8 +325,7 @@ def parse_config(data: dict) -> RunConfig:
     if out_dir is not None:
         _require(isinstance(out_dir, str), "output.directory", "must be a string")
 
-    seed = data.get("seed", 0)
-    _require(isinstance(seed, int) and not isinstance(seed, bool), "seed", "must be an integer")
+    seed = _integer(data, "", "seed", default=0)
 
     return RunConfig(
         model=model, grid=grid, dt=dt, v_max=v_max, T=T, tol=tol, stop_eps=stop_eps,

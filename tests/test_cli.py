@@ -13,7 +13,7 @@ import yaml
 import weakkam
 from test_action import assert_matches_karp
 from weakkam import action, fdoracle, kernels, models, torus
-from weakkam.cli import _check_budget, _run, main
+from weakkam.cli import _check_command, _run, main
 from weakkam.config import load_config
 from weakkam.errors import ConfigurationError
 from weakkam.semigroup import _march, fixed_point
@@ -449,8 +449,17 @@ def test_char_requires_char_block(tmp_path, capsys):
         ("converge", dict(solver={"checkpoints": [2.0, float("inf")]}), "solver.checkpoints[1]"),
         # an integer past the float range is not a finite number either
         ("converge", dict(solver={"checkpoints": [10**400]}), "solver.checkpoints[0]"),
+        # a mode's amplitude, and amplitudes whose sum of |a| is past the float range
+        ("solve", dict(model={"potential": [[1, float("nan")]]}), "model.potential[0][1]"),
+        ("critical", dict(model={"potential": [[1, float("inf")]]}), "model.potential[0][1]"),
+        ("check", dict(model={"potential": [[1, float("inf")]]}), "model.potential[0][1]"),
+        ("solve", dict(solver={"phi": [[1, float("inf")]]}), "solver.phi[0][1]"),
+        ("solve", dict(model={"potential": [[1, 1e308], [2, 1e308]]}), "model.potential"),
+        ("solve", dict(solver={"phi": [[1, 1e308], [2, 1e308]]}), "solver.phi"),
     ],
-    ids=["x0-string", "x0-nan", "p0-bool", "checkpoint-inf", "checkpoint-huge-int"],
+    ids=["x0-string", "x0-nan", "p0-bool", "checkpoint-inf", "checkpoint-huge-int",
+         "potential-nan", "potential-inf-critical", "potential-inf-check", "phi-inf",
+         "potential-sum", "phi-sum"],
 )
 def test_list_entry_that_is_not_a_finite_number_is_rejected_before_output(
     tmp_path, capsys, command, overrides, key
@@ -458,7 +467,8 @@ def test_list_entry_that_is_not_a_finite_number_is_rejected_before_output(
     cfg = write_config(tmp_path / "run.yaml", **overrides)
     out = tmp_path / "out"
     assert run([command, "--config", cfg, "--out", out]) == 2
-    assert f"config key `{key}`" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config key `{key}`" in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -691,16 +701,27 @@ def test_size_squared_command_over_budget_is_rejected_before_output(tmp_path, ca
 
 
 @pytest.mark.parametrize(
-    "command,dt,T",
-    [("solve", 0.125, 0.3), ("action", 0.125, 0.3), ("check", 0.125, 0.3), ("check", 0.3, 0.9)],
-    ids=["solve", "action", "check", "check-property-horizon"],
+    "command,grid,T,key",
+    [("solve", {"dt": 0.125}, 0.3, "solver.T"), ("action", {"dt": 0.125}, 0.3, "solver.T"),
+     ("check", {"dt": 0.125}, 0.3, "solver.T"), ("check", {"dt": 0.3}, 0.9, "solver.T"),
+     ("check", {}, 2 / 16, "solver.T"),
+     ("check", {"N": 512, "dt": 1 / 2048}, 3 / 2048, "solver.T"),
+     ("char", {}, 1.0, "char.t")],
+    ids=["solve", "action", "check", "check-property-horizon", "check-2-steps",
+         "check-1-rk4-step", "char-1-rk4-step"],
 )
-def test_horizon_off_the_time_grid_is_rejected_before_output(tmp_path, capsys, command, dt, T):
-    # check also steps its property horizons: 0.5 is not a multiple of 0.3
-    cfg = write_config(tmp_path / "run.yaml", grid={"dt": dt}, solver={"T": T})
+def test_horizon_off_the_time_grid_is_rejected_before_output(
+    tmp_path, capsys, command, grid, T, key
+):
+    # check also steps its property horizons: 0.5 is not a multiple of 0.3.
+    # check matches a chain of at least 3 steps, and its dH-law flow over
+    # min(T, 1) and char's flow need 2 RK4 steps for a centred difference
+    cfg = write_config(tmp_path / "run.yaml", grid=grid, solver={"T": T},
+                       char={"x0": [0.3], "p0": [0.5], "t": 1e-3, "dt_ode": 1e-3})
     out = tmp_path / "out"
     assert run([command, "--config", cfg, "--out", out]) == 2
-    assert "config key `solver.T`" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config key `{key}`" in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -756,7 +777,7 @@ def test_benchmark_sized_slab_commands_fit_the_budget(tmp_path):
     )
     for command, path in (("solve", one_d), ("oracle", one_d), ("oracle", two_d),
                           ("check", two_d), ("converge", longtime)):
-        _check_budget(command, load_config(path))
+        _check_command(command, load_config(path))
 
 
 def test_2d_converge_budget_counts_base_cost_only_where_it_is_built(tmp_path):
@@ -771,9 +792,9 @@ def test_2d_converge_budget_counts_base_cost_only_where_it_is_built(tmp_path):
             solver={"quadrature": quadrature},
         ))
 
-    assert _check_budget("converge", config("left")) <= 0.2 * 2**30
+    assert _check_command("converge", config("left")) <= 0.2 * 2**30
     with pytest.raises(ConfigurationError, match="config key `grid.N`"):
-        _check_budget("converge", config("exact"))
+        _check_command("converge", config("exact"))
 
 
 def test_2d_n128_critical_fits_the_budget(tmp_path):
@@ -784,7 +805,7 @@ def test_2d_n128_critical_fits_the_budget(tmp_path):
         model={"dim": 2, "potential": [[1, 0, 1.0], [0, 1, 0.5]]},
         grid={"N": 128, "dt": 1.0 / 64, "v_max": 4.0},
     )
-    assert _check_budget("critical", load_config(cfg)) <= 80e6
+    assert _check_command("critical", load_config(cfg)) <= 80e6
 
 
 # bytes of the table of a str-keyed dict (CPython 3.11 layout) of 2**k slots,
@@ -824,7 +845,7 @@ def test_budget_estimate_bounds_the_traced_peak(tmp_path, monkeypatch, command, 
     # numpy's buffers and every Python object, so no OS-level measurement is
     # needed, except for solve's shared slab mapping, which is added to the peak
     cfg = load_config(write_config(tmp_path / "run.yaml", **overrides))
-    planned = _check_budget(command, cfg)
+    planned = _check_command(command, cfg)
     # one untraced run first: what a first run makes once and keeps (numpy.random
     # imported on first use, the interpreter's interned-string table grown) is
     # code and interpreter state, not data, and would make the peak depend on

@@ -132,3 +132,43 @@ def test_lifecycle_scan_sees_each_restatement():
         "def cmd_solve(threads) (line 3)",
         "_manifest in cmd_solve (line 4)",
     ]
+
+
+# the prefix of every message that names a config key; config._require alone forms it
+KEY_MESSAGE = "config key `"
+
+
+def key_message_formats(source: str, module: str) -> list:
+    """The string literals of ``source`` that hold the key-message prefix,
+    outside ``_require`` of the module ``config``."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        if (module, owner) == ("config", "_require"):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Constant) and KEY_MESSAGE in str(node.value):
+                found.append(f"{owner} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.parent.name == "weakkam"], ids=lambda p: p.name,
+)
+def test_only_require_formats_a_config_key_message(path):
+    assert key_message_formats(path.read_text(), path.stem) == []
+
+
+def test_key_message_scan_sees_each_restatement():
+    source = (
+        "def _require(cond, key, msg):\n    raise E(f'config key `{key}`: {msg}')\n"
+        "def parse(block):\n    try:\n        build(block)\n    except ValueError as e:\n"
+        "        raise E(f'config key `grid.dt`: {e}') from e\n"
+        "MESSAGE = 'config key `seed`: must be an integer'\n"
+    )
+    assert key_message_formats(source, "config") == ["parse (line 7)", "None (line 8)"]
+    assert key_message_formats(source, "cli") == [
+        "_require (line 2)", "parse (line 7)", "None (line 8)"]
+    # the one format the rule allows is the one the real config module has
+    config = (ROOT / "src" / "weakkam" / "config.py").read_text()
+    assert [f.split()[0] for f in key_message_formats(config, "cli")] == ["_require"]
