@@ -306,18 +306,10 @@ def match_calibrated(
         p0 = curve.velocities[k0]
     elif p_source == "gradient":
         sl = spacetime.values[k0].reshape((grid.n,) * grid.dim)
-        idx = curve.indices[k0]
-        if grid.dim == 1:
-            j = int(idx)
-            p0 = np.array([(sl[(j + 1) % grid.n] - sl[(j - 1) % grid.n]) / (2 * grid.dx)])
-        else:
-            j, k = int(idx) // grid.n, int(idx) % grid.n
-            p0 = np.array(
-                [
-                    (sl[(j + 1) % grid.n, k] - sl[(j - 1) % grid.n, k]) / (2 * grid.dx),
-                    (sl[j, (k + 1) % grid.n] - sl[j, (k - 1) % grid.n]) / (2 * grid.dx),
-                ]
-            )
+        j = int(curve.indices[k0])
+        # the central difference along each axis, read at the launch cell
+        p0 = np.array([(np.roll(sl, -1, ax) - np.roll(sl, 1, ax)).flat[j] / (2 * grid.dx)
+                       for ax in range(grid.dim)])
     else:
         raise ValueError(f"unknown p_source {p_source!r}")
     # the quadratic catalog has p = dL/dv = v, so either source is a momentum

@@ -7,10 +7,10 @@ it makes the output directory, ``_check_command`` rejects, naming the
 config key, what the command cannot step or hold: a missing ``char``
 block; a horizon off the time grid or past the float range of steps, or
 for ``check`` under 3 steps of grid.dt or 2 RK4 steps of its dH-law flow
-(``solver.T``); a ``char`` flow under 2 RK4 steps (``char.t``); and a
-planned size above ``MEMORY_BUDGET_BYTES``.  ``_run`` then times
-``cmd_*(cfg, out_dir)``, which returns ``(exit_code, manifest_extra)``,
-and writes the one manifest.
+(``solver.T``); a ``char`` flow under 2 RK4 steps (``char.t``); a
+non-finite coupling at ``solver.a``; and a planned size above
+``MEMORY_BUDGET_BYTES``.  ``_run`` then times ``cmd_*(cfg, out_dir)``,
+which returns ``(exit_code, manifest_extra)``, and writes the one manifest.
 
 Exit codes: 0 success, 1 a check suite failed, 2 an invalid configuration
 or a failed write, 3 a numeric failure.  A ``NumericError`` from any
@@ -112,7 +112,8 @@ def _check_command(command: str, cfg: RunConfig) -> int:
     chain is matched from its first interior slice to the one before its
     end) and a dH-law flow over min(T, 1) of at least 2 RK4 steps of
     ``_CHECK_DT_ODE``; ``oracle`` and ``check`` need a count of oracle.dt_fd
-    steps a float can hold.  Each is named ``solver.T``.
+    steps a float can hold.  Each is named ``solver.T``.  ``critical`` and
+    ``action`` need a finite coupling at their frozen level ``solver.a``.
 
     Memory: CSVs are streamed one block of at most grid.size rows
     (``_TABLE_ROWS`` for a table without a grid axis) at a time, so this
@@ -145,6 +146,10 @@ def _check_command(command: str, cfg: RunConfig) -> int:
     """
     grid, size = cfg.grid, cfg.grid.size
     text_rows, key = size, "grid.N"
+    if command in ("critical", "action"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            _require(math.isfinite(cfg.model.coupling(cfg.a)), "solver.a",
+                     f"the coupling at the frozen level {cfg.a:g} is past the float range")
     if command in ("solve", "action", "check"):
         n = _named("solver.T", _horizon_steps, cfg.T, cfg.dt)
         key = "solver.T" if (n + 1) * 8 > MEMORY_BUDGET_BYTES else key
@@ -387,8 +392,10 @@ def cmd_converge(cfg: RunConfig, out_dir: str) -> tuple:
 
 def cmd_critical(cfg: RunConfig, out_dir: str) -> tuple:
     """critical.csv with the one row a,c; the manifest adds c, the policy
-    iterations and the eigen-equation residual that certifies c."""
+    iterations and the eigen-equation residual that certifies c; a non-finite c exits 3."""
     res = critical_value(cfg.kernel(), cfg.a)
+    if not math.isfinite(res.c):
+        raise NumericError(f"the critical value is not finite: {res.c!r}")
     _write(out_dir, "critical.csv", res.to_csv())
     print(f"critical value estimate: {res.c!r}")
     return EXIT_OK, {"c": res.c, "iterations": res.iterations, "residual": res.residual}

@@ -39,7 +39,7 @@ Schema (defaults in parentheses):
       dt_fd: float                   (respecting both CFL conditions)
     output:
       directory: str                 (overridden by --out)
-    seed: int                        (0)
+    seed: int >= 0                   (0)
 
 Every number, a list entry or a mode's wavenumbers and amplitude too, is
 checked by ``_number`` (a finite float) or ``_integer``; a mode list's
@@ -325,7 +325,7 @@ def parse_config(data: dict) -> RunConfig:
     if out_dir is not None:
         _require(isinstance(out_dir, str), "output.directory", "must be a string")
 
-    seed = _integer(data, "", "seed", default=0)
+    seed = _integer(data, "", "seed", default=0, lo=0)
 
     return RunConfig(
         model=model, grid=grid, dt=dt, v_max=v_max, T=T, tol=tol, stop_eps=stop_eps,

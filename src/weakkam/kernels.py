@@ -166,14 +166,11 @@ class StepKernel:
 
         # stencil row o1 holds the offsets (o1, o2) with |o2| <= _row_reach[o1],
         # and offset index _row_centre[o1] is (o1, 0); 1-D is the one row o1 = 0
-        if grid.dim == 1:
-            self._row_reach, self._row_centre = {0: m}, {0: m}
-        else:
-            self._row_reach = {o1: 0 for o1 in range(-m, m + 1)}
-            for o1, o2 in offsets.tolist():
-                self._row_reach[o1] = max(self._row_reach[o1], o2)
-            centres = np.flatnonzero(offsets[:, 1] == 0).tolist()
-            self._row_centre = dict(zip(range(-m, m + 1), centres))
+        self._row_reach, self._row_centre = {}, {}
+        for k, (o1, o2) in enumerate(np.pad(offsets, ((0, 0), (2 - grid.dim, 0))).tolist()):
+            self._row_reach[o1] = max(self._row_reach.get(o1, 0), o2)
+            if o2 == 0:
+                self._row_centre[o1] = k
         if row_path(grid, quadrature):
             self._start_cost = (dt * (model.action_shift - self._potential)).reshape(grid.n, -1)
             self._axis_cost = (np.arange(-m, m + 1) * grid.dx) ** 2 / (2 * dt)
@@ -271,10 +268,11 @@ class StepKernel:
 
     def _start_of(self, k, j) -> np.ndarray:
         """Flat index of x_j - offsets[k]*dx, periodically; k and j broadcast."""
-        n, o = self.grid.n, self.offsets[k]
-        if self.grid.dim == 1:
-            return (j - o[..., 0]) % n
-        return (j // n - o[..., 0]) % n * n + (j % n - o[..., 1]) % n
+        n, dim, o = self.grid.n, self.grid.dim, self.offsets[k]
+        start = 0
+        for ax in range(dim):  # Horner over the C-order cell coordinates of j
+            start = start * n + (j // n ** (dim - 1 - ax) % n - o[..., ax]) % n
+        return start
 
     @property
     def start_index(self) -> np.ndarray:

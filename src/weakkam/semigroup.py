@@ -37,7 +37,8 @@ from .errors import ConfigurationError
 from .kernels import StepKernel
 from .models import HamiltonianModel, eval_H, lagrangian_values
 from .torus import (
-    Grid, GridField, SpaceTimeField, _horizon_steps, _write_table, interp_periodic, periodic_delta,
+    Grid, GridField, SpaceTimeField, _horizon_steps, _lattice, _write_table, interp_periodic,
+    periodic_delta,
 )
 
 # the equi-Lipschitz seminorm of check_properties is taken over slices t >= this
@@ -502,12 +503,7 @@ def check_Ltilde(model: HamiltonianModel, u_inf: GridField, v_max: float) -> Lti
     du = centered[smooth]
     uu = u_inf.values[smooth]
 
-    axis = np.linspace(-v_max, v_max, FAN_SIZE)
-    if grid.dim == 1:
-        fan = axis[:, None]
-    else:
-        f1, f2 = np.meshgrid(axis, axis, indexing="ij")
-        fan = np.stack([f1.ravel(), f2.ravel()], axis=-1)
+    fan = _lattice(np.linspace(-v_max, v_max, FAN_SIZE), grid.dim)
 
     fan_min = np.full(pts.shape[0], np.inf)
     for v in fan:

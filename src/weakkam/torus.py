@@ -88,6 +88,11 @@ def periodic_distance(a, b):
     return np.sqrt(np.sum(d * d, axis=-1))
 
 
+def _lattice(axis: np.ndarray, dim: int) -> np.ndarray:
+    """The dim-tuples of axis values in C order (last axis fastest), (len(axis)**dim, dim)."""
+    return np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid with n points per axis on the d-torus."""
@@ -110,12 +115,8 @@ class Grid:
         return self.n**self.dim
 
     def points(self) -> np.ndarray:
-        """Flattened coordinates, shape (size, dim)."""
-        axis = np.arange(self.n) / self.n
-        if self.dim == 1:
-            return axis[:, None]
-        xx, yy = np.meshgrid(axis, axis, indexing="ij")
-        return np.stack([xx.ravel(), yy.ravel()], axis=-1)
+        """Flattened coordinates, shape (size, dim), in the C order of the flat index."""
+        return _lattice(np.arange(self.n) / self.n, self.dim)
 
 
 def _horizon_steps(T: float, dt: float) -> int:
@@ -143,11 +144,7 @@ def stencil_offsets(grid: Grid, v_max: float, dt: float) -> np.ndarray:
             f"dx = {grid.dx:g}"
         )
     m = min(m, grid.n // 2)
-    rng = np.arange(-m, m + 1)
-    if grid.dim == 1:
-        return rng[:, None]
-    o1, o2 = np.meshgrid(rng, rng, indexing="ij")
-    offs = np.stack([o1.ravel(), o2.ravel()], axis=-1)
+    offs = _lattice(np.arange(-m, m + 1), grid.dim)
     keep = np.sum(offs**2, axis=1) <= (v_max * dt / grid.dx + 1e-12) ** 2
     return offs[keep]
 
@@ -174,17 +171,12 @@ class GridField:
 
     def lipschitz_seminorm(self) -> float:
         """Max forward difference quotient over all axes."""
-        out = 0.0
-        for ax in range(self.grid.dim):
-            sh = self._shaped()
-            diff = np.abs(np.roll(sh, -1, axis=ax) - sh) / self.grid.dx
-            out = max(out, float(np.max(diff)))
-        return out
+        sh = self._shaped()
+        return max(float(np.max(np.abs(np.roll(sh, -1, axis=ax) - sh) / self.grid.dx))
+                   for ax in range(self.grid.dim))
 
     def _shaped(self) -> np.ndarray:
-        if self.grid.dim == 1:
-            return self.values
-        return self.values.reshape(self.grid.n, self.grid.n)
+        return self.values.reshape((self.grid.n,) * self.grid.dim)
 
     def write_csv(self, fh):
         """Field export with columns j,x,u (d=2: j,x1,x2,u) to the open text file fh."""
@@ -193,26 +185,25 @@ class GridField:
 
 
 def interp_periodic(grid: Grid, values: np.ndarray, x) -> np.ndarray:
-    """Periodic (bi)linear interpolation of flattened grid values at x."""
+    """Periodic (multi)linear interpolation of flattened grid values at x: a sum
+    over the 2^d cell corners, axis 0 fastest, of terms v * w_1 * ... * w_d."""
     pts = np.atleast_2d(np.asarray(x, dtype=float)) % 1.0
-    n = grid.n
+    n, dim = grid.n, grid.dim
     s = pts * n
     i0 = np.floor(s).astype(int) % n
     frac = s - np.floor(s)
-    if grid.dim == 1:
-        i1 = (i0 + 1) % n
-        v = values
-        return v[i0[:, 0]] * (1 - frac[:, 0]) + v[i1[:, 0]] * frac[:, 0]
-    v = values.reshape(n, n)
-    j0, k0 = i0[:, 0], i0[:, 1]
-    j1, k1 = (j0 + 1) % n, (k0 + 1) % n
-    fa, fb = frac[:, 0], frac[:, 1]
-    return (
-        v[j0, k0] * (1 - fa) * (1 - fb)
-        + v[j1, k0] * fa * (1 - fb)
-        + v[j0, k1] * (1 - fa) * fb
-        + v[j1, k1] * fa * fb
-    )
+    v = values.reshape((n,) * dim)
+    # per axis, the (index, weight) of the lower and of the upper corner
+    sides = [((i0[:, ax], 1 - frac[:, ax]), ((i0[:, ax] + 1) % n, frac[:, ax]))
+             for ax in range(dim)]
+    out = None
+    for corner in range(2**dim):
+        picks = [sides[ax][corner >> ax & 1] for ax in range(dim)]
+        term = v[tuple(i for i, _ in picks)]
+        for _, w in picks:
+            term = term * w
+        out = term if out is None else out + term
+    return out
 
 
 @dataclass

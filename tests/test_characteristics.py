@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 
+from weakkam import characteristics
 from weakkam.characteristics import (
     CharacteristicState,
     _rhs,
@@ -268,6 +269,40 @@ def test_match_calibrated_chain_within_grid_cells():
         sup.append(report.sup_distance)
     # gap shrinks roughly linearly under joint refinement
     assert sup[1] <= 0.6 * sup[0]
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_match_calibrated_gradient_momentum_is_the_central_difference(dim, monkeypatch):
+    m = HamiltonianModel("quadratic-discounted", dim=dim, lam=1.0,
+                         potential=TrigPotential(dim, (((1,) * dim, 1.0),)))
+    g = Grid(dim, 16)
+    x = g.points()
+    phi = GridField(g, 0.3 * np.sin(2 * np.pi * x[:, 0]) + 0.2 * np.cos(2 * np.pi * x[:, -1]))
+    kern = StepKernel(m, g, 1.0 / 16, 4.0)
+    u = _march(kern, phi, 0.5)
+    curve = extract_calibrated_curve(kern, u, x_end=g.size // 3)
+    launched = []
+
+    def recording_flow(model, s0, *args):
+        launched.append(s0)
+        return flow(model, s0, *args)
+
+    monkeypatch.setattr(characteristics, "flow", recording_flow)
+    report = match_calibrated(m, curve, u, p_source="gradient")
+    # the launch slice is the first interior one; a hand-written central
+    # difference of it along each axis at the launch cell
+    k0, j = report.launch_index, int(curve.indices[report.launch_index])
+    sl = u.values[k0]
+    cell = [j // g.n ** (dim - 1 - ax) % g.n for ax in range(dim)]
+
+    def at(ax, step):
+        c = list(cell)
+        c[ax] = (c[ax] + step) % g.n
+        return sl[sum(ci * g.n ** (dim - 1 - i) for i, ci in enumerate(c))]
+
+    expect = [(at(ax, 1) - at(ax, -1)) / (2 * g.dx) for ax in range(dim)]
+    assert len(launched) == 1 and launched[0].p.tolist() == expect
+    assert any(expect)
 
 
 def test_trajectory_csv_header_and_state_access():

@@ -433,6 +433,19 @@ def test_critical_exits_3_at_the_policy_iteration_cap(tmp_path, monkeypatch, cap
     assert not (out / "critical.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_critical_exits_3_on_a_non_finite_critical_value(tmp_path, capsys):
+    # the coupling at a is finite, but with the shift the edge costs are about
+    # -2e308 * dt, so c = -(cycle mean)/dt is past the float range
+    cfg = write_config(tmp_path / "run.yaml", model={"action_shift": -1e308},
+                       solver={"a": 1e308})
+    out = tmp_path / "out"
+    assert run(["critical", "--config", cfg, "--out", out]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "critical: the critical value is not finite: inf\n"
+    assert captured.out == "" and os.listdir(out) == []
+
+
 def test_char_requires_char_block(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.yaml")
     assert run(["char", "--config", cfg, "--out", tmp_path / "o"]) == 2
@@ -456,10 +469,18 @@ def test_char_requires_char_block(tmp_path, capsys):
         ("solve", dict(solver={"phi": [[1, float("inf")]]}), "solver.phi[0][1]"),
         ("solve", dict(model={"potential": [[1, 1e308], [2, 1e308]]}), "model.potential"),
         ("solve", dict(solver={"phi": [[1, 1e308], [2, 1e308]]}), "solver.phi"),
+        # a negative seed, which numpy's generator cannot take
+        ("check", dict(solver={"T": 0.5}, seed=-1), "seed"),
+        # a frozen level whose coupling lambda*a overflows
+        ("critical", dict(model={"lambda": 2.0}, grid={"N": 256, "dt": 1 / 32},
+                          solver={"a": 1e308}), "solver.a"),
+        ("action", dict(model={"lambda": 2.0}, grid={"N": 256, "dt": 1 / 32},
+                        solver={"a": 1e308}), "solver.a"),
     ],
     ids=["x0-string", "x0-nan", "p0-bool", "checkpoint-inf", "checkpoint-huge-int",
          "potential-nan", "potential-inf-critical", "potential-inf-check", "phi-inf",
-         "potential-sum", "phi-sum"],
+         "potential-sum", "phi-sum", "seed-negative", "coupling-inf-critical",
+         "coupling-inf-action"],
 )
 def test_list_entry_that_is_not_a_finite_number_is_rejected_before_output(
     tmp_path, capsys, command, overrides, key

@@ -5,10 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from weakkam import semigroup
 from weakkam.action import critical_value
 from weakkam.errors import ConfigurationError
 from weakkam.kernels import StepKernel
-from weakkam.models import HamiltonianModel, PiecewiseLinearMap, TrigPotential
+from weakkam.models import HamiltonianModel, PiecewiseLinearMap, TrigPotential, lagrangian_values
 from weakkam.semigroup import (
     EQUI_LIPSCHITZ_DELTA,
     FIXED_POINT_TOL,
@@ -17,6 +18,7 @@ from weakkam.semigroup import (
     _backtrack,
     _factorial_bound,
     _march,
+    _one_sided_slopes,
     check_Ltilde,
     check_properties,
     converge,
@@ -330,12 +332,40 @@ def test_converged_field_is_a_subsolution_along_test_curves():
     assert gap <= 1e-9
 
 
-def test_check_Ltilde_rejects_grids_too_small_for_its_gradient():
-    m = pendulum_normalized()
+def fan_reference(m, u, v_max):
+    """check_Ltilde's fan_min with the fan written as one loop per axis."""
+    g = u.grid
+    k = max(1, int(round(np.sqrt(g.n) / 2.0)))
+    shaped = u.values.reshape((g.n,) * g.dim)
+    du = np.stack([((np.roll(shaped, -k, axis=ax) - np.roll(shaped, k, axis=ax))
+                    / (2.0 * k * g.dx)).ravel() for ax in range(g.dim)], axis=-1)
+    smooth = _one_sided_slopes(u)[1]
+    pts, uu, du = g.points()[smooth], u.values[smooth], du[smooth]
+    axis = np.linspace(-v_max, v_max, semigroup.FAN_SIZE)
+    best = np.full(pts.shape[0], np.inf)
+    for v1 in axis:
+        for v2 in axis if g.dim == 2 else [None]:
+            v = np.array([v1] if v2 is None else [v1, v2])
+            lt = lagrangian_values(m, pts, uu, np.broadcast_to(v, pts.shape)) - du @ v
+            best = np.where(lt < best, lt, best)
+    return best
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_check_Ltilde_rejects_grids_too_small_for_its_gradient(dim, monkeypatch):
+    m = HamiltonianModel("quadratic-discounted", dim=dim, lam=1.0,
+                         potential=TrigPotential(dim, (((1,) * dim, 1.0),))).normalized(1.0)
+    # a coarse fan keeps the 2-D runs and the reference loop short
+    monkeypatch.setattr(semigroup, "FAN_SIZE", 17)
     for n in (2, 3):
         with pytest.raises(ConfigurationError, match="half-width"):
-            check_Ltilde(m, GridField(Grid(1, n), np.zeros(n)), 2.0)
-    assert check_Ltilde(m, GridField(Grid(1, 4), np.zeros(4)), 2.0).fan_min.size == 4
+            check_Ltilde(m, GridField(Grid(dim, n), np.zeros(n**dim)), 2.0)
+    assert check_Ltilde(m, GridField(Grid(dim, 4), np.zeros(4**dim)), 2.0).fan_min.size == 4**dim
+    g = Grid(dim, 16)
+    x = g.points()
+    u = GridField(g, 0.1 * np.sin(2 * np.pi * x[:, 0]) + 0.05 * np.cos(2 * np.pi * x[:, -1]))
+    got = check_Ltilde(m, u, 2.0).fan_min
+    assert got.size > 0 and got.tolist() == fan_reference(m, u, 2.0).tolist()
 
 
 def test_calibrated_curve_defect_is_roundoff():

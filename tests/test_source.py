@@ -172,3 +172,70 @@ def test_key_message_scan_sees_each_restatement():
     # the one format the rule allows is the one the real config module has
     config = (ROOT / "src" / "weakkam" / "config.py").read_text()
     assert [f.split()[0] for f in key_message_formats(config, "cli")] == ["_require"]
+
+
+
+# the functions that may compare a grid dimension with an integer literal: the
+# CSV header writers, the choice of the 2-D row path, and the dimension checks
+DIM_COMPARISONS_ALLOWED = {
+    "torus._point_columns", "characteristics.Trajectory.write_csv",
+    "action.ActionTable.write_csv", "kernels.row_path", "config.parse_config",
+    "torus.Grid.__post_init__",
+}
+
+
+def _is_dim(node) -> bool:
+    """A grid dimension: x.dim, or a name dim or d."""
+    return (isinstance(node, ast.Attribute) and node.attr == "dim") or (
+        isinstance(node, ast.Name) and node.id in ("dim", "d"))
+
+
+def _is_int_literal(node) -> bool:
+    """An integer literal, or a tuple, list or set of them."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return bool(node.elts) and all(map(_is_int_literal, node.elts))
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def dimension_forks(source: str, module: str, allowed=DIM_COMPARISONS_ALLOWED) -> list:
+    """The comparisons of a grid dimension with an integer literal in ``source``,
+    as module.[Class.]function (line), outside the functions ``allowed``."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}"
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(map(_is_dim, operands)) and any(map(_is_int_literal, operands)):
+                if owner not in allowed:
+                    found.append(f"{owner} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.parent.name == "weakkam"], ids=lambda p: p.name,
+)
+def test_only_the_allowed_functions_compare_a_grid_dimension_with_a_literal(path):
+    assert dimension_forks(path.read_text(), path.stem) == []
+
+
+def test_dimension_scan_sees_a_fork():
+    source = (
+        "def points(grid):\n    if grid.dim == 1:\n        return 1\n"
+        "class Grid:\n    def __post_init__(self):\n        assert self.dim not in (1, 2)\n"
+        "def shaped(values, dim):\n    return values if 2 > dim else values.ndim == 1\n"
+    )
+    assert dimension_forks(source, "torus") == ["torus.points (line 2)", "torus.shaped (line 8)"]
+    assert dimension_forks(source, "kernels") == [
+        "kernels.points (line 2)", "kernels.Grid.__post_init__ (line 6)", "kernels.shaped (line 8)"]
+    # every allowed function holds such a comparison: the list names no stale entry
+    seen = set()
+    for path in SOURCES:
+        if path.parent.name == "weakkam":
+            seen.update(f.split()[0] for f in dimension_forks(path.read_text(), path.stem, set()))
+    assert seen == DIM_COMPARISONS_ALLOWED

@@ -108,21 +108,54 @@ def test_gridfield_shape_and_finiteness():
         GridField(g, np.full(8, np.nan))
 
 
-def test_lipschitz_seminorm_linear_sawtooth():
-    g = Grid(1, 16)
-    x = g.points()[:, 0]
-    f = GridField(g, np.minimum(x, 1 - x))
-    assert f.lipschitz_seminorm() == pytest.approx(1.0)
+def cell_neighbour(g, j, ax, step):
+    """Flat index of the cell step cells from flat cell j along axis ax, periodically."""
+    cell = [j // g.n ** (g.dim - 1 - i) % g.n for i in range(g.dim)]
+    cell[ax] = (cell[ax] + step) % g.n
+    return sum(c * g.n ** (g.dim - 1 - i) for i, c in enumerate(cell))
 
 
-def test_interp_periodic_exact_on_nodes_and_linear():
-    g = Grid(1, 16)
-    x = g.points()[:, 0]
-    vals = np.sin(2 * np.pi * x)
-    assert np.allclose(interp_periodic(g, vals, x[:, None]), vals)
-    # halfway between nodes: average of neighbors
-    mid = (x + 0.5 * g.dx)[:, None]
-    assert np.allclose(interp_periodic(g, vals, mid), 0.5 * (vals + np.roll(vals, -1)))
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_lipschitz_seminorm_linear_sawtooth(dim):
+    g = Grid(dim, 16)
+    x = g.points()
+    f = GridField(g, np.minimum(x[:, 0], 1 - x[:, 0]) + 0.5 * np.sin(2 * np.pi * x[:, -1]))
+    # per-value reference: the largest forward difference quotient over every cell and axis
+    ref = max(abs(f.values[cell_neighbour(g, j, ax, 1)] - f.values[j]) / g.dx
+              for j in range(g.size) for ax in range(dim))
+    assert f.lipschitz_seminorm() == ref
+    if dim == 1:  # the sawtooth alone has slope 1
+        saw = GridField(g, np.minimum(x[:, 0], 1 - x[:, 0]))
+        assert saw.lipschitz_seminorm() == pytest.approx(1.0)
+
+
+def bilinear_reference(g, vals, p):
+    """Periodic (bi)linear interpolation at one point p, written out term by term."""
+    s = (np.asarray(p) % 1.0) * g.n
+    i0 = np.floor(s).astype(int) % g.n
+    f = s - np.floor(s)
+    v = vals.reshape((g.n,) * g.dim)
+    if g.dim == 1:
+        return v[i0[0]] * (1 - f[0]) + v[(i0[0] + 1) % g.n] * f[0]
+    j0, k0 = i0
+    j1, k1 = (j0 + 1) % g.n, (k0 + 1) % g.n
+    return (v[j0, k0] * (1 - f[0]) * (1 - f[1]) + v[j1, k0] * f[0] * (1 - f[1])
+            + v[j0, k1] * (1 - f[0]) * f[1] + v[j1, k1] * f[0] * f[1])
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_interp_periodic_exact_on_nodes_and_linear(dim):
+    g = Grid(dim, 16)
+    pts = g.points()
+    vals = np.sin(2 * np.pi * pts[:, 0]) + 0.3 * np.cos(2 * np.pi * pts[:, -1])
+    assert np.allclose(interp_periodic(g, vals, pts), vals)
+    # halfway between nodes along axis 0: average of the two neighbors
+    mid = pts + 0.5 * g.dx * (np.arange(dim) == 0)
+    up = np.roll(vals.reshape((g.n,) * dim), -1, axis=0).ravel()
+    assert np.allclose(interp_periodic(g, vals, mid), 0.5 * (vals + up))
+    x = np.random.default_rng(3).uniform(-1.5, 2.5, size=(200, dim))
+    got = interp_periodic(g, vals, x)
+    assert got.tolist() == [bilinear_reference(g, vals, p) for p in x]
 
 
 def test_spacetime_csv_roundtrip_header():
