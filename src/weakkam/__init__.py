@@ -8,7 +8,10 @@ contraction certificate computed in the same march, and a monotone
 Lax-Friedrichs finite-difference oracle.  Around them sit minimal action
 tables, the discrete critical value (exact, by Howard policy iteration,
 with a certifying residual), characteristic flows and the diagnostic
-battery tying them together.
+battery tying them together.  The paper's objects that only check the
+solver (the semigroup law, the Legendre conjugate L, the subsolution
+inequality, the Peierls barrier) are test oracles in ``tests/oracles.py``,
+not part of the package.
 """
 
 __version__ = "0.1.0"
@@ -18,7 +21,6 @@ from .action import (
     CriticalValueResult,
     critical_value,
     min_action,
-    peierls_barrier,
 )
 from .characteristics import (
     CharacteristicState,
@@ -37,21 +39,18 @@ from .models import (
     audit_assumptions,
     eval_H,
     grad_H,
-    lagrangian_values,
 )
 from .semigroup import (
     CalibratedCurve,
     ConvergenceReport,
     FixedPointReport,
-    check_Ltilde,
     check_properties,
     converge,
     extract_calibrated_curve,
     fixed_point,
-    step_T,
     weak_kam_residual,
 )
-from .torus import Grid, GridField, SpaceTimeField, interp_periodic
+from .torus import Grid, GridField, SpaceTimeField
 
 __all__ = [
     "ActionTable",
@@ -72,7 +71,6 @@ __all__ = [
     "Trajectory",
     "TrigPotential",
     "audit_assumptions",
-    "check_Ltilde",
     "check_properties",
     "converge",
     "critical_value",
@@ -82,12 +80,8 @@ __all__ = [
     "fixed_point",
     "flow",
     "grad_H",
-    "interp_periodic",
-    "lagrangian_values",
     "lf_final",
     "match_calibrated",
     "min_action",
-    "peierls_barrier",
-    "step_T",
     "weak_kam_residual",
 ]

@@ -1,10 +1,11 @@
-"""Minimal actions between grid points, the Peierls barrier and the
-critical value of the frozen-u Lagrangian.
+"""Minimal actions between grid points and the critical value of the
+frozen-u Lagrangian.
 
 The minimal action table h_t(x_i, x_j) is computed by dynamic programming
-over time slices with straight-segment costs, and the Peierls barrier marches
-one table through its horizons; ``compose`` (exact min-plus composition,
-h_{t+s} = min_y h_t + h_s) is that march's test reference.  The discrete critical value
+over time slices with straight-segment costs.  ``compose`` (exact min-plus
+composition, h_{t+s} = min_y h_t + h_s) is the tests' reference for a table
+marched through several horizons, as the Peierls barrier of the test
+oracles (``tests/oracles.py``) marches one.  The discrete critical value
 needs no table: -c*dt is the minimum cycle mean of the one-step DP graph,
 which Howard policy iteration gives exactly from the kernel's per-offset
 costs and periodic start shifts, with a bias v and the critical cycles.
@@ -79,33 +80,14 @@ class CriticalValueResult:
         return f"a,c\n{csv_float(self.a)},{csv_float(self.c)}\n"
 
 
-def discretization_slack(kern: StepKernel) -> float:
-    """Slack K_L*(dx + dt) for discrete action identities.
-
-    K_L combines the potential's gradient bound with the velocity scale of
-    the window, the local Lipschitz data of the segment costs.
-    """
-    k_l = kern.model.potential.gradient_bound() + kern.v_max
-    return k_l * (kern.grid.dx + kern.dt)
-
-
-def _table_march(kern: StepKernel, a: float, horizons):
-    """Yield the DP table of minimal actions at each increasing horizon, marching one table."""
+def min_action(kern: StepKernel, a: float, t: float) -> ActionTable:
+    """DP table of minimal actions over horizon t at frozen u-level a, marched
+    from the identity table (0 on the diagonal, inf off it)."""
     w = np.full((kern.grid.size, kern.grid.size), np.inf)
     np.fill_diagonal(w, 0.0)
-    prev_t = 0.0
-    for t in horizons:
-        if t <= prev_t:
-            raise ConfigurationError(f"horizons must increase from 0: t={t:g} after {prev_t:g}")
-        for _ in range(_horizon_steps(t - prev_t, kern.dt)):
-            w = kern.apply_table(w, a)
-        yield w
-        prev_t = t
-
-
-def min_action(kern: StepKernel, a: float, t: float) -> ActionTable:
-    """DP table of minimal actions over horizon t at frozen u-level a."""
-    return ActionTable(kern, a, t, next(_table_march(kern, a, [t])))
+    for _ in range(_horizon_steps(t, kern.dt)):
+        w = kern.apply_table(w, a)
+    return ActionTable(kern, a, t, w)
 
 
 def _evaluate(policy: np.ndarray, cost: np.ndarray, v_prev: np.ndarray):
@@ -225,28 +207,3 @@ def critical_value(kern: StepKernel, a: float) -> CriticalValueResult:
     _, eta, _, iterations, residual = _policy_iteration(kern, a)
     c = -float(np.min(eta)) / kern.dt + 0.0  # + 0.0 turns -0.0 into +0.0
     return CriticalValueResult(a=a, c=c, iterations=iterations, residual=residual)
-
-
-def peierls_barrier(kern: StepKernel, a: float, c: float, t_list):
-    """Barrier iterates h_T(x,y) + c*T and their pointwise tail minimum.
-
-    Returns (liminf_estimate, report).  The report carries the per-horizon
-    matrices, the sup bound C_t0 = max_T |h_T + c*T| and a non-divergence
-    flag checked across the supplied horizons.
-    """
-    t_list = sorted(float(t) for t in t_list)
-    if not t_list:
-        raise ConfigurationError("T_list must be non-empty")
-    barriers = {t: h + c * t for t, h in zip(t_list, _table_march(kern, a, t_list))}
-    tail = t_list[len(t_list) // 2 :]
-    liminf = np.min(np.stack([barriers[t] for t in tail]), axis=0)
-    sup_seq = [float(np.max(np.abs(barriers[t]))) for t in t_list]
-    c_t0 = max(sup_seq)
-    report = {
-        "T_list": t_list,
-        "barriers": barriers,
-        "C_t0": c_t0,
-        "sup_sequence": sup_seq,
-        "bounded": c_t0 < np.inf,
-    }
-    return liminf, report

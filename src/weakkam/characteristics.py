@@ -53,15 +53,6 @@ class Trajectory:
     ps: np.ndarray  # (n_states, batch, dim)
     h_values: np.ndarray  # H along the trajectory, (n_states, batch)
 
-    @property
-    def batch(self) -> int:
-        return self.us.shape[1]
-
-    def state(self, k: int, b: int = 0) -> CharacteristicState:
-        return CharacteristicState(
-            x=self.xs[k, b], u=float(self.us[k, b]), p=self.ps[k, b], t=float(self.times[k])
-        )
-
     def write_csv(self, fh):
         """Rows t,x,u,p,H (d=2: t,x1,x2,u,p1,p2,H) per state and member to the open file fh."""
         n, b, d = self.xs.shape

@@ -407,11 +407,17 @@ def cmd_action(cfg: RunConfig, out_dir: str) -> tuple:
 
 
 def cmd_char(cfg: RunConfig, out_dir: str) -> tuple:
+    """trajectory.csv and dh_law.csv; a law whose max or rms residual is not
+    finite exits 3 before either is written."""
     c = cfg.char
     s0 = CharacteristicState(x=np.asarray(c["x0"]), u=c["u0"], p=np.asarray(c["p0"]))
     traj = flow(cfg.model, s0, c["t"], c["dt_ode"])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite law is reported below
+        law = dH_law_residual(cfg.model, traj)
+    if not (math.isfinite(law.max_residual) and math.isfinite(law.rms_residual)):
+        raise NumericError(f"the dH-law residual is not finite: max {law.max_residual!r},"
+                           f" rms {law.rms_residual!r}")
     _write(out_dir, "trajectory.csv", traj.write_csv)
-    law = dH_law_residual(cfg.model, traj)
     _write(
         out_dir, "dh_law.csv",
         f"max_residual,rms_residual\n{law.max_residual!r},{law.rms_residual!r}\n",

@@ -21,7 +21,7 @@ can be audited on sampled boxes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,13 +72,6 @@ class TrigPotential:
             kv = np.asarray(k, dtype=float)
             phase = x0 @ kv + 0.5 * (disp @ kv)
             out += a * np.cos(2.0 * np.pi * phase) * np.sinc(disp @ kv)
-        return out
-
-    def gradient_bound(self) -> float:
-        """Upper bound on |grad V| (sum of mode bounds)."""
-        out = 0.0
-        for k, a in self.modes:
-            out += abs(a) * 2.0 * np.pi * float(np.linalg.norm(k))
         return out
 
 
@@ -190,10 +183,6 @@ class HamiltonianModel:
         """The u values where H_u jumps: the interior knots of f."""
         return self.f.knots_u[1:-1] if self.family == "quadratic-nonlinear-u" else ()
 
-    def normalized(self, c: float) -> "HamiltonianModel":
-        """Model with H replaced by H - c (L by L + c); idempotent for c=0."""
-        return replace(self, action_shift=self.action_shift + float(c))
-
 
 def _as_points(x, dim):
     x = np.asarray(x, dtype=float)
@@ -228,24 +217,6 @@ def grad_H(model: HamiltonianModel, x, u, p):
     if pts.shape[0] == 1:
         return hx[0], float(hu[0]), hp[0]
     return hx, hu, hp
-
-
-def lagrangian_values(model: HamiltonianModel, x, u, v):
-    """Vectorized closed-form L(x,u,v) for the catalog (value only).
-
-    The kernel (and its per-axis row split), the Lax-Friedrichs stepper and
-    the characteristic field hard-code the kinetic term |p|^2/2 instead of
-    calling this.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    vv = np.asarray(v, dtype=float).reshape(-1, model.dim)
-    uu = np.asarray(u, dtype=float).ravel()
-    return (
-        0.5 * np.sum(vv * vv, axis=1)
-        - model.coupling(uu)
-        - model.potential(x)
-        + model.action_shift
-    )
 
 
 @dataclass

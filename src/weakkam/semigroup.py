@@ -19,8 +19,7 @@ Storage rule: a space-time slab is stored only where a caller reads it
 whole, and then into the caller's array: ``check_properties(out=)`` fills
 it with the march of phi that its battery steps anyway (the field
 ``check`` backtracks and matches), and ``fixed_point(out=)`` with the
-wavefront's top row (``solve``'s slab.csv).  ``_march`` stores the plain
-march, the tests' reference.  ``step_T``, the battery's other rows, the
+wavefront's top row (``solve``'s slab.csv).  The battery's other rows, the
 fixed-point check of ``extract_calibrated_curve`` and ``converge`` step
 rows and reduce each slice as it is formed, holding a few slices at a time.
 """
@@ -35,20 +34,13 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .kernels import StepKernel
-from .models import HamiltonianModel, eval_H, lagrangian_values
-from .torus import (
-    Grid, GridField, SpaceTimeField, _horizon_steps, _lattice, _write_table, interp_periodic,
-    periodic_delta,
-)
+from .models import HamiltonianModel, eval_H
+from .torus import Grid, GridField, SpaceTimeField, _horizon_steps, _write_table, periodic_delta
 
 # the equi-Lipschitz seminorm of check_properties is taken over slices t >= this
 EQUI_LIPSCHITZ_DELTA = 0.25
 # the largest operator residual extract_calibrated_curve accepts as a fixed point
 FIXED_POINT_TOL = 1e-8
-# check_Ltilde: velocities per axis of the fan over [-v_max, v_max]
-FAN_SIZE = 257
-# subsolution_gap: random test curves, their duration, nodes and quadrature points per segment
-N_CURVES, CURVE_DURATION, N_NODES, N_QUAD = 50, 1.0, 8, 64
 
 
 @dataclass
@@ -76,17 +68,6 @@ def _on_steps(kern: StepKernel, slab: SpaceTimeField, name: str):
     _on_grid(kern, slab, name)
     if slab.dt != kern.dt:
         raise ConfigurationError(f"{name} has dt={slab.dt:g}, the kernel dt={kern.dt:g}")
-
-
-def _march(kern: StepKernel, phi: GridField, T: float) -> SpaceTimeField:
-    """The fixed point of the path-infimum operator on [0, T], slice by slice."""
-    _on_grid(kern, phi, "phi")
-    n_steps = _horizon_steps(T, kern.dt)
-    out = np.empty((n_steps + 1, phi.grid.size))
-    out[0] = phi.values
-    for n in range(n_steps):
-        out[n + 1] = kern.apply(out[n], out[n])
-    return SpaceTimeField(phi.grid, kern.dt, out)
 
 
 def fixed_point(
@@ -176,20 +157,6 @@ def _factorial_bound(g1: float, tl: float, k: int) -> float:
         return math.exp(math.log(g1) + k * math.log(tl) - math.lgamma(k + 1))
     except OverflowError:
         return math.inf
-
-
-def step_T(kern: StepKernel, phi: GridField, t: float) -> GridField:
-    """The discrete semigroup: final slice of the fixed point on [0, t],
-    marched one slice at a time."""
-    if t < 0:
-        raise ConfigurationError("t must be nonnegative")
-    _on_grid(kern, phi, "phi")
-    if t == 0:
-        return phi.copy()
-    u = phi.values
-    for _ in range(_horizon_steps(t, kern.dt)):
-        u = kern.apply(u, u)
-    return GridField(phi.grid, u)
 
 
 @dataclass
@@ -464,80 +431,3 @@ def converge(
         residual=weak_kam_residual(model, u_inf),
         tail_nonincreasing=noninc,
     )
-
-
-@dataclass
-class LtildeDiagnostic:
-    fan_min: np.ndarray  # min over the velocity fan per smooth point
-
-    def min_over_points(self) -> float:
-        return float(np.min(self.fan_min)) if self.fan_min.size else 0.0
-
-
-def check_Ltilde(model: HamiltonianModel, u_inf: GridField, v_max: float) -> LtildeDiagnostic:
-    """Evaluate L(x, u, v) - <Du, v> over a velocity fan at smooth points.
-
-    The pointwise minimum should be bounded below by the discretization
-    slack.
-
-    Du is the symmetric difference over k = max(1, round(sqrt(N)/2))
-    cells, which must stay below N/2 (so N <= 3 is rejected).  DP fixed
-    points carry a velocity-lattice staircase whose wavelength is the
-    one-step stencil extent; the plain two-cell centered difference
-    amplifies it into a spurious positive part of H, while the wide
-    stencil averages it away at a curvature bias of only (k*dx)^2.
-    """
-    grid = u_inf.grid
-    k_grad = max(1, int(round(np.sqrt(grid.n) / 2.0)))
-    if not k_grad < grid.n // 2:
-        raise ConfigurationError(f"gradient half-width {k_grad} must be below N/2 (N={grid.n})")
-    _, smooth = _one_sided_slopes(u_inf)
-    v_sh = u_inf._shaped()
-    centered = np.empty((grid.size, grid.dim))
-    for ax in range(grid.dim):
-        wide = (np.roll(v_sh, -k_grad, axis=ax) - np.roll(v_sh, k_grad, axis=ax)) / (
-            2.0 * k_grad * grid.dx
-        )
-        centered[:, ax] = wide.ravel()
-    pts = grid.points()[smooth]
-    du = centered[smooth]
-    uu = u_inf.values[smooth]
-
-    fan = _lattice(np.linspace(-v_max, v_max, FAN_SIZE), grid.dim)
-
-    fan_min = np.full(pts.shape[0], np.inf)
-    for v in fan:
-        lt = lagrangian_values(model, pts, uu, np.broadcast_to(v, pts.shape)) - du @ v
-        fan_min = np.where(lt < fan_min, lt, fan_min)
-    return LtildeDiagnostic(fan_min=fan_min)
-
-
-def subsolution_gap(model: HamiltonianModel, u: GridField, rng: np.random.Generator) -> float:
-    """Worst defect u(gamma(t2)) - u(gamma(t1)) - int L over N_CURVES random
-    piecewise-linear test curves (positive means a violation)."""
-    grid = u.grid
-    worst = -np.inf
-    seg_dt = CURVE_DURATION / (N_NODES - 1)
-    for _ in range(N_CURVES):
-        nodes = rng.uniform(0.0, 1.0, size=(N_NODES, grid.dim))
-        total = 0.0
-        for k in range(N_NODES - 1):
-            d = periodic_delta(nodes[k], nodes[k + 1])
-            v = d / seg_dt
-            s = (np.arange(N_QUAD) + 0.5) / N_QUAD
-            xq = (nodes[k][None, :] + s[:, None] * d[None, :]) % 1.0
-            uq = interp_periodic(grid, u.values, xq)
-            lq = lagrangian_values(model, xq, uq, np.broadcast_to(v, xq.shape))
-            total += float(np.mean(lq)) * seg_dt
-        u2 = float(interp_periodic(grid, u.values, nodes[-1][None, :])[0])
-        u1 = float(interp_periodic(grid, u.values, nodes[0][None, :])[0])
-        worst = max(worst, u2 - u1 - total)
-    return worst
-
-
-def semigroup_defect(kern: StepKernel, phi: GridField, s: float, t: float) -> float:
-    """||T_{s+t} phi - T_t T_s phi||_inf on the discrete objects."""
-    one = step_T(kern, phi, s + t)
-    mid = step_T(kern, phi, s)
-    two = step_T(kern, mid, t)
-    return float(np.max(np.abs(one.values - two.values)))

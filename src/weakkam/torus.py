@@ -137,7 +137,8 @@ def stencil_offsets(grid: Grid, v_max: float, dt: float) -> np.ndarray:
     """
     if v_max <= 0 or dt <= 0:
         raise ConfigurationError("v_max and dt must be positive")
-    m = int(np.floor(v_max * dt / grid.dx + 1e-12))
+    reach = v_max * dt / grid.dx + 1e-12  # inf when v_max*dt/dx leaves the float range
+    m = int(np.floor(min(reach, grid.n)))
     if m < 1:
         raise ConfigurationError(
             f"empty stencil: v_max*dt = {v_max * dt:g} is below one grid cell "
@@ -145,7 +146,9 @@ def stencil_offsets(grid: Grid, v_max: float, dt: float) -> np.ndarray:
         )
     m = min(m, grid.n // 2)
     offs = _lattice(np.arange(-m, m + 1), grid.dim)
-    keep = np.sum(offs**2, axis=1) <= (v_max * dt / grid.dx + 1e-12) ** 2
+    # a reach of 2m or more keeps the whole lattice (|o|^2 <= dim*m^2 < (2m)^2),
+    # so clamping it there keeps the same offsets and a square a float holds
+    keep = np.sum(offs**2, axis=1) <= min(reach, 2 * m) ** 2
     return offs[keep]
 
 
@@ -182,28 +185,6 @@ class GridField:
         """Field export with columns j,x,u (d=2: j,x1,x2,u) to the open text file fh."""
         head, cols = _point_columns(self.grid)
         _write_csv(fh, f"{head}u\n", [("", cols, self.values)])
-
-
-def interp_periodic(grid: Grid, values: np.ndarray, x) -> np.ndarray:
-    """Periodic (multi)linear interpolation of flattened grid values at x: a sum
-    over the 2^d cell corners, axis 0 fastest, of terms v * w_1 * ... * w_d."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float)) % 1.0
-    n, dim = grid.n, grid.dim
-    s = pts * n
-    i0 = np.floor(s).astype(int) % n
-    frac = s - np.floor(s)
-    v = values.reshape((n,) * dim)
-    # per axis, the (index, weight) of the lower and of the upper corner
-    sides = [((i0[:, ax], 1 - frac[:, ax]), ((i0[:, ax] + 1) % n, frac[:, ax]))
-             for ax in range(dim)]
-    out = None
-    for corner in range(2**dim):
-        picks = [sides[ax][corner >> ax & 1] for ax in range(dim)]
-        term = v[tuple(i for i, _ in picks)]
-        for _, w in picks:
-            term = term * w
-        out = term if out is None else out + term
-    return out
 
 
 @dataclass

@@ -4,14 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import normalized, peierls_barrier
 from weakkam import action
-from weakkam.action import (
-    _policy_iteration,
-    critical_value,
-    discretization_slack,
-    min_action,
-    peierls_barrier,
-)
+from weakkam.action import _policy_iteration, critical_value, min_action
 from weakkam.errors import ConfigurationError, NumericError
 from weakkam.kernels import StepKernel
 from weakkam.models import HamiltonianModel, TrigPotential, eval_H
@@ -108,7 +103,10 @@ def test_stay_put_bound():
     t = 1.0
     kern = StepKernel(m, g, 1.0 / 16, 2.0)
     table = min_action(kern, 0.0, t)
-    slack = discretization_slack(kern)
+    # the slack K_L*(dx + dt) of discrete action identities: K_L, the local Lipschitz
+    # data of the segment costs, is the bound sum |a| 2 pi |k| on |grad V| plus v_max
+    k_l = sum(abs(a) * 2.0 * np.pi * float(np.linalg.norm(k)) for k, a in m.potential.modes)
+    slack = (k_l + kern.v_max) * (g.dx + kern.dt)
     x = g.points()
     L0 = 0.5 * 0.0 - m.potential(x)  # L(x, a, 0)
     assert np.all(np.diagonal(table.values) <= t * L0 + slack + 1e-12)
@@ -237,14 +235,14 @@ def test_min_cycle_mean_matches_brute_force(grid, quadrature, inject):
 
 def test_normalize_shifts_and_zeroes_critical_value():
     m = pendulum()
-    mc = m.normalized(1.0)
+    mc = normalized(m, 1.0)
     assert eval_H(mc, [0.2], 0.0, [0.3]) == pytest.approx(eval_H(m, [0.2], 0.0, [0.3]) - 1.0)
     g = Grid(1, 128)
     kern = StepKernel(mc, g, 1.0 / 16, 4.0)
     c = critical_value(kern, 0.0).c
     assert c == pytest.approx(0.0, abs=2e-2)
     assert_matches_karp(kern, 0.0, c)
-    assert m.normalized(0.0) == m
+    assert normalized(m, 0.0) == m
 
 
 def test_policy_iteration_cap_raises_numeric_error(monkeypatch):
@@ -265,8 +263,8 @@ def test_bias_is_the_weak_kam_solution_on_the_aubry_point():
     assert critical_cycles(policy, eta).tolist() == [0]
     assert residual <= 1e-12
     c = critical_value(kern, 0.0).c
-    normalized = StepKernel(pendulum().normalized(c), g, 1.0 / 16, 4.0, "exact")
-    rep = converge(normalized, GridField(g, np.zeros(g.size)), (200.0,), stop_eps=1e-14)
+    shifted = StepKernel(normalized(pendulum(), c), g, 1.0 / 16, 4.0, "exact")
+    rep = converge(shifted, GridField(g, np.zeros(g.size)), (200.0,), stop_eps=1e-14)
     assert rep.converged
     u_inf = rep.u_inf.values
     assert np.max(np.abs((v - v.mean()) - (u_inf - u_inf.mean()))) <= 1e-12

@@ -4,6 +4,8 @@ import io
 import numpy as np
 import pytest
 
+from oracles import march, normalized
+from test_semigroup import discounted_pendulum
 from weakkam import characteristics
 from weakkam.characteristics import (
     CharacteristicState,
@@ -15,14 +17,8 @@ from weakkam.characteristics import (
 from weakkam.errors import NumericError
 from weakkam.kernels import StepKernel
 from weakkam.models import HamiltonianModel, PiecewiseLinearMap, TrigPotential, eval_H, grad_H
-from weakkam.semigroup import _march, extract_calibrated_curve
+from weakkam.semigroup import extract_calibrated_curve
 from weakkam.torus import Grid, GridField
-
-
-def discounted_pendulum(lam=1.0):
-    return HamiltonianModel(
-        "quadratic-discounted", lam=lam, potential=TrigPotential(1, (((1,), 1.0),))
-    )
 
 
 def test_free_particle_flow_is_exact():
@@ -119,7 +115,7 @@ def test_batched_flow_stays_finite_over_long_horizon():
     u = rng.uniform(-1, 1, b)
     p = rng.uniform(-5, 5, (b, 1))
     traj = flow(m, (x, u, p), 100.0, 1e-2)
-    assert traj.batch == b
+    assert traj.us.shape[1] == b
     assert np.all(np.isfinite(traj.us))
     assert np.all(np.isfinite(traj.ps))
     # dissipation contracts the momenta toward the rest set
@@ -152,7 +148,7 @@ def test_rhs_equals_grad_h_eval_h_formula(dim, batch):
     models = [
         HamiltonianModel("quadratic-mechanical", dim=dim, potential=pot),
         HamiltonianModel("quadratic-discounted", dim=dim, potential=pot, lam=1.0),
-        HamiltonianModel("quadratic-nonlinear-u", dim=dim, potential=pot, f=f).normalized(0.3),
+        normalized(HamiltonianModel("quadratic-nonlinear-u", dim=dim, potential=pot, f=f), 0.3),
     ]
     rng = np.random.default_rng(10 * dim + batch)
     for m in models:
@@ -176,9 +172,9 @@ def catalog(dim, modes):
     pot = TrigPotential(dim, modes)
     f = PiecewiseLinearMap((-1.0, 0.0, 1.0), (-2.0, 0.0, 0.5))
     return [
-        HamiltonianModel("quadratic-mechanical", dim=dim, potential=pot).normalized(0.2),
-        HamiltonianModel("quadratic-discounted", dim=dim, potential=pot, lam=1.0).normalized(-0.3),
-        HamiltonianModel("quadratic-nonlinear-u", dim=dim, potential=pot, f=f).normalized(0.3),
+        normalized(HamiltonianModel("quadratic-mechanical", dim=dim, potential=pot), 0.2),
+        normalized(HamiltonianModel("quadratic-discounted", dim=dim, potential=pot, lam=1.0), -0.3),
+        normalized(HamiltonianModel("quadratic-nonlinear-u", dim=dim, potential=pot, f=f), 0.3),
     ]
 
 
@@ -262,7 +258,7 @@ def test_match_calibrated_chain_within_grid_cells():
         g = Grid(1, n)
         phi = GridField(g, np.zeros(n))
         kern = StepKernel(m, g, 1.0 / dtd, 4.0, "exact")
-        u = _march(kern, phi, 0.5)
+        u = march(kern, phi, 0.5)
         curve = extract_calibrated_curve(kern, u, x_end=round(0.55 * n))
         report = match_calibrated(m, curve, u, dt_ode=1.0 / (4 * dtd))
         assert report.sup_distance <= 5 * g.dx
@@ -279,7 +275,7 @@ def test_match_calibrated_gradient_momentum_is_the_central_difference(dim, monke
     x = g.points()
     phi = GridField(g, 0.3 * np.sin(2 * np.pi * x[:, 0]) + 0.2 * np.cos(2 * np.pi * x[:, -1]))
     kern = StepKernel(m, g, 1.0 / 16, 4.0)
-    u = _march(kern, phi, 0.5)
+    u = march(kern, phi, 0.5)
     curve = extract_calibrated_curve(kern, u, x_end=g.size // 3)
     launched = []
 
@@ -314,5 +310,4 @@ def test_trajectory_csv_header_and_state_access():
     assert lines[0] == "t,x,u,p,H"
     assert len(lines) == 1 + traj.times.size
     assert "np." not in buf.getvalue()
-    s = traj.state(1)
-    assert s.t == pytest.approx(0.05)
+    assert traj.times[1] == pytest.approx(0.05)

@@ -11,12 +11,13 @@ import pytest
 import yaml
 
 import weakkam
+from oracles import march
 from test_action import assert_matches_karp
 from weakkam import action, fdoracle, kernels, models, torus
 from weakkam.cli import _check_command, _run, main
 from weakkam.config import load_config
 from weakkam.errors import ConfigurationError
-from weakkam.semigroup import _march, fixed_point
+from weakkam.semigroup import fixed_point
 
 
 def write_config(path, **overrides):
@@ -219,8 +220,8 @@ def test_long_horizon_solve_ends_its_certificate_inside_the_march(tmp_path):
     assert run(["solve", "--config", cfg_path, "--out", out]) == 0
     cfg = load_config(str(cfg_path))
     assert cfg.tol == 1e-10
-    march = _march(cfg.kernel(), cfg.phi_field(), cfg.T)
-    assert (out / "slab.csv").read_bytes() == march.to_csv().encode()
+    marched = march(cfg.kernel(), cfg.phi_field(), cfg.T)
+    assert (out / "slab.csv").read_bytes() == marched.to_csv().encode()
     last = (out / "fixedpoint.csv").read_text().splitlines()[-1].split(",")
     assert int(last[0]) == 77 and float(last[1]) < 1e-10
 
@@ -283,12 +284,12 @@ def test_solve_2d_writes_march_and_certificate(tmp_path):
     out = tmp_path / "out"
     assert run(["solve", "--config", cfg_path, "--out", out]) == 0
     cfg = load_config(cfg_path)
-    march = _march(cfg.kernel(), cfg.phi_field(), cfg.T)
+    marched = march(cfg.kernel(), cfg.phi_field(), cfg.T)
     with open(out / "slab.csv") as fh:
         lines = fh.read().splitlines()
     assert lines[0] == "k,t,j,x1,x2,u"
     slab = np.array([float(line.rsplit(",", 1)[1]) for line in lines[1:]])
-    assert slab.tobytes() == march.values.ravel().tobytes()
+    assert slab.tobytes() == marched.values.ravel().tobytes()
     with open(out / "fixedpoint.csv") as fh:
         rows = [line.split(",") for line in fh.read().splitlines()[1:]]
     gaps, bounds = [float(r[1]) for r in rows], [float(r[2]) for r in rows]
@@ -508,6 +509,36 @@ def test_check_whose_flow_overflows_exits_3_with_one_line_and_no_manifest(
     assert capsys.readouterr().err == (
         "check: characteristic flow produced a non-finite state at step 1\n")
     assert os.listdir(out) == []
+
+
+# a v_max past any speed the grid can step: every command runs on the whole
+# clamped stencil; check's oracle_cross fails on this coarse grid at the
+# default v_max as well
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("v_max", [1e300, 1e308], ids=["1e300", "1e308"])
+@pytest.mark.parametrize(
+    "command", ["solve", "converge", "critical", "action", "char", "oracle", "check"])
+def test_huge_v_max_runs_every_command(tmp_path, capsys, command, v_max):
+    cfg = write_config(tmp_path / "run.yaml", grid={"N": 16, "dt": 1 / 16, "v_max": v_max},
+                       solver={"T": 0.25},
+                       char={"x0": [0.3], "u0": 0.1, "p0": [0.5], "t": 0.25, "dt_ode": 0.01})
+    code = run([command, "--config", cfg, "--out", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert (code, err) == ((1, "check: failing suites: oracle_cross\n") if command == "check"
+                           else (0, ""))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_char_whose_law_is_not_finite_exits_3_and_writes_nothing(tmp_path, capsys):
+    # u0 = 1e300: H is about 1e300 along the flow, and the squares of the
+    # law's residuals leave the float range
+    cfg = write_config(tmp_path / "run.yaml",
+                       char={"x0": [0.3], "u0": 1e300, "p0": [0.5], "t": 0.25, "dt_ode": 0.01})
+    assert run(["char", "--config", cfg, "--out", tmp_path / "out"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("char: the dH-law residual is not finite: max ")
+    assert err.endswith(", rms inf\n") and err.count("\n") == 1
+    assert os.listdir(tmp_path / "out") == []
 
 
 def test_char_writes_trajectory(tmp_path):
@@ -948,5 +979,5 @@ def test_check_records_a_non_finite_oracle_step_as_a_failed_suite(tmp_path, monk
 
 
 def test_public_api_stays_flat():
-    assert len(weakkam.__all__) <= 36
+    assert len(weakkam.__all__) <= 31
     assert all(hasattr(weakkam, name) and not name.startswith("_") for name in weakkam.__all__)

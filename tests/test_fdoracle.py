@@ -3,18 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import normalized, step_T
+from test_semigroup import discounted_pendulum
 from weakkam.errors import ConfigurationError, NumericError
 from weakkam.fdoracle import LFConfig, _lf_march, lf_final, lf_solve
 from weakkam.kernels import StepKernel
 from weakkam.models import HamiltonianModel, PiecewiseLinearMap, TrigPotential, eval_H
-from weakkam.semigroup import step_T
 from weakkam.torus import Grid, GridField
-
-
-def discounted_pendulum():
-    return HamiltonianModel(
-        "quadratic-discounted", lam=1.0, potential=TrigPotential(1, (((1,), 1.0),))
-    )
 
 
 def test_config_rejects_cfl_violation():
@@ -130,7 +125,7 @@ def family_model(family, dim):
         m = HamiltonianModel(family, dim=dim, potential=pot, lam=1.0)
     else:
         m = HamiltonianModel(family, dim=dim, potential=pot, f=f)
-    return m.normalized(0.3)
+    return normalized(m, 0.3)
 
 
 @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])

@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import lagrangian_values, normalized
+from test_semigroup import discounted_pendulum
 from weakkam.errors import ConfigurationError
 from weakkam.kernels import StepKernel, min_plus_product, row_path
-from weakkam.models import HamiltonianModel, TrigPotential, lagrangian_values
+from weakkam.models import HamiltonianModel, TrigPotential
 from weakkam.torus import Grid, periodic_delta
-
-
-def pendulum(lam=1.0):
-    return HamiltonianModel(
-        "quadratic-discounted", lam=lam, potential=TrigPotential(1, (((1,), 1.0),))
-    )
 
 
 def brute_step(model, grid, dt, v_max, w, u_slice):
@@ -30,7 +26,7 @@ def brute_step(model, grid, dt, v_max, w, u_slice):
 
 
 def test_apply_matches_brute_force_1d():
-    m = pendulum()
+    m = discounted_pendulum()
     g = Grid(1, 16)
     dt, v_max = 0.25, 2.0
     kern = StepKernel(m, g, dt, v_max)
@@ -107,10 +103,7 @@ ORACLE_CASES = [
 def test_window_kernel_equals_gather_reference(grid, dt, v_max, quadrature):
     # the padded-window kernel must reproduce the plain gather kernel bitwise;
     # 2-D "left" apply and apply_table take the row path, tested below
-    modes = (((1,) * grid.dim, 0.7), ((2,) + (0,) * (grid.dim - 1), -0.4))
-    m = HamiltonianModel(
-        "quadratic-discounted", dim=grid.dim, lam=1.0, potential=TrigPotential(grid.dim, modes)
-    )
+    m = smooth_model(grid.dim)
     kern = StepKernel(m, grid, dt, v_max, quadrature)
     _, start = gather_reference(kern)
     assert np.array_equal(kern.start_index, start)
@@ -193,10 +186,7 @@ def test_left_column_equals_base_cost_bitwise(grid):
     # the backtrack forms a "left" kernel's cost column from V at the starts,
     # which a 2-D kernel (the row path) does without building base_cost; it
     # must be the table's column bitwise
-    modes = (((1,) * grid.dim, 0.7), ((2,) + (0,) * (grid.dim - 1), -0.4))
-    m = HamiltonianModel(
-        "quadratic-discounted", dim=grid.dim, lam=1.0, potential=TrigPotential(grid.dim, modes)
-    ).normalized(0.3)
+    m = normalized(smooth_model(grid.dim), 0.3)
     kern = StepKernel(m, grid, 0.125, 2.0, "left")
     columns = [kern._column(j) for j in range(grid.size)]
     assert ("base_cost" in vars(kern)) == (grid.dim == 1)
@@ -206,7 +196,7 @@ def test_left_column_equals_base_cost_bitwise(grid):
 
 
 def test_argmin_indices_reproduce_values():
-    m = pendulum()
+    m = discounted_pendulum()
     g = Grid(1, 32)
     kern = StepKernel(m, g, 0.25, 2.0)
     rng = np.random.default_rng(2)
@@ -242,7 +232,7 @@ def test_argmin_tie_break_is_smallest_index():
 
 
 def test_apply_table_consistent_with_apply():
-    m = pendulum()
+    m = discounted_pendulum()
     g = Grid(1, 24)
     kern = StepKernel(m, g, 0.25, 2.0)
     rng = np.random.default_rng(3)
@@ -266,13 +256,13 @@ def test_min_plus_product_small_case():
 
 def test_kernel_validation():
     g = Grid(1, 16)
-    m = pendulum(lam=10.0)
+    m = discounted_pendulum(lam=10.0)
     with pytest.raises(ConfigurationError, match="quadrature"):
-        StepKernel(pendulum(), g, 0.25, 2.0, quadrature="simpson")
+        StepKernel(discounted_pendulum(), g, 0.25, 2.0, quadrature="simpson")
     with pytest.raises(ConfigurationError, match="lambda_L"):
         StepKernel(m, g, 0.25, 2.0)
     with pytest.raises(ConfigurationError):
-        StepKernel(pendulum(), g, -0.1, 2.0)
+        StepKernel(discounted_pendulum(), g, -0.1, 2.0)
 
 
 def smooth_model(dim):

@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles import lagrangian_values
 from weakkam.errors import NumericError
-from weakkam.models import (
-    HamiltonianModel,
-    PiecewiseLinearMap,
-    TrigPotential,
-    eval_H,
-    grad_H,
-    lagrangian_values,
-)
+from weakkam.models import HamiltonianModel, PiecewiseLinearMap, TrigPotential, eval_H, grad_H
 
 
 def models():

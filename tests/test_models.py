@@ -92,12 +92,6 @@ def test_grad_H_matches_finite_differences():
     assert hp[0] == pytest.approx((eval_H(m, [x], u, [p + h]) - eval_H(m, [x], u, [p - h])) / (2 * h), abs=1e-6)
 
 
-def test_normalized_shifts_H_additively():
-    m = pendulum()
-    mc = m.normalized(1.0)
-    assert eval_H(mc, [0.1], 0.0, [0.4]) == pytest.approx(eval_H(m, [0.1], 0.0, [0.4]) - 1.0)
-
-
 def test_audit_passes_for_catalog_families():
     for m in (
         pendulum(),

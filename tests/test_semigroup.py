@@ -5,11 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from weakkam import semigroup
+from oracles import (
+    check_Ltilde, lagrangian_values, march, normalized, semigroup_defect, step_T, subsolution_gap,
+)
+from test_action import pendulum
 from weakkam.action import critical_value
 from weakkam.errors import ConfigurationError
 from weakkam.kernels import StepKernel
-from weakkam.models import HamiltonianModel, PiecewiseLinearMap, TrigPotential, lagrangian_values
+from weakkam.models import HamiltonianModel, PiecewiseLinearMap, TrigPotential
 from weakkam.semigroup import (
     EQUI_LIPSCHITZ_DELTA,
     FIXED_POINT_TOL,
@@ -17,27 +20,19 @@ from weakkam.semigroup import (
     PropertyReport,
     _backtrack,
     _factorial_bound,
-    _march,
     _one_sided_slopes,
-    check_Ltilde,
     check_properties,
     converge,
     default_block_length,
     extract_calibrated_curve,
     fixed_point,
-    semigroup_defect,
-    step_T,
-    subsolution_gap,
     weak_kam_residual,
 )
 from weakkam.torus import Grid, GridField, SpaceTimeField
 
 
 def pendulum_normalized():
-    m = HamiltonianModel(
-        "quadratic-mechanical", potential=TrigPotential(1, (((1,), 1.0),))
-    )
-    return m.normalized(1.0)
+    return normalized(pendulum(), 1.0)
 
 
 def discounted_pendulum(lam=1.0):
@@ -121,15 +116,13 @@ def _wavefront_cases():
 def test_fixed_point_wavefront_equals_picard_passes(case):
     m, phi, T, dt, quad = _wavefront_cases()[case]
     kern = StepKernel(m, phi.grid, dt, 4.0, quad)
-    march = _march(kern, phi, T).values
-    # step_T marches one row: its final slice is the slab's, bitwise
-    assert step_T(kern, phi, T).values.tobytes() == march[-1].tobytes()
+    marched = march(kern, phi, T).values
     for tol in (0.0, 1e-10):
         ref, ref_report = picard_reference(kern, phi, T, tol)
         u, report = fixed_point(kern, phi, T, tol=tol)
         assert repr(report) == repr(ref_report)
         # bitwise, zero signs included; with tol > 0 the slab is the fixed point itself
-        assert u.values.tobytes() == (ref if tol == 0.0 else march).tobytes()
+        assert u.values.tobytes() == (ref if tol == 0.0 else marched).tobytes()
 
 
 def test_u_independent_model_is_single_pass():
@@ -164,25 +157,25 @@ def test_fixed_point_bitwise_stationary_within_step_count():
         for gap, bound in zip(report.residual_history, report.contraction_bound):
             assert gap <= 2.0 * bound + 1e-15
         # the forward march is the same fixed point, bit for bit
-        assert np.array_equal(_march(kern, phi, T).values, u.values)
+        assert np.array_equal(march(kern, phi, T).values, u.values)
 
 
 def test_fixed_point_fills_the_given_slab_and_signals_each_final_slice():
     x = Grid(1, 64).points()[:, 0]
     phi = GridField(Grid(1, 64), 0.3 * np.cos(2 * np.pi * x))
     kern = StepKernel(nonlinear_pendulum(), phi.grid, 1 / 16, 4.0)
-    march = _march(kern, phi, 2.0)
-    out = np.full_like(march.values, np.nan)
+    marched = march(kern, phi, 2.0)
+    out = np.full_like(marched.values, np.nan)
     signalled = []
 
     def on_slice(k):
         # slice k is final when signalled; the next is not yet written
-        assert np.array_equal(out[k], march.values[k])
-        assert k == march.n_steps or np.isnan(out[k + 1]).all()
+        assert np.array_equal(out[k], marched.values[k])
+        assert k == marched.n_steps or np.isnan(out[k + 1]).all()
         signalled.append(k)
 
     u, report = fixed_point(kern, phi, 2.0, tol=0.0, out=out, on_slice=on_slice)
-    assert signalled == list(range(march.n_steps + 1))
+    assert signalled == list(range(marched.n_steps + 1))
     assert np.shares_memory(u.values, out)
     assert report.iterations > 1
     for bad in (out[1:], out.astype(np.float32)):
@@ -332,8 +325,8 @@ def test_converged_field_is_a_subsolution_along_test_curves():
     assert gap <= 1e-9
 
 
-def fan_reference(m, u, v_max):
-    """check_Ltilde's fan_min with the fan written as one loop per axis."""
+def fan_reference(m, u, v_max, fan_size):
+    """check_Ltilde's fan minimum with the fan written as one loop per axis."""
     g = u.grid
     k = max(1, int(round(np.sqrt(g.n) / 2.0)))
     shaped = u.values.reshape((g.n,) * g.dim)
@@ -341,7 +334,7 @@ def fan_reference(m, u, v_max):
                     / (2.0 * k * g.dx)).ravel() for ax in range(g.dim)], axis=-1)
     smooth = _one_sided_slopes(u)[1]
     pts, uu, du = g.points()[smooth], u.values[smooth], du[smooth]
-    axis = np.linspace(-v_max, v_max, semigroup.FAN_SIZE)
+    axis = np.linspace(-v_max, v_max, fan_size)
     best = np.full(pts.shape[0], np.inf)
     for v1 in axis:
         for v2 in axis if g.dim == 2 else [None]:
@@ -352,20 +345,20 @@ def fan_reference(m, u, v_max):
 
 
 @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
-def test_check_Ltilde_rejects_grids_too_small_for_its_gradient(dim, monkeypatch):
-    m = HamiltonianModel("quadratic-discounted", dim=dim, lam=1.0,
-                         potential=TrigPotential(dim, (((1,) * dim, 1.0),))).normalized(1.0)
+def test_check_Ltilde_rejects_grids_too_small_for_its_gradient(dim):
+    m = normalized(HamiltonianModel("quadratic-discounted", dim=dim, lam=1.0,
+                                    potential=TrigPotential(dim, (((1,) * dim, 1.0),))), 1.0)
     # a coarse fan keeps the 2-D runs and the reference loop short
-    monkeypatch.setattr(semigroup, "FAN_SIZE", 17)
+    fan = 17
     for n in (2, 3):
         with pytest.raises(ConfigurationError, match="half-width"):
-            check_Ltilde(m, GridField(Grid(dim, n), np.zeros(n**dim)), 2.0)
-    assert check_Ltilde(m, GridField(Grid(dim, 4), np.zeros(4**dim)), 2.0).fan_min.size == 4**dim
+            check_Ltilde(m, GridField(Grid(dim, n), np.zeros(n**dim)), 2.0, fan)
+    assert check_Ltilde(m, GridField(Grid(dim, 4), np.zeros(4**dim)), 2.0, fan).size == 4**dim
     g = Grid(dim, 16)
     x = g.points()
     u = GridField(g, 0.1 * np.sin(2 * np.pi * x[:, 0]) + 0.05 * np.cos(2 * np.pi * x[:, -1]))
-    got = check_Ltilde(m, u, 2.0).fan_min
-    assert got.size > 0 and got.tolist() == fan_reference(m, u, 2.0).tolist()
+    got = check_Ltilde(m, u, 2.0, fan)
+    assert got.size > 0 and got.tolist() == fan_reference(m, u, 2.0, fan).tolist()
 
 
 def test_calibrated_curve_defect_is_roundoff():
@@ -373,7 +366,7 @@ def test_calibrated_curve_defect_is_roundoff():
     g = Grid(1, 128)
     phi = GridField(g, np.zeros(g.size))
     kern = StepKernel(m, g, 1.0 / 32, 4.0)
-    u = _march(kern, phi, 1.0)
+    u = march(kern, phi, 1.0)
     curve = extract_calibrated_curve(kern, u, x_end=int(0.55 * g.size))
     assert curve.max_defect() <= 1e-12
     assert curve.indices.size == u.n_steps + 1
@@ -444,7 +437,7 @@ def test_backtrack_equals_argmin_chain_for_every_destination(dim, quadrature, ph
                          potential=TrigPotential(dim, modes))
     dt, v_max = 0.125, 4.0
     kern = StepKernel(m, g, dt, v_max, quadrature)
-    u = _march(kern, GridField(g, phi_vals), 0.5)
+    u = march(kern, GridField(g, phi_vals), 0.5)
     if phi_kind == "tent":
         assert tied_destinations(kern, u) > 0
     for x_end in range(g.size):
@@ -471,7 +464,7 @@ def test_separable_2d_march_is_sum_of_1d_marches():
             HamiltonianModel("quadratic-mechanical", potential=TrigPotential(1, modes)),
             g1, dt, v_max, "left",
         )
-        u = _march(kern, GridField(g1, phi), T)
+        u = march(kern, GridField(g1, phi), T)
         starts = np.stack([kern.apply_with_argmin(w, w)[1] for w in u.values[:-1]])
         offsets.append((np.arange(g1.n) - starts + g1.n // 2) % g1.n - g1.n // 2)
         marches.append(u.values)
@@ -487,7 +480,7 @@ def test_separable_2d_march_is_sum_of_1d_marches():
         g2, dt, v_max, "left",
     )
     phi = (parts[0][1][:, None] + parts[1][1][None, :]).ravel()
-    u2 = _march(kern, GridField(g2, phi), T).values
+    u2 = march(kern, GridField(g2, phi), T).values
     summed = (marches[0][:, :, None] + marches[1][:, None, :]).reshape(u2.shape)
     assert np.max(np.abs(u2 - summed)) <= 1e-13
 
@@ -498,7 +491,7 @@ def properties_reference(kern, phi, psi, t_list):
     grid, dt = kern.grid, kern.dt
     lo = GridField(grid, np.minimum(phi.values, psi.values))
     hi = GridField(grid, np.maximum(phi.values, psi.values))
-    u_phi, u_psi, u_lo, u_hi = (_march(kern, f, max(t_list)) for f in (phi, psi, lo, hi))
+    u_phi, u_psi, u_lo, u_hi = (march(kern, f, max(t_list)) for f in (phi, psi, lo, hi))
     base_gap = float(np.max(np.abs(phi.values - psi.values)))
     report = PropertyReport()
     k_min = int(np.ceil(EQUI_LIPSCHITZ_DELTA / dt - 1e-9))
@@ -558,10 +551,10 @@ def test_check_properties_fills_the_march_of_phi(dim, T):
     # horizon (1.0) it marches on alone, and the report does not move
     kern, phi, psi = battery_case(dim)
     t_list = [1.0, 0.5]
-    march = _march(kern, phi, T)
-    out = np.full_like(march.values, np.nan)
+    marched = march(kern, phi, T)
+    out = np.full_like(marched.values, np.nan)
     report = check_properties(kern, phi, psi, t_list, out=out)
-    assert out.tobytes() == march.values.tobytes()
+    assert out.tobytes() == marched.values.tobytes()
     assert repr(report) == repr(check_properties(kern, phi, psi, t_list))
     for bad in (out[:, 1:], out.astype(np.float32), out[0]):
         with pytest.raises(ConfigurationError, match="need float64"):
@@ -571,7 +564,7 @@ def test_check_properties_fills_the_march_of_phi(dim, T):
 @pytest.mark.parametrize("dim", [1, 2], ids=["1d-nonlinear-exact", "2d-left"])
 def test_unchecked_backtrack_equals_the_checked_one_on_a_march(dim):
     kern, phi, _ = battery_case(dim)
-    u = _march(kern, phi, 1.0)
+    u = march(kern, phi, 1.0)
     for x_end in (0, kern.grid.size // 3, int(np.argmin(u.values[-1]))):
         checked = extract_calibrated_curve(kern, u, x_end)
         walked = _backtrack(kern, u, x_end)
@@ -596,7 +589,7 @@ def test_fixed_point_check_is_not_loosened():
     g = Grid(1, 64)
     dt = 1.0 / 16
     kern = StepKernel(discounted_pendulum(), g, dt, 4.0)
-    u = _march(kern, GridField(g, 0.3 * np.sin(2 * np.pi * g.points()[:, 0])), 1.0)
+    u = march(kern, GridField(g, 0.3 * np.sin(2 * np.pi * g.points()[:, 0])), 1.0)
     x_end, j = 20, 8
     chain = extract_calibrated_curve(kern, u, x_end).indices
 
@@ -622,7 +615,7 @@ def converge_reference(kern, phi, t_final, stop_eps):
     cur, t, incs, block_incs = phi, 0.0, [], []
     while t < t_final - 1e-9:
         span = max(dt, round(min(block, t_final - t) / dt) * dt)
-        u = _march(kern, cur, span)
+        u = march(kern, cur, span)
         window = np.max(np.abs(np.diff(u.values, axis=0)), axis=1)
         incs.extend(window.tolist())
         block_incs.append(float(np.max(window)))
@@ -676,7 +669,7 @@ def test_2d_left_kernel_builds_base_cost_only_for_the_critical_value():
     x = grid.points()
     phi = GridField(grid, 0.3 * np.cos(2 * np.pi * (x[:, 0] + x[:, 1])))
     psi = GridField(grid, 0.2 * np.sin(2 * np.pi * x[:, 1]))
-    slab = _march(kern, phi, 0.25)
+    slab = march(kern, phi, 0.25)
     check_properties(kern, phi, psi, [0.25])
     extract_calibrated_curve(kern, slab, 37)
     fixed_point(kern, phi, 0.25)
@@ -701,11 +694,9 @@ def test_field_off_the_kernel_grid_is_rejected():
     kern = StepKernel(m, Grid(1, 64), 1.0 / 16, 4.0)
     g32 = Grid(1, 32)
     phi = GridField(g32, 0.3 * np.sin(2 * np.pi * g32.points()[:, 0]))
-    slab = _march(StepKernel(m, g32, 1.0 / 16, 4.0), phi, 0.5)
+    slab = march(StepKernel(m, g32, 1.0 / 16, 4.0), phi, 0.5)
     calls = {
-        "_march": lambda: _march(kern, phi, 0.5),
         "fixed_point": lambda: fixed_point(kern, phi, 0.5),
-        "step_T": lambda: step_T(kern, phi, 0.0),
         "converge": lambda: converge(kern, phi, t_checkpoints=(1.0,)),
         "check_properties": lambda: check_properties(kern, phi, phi, [0.5]),
         "extract_calibrated_curve": lambda: extract_calibrated_curve(kern, slab, x_end=3),
@@ -722,7 +713,7 @@ def test_slab_of_another_dt_or_datum_is_rejected():
     phi = GridField(g, 0.3 * np.sin(2 * np.pi * x))
     coarse = StepKernel(m, g, 1.0 / 16, 4.0)
     fine = StepKernel(m, g, 1.0 / 32, 4.0)
-    u = _march(coarse, phi, 0.5)
+    u = march(coarse, phi, 0.5)
     # u is a fixed point of the coarse kernel: only the dt mismatch can reject it
     extract_calibrated_curve(coarse, u, x_end=5)
     with pytest.raises(ConfigurationError, match="dt=0.0625, the kernel dt=0.03125"):

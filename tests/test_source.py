@@ -1,6 +1,7 @@
 """Static checks of the source tree."""
 
 import ast
+import collections
 import pathlib
 import re
 
@@ -239,3 +240,68 @@ def test_dimension_scan_sees_a_fork():
         if path.parent.name == "weakkam":
             seen.update(f.split()[0] for f in dimension_forks(path.read_text(), path.stem, set()))
     assert seen == DIM_COMPARISONS_ALLOWED
+
+
+
+# held by `perfbench/tracing.py` until ROADMAP item 3: the benchmark's tracer
+# wraps these by name, and no module of the package calls them
+TRACER_HELD = ["action.ActionTable.compose", "fdoracle.lf_solve",
+               "kernels.StepKernel.apply_with_argmin", "kernels.StepKernel.start_index",
+               "semigroup.extract_calibrated_curve"]
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, node) of each top-level function, class and constant
+    of a module, and of each method of its classes whose name has no leading __."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{f.name}", f) for f in node.body
+                        if isinstance(f, ast.FunctionDef) and not f.name.startswith("__"))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from ((n.id, node) for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def identifiers(node) -> collections.Counter:
+    """How often each variable (ast.Name) and attribute (ast.Attribute) name occurs under node."""
+    return collections.Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                               if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_definitions(sources: dict) -> list:
+    """The definitions in ``sources`` (module name -> text) that no module
+    names outside the definition itself, as module.[Class.]name.
+
+    Names match as identifiers, whatever they are bound to: a method counts
+    as named where any attribute has its name, so ``SpaceTimeField.to_csv``
+    passes because ``cli`` calls ``FixedPointReport.to_csv``.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    total = sum(map(identifiers, trees.values()), collections.Counter())
+    return sorted(f"{module}.{qual}" for module, tree in trees.items()
+                  for qual, node in definitions(tree)
+                  if total[qual.split(".")[-1]] == identifiers(node)[qual.split(".")[-1]])
+
+
+def test_every_package_definition_is_named_by_the_package():
+    # what only tests call lives in tests/oracles.py; the allowed list names
+    # exactly what the scan flags, so it holds no stale entry
+    sources = {p.stem: p.read_text() for p in SOURCES if p.parent.name == "weakkam"}
+    assert unreferenced_definitions(sources) == TRACER_HELD
+
+
+def test_definition_scan_sees_a_planted_unused_definition():
+    source = (
+        "import math\nLIMIT, _SPARE = 4, 5\nRATE: float = 0.5\n"
+        "def halve(x):\n    return halve(x / 2) if x > LIMIT else x\n"
+        "class Report:\n    def __repr__(self):\n        return 'Report'\n"
+        "    def total(self):\n        return Report()\n    def to_csv(self):\n        pass\n"
+        "def main():\n    return Report().to_csv(), math.pi * RATE\n"
+    )
+    assert unreferenced_definitions({"m": source}) == [
+        "m.Report.total", "m._SPARE", "m.halve", "m.main"]
+    # a name another module uses is named
+    assert unreferenced_definitions({"m": source, "n": "from m import halve\nhalve(main)\n"}) == [
+        "m.Report.total", "m._SPARE"]

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from oracles import interp_periodic
 from weakkam.action import ActionTable
 from weakkam.characteristics import Trajectory
 from weakkam.errors import ConfigurationError
@@ -14,7 +15,6 @@ from weakkam.torus import (
     GridField,
     SpaceTimeField,
     csv_float,
-    interp_periodic,
     periodic_delta,
     periodic_distance,
     stencil_offsets,
@@ -98,6 +98,16 @@ def test_stencil_contains_zero_and_is_symmetric():
     offs2 = stencil_offsets(g2, 2.0, 0.25)
     # ball filter: no corner offsets beyond the radius
     assert np.all(np.sum(offs2**2, axis=1) <= (2.0 * 0.25 / g2.dx + 1e-9) ** 2)
+
+
+def test_stencil_of_a_reach_past_the_float_range_is_the_whole_clamped_lattice():
+    # a reach v_max*dt/dx of 1e300 (its square overflows) or past the float
+    # range keeps every offset within n//2 cells per axis, as a reach >= n does
+    for g in (Grid(1, 16), Grid(2, 16)):
+        whole = stencil_offsets(g, 64.0, 0.25)
+        assert len(whole) == 17**g.dim
+        for v_max, dt in [(1e300, 1 / 16), (1e308, 1 / 16), (1e308, 0.5)]:
+            assert stencil_offsets(g, v_max, dt).tobytes() == whole.tobytes()
 
 
 def test_gridfield_shape_and_finiteness():
@@ -229,7 +239,7 @@ def per_value_trajectory_csv(traj):
     pcols = ",".join(f"p{i+1}" for i in range(d)) if d > 1 else "p"
     out = f"t,{xcols},u,{pcols},H\n"
     for k in range(traj.times.size):
-        for b in range(traj.batch):
+        for b in range(traj.us.shape[1]):
             xs = ",".join(csv_float(v) for v in traj.xs[k, b])
             ps = ",".join(csv_float(v) for v in traj.ps[k, b])
             out += (
