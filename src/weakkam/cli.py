@@ -112,7 +112,9 @@ def _check_command(command: str, cfg: RunConfig) -> int:
     chain is matched from its first interior slice to the one before its
     end) and a dH-law flow over min(T, 1) of at least 2 RK4 steps of
     ``_CHECK_DT_ODE``; ``oracle`` and ``check`` need a count of oracle.dt_fd
-    steps a float can hold.  Each is named ``solver.T``.  ``critical`` and
+    steps a float can hold.  Each is named ``solver.T``, but for a fixed
+    property horizon (0.5 or 1) that grid.dt does not divide, which no T
+    mends: that one is named ``grid.dt``.  ``critical`` and
     ``action`` need a finite coupling at their frozen level ``solver.a``.
 
     Memory: CSVs are streamed one block of at most grid.size rows
@@ -155,7 +157,11 @@ def _check_command(command: str, cfg: RunConfig) -> int:
         key = "solver.T" if (n + 1) * 8 > MEMORY_BUDGET_BYTES else key
     if command == "check":
         for t in _property_horizons(cfg):
-            _named("solver.T", _horizon_steps, t, cfg.dt)
+            try:
+                _horizon_steps(t, cfg.dt)
+            except ConfigurationError:
+                _require(False, "grid.dt", f"dt={cfg.dt:g} does not divide check's fixed "
+                         f"property horizon {t:g} into a whole number of steps")
         _require(n >= 3, "solver.T", f"check needs at least 3 steps of grid.dt={cfg.dt:g}, got {n}")
         law_steps = int(round(min(cfg.T, 1.0) / _CHECK_DT_ODE))
         _require(law_steps >= 2, "solver.T", f"check's dH-law flow over min(T, 1) needs at "

@@ -219,7 +219,7 @@ class RunConfig:
 
     def lf(self) -> LFConfig:
         """The oracle's discretization: the Lax-Friedrichs scheme on the run's grid."""
-        return LFConfig(self.model, self.grid, self.alpha, self.dt_fd, self.audit.max_Hp)
+        return LFConfig(self.model, self.grid, self.alpha, self.dt_fd)
 
     @property
     def T_fd(self) -> float:
@@ -261,8 +261,7 @@ def parse_config(data: dict) -> RunConfig:
     # monotonicity of f is a model assumption audited by the check command,
     # not a configuration validity issue
     model = _named("model.family", HamiltonianModel, family=family, dim=dim,
-                   potential=TrigPotential(dim, modes), lam=lam, f=fmap,
-                   action_shift=shift, check_monotone=False)
+                   potential=TrigPotential(dim, modes), lam=lam, f=fmap, action_shift=shift)
 
     gblock = data.get("grid", {})
     _check_keys(gblock, "grid", _GRID_KEYS)
@@ -317,7 +316,7 @@ def parse_config(data: dict) -> RunConfig:
     dt_fd_default = min(0.5 * grid.dx / alpha, 1e-3 if model.lipschitz_u == 0
                         else min(1e-3, 1.0 / model.lipschitz_u))
     dt_fd = _number(oblock, "oracle", "dt_fd", default=dt_fd_default, lo=0.0, lo_strict=True)
-    _named("oracle.dt_fd", LFConfig, model, grid, alpha, dt_fd, audited_max_hp=audit.max_Hp)
+    _named("oracle.dt_fd", LFConfig, model, grid, alpha, dt_fd)
 
     outblock = data.get("output", {})
     _check_keys(outblock, "output", _OUTPUT_KEYS)

@@ -30,13 +30,8 @@ class LFConfig:
     grid: Grid
     alpha: float  # artificial viscosity, >= max reachable |H_p| + margin
     dt_fd: float
-    audited_max_hp: float = 0.0  # reachable-set bound the caller audited
 
     def __post_init__(self):
-        if self.alpha < self.audited_max_hp + 0.1 - 1e-12:
-            raise ConfigurationError(
-                f"alpha={self.alpha:g} below audited max |H_p| {self.audited_max_hp:g} + 0.1"
-            )
         cfl = self.alpha * self.dt_fd / self.grid.dx
         if cfl > 0.5 + 1e-12:
             raise ConfigurationError(f"CFL violation: alpha*dt_fd/dx = {cfl:g} > 1/2")

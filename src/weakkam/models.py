@@ -6,8 +6,9 @@ Every family is quadratic in the momentum with an additive coupling in u:
     quadratic-discounted:   H = |p|^2/2 + lam*u + V(x)
     quadratic-nonlinear-u:  H = |p|^2/2 + f(u) + V(x)
 
-with V a trigonometric polynomial and f a non-decreasing globally Lipschitz
-piecewise-linear map.  An optional additive normalization shifts H by -c
+with V a trigonometric polynomial and f a globally Lipschitz piecewise-linear
+map.  The map may decrease: monotonicity in u is the audited (H5), not a
+condition of the model.  An optional additive normalization shifts H by -c
 (equivalently the Lagrangian by +c), used to set the critical value to zero.
 
 The Legendre conjugate L(x,u,v) = sup_p { <v,p> - H(x,u,p) } has the closed
@@ -21,7 +22,7 @@ can be audited on sampled boxes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +78,7 @@ class TrigPotential:
 
 @dataclass(frozen=True)
 class PiecewiseLinearMap:
-    """Monotone piecewise-linear map u -> f(u), extended with end slopes."""
+    """Piecewise-linear map u -> f(u), extended with end slopes."""
 
     knots_u: tuple
     knots_f: tuple
@@ -117,9 +118,6 @@ class PiecewiseLinearMap:
     def lipschitz_constant(self) -> float:
         return float(np.max(np.abs(self._slopes())))
 
-    def is_monotone(self) -> bool:
-        return bool(np.all(self._slopes() >= 0))
-
 
 @dataclass(frozen=True)
 class HamiltonianModel:
@@ -135,7 +133,6 @@ class HamiltonianModel:
     lam: float = 0.0
     f: PiecewiseLinearMap = None
     action_shift: float = 0.0
-    check_monotone: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -146,11 +143,8 @@ class HamiltonianModel:
             raise ValueError("potential dimension does not match model")
         if self.family == "quadratic-discounted" and self.lam < 0:
             raise ValueError("lambda must be nonnegative")
-        if self.family == "quadratic-nonlinear-u":
-            if self.f is None:
-                raise ValueError("nonlinear-u family requires f")
-            if self.check_monotone and not self.f.is_monotone():
-                raise ValueError("f must be non-decreasing")
+        if self.family == "quadratic-nonlinear-u" and self.f is None:
+            raise ValueError("nonlinear-u family requires f")
 
     # u-coupling term g(u) and its derivative
     def coupling(self, u):
@@ -184,39 +178,29 @@ class HamiltonianModel:
         return self.f.knots_u[1:-1] if self.family == "quadratic-nonlinear-u" else ()
 
 
-def _as_points(x, dim):
-    x = np.asarray(x, dtype=float)
-    pts = np.atleast_2d(x) if x.ndim >= 1 else x.reshape(1, 1)
-    if pts.shape[-1] != dim:
-        pts = pts.reshape(-1, dim)
-    return pts
+def _inputs(model: HamiltonianModel, x, u, p, caller: str):
+    """x and p as (n, dim) rows and u flat, rejecting a non-finite input."""
+    pts = np.asarray(x, dtype=float).reshape(-1, model.dim)
+    pv = np.asarray(p, dtype=float).reshape(-1, model.dim)
+    uv = np.asarray(u, dtype=float).ravel()
+    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(pv)) and np.all(np.isfinite(uv))):
+        raise ValueError(f"non-finite input to {caller}")
+    return pts, uv, pv
 
 
 def eval_H(model: HamiltonianModel, x, u, p):
-    """H(x,u,p) for the model's family; vectorized over leading axes."""
-    pts = _as_points(x, model.dim)
-    pv = np.asarray(p, dtype=float).reshape(-1, model.dim)
-    uv = np.asarray(u, dtype=float).ravel()
-    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(pv)) and np.all(np.isfinite(uv))):
-        raise ValueError("non-finite input to eval_H")
+    """H(x,u,p) for the model's family at n points: x and p reshape to
+    (n, dim) rows and u to n values; returns shape (n,), also for n = 1."""
+    pts, uv, pv = _inputs(model, x, u, p, "eval_H")
     val = 0.5 * np.sum(pv * pv, axis=1) + model.coupling(uv) + model.potential(pts)
-    val = val - model.action_shift
-    return val if val.size > 1 else float(val[0])
+    return val - model.action_shift
 
 
 def grad_H(model: HamiltonianModel, x, u, p):
-    """Analytic partials (H_x, H_u, H_p) of the family formula."""
-    pts = _as_points(x, model.dim)
-    pv = np.asarray(p, dtype=float).reshape(-1, model.dim)
-    uv = np.asarray(u, dtype=float).ravel()
-    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(pv)) and np.all(np.isfinite(uv))):
-        raise ValueError("non-finite input to grad_H")
-    hx = model.potential.gradient(pts)
-    hu = model.coupling_derivative(uv)
-    hp = pv.copy()
-    if pts.shape[0] == 1:
-        return hx[0], float(hu[0]), hp[0]
-    return hx, hu, hp
+    """Analytic partials (H_x, H_u, H_p) of the family formula at the points
+    of ``eval_H``, of shapes (n, dim), (n,) and (n, dim)."""
+    pts, uv, pv = _inputs(model, x, u, p, "grad_H")
+    return model.potential.gradient(pts), model.coupling_derivative(uv), pv.copy()
 
 
 @dataclass
@@ -227,7 +211,6 @@ class AssumptionAudit:
     worst: dict  # name -> (margin, sample) for the tightest/violating sample
     max_Hp: float = 0.0
     empirical_lipschitz_u: float = 0.0
-    n_samples: int = 0
 
     TOL = 1e-12
 
@@ -279,11 +262,6 @@ def audit_assumptions(model: HamiltonianModel, sample_box, n_samples: int) -> As
     H_u1p2 = eval_H(model, x, u1, p2)
     H_mid = eval_H(model, x, u1, 0.5 * (p1 + p2))
     _, hu, hp = grad_H(model, x, u1, p1)
-    H_u1p1 = np.atleast_1d(H_u1p1)
-    H_u2p1 = np.atleast_1d(H_u2p1)
-    H_u1p2 = np.atleast_1d(H_u1p2)
-    H_mid = np.atleast_1d(H_mid)
-    hu = np.atleast_1d(hu)
 
     verdicts, worst = {}, {}
 
@@ -315,5 +293,4 @@ def audit_assumptions(model: HamiltonianModel, sample_box, n_samples: int) -> As
         worst=worst,
         max_Hp=float(np.max(np.sqrt(np.sum(hp**2, axis=1)))),
         empirical_lipschitz_u=emp,
-        n_samples=n_samples,
     )

@@ -353,7 +353,7 @@ def weak_kam_residual(model: HamiltonianModel, u: GridField) -> ResidualStats:
     grid = u.grid
     slopes, smooth = _one_sided_slopes(u)
     centered = np.stack([(0.5 * (fwd + bwd)).ravel() for bwd, fwd in slopes], axis=1)
-    res = np.atleast_1d(eval_H(model, grid.points(), u.values, centered))
+    res = eval_H(model, grid.points(), u.values, centered)
     sm = np.abs(res[smooth])
     return ResidualStats(
         kink_count=int(grid.size - np.count_nonzero(smooth)),

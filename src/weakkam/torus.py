@@ -83,8 +83,6 @@ def periodic_delta(a, b):
 def periodic_distance(a, b):
     """Euclidean distance on the torus (last axis = coordinates)."""
     d = periodic_delta(a, b)
-    if d.ndim == 0:
-        return np.abs(d)
     return np.sqrt(np.sum(d * d, axis=-1))
 
 
@@ -168,9 +166,6 @@ class GridField:
         if not np.all(np.isfinite(v)):
             raise ValueError("GridField values must be finite")
         self.values = v
-
-    def copy(self) -> "GridField":
-        return GridField(self.grid, self.values.copy())
 
     def lipschitz_seminorm(self) -> float:
         """Max forward difference quotient over all axes."""

@@ -118,7 +118,7 @@ def test_criterion_4_viscosity_cross_validation(capsys):
         phi = GridField(g, np.zeros(n))
         u_dp = step_T(StepKernel(m, g, 1.0 / 64, 4.0, "exact"), phi, 1.0)
         dt_fd = 1.0 / math.ceil(1.0 / (0.5 * g.dx / 4.1))
-        cfg = LFConfig(m, g, 4.1, dt_fd, audited_max_hp=4.0)
+        cfg = LFConfig(m, g, 4.1, dt_fd)
         u_fd = lf_final(cfg, phi, 1.0)
         gaps.append(float(np.max(np.abs(u_dp.values - u_fd.values))))
     ok = gaps[0] <= 0.05 and gaps[0] > gaps[1] > gaps[2]

@@ -131,10 +131,7 @@ def test_flow_rejects_bad_step():
 def formula_rhs(model, x, u, p):
     """The contact vector field from grad_H and eval_H: the reference."""
     hx, hu, hp = grad_H(model, x, u, p)
-    hx = np.atleast_2d(hx)
-    hp = np.atleast_2d(hp)
-    hu = np.atleast_1d(hu)
-    h = np.atleast_1d(eval_H(model, x, u, p))
+    h = eval_H(model, x, u, p)
     return hp, np.sum(hp * p, axis=1) - h, -hx - hu[:, None] * p, h
 
 

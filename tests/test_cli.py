@@ -755,17 +755,19 @@ def test_size_squared_command_over_budget_is_rejected_before_output(tmp_path, ca
 @pytest.mark.parametrize(
     "command,grid,T,key",
     [("solve", {"dt": 0.125}, 0.3, "solver.T"), ("action", {"dt": 0.125}, 0.3, "solver.T"),
-     ("check", {"dt": 0.125}, 0.3, "solver.T"), ("check", {"dt": 0.3}, 0.9, "solver.T"),
+     ("check", {"dt": 0.125}, 0.3, "solver.T"), ("check", {"dt": 0.3}, 0.9, "grid.dt"),
+     ("check", {"N": 16, "dt": 0.2}, 1.2, "grid.dt"),
      ("check", {}, 2 / 16, "solver.T"),
      ("check", {"N": 512, "dt": 1 / 2048}, 3 / 2048, "solver.T"),
      ("char", {}, 1.0, "char.t")],
-    ids=["solve", "action", "check", "check-property-horizon", "check-2-steps",
-         "check-1-rk4-step", "char-1-rk4-step"],
+    ids=["solve", "action", "check", "check-property-horizon", "check-property-horizon-N16",
+         "check-2-steps", "check-1-rk4-step", "char-1-rk4-step"],
 )
 def test_horizon_off_the_time_grid_is_rejected_before_output(
     tmp_path, capsys, command, grid, T, key
 ):
-    # check also steps its property horizons: 0.5 is not a multiple of 0.3.
+    # check also steps its fixed property horizon 0.5, which neither 0.3 nor
+    # 0.2 divides: only grid.dt mends it (T = 0.9 and 1.2 are whole steps).
     # check matches a chain of at least 3 steps, and its dH-law flow over
     # min(T, 1) and char's flow need 2 RK4 steps for a centred difference
     cfg = write_config(tmp_path / "run.yaml", grid=grid, solver={"T": T},
@@ -774,6 +776,18 @@ def test_horizon_off_the_time_grid_is_rejected_before_output(
     assert run([command, "--config", cfg, "--out", out]) == 2
     err = capsys.readouterr().err
     assert f"config key `{key}`" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["oracle", "check"])
+def test_alpha_below_the_audited_bound_is_rejected_before_output(tmp_path, capsys, command):
+    # parse_config's floor, the audited max |H_p| + 0.1, is the default alpha
+    floor = load_config(write_config(tmp_path / "floor.yaml")).alpha
+    cfg = write_config(tmp_path / "run.yaml", oracle={"alpha": floor - 1e-6})
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "config key `oracle.alpha`" in err and err.count("\n") == 1
     assert not out.exists()
 
 

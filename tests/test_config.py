@@ -126,7 +126,6 @@ def test_oracle_discretization_and_horizon():
     cfg = parse_config(doc)
     lf = cfg.lf()
     assert (lf.model, lf.grid, lf.alpha, lf.dt_fd) == (cfg.model, cfg.grid, 4.1, 0.0017)
-    assert lf.audited_max_hp == cfg.audit.max_Hp
     assert cfg.T_fd == 176 * 0.0017  # 0.3 / 0.0017 = 176.47 rounds to 176 steps
     doc["solver"] = {"T": 0.0001}
     assert parse_config(doc).T_fd == 0.0017

@@ -18,12 +18,6 @@ def test_config_rejects_cfl_violation():
         LFConfig(discounted_pendulum(), g, alpha=2.0, dt_fd=g.dx)
 
 
-def test_config_rejects_alpha_below_audited_bound():
-    g = Grid(1, 64)
-    with pytest.raises(ConfigurationError, match="alpha"):
-        LFConfig(discounted_pendulum(), g, alpha=2.0, dt_fd=1e-4, audited_max_hp=3.0)
-
-
 def test_step_rejects_large_dt_for_u_sensitivity():
     # dt_fd*lambda_L = 300/256 > 1 is refused when the oracle is built
     m = HamiltonianModel("quadratic-discounted", lam=300.0)
@@ -37,7 +31,7 @@ def test_entry_points_reject_phi_on_another_grid(entry):
     # the CFL ratio is checked on the oracle's grid; a finer phi would march
     # at alpha*dt_fd/dx = 2.05 and return a field of an unstable scheme
     m = discounted_pendulum()
-    cfg = LFConfig(m, Grid(1, 32), 4.1, 1.0 / 512, audited_max_hp=4.0)
+    cfg = LFConfig(m, Grid(1, 32), 4.1, 1.0 / 512)
     phi = GridField(Grid(1, 256), np.zeros(256))
     with pytest.raises(ConfigurationError, match="oracle"):
         if entry == "step":
@@ -53,7 +47,7 @@ def test_step_is_monotone_on_lipschitz_data():
     # actually reached by the one-sided slopes of the data
     m = discounted_pendulum()
     g = Grid(1, 128)
-    cfg = LFConfig(m, g, 4.1, 0.99 * 0.5 * g.dx / 4.1, audited_max_hp=4.0)
+    cfg = LFConfig(m, g, 4.1, 0.99 * 0.5 * g.dx / 4.1)
     rng = np.random.default_rng(0)
     x = g.points()[:, 0]
     for _ in range(20):
@@ -77,7 +71,7 @@ def test_flat_discounted_decay_matches_exponential():
 def test_solve_returns_slab_and_validates_horizon():
     m = discounted_pendulum()
     g = Grid(1, 64)
-    cfg = LFConfig(m, g, 4.1, 1.0 / 2048, audited_max_hp=4.0)
+    cfg = LFConfig(m, g, 4.1, 1.0 / 2048)
     phi = GridField(g, np.zeros(g.size))
     slab = lf_solve(cfg, phi, 0.125)
     assert slab.n_steps == 256
@@ -92,7 +86,7 @@ def test_cross_check_against_variational_solver():
     g = Grid(1, 256)
     phi = GridField(g, np.zeros(g.size))
     dt_fd = 1.0 / math.ceil(1.0 / (0.5 * g.dx / 4.1))
-    cfg = LFConfig(m, g, 4.1, dt_fd, audited_max_hp=4.0)
+    cfg = LFConfig(m, g, 4.1, dt_fd)
     u_fd = lf_final(cfg, phi, 1.0)
     u_dp = step_T(StepKernel(m, g, 1.0 / 64, 4.0, "exact"), phi, 1.0)
     assert np.max(np.abs(u_fd.values - u_dp.values)) <= 0.05
@@ -110,7 +104,7 @@ def eval_h_step(model, u, cfg):
         dminus.append(dm)
         lap += dp - dm
     central = np.stack([(0.5 * (dp + dm)).ravel() for dp, dm in zip(dplus, dminus)], axis=-1)
-    ham = np.atleast_1d(eval_H(model, grid.points(), u.values, central))
+    ham = eval_H(model, grid.points(), u.values, central)
     return GridField(grid, u.values - cfg.dt_fd * (ham - 0.5 * cfg.alpha * lap.ravel()))
 
 

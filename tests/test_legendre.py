@@ -39,7 +39,7 @@ def newton_transform(model, x, u, v, tol=1e-12, max_iter=100):
     p = np.zeros(model.dim)
 
     def objective(pp):
-        return float(np.dot(v, pp)) - float(eval_H(model, x, u, pp))
+        return float(np.dot(v, pp)) - float(eval_H(model, x, u, pp)[0])
 
     obj = objective(p)
     for _ in range(max_iter):
@@ -74,7 +74,7 @@ def test_closed_form_conjugacy_identity():
             x = rng.uniform(0, 1, m.dim)
             u = rng.uniform(-1, 1)
             v = rng.uniform(-2, 2, m.dim)
-            total = float(lagrangian_values(m, x, u, v)[0]) + eval_H(m, x, u, v)
+            total = float(lagrangian_values(m, x, u, v)[0]) + eval_H(m, x, u, v)[0]
             assert total == pytest.approx(float(np.dot(v, v)), abs=1e-12)
 
 

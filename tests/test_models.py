@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from weakkam.config import DEFAULT_SAMPLE_BOX
 from weakkam.models import (
     HamiltonianModel,
     PiecewiseLinearMap,
@@ -55,20 +56,11 @@ def test_piecewise_linear_map_interpolation_and_extension():
     assert f(2.0) == pytest.approx(3.5)  # end slope 1.5 extended
     assert f(-2.0) == pytest.approx(-0.5)
     assert f.lipschitz_constant() == pytest.approx(1.5)
-    assert f.is_monotone()
 
 
-def test_nonmonotone_f_rejected_unless_hooked():
-    with pytest.raises(ValueError, match="non-decreasing"):
-        HamiltonianModel(
-            "quadratic-nonlinear-u",
-            f=PiecewiseLinearMap((0.0, 1.0), (1.0, 0.0)),
-        )
-    m = HamiltonianModel(
-        "quadratic-nonlinear-u",
-        f=PiecewiseLinearMap((0.0, 1.0), (1.0, 0.0)),
-        check_monotone=False,
-    )
+def test_nonmonotone_f_is_accepted_and_fails_H5():
+    # monotonicity in u is the audited (H5), not a condition of the model
+    m = HamiltonianModel("quadratic-nonlinear-u", f=PiecewiseLinearMap((0.0, 1.0), (1.0, 0.0)))
     audit = audit_assumptions(m, BOX, 256)
     assert not audit.verdicts["H5"]
     assert not audit.passed
@@ -77,7 +69,7 @@ def test_nonmonotone_f_rejected_unless_hooked():
 def test_eval_H_formula():
     m = pendulum(lam=1.0)
     x, u, p = np.array([[0.25]]), 0.3, np.array([[0.5]])
-    assert eval_H(m, x, u, p) == pytest.approx(0.125 + 0.3 + np.cos(np.pi / 2))
+    assert eval_H(m, x, u, p)[0] == pytest.approx(0.125 + 0.3 + np.cos(np.pi / 2))
     with pytest.raises(ValueError):
         eval_H(m, x, np.nan, p)
 
@@ -85,11 +77,11 @@ def test_eval_H_formula():
 def test_grad_H_matches_finite_differences():
     m = pendulum(lam=0.7)
     x, u, p = 0.37, 0.21, 1.1
-    hx, hu, hp = grad_H(m, [x], u, [p])
+    (hx,), (hu,), (hp,) = grad_H(m, [x], u, [p])
     h = 1e-6
-    assert hx[0] == pytest.approx((eval_H(m, [x + h], u, [p]) - eval_H(m, [x - h], u, [p])) / (2 * h), abs=1e-5)
-    assert hu == pytest.approx((eval_H(m, [x], u + h, [p]) - eval_H(m, [x], u - h, [p])) / (2 * h), abs=1e-6)
-    assert hp[0] == pytest.approx((eval_H(m, [x], u, [p + h]) - eval_H(m, [x], u, [p - h])) / (2 * h), abs=1e-6)
+    assert hx[0] == pytest.approx((eval_H(m, [x + h], u, [p]) - eval_H(m, [x - h], u, [p]))[0] / (2 * h), abs=1e-5)
+    assert hu == pytest.approx((eval_H(m, [x], u + h, [p]) - eval_H(m, [x], u - h, [p]))[0] / (2 * h), abs=1e-6)
+    assert hp[0] == pytest.approx((eval_H(m, [x], u, [p + h]) - eval_H(m, [x], u, [p - h]))[0] / (2 * h), abs=1e-6)
 
 
 def test_audit_passes_for_catalog_families():
@@ -105,6 +97,18 @@ def test_audit_passes_for_catalog_families():
         audit = audit_assumptions(m, BOX, 512)
         assert audit.passed, audit.worst
         assert audit.empirical_lipschitz_u <= m.lipschitz_u + 1e-9
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_audit_of_one_sample_returns(dim):
+    # one point is a batch of one: eval_H and grad_H keep the sample axis
+    m = HamiltonianModel("quadratic-discounted", dim=dim, lam=1.0,
+                         potential=TrigPotential(dim, (((1,) * dim, 1.0),)))
+    x, p = [0.2] * dim, [0.3] * dim
+    assert eval_H(m, x, 0.0, p).shape == (1,)
+    assert [a.shape for a in grad_H(m, x, 0.0, p)] == [(1, dim), (1,), (1, dim)]
+    audit = audit_assumptions(m, DEFAULT_SAMPLE_BOX, 1)
+    assert sorted(audit.verdicts) == ["H1", "H4", "H5"] and audit.passed
 
 
 def test_lipschitz_u_formula():

@@ -305,3 +305,80 @@ def test_definition_scan_sees_a_planted_unused_definition():
     # a name another module uses is named
     assert unreferenced_definitions({"m": source, "n": "from m import halve\nhalve(main)\n"}) == [
         "m.Report.total", "m._SPARE"]
+
+
+
+# defaulted parameters that no call inside the package sets: ``main``'s argv is
+# set by the tests (``python -m`` passes none), and ``match_calibrated``'s
+# p_source is kept for the gradient-momentum launch of ROADMAP item 4
+UNSET_ALLOWED = ["characteristics.match_calibrated(p_source)", "cli.main(argv)"]
+
+
+def defaulted_parameters(tree: ast.Module):
+    """(parameter as owner(name), the name a call uses, its positional index
+    in such a call or None when keyword-only) of each defaulted parameter of
+    the module's functions and methods; a class's ``__init__`` is called by
+    the class name, and a method's first parameter is its receiver."""
+    methods = {id(f): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for f in c.body if isinstance(f, ast.FunctionDef)}
+    for f in ast.walk(tree):
+        if not isinstance(f, ast.FunctionDef):
+            continue
+        cls = methods.get(id(f))
+        positional = f.args.posonlyargs + f.args.args
+        if cls is not None and not any(getattr(d, "id", None) == "staticmethod"
+                                       for d in f.decorator_list):
+            positional = positional[1:]
+        owner = f"{cls.name}.{f.name}" if cls is not None else f.name
+        called = cls.name if f.name == "__init__" and cls is not None else f.name
+        first = len(positional) - len(f.args.defaults)
+        for i, a in enumerate(positional[first:], first):
+            yield f"{owner}({a.arg})", called, a.arg, i
+        for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults):
+            if d is not None:
+                yield f"{owner}({a.arg})", called, a.arg, None
+
+
+def unset_options(sources: dict) -> list:
+    """The defaulted parameters in ``sources`` (module name -> text) that no
+    call in them sets, by keyword or by position, as module.owner(name).
+
+    Calls match by the name they invoke (f(...) or x.f(...)), whatever it is
+    bound to; a call with *args or **kwargs sets whatever it could.  Dataclass
+    fields are outside the scan: a report such as ``PropertyReport`` is built
+    empty and filled in afterwards, so its defaults are set by assignment.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    calls = collections.defaultdict(list)  # name -> [(positional count, keywords)]
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                calls[call_name(node)].append(
+                    (float("inf") if starred else len(node.args), keywords))
+    return sorted(
+        f"{module}.{param}" for module, tree in trees.items()
+        for param, called, name, index in defaulted_parameters(tree)
+        if not any(name in kw or None in kw or (index is not None and n > index)
+                   for n, kw in calls[called]))
+
+
+def test_every_option_is_set_by_some_package_call():
+    # the allowed list names exactly what the scan flags, so it holds no stale entry
+    sources = {p.stem: p.read_text() for p in SOURCES if p.parent.name == "weakkam"}
+    assert unset_options(sources) == UNSET_ALLOWED
+
+
+def test_option_scan_sees_a_planted_unset_option():
+    source = (
+        "def solve(x, tol=1e-6, *, verbose=False, steps=4):\n    return x\n"
+        "class Kernel:\n    def __init__(self, n, quad='left', reach=1):\n        pass\n"
+        "    def apply(self, v, out=None, scale=1.0):\n        return v\n"
+        "    @staticmethod\n    def build(n, dense=False):\n        return n\n"
+        "def main(args, extra=None):\n"
+        "    k = Kernel(args, 'exact')\n    k.apply(args, None)\n    Kernel.build(3, **args)\n"
+        "    return solve(*args, steps=2)\n"
+    )
+    assert unset_options({"m": source}) == [
+        "m.Kernel.__init__(reach)", "m.Kernel.apply(scale)", "m.main(extra)", "m.solve(verbose)"]
