@@ -124,7 +124,9 @@ def _check_command(command: str, cfg: RunConfig) -> int:
     ``_KERNEL_COPIES`` (kernel) or ``_LF_COPIES`` (Lax-Friedrichs) slices.
     A kernel's tables are V and, on 2-D "left", a start cost (at most
     5*size), and the n_offsets*size ``base_cost`` where it is built: off
-    the row path (``kernels.row_path``) and by ``critical``.
+    the row path (``kernels.row_path``) and by ``critical``.  The table is
+    built in blocks of offsets whose temporaries hold about
+    ``_BLOCK_ELEMENTS`` floats, so the build falls inside the step's block.
     - ``critical`` the kernel's tables, ``_POLICY_VECTORS`` size-length
       vectors and ``_POLICY_BLOCKS`` candidate blocks;
     - ``action`` its table and a step of its size rows;
@@ -352,8 +354,8 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> tuple:
     writes slab.csv while the march goes on when this process may run on at
     least two CPUs (``_usable_cpus``), and here after the march otherwise;
     the bytes are the same either way.  A failed write makes the run exit 2
-    naming slab.csv; that or any error in the march leaves no slab.csv and
-    no partial file.
+    naming slab.csv, and a non-finite Picard gap exit 3 (``NumericError``);
+    that or any error in the march leaves no slab.csv and no partial file.
     """
     phi, kern = cfg.phi_field(), cfg.kernel()
     n_slices = _horizon_steps(cfg.T, cfg.dt) + 1
@@ -366,14 +368,19 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> tuple:
     try:
         _, report = fixed_point(kern, phi, cfg.T, tol=cfg.tol,
                                 out=writer.values, on_slice=writer.ready)
+        for k, gap in enumerate(report.residual_history, 1):
+            if not math.isfinite(gap):
+                raise NumericError(f"the Picard gap of iterate {k} is not finite: {gap!r}")
         try:
             writer.finish()
         except OSError as e:
             raise OSError(f"writing {os.path.join(out_dir, 'slab.csv')}: {e}") from e
-    finally:  # a killed writer leaves its partial file
+    except BaseException:  # a killed writer leaves its partial file, a finished one slab.csv
         writer.close()
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(out_dir, "slab.csv.part"))
+        for name in ("slab.csv", "slab.csv.part"):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, name))
+        raise
     _write(out_dir, "fixedpoint.csv", report.to_csv())
     return EXIT_OK, {"iterations": report.iterations, "stencil_reach": kern.stencil_reach(),
                      "slab_writer": writer.usage}

@@ -78,6 +78,9 @@ from .models import (
 )
 from .torus import Grid, GridField, stencil_offsets
 
+# libyaml's parser where PyYAML was built with it; it builds the same objects
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 _BLOCKS = {"model", "grid", "solver", "char", "oracle", "output", "seed"}
 _MODEL_KEYS = {"family", "dim", "lambda", "potential", "f", "action_shift"}
 _GRID_KEYS = {"N", "dt", "v_max"}
@@ -337,7 +340,7 @@ def parse_config(data: dict) -> RunConfig:
 def load_config(path: str) -> RunConfig:
     with open(path) as fh:
         try:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_LOADER)
         except yaml.YAMLError as e:
             raise ConfigurationError(f"config file is not valid YAML: {e}") from e
     if data is None:

@@ -8,7 +8,10 @@ where y ranges over grid points within periodic distance v_max*dt of x_j
 and the displacement is the minimal periodic representative.  The kernel
 holds one table, built on first read: the u-independent part of the segment
 cost of each admissible cell offset, indexed by the destination x_j; only
-the u-coupling is recomputed per step.
+the u-coupling is recomputed per step.  The table is built in blocks of
+offsets, one V evaluation and one gather of the starts per block, whose
+temporaries hold about ``_BLOCK_ELEMENTS`` floats: the same bound as a
+step's candidate block.
 
 Quadrature of the potential along the straight segment ("left", "midpoint"
 or "exact" trigonometric line integral) is fixed at kernel construction.
@@ -91,6 +94,10 @@ QUADRATURES = ("left", "midpoint", "exact")
 
 # candidate elements formed at once: bounds the temporaries of one block
 _BLOCK_ELEMENTS = 1 << 16
+# block-sized arrays one offset block of the base_cost build (or of its gains)
+# holds at once (measured: at most 13), so that together they hold about
+# _BLOCK_ELEMENTS floats
+_BUILD_ARRAYS = 16
 _EPS = float(np.finfo(float).eps)
 
 
@@ -131,7 +138,9 @@ class StepKernel:
     periodically (``_start_of`` states this rule once).  Window-path kernels
     build it at construction; a 2-D "left" kernel (``row_path``) only when
     ``action.critical_value`` reads it (the backtrack's ``_column`` forms a
-    "left" column from V, bitwise equal to the table's).
+    "left" column from V, bitwise equal to the table's).  The build goes in
+    blocks of offsets whose temporaries hold about ``_BLOCK_ELEMENTS``
+    floats, bitwise equal to a build offset by offset.
     """
 
     def __init__(
@@ -177,19 +186,33 @@ class StepKernel:
         else:
             self.base_cost  # the window path reads it every step: build it before any step
 
+    @property
+    def _table_block(self) -> int:
+        """Offsets per block of the base_cost build and of its gains."""
+        return max(1, _BLOCK_ELEMENTS // (_BUILD_ARRAYS * self.grid.size))
+
     @functools.cached_property
     def base_cost(self) -> np.ndarray:
-        """The (n_offsets, size) table of the class docstring, built on first read."""
-        pts, nodes = self.grid.points(), np.arange(self.grid.size)
-        table = np.empty((self.n_offsets, self.grid.size))
-        for k, disp in enumerate(self.offsets * self.grid.dx):
+        """The (n_offsets, size) table of the class docstring, built on first
+        read in blocks of offsets: one V evaluation and one gather of the
+        starts per block, whose temporaries hold about _BLOCK_ELEMENTS floats."""
+        grid = self.grid
+        pts, nodes = grid.points(), np.arange(grid.size)
+        table = np.empty((self.n_offsets, grid.size))
+        per = self._table_block
+        for lo in range(0, self.n_offsets, per):
+            ks = np.arange(lo, min(lo + per, self.n_offsets))[:, None]
+            starts = self._start_of(ks, nodes)  # (block, size)
             if self.quadrature == "left":
-                vterm = self._potential
-            elif self.quadrature == "midpoint":
-                vterm = self.model.potential(pts + 0.5 * disp)
+                vterm = self._potential[starts]
             else:
-                vterm = self.model.potential.segment_average(pts, np.broadcast_to(disp, pts.shape))
-            table[k] = self._cost(k, vterm[self._start_of(k, nodes)])
+                disp = self.offsets[ks] * grid.dx  # (block, 1, dim)
+                if self.quadrature == "midpoint":
+                    vterm = self.model.potential(pts + 0.5 * disp)
+                else:
+                    vterm = self.model.potential.segment_average(pts, disp)
+                vterm = np.take_along_axis(vterm, starts, axis=1)
+            table[lo:lo + len(ks)] = self._cost(ks, vterm)
         return table
 
     @functools.cached_property
@@ -211,14 +234,20 @@ class StepKernel:
                 cost_max = float(np.max(np.abs(table)))
                 if np.any((table == 0) & np.signbit(table)):
                     cost_max = math.nan
-                index = {o: k for k, o in enumerate(map(tuple, self.offsets.tolist()))}
-                for k, o in enumerate(self.offsets.tolist()):
-                    for i in range(dim):
-                        if o[i]:
-                            inward = list(o)
-                            inward[i] -= 1 if o[i] > 0 else -1
-                            gain = np.min(table[k] - table[index[tuple(inward)]])
-                            gains[i, abs(o[i])] = min(gains[i, abs(o[i])], gain)
+                # offset index at (offset + m) along each axis, for the inward neighbours
+                lookup = np.zeros((2 * m + 1,) * dim, dtype=np.intp)
+                lookup[tuple((self.offsets + m).T)] = np.arange(self.n_offsets)
+                per = self._table_block
+                for i in range(dim):
+                    outward = np.flatnonzero(self.offsets[:, i])
+                    inward = self.offsets[outward]
+                    inward[:, i] -= np.sign(inward[:, i])
+                    inward = lookup[tuple((inward + m).T)]
+                    gain = np.empty(outward.size)
+                    for lo in range(0, outward.size, per):
+                        blk = slice(lo, lo + per)
+                        gain[blk] = np.min(table[outward[blk]] - table[inward[blk]], axis=1)
+                    np.minimum.at(gains[i], np.abs(self.offsets[outward, i]), gain)
         if not math.isfinite(cost_max):
             gains[:] = -np.inf
         gains[np.isnan(gains)] = -np.inf

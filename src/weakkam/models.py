@@ -46,8 +46,10 @@ class TrigPotential:
         object.__setattr__(self, "modes", tuple(norm))
 
     def __call__(self, x):
+        """V at the points whose coordinates run along the last axis of x:
+        shape x.shape[:-1], at least (1,)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.zeros(x.shape[0])
+        out = np.zeros(x.shape[:-1])
         for k, a in self.modes:
             out += a * np.cos(2.0 * np.pi * (x @ np.asarray(k, dtype=float)))
         return out
@@ -64,15 +66,18 @@ class TrigPotential:
         """Exact average of V along the straight segment x0 + s*disp, s in [0,1].
 
         For each mode the line integral of cos(2*pi k.x) has the closed form
-        cos(2*pi k.(x0 + disp/2)) * sinc(k.disp).
+        cos(2*pi k.(x0 + disp/2)) * sinc(k.disp).  The coordinates run along
+        the last axis of x0 and disp, whose other axes broadcast: a
+        displacement shared by many points is given once.  k.disp is summed
+        in axis order, so its bits do not depend on how disp is broadcast.
         """
         x0 = np.atleast_2d(np.asarray(x0, dtype=float))
         disp = np.atleast_2d(np.asarray(disp, dtype=float))
-        out = np.zeros(x0.shape[0])
+        out = np.zeros(np.broadcast_shapes(x0.shape[:-1], disp.shape[:-1]))
         for k, a in self.modes:
-            kv = np.asarray(k, dtype=float)
-            phase = x0 @ kv + 0.5 * (disp @ kv)
-            out += a * np.cos(2.0 * np.pi * phase) * np.sinc(disp @ kv)
+            kd = sum(disp[..., i] * float(ki) for i, ki in enumerate(k))
+            phase = x0 @ np.asarray(k, dtype=float) + 0.5 * kd
+            out += a * np.cos(2.0 * np.pi * phase) * np.sinc(kd)
         return out
 
 
@@ -92,31 +97,31 @@ class PiecewiseLinearMap:
             raise ValueError("knot abscissae must be strictly increasing")
         object.__setattr__(self, "knots_u", tuple(float(v) for v in u))
         object.__setattr__(self, "knots_f", tuple(float(v) for v in f))
-
-    def _slopes(self):
-        u = np.asarray(self.knots_u)
-        f = np.asarray(self.knots_f)
-        return np.diff(f) / np.diff(u)
+        # the knot arrays and slopes, formed once: the coupling runs every step
+        ku, kf = np.array(self.knots_u), np.array(self.knots_f)
+        for name, arr in (("_ku", ku), ("_kf", kf), ("_slopes", np.diff(kf) / np.diff(ku))):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
-        ku = np.asarray(self.knots_u)
-        kf = np.asarray(self.knots_f)
-        s = self._slopes()
-        core = np.interp(u, ku, kf)
-        lo = kf[0] + s[0] * (u - ku[0])
-        hi = kf[-1] + s[-1] * (u - ku[-1])
-        return np.where(u < ku[0], lo, np.where(u > ku[-1], hi, core))
+        ku, kf, s = self._ku, self._kf, self._slopes
+        out = np.asarray(np.interp(u, ku, kf))
+        # the end slopes only where u leaves the knots (NaN stays interp's NaN)
+        lo, hi = u < ku[0], u > ku[-1]
+        if lo.any():
+            out[lo] = kf[0] + s[0] * (u[lo] - ku[0])
+        if hi.any():
+            out[hi] = kf[-1] + s[-1] * (u[hi] - ku[-1])
+        return out
 
     def derivative(self, u):
         u = np.asarray(u, dtype=float)
-        ku = np.asarray(self.knots_u)
-        s = self._slopes()
-        idx = np.clip(np.searchsorted(ku, u, side="right") - 1, 0, s.size - 1)
-        return s[idx]
+        idx = np.searchsorted(self._ku, u, side="right") - 1
+        return self._slopes[np.clip(idx, 0, self._slopes.size - 1)]
 
     def lipschitz_constant(self) -> float:
-        return float(np.max(np.abs(self._slopes())))
+        return float(np.max(np.abs(self._slopes)))
 
 
 @dataclass(frozen=True)

@@ -122,7 +122,8 @@ def fixed_point(
             rows = np.concatenate([rows, rows[-1:]])
             gaps = np.append(gaps, 0.0)
         rows[1:] = kern.apply(rows[1:], rows[:-1])
-        np.maximum(gaps, np.max(np.abs(rows[1:] - rows[:-1]), axis=1), out=gaps)
+        with np.errstate(over="ignore", invalid="ignore"):  # the report carries a non-finite gap
+            np.maximum(gaps, np.max(np.abs(rows[1:] - rows[:-1]), axis=1), out=gaps)
         out[n + 1] = rows[-1]
         slice_done(n + 1)
     u = SpaceTimeField(phi.grid, kern.dt, out)

@@ -2,11 +2,14 @@
 command computes.  The stored march and the semigroup T_t with its law
 T_{s+t} = T_t T_s (criteria 3, 4 and 5), the Lagrangian L as the Legendre
 conjugate of H, the velocity fan of L - <Du, v> (criterion 9), the
-subsolution inequality along test curves, and the Peierls barrier.
+subsolution inequality along test curves, and the Peierls barrier.  Also
+the plain references of kernel fast paths: the pruning gains offset by
+offset.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +34,31 @@ def march(kern: StepKernel, phi: GridField, T: float) -> SpaceTimeField:
     for n in range(len(out) - 1):
         out[n + 1] = kern.apply(out[n], out[n])
     return SpaceTimeField(phi.grid, kern.dt, out)
+
+
+def gains_reference(kern: StepKernel):
+    """``StepKernel._gains`` of a window-path kernel, formed offset by offset:
+    each offset's least cost growth over its inward neighbour along each axis."""
+    m, dim = kern._m, kern.grid.dim
+    gains = np.full((dim, m + 1), np.inf)
+    table = kern.base_cost
+    with np.errstate(invalid="ignore", over="ignore"):
+        cost_max = float(np.max(np.abs(table)))
+        if np.any((table == 0) & np.signbit(table)):
+            cost_max = math.nan
+        index = {o: k for k, o in enumerate(map(tuple, kern.offsets.tolist()))}
+        for k, o in enumerate(kern.offsets.tolist()):
+            for i in range(dim):
+                if o[i]:
+                    inward = list(o)
+                    inward[i] -= 1 if o[i] > 0 else -1
+                    gain = np.min(table[k] - table[index[tuple(inward)]])
+                    gains[i, abs(o[i])] = min(gains[i, abs(o[i])], gain)
+    if not math.isfinite(cost_max):
+        gains[:] = -np.inf
+    gains[np.isnan(gains)] = -np.inf
+    suffix = np.minimum.accumulate(gains[:, :0:-1], axis=1)[:, ::-1]
+    return [row.tolist() for row in suffix], cost_max
 
 
 def step_T(kern: StepKernel, phi: GridField, t: float) -> GridField:

@@ -13,6 +13,7 @@ import yaml
 
 from oracles import check_Ltilde, march, semigroup_defect, step_T
 from test_action import assert_matches_karp
+from test_config import assert_loaders_agree
 from test_semigroup import discounted_pendulum, pendulum_normalized
 from weakkam.action import critical_value
 from weakkam.characteristics import (
@@ -264,6 +265,7 @@ def test_criterion_10_determinism_across_threads(capsys, tmp_path):
     cfg_path = tmp_path / "run.yaml"
     with open(cfg_path, "w") as fh:
         yaml.safe_dump(doc, fh)
+    assert_loaders_agree(cfg_path)
 
     artifacts = {
         "solve": ("slab.csv", "fixedpoint.csv"),

@@ -13,6 +13,7 @@ import yaml
 import weakkam
 from oracles import march
 from test_action import assert_matches_karp
+from test_config import assert_loaders_agree
 from weakkam import action, fdoracle, kernels, models, torus
 from weakkam.cli import _check_command, _run, main
 from weakkam.config import load_config
@@ -37,6 +38,7 @@ def write_config(path, **overrides):
             doc[key] = val
     with open(path, "w") as fh:
         yaml.safe_dump(doc, fh)
+    assert_loaders_agree(path)
     return str(path)
 
 
@@ -216,6 +218,7 @@ def test_long_horizon_solve_ends_its_certificate_inside_the_march(tmp_path):
     }
     cfg_path = tmp_path / "run.yaml"
     cfg_path.write_text(yaml.safe_dump(doc))
+    assert_loaders_agree(cfg_path)
     out = tmp_path / "out"
     assert run(["solve", "--config", cfg_path, "--out", out]) == 0
     cfg = load_config(str(cfg_path))
@@ -272,6 +275,25 @@ def test_solve_whose_in_process_write_fails_leaves_no_file(tmp_path, monkeypatch
     assert run(["solve", "--config", cfg, "--out", out]) == 2
     assert "No space left on device" in capsys.readouterr().err
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("overrides", [
+    # each step adds dt * 1e308 to every value: the march leaves the float range
+    dict(model={"action_shift": 1e308}, grid={"dt": 1 / 32},
+         solver={"T": 4.0, "quadrature": "exact"}),
+    # phi = 1e308 cos(2 pi x): the first iterate's distance from phi overflows
+    dict(grid={"N": 16, "dt": 1 / 16}, solver={"T": 0.25, "phi": [[1, 1e308]]}),
+], ids=["action_shift", "phi"])
+def test_solve_whose_picard_gap_is_not_finite_exits_3_and_leaves_no_file(
+        tmp_path, monkeypatch, capsys, recwarn, overrides):
+    with_cpus(monkeypatch, 2)  # the writer may finish slab.csv before the gap is read
+    cfg = write_config(tmp_path / "run.yaml", **overrides)
+    out = tmp_path / "out"
+    assert run(["solve", "--config", cfg, "--out", out]) == 3
+    assert_no_child_process()
+    assert capsys.readouterr().err == "solve: the Picard gap of iterate 1 is not finite: inf\n"
+    assert os.listdir(out) == []
+    assert not [w for w in recwarn if w.filename.endswith("semigroup.py")]
 
 
 def test_solve_2d_writes_march_and_certificate(tmp_path):
@@ -445,6 +467,14 @@ def test_critical_exits_3_on_a_non_finite_critical_value(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "critical: the critical value is not finite: inf\n"
     assert captured.out == "" and os.listdir(out) == []
+
+
+def test_malformed_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("model: [unclosed\n")
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err.startswith("config error: config file is not valid YAML: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_char_requires_char_block(tmp_path, capsys):

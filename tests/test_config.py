@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import yaml
 
 from weakkam import config
 from weakkam.config import load_config, parse_config
@@ -138,6 +141,56 @@ def test_phi_field_from_modes():
     f = cfg.phi_field()
     x = cfg.grid.points()[:, 0]
     assert np.allclose(f.values, 0.5 * np.cos(2 * np.pi * x))
+
+
+def same_objects(a, b) -> bool:
+    """Equal YAML objects: the same types throughout and the same repr at the
+    leaves, so NaN matches NaN and -0.0 only -0.0."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_objects(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_objects, a, b))
+    return repr(a) == repr(b)
+
+
+def assert_loaders_agree(path):
+    """The loader load_config uses reads the document at path as PyYAML's
+    pure-Python SafeLoader does."""
+    with open(path) as fh:
+        text = fh.read()
+    assert same_objects(yaml.load(text, Loader=config._LOADER),
+                        yaml.load(text, Loader=yaml.SafeLoader))
+
+
+def test_loader_is_libyaml_where_pyyaml_has_it():
+    assert config._LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+
+EDGE_DOCUMENT = """\
+model: {family: quadratic-nonlinear-u, potential: [[1, .nan], [2, -.inf]], action_shift: 1.0e+308}
+grid: {N: 16, dt: .inf, v_max: -.NaN, N2: 0x10, N3: 1_000}
+solver:
+  phi: [[1, [2, [3, 1.0e-308, -0.0]]], []]
+  checkpoints: [-0.0, 1e3, 2.5e-3, .5]
+flags: [true, false, True, yes, no, on, off, null, ~, "true"]
+"""
+
+
+def test_loader_reads_edge_values_as_the_pure_python_loader(tmp_path):
+    path = tmp_path / "edge.yaml"
+    path.write_text(EDGE_DOCUMENT)
+    assert_loaders_agree(path)
+    data = yaml.load(EDGE_DOCUMENT, Loader=config._LOADER)
+    assert math.isnan(data["model"]["potential"][0][1])
+    assert data["model"]["potential"][1][1] == -math.inf
+    assert data["model"]["action_shift"] == 1e308
+    assert data["solver"]["phi"][0][1] == [2, [3, 1e-308, -0.0]]
+    assert data["flags"][:9] == [True, False, True, True, False, True, False, None, None]
+    # the planted difference: same_objects tells a NaN from a string, 0.0 from -0.0
+    assert not same_objects({"a": [float("nan")]}, {"a": ["nan"]})
+    assert not same_objects([0.0], [-0.0]) and not same_objects([1], [True])
 
 
 def test_load_config_rejects_bad_yaml(tmp_path):

@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import lagrangian_values, normalized
+from oracles import gains_reference, lagrangian_values, normalized
 from test_semigroup import discounted_pendulum
 from weakkam.errors import ConfigurationError
-from weakkam.kernels import StepKernel, min_plus_product, row_path
-from weakkam.models import HamiltonianModel, TrigPotential
+from weakkam.kernels import _BLOCK_ELEMENTS, QUADRATURES, StepKernel, min_plus_product, row_path
+from weakkam.models import HamiltonianModel, PiecewiseLinearMap, TrigPotential
 from weakkam.torus import Grid, periodic_delta
 
 
@@ -107,6 +109,7 @@ def test_window_kernel_equals_gather_reference(grid, dt, v_max, quadrature):
     kern = StepKernel(m, grid, dt, v_max, quadrature)
     _, start = gather_reference(kern)
     assert np.array_equal(kern.start_index, start)
+    assert_table_is_the_reference(kern)
     rng = np.random.default_rng(grid.size)
     w = rng.uniform(-1, 1, grid.size)
     u = rng.uniform(-1, 1, grid.size)
@@ -121,6 +124,57 @@ def test_window_kernel_equals_gather_reference(grid, dt, v_max, quadrature):
     table[2, 3] = np.inf
     ref_table, _ = gather_step(kern, table + kern.step_cost(np.full(1, 0.3))[0])
     assert kern.apply_table(table, 0.3).tobytes() == ref_table.tobytes()
+
+
+def assert_table_is_the_reference(kern):
+    """base_cost, built in blocks of offsets, is the per-offset table bitwise,
+    and off the row path the array-op gains are the per-offset loop's."""
+    cost, start = gather_reference(kern)
+    assert kern.base_cost.tobytes() == np.take_along_axis(cost, start, axis=1).tobytes()
+    if not row_path(kern.grid, kern.quadrature):
+        assert repr(kern._gains) == repr(gains_reference(kern))
+
+
+# the benchmark's two 1-D kernels (v_max 4, "exact"): solve's and longtime's
+BENCH_KERNELS = [
+    (HamiltonianModel("quadratic-discounted", lam=1.0, potential=TrigPotential(1, (((1,), 1.0),))),
+     Grid(1, 1024), 1 / 256),
+    (HamiltonianModel("quadratic-nonlinear-u", potential=TrigPotential(1, (((1,), 1.0), ((2,), -0.4))),
+                      f=PiecewiseLinearMap((-1.0, 0.0, 1.0), (-2.0, 0.0, 0.5))),
+     Grid(1, 512), 1 / 32),
+]
+
+
+@pytest.mark.parametrize("model,grid,dt", BENCH_KERNELS, ids=["solve-1024", "longtime-512"])
+def test_benchmark_tables_equal_the_per_offset_reference(model, grid, dt):
+    assert_table_is_the_reference(StepKernel(model, grid, dt, 4.0, "exact"))
+
+
+@pytest.mark.parametrize("quadrature", QUADRATURES)
+@pytest.mark.parametrize("grid,dt,v_max", [(Grid(1, 37), 0.07, 3.0), (Grid(2, 17), 0.1, 3.0)],
+                         ids=["1d37", "2d17"])
+def test_rough_tables_equal_the_per_offset_reference(grid, dt, v_max, quadrature):
+    # wavevectors whose products with a displacement round, so that the
+    # order of every sum in V's evaluation shows in the bits
+    modes = [((3,), 0.37), ((5,), -0.21)] if grid.dim == 1 else [((3, -2), 0.37), ((1, 5), -0.21)]
+    model = HamiltonianModel("quadratic-mechanical", dim=grid.dim, action_shift=0.3,
+                             potential=TrigPotential(grid.dim, tuple(modes)))
+    assert_table_is_the_reference(StepKernel(model, grid, dt, v_max, quadrature))
+
+
+def test_table_build_holds_about_one_block_beside_the_table():
+    # the 129-offset, 512-point build: formed at once, its temporaries would
+    # be about 8 blocks of _BLOCK_ELEMENTS floats
+    model, grid, dt = BENCH_KERNELS[1]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kern = StepKernel(model, grid, dt, 4.0, "exact")  # the window path builds base_cost here
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert kern.n_offsets == 129
+    assert peak - kern.base_cost.nbytes <= 2 * 8 * _BLOCK_ELEMENTS
 
 
 def assert_row_path_matches(got, ref, exact):

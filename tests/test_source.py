@@ -176,6 +176,55 @@ def test_key_message_scan_sees_each_restatement():
 
 
 
+# the PyYAML calls that read a document; config.load_config alone makes them
+YAML_READS = {"load", "safe_load"}
+
+
+def yaml_reads(source: str, module: str) -> list:
+    """The calls yaml.load and yaml.safe_load of ``source`` (also by a name
+    imported from yaml), outside ``load_config`` of the module ``config``."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "yaml"
+                for alias in node.names if alias.name in YAML_READS}
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        if (module, owner) == ("config", "load_config"):
+            continue
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr in YAML_READS
+                    and getattr(func.value, "id", None) == "yaml") or (
+                    isinstance(func, ast.Name) and func.id in imported):
+                found.append(f"{call_name(node)} in {owner} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.parent.name == "weakkam"], ids=lambda p: p.name,
+)
+def test_only_load_config_reads_yaml(path):
+    assert yaml_reads(path.read_text(), path.stem) == []
+
+
+def test_yaml_read_scan_sees_each_call():
+    source = (
+        "import json\nimport yaml\nfrom yaml import safe_load as read\n"
+        "DEFAULTS = yaml.safe_load('a: 1')\n"
+        "def load_config(path):\n    return yaml.load(open(path), Loader=yaml.CSafeLoader)\n"
+        "def other(fh):\n    return read(fh), json.load(fh), yaml.safe_dump({})\n"
+    )
+    assert yaml_reads(source, "config") == ["safe_load in None (line 4)", "read in other (line 8)"]
+    assert yaml_reads(source, "cli") == [
+        "safe_load in None (line 4)", "load in load_config (line 6)", "read in other (line 8)"]
+    # the one call the rule allows is the one the real config module makes
+    config = (ROOT / "src" / "weakkam" / "config.py").read_text()
+    assert [f.split()[-3] for f in yaml_reads(config, "cli")] == ["load_config"]
+
+
 # the functions that may compare a grid dimension with an integer literal: the
 # CSV header writers, the choice of the 2-D row path, and the dimension checks
 DIM_COMPARISONS_ALLOWED = {
