@@ -38,7 +38,6 @@ from .models import (
     TrigPotential,
     audit_assumptions,
     eval_H,
-    grad_H,
 )
 from .semigroup import (
     CalibratedCurve,
@@ -79,7 +78,6 @@ __all__ = [
     "extract_calibrated_curve",
     "fixed_point",
     "flow",
-    "grad_H",
     "lf_final",
     "match_calibrated",
     "min_action",

@@ -7,14 +7,12 @@ diagnostics tying the flow back to the dynamic-programming chains: the
 evolution law dH/ds = -H_u * H along trajectories and the match between a
 backtracked calibrated curve and the trajectory launched from its state.
 
-``flow`` has two paths with the same arithmetic.  A batch ``(x, u, p)`` is
-stepped on numpy arrays with a leading batch axis (``_rhs``); one
-``CharacteristicState`` is stepped on Python floats (``_state_rhs``), which
-avoids numpy's per-call cost on (1, d) arrays.  The numpy path is the test
-oracle: the float path equals a batch of one bitwise, except that it sums a
-mode's phase k.x without the fused multiply-add a BLAS dot may use, a
-rounding-level difference when a product after the first is inexact.  Both
-take H at each state from the first stage of the step that leaves it.
+``flow`` steps one ``CharacteristicState`` on Python floats, which avoids
+numpy's per-call cost on arrays of one state.  H_x is the analytic gradient
+of the potential, H_u the coupling's derivative and H_p = p, the closed
+forms of the quadratic catalog; H at each state is taken from the first
+stage of the step that leaves it.  A mode's phase k.x is summed in axis
+order, without the fused multiply-add a BLAS dot may use.
 """
 
 from __future__ import annotations
@@ -48,46 +46,25 @@ class CharacteristicState:
 class Trajectory:
     dt_ode: float
     times: np.ndarray
-    xs: np.ndarray  # (n_states, batch, dim)
-    us: np.ndarray  # (n_states, batch)
-    ps: np.ndarray  # (n_states, batch, dim)
-    h_values: np.ndarray  # H along the trajectory, (n_states, batch)
+    xs: np.ndarray  # (n_states, dim)
+    us: np.ndarray  # (n_states,)
+    ps: np.ndarray  # (n_states, dim)
+    h_values: np.ndarray  # H along the trajectory, (n_states,)
 
     def write_csv(self, fh):
-        """Rows t,x,u,p,H (d=2: t,x1,x2,u,p1,p2,H) per state and member to the open file fh."""
-        n, b, d = self.xs.shape
+        """Rows t,x,u,p,H (d=2: t,x1,x2,u,p1,p2,H) per state to the open file fh."""
+        d = self.xs.shape[1]
         xcols = ",".join(f"x{i+1}" for i in range(d)) if d > 1 else "x"
         pcols = ",".join(f"p{i+1}" for i in range(d)) if d > 1 else "p"
-        t = np.broadcast_to(self.times[:, None, None], (n, b, 1))
-        cells = [t, self.xs, self.us[..., None], self.ps, self.h_values[..., None]]
-        _write_table(fh, f"t,{xcols},u,{pcols},H\n", np.concatenate(cells, axis=2).reshape(n * b, -1))
-
-
-def _rhs(model, x, u, p):
-    """Vector field of the contact system and H; x shape (b,d), u (b,), p (b,d).
-
-    Each mode's phase is computed once for V and its gradient.  The
-    expressions are those of ``eval_H`` and ``grad_H``, without their input
-    validation: ``flow`` checks every step's state for finiteness.
-    """
-    pot = np.zeros(x.shape[0])
-    hx = np.zeros_like(x)
-    for k, a in model.potential.modes:
-        kv = np.asarray(k, dtype=float)
-        phase = 2.0 * np.pi * (x @ kv)
-        pot += a * np.cos(phase)
-        hx += (-a * 2.0 * np.pi * np.sin(phase))[:, None] * kv
-    pp = np.sum(p * p, axis=1)
-    h = 0.5 * pp + model.coupling(u) + pot - model.action_shift
-    dp = -hx - model.coupling_derivative(u)[:, None] * p
-    return p, pp - h, dp, h
+        cells = [self.times[:, None], self.xs, self.us[:, None], self.ps, self.h_values[:, None]]
+        _write_table(fh, f"t,{xcols},u,{pcols},H\n", np.concatenate(cells, axis=1))
 
 
 def _state_rhs(model: HamiltonianModel, d: int):
-    """``_rhs`` in the same operation order for one state held as a flat list
+    """The contact vector field for one state held as a flat list
     y = [x_1..x_d, u, p_1..p_d] of Python floats; returns the flat derivative
-    and H.  A phase k.x is summed as x_1*k_1 + x_2*k_2 + ... (see the module
-    docstring for where a BLAS dot differs).
+    and H.  Each mode's phase k.x, summed as x_1*k_1 + x_2*k_2 + ..., is
+    computed once for V and its gradient.
     """
     tau = 2.0 * math.pi
     modes = [(tuple(map(float, k)), a, -a * 2.0 * math.pi) for k, a in model.potential.modes]
@@ -120,48 +97,23 @@ def _state_rhs(model: HamiltonianModel, d: int):
     return rhs
 
 
-def _non_finite(k, xs, us, ps):
-    return NumericError(
-        f"characteristic flow produced a non-finite state at step {k + 1}",
-        last_iterate=(xs[k], us[k], ps[k]),
-    )
+def flow(
+    model: HamiltonianModel,
+    s0: CharacteristicState,
+    t: float,
+    dt_ode: float,
+) -> Trajectory:
+    """Integrate the characteristic system from one state for round(t / dt_ode) steps.
 
-
-def _flow_batch(model, x, u, p, n, h):
-    """RK4 on numpy arrays with a leading batch axis: the oracle of ``_flow_state``."""
-    xs = np.empty((n + 1,) + x.shape)
-    us = np.empty((n + 1,) + u.shape)
-    ps = np.empty((n + 1,) + p.shape)
-    hs = np.empty((n + 1,) + u.shape)
-    xs[0], us[0], ps[0] = wrap(x), u, p
-    for k in range(n):
-        k1 = _rhs(model, x, u, p)
-        hs[k] = k1[3]
-        k2 = _rhs(model, x + 0.5 * h * k1[0], u + 0.5 * h * k1[1], p + 0.5 * h * k1[2])
-        k3 = _rhs(model, x + 0.5 * h * k2[0], u + 0.5 * h * k2[1], p + 0.5 * h * k2[2])
-        k4 = _rhs(model, x + h * k3[0], u + h * k3[1], p + h * k3[2])
-        x = x + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        u = u + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        p = p + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u)) and np.all(np.isfinite(p))):
-            raise _non_finite(k, xs, us, ps)
-        x = wrap(x)
-        xs[k + 1], us[k + 1], ps[k + 1] = x, u, p
-    hs[n] = _rhs(model, x, u, p)[3]
-    return xs, us, ps, hs
-
-
-def _state_arrays(ys, d):
-    """Recorded flat states as the (n, 1, d), (n, 1), (n, 1, d) arrays of a batch of one."""
-    arr = np.array(ys)
-    return arr[:, None, :d], arr[:, None, d], arr[:, None, d + 1 :]
-
-
-def _flow_state(model, s0: CharacteristicState, n, h):
-    """The steps of ``_flow_batch`` for one state, on Python floats."""
+    Fixed-step integration keeps runs reproducible; a non-finite state
+    aborts with the last good state's (x, u, p) attached.
+    """
+    if dt_ode <= 0:
+        raise ValueError("dt_ode must be positive")
+    n = int(round(t / dt_ode))
     d = s0.x.size
     rhs = _state_rhs(model, d)
-    hh, h6 = 0.5 * h, h / 6.0
+    h, hh, h6 = dt_ode, 0.5 * dt_ode, dt_ode / 6.0
     y = [*s0.x.tolist(), float(s0.u), *s0.p.tolist()]
     ys = [[v % 1.0 for v in y[:d]] + y[d:]]
     hs = []
@@ -177,42 +129,17 @@ def _flow_state(model, s0: CharacteristicState, n, h):
             y = [a + h6 * (b1 + 2 * b2 + 2 * b3 + b4)
                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         if y is None or not all(map(math.isfinite, y)):
-            raise _non_finite(k, *_state_arrays(ys, d))
+            last = np.array(ys[-1])
+            raise NumericError(f"characteristic flow produced a non-finite state at step {k + 1}",
+                               last_iterate=(last[:d], last[d], last[d + 1 :]))
         hs.append(hk)
         y[:d] = [v % 1.0 for v in y[:d]]
         ys.append(y)
     hs.append(rhs(y)[1])
-    return (*_state_arrays(ys, d), np.array(hs)[:, None])
-
-
-def flow(
-    model: HamiltonianModel,
-    s0,
-    t: float,
-    dt_ode: float,
-) -> Trajectory:
-    """Integrate the characteristic system from one state or a batch.
-
-    ``s0`` may be a CharacteristicState, stepped on Python floats, or a
-    tuple of arrays (x, u, p) with a leading batch axis, stepped on numpy
-    arrays.  Fixed-step integration keeps runs reproducible; a non-finite
-    state aborts with the last good state attached.
-    """
-    if dt_ode <= 0:
-        raise ValueError("dt_ode must be positive")
-    n = int(round(t / dt_ode))
-    if isinstance(s0, CharacteristicState):
-        xs, us, ps, hs = _flow_state(model, s0, n, dt_ode)
-        t0 = s0.t
-    else:
-        x, u, p = s0
-        x = np.atleast_2d(np.asarray(x, dtype=float)).copy()
-        u = np.atleast_1d(np.asarray(u, dtype=float)).copy()
-        p = np.atleast_2d(np.asarray(p, dtype=float)).copy()
-        xs, us, ps, hs = _flow_batch(model, x, u, p, n, dt_ode)
-        t0 = 0.0
-    times = t0 + dt_ode * np.arange(n + 1)
-    return Trajectory(dt_ode=dt_ode, times=times, xs=xs, us=us, ps=ps, h_values=hs)
+    states = np.array(ys)
+    times = s0.t + dt_ode * np.arange(n + 1)
+    return Trajectory(dt_ode=dt_ode, times=times, xs=states[:, :d], us=states[:, d],
+                      ps=states[:, d + 1 :], h_values=np.array(hs))
 
 
 @dataclass
@@ -301,5 +228,5 @@ def match_calibrated(
     traj = flow(model, CharacteristicState(x=x0, u=u0, p=p0, t=k0 * spacetime.dt), horizon, h)
     off = int(round(0.5 * sub))
     # chain slices k0..n-1 against the ODE states half a step after each
-    dist = periodic_distance(traj.xs[off::sub, 0][: n - k0], curve.points[k0:n])
+    dist = periodic_distance(traj.xs[off::sub][: n - k0], curve.points[k0:n])
     return MatchReport(sup_distance=float(np.max(dist)), launch_index=k0)

@@ -82,7 +82,7 @@ _KERNEL_COPIES, _LF_COPIES, _ROW_BYTES = 8, 16, 512
 # the bytes converge keeps per step of its history: two Python floats in lists,
 # their two arrays and the stacked table converge writes
 _HISTORY_BYTES = 128
-# the bytes char holds per RK4 state: the Python floats of _flow_state, its
+# the bytes char holds per RK4 state: the Python floats of flow, its
 # arrays, and the law's temporaries (measured: at most 266 in 1-D, 362 in 2-D)
 _CHAR_STATE_BYTES = 512
 # beside the kernel's tables, critical's policy iteration holds size-length
@@ -387,11 +387,16 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> tuple:
 
 
 def cmd_converge(cfg: RunConfig, out_dir: str) -> tuple:
+    """convergence.csv, u_inf.csv and residual.csv; a weak KAM residual whose
+    max or rms is not finite exits 3 before any is written."""
     kern = cfg.kernel()
     rep = converge(kern, cfg.phi_field(), t_checkpoints=cfg.checkpoints, stop_eps=cfg.stop_eps)
+    res = rep.residual
+    if not (math.isfinite(res.max_abs_smooth) and math.isfinite(res.rms_smooth)):
+        raise NumericError(f"the weak KAM residual is not finite: max {res.max_abs_smooth!r},"
+                           f" rms {res.rms_smooth!r}")
     _write(out_dir, "convergence.csv", rep.write_csv)
     _write(out_dir, "u_inf.csv", rep.u_inf.write_csv)
-    res = rep.residual
     _write(
         out_dir, "residual.csv",
         "converged,max_residual_smooth,rms_residual_smooth,kink_count\n"

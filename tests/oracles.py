@@ -3,8 +3,9 @@ command computes.  The stored march and the semigroup T_t with its law
 T_{s+t} = T_t T_s (criteria 3, 4 and 5), the Lagrangian L as the Legendre
 conjugate of H, the velocity fan of L - <Du, v> (criterion 9), the
 subsolution inequality along test curves, and the Peierls barrier.  Also
-the plain references of kernel fast paths: the pruning gains offset by
-offset.
+the plain references of the package's fast paths: the pruning gains offset
+by offset, and the characteristic flow as numpy RK4 on a batch of states
+with the analytic partials of H.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from weakkam.errors import ConfigurationError
+from weakkam.errors import ConfigurationError, NumericError
 from weakkam.kernels import StepKernel
-from weakkam.models import HamiltonianModel
+from weakkam.models import HamiltonianModel, TrigPotential
 from weakkam.semigroup import _one_sided_slopes
-from weakkam.torus import Grid, GridField, SpaceTimeField, _horizon_steps, _lattice, periodic_delta
+from weakkam.torus import (
+    Grid, GridField, SpaceTimeField, _horizon_steps, _lattice, periodic_delta, wrap,
+)
 
 # check_Ltilde: velocities per axis of the fan over [-v_max, v_max]
 FAN_SIZE = 257
@@ -59,6 +62,84 @@ def gains_reference(kern: StepKernel):
     gains[np.isnan(gains)] = -np.inf
     suffix = np.minimum.accumulate(gains[:, :0:-1], axis=1)[:, ::-1]
     return [row.tolist() for row in suffix], cost_max
+
+
+def potential_gradient(potential: TrigPotential, x):
+    """The gradient of V at the points whose coordinates run along the last axis of x."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    out = np.zeros_like(x)
+    for k, a in potential.modes:
+        kv = np.asarray(k, dtype=float)
+        out += (-a * 2.0 * np.pi * np.sin(2.0 * np.pi * (x @ kv)))[:, None] * kv
+    return out
+
+
+def grad_H(model: HamiltonianModel, x, u, p):
+    """Analytic partials (H_x, H_u, H_p) of the family formula at the points
+    of ``eval_H``, of shapes (n, dim), (n,) and (n, dim)."""
+    pts = np.asarray(x, dtype=float).reshape(-1, model.dim)
+    pv = np.asarray(p, dtype=float).reshape(-1, model.dim)
+    uv = np.asarray(u, dtype=float).ravel()
+    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(pv)) and np.all(np.isfinite(uv))):
+        raise ValueError("non-finite input to grad_H")
+    return potential_gradient(model.potential, pts), model.coupling_derivative(uv), pv.copy()
+
+
+def contact_rhs(model: HamiltonianModel, x, u, p):
+    """Vector field of the contact system and H; x shape (b,d), u (b,), p (b,d).
+
+    Each mode's phase is computed once for V and its gradient.  The
+    expressions are those of ``eval_H`` and ``grad_H``, without their input
+    validation: ``flow_batch`` checks every step's state for finiteness.
+    """
+    pot = np.zeros(x.shape[0])
+    hx = np.zeros_like(x)
+    for k, a in model.potential.modes:
+        kv = np.asarray(k, dtype=float)
+        phase = 2.0 * np.pi * (x @ kv)
+        pot += a * np.cos(phase)
+        hx += (-a * 2.0 * np.pi * np.sin(phase))[:, None] * kv
+    pp = np.sum(p * p, axis=1)
+    h = 0.5 * pp + model.coupling(u) + pot - model.action_shift
+    dp = -hx - model.coupling_derivative(u)[:, None] * p
+    return p, pp - h, dp, h
+
+
+def flow_batch(model: HamiltonianModel, x, u, p, t: float, dt_ode: float):
+    """``characteristics.flow`` on numpy arrays with a leading batch axis: RK4
+    of ``contact_rhs`` over round(t / dt_ode) steps from the batch (x, u, p).
+    Returns xs (n+1, b, d), us (n+1, b), ps (n+1, b, d) and H (n+1, b); a
+    non-finite state aborts with the last good batch attached.
+
+    The package's float path equals a batch of one bitwise, except that it
+    sums a mode's phase k.x without the fused multiply-add a BLAS dot may
+    use, a rounding-level difference when a product after the first is inexact.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float)).copy()
+    u = np.atleast_1d(np.asarray(u, dtype=float)).copy()
+    p = np.atleast_2d(np.asarray(p, dtype=float)).copy()
+    n, h = int(round(t / dt_ode)), dt_ode
+    xs = np.empty((n + 1,) + x.shape)
+    us = np.empty((n + 1,) + u.shape)
+    ps = np.empty((n + 1,) + p.shape)
+    hs = np.empty((n + 1,) + u.shape)
+    xs[0], us[0], ps[0] = wrap(x), u, p
+    for k in range(n):
+        k1 = contact_rhs(model, x, u, p)
+        hs[k] = k1[3]
+        k2 = contact_rhs(model, x + 0.5 * h * k1[0], u + 0.5 * h * k1[1], p + 0.5 * h * k1[2])
+        k3 = contact_rhs(model, x + 0.5 * h * k2[0], u + 0.5 * h * k2[1], p + 0.5 * h * k2[2])
+        k4 = contact_rhs(model, x + h * k3[0], u + h * k3[1], p + h * k3[2])
+        x = x + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        u = u + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        p = p + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u)) and np.all(np.isfinite(p))):
+            raise NumericError(f"characteristic flow produced a non-finite state at step {k + 1}",
+                               last_iterate=(xs[k], us[k], ps[k]))
+        x = wrap(x)
+        xs[k + 1], us[k + 1], ps[k + 1] = x, u, p
+    hs[n] = contact_rhs(model, x, u, p)[3]
+    return xs, us, ps, hs
 
 
 def step_T(kern: StepKernel, phi: GridField, t: float) -> GridField:

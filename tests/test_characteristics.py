@@ -4,19 +4,19 @@ import io
 import numpy as np
 import pytest
 
-from oracles import march, normalized
+from oracles import contact_rhs, flow_batch, grad_H, march, normalized
 from test_semigroup import discounted_pendulum
 from weakkam import characteristics
 from weakkam.characteristics import (
     CharacteristicState,
-    _rhs,
+    _state_rhs,
     dH_law_residual,
     flow,
     match_calibrated,
 )
 from weakkam.errors import NumericError
 from weakkam.kernels import StepKernel
-from weakkam.models import HamiltonianModel, PiecewiseLinearMap, TrigPotential, eval_H, grad_H
+from weakkam.models import HamiltonianModel, PiecewiseLinearMap, TrigPotential, eval_H
 from weakkam.semigroup import extract_calibrated_curve
 from weakkam.torus import Grid, GridField
 
@@ -26,16 +26,16 @@ def test_free_particle_flow_is_exact():
     traj = flow(m, CharacteristicState(x=[0.1], u=0.0, p=[0.7]), 2.0, 1e-2)
     xe = (0.1 + 0.7 * traj.times) % 1.0
     ue = 0.5 * 0.7**2 * traj.times
-    assert np.max(np.abs(traj.xs[:, 0, 0] - xe)) <= 1e-12
-    assert np.max(np.abs(traj.us[:, 0] - ue)) <= 1e-12
-    assert np.max(np.abs(traj.ps[:, 0, 0] - 0.7)) <= 1e-14
+    assert np.max(np.abs(traj.xs[:, 0] - xe)) <= 1e-12
+    assert np.max(np.abs(traj.us - ue)) <= 1e-12
+    assert np.max(np.abs(traj.ps[:, 0] - 0.7)) <= 1e-14
 
 
 def test_discounted_momentum_decays_exponentially():
     # flat potential: p' = -H_u p = -lam p, so p(t) = p0 e^{-lam t}
     m = HamiltonianModel("quadratic-discounted", lam=1.0)
     traj = flow(m, CharacteristicState(x=[0.2], u=0.0, p=[1.0]), 2.0, 1e-3)
-    assert np.max(np.abs(traj.ps[:, 0, 0] - np.exp(-traj.times))) <= 1e-8
+    assert np.max(np.abs(traj.ps[:, 0] - np.exp(-traj.times))) <= 1e-8
 
 
 def test_integrator_is_fourth_order():
@@ -46,7 +46,7 @@ def test_integrator_is_fourth_order():
     for dtd in (32, 64):
         t = flow(m, s0, 1.0, 1.0 / dtd)
         errs.append(
-            abs(t.us[-1, 0] - ref.us[-1, 0]) + abs(t.ps[-1, 0, 0] - ref.ps[-1, 0, 0])
+            abs(t.us[-1] - ref.us[-1]) + abs(t.ps[-1, 0] - ref.ps[-1, 0])
         )
     assert errs[0] / errs[1] >= 14.0
 
@@ -58,8 +58,8 @@ def test_dH_evolution_law():
     stats = dH_law_residual(m, traj)
     assert stats.rms_residual <= 1e-6
     assert stats.max_residual <= 1e-6
-    h0 = traj.h_values[0, 0]
-    assert np.max(np.abs(traj.h_values[:, 0] - h0 * np.exp(-traj.times))) <= 1e-6
+    h0 = traj.h_values[0]
+    assert np.max(np.abs(traj.h_values - h0 * np.exp(-traj.times))) <= 1e-6
 
 
 def kinked_coupling_model():
@@ -92,9 +92,8 @@ def test_dH_law_without_kink_crossing_keeps_every_state():
     stats = dH_law_residual(m, traj)
     # the plain centered residual over every inner state, bit for bit
     dh = (traj.h_values[2:] - traj.h_values[:-2]) / (2.0 * traj.dt_ode)
-    _, hu, _ = grad_H(m, traj.xs[1:-1].reshape(-1, 1), traj.us[1:-1].reshape(-1),
-                      traj.ps[1:-1].reshape(-1, 1))
-    res = dh - (-hu.reshape(-1, 1) * traj.h_values[1:-1])
+    _, hu, _ = grad_H(m, traj.xs[1:-1], traj.us[1:-1], traj.ps[1:-1])
+    res = dh - (-hu * traj.h_values[1:-1])
     assert stats.kink_count == 0
     assert stats.rms_residual == float(np.sqrt(np.mean(res**2)))
     assert stats.max_residual == float(np.max(np.abs(res)))
@@ -114,12 +113,17 @@ def test_batched_flow_stays_finite_over_long_horizon():
     x = rng.uniform(0, 1, (b, 1))
     u = rng.uniform(-1, 1, b)
     p = rng.uniform(-5, 5, (b, 1))
-    traj = flow(m, (x, u, p), 100.0, 1e-2)
-    assert traj.us.shape[1] == b
-    assert np.all(np.isfinite(traj.us))
-    assert np.all(np.isfinite(traj.ps))
+    xs, us, ps, hs = flow_batch(m, x, u, p, 100.0, 1e-2)
+    assert us.shape[1] == b
+    assert np.all(np.isfinite(us))
+    assert np.all(np.isfinite(ps))
     # dissipation contracts the momenta toward the rest set
-    assert np.max(np.abs(traj.ps[-1])) <= 1e-8
+    assert np.max(np.abs(ps[-1])) <= 1e-8
+    # the package's float path is the reference's batch of one, bit for bit
+    for i in range(0, b, 8):
+        one = flow(m, CharacteristicState(x=x[i], u=u[i], p=p[i]), 100.0, 1e-2)
+        for got, want in zip((one.xs, one.us, one.ps, one.h_values), (xs, us, ps, hs)):
+            assert got.tobytes() == want[:, i].tobytes()
 
 
 def test_flow_rejects_bad_step():
@@ -129,7 +133,7 @@ def test_flow_rejects_bad_step():
 
 
 def formula_rhs(model, x, u, p):
-    """The contact vector field from grad_H and eval_H: the reference."""
+    """The contact vector field from grad_H and eval_H."""
     hx, hu, hp = grad_H(model, x, u, p)
     h = eval_H(model, x, u, p)
     return hp, np.sum(hp * p, axis=1) - h, -hx - hu[:, None] * p, h
@@ -153,9 +157,17 @@ def test_rhs_equals_grad_h_eval_h_formula(dim, batch):
             x = rng.uniform(0, 1, (batch, dim))
             u = rng.uniform(-1.5, 1.5, batch)
             p = rng.uniform(-3, 3, (batch, dim))
-            for got, want in zip(_rhs(m, x, u, p), formula_rhs(m, x, u, p)):
-                assert got.shape == want.shape
-                assert np.array_equal(got, want)
+            want = formula_rhs(m, x, u, p)
+            for got, w in zip(contact_rhs(m, x, u, p), want):
+                assert got.shape == w.shape
+                assert np.array_equal(got, w)
+            # every phase product is exact here, so the package's float field
+            # equals the formula whatever a BLAS dot's summation
+            rhs = _state_rhs(m, dim)
+            for i in range(batch):
+                dy, h = rhs([*x[i].tolist(), float(u[i]), *p[i].tolist()])
+                assert dy == [*want[0][i], want[1][i], *want[2][i]]
+                assert h == want[3][i]
 
 
 def test_non_finite_stage_raises_numeric_error():
@@ -176,14 +188,18 @@ def catalog(dim, modes):
 
 
 def state_and_batch_of_one(model, seed, t=1.0, dt_ode=1e-3, state_context=None):
-    """Flows of one random state on floats (inside state_context) and as a batch of one."""
+    """The flow of one random state on floats (inside state_context), and the
+    reference's xs, us, ps and H of it as a batch of one, batch axis dropped."""
     rng = np.random.default_rng(seed)
     d = model.dim
     x, u, p = rng.uniform(0, 1, d), float(rng.uniform(-1, 1)), rng.uniform(-2, 2, d)
     with state_context or contextlib.nullcontext():
         one = flow(model, CharacteristicState(x=x, u=u, p=p, t=0.37), t, dt_ode)
-    batch = flow(model, (x[None], [u], p[None]), t, dt_ode)
+    batch = [a[:, 0] for a in flow_batch(model, x[None], [u], p[None], t, dt_ode)]
     return one, batch
+
+
+FIELDS = ("xs", "us", "ps", "h_values")
 
 
 @contextlib.contextmanager
@@ -212,26 +228,26 @@ def test_state_flow_equals_batch_of_one(dim, mode):
         floats = m.family in ("quadratic-mechanical", "quadratic-discounted")
         one, batch = state_and_batch_of_one(
             m, seed=10 * dim + i, state_context=numpy_coupling_refused() if floats else None)
-        for name in ("xs", "us", "ps", "h_values"):
-            a, b = getattr(one, name), getattr(batch, name)
+        for name, b in zip(FIELDS, batch):
+            a = getattr(one, name)
             assert a.shape == b.shape
             assert a.tobytes() == b.tobytes(), name
-        assert one.times.tobytes() == (0.37 + batch.times).tobytes()
+        assert one.times.tobytes() == (0.37 + 1e-3 * np.arange(one.times.size)).tobytes()
 
 
 def test_state_flow_inexact_second_product_within_rounding():
     # k = (1, -5): -5*x2 rounds, and a BLAS dot may fuse it into the sum
     for i, m in enumerate(catalog(2, (((1, -5), 0.8), ((1, 0), 0.5)))):
         one, batch = state_and_batch_of_one(m, seed=i)
-        for name in ("xs", "us", "ps", "h_values"):
-            assert np.max(np.abs(getattr(one, name) - getattr(batch, name))) <= 1e-12
+        for name, b in zip(FIELDS, batch):
+            assert np.max(np.abs(getattr(one, name) - b)) <= 1e-12
 
 
 def test_state_flow_without_steps_records_the_start():
     m = catalog(2, (((1, 1), 0.8),))[2]
     one, batch = state_and_batch_of_one(m, seed=5, t=1e-4, dt_ode=1e-3)
     assert one.times.size == 1
-    assert one.h_values.tobytes() == batch.h_values.tobytes()
+    assert one.h_values.tobytes() == batch[3].tobytes()
 
 
 def test_non_finite_stage_2d_raises_numeric_error():
@@ -239,13 +255,17 @@ def test_non_finite_stage_2d_raises_numeric_error():
     m = catalog(2, (((1, 0), 1.0), ((0, 1), 0.5)))[1]
     s0 = CharacteristicState(x=[0.1, 0.2], u=0.0, p=[1e306, 0.0])
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in (s0, (s0.x[None], [s0.u], s0.p[None])):
+        # the package's flow attaches one state, the reference a batch of one
+        for run, batch in ((lambda: flow(m, s0, 1000.0, 1000.0), ()),
+                           (lambda: flow_batch(m, s0.x[None], [s0.u], s0.p[None], 1000.0,
+                                               1000.0), (1,))):
             with pytest.raises(NumericError, match="at step 1") as err:
-                flow(m, start, 1000.0, 1000.0)
+                run()
             x, u, p = err.value.last_iterate
-            assert x.tobytes() == s0.x[None].tobytes()
-            assert u.tobytes() == np.array([0.0]).tobytes()
-            assert p.tobytes() == s0.p[None].tobytes()
+            assert x.shape == p.shape == batch + (2,) and u.shape == batch
+            assert x.tobytes() == s0.x.tobytes()
+            assert u.tobytes() == np.zeros(batch).tobytes()
+            assert p.tobytes() == s0.p.tobytes()
 
 
 def test_match_calibrated_chain_within_grid_cells():

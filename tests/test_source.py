@@ -356,6 +356,34 @@ def test_definition_scan_sees_a_planted_unused_definition():
         "m.Report.total", "m._SPARE"]
 
 
+def stale_oracles(sources: dict) -> list:
+    """The definitions of the ``oracles`` module in ``sources`` (module name ->
+    text) that neither a test module nor the rest of ``oracles`` names."""
+    return [d for d in unreferenced_definitions(sources) if d.startswith("oracles.")]
+
+
+def test_every_oracle_is_named_by_a_test():
+    # a reference no test reads can drift from the code it once checked
+    sources = {p.stem: p.read_text() for p in SOURCES if p.parent.name == "tests"}
+    assert "oracles" in sources
+    assert stale_oracles(sources) == []
+
+
+def test_oracle_scan_sees_a_planted_stale_reference():
+    oracles = (
+        "STEPS, SPARE = 4, 5\n"
+        "def march(k):\n    return k * STEPS\n"
+        "def step_T(k):\n    return march(k)\n"
+        "def stale(k):\n    return stale(k - 1) if k else 0\n"
+    )
+    tests = "from oracles import step_T\ndef test_step():\n    assert step_T(1) == 4\n"
+    assert stale_oracles({"oracles": oracles, "test_m": tests}) == [
+        "oracles.SPARE", "oracles.stale"]
+    # without the test module, what only it read is stale too
+    assert stale_oracles({"oracles": oracles}) == [
+        "oracles.SPARE", "oracles.stale", "oracles.step_T"]
+
+
 
 # defaulted parameters that no call inside the package sets: ``main``'s argv is
 # set by the tests (``python -m`` passes none), and ``match_calibrated``'s

@@ -234,18 +234,17 @@ def per_value_convergence_csv(rep):
 
 def per_value_trajectory_csv(traj):
     """The per-value trajectory writer the streamed one replaced."""
-    d = traj.xs.shape[2]
+    d = traj.xs.shape[1]
     xcols = ",".join(f"x{i+1}" for i in range(d)) if d > 1 else "x"
     pcols = ",".join(f"p{i+1}" for i in range(d)) if d > 1 else "p"
     out = f"t,{xcols},u,{pcols},H\n"
     for k in range(traj.times.size):
-        for b in range(traj.us.shape[1]):
-            xs = ",".join(csv_float(v) for v in traj.xs[k, b])
-            ps = ",".join(csv_float(v) for v in traj.ps[k, b])
-            out += (
-                f"{csv_float(traj.times[k])},{xs},{csv_float(traj.us[k, b])},{ps},"
-                f"{csv_float(traj.h_values[k, b])}\n"
-            )
+        xs = ",".join(csv_float(v) for v in traj.xs[k])
+        ps = ",".join(csv_float(v) for v in traj.ps[k])
+        out += (
+            f"{csv_float(traj.times[k])},{xs},{csv_float(traj.us[k])},{ps},"
+            f"{csv_float(traj.h_values[k])}\n"
+        )
     return out
 
 
@@ -287,14 +286,14 @@ def test_csv_writers_match_per_value_writers(dim, n, tmp_path):
     incs = rng.uniform(0, 1, 7)
     incs[: len(special)] = special
     for m in (7, 0):  # a report with no steps writes the header alone
-        rep = ConvergenceReport(times[:m], incs[:m], [], [], None, False, None, False)
+        rep = ConvergenceReport(times[:m], incs[:m], [], [], None, False, None)
         ref = per_value_convergence_csv(rep)
         assert written(rep, tmp_path) == (ref, ref.encode())
 
-    xs = rng.uniform(0, 1, (5, 2, dim))
-    ps = rng.uniform(-1, 1, (5, 2, dim))
-    us, hs = rng.uniform(-1, 1, (2, 5, 2))
-    xs[1, 0, 0], ps[2, 1, -1], us[3, 0], hs[4, 1] = special
+    xs = rng.uniform(0, 1, (5, dim))
+    ps = rng.uniform(-1, 1, (5, dim))
+    us, hs = rng.uniform(-1, 1, (2, 5))
+    xs[1, 0], ps[2, -1], us[3], hs[4] = special
     traj = Trajectory(0.1, 0.1 * np.arange(5), xs, us, ps, hs)
     ref = per_value_trajectory_csv(traj)
     assert written(traj, tmp_path) == (ref, ref.encode())
