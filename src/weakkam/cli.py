@@ -20,14 +20,14 @@ manifest (``check`` records its oracle's as a failed suite instead);
 
 Commands take their discretizations from ``RunConfig.kernel()`` and
 ``RunConfig.lf()``; ``oracle`` streams each Lax-Friedrichs slice as the
-scheme yields it.  ``solve`` and ``check`` hand independent work to a
-forked child (``_Forked``) sharing an anonymous mapping: ``solve``'s child
-formats each slice of the wavefront's top row into slab.csv once a byte
-down a pipe says it is final, so the text overlaps the march; ``check``'s
-runs the Lax-Friedrichs oracle beside the variational suites, which step
-phi once (the property battery fills the slab the backtrack and the match
-read).  With one usable CPU, or when no process can be forked, the same
-work runs here afterwards.
+scheme yields it.  ``solve`` and ``check`` hand independent work to one
+forked call (``_Forked``): ``solve``'s child steps the forward march of phi,
+the fixed point, and streams it into slab.csv as ``oracle`` streams its
+scheme, while this process runs the Picard wavefront that certifies it;
+``check``'s child runs the Lax-Friedrichs oracle and returns its final
+slice, beside the variational suites, which step phi once (the property
+battery fills the slab the backtrack and the match read).  With one usable
+CPU, or when no process can be forked, the same work runs here afterwards.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import argparse
 import contextlib
 import json
 import math
-import mmap
 import os
 import pickle
 import signal
@@ -59,6 +58,7 @@ from .fdoracle import _lf_march, lf_final
 from .kernels import _BLOCK_ELEMENTS, row_path
 from .semigroup import (
     _backtrack,
+    _march,
     check_properties,
     converge,
     fixed_point,
@@ -131,10 +131,11 @@ def _check_command(command: str, cfg: RunConfig) -> int:
       vectors and ``_POLICY_BLOCKS`` candidate blocks;
     - ``action`` its table and a step of its size rows;
     - ``oracle`` one Lax-Friedrichs step (the slice it streams), no slab;
-    - ``solve`` its slab, the kernel's tables and the Picard wavefront
-      (iterate 0 and up to n + 1 rows, one if H does not depend on u) with a
-      step of its rows.  The slab is one mapping shared with the writer
-      process and is counted once; the writer holds the one text block;
+    - ``solve`` the slab ``fixed_point`` returns, the kernel's tables and
+      the Picard wavefront (iterate 0 and up to n + 1 rows, one if H does
+      not depend on u) with a step of its rows, and the writer's march of
+      one row with a step of it, as ``check`` counts its oracle's step; the
+      writer holds the one text block;
     - ``check`` the kernel's tables, its one slab over [0, T] (the march of
       phi that row 0 of ``check_properties`` fills and the backtrack walks),
       the four rows the battery steps together with one step of them, and
@@ -183,7 +184,7 @@ def _check_command(command: str, cfg: RunConfig) -> int:
         planned = (1 + _LF_COPIES) * size * 8
     elif command == "solve":
         rows = n + 1 if cfg.model.lipschitz_u else 1
-        planned = (n + 2 + (1 + _KERNEL_COPIES) * rows + tables) * size * 8
+        planned = (n + 2 + (1 + _KERNEL_COPIES) * (rows + 1) + tables) * size * 8
     elif command == "check":
         planned = (n + 1 + 4 * (1 + _KERNEL_COPIES) + _LF_COPIES + tables) * size * 8
     elif command == "converge":
@@ -257,85 +258,64 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _signalled(fd: int, n: int):
-    """Yield 0, 1, ..., n - 1, index k once k + 1 bytes have arrived on fd,
-    one byte per ready index; EOFError if the pipe closes first."""
-    k = 0
-    while k < n:
-        chunk = os.read(fd, n - k)
-        if not chunk:
-            raise EOFError(f"the ready pipe closed after {k} of {n} indices")
-        yield from range(k, k + len(chunk))
-        k += len(chunk)
-
-
 class _Forked:
-    """``work(values, ready)`` run by a forked child process beside this one.
+    """``work()`` run by a forked child process beside this one.
 
-    ``values`` is a float array of the given shape in an anonymous shared
-    mapping, so each process sees what the other stores there.  The child's
-    ``ready`` yields 0, 1, ..., n_ready - 1, index k once the parent has
-    called ``ready()`` k + 1 times (one byte each down a pipe).  ``finish``
-    reaps the child and sets ``usage`` to its CPU seconds and peak RSS from
-    wait4; an exception the child raised comes back pickled down a second
-    pipe and is raised there unchanged.  ``close`` kills and reaps a child
-    still running.  With one usable CPU, or when os.fork fails, nothing is
-    forked: ``finish`` runs ``work(values, range(n_ready))`` here and
+    The child sends its pickled value, or the exception it raised, down one
+    pipe and exits.  ``finish`` reads the pipe to its end before reaping the
+    child, so a value larger than the pipe's buffer cannot stall either,
+    sets ``usage`` to the child's CPU seconds and peak RSS from wait4, and
+    returns the value or raises the exception unchanged.  ``close`` kills
+    and reaps a child still running.  With one usable CPU, or when os.fork
+    fails, nothing is forked: ``finish`` returns ``work()`` run here and
     ``usage`` stays None.  A child only steps arrays and writes a file, so
     it takes no lock another thread of the parent could hold at the fork.
     """
 
-    def __init__(self, shape, work, n_ready: int = 0):
-        mapping = mmap.mmap(-1, math.prod(shape) * 8)
-        self.values = np.frombuffer(mapping, dtype=float).reshape(shape)
-        self.work, self.n_ready, self.pid, self.usage = work, n_ready, None, None
+    def __init__(self, work):
+        self.work, self.pid, self.usage = work, None, None
         if _usable_cpus() == 1:
             return
-        (ready_r, ready_w), (error_r, error_w) = os.pipe(), os.pipe()
+        result_r, result_w = os.pipe()
         try:
             self.pid = os.fork()
         except OSError:  # no process to spare: finish runs work here
-            for fd in (ready_r, ready_w, error_r, error_w):
-                os.close(fd)
+            os.close(result_r)
+            os.close(result_w)
             return
         if self.pid == 0:  # the child never returns into the caller's stack
-            code = 1
+            code = 2  # neither value nor exception sent
             try:
-                os.close(ready_w)
-                work(self.values, _signalled(ready_r, n_ready))
-                code = 0
-            except Exception as e:
-                with os.fdopen(error_w, "wb") as fh:
-                    fh.write(pickle.dumps(e))
+                os.close(result_r)
+                try:
+                    result, sent = pickle.dumps(work()), 0
+                except Exception as e:
+                    result, sent = pickle.dumps(e), 1
+                with os.fdopen(result_w, "wb") as fh:
+                    fh.write(result)
+                code = sent
             finally:
                 os._exit(code)
-        os.close(ready_r)
-        os.close(error_w)
-        self._ready, self._errors = os.fdopen(ready_w, "wb", buffering=0), os.fdopen(error_r, "rb")
-
-    def ready(self, k: int):
-        """Tell a child that index k is ready (indices come in order)."""
-        if self.pid is not None:
-            with contextlib.suppress(BrokenPipeError):  # the child failed; finish reports it
-                self._ready.write(b"\0")
+        os.close(result_w)
+        self._result = os.fdopen(result_r, "rb")
 
     def finish(self):
-        """Wait for work to end, here or in the child, and raise what it raised."""
+        """Wait for work to end, here or in the child; return its value or
+        raise what it raised."""
         if self.pid is None:
-            self.work(self.values, range(self.n_ready))
-            return
-        self._ready.close()
-        error = self._errors.read()
-        self._errors.close()
+            return self.work()
+        with self._result:
+            result = self._result.read()
         _, status, usage = os.wait4(self.pid, 0)
         self.pid = None
         self.usage = {"cpu_seconds": usage.ru_utime + usage.ru_stime,
                       "max_rss_mb": usage.ru_maxrss / 1024.0}
-        if error:
-            raise pickle.loads(error)
-        if status != 0:
-            code = os.waitstatus_to_exitcode(status)
-            raise OSError(f"the forked child exited with status {code}")
+        code = os.waitstatus_to_exitcode(status)
+        if code == 0:
+            return pickle.loads(result)
+        if code == 1:
+            raise pickle.loads(result)
+        raise OSError(f"the forked child exited with status {code}")
 
     def close(self):
         """Kill and reap a child still running."""
@@ -343,34 +323,35 @@ class _Forked:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
-            self._ready.close()
-            self._errors.close()
+            self._result.close()
 
 
 def cmd_solve(cfg: RunConfig, out_dir: str) -> tuple:
     """Fixed point on [0, T]: slab.csv, fixedpoint.csv and the manifest.
 
-    The wavefront marches into the shared slab of a ``_Forked`` writer, which
-    writes slab.csv while the march goes on when this process may run on at
-    least two CPUs (``_usable_cpus``), and here after the march otherwise;
-    the bytes are the same either way.  A failed write makes the run exit 2
-    naming slab.csv, and a non-finite Picard gap exit 3 (``NumericError``);
-    that or any error in the march leaves no slab.csv and no partial file.
+    The fixed point is the forward march of phi, so a ``_Forked`` writer
+    steps it (``_march``) and streams it into slab.csv while this process
+    runs the Picard wavefront for fixedpoint.csv's certificate, when it may
+    run on at least two CPUs (``_usable_cpus``), and here after the
+    wavefront otherwise; the bytes are the same either way.  A failed write
+    makes the run exit 2 naming slab.csv, and a non-finite Picard gap exit 3
+    (``NumericError``); that or any error in the wavefront leaves no
+    slab.csv and no partial file.
     """
     phi, kern = cfg.phi_field(), cfg.kernel()
-    n_slices = _horizon_steps(cfg.T, cfg.dt) + 1
+    n = _horizon_steps(cfg.T, cfg.dt)
 
-    def write_slab(values, ready):
-        slices = (values[k] for k in ready)
+    def write_slab():
+        slices = _march(kern, phi, n)
         _write(out_dir, "slab.csv", lambda fh: _write_slab(fh, cfg.grid, cfg.dt, slices))
 
-    writer = _Forked((n_slices, cfg.grid.size), write_slab, n_slices)
+    writer = _Forked(write_slab)
     try:
-        _, report = fixed_point(kern, phi, cfg.T, tol=cfg.tol,
-                                out=writer.values, on_slice=writer.ready)
+        _, report = fixed_point(kern, phi, cfg.T, tol=cfg.tol)
         for k, gap in enumerate(report.residual_history, 1):
             if not math.isfinite(gap):
                 raise NumericError(f"the Picard gap of iterate {k} is not finite: {gap!r}")
+        reach = kern.stencil_reach()  # before a writer run here steps kern too
         try:
             writer.finish()
         except OSError as e:
@@ -382,7 +363,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> tuple:
                 os.remove(os.path.join(out_dir, name))
         raise
     _write(out_dir, "fixedpoint.csv", report.to_csv())
-    return EXIT_OK, {"iterations": report.iterations, "stencil_reach": kern.stencil_reach(),
+    return EXIT_OK, {"iterations": report.iterations, "stencil_reach": reach,
                      "slab_writer": writer.usage}
 
 
@@ -456,9 +437,9 @@ def cmd_check(cfg: RunConfig, out_dir: str) -> tuple:
     law, calibrated-curve match, and the cross-solver comparison.
 
     The Lax-Friedrichs oracle shares nothing with the rest, so a ``_Forked``
-    child runs it beside the variational suites and leaves its final slice
-    in a shared mapping (on one CPU it runs here, after them); the manifest's
-    ``oracle_process`` block is the child's CPU and peak RSS, or null.
+    child runs it beside the variational suites and returns its final slice
+    (on one CPU it runs here, after them); the manifest's ``oracle_process``
+    block is the child's CPU and peak RSS, or null.
     """
     rng = np.random.default_rng(cfg.seed)
     failures = []
@@ -475,10 +456,7 @@ def cmd_check(cfg: RunConfig, out_dir: str) -> tuple:
 
     phi = cfg.phi_field()
 
-    def run_oracle(values, ready):
-        values[:] = lf_final(cfg.lf(), phi, cfg.T_fd).values
-
-    with contextlib.closing(_Forked((cfg.grid.size,), run_oracle)) as oracle:
+    with contextlib.closing(_Forked(lambda: lf_final(cfg.lf(), phi, cfg.T_fd).values)) as oracle:
         psi = GridField(cfg.grid, phi.values + 0.2 * np.cos(
             2 * np.pi * cfg.grid.points()[:, 0] + 1.0))
         # one kernel serves every suite below; the battery fills the slab with
@@ -509,8 +487,7 @@ def cmd_check(cfg: RunConfig, out_dir: str) -> tuple:
                f"sup_distance={match.sup_distance!r}")
 
         try:
-            oracle.finish()
-            gap = float(np.max(np.abs(oracle.values - u.values[-1])))
+            gap = float(np.max(np.abs(oracle.finish() - u.values[-1])))
             record("oracle_cross", gap <= 0.1, f"sup_gap={gap!r}")
         except NumericError as e:  # the message names the step
             record("oracle_cross", False, str(e))

@@ -16,12 +16,13 @@ u^(0) = phi on every slice) is computed inside the march: all iterates
 advance together, one batched step per slice, and the top one is the march.
 
 Storage rule: a space-time slab is stored only where a caller reads it
-whole, and then into the caller's array: ``check_properties(out=)`` fills
-it with the march of phi that its battery steps anyway (the field
-``check`` backtracks and matches), and ``fixed_point(out=)`` with the
-wavefront's top row (``solve``'s slab.csv).  The battery's other rows, the
-fixed-point check of ``extract_calibrated_curve`` and ``converge`` step
-rows and reduce each slice as it is formed, holding a few slices at a time.
+whole: ``fixed_point`` returns the wavefront's top row, and
+``check_properties(out=)`` fills the caller's array with the march of phi
+that its battery steps anyway (the field ``check`` backtracks and matches).
+``_march`` yields the march a slice at a time (``solve`` streams it to
+slab.csv), and the battery's other rows, the fixed-point check of
+``extract_calibrated_curve`` and ``converge`` step rows and reduce each
+slice as it is formed, holding a few slices at a time.
 """
 
 from __future__ import annotations
@@ -70,14 +71,22 @@ def _on_steps(kern: StepKernel, slab: SpaceTimeField, name: str):
         raise ConfigurationError(f"{name} has dt={slab.dt:g}, the kernel dt={kern.dt:g}")
 
 
-def fixed_point(
-    kern: StepKernel,
-    phi: GridField,
-    T: float,
-    tol: float = 1e-10,
-    out: np.ndarray | None = None,
-    on_slice=None,
-):
+def _march(kern: StepKernel, phi: GridField, n: int):
+    """Yield phi's values and then the n slices after it of the forward march
+    u = step(u, u), flat, as ``fdoracle._lf_march`` yields the oracle's.
+
+    Each slice is bitwise the same slice of ``fixed_point``'s field, the
+    wavefront's top row, and only the last one is held.
+    """
+    _on_grid(kern, phi, "phi")
+    u = phi.values
+    yield u
+    for _ in range(n):
+        u = kern.apply(u, u)
+        yield u
+
+
+def fixed_point(kern: StepKernel, phi: GridField, T: float, tol: float = 1e-10):
     """Picard iteration u^(k+1) = A[u^(k)] from u^(0) = phi on every slice,
     run as one wavefront.
 
@@ -88,14 +97,7 @@ def fixed_point(
     equals the top one on the slices so far and the next, so a copy of the
     top row is appended only once the top gap turns nonzero (at most
     n_steps + 1 rows).  The top row is the forward march, the exact fixed
-    point, and is the returned field for any tol.
-
-    The field is filled into ``out`` when given, an (n_steps + 1, size)
-    float array such as a slab shared with a writer process, else into a
-    new array.  Slice k is final as soon as the top row reaches it, so
-    ``on_slice(k)``, when given, is called once for each k = 0..n_steps in
-    order, right after slice k is stored: a writer may read slices 0..k
-    then, while the wavefront marches on.
+    point (``_march``'s slices), and is the returned field for any tol.
 
     Returns (field, report).  The report ends at the first gap that is 0,
     or below tol when tol > 0, which comes within n_steps + 1 iterations.
@@ -107,14 +109,8 @@ def fixed_point(
     _on_grid(kern, phi, "phi")
     model = kern.model
     n_steps = _horizon_steps(T, kern.dt)
-    shape = (n_steps + 1, phi.grid.size)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64:
-        raise ConfigurationError(f"out is {out.dtype} {out.shape}, need float64 {shape}")
-    slice_done = on_slice or (lambda k: None)
+    out = np.empty((n_steps + 1, phi.grid.size))
     out[0] = phi.values
-    slice_done(0)
     rows = np.stack([phi.values, phi.values])  # iterates 0 (stays phi) and 1
     gaps = np.zeros(1)
     for n in range(n_steps):
@@ -125,7 +121,6 @@ def fixed_point(
         with np.errstate(over="ignore", invalid="ignore"):  # the report carries a non-finite gap
             np.maximum(gaps, np.max(np.abs(rows[1:] - rows[:-1]), axis=1), out=gaps)
         out[n + 1] = rows[-1]
-        slice_done(n + 1)
     u = SpaceTimeField(phi.grid, kern.dt, out)
     if model.lipschitz_u == 0.0:
         # the operator does not read the candidate: the first iterate is exact
@@ -189,7 +184,7 @@ def check_properties(
 
     Row 0 of the batch is the march of phi.  When ``out`` is given, a float
     array of shape (n + 1, size), it is filled with slices 0..n of that
-    march, as ``fixed_point`` fills its ``out``.  Past the last horizon row 0
+    march, the slices ``fixed_point`` returns.  Past the last horizon row 0
     marches on alone, bitwise as in the batch; the report stays over the
     slices up to the last horizon.
     """

@@ -1,7 +1,8 @@
+import contextlib
 import errno
 import json
-import mmap
 import os
+import signal
 import sys
 import time
 import tracemalloc
@@ -15,9 +16,9 @@ from oracles import march
 from test_action import assert_matches_karp
 from test_config import assert_loaders_agree
 from weakkam import action, fdoracle, kernels, models, torus
-from weakkam.cli import _check_command, _run, main
+from weakkam.cli import _check_command, _Forked, _run, main
 from weakkam.config import load_config
-from weakkam.errors import ConfigurationError
+from weakkam.errors import ConfigurationError, NumericError
 from weakkam.semigroup import fixed_point
 
 
@@ -123,7 +124,12 @@ def test_solve_without_a_writer_process_writes_the_same_bytes(tmp_path, monkeypa
     assert_no_child_process()
     for name in ("slab.csv", "fixedpoint.csv"):
         assert (tmp_path / "here" / name).read_bytes() == (tmp_path / "forked" / name).read_bytes()
-    assert json.loads((tmp_path / "here" / "manifest.json").read_text())["slab_writer"] is None
+    here, forked = (json.loads((tmp_path / name / "manifest.json").read_text())
+                    for name in ("here", "forked"))
+    assert here["slab_writer"] is None
+    # the reach counts the wavefront's steps only, not those of a writer run here
+    for key in ("stencil_reach", "iterations"):
+        assert here[key] == forked[key]
 
 
 @pytest.mark.parametrize(
@@ -180,6 +186,63 @@ def test_check_whose_battery_fails_leaves_no_oracle_process(tmp_path, monkeypatc
     assert len(forks) == 1
     assert "Input/output error" in capsys.readouterr().err
     assert os.listdir(out) == []
+
+
+def test_forked_value_past_the_pipe_buffer_comes_back_bitwise(monkeypatch):
+    with_cpus(monkeypatch, 2)
+    values = np.cos(np.arange(20_000.0))  # 160 KB, past a 64 KiB pipe buffer
+
+    def stalled(signum, frame):
+        raise TimeoutError("finish waited on a child blocked on a full pipe")
+
+    old = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(30)
+    try:
+        with contextlib.closing(_Forked(lambda: values * 3.0)) as forked:
+            got = forked.finish()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert_no_child_process()
+    assert forked.usage["cpu_seconds"] >= 0.0 and forked.usage["max_rss_mb"] > 0.0
+    assert got.tobytes() == (values * 3.0).tobytes()
+
+
+def test_forked_error_comes_back_with_its_type_and_message(monkeypatch):
+    with_cpus(monkeypatch, 2)
+
+    def fail():
+        raise NumericError("Lax-Friedrichs step 3 produced a non-finite value")
+
+    forked = _Forked(fail)
+    with pytest.raises(NumericError) as raised:
+        forked.finish()
+    assert_no_child_process()
+    assert forked.usage is not None
+    assert type(raised.value) is NumericError
+    assert str(raised.value) == "Lax-Friedrichs step 3 produced a non-finite value"
+
+
+def test_forked_work_on_one_cpu_returns_the_same_value(monkeypatch):
+    values = np.cos(np.arange(1_000.0))
+    with_cpus(monkeypatch, 2)
+    forked = _Forked(lambda: values * 3.0).finish()
+    with_cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one usable CPU"))
+    here = _Forked(lambda: values * 3.0)
+    assert here.finish().tobytes() == forked.tobytes()
+    assert here.usage is None
+
+
+def test_forked_close_kills_a_running_child(monkeypatch):
+    with_cpus(monkeypatch, 2)
+    forked = _Forked(lambda: time.sleep(30.0))
+    assert forked.pid is not None
+    t0 = time.perf_counter()
+    forked.close()
+    assert time.perf_counter() - t0 < 10.0
+    assert_no_child_process()
+    assert forked.pid is None and forked.usage is None
 
 
 def test_solve_whose_march_fails_leaves_no_file(tmp_path, monkeypatch, capsys):
@@ -951,10 +1014,10 @@ INTERNED_TABLE_BYTES = {32 + 4 * 2**k + 16 * (2 ** (k + 1) // 3) for k in range(
     ],
     ids=["solve", "action", "critical", "oracle", "check", "check-2d-left", "converge", "char"],
 )
-def test_budget_estimate_bounds_the_traced_peak(tmp_path, monkeypatch, command, overrides, code):
+def test_budget_estimate_bounds_the_traced_peak(tmp_path, command, overrides, code):
     # the arrays (0.2-4 MB) outweigh the constant terms here; tracemalloc sees
     # numpy's buffers and every Python object, so no OS-level measurement is
-    # needed, except for solve's shared slab mapping, which is added to the peak
+    # needed
     cfg = load_config(write_config(tmp_path / "run.yaml", **overrides))
     planned = _check_command(command, cfg)
     # one untraced run first: what a first run makes once and keeps (numpy.random
@@ -963,13 +1026,6 @@ def test_budget_estimate_bounds_the_traced_peak(tmp_path, monkeypatch, command, 
     # what ran before
     (tmp_path / "warm").mkdir()
     assert _run(command, cfg, str(tmp_path / "warm"), 1) == code
-    real_mmap = mmap.mmap
-
-    def recording_mmap(*args, **kwargs):
-        mappings.append(real_mmap(*args, **kwargs))
-        return mappings[-1]
-
-    monkeypatch.setattr(mmap, "mmap", recording_mmap)
     # the interned-string table is interpreter state too, but it is resized
     # at any call once its freed slots run out, and numpy interns the keys of
     # every __array_interface__ it builds (as_strided): the whole new table
@@ -977,7 +1033,6 @@ def test_budget_estimate_bounds_the_traced_peak(tmp_path, monkeypatch, command, 
     # table's size (a str-keyed dict of 2**16 slots or more) is run once more;
     # the resize leaves room for at least as many strings as the table holds
     for attempt in range(2):
-        mappings = []
         out = tmp_path / f"out{attempt}"
         out.mkdir()
         tracemalloc.start()
@@ -992,7 +1047,7 @@ def test_budget_estimate_bounds_the_traced_peak(tmp_path, monkeypatch, command, 
         if not resized:
             break
     assert not resized
-    assert peak + sum(map(len, mappings)) <= planned
+    assert peak <= planned
 
 
 def non_finite_oracle_config(path):
