@@ -5,7 +5,8 @@ conjugate of H, the velocity fan of L - <Du, v> (criterion 9), the
 subsolution inequality along test curves, and the Peierls barrier.  Also
 the plain references of the package's fast paths: the pruning gains offset
 by offset, and the characteristic flow as numpy RK4 on a batch of states
-with the analytic partials of H.
+with the analytic partials of H, and as RK4 on one state held as a list of
+floats.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from weakkam.characteristics import CharacteristicState, Trajectory
 from weakkam.errors import ConfigurationError, NumericError
 from weakkam.kernels import StepKernel
 from weakkam.models import HamiltonianModel, TrigPotential
@@ -140,6 +142,78 @@ def flow_batch(model: HamiltonianModel, x, u, p, t: float, dt_ode: float):
         xs[k + 1], us[k + 1], ps[k + 1] = x, u, p
     hs[n] = contact_rhs(model, x, u, p)[3]
     return xs, us, ps, hs
+
+
+def state_rhs(model: HamiltonianModel, d: int):
+    """The contact vector field for one state held as a flat list
+    y = [x_1..x_d, u, p_1..p_d] of Python floats; returns the flat derivative
+    and H.  Each mode's phase k.x, summed as x_1*k_1 + x_2*k_2 + ..., is
+    computed once for V and its gradient; the nonlinear coupling and its H_u
+    come from the model's numpy maps.
+    """
+    tau = 2.0 * math.pi
+    modes = [(tuple(map(float, k)), a, -a * 2.0 * math.pi) for k, a in model.potential.modes]
+    shift = model.action_shift
+    nonlinear, lam = model.family == "quadratic-nonlinear-u", model.lipschitz_u
+
+    def rhs(y):
+        x, u, p = y[:d], y[d], y[d + 1 :]
+        pot, hx = 0.0, [0.0] * d
+        for k, a, c in modes:
+            kx = x[0] * k[0]
+            for i in range(1, d):
+                kx += x[i] * k[i]
+            phase = tau * kx
+            pot += a * math.cos(phase)
+            s = c * math.sin(phase)
+            hx = [g + s * ki for g, ki in zip(hx, k)]
+        pp = p[0] * p[0]
+        for i in range(1, d):
+            pp += p[i] * p[i]
+        if nonlinear:
+            gu, hu = float(model.coupling(u)), float(model.coupling_derivative(u))
+        else:
+            gu, hu = lam * u, lam
+        h = 0.5 * pp + gu + pot - shift
+        return [*p, pp - h, *[-g - hu * pi for g, pi in zip(hx, p)]], h
+
+    return rhs
+
+
+def flow_lists(model: HamiltonianModel, s0: CharacteristicState, t: float,
+               dt_ode: float) -> Trajectory:
+    """``characteristics.flow`` with the state as one list of Python floats in
+    any dimension: each RK4 stage is a list comprehension over ``state_rhs``."""
+    n = int(round(t / dt_ode))
+    d = s0.x.size
+    rhs = state_rhs(model, d)
+    h, hh, h6 = dt_ode, 0.5 * dt_ode, dt_ode / 6.0
+    y = [*s0.x.tolist(), float(s0.u), *s0.p.tolist()]
+    ys = [[v % 1.0 for v in y[:d]] + y[d:]]
+    hs = []
+    for k in range(n):
+        try:
+            k1, hk = rhs(y)
+            k2 = rhs([a + hh * b for a, b in zip(y, k1)])[0]
+            k3 = rhs([a + hh * b for a, b in zip(y, k2)])[0]
+            k4 = rhs([a + h * b for a, b in zip(y, k3)])[0]
+        except ValueError:  # math.cos and math.sin reject an infinite stage
+            y = None
+        else:
+            y = [a + h6 * (b1 + 2 * b2 + 2 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        if y is None or not all(map(math.isfinite, y)):
+            last = np.array(ys[-1])
+            raise NumericError(f"characteristic flow produced a non-finite state at step {k + 1}",
+                               last_iterate=(last[:d], last[d], last[d + 1 :]))
+        hs.append(hk)
+        y[:d] = [v % 1.0 for v in y[:d]]
+        ys.append(y)
+    hs.append(rhs(y)[1])
+    states = np.array(ys)
+    times = s0.t + dt_ode * np.arange(n + 1)
+    return Trajectory(dt_ode=dt_ode, times=times, xs=states[:, :d], us=states[:, d],
+                      ps=states[:, d + 1 :], h_values=np.array(hs))
 
 
 def step_T(kern: StepKernel, phi: GridField, t: float) -> GridField:

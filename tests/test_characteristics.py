@@ -4,12 +4,14 @@ import io
 import numpy as np
 import pytest
 
-from oracles import contact_rhs, flow_batch, grad_H, march, normalized
+from oracles import contact_rhs, flow_batch, flow_lists, grad_H, march, normalized
 from test_semigroup import discounted_pendulum
 from weakkam import characteristics
 from weakkam.characteristics import (
     CharacteristicState,
-    _state_rhs,
+    Trajectory,
+    _rhs_1d,
+    _rhs_2d,
     dH_law_residual,
     flow,
     match_calibrated,
@@ -132,6 +134,12 @@ def test_flow_rejects_bad_step():
         flow(m, CharacteristicState(x=[0.1], u=0.0, p=[0.1]), 1.0, 0.0)
 
 
+def test_flow_rejects_a_3d_state():
+    m = HamiltonianModel("quadratic-mechanical", dim=3)
+    with pytest.raises(ValueError, match="d=3"):
+        flow(m, CharacteristicState(x=[0.1] * 3, u=0.0, p=[0.1] * 3), 1.0, 0.1)
+
+
 def formula_rhs(model, x, u, p):
     """The contact vector field from grad_H and eval_H."""
     hx, hu, hp = grad_H(model, x, u, p)
@@ -162,11 +170,12 @@ def test_rhs_equals_grad_h_eval_h_formula(dim, batch):
                 assert got.shape == w.shape
                 assert np.array_equal(got, w)
             # every phase product is exact here, so the package's float field
-            # equals the formula whatever a BLAS dot's summation
-            rhs = _state_rhs(m, dim)
+            # equals the formula whatever a BLAS dot's summation; its x' is p
+            rhs = _rhs_1d(m) if dim == 1 else _rhs_2d(m)
+            assert np.array_equal(want[0], p)
             for i in range(batch):
-                dy, h = rhs([*x[i].tolist(), float(u[i]), *p[i].tolist()])
-                assert dy == [*want[0][i], want[1][i], *want[2][i]]
+                *dy, h = rhs(*x[i].tolist(), float(u[i]), *p[i].tolist())
+                assert dy == [want[1][i], *want[2][i]]
                 assert h == want[3][i]
 
 
@@ -204,13 +213,15 @@ FIELDS = ("xs", "us", "ps", "h_values")
 
 @contextlib.contextmanager
 def numpy_coupling_refused():
-    """Inside, the model's numpy coupling and H_u raise."""
+    """Inside, the model's numpy coupling and H_u, and the numpy map f and its slope, raise."""
     def refuse(self, u):
         raise AssertionError("the float path called the model's numpy coupling")
 
     with pytest.MonkeyPatch.context() as mp:
         for name in ("coupling", "coupling_derivative"):
             mp.setattr(HamiltonianModel, name, refuse)
+        for name in ("__call__", "derivative"):
+            mp.setattr(PiecewiseLinearMap, name, refuse)
         yield
 
 
@@ -222,17 +233,72 @@ def numpy_coupling_refused():
 def test_state_flow_equals_batch_of_one(dim, mode):
     # every phase product after the first is exact, so the float path and
     # the numpy oracle agree bitwise whatever the dot's summation; the float
-    # path forms the mechanical and discounted couplings itself
+    # path forms every family's coupling itself
     second = ((2,), -0.4) if dim == 1 else ((1, 0), 0.5)
     for i, m in enumerate(catalog(dim, ((mode, 0.8), second))):
-        floats = m.family in ("quadratic-mechanical", "quadratic-discounted")
         one, batch = state_and_batch_of_one(
-            m, seed=10 * dim + i, state_context=numpy_coupling_refused() if floats else None)
+            m, seed=10 * dim + i, state_context=numpy_coupling_refused())
         for name, b in zip(FIELDS, batch):
             a = getattr(one, name)
             assert a.shape == b.shape
             assert a.tobytes() == b.tobytes(), name
         assert one.times.tobytes() == (0.37 + 1e-3 * np.arange(one.times.size)).tobytes()
+
+
+def assert_same_trajectory(got, want):
+    for name in ("times",) + FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got.dt_ode == want.dt_ode
+
+
+@pytest.mark.parametrize(
+    "dim,modes",
+    [(1, (((1,), 0.8), ((2,), -0.4))), (1, (((3,), -1.1),)), (1, ()),
+     (2, (((1, -5), 0.8), ((1, 0), 0.5))), (2, (((3, 2), 0.7), ((0, 1), -0.5), ((1, 1), 0.2))),
+     (2, ())],
+    ids=["1d", "1d-k3", "1d-flat", "2d-1m5", "2d-three", "2d-flat"],
+)
+def test_flow_equals_the_list_integrator(dim, modes):
+    # the unpacked per-dimension step rounds as the list step does, the
+    # inexact phase of k = (1, -5) included, and the nonlinear coupling
+    # matches the numpy map the list step calls
+    for i, m in enumerate(catalog(dim, modes)):
+        rng = np.random.default_rng(100 * dim + 10 * len(modes) + i)
+        for _ in range(3):
+            s0 = CharacteristicState(x=rng.uniform(-0.5, 1.5, dim), u=float(rng.uniform(-1.5, 1.5)),
+                                     p=rng.uniform(-2.5, 2.5, dim), t=float(rng.uniform(0, 1)))
+            assert_same_trajectory(flow(m, s0, 0.8, 2e-3), flow_lists(m, s0, 0.8, 2e-3))
+
+
+def outcome(run, *args):
+    """run(*args)'s Trajectory, or the NumericError it raised."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run(*args)
+    except NumericError as e:
+        return e
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_flow_blow_up_equals_the_list_integrator(dim):
+    # (p0, dt): u overflows at step 10 of the mechanical flow; RK4 is
+    # unstable at dt = 100 under H_u > 0, so |p| grows until |p|^2 overflows;
+    # |p|^2 overflows at once; a stage moves x to inf, where math.cos raises
+    steps = set()
+    for m in catalog(dim, (((1,) * dim, 1.0),)):
+        for p0, dt in ((6e153, 1.0), (1.0, 100.0), (1e306, 0.01), (1e306, 1000.0)):
+            s0 = CharacteristicState(x=[0.3] * dim, u=0.2, p=[p0] + [-0.5] * (dim - 1))
+            got, want = (outcome(run, m, s0, 60 * dt, dt) for run in (flow, flow_lists))
+            if isinstance(want, Trajectory):
+                assert_same_trajectory(got, want)
+                continue
+            assert isinstance(got, NumericError) and str(got) == str(want)
+            assert [a.tobytes() for a in got.last_iterate] == [
+                np.asarray(a).tobytes() for a in want.last_iterate]
+            assert [np.shape(a) for a in got.last_iterate] == [(dim,), (), (dim,)]
+            steps.add(int(str(got).split()[-1]))
+    assert steps == {1, 10, 24, 29}
 
 
 def test_state_flow_inexact_second_product_within_rounding():

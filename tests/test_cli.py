@@ -374,6 +374,25 @@ def test_converge_whose_residual_is_not_finite_exits_3_and_writes_nothing(
     assert not [w for w in recwarn if w.filename.endswith("semigroup.py")]
 
 
+def test_converge_whose_step_increment_overflows_exits_3_without_a_warning(
+        tmp_path, capfd, recwarn):
+    # phi = 1e308 cos(2 pi x) under the default v_max: the increment of a
+    # step leaves the float range
+    cfg = str(tmp_path / "run.yaml")
+    with open(cfg, "w") as fh:
+        yaml.safe_dump({"model": {"family": "quadratic-discounted", "lambda": 1.0,
+                                  "potential": [[1, 1.0]]},
+                        "grid": {"N": 16, "dt": 1 / 16},
+                        "solver": {"T": 1.0, "tol": 0.0, "phi": [[1, 1e308]]}}, fh)
+    out = tmp_path / "out"
+    assert run(["converge", "--config", cfg, "--out", out]) == 3
+    err = capfd.readouterr().err
+    assert err.startswith("converge: the weak KAM residual is not finite: ")
+    assert err.count("\n") == 1 and "RuntimeWarning" not in err
+    assert os.listdir(out) == []
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_solve_2d_writes_march_and_certificate(tmp_path):
     cfg_path = write_config(
         tmp_path / "run.yaml",
