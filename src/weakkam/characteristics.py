@@ -8,19 +8,19 @@ evolution law dH/ds = -H_u * H along trajectories and the match between a
 backtracked calibrated curve and the trajectory launched from its state.
 
 ``flow`` steps one ``CharacteristicState`` on Python floats, which avoids
-numpy's per-call cost on arrays of one state.  It has one RK4 loop per
-dimension, d = 1 and d = 2, each holding x, u and p unpacked in local floats
-and calling a field closure that returns a tuple; no list is built within a
-step.  With two modes a discounted step takes about 3 us in 1-D and 4.5 us in
-2-D (best of 40 flows of 500 steps, Python 3.11.7 on a 2-core VM), against
-14 and 16 us when each stage was a list comprehension.  H_x is the
-analytic gradient of the potential, H_u the coupling's derivative and
-H_p = p, the closed forms of the quadratic catalog, so x' is the stage's p;
-the mechanical and discounted couplings are lam*u with H_u = lam, and f of
-nonlinear-u is evaluated on floats bit for bit as its numpy map.  H at each
-state is taken from the first stage of the step that leaves it.  A mode's
-phase k.x is summed in axis order, without the fused multiply-add a BLAS
-dot may use.
+numpy's per-call cost on arrays of one state.  Its one RK4 loop holds x, u
+and p of a 2-D state unpacked in local floats and calls a field closure that
+returns a tuple; no list is built within a step.  A 1-D state runs as the
+2-D one with x2 = p2 = 0 and each mode's k2 = 0, bit for bit as a 1-D step.
+With two modes a discounted step takes about 4.5 us in either dimension
+(best of 40 flows of 500 steps, Python 3.11.7 on a 2-core VM), against 20
+us in 2-D and 16 us in 1-D when each stage was a list comprehension.  H_x is the analytic
+gradient of the potential, H_u the coupling's derivative and H_p = p, the
+closed forms of the quadratic catalog, so x' is the stage's p; the
+mechanical and discounted couplings are lam*u with H_u = lam, and
+nonlinear-u calls the model's numpy coupling and H_u.  H at each state is
+taken from the first stage of the step that leaves it.  A mode's phase k.x
+is summed in axis order, without the fused multiply-add a BLAS dot may use.
 """
 
 from __future__ import annotations
@@ -68,45 +68,22 @@ class Trajectory:
         _write_table(fh, f"t,{xcols},u,{pcols},H\n", np.concatenate(cells, axis=1))
 
 
-def _coupling(model: HamiltonianModel):
-    """The coupling's float evaluation u -> (g(u), H_u) for nonlinear-u, or
-    None where the field forms g = lam*u and H_u = lam itself (lam = 0 for
-    the mechanical family; 0.0*u adds a signed zero to 0.5*pp >= 0)."""
-    return model.f._value_and_slope if model.family == "quadratic-nonlinear-u" else None
-
-
-def _rhs_1d(model: HamiltonianModel):
-    """The contact field at one 1-D state (x, u, p) of Python floats: returns
-    (u', p', H); x' = H_p is p itself.  Each mode's phase k*x is formed once
-    for V and its derivative."""
+def _rhs(model: HamiltonianModel):
+    """The contact field at one state (x1, x2, u, p1, p2) of Python floats:
+    returns (u', p1', p2', H); x' = H_p is p itself.  A 1-D state is the 2-D
+    one with x2 = p2 = 0 and k2 = 0, which leaves every 1-D value's bits as
+    they are (x*k + 0.0 only turns a -0.0 phase to 0.0, which no sum sees).
+    Each mode's phase k.x, summed as x1*k1 + x2*k2, is formed once for V and
+    its gradient."""
     cos, sin, tau = math.cos, math.sin, 2.0 * math.pi
-    modes = [(float(k[0]), a, -a * 2.0 * math.pi) for k, a in model.potential.modes]
-    shift, lam, coupling = model.action_shift, model.lipschitz_u, _coupling(model)
-
-    def rhs(x, u, p):
-        pot = g = 0.0
-        for k, a, c in modes:
-            phase = tau * (x * k)
-            pot += a * cos(phase)
-            g = g + c * sin(phase) * k
-        pp = p * p
-        if coupling is None:
-            gu, hu = lam * u, lam
-        else:
-            gu, hu = coupling(u)
-        h = 0.5 * pp + gu + pot - shift
-        return pp - h, -g - hu * p, h
-
-    return rhs
-
-
-def _rhs_2d(model: HamiltonianModel):
-    """The contact field at one 2-D state (x1, x2, u, p1, p2) of Python
-    floats: returns (u', p1', p2', H); x' = H_p is p itself.  Each mode's
-    phase k.x, summed as x1*k1 + x2*k2, is formed once for V and its gradient."""
-    cos, sin, tau = math.cos, math.sin, 2.0 * math.pi
-    modes = [(float(k[0]), float(k[1]), a, -a * 2.0 * math.pi) for k, a in model.potential.modes]
-    shift, lam, coupling = model.action_shift, model.lipschitz_u, _coupling(model)
+    modes = []
+    for k, a in model.potential.modes:
+        k1, k2 = (*map(float, k), 0.0)[:2]
+        modes.append((k1, k2, a, -a * 2.0 * math.pi))
+    shift = model.action_shift
+    # the mechanical (lam = 0) and discounted couplings lam*u and their H_u
+    # are formed on floats; 0.0*u adds a signed zero to 0.5*pp >= 0
+    nonlinear, lam = model.family == "quadratic-nonlinear-u", model.lipschitz_u
 
     def rhs(x1, x2, u, p1, p2):
         pot = g1 = g2 = 0.0
@@ -120,53 +97,26 @@ def _rhs_2d(model: HamiltonianModel):
             g2 = g2 + s * k2
         pp = p1 * p1
         pp += p2 * p2
-        if coupling is None:
-            gu, hu = lam * u, lam
+        if nonlinear:
+            gu, hu = float(model.coupling(u)), float(model.coupling_derivative(u))
         else:
-            gu, hu = coupling(u)
+            gu, hu = lam * u, lam
         h = 0.5 * pp + gu + pot - shift
         return pp - h, -g1 - hu * p1, -g2 - hu * p2, h
 
     return rhs
 
 
-def _steps_1d(model: HamiltonianModel, x: float, u: float, p: float, n: int, h: float):
-    """n RK4 steps of the 1-D field from (x, u, p): the rows (x, u, p) of the
-    n + 1 states, x wrapped, and H at each; a non-finite state or a stage
-    math.cos rejects raises NumericError with the last good row."""
-    rhs, isfinite = _rhs_1d(model), math.isfinite
+def _steps(model: HamiltonianModel, x: list, u: float, p: list, n: int, h: float):
+    """n RK4 steps of the field from the state (x, u, p) of d = len(x) axes:
+    the rows (x1, x2, u, p1, p2) of the n + 1 states, x wrapped, and H at
+    each; a non-finite state or a stage math.cos rejects raises NumericError
+    with the last good state."""
+    rhs, isfinite = _rhs(model), math.isfinite
     hh, h6 = 0.5 * h, h / 6.0
-    rows, hs = [(x % 1.0, u, p)], []
-    for k in range(n):
-        try:
-            du1, dp1, hk = rhs(x, u, p)
-            q2 = p + hh * dp1
-            du2, dp2, _ = rhs(x + hh * p, u + hh * du1, q2)
-            q3 = p + hh * dp2
-            du3, dp3, _ = rhs(x + hh * q2, u + hh * du2, q3)
-            q4 = p + h * dp3
-            du4, dp4, _ = rhs(x + h * q3, u + h * du3, q4)
-        except ValueError:  # math.cos and math.sin reject an infinite stage
-            ok = False
-        else:
-            x = x + h6 * (p + 2 * q2 + 2 * q3 + q4)
-            u = u + h6 * (du1 + 2 * du2 + 2 * du3 + du4)
-            p = p + h6 * (dp1 + 2 * dp2 + 2 * dp3 + dp4)
-            ok = isfinite(x) and isfinite(u) and isfinite(p)
-        if not ok:
-            raise _blow_up(k, rows[-1], 1)
-        hs.append(hk)
-        x %= 1.0
-        rows.append((x, u, p))
-    hs.append(rhs(x, u, p)[2])
-    return rows, hs
-
-
-def _steps_2d(model: HamiltonianModel, x: list, u: float, p: list, n: int, h: float):
-    """``_steps_1d`` for the 2-D field: rows (x1, x2, u, p1, p2)."""
-    rhs, isfinite = _rhs_2d(model), math.isfinite
-    hh, h6 = 0.5 * h, h / 6.0
-    (x1, x2), (p1, p2) = x, p
+    d = len(x)
+    pad = [0.0] * (2 - d)  # a 1-D state runs as x2 = p2 = 0
+    (x1, x2), (p1, p2) = x + pad, p + pad
     rows, hs = [(x1 % 1.0, x2 % 1.0, u, p1, p2)], []
     for k in range(n):
         try:
@@ -188,20 +138,15 @@ def _steps_2d(model: HamiltonianModel, x: list, u: float, p: list, n: int, h: fl
             ok = (isfinite(x1) and isfinite(x2) and isfinite(u)
                   and isfinite(p1) and isfinite(p2))
         if not ok:
-            raise _blow_up(k, rows[-1], 2)
+            last = np.array(rows[-1])
+            raise NumericError(f"characteristic flow produced a non-finite state at step {k + 1}",
+                               last_iterate=(last[:d], last[2], last[3 : 3 + d]))
         hs.append(hk)
         x1 %= 1.0
         x2 %= 1.0
         rows.append((x1, x2, u, p1, p2))
     hs.append(rhs(x1, x2, u, p1, p2)[3])
     return rows, hs
-
-
-def _blow_up(k: int, row: tuple, d: int) -> NumericError:
-    """The error of step k + 1, with the last good row as (x, u, p) arrays."""
-    last = np.array(row)
-    return NumericError(f"characteristic flow produced a non-finite state at step {k + 1}",
-                        last_iterate=(last[:d], last[d], last[d + 1 :]))
 
 
 def flow(
@@ -221,15 +166,11 @@ def flow(
     if d not in (1, 2):
         raise ValueError(f"the flow steps 1-D and 2-D states, got d={d}")
     n = int(round(t / dt_ode))
-    x, p = s0.x.tolist(), s0.p.tolist()
-    if d == 1:
-        rows, hs = _steps_1d(model, x[0], float(s0.u), p[0], n, dt_ode)
-    else:
-        rows, hs = _steps_2d(model, x, float(s0.u), p, n, dt_ode)
+    rows, hs = _steps(model, s0.x.tolist(), float(s0.u), s0.p.tolist(), n, dt_ode)
     states = np.array(rows)
     times = s0.t + dt_ode * np.arange(n + 1)
-    return Trajectory(dt_ode=dt_ode, times=times, xs=states[:, :d], us=states[:, d],
-                      ps=states[:, d + 1 :], h_values=np.array(hs))
+    return Trajectory(dt_ode=dt_ode, times=times, xs=states[:, :d], us=states[:, 2],
+                      ps=states[:, 3 : 3 + d], h_values=np.array(hs))
 
 
 @dataclass

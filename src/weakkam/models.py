@@ -24,7 +24,6 @@ audited on sampled boxes, with H_u and H_p read from those closed forms.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +96,6 @@ class PiecewiseLinearMap:
         for name, arr in (("_ku", ku), ("_kf", kf), ("_slopes", np.diff(kf) / np.diff(ku))):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        # the slopes as Python floats, for the characteristic flow's one-state coupling
-        object.__setattr__(self, "_slope_floats", tuple(self._slopes.tolist()))
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
@@ -116,29 +113,6 @@ class PiecewiseLinearMap:
         u = np.asarray(u, dtype=float)
         idx = np.searchsorted(self._ku, u, side="right") - 1
         return self._slopes[np.clip(idx, 0, self._slopes.size - 1)]
-
-    def _value_and_slope(self, u: float) -> tuple:
-        """(f(u), f'(u)) of one Python float, bit for bit ``self(u)`` and
-        ``self.derivative(u)``.  Between the knots these are ``np.interp``'s
-        rules: a knot gives its value, any other u slope*(u - u_j) + f_j,
-        taken from the right knot where that is NaN; outside them, the end
-        slopes of ``__call__``.  Like ``searchsorted``, bisection places a NaN
-        u past the last knot: its value is NaN and its slope the last one."""
-        ku, kf, s = self.knots_u, self.knots_f, self._slope_floats
-        j = bisect_right(ku, u) - 1
-        slope = s[min(max(j, 0), len(s) - 1)]
-        if j < 0:
-            return kf[0] + slope * (u - ku[0]), slope
-        if ku[j] == u:
-            return kf[j], slope
-        if j == len(s):
-            return kf[j] + slope * (u - ku[j]), slope
-        val = slope * (u - ku[j]) + kf[j]
-        if val != val:
-            val = slope * (u - ku[j + 1]) + kf[j + 1]
-            if val != val and kf[j] == kf[j + 1]:
-                val = kf[j]
-        return val, slope
 
     def lipschitz_constant(self) -> float:
         return float(np.max(np.abs(self._slopes)))

@@ -169,13 +169,15 @@ class GridField:
 
     def lipschitz_seminorm(self) -> float:
         """Max forward difference quotient over all axes.  Each axis takes its
-        differences from slices and its wrap pair, and their max is divided
-        by dx once: rounding is monotone, so that is the max of the quotients."""
+        differences from slices and its wrap pair, and their max (NaN if
+        either part's is) is divided by dx once: rounding is monotone, so
+        that is the max of the quotients."""
         sh, steps = self._shaped(), []
         for ax in range(self.grid.dim):
             a = sh.swapaxes(0, ax)
             inner, wrap = a[1:] - a[:-1], a[:1] - a[-1:]
-            steps.append(float(max(np.abs(inner, out=inner).max(), np.abs(wrap, out=wrap).max())))
+            steps.append(float(np.maximum(np.abs(inner, out=inner).max(),
+                                          np.abs(wrap, out=wrap).max())))
         return max(steps) / self.grid.dx
 
     def _shaped(self) -> np.ndarray:

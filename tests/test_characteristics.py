@@ -10,8 +10,7 @@ from weakkam import characteristics
 from weakkam.characteristics import (
     CharacteristicState,
     Trajectory,
-    _rhs_1d,
-    _rhs_2d,
+    _rhs,
     dH_law_residual,
     flow,
     match_calibrated,
@@ -170,12 +169,13 @@ def test_rhs_equals_grad_h_eval_h_formula(dim, batch):
                 assert got.shape == w.shape
                 assert np.array_equal(got, w)
             # every phase product is exact here, so the package's float field
-            # equals the formula whatever a BLAS dot's summation; its x' is p
-            rhs = _rhs_1d(m) if dim == 1 else _rhs_2d(m)
+            # equals the formula whatever a BLAS dot's summation; its x' is p,
+            # and a 1-D state is the 2-D one with x2 = p2 = 0, where p2' = 0
+            rhs, pad = _rhs(m), [0.0] * (2 - dim)
             assert np.array_equal(want[0], p)
             for i in range(batch):
-                *dy, h = rhs(*x[i].tolist(), float(u[i]), *p[i].tolist())
-                assert dy == [want[1][i], *want[2][i]]
+                *dy, h = rhs(*x[i].tolist(), *pad, float(u[i]), *p[i].tolist(), *pad)
+                assert dy == [want[1][i], *want[2][i], *pad]
                 assert h == want[3][i]
 
 
@@ -213,15 +213,13 @@ FIELDS = ("xs", "us", "ps", "h_values")
 
 @contextlib.contextmanager
 def numpy_coupling_refused():
-    """Inside, the model's numpy coupling and H_u, and the numpy map f and its slope, raise."""
+    """Inside, the model's numpy coupling and H_u raise."""
     def refuse(self, u):
         raise AssertionError("the float path called the model's numpy coupling")
 
     with pytest.MonkeyPatch.context() as mp:
         for name in ("coupling", "coupling_derivative"):
             mp.setattr(HamiltonianModel, name, refuse)
-        for name in ("__call__", "derivative"):
-            mp.setattr(PiecewiseLinearMap, name, refuse)
         yield
 
 
@@ -233,11 +231,12 @@ def numpy_coupling_refused():
 def test_state_flow_equals_batch_of_one(dim, mode):
     # every phase product after the first is exact, so the float path and
     # the numpy oracle agree bitwise whatever the dot's summation; the float
-    # path forms every family's coupling itself
+    # path forms the mechanical and discounted couplings itself
     second = ((2,), -0.4) if dim == 1 else ((1, 0), 0.5)
     for i, m in enumerate(catalog(dim, ((mode, 0.8), second))):
+        floats = m.family in ("quadratic-mechanical", "quadratic-discounted")
         one, batch = state_and_batch_of_one(
-            m, seed=10 * dim + i, state_context=numpy_coupling_refused())
+            m, seed=10 * dim + i, state_context=numpy_coupling_refused() if floats else None)
         for name, b in zip(FIELDS, batch):
             a = getattr(one, name)
             assert a.shape == b.shape
@@ -254,20 +253,22 @@ def assert_same_trajectory(got, want):
 
 @pytest.mark.parametrize(
     "dim,modes",
-    [(1, (((1,), 0.8), ((2,), -0.4))), (1, (((3,), -1.1),)), (1, ()),
+    [(1, (((1,), 0.8), ((2,), -0.4))), (1, (((3,), -1.1),)), (1, (((-1,), 0.6),)), (1, ()),
      (2, (((1, -5), 0.8), ((1, 0), 0.5))), (2, (((3, 2), 0.7), ((0, 1), -0.5), ((1, 1), 0.2))),
      (2, ())],
-    ids=["1d", "1d-k3", "1d-flat", "2d-1m5", "2d-three", "2d-flat"],
+    ids=["1d", "1d-k3", "1d-negative-k", "1d-flat", "2d-1m5", "2d-three", "2d-flat"],
 )
 def test_flow_equals_the_list_integrator(dim, modes):
-    # the unpacked per-dimension step rounds as the list step does, the
-    # inexact phase of k = (1, -5) included, and the nonlinear coupling
-    # matches the numpy map the list step calls
+    # the unpacked step rounds as the list step does, the inexact phase of
+    # k = (1, -5) included; a 1-D state runs with x2 = p2 = 0, and at rest
+    # on x = 0 a negative k gives the phase -0.0, which x*k + 0.0 makes 0.0
     for i, m in enumerate(catalog(dim, modes)):
         rng = np.random.default_rng(100 * dim + 10 * len(modes) + i)
-        for _ in range(3):
-            s0 = CharacteristicState(x=rng.uniform(-0.5, 1.5, dim), u=float(rng.uniform(-1.5, 1.5)),
-                                     p=rng.uniform(-2.5, 2.5, dim), t=float(rng.uniform(0, 1)))
+        starts = [CharacteristicState(x=rng.uniform(-0.5, 1.5, dim), u=float(rng.uniform(-1.5, 1.5)),
+                                      p=rng.uniform(-2.5, 2.5, dim), t=float(rng.uniform(0, 1)))
+                  for _ in range(3)]
+        starts.append(CharacteristicState(x=[0.0] * dim, u=0.3, p=[0.0] * dim))
+        for s0 in starts:
             assert_same_trajectory(flow(m, s0, 0.8, 2e-3), flow_lists(m, s0, 0.8, 2e-3))
 
 

@@ -58,46 +58,6 @@ def test_piecewise_linear_map_interpolation_and_extension():
     assert f.lipschitz_constant() == pytest.approx(1.5)
 
 
-def float_sweep(f: PiecewiseLinearMap, n: int, seed: int) -> np.ndarray:
-    """Test abscissae for f: n uniform values over and past the knots, the
-    signed zeros, subnormals, huge and infinite values, NaN, and each knot
-    with its neighbouring floats."""
-    ku = np.asarray(f.knots_u)
-    span = ku[-1] - ku[0]
-    uniform = np.random.default_rng(seed).uniform(ku[0] - span, ku[-1] + span, n)
-    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e308, -1e308,
-             1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf, np.nan]
-    near = np.concatenate([ku, np.nextafter(ku, -np.inf), np.nextafter(ku, np.inf)])
-    return np.concatenate([uniform, edges, near])
-
-
-@pytest.mark.parametrize("knots", [
-    ((-1.0, 0.0, 1.0), (-2.0, 0.0, 0.5)),
-    ((0.0, 0.1, 0.3, 0.7), (0.0, 0.7, 0.2, 0.33)),
-    ((-3.0, -0.25, 1e-3, 2.5, 9.0), (4.0, -1.0 / 3.0, 0.1, 0.1, 7.7)),
-    ((-1e300, 1e300), (-1e308, 1e308)),
-    ((-1.0, 0.0, 1.0), (-np.inf, 0.0, np.inf)),
-    ((-1.0, 0.0, 1.0), (np.inf, np.inf, 0.0)),
-], ids=["catalog", "inexact-slopes", "five-knots", "huge", "infinite", "flat-infinite"])
-def test_float_value_and_slope_equal_the_numpy_map(knots):
-    # the characteristic flow's one-state coupling is the numpy map bit for
-    # bit: np.interp between the knots, the end slopes outside, NaN's slope
-    with np.errstate(over="ignore", invalid="ignore"):  # the huge and infinite slopes
-        f = PiecewiseLinearMap(*knots)
-    u = float_sweep(f, 20000, seed=len(knots[0]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        want_f, want_s = f(u), f.derivative(u)
-        got = [f._value_and_slope(v) for v in u.tolist()]
-    assert all(type(v) is float and type(s) is float for v, s in got)
-    assert np.array([v for v, _ in got]).tobytes() == want_f.tobytes()
-    assert np.array([s for _, s in got]).tobytes() == want_s.tobytes()
-    # the flow called the map on one value at a time: the same bits
-    edges = u[20000:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        one = np.array([float(f(np.asarray(v))) for v in edges.tolist()])
-    assert one.tobytes() == want_f[20000:].tobytes()
-
-
 def test_nonmonotone_f_is_accepted_and_fails_H5():
     # monotonicity in u is the audited (H5), not a condition of the model
     m = HamiltonianModel("quadratic-nonlinear-u", f=PiecewiseLinearMap((0.0, 1.0), (1.0, 0.0)))

@@ -226,8 +226,7 @@ def test_yaml_read_scan_sees_each_call():
 
 
 # the functions that may compare a grid dimension with an integer literal: the
-# CSV header writers, the choice of the 2-D row path, the choice of the
-# characteristic flow's unpacked per-dimension step, and the dimension checks
+# CSV header writers, the choice of the 2-D row path, and the dimension checks
 DIM_COMPARISONS_ALLOWED = {
     "torus._point_columns", "characteristics.Trajectory.write_csv",
     "action.ActionTable.write_csv", "kernels.row_path", "characteristics.flow",

@@ -144,6 +144,14 @@ def test_lipschitz_seminorm_equals_the_roll_form(dim):
                 assert f.lipschitz_seminorm() == roll_seminorm(f)
         ramp = GridField(g, np.arange(g.size) / 7.0)  # the largest step is a wrap pair
         assert ramp.lipschitz_seminorm() == roll_seminorm(ramp)
+        # inf at both ends of an axis: the inner steps are inf, the wrap pair
+        # NaN.  The constructor refuses inf, so the values are written after it
+        ends = np.zeros((n,) * dim)
+        ends[0], ends[-1] = np.inf, np.inf
+        f = GridField(g, np.zeros(g.size))
+        f.values[:] = ends.reshape(-1)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(f.lipschitz_seminorm()) and np.isnan(roll_seminorm(f))
 
 
 @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
