@@ -9,7 +9,8 @@ block; a horizon off the time grid or past the float range of steps, or
 for ``check`` under 3 steps of grid.dt or 2 RK4 steps of its dH-law flow
 (``solver.T``); a ``char`` flow under 2 RK4 steps (``char.t``); a
 non-finite coupling at ``solver.a``; and a planned size above
-``MEMORY_BUDGET_BYTES``.  ``_run`` then times ``cmd_*(cfg, out_dir)``,
+``MEMORY_BUDGET_BYTES`` (``solve`` counts the slab it streams, held by no
+process, to bound its horizon).  ``_run`` then times ``cmd_*(cfg, out_dir)``,
 which returns ``(exit_code, manifest_extra)``, and writes the one manifest.
 
 Exit codes: 0 success, 1 a check suite failed, 2 an invalid configuration
@@ -131,11 +132,13 @@ def _check_command(command: str, cfg: RunConfig) -> int:
       vectors and ``_POLICY_BLOCKS`` candidate blocks;
     - ``action`` its table and a step of its size rows;
     - ``oracle`` one Lax-Friedrichs step (the slice it streams), no slab;
-    - ``solve`` the slab ``fixed_point`` returns, the kernel's tables and
-      the Picard wavefront (iterate 0 and up to n + 1 rows, one if H does
-      not depend on u) with a step of its rows, and the writer's march of
-      one row with a step of it, as ``check`` counts its oracle's step; the
-      writer holds the one text block;
+    - ``solve`` the kernel's tables, the Picard wavefront (iterate 0 and up
+      to n + 1 rows, one if H does not depend on u) with a step of its rows,
+      the writer's march of one row with a step of it, as ``check`` counts
+      its oracle's step (the writer holds the one text block), and the n + 1
+      slices slab.csv streams, which no process holds: for a u-independent
+      model only they grow with T, so they keep a horizon such as 1e300
+      from running unbounded;
     - ``check`` the kernel's tables, its one slab over [0, T] (the march of
       phi that row 0 of ``check_properties`` fills and the backtrack walks),
       the four rows the battery steps together with one step of them, and
@@ -147,7 +150,7 @@ def _check_command(command: str, cfg: RunConfig) -> int:
       named ``char.t``.
     For ``solve`` and ``check`` the message names ``solver.T`` when the
     horizon alone exceeds the budget, its n + 1 slices at one float each
-    (no grid could hold them), and ``grid.N`` otherwise.
+    (no grid could hold or stream them), and ``grid.N`` otherwise.
     """
     grid, size = cfg.grid, cfg.grid.size
     text_rows, key = size, "grid.N"
@@ -371,7 +374,7 @@ def cmd_converge(cfg: RunConfig, out_dir: str) -> tuple:
     """convergence.csv, u_inf.csv and residual.csv; a weak KAM residual whose
     max or rms is not finite exits 3 before any is written."""
     kern = cfg.kernel()
-    rep = converge(kern, cfg.phi_field(), t_checkpoints=cfg.checkpoints, stop_eps=cfg.stop_eps)
+    rep = converge(kern, cfg.phi_field(), max(cfg.checkpoints), cfg.stop_eps)
     res = rep.residual
     if not (math.isfinite(res.max_abs_smooth) and math.isfinite(res.rms_smooth)):
         raise NumericError(f"the weak KAM residual is not finite: max {res.max_abs_smooth!r},"

@@ -160,11 +160,8 @@ class StepKernel:
         self.v_max = float(v_max)
         self.quadrature = quadrature
 
-        offsets = stencil_offsets(grid, v_max, dt)
-        # lexicographic offset order fixes the candidate scan order
-        order = np.lexsort(offsets.T[::-1])
-        offsets = offsets[order]
-        self.offsets = offsets
+        # stencil_offsets' lexicographic order fixes the candidate scan order
+        self.offsets = offsets = stencil_offsets(grid, v_max, dt)
         self.n_offsets = offsets.shape[0]
         self._m = m = int(np.max(np.abs(offsets)))  # the stencil radius in cells
         # the largest radius per axis and the counts of pruned steps (stencil_reach)

@@ -16,13 +16,12 @@ u^(0) = phi on every slice) is computed inside the march: all iterates
 advance together, one batched step per slice, and the top one is the march.
 
 Storage rule: a space-time slab is stored only where a caller reads it
-whole: ``fixed_point`` returns the wavefront's top row, and
-``check_properties(out=)`` fills the caller's array with the march of phi
-that its battery steps anyway (the field ``check`` backtracks and matches).
-``_march`` yields the march a slice at a time (``solve`` streams it to
-slab.csv), and the battery's other rows, the fixed-point check of
-``extract_calibrated_curve`` and ``converge`` step rows and reduce each
-slice as it is formed, holding a few slices at a time.
+whole, which ``check`` alone does: ``check_properties(out=)`` fills the
+caller's array with the march of phi its battery steps anyway (the field
+``check`` backtracks and matches).  ``_march`` yields that march a slice at a
+time (``solve`` streams it to slab.csv); ``fixed_point``, the battery's other
+rows, the fixed-point check of ``extract_calibrated_curve`` and ``converge``
+step rows and reduce each slice as it is formed, holding a few slices.
 """
 
 from __future__ import annotations
@@ -75,8 +74,8 @@ def _march(kern: StepKernel, phi: GridField, n: int):
     """Yield phi's values and then the n slices after it of the forward march
     u = step(u, u), flat, as ``fdoracle._lf_march`` yields the oracle's.
 
-    Each slice is bitwise the same slice of ``fixed_point``'s field, the
-    wavefront's top row, and only the last one is held.
+    Each slice is bitwise the wavefront's top row at that slice (the last is
+    ``fixed_point``'s u_T), and only the last one is held.
     """
     _on_grid(kern, phi, "phi")
     u = phi.values
@@ -97,10 +96,11 @@ def fixed_point(kern: StepKernel, phi: GridField, T: float, tol: float = 1e-10):
     equals the top one on the slices so far and the next, so a copy of the
     top row is appended only once the top gap turns nonzero (at most
     n_steps + 1 rows).  The top row is the forward march, the exact fixed
-    point (``_march``'s slices), and is the returned field for any tol.
+    point (``_march``'s slices); only the current slice's rows are held.
 
-    Returns (field, report).  The report ends at the first gap that is 0,
-    or below tol when tol > 0, which comes within n_steps + 1 iterations.
+    Returns (u_T, report): the top row at T, a flat array for any tol (a
+    non-finite gap comes with a non-finite row), and the report, which ends
+    at the first gap that is 0 (or below tol > 0), by iteration n_steps + 1.
     For u-independent models the first iterate is the fixed point and the
     report is one zero gap.
     """
@@ -109,8 +109,6 @@ def fixed_point(kern: StepKernel, phi: GridField, T: float, tol: float = 1e-10):
     _on_grid(kern, phi, "phi")
     model = kern.model
     n_steps = _horizon_steps(T, kern.dt)
-    out = np.empty((n_steps + 1, phi.grid.size))
-    out[0] = phi.values
     rows = np.stack([phi.values, phi.values])  # iterates 0 (stays phi) and 1
     gaps = np.zeros(1)
     for n in range(n_steps):
@@ -120,11 +118,10 @@ def fixed_point(kern: StepKernel, phi: GridField, T: float, tol: float = 1e-10):
         rows[1:] = kern.apply(rows[1:], rows[:-1])
         with np.errstate(over="ignore", invalid="ignore"):  # the report carries a non-finite gap
             np.maximum(gaps, np.max(np.abs(rows[1:] - rows[:-1]), axis=1), out=gaps)
-        out[n + 1] = rows[-1]
-    u = SpaceTimeField(phi.grid, kern.dt, out)
+    u_T = rows[-1].copy()  # a view would keep every row alive
     if model.lipschitz_u == 0.0:
         # the operator does not read the candidate: the first iterate is exact
-        return u, FixedPointReport(iterations=1, residual_history=[0.0], contraction_bound=[0.0])
+        return u_T, FixedPointReport(iterations=1, residual_history=[0.0], contraction_bound=[0.0])
 
     # the iterate after the top row equals it: its gap is 0
     history = gaps.tolist() + [0.0]
@@ -132,7 +129,7 @@ def fixed_point(kern: StepKernel, phi: GridField, T: float, tol: float = 1e-10):
     history = history[:stop]
     tl = T * model.lipschitz_u
     bounds = [_factorial_bound(history[0], tl, k) for k in range(len(history))]
-    return u, FixedPointReport(stop, history, bounds)
+    return u_T, FixedPointReport(stop, history, bounds)
 
 
 def _factorial_bound(g1: float, tl: float, k: int) -> float:
@@ -184,9 +181,9 @@ def check_properties(
 
     Row 0 of the batch is the march of phi.  When ``out`` is given, a float
     array of shape (n + 1, size), it is filled with slices 0..n of that
-    march, the slices ``fixed_point`` returns.  Past the last horizon row 0
-    marches on alone, bitwise as in the batch; the report stays over the
-    slices up to the last horizon.
+    march, the slices ``_march`` yields.  Past the last horizon row 0
+    marches on alone, bitwise as in the batch; the report (t and the two
+    gaps per horizon) stays over the slices up to the last horizon.
     """
     _on_grid(kern, phi, "phi")
     _on_grid(kern, psi, "psi")
@@ -219,8 +216,6 @@ def check_properties(
             at[k] = {
                 "monotonicity_gap": max(float(np.max(rows[2] - rows[3])), 0.0),
                 "nonexpansive_gap": max(float(np.max(np.abs(rows[0] - rows[1]))) - base_gap, 0.0),
-                "sup_norm": float(np.max(np.abs(rows[0]))),
-                "lipschitz": GridField(grid, rows[0]).lipschitz_seminorm(),
             }
     for k in range(max(steps) + 1, n_out + 1):
         out[k] = kern.apply(out[k - 1], out[k - 1])
@@ -382,19 +377,18 @@ def default_block_length(model: HamiltonianModel) -> float:
 
 
 def converge(
-    kern: StepKernel, phi: GridField, t_checkpoints=(50.0,), stop_eps: float = 1e-6
+    kern: StepKernel, phi: GridField, t_final: float, stop_eps: float
 ) -> ConvergenceReport:
-    """March the semigroup until slice increments settle.
+    """March the semigroup until slice increments settle, for at most t_final.
 
     One slice is held: each step records its increment max|next - cur| as
     it goes.  Windows of ``default_block_length`` group the steps for
     ``block_increments`` and the stopping rule: the march stops once every
     step increment within a window falls below stop_eps, or flags
-    non-convergence at the final checkpoint.
+    non-convergence at t_final.
     """
     _on_grid(kern, phi, "phi")
     model, dt = kern.model, kern.dt
-    t_final = max(t_checkpoints)
     block = max(dt, round(default_block_length(model) / dt) * dt)
     cur = phi.values
     t = 0.0

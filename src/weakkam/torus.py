@@ -130,8 +130,9 @@ def _horizon_steps(T: float, dt: float) -> int:
 def stencil_offsets(grid: Grid, v_max: float, dt: float) -> np.ndarray:
     """Integer cell offsets reachable at speed <= v_max in one step of dt.
 
-    Returns shape (n_offsets, dim); always includes the zero offset.  Raises
-    if the velocity window does not cover a single grid cell.
+    Returns shape (n_offsets, dim) in lexicographic (C) order, the kernel's
+    candidate scan order; always includes the zero offset.  Raises if the
+    velocity window does not cover a single grid cell.
     """
     if v_max <= 0 or dt <= 0:
         raise ConfigurationError("v_max and dt must be positive")

@@ -173,10 +173,10 @@ def test_criterion_7_long_time_convergence(capsys):
 
     k_mech = StepKernel(mech, g, 1.0 / 16, 4.0, "exact")
     k_disc = StepKernel(disc, g, 1.0 / 64, 4.0, "exact")
-    rm = converge(k_mech, phi0, t_checkpoints=(50.0,), stop_eps=1e-6)
-    rm2 = converge(k_mech, phi2, t_checkpoints=(50.0,), stop_eps=1e-6)
-    rd = converge(k_disc, phi0, t_checkpoints=(50.0,), stop_eps=1e-6)
-    rd2 = converge(k_disc, phi2, t_checkpoints=(50.0,), stop_eps=1e-6)
+    rm = converge(k_mech, phi0, t_final=50.0, stop_eps=1e-6)
+    rm2 = converge(k_mech, phi2, t_final=50.0, stop_eps=1e-6)
+    rd = converge(k_disc, phi0, t_final=50.0, stop_eps=1e-6)
+    rd2 = converge(k_disc, phi2, t_final=50.0, stop_eps=1e-6)
 
     # the undiscounted limit is only fixed up to an additive constant,
     # so cross-initial-data distances are compared mean-aligned there
@@ -246,7 +246,7 @@ def test_criterion_9_velocity_fan_lower_bound(capsys):
     g = Grid(1, 2048)
     phi = GridField(g, np.zeros(g.size))
     rep = converge(StepKernel(m, g, 1.0 / 96, 4.0, "exact"), phi,
-                   t_checkpoints=(50.0,), stop_eps=1e-6)
+                   t_final=50.0, stop_eps=1e-6)
     fan_min = float(np.min(check_Ltilde(m, rep.u_inf, 4.0)))
     ok = rep.converged and fan_min >= -1e-3
     report(capsys, 9, "velocity-fan lower bound at the limit", ok,

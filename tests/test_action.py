@@ -264,7 +264,7 @@ def test_bias_is_the_weak_kam_solution_on_the_aubry_point():
     assert residual <= 1e-12
     c = critical_value(kern, 0.0).c
     shifted = StepKernel(normalized(pendulum(), c), g, 1.0 / 16, 4.0, "exact")
-    rep = converge(shifted, GridField(g, np.zeros(g.size)), (200.0,), stop_eps=1e-14)
+    rep = converge(shifted, GridField(g, np.zeros(g.size)), 200.0, stop_eps=1e-14)
     assert rep.converged
     u_inf = rep.u_inf.values
     assert np.max(np.abs((v - v.mean()) - (u_inf - u_inf.mean()))) <= 1e-12

@@ -19,7 +19,7 @@ from weakkam import action, fdoracle, kernels, models, torus
 from weakkam.cli import _check_command, _Forked, _run, main
 from weakkam.config import load_config
 from weakkam.errors import ConfigurationError, NumericError
-from weakkam.semigroup import fixed_point
+from weakkam.semigroup import _march, fixed_point
 
 
 def write_config(path, **overrides):
@@ -83,8 +83,12 @@ def test_solve_slab_file_is_the_fixed_point_text(tmp_path, monkeypatch, dim):
     assert_no_child_process()
     assert sorted(os.listdir(out)) == ["fixedpoint.csv", "manifest.json", "slab.csv"]
     cfg = load_config(cfg_path)
-    u, _ = fixed_point(cfg.kernel(), cfg.phi_field(), cfg.T, tol=cfg.tol)
+    kern, phi = cfg.kernel(), cfg.phi_field()
+    slices = list(_march(kern, phi, round(cfg.T / cfg.dt)))
+    u = torus.SpaceTimeField(cfg.grid, cfg.dt, np.array(slices))
     assert (out / "slab.csv").read_bytes() == u.to_csv().encode()
+    # the march the writer streams ends at the wavefront's top row
+    assert fixed_point(kern, phi, cfg.T, tol=cfg.tol)[0].tobytes() == slices[-1].tobytes()
     writer = json.loads((out / "manifest.json").read_text())["slab_writer"]
     assert writer["cpu_seconds"] >= 0.0 and writer["max_rss_mb"] > 0.0
 

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -120,21 +121,47 @@ def test_fixed_point_wavefront_equals_picard_passes(case):
     marched = march(kern, phi, T).values
     for tol in (0.0, 1e-10):
         ref, ref_report = picard_reference(kern, phi, T, tol)
-        u, report = fixed_point(kern, phi, T, tol=tol)
+        u_T, report = fixed_point(kern, phi, T, tol=tol)
         assert repr(report) == repr(ref_report)
-        # bitwise, zero signs included; with tol > 0 the slab is the fixed point itself
-        assert u.values.tobytes() == (ref if tol == 0.0 else marched).tobytes()
+        # bitwise, zero signs included; with tol > 0 the reference may stop
+        # before the fixed point, while u_T is the march's last slice for any tol
+        assert u_T.tobytes() == (ref if tol == 0.0 else marched)[-1].tobytes()
 
 
 def test_u_independent_model_is_single_pass():
     m = HamiltonianModel("quadratic-mechanical", dim=1)
     g = Grid(1, 32)
     phi = GridField(g, np.cos(2 * np.pi * g.points()[:, 0]))
-    u, report = fixed_point(StepKernel(m, g, 1.0 / 16, 2.0), phi, 0.5, tol=0.0)
+    kern = StepKernel(m, g, 1.0 / 16, 2.0)
+    u_T, report = fixed_point(kern, phi, 0.5, tol=0.0)
     assert report.iterations == 1
     assert report.residual_history == [0.0]
-    assert u.n_steps == 8
-    assert np.array_equal(u.values[0], phi.values)
+    slices = list(_march(kern, phi, 8))
+    assert len(slices) == 9
+    assert np.array_equal(slices[0], phi.values)
+    assert u_T.tobytes() == slices[-1].tobytes()
+
+
+def test_fixed_point_holds_no_slab():
+    # u-independent, so the wavefront is two rows: a stored (n + 1, size)
+    # slab (1025 x 1024 floats, 8.4 MB) would outweigh everything else the
+    # call holds, and the traced peak stays under a quarter of it
+    g = Grid(1, 1024)
+    m = HamiltonianModel("quadratic-mechanical", potential=TrigPotential(1, (((1,), 1.0),)))
+    kern = StepKernel(m, g, 1.0 / 256, 4.0, "exact")
+    phi = GridField(g, 0.3 * np.cos(2 * np.pi * g.points()[:, 0]))
+    kern.apply(phi.values, phi.values)  # builds the kernel's tables outside the trace
+    slab_bytes = (round(4.0 * 256) + 1) * g.size * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        u_T, report = fixed_point(kern, phi, 4.0, tol=0.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < slab_bytes / 4
+    assert report.iterations == 1
+    assert u_T.shape == (g.size,)
 
 
 def test_fixed_point_bitwise_stationary_within_step_count():
@@ -151,16 +178,17 @@ def test_fixed_point_bitwise_stationary_within_step_count():
     for m, phi, T, dt, quad in cases:
         n_steps = round(T / dt)
         kern = StepKernel(m, phi.grid, dt, 4.0, quad)
-        u, report = fixed_point(kern, phi, T, tol=0.0)
+        u_T, report = fixed_point(kern, phi, T, tol=0.0)
         assert report.iterations <= n_steps
         assert report.residual_history[-1] == 0.0
         # certificate: observed gaps below twice the factorial bound
         for gap, bound in zip(report.residual_history, report.contraction_bound):
             assert gap <= 2.0 * bound + 1e-15
-        # the forward march is the same fixed point, bit for bit, zero signs
-        # included (slab.csv writes -0.0 and 0.0 apart); the writer's stream too
-        assert march(kern, phi, T).values.tobytes() == u.values.tobytes()
-        assert np.array(list(_march(kern, phi, n_steps))).tobytes() == u.values.tobytes()
+        # the writer's stream is the forward march, bit for bit, zero signs
+        # included (slab.csv writes -0.0 and 0.0 apart), and ends at u_T
+        streamed = np.array(list(_march(kern, phi, n_steps)))
+        assert streamed.tobytes() == march(kern, phi, T).values.tobytes()
+        assert streamed[-1].tobytes() == u_T.tobytes()
 
 
 def test_long_horizon_certificate_bound_leaves_float_range_in_log_space():
@@ -247,7 +275,7 @@ def test_converge_reaches_pendulum_weak_kam_solution():
     g = Grid(1, 256)
     phi = GridField(g, np.zeros(g.size))
     report = converge(
-        StepKernel(m, g, 1.0 / 16, 4.0, "exact"), phi, t_checkpoints=(20.0,), stop_eps=1e-9
+        StepKernel(m, g, 1.0 / 16, 4.0, "exact"), phi, t_final=20.0, stop_eps=1e-9
     )
     assert report.converged
     # the block increments over the second half of the march never grow
@@ -270,7 +298,7 @@ def test_converge_equals_picard_restart_blocks():
     phi = GridField(g, 0.3 * np.cos(2 * np.pi * g.points()[:, 0]))
     dt, t_final = 1.0 / 16, 5.5
     kern = StepKernel(m, g, dt, 4.0)
-    report = converge(kern, phi, t_checkpoints=(t_final,), stop_eps=1e-12)
+    report = converge(kern, phi, t_final, stop_eps=1e-12)
     cur, t, block_times = phi, 0.0, []
     while t < t_final - 1e-9:
         span = min(default_block_length(m), t_final - t)
@@ -301,7 +329,7 @@ def test_converged_field_is_a_subsolution_along_test_curves():
     g = Grid(1, 256)
     phi = GridField(g, np.zeros(g.size))
     report = converge(
-        StepKernel(m, g, 1.0 / 16, 4.0, "exact"), phi, t_checkpoints=(20.0,), stop_eps=1e-9
+        StepKernel(m, g, 1.0 / 16, 4.0, "exact"), phi, t_final=20.0, stop_eps=1e-9
     )
     gap = subsolution_gap(m, report.u_inf, np.random.default_rng(0))
     assert gap <= 1e-9
@@ -493,8 +521,6 @@ def properties_reference(kern, phi, psi, t_list):
                 "t": float(t),
                 "monotonicity_gap": max(mono, 0.0),
                 "nonexpansive_gap": max(nonexp, 0.0),
-                "sup_norm": float(np.max(np.abs(u_phi.values[k]))),
-                "lipschitz": u_phi.slice(k).lipschitz_seminorm(),
             }
         )
     return report
@@ -629,7 +655,7 @@ def test_converge_equals_windowed_marches(case):
                           "midpoint", 3.0, 1e-12),
     }[case]
     kern = StepKernel(model, phi.grid, 1.0 / 16, 4.0, quadrature)
-    report = converge(kern, phi, t_checkpoints=(t_final,), stop_eps=stop_eps)
+    report = converge(kern, phi, t_final, stop_eps=stop_eps)
     incs, block_incs, u_inf = converge_reference(kern, phi, t_final, stop_eps)
     assert np.array_equal(report.step_increments, incs)
     assert report.block_increments == block_incs
@@ -655,7 +681,7 @@ def test_2d_left_kernel_builds_base_cost_only_for_the_critical_value():
     check_properties(kern, phi, psi, [0.25])
     extract_calibrated_curve(kern, slab, 37)
     fixed_point(kern, phi, 0.25)
-    converge(kern, phi, (0.5,))
+    converge(kern, phi, 0.5, 1e-6)
     kern.apply_table(np.zeros((3, grid.size)), 0.0)
     assert "base_cost" not in vars(kern)
     critical_value(kern, 0.0)
@@ -679,7 +705,7 @@ def test_field_off_the_kernel_grid_is_rejected():
     slab = march(StepKernel(m, g32, 1.0 / 16, 4.0), phi, 0.5)
     calls = {
         "fixed_point": lambda: fixed_point(kern, phi, 0.5),
-        "converge": lambda: converge(kern, phi, t_checkpoints=(1.0,)),
+        "converge": lambda: converge(kern, phi, t_final=1.0, stop_eps=1e-6),
         "check_properties": lambda: check_properties(kern, phi, phi, [0.5]),
         "extract_calibrated_curve": lambda: extract_calibrated_curve(kern, slab, x_end=3),
     }
@@ -709,7 +735,7 @@ def test_report_csv_headers():
     kern = StepKernel(m, g, 1.0 / 16, 4.0)
     _, fp_report = fixed_point(kern, phi, 0.5, tol=0.0)
     assert fp_report.to_csv().startswith("iter,gap,bound\n")
-    conv = converge(kern, phi, t_checkpoints=(2.0,), stop_eps=1e-8)
+    conv = converge(kern, phi, t_final=2.0, stop_eps=1e-8)
     buf = io.StringIO()
     conv.write_csv(buf)
     lines = buf.getvalue().strip().split("\n")

@@ -110,6 +110,16 @@ def test_stencil_of_a_reach_past_the_float_range_is_the_whole_clamped_lattice():
             assert stencil_offsets(g, v_max, dt).tobytes() == whole.tobytes()
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("v_max, dt", [(2.0, 0.25), (4.0, 1 / 16), (64.0, 0.25), (1e308, 0.5)],
+                         ids=["ball", "small", "clamped", "clamped-past-float-range"])
+def test_stencil_offsets_are_in_lexicographic_order(dim, v_max, dt):
+    # the kernel's candidate scan order is this order; it is not re-sorted
+    offs = stencil_offsets(Grid(dim, 16), v_max, dt)
+    assert offs.tobytes() == offs[np.lexsort(offs.T[::-1])].tobytes()
+    assert len({tuple(o) for o in offs.tolist()}) == len(offs)
+
+
 def test_gridfield_shape_and_finiteness():
     g = Grid(1, 8)
     with pytest.raises(ConfigurationError):
