@@ -93,6 +93,59 @@ _CHAR_STATE_BYTES = 512
 _POLICY_VECTORS, _POLICY_BLOCKS = 32, 4
 # the RK4 step of check's dH-law flow
 _CHECK_DT_ODE = 1e-3
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+# PCG's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _launch_momentum(seed: int, dim: int) -> list:
+    """numpy's ``default_rng(seed).uniform(-1.0, 1.0, size=dim)``, bitwise,
+    without importing ``numpy.random``.
+
+    numpy's ``SeedSequence`` hashes the seed's 32-bit words into a pool of
+    four and draws eight words from it, which seed PCG64; each draw steps
+    its 128-bit LCG and outputs XSL-RR of the state (O'Neill,
+    HMC-CS-2014-0905), whose top 53 bits make the double in [0, 1).
+    """
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = 0xCA01F9DD * x - 0x4973F715 * y & _MASK32
+        return value ^ value >> 16
+
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in words[4:]:
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    state, hash_const = [], 0x8B51F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ value >> 16)
+    # eight little-endian words: the 128-bit initial state, then the stream
+    init = [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+    inc = (init[2] << 64 | init[3]) << 1 & _MASK128 | 1
+    lcg = ((init[0] << 64 | init[1]) + inc) * _PCG_MULT + inc & _MASK128
+    momentum = []
+    for _ in range(dim):
+        lcg = lcg * _PCG_MULT + inc & _MASK128
+        rot, out = lcg >> 122, (lcg >> 64 ^ lcg) & _MASK64
+        out = (out >> rot | out << (64 - rot)) & _MASK64
+        momentum.append(-1.0 + 2.0 * ((out >> 11) * 2.0 ** -53))
+    return momentum
 
 
 def _property_horizons(cfg: RunConfig) -> list:
@@ -444,7 +497,6 @@ def cmd_check(cfg: RunConfig, out_dir: str) -> tuple:
     (on one CPU it runs here, after them); the manifest's ``oracle_process``
     block is the child's CPU and peak RSS, or null.
     """
-    rng = np.random.default_rng(cfg.seed)
     failures = []
     rows = ["suite,passed,detail"]
 
@@ -480,7 +532,7 @@ def cmd_check(cfg: RunConfig, out_dir: str) -> tuple:
 
         s0 = CharacteristicState(
             x=cfg.grid.points()[x_end], u=float(u.values[-1, x_end]),
-            p=rng.uniform(-1.0, 1.0, size=cfg.grid.dim),
+            p=_launch_momentum(cfg.seed, cfg.grid.dim),
         )
         law = dH_law_residual(cfg.model, flow(cfg.model, s0, min(cfg.T, 1.0), _CHECK_DT_ODE))
         record("dh_law", law.rms_residual <= 1e-4, f"rms={law.rms_residual!r}")

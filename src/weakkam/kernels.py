@@ -38,7 +38,10 @@ Two paths take the same min over the same candidates:
   instead of one per offset (m is the stencil radius in cells).  Here a
   is the start values plus dt*(action_shift - V), padded like the
   windows.  Only the order of the sums differs from the window path, so
-  the two agree to rounding (bitwise where every sum is exact).
+  the two agree to rounding (bitwise where every sum is exact).  It goes
+  in blocks of stacked rows, each holding four arrays of about the block's
+  padded size, and writes each block's minima back into the step's own
+  input temporary, which it returns.
 
 Each pruned step (``apply`` and ``apply_table``) takes its min over the
 offsets it can prove might win only: those within a per-axis radius r of
@@ -252,9 +255,10 @@ class StepKernel:
         suffix = np.minimum.accumulate(gains[:, :0:-1], axis=1)[:, ::-1]
         return [row.tolist() for row in suffix], cost_max
 
-    def _radius(self, a: np.ndarray, scratch=None) -> tuple:
+    def _radius(self, a: np.ndarray) -> tuple:
         """The per-axis radius r of the pruning rule for the step input a,
-        (..., n[, n]); scratch, when given, is an array like a to overwrite."""
+        (..., n[, n]).  It holds one array like a, its one-cell changes, and
+        frees it before any block of the step is formed."""
         full = (self._m,) * self.grid.dim
         hi, lo = float(a.max()), float(a.min())
         if not math.isfinite(hi - lo):
@@ -262,7 +266,7 @@ class StepKernel:
         suffix, cost_max = self._gains
         floor = 16 * _EPS * (max(hi, -lo) + cost_max)
         radius = []
-        change = np.empty_like(a) if scratch is None else scratch
+        change = np.empty_like(a)
         for i, s in enumerate(suffix):
             cut = (slice(None),) * (a.ndim - self.grid.dim + i)
             # change[..., k, ...] = a[..., k + 1, ...] - a[..., k, ...] along axis i, periodically
@@ -372,8 +376,8 @@ class StepKernel:
         """min_k a(x_j - offsets[k]*dx) + base_cost[k, j] over the last axis of a,
         over the offsets within the pruning radius (module docstring).
 
-        a is the caller's temporary, which the row path overwrites; it forms
-        the same candidates with the sums in another order.
+        a is the caller's temporary, which the row path overwrites and
+        returns; it forms the same candidates with the sums in another order.
         """
         if row_path(self.grid, self.quadrature):
             return self._row_min(a)
@@ -397,12 +401,17 @@ class StepKernel:
         and each row flattened, width W = n + 2*r2, so that every shift
         along either axis is one contiguous slice; the last 2*r2 columns of
         each x1-row hold unused values.
+
+        a is the step's own temporary: it takes the start cost and then, block
+        by block, the result, once the block's padded copy is made.  A block
+        holds four arrays of about its padded size: the padded input, B, one
+        buffer that is each o2 term of pass 1 and then each o1 term of pass 2
+        (never both at once), and the running min of pass 2.
         """
         n, m, c = self.grid.n, self._m, self._axis_cost
         rows = a.reshape(-1, n, n)
-        rows += self._start_cost  # a is the step's own temporary
-        out = np.empty_like(rows)
-        r1, r2 = self._radius(rows, out)
+        rows += self._start_cost
+        r1, r2 = self._radius(rows)
         self._note((r1, r2))
         width = n + 2 * r2
         span = (n + 2 * r1) * width - 2 * r2  # B is formed at flat positions [0, span)
@@ -418,9 +427,10 @@ class StepKernel:
             best = np.empty_like(padded)
             best[:, span:] = np.inf
             np.add(padded[:, r2:r2 + span], c[m], out=best[:, :span])
-            step = np.empty((b, span))
+            term = np.empty(b * max(span, n * width))
+            step = term[:b * span].reshape(b, span)
+            shifted = term[:b * n * width].reshape(b, n * width)
             res = np.full((b, n * width), np.inf)
-            shifted = np.empty_like(res)
             for r, row_offsets in enumerate(fold):
                 for o2 in (-r, r) if r else ():
                     np.add(padded[:, r2 - o2:r2 - o2 + span], c[m + o2], out=step)
@@ -429,8 +439,8 @@ class StepKernel:
                     lo1 = (r1 - o1) * width
                     np.add(best[:, lo1:lo1 + n * width], c[m + o1], out=shifted)
                     np.minimum(res, shifted, out=res)
-            out[lo:lo + per] = res.reshape(b, n, width)[:, :, :n]
-        return out.reshape(a.shape)
+            rows[lo:lo + per] = res.reshape(b, n, width)[:, :, :n]
+        return rows.reshape(a.shape)
 
     def apply(self, w: np.ndarray, u_slice: np.ndarray) -> np.ndarray:
         """One DP step of a slice (shape (size,)), each row on its own if stacked."""

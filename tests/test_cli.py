@@ -3,6 +3,7 @@ import errno
 import json
 import os
 import signal
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -16,7 +17,7 @@ from oracles import march
 from test_action import assert_matches_karp
 from test_config import assert_loaders_agree
 from weakkam import action, fdoracle, kernels, models, torus
-from weakkam.cli import _check_command, _Forked, _run, main
+from weakkam.cli import _check_command, _Forked, _launch_momentum, _run, main
 from weakkam.config import load_config
 from weakkam.errors import ConfigurationError, NumericError
 from weakkam.semigroup import _march, fixed_point
@@ -601,7 +602,8 @@ def test_char_requires_char_block(tmp_path, capsys):
         ("solve", dict(solver={"phi": [[1, float("inf")]]}), "solver.phi[0][1]"),
         ("solve", dict(model={"potential": [[1, 1e308], [2, 1e308]]}), "model.potential"),
         ("solve", dict(solver={"phi": [[1, 1e308], [2, 1e308]]}), "solver.phi"),
-        # a negative seed, which numpy's generator cannot take
+        # a negative seed: check's launch momentum hashes the seed's 32-bit
+        # words, so seeds are the non-negative integers
         ("check", dict(solver={"T": 0.5}, seed=-1), "seed"),
         # a frozen level whose coupling lambda*a overflows
         ("critical", dict(model={"lambda": 2.0}, grid={"N": 256, "dt": 1 / 32},
@@ -869,6 +871,32 @@ def test_check_2d_builds_one_kernel_and_stores_no_lf_slab(tmp_path, monkeypatch)
     assert lf_solves == []
 
 
+# one to three 32-bit seed words (2**73 + 12345 is a 74-bit seed), and seven,
+# which SeedSequence mixes into its pool of four after the first four
+MOMENTUM_SEEDS = [*range(300), 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1, 2**64 + 5,
+                  2**73 + 12345, 2**200 - 1]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_launch_momentum_is_numpys_uniform_stream(dim):
+    for seed in MOMENTUM_SEEDS:
+        want = np.random.default_rng(seed).uniform(-1.0, 1.0, size=dim)
+        assert np.array(_launch_momentum(seed, dim)).tobytes() == want.tobytes(), seed
+
+
+def test_check_leaves_numpy_random_unimported(tmp_path):
+    # a fresh interpreter: this one has numpy.random from the test above
+    cfg = write_config(tmp_path / "run.yaml", solver={"T": 0.5}, oracle={"alpha": 4.1}, seed=7)
+    script = ("import sys\nfrom weakkam.cli import main\ncode = main(sys.argv[1:])\n"
+              "print(code, 'numpy.random' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(weakkam.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", script, "check", "--config", cfg, "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.stdout.split()[-2:] in (["0", "False"], ["1", "False"]), done.stdout + done.stderr
+    assert (tmp_path / "out" / "check.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["action"])
 def test_size_squared_command_over_budget_is_rejected_before_output(tmp_path, capsys, command):
     # 2-D N=256: the action table alone is 34 GB
@@ -1043,7 +1071,7 @@ def test_budget_estimate_bounds_the_traced_peak(tmp_path, command, overrides, co
     # needed
     cfg = load_config(write_config(tmp_path / "run.yaml", **overrides))
     planned = _check_command(command, cfg)
-    # one untraced run first: what a first run makes once and keeps (numpy.random
+    # one untraced run first: what a first run makes once and keeps (modules
     # imported on first use, the interpreter's interned-string table grown) is
     # code and interpreter state, not data, and would make the peak depend on
     # what ran before

@@ -235,6 +235,33 @@ def test_row_path_equals_window_oracle(grid, dt, v_max, exact):
         assert got[i].tobytes() == kern.apply(table[i], np.full(grid.size, 0.25)).tobytes()
 
 
+def test_row_path_step_holds_at_most_six_row_stacks():
+    # beside the step's input temporary, which takes the result, a row-path
+    # block holds four arrays of about its padded size: the padded input, B,
+    # one term buffer and the running min.  At m = 3 on 96 cells those are
+    # 1.06-1.13 row stacks each, about 5.5 in all; a separate result and a
+    # separate pass-2 term would add two more
+    grid = Grid(2, 96)
+    m = HamiltonianModel("quadratic-discounted", dim=2, lam=1.0,
+                         potential=TrigPotential(2, (((1, 1), 0.7), ((2, 0), -0.4))))
+    kern = StepKernel(m, grid, 1 / 64, 2.0, "left")
+    rng = np.random.default_rng(96)
+    w, u = rng.uniform(-1, 1, (2, 4, grid.size))
+    assert kern._m == 3 and row_path(grid, "left")
+    stack_bytes = w.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = kern.apply(w, u)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # rough rows: the step takes the full stencil
+    assert kern.stencil_reach()["radius"] == [3, 3]
+    assert got.shape == w.shape
+    assert peak <= 6 * stack_bytes
+
+
 @pytest.mark.parametrize("grid", [Grid(1, 17), Grid(2, 12)], ids=["1d17", "2d12"])
 def test_left_column_equals_base_cost_bitwise(grid):
     # the backtrack forms a "left" kernel's cost column from V at the starts,
