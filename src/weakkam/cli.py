@@ -26,9 +26,10 @@ forked call (``_Forked``): ``solve``'s child steps the forward march of phi,
 the fixed point, and streams it into slab.csv as ``oracle`` streams its
 scheme, while this process runs the Picard wavefront that certifies it;
 ``check``'s child runs the Lax-Friedrichs oracle and returns its final
-slice, beside the variational suites, which step phi once (the property
-battery fills the slab the backtrack and the match read).  With one usable
-CPU, or when no process can be forked, the same work runs here afterwards.
+slice, beside the variational suites, which step phi once: ``_march`` fills
+the slab that the property battery, the backtrack and the match read.  With
+one usable CPU, or when no process can be forked, the same work runs here
+afterwards.
 """
 
 from __future__ import annotations
@@ -193,9 +194,10 @@ def _check_command(command: str, cfg: RunConfig) -> int:
       model only they grow with T, so they keep a horizon such as 1e300
       from running unbounded;
     - ``check`` the kernel's tables, its one slab over [0, T] (the march of
-      phi that row 0 of ``check_properties`` fills and the backtrack walks),
-      the four rows the battery steps together with one step of them, and
-      one Lax-Friedrichs step;
+      phi, filled from ``_march``, that the battery reads and the backtrack
+      walks), the three probe rows the battery steps together with one step
+      of them (the march's one-row step is smaller), and one Lax-Friedrichs
+      step;
     - ``converge`` the kernel's tables, its slice and one step of it, and
       ``_HISTORY_BYTES`` per step of its history; when the history alone
       exceeds the budget the message names ``solver.checkpoints``;
@@ -203,7 +205,9 @@ def _check_command(command: str, cfg: RunConfig) -> int:
       named ``char.t``.
     For ``solve`` and ``check`` the message names ``solver.T`` when the
     horizon alone exceeds the budget, its n + 1 slices at one float each
-    (no grid could hold or stream them), and ``grid.N`` otherwise.
+    (no grid could hold or stream them), and ``grid.N`` otherwise; for
+    ``solve`` it says what the estimate counts, what the run would hold
+    and stream to slab.csv.
     """
     grid, size = cfg.grid, cfg.grid.size
     text_rows, key = size, "grid.N"
@@ -242,7 +246,7 @@ def _check_command(command: str, cfg: RunConfig) -> int:
         rows = n + 1 if cfg.model.lipschitz_u else 1
         planned = (n + 2 + (1 + _KERNEL_COPIES) * (rows + 1) + tables) * size * 8
     elif command == "check":
-        planned = (n + 1 + 4 * (1 + _KERNEL_COPIES) + _LF_COPIES + tables) * size * 8
+        planned = (n + 1 + 3 * (1 + _KERNEL_COPIES) + _LF_COPIES + tables) * size * 8
     elif command == "converge":
         # a float, so a horizon past the float range of steps reads inf
         history = (max(cfg.checkpoints) / cfg.dt + 2) * _HISTORY_BYTES
@@ -261,9 +265,10 @@ def _check_command(command: str, cfg: RunConfig) -> int:
     else:
         return 0
     planned += _BLOCK_ELEMENTS * 8 + text_rows * _ROW_BYTES
+    holds = "hold and stream to slab.csv" if command == "solve" else "hold"
     _require(planned <= MEMORY_BUDGET_BYTES, key,
-             f"{command} on {grid.dim}-D N={grid.n} would hold about {planned / 2**30:.3g} "
-             f"GiB, above the budget of {MEMORY_BUDGET_BYTES / 2**30:g} GiB")
+             f"{command} on {grid.dim}-D N={grid.n} would {holds} about "
+             f"{planned / 2**30:.3g} GiB, above the budget of {MEMORY_BUDGET_BYTES / 2**30:g} GiB")
     return int(planned)
 
 
@@ -514,13 +519,14 @@ def cmd_check(cfg: RunConfig, out_dir: str) -> tuple:
     with contextlib.closing(_Forked(lambda: lf_final(cfg.lf(), phi, cfg.T_fd).values)) as oracle:
         psi = GridField(cfg.grid, phi.values + 0.2 * np.cos(
             2 * np.pi * cfg.grid.points()[:, 0] + 1.0))
-        # one kernel serves every suite below; the battery fills the slab with
-        # the march of phi, which the backtrack, the match and the cross-solver
-        # comparison read
+        # one kernel serves every suite below, and one march of phi, which the
+        # battery, the backtrack, the match and the cross-solver comparison read
         kern = cfg.kernel()
         slab = np.empty((_horizon_steps(cfg.T, kern.dt) + 1, cfg.grid.size))
-        prop = check_properties(kern, phi, psi, _property_horizons(cfg), out=slab)
+        for k, values in enumerate(_march(kern, phi, len(slab) - 1)):
+            slab[k] = values
         u = SpaceTimeField(cfg.grid, kern.dt, slab)
+        prop = check_properties(kern, u, psi, _property_horizons(cfg))
         record("semigroup_properties", prop.all_within(2 * max(cfg.tol, 1e-12)),
                f"uniform_bound={prop.uniform_bound!r}")
 

@@ -16,10 +16,9 @@ u^(0) = phi on every slice) is computed inside the march: all iterates
 advance together, one batched step per slice, and the top one is the march.
 
 Storage rule: a space-time slab is stored only where a caller reads it
-whole, which ``check`` alone does: ``check_properties(out=)`` fills the
-caller's array with the march of phi its battery steps anyway (the field
-``check`` backtracks and matches).  ``_march`` yields that march a slice at a
-time (``solve`` streams it to slab.csv); ``fixed_point``, the battery's other
+whole, which ``check`` alone does: it fills its slab from ``_march``, the
+slices ``solve`` streams to slab.csv, and its property battery, backtrack
+and match read that one march of phi.  ``fixed_point``, the battery's probe
 rows, the fixed-point check of ``extract_calibrated_curve`` and ``converge``
 step rows and reduce each slice as it is formed, holding a few slices.
 """
@@ -37,8 +36,6 @@ from .kernels import StepKernel
 from .models import HamiltonianModel, eval_H
 from .torus import Grid, GridField, SpaceTimeField, _horizon_steps, _write_table, periodic_delta
 
-# the equi-Lipschitz seminorm of check_properties is taken over slices t >= this
-EQUI_LIPSCHITZ_DELTA = 0.25
 # the largest operator residual extract_calibrated_curve accepts as a fixed point
 FIXED_POINT_TOL = 1e-8
 
@@ -154,11 +151,10 @@ def _factorial_bound(g1: float, tl: float, k: int) -> float:
 
 @dataclass
 class PropertyReport:
-    """Operator property battery: per-horizon gaps and uniform constants."""
+    """Operator property battery: per-horizon gaps and the uniform bound."""
 
     entries: list = field(default_factory=list)
     uniform_bound: float = 0.0
-    equi_lipschitz: float = 0.0
 
     def all_within(self, tol: float) -> bool:
         return all(
@@ -167,58 +163,44 @@ class PropertyReport:
 
 
 def check_properties(
-    kern: StepKernel, phi: GridField, psi: GridField, t_list, out: np.ndarray | None = None
+    kern: StepKernel, u: SpaceTimeField, psi: GridField, t_list
 ) -> PropertyReport:
-    """Evaluate monotonicity, non-expansiveness, uniform bound and the
-    equi-Lipschitz seminorm of the semigroup stepped by ``kern`` for slices
-    with t >= EQUI_LIPSCHITZ_DELTA.
+    """Evaluate monotonicity, non-expansiveness and the uniform bound of the
+    semigroup stepped by ``kern`` on phi = u[0] and psi.
 
-    Monotonicity is probed on the ordered pair (phi ^ psi, phi v psi);
-    violations are recorded in the report, never raised.  The four marches
-    advance together, one batched step per slice, and each slice is reduced
-    as it is formed, so no slab is stored.  A horizon that is not a positive
-    multiple of the kernel's dt is rejected with ConfigurationError.
-
-    Row 0 of the batch is the march of phi.  When ``out`` is given, a float
-    array of shape (n + 1, size), it is filled with slices 0..n of that
-    march, the slices ``_march`` yields.  Past the last horizon row 0
-    marches on alone, bitwise as in the batch; the report (t and the two
-    gaps per horizon) stays over the slices up to the last horizon.
+    ``u`` is the march of phi by ``kern`` (``_march``'s slices), which the
+    caller holds; the battery reads phi's slices from it.  It steps only
+    three probe rows: psi, and the ordered pair (phi ^ psi, phi v psi) on
+    which monotonicity is probed.  They advance together, one batched step
+    per slice, and each slice is reduced as it is formed.  Violations are
+    recorded in the report, never raised.  ConfigurationError rejects a
+    march on another grid or dt, one with fewer slices than the last
+    horizon needs, and a horizon that is not a positive multiple of the
+    kernel's dt; slices past the last horizon are not read.
     """
-    _on_grid(kern, phi, "phi")
+    _on_steps(kern, u, "u")
     _on_grid(kern, psi, "psi")
-    grid, dt = kern.grid, kern.dt
-    steps = [_horizon_steps(t, dt) for t in t_list]
-    n_out = -1
-    if out is not None:
-        if out.ndim != 2 or out.shape[1] != grid.size or out.dtype != np.float64:
-            raise ConfigurationError(
-                f"out is {out.dtype} {out.shape}, need float64 (n + 1, {grid.size})")
-        n_out = out.shape[0] - 1
-        out[0] = phi.values
-    rows = np.stack([phi.values, psi.values, np.minimum(phi.values, psi.values),
-                     np.maximum(phi.values, psi.values)])
-    base_gap = float(np.max(np.abs(phi.values - psi.values)))
-    k_min = int(np.ceil(EQUI_LIPSCHITZ_DELTA / dt - 1e-9))
+    steps = [_horizon_steps(t, kern.dt) for t in t_list]
+    if u.n_steps < max(steps):
+        raise ConfigurationError(
+            f"u has {u.n_steps} steps, the last horizon needs {max(steps)}")
+    phi = u.values[0]
+    rows = np.stack([psi.values, np.minimum(phi, psi.values), np.maximum(phi, psi.values)])
+    base_gap = float(np.max(np.abs(phi - psi.values)))
     report = PropertyReport()
     at = {}
     for k in range(max(steps) + 1):
         if k:
             rows = kern.apply(rows, rows)
-            if k <= n_out:
-                out[k] = rows[0]
-        report.uniform_bound = max(report.uniform_bound, float(np.max(np.abs(rows[:2]))))
-        if k >= k_min:
-            report.equi_lipschitz = max(
-                report.equi_lipschitz, *(GridField(grid, r).lipschitz_seminorm() for r in rows[:2])
-            )
+        u_k = u.values[k]
+        # np.maximum keeps a NaN of either march
+        report.uniform_bound = max(report.uniform_bound, float(
+            np.maximum(np.max(np.abs(u_k)), np.max(np.abs(rows[0])))))
         if k in steps:
             at[k] = {
-                "monotonicity_gap": max(float(np.max(rows[2] - rows[3])), 0.0),
-                "nonexpansive_gap": max(float(np.max(np.abs(rows[0] - rows[1]))) - base_gap, 0.0),
+                "monotonicity_gap": max(float(np.max(rows[1] - rows[2])), 0.0),
+                "nonexpansive_gap": max(float(np.max(np.abs(u_k - rows[0]))) - base_gap, 0.0),
             }
-    for k in range(max(steps) + 1, n_out + 1):
-        out[k] = kern.apply(out[k - 1], out[k - 1])
     report.entries = [{"t": float(t), **at[k]} for t, k in zip(t_list, steps)]
     return report
 

@@ -1,8 +1,9 @@
 """Test oracles: the paper's objects that only check the solver, which no
 command computes.  The stored march and the semigroup T_t with its law
-T_{s+t} = T_t T_s (criteria 3, 4 and 5), the Lagrangian L as the Legendre
-conjugate of H, the velocity fan of L - <Du, v> (criterion 9), the
-subsolution inequality along test curves, and the Peierls barrier.  Also
+T_{s+t} = T_t T_s (criteria 3, 4 and 5) and its equi-Lipschitz bound
+(criterion 2), the Lagrangian L as the Legendre conjugate of H, the
+velocity fan of L - <Du, v> (criterion 9), the subsolution inequality
+along test curves, and the Peierls barrier.  Also
 the plain references of the package's fast paths: the pruning gains offset
 by offset, and the characteristic flow as numpy RK4 on a batch of states
 with the analytic partials of H, and as RK4 on one state held as a list of
@@ -29,6 +30,8 @@ from weakkam.torus import (
 FAN_SIZE = 257
 # subsolution_gap: random test curves, their duration, nodes and quadrature points per segment
 N_CURVES, CURVE_DURATION, N_NODES, N_QUAD = 50, 1.0, 8, 64
+# equi_lipschitz: the seminorm is taken over slices t >= this
+EQUI_LIPSCHITZ_DELTA = 0.25
 
 
 def march(kern: StepKernel, phi: GridField, T: float) -> SpaceTimeField:
@@ -39,6 +42,28 @@ def march(kern: StepKernel, phi: GridField, T: float) -> SpaceTimeField:
     for n in range(len(out) - 1):
         out[n + 1] = kern.apply(out[n], out[n])
     return SpaceTimeField(phi.grid, kern.dt, out)
+
+
+def lipschitz_seminorm(f: GridField) -> float:
+    """Max forward difference quotient over all axes.  Each axis takes its
+    differences from slices and its wrap pair, and their max (NaN if
+    either part's is) is divided by dx once: rounding is monotone, so
+    that is the max of the quotients."""
+    sh, steps = f._shaped(), []
+    for ax in range(f.grid.dim):
+        a = sh.swapaxes(0, ax)
+        inner, wrap = a[1:] - a[:-1], a[:1] - a[-1:]
+        steps.append(float(np.maximum(np.abs(inner, out=inner).max(),
+                                      np.abs(wrap, out=wrap).max())))
+    return max(steps) / f.grid.dx
+
+
+def equi_lipschitz(*marches: SpaceTimeField) -> float:
+    """The equi-Lipschitz bound of the semigroup on these marches: the
+    largest ``lipschitz_seminorm`` of their slices at t >= EQUI_LIPSCHITZ_DELTA,
+    the compactness step of the asymptotic argument (0 if there is none)."""
+    return max((lipschitz_seminorm(GridField(u.grid, v)) for u in marches
+                for v in u.values[math.ceil(EQUI_LIPSCHITZ_DELTA / u.dt - 1e-9):]), default=0.0)
 
 
 def gains_reference(kern: StepKernel):

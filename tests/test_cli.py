@@ -496,6 +496,21 @@ def test_huge_horizon_is_rejected_before_output_naming_the_horizon(tmp_path, cap
     assert not out.exists()
 
 
+def test_over_budget_solve_says_it_would_stream_the_slab(tmp_path, capsys):
+    # nearly all of solve's estimate at T = 1e300 is the slab.csv text it
+    # would stream, which no process holds; check holds its slab
+    model = {"family": "quadratic-mechanical", "lambda": 0.0}
+    cfg = write_config(tmp_path / "run.yaml", model=model, solver={"T": 1e300})
+    for command, text in (
+        ("solve", "solve on 1-D N=64 would hold and stream to slab.csv about 7.63e+294 GiB"),
+        ("check", "check on 1-D N=64 would hold about 7.63e+294 GiB"),
+    ):
+        assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: config key `solver.T`: {text}, above the budget of 1 GiB\n"
+        assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("t,dt_ode", [(1e300, 1e-3), (1e3, 1e-303)], ids=["t", "dt_ode"])
 def test_char_past_the_budget_is_rejected_before_output(tmp_path, capsys, t, dt_ode):
     # 1e303 RK4 states (and 1e306, past the float range of the count)
@@ -782,8 +797,9 @@ def test_runs_are_byte_identical_across_thread_counts(tmp_path):
 
 @pytest.mark.parametrize("T,horizons", [(0.5, 1), (1.5, 2)], ids=["T-at", "T-beyond"])
 def test_check_steps_phi_once(tmp_path, monkeypatch, T, horizons):
-    # the property battery's row 0 is the slab the backtrack and the match
-    # read: one kernel step a slice, batched while a horizon is ahead
+    # the march of phi fills the slab the battery, the backtrack and the match
+    # read, one kernel step a slice; then the battery steps its three probe
+    # rows together up to the last horizon
     with_cpus(monkeypatch, 1)
     rows = []
     real_apply = kernels.StepKernel.apply
@@ -801,7 +817,7 @@ def test_check_steps_phi_once(tmp_path, monkeypatch, T, horizons):
     )
     assert run(["check", "--config", cfg, "--out", tmp_path / "out"]) in (0, 1)
     n_steps, batched = round(16 * T), 8 * horizons
-    assert rows == [4] * batched + [1] * (n_steps - batched)
+    assert rows == [1] * n_steps + [3] * batched
 
 
 def test_check_audits_assumptions_once(tmp_path, monkeypatch):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from oracles import (
-    check_Ltilde, lagrangian_values, march, normalized, semigroup_defect, step_T, subsolution_gap,
+    check_Ltilde, equi_lipschitz, lagrangian_values, march, normalized, semigroup_defect, step_T,
+    subsolution_gap,
 )
 from test_action import pendulum
 from weakkam.action import critical_value
@@ -15,7 +16,6 @@ from weakkam.errors import ConfigurationError
 from weakkam.kernels import StepKernel
 from weakkam.models import HamiltonianModel, PiecewiseLinearMap, TrigPotential
 from weakkam.semigroup import (
-    EQUI_LIPSCHITZ_DELTA,
     FIXED_POINT_TOL,
     FixedPointReport,
     PropertyReport,
@@ -250,13 +250,14 @@ def test_monotonicity_and_nonexpansiveness_are_exact():
     x = g.points()[:, 0]
     phi = GridField(g, 0.3 * np.sin(2 * np.pi * x) + rng.uniform(-0.1, 0.1, g.size))
     psi = GridField(g, 0.2 * np.cos(2 * np.pi * x) + rng.uniform(-0.1, 0.1, g.size))
-    report = check_properties(StepKernel(m, g, 1.0 / 16, 4.0), phi, psi, [0.5, 1.0])
+    kern = StepKernel(m, g, 1.0 / 16, 4.0)
+    report = check_properties(kern, march(kern, phi, 1.0), psi, [0.5, 1.0])
     assert report.all_within(0.0)
     for e in report.entries:
         assert e["monotonicity_gap"] == 0.0
         assert e["nonexpansive_gap"] == 0.0
     assert np.isfinite(report.uniform_bound)
-    assert report.equi_lipschitz > 0.0
+    assert equi_lipschitz(march(kern, phi, 1.0), march(kern, psi, 1.0)) > 0.0
 
 
 def test_semigroup_law_exact_on_discrete_objects():
@@ -266,6 +267,30 @@ def test_semigroup_law_exact_on_discrete_objects():
     kern = StepKernel(m, g, 1.0 / 32, 4.0)
     assert semigroup_defect(kern, phi, 0.5, 0.5) == 0.0
     assert semigroup_defect(kern, phi, 0.25, 0.75) == 0.0
+
+
+@pytest.mark.parametrize(
+    "dim,model,quadrature,n",
+    [(1, nonlinear_pendulum, "exact", 32), (1, discounted_pendulum, "midpoint", 32),
+     (2, discounted_2d, "left", 8)],
+    ids=["1d-nonlinear-exact", "1d-discounted-midpoint", "2d-discounted-left"],
+)
+def test_representation_formula_is_the_march_bitwise(dim, model, quadrature, n):
+    # T_t phi = min_y h_{y, phi(y)}: the implicit action function h_{y,a} is
+    # the march of a datum that is a at y and a finite sentinel elsewhere
+    # (+inf would give inf - inf in a discounted coupling).  The step is a
+    # min over starts of g(w) + cost with g(w) = w - dt f(w) nondecreasing
+    # (dt Lip f <= 1), so it commutes with the min over starts y
+    g = Grid(dim, 64 if dim == 1 else 16)
+    x = g.points()
+    kern = StepKernel(model(), g, 1.0 / 16, 4.0, quadrature)
+    phi = GridField(g, 0.3 * np.cos(2 * np.pi * x.sum(axis=1)))
+    rows = np.full((g.size, g.size), 1e6)
+    np.fill_diagonal(rows, phi.values)
+    for k, u in enumerate(_march(kern, phi, n)):
+        if k:
+            rows = kern.apply(rows, rows)
+        assert rows.min(axis=0).tobytes() == u.tobytes(), k
 
 
 def test_converge_reaches_pendulum_weak_kam_solution():
@@ -504,11 +529,6 @@ def properties_reference(kern, phi, psi, t_list):
     u_phi, u_psi, u_lo, u_hi = (march(kern, f, max(t_list)) for f in (phi, psi, lo, hi))
     base_gap = float(np.max(np.abs(phi.values - psi.values)))
     report = PropertyReport()
-    k_min = int(np.ceil(EQUI_LIPSCHITZ_DELTA / dt - 1e-9))
-    equi = 0.0
-    for k in range(k_min, u_phi.n_steps + 1):
-        equi = max(equi, u_phi.slice(k).lipschitz_seminorm(), u_psi.slice(k).lipschitz_seminorm())
-    report.equi_lipschitz = equi
     report.uniform_bound = max(
         float(np.max(np.abs(u_phi.values))), float(np.max(np.abs(u_psi.values)))
     )
@@ -544,29 +564,18 @@ def battery_case(dim):
 
 @pytest.mark.parametrize("dim", [1, 2], ids=["1d-nonlinear-exact", "2d-left"])
 def test_check_properties_equals_slab_reference(dim):
-    # the four marches step as one batch of rows and are reduced slice by slice
+    # the three probe rows step as one batch and are reduced slice by slice
+    # beside the march of phi, which is read up to the last horizon (1.0)
+    # and no further; a march that stops before it is rejected
     kern, phi, psi = battery_case(dim)
     t_list = [1.0, 0.5]
-    report = check_properties(kern, phi, psi, t_list)
-    assert repr(report) == repr(properties_reference(kern, phi, psi, t_list))
-    assert [e["t"] for e in report.entries] == t_list
-
-
-@pytest.mark.parametrize("T", [0.5, 1.0, 1.5], ids=["T-below", "T-at", "T-beyond"])
-@pytest.mark.parametrize("dim", [1, 2], ids=["1d-window-path", "2d-row-path"])
-def test_check_properties_fills_the_march_of_phi(dim, T):
-    # row 0 of the battery is the march of phi, bitwise; past the last
-    # horizon (1.0) it marches on alone, and the report does not move
-    kern, phi, psi = battery_case(dim)
-    t_list = [1.0, 0.5]
-    marched = march(kern, phi, T)
-    out = np.full_like(marched.values, np.nan)
-    report = check_properties(kern, phi, psi, t_list, out=out)
-    assert out.tobytes() == marched.values.tobytes()
-    assert repr(report) == repr(check_properties(kern, phi, psi, t_list))
-    for bad in (out[:, 1:], out.astype(np.float32), out[0]):
-        with pytest.raises(ConfigurationError, match="need float64"):
-            check_properties(kern, phi, psi, t_list, out=bad)
+    reference = repr(properties_reference(kern, phi, psi, t_list))
+    for T in (1.0, 1.5):
+        report = check_properties(kern, march(kern, phi, T), psi, t_list)
+        assert repr(report) == reference
+        assert [e["t"] for e in report.entries] == t_list
+    with pytest.raises(ConfigurationError, match="u has 8 steps, the last horizon needs 16"):
+        check_properties(kern, march(kern, phi, 0.5), psi, t_list)
 
 
 @pytest.mark.parametrize("dim", [1, 2], ids=["1d-nonlinear-exact", "2d-left"])
@@ -587,7 +596,7 @@ def test_check_properties_rejects_a_horizon_off_the_time_grid():
     phi = GridField(g, 0.3 * np.sin(2 * np.pi * x))
     kern = StepKernel(discounted_pendulum(), g, 1.0 / 8, 4.0)
     with pytest.raises(ConfigurationError, match="T=0.3 is not a positive multiple"):
-        check_properties(kern, phi, GridField(g, np.zeros(g.size)), [0.3, 1.0])
+        check_properties(kern, march(kern, phi, 1.0), GridField(g, np.zeros(g.size)), [0.3, 1.0])
 
 
 def test_fixed_point_check_is_not_loosened():
@@ -678,7 +687,7 @@ def test_2d_left_kernel_builds_base_cost_only_for_the_critical_value():
     phi = GridField(grid, 0.3 * np.cos(2 * np.pi * (x[:, 0] + x[:, 1])))
     psi = GridField(grid, 0.2 * np.sin(2 * np.pi * x[:, 1]))
     slab = march(kern, phi, 0.25)
-    check_properties(kern, phi, psi, [0.25])
+    check_properties(kern, slab, psi, [0.25])
     extract_calibrated_curve(kern, slab, 37)
     fixed_point(kern, phi, 0.25)
     converge(kern, phi, 0.5, 1e-6)
@@ -706,7 +715,7 @@ def test_field_off_the_kernel_grid_is_rejected():
     calls = {
         "fixed_point": lambda: fixed_point(kern, phi, 0.5),
         "converge": lambda: converge(kern, phi, t_final=1.0, stop_eps=1e-6),
-        "check_properties": lambda: check_properties(kern, phi, phi, [0.5]),
+        "check_properties": lambda: check_properties(kern, slab, phi, [0.5]),
         "extract_calibrated_curve": lambda: extract_calibrated_curve(kern, slab, x_end=3),
     }
     for name, call in calls.items():
@@ -722,10 +731,13 @@ def test_slab_of_another_dt_or_datum_is_rejected():
     coarse = StepKernel(m, g, 1.0 / 16, 4.0)
     fine = StepKernel(m, g, 1.0 / 32, 4.0)
     u = march(coarse, phi, 0.5)
-    # u is a fixed point of the coarse kernel: only the dt mismatch can reject it
+    # u is the coarse kernel's march of phi: only the dt mismatch can reject it
     extract_calibrated_curve(coarse, u, x_end=5)
-    with pytest.raises(ConfigurationError, match="dt=0.0625, the kernel dt=0.03125"):
-        extract_calibrated_curve(fine, u, x_end=5)
+    check_properties(coarse, u, phi, [0.5])
+    for call in (lambda: extract_calibrated_curve(fine, u, x_end=5),
+                 lambda: check_properties(fine, u, phi, [0.25])):
+        with pytest.raises(ConfigurationError, match="dt=0.0625, the kernel dt=0.03125"):
+            call()
 
 
 def test_report_csv_headers():
