@@ -565,17 +565,35 @@ def battery_case(dim):
 @pytest.mark.parametrize("dim", [1, 2], ids=["1d-nonlinear-exact", "2d-left"])
 def test_check_properties_equals_slab_reference(dim):
     # the three probe rows step as one batch and are reduced slice by slice
-    # beside the march of phi, which is read up to the last horizon (1.0)
-    # and no further; a march that stops before it is rejected
+    # beside the march of phi
     kern, phi, psi = battery_case(dim)
     t_list = [1.0, 0.5]
-    reference = repr(properties_reference(kern, phi, psi, t_list))
-    for T in (1.0, 1.5):
-        report = check_properties(kern, march(kern, phi, T), psi, t_list)
-        assert repr(report) == reference
-        assert [e["t"] for e in report.entries] == t_list
-    with pytest.raises(ConfigurationError, match="u has 8 steps, the last horizon needs 16"):
-        check_properties(kern, march(kern, phi, 0.5), psi, t_list)
+    report = check_properties(kern, march(kern, phi, 1.0), psi, t_list)
+    assert repr(report) == repr(properties_reference(kern, phi, psi, t_list))
+    assert [e["t"] for e in report.entries] == t_list
+
+
+@pytest.mark.parametrize("T", [0.5, 1.0, 1.5], ids=["T-below", "T-at", "T-beyond"])
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d-window-path", "2d-row-path"])
+def test_check_properties_fills_the_march_of_phi(dim, T):
+    # check fills its slab from _march, bitwise the march of phi; the battery
+    # reads it up to the last horizon (1.0) and no further, so a longer march
+    # leaves the report where it is, and a shorter one is rejected
+    kern, phi, psi = battery_case(dim)
+    t_list = [1.0, 0.5]
+    slab = np.empty((round(T / kern.dt) + 1, kern.grid.size))
+    for k, values in enumerate(_march(kern, phi, len(slab) - 1)):
+        slab[k] = values
+    assert slab.tobytes() == march(kern, phi, T).values.tobytes()
+    u = SpaceTimeField(kern.grid, kern.dt, slab)
+    if T < max(t_list):
+        with pytest.raises(ConfigurationError, match="u has 8 steps, the last horizon needs 16"):
+            check_properties(kern, u, psi, t_list)
+    else:
+        report = check_properties(kern, u, psi, t_list)
+        assert repr(report) == repr(properties_reference(kern, phi, psi, t_list))
+    with pytest.raises(ConfigurationError, match="u has dt=0.03125, the kernel dt=0.0625"):
+        check_properties(kern, SpaceTimeField(kern.grid, kern.dt / 2, slab), psi, t_list)
 
 
 @pytest.mark.parametrize("dim", [1, 2], ids=["1d-nonlinear-exact", "2d-left"])
