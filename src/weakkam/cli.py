@@ -8,9 +8,11 @@ config key, what the command cannot step or hold: a missing ``char``
 block; a horizon off the time grid or past the float range of steps, or
 for ``check`` under 3 steps of grid.dt or 2 RK4 steps of its dH-law flow
 (``solver.T``); a ``char`` flow under 2 RK4 steps (``char.t``); a
-non-finite coupling at ``solver.a``; and a planned size above
+non-finite coupling at ``solver.a``; a planned size above
 ``MEMORY_BUDGET_BYTES`` (``solve`` counts the slab it streams, held by no
-process, to bound its horizon).  ``_run`` then times ``cmd_*(cfg, out_dir)``,
+process, to bound its horizon); and for ``oracle`` and ``check`` a
+Lax-Friedrichs run above ``_LF_WORK_BUDGET`` point-steps (``solver.T`` or
+``oracle.dt_fd``).  ``_run`` then times ``cmd_*(cfg, out_dir)``,
 which returns ``(exit_code, manifest_extra)``, and writes the one manifest.
 
 Exit codes: 0 success, 1 a check suite failed, 2 an invalid configuration
@@ -78,8 +80,10 @@ EXIT_NUMERIC = 3
 # the most bytes _check_command lets a command plan to hold (1 GiB)
 MEMORY_BUDGET_BYTES = 1 << 30
 # per stacked row, the slices a kernel or Lax-Friedrichs step holds beside its
-# input (measured: at most 7.4 and 14.3), and the bytes one CSV row of a block
-# holds in strings and floats (measured: at most about 370)
+# input (measured: at most 7.4, and 11.1 for a whole Lax-Friedrichs run of any
+# family on 1-D N=256 to 65536 and 2-D N=32 to 256, its buffers dp, dm and c
+# of dim slices each among them), and the bytes one CSV row of a block holds
+# in strings and floats (measured: at most about 370)
 _KERNEL_COPIES, _LF_COPIES, _ROW_BYTES = 8, 16, 512
 # the bytes converge keeps per step of its history: two Python floats in lists,
 # their two arrays and the stacked table converge writes
@@ -92,6 +96,12 @@ _CHAR_STATE_BYTES = 512
 # candidate blocks of _BLOCK_ELEMENTS (measured: at most 3.5 blocks where the
 # vectors are negligible)
 _POLICY_VECTORS, _POLICY_BLOCKS = 32, 4
+# the most Lax-Friedrichs point-steps _check_command lets oracle and check plan,
+# about 9 minutes at 14 ns a point-step; a step counts its size plus
+# _LF_STEP_POINTS, its fixed cost in points (measured: 11-14 us a step up to
+# 256 points and at most 12.1 ns a point-step beyond, at 2-D N=256, so 14 ns
+# times size + 1024 bounds every step measured from 1-D N=16 to 2-D N=256)
+_LF_WORK_BUDGET, _LF_STEP_POINTS = 4e10, 1024
 # the RK4 step of check's dH-law flow
 _CHECK_DT_ODE = 1e-3
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
@@ -208,6 +218,13 @@ def _check_command(command: str, cfg: RunConfig) -> int:
     (no grid could hold or stream them), and ``grid.N`` otherwise; for
     ``solve`` it says what the estimate counts, what the run would hold
     and stream to slab.csv.
+
+    Work: ``oracle`` and ``check`` take round(T / oracle.dt_fd) (at least
+    1) Lax-Friedrichs steps, each counted as its size plus
+    ``_LF_STEP_POINTS`` point-steps.  A run above ``_LF_WORK_BUDGET`` is
+    rejected after the memory check, naming ``solver.T`` when even the
+    largest step both of the oracle's conditions allow would exceed it, and
+    ``oracle.dt_fd`` otherwise.
     """
     grid, size = cfg.grid, cfg.grid.size
     text_rows, key = size, "grid.N"
@@ -269,6 +286,19 @@ def _check_command(command: str, cfg: RunConfig) -> int:
     _require(planned <= MEMORY_BUDGET_BYTES, key,
              f"{command} on {grid.dim}-D N={grid.n} would {holds} about "
              f"{planned / 2**30:.3g} GiB, above the budget of {MEMORY_BUDGET_BYTES / 2**30:g} GiB")
+    if command in ("oracle", "check"):
+        # the largest step both of the oracle's conditions allow
+        dt_most = 0.5 * grid.dx / cfg.alpha
+        if cfg.model.lipschitz_u:
+            dt_most = min(dt_most, 1.0 / cfg.model.lipschitz_u)
+        steps = cfg.T_fd / cfg.dt_fd
+        work = steps * (size + _LF_STEP_POINTS)
+        at_most = max(1.0, cfg.T / dt_most) * (size + _LF_STEP_POINTS)
+        _require(work <= _LF_WORK_BUDGET,
+                 "solver.T" if at_most > _LF_WORK_BUDGET else "oracle.dt_fd",
+                 f"{command} on {grid.dim}-D N={grid.n} would take about {work:.3g} "
+                 f"Lax-Friedrichs point-steps ({steps:.3g} steps of dt_fd={cfg.dt_fd:g}), "
+                 f"above the budget of {_LF_WORK_BUDGET:g}")
     return int(planned)
 
 
@@ -499,8 +529,9 @@ def cmd_check(cfg: RunConfig, out_dir: str) -> tuple:
 
     The Lax-Friedrichs oracle shares nothing with the rest, so a ``_Forked``
     child runs it beside the variational suites and returns its final slice
-    (on one CPU it runs here, after them); the manifest's ``oracle_process``
-    block is the child's CPU and peak RSS, or null.
+    (on one CPU it runs here, after them); this process writes residual.csv
+    before it waits for that slice.  The manifest's ``oracle_process`` block
+    is the child's CPU and peak RSS, or null.
     """
     failures = []
     rows = ["suite,passed,detail"]
@@ -547,6 +578,13 @@ def cmd_check(cfg: RunConfig, out_dir: str) -> tuple:
         record("char_match", match.sup_distance <= 5 * cfg.grid.dx,
                f"sup_distance={match.sup_distance!r}")
 
+        res = weak_kam_residual(cfg.model, u.final())
+        _write(
+            out_dir, "residual.csv",
+            "max_residual_smooth,rms_residual_smooth,kink_count\n"
+            f"{res.max_abs_smooth!r},{res.rms_smooth!r},{res.kink_count}\n",
+        )
+
         try:
             gap = float(np.max(np.abs(oracle.finish() - u.values[-1])))
             record("oracle_cross", gap <= 0.1, f"sup_gap={gap!r}")
@@ -554,12 +592,6 @@ def cmd_check(cfg: RunConfig, out_dir: str) -> tuple:
             record("oracle_cross", False, str(e))
 
     _write(out_dir, "check.csv", "\n".join(rows) + "\n")
-    res = weak_kam_residual(cfg.model, u.final())
-    _write(
-        out_dir, "residual.csv",
-        "max_residual_smooth,rms_residual_smooth,kink_count\n"
-        f"{res.max_abs_smooth!r},{res.rms_smooth!r},{res.kink_count}\n",
-    )
     if failures:
         print("check: failing suites: " + ", ".join(failures), file=sys.stderr)
     return EXIT_CHECK_FAILED if failures else EXIT_OK, {

@@ -75,7 +75,10 @@ one run of offset indices, so the window path folds runs of offsets in
 blocks; the row path bounds its rows o1 by r_1 and its reach by r_2.
 ``apply_with_argmin`` and ``action._best_starts`` take the full stencil.
 ``stencil_reach`` reports the largest radii taken: a step whose radius is
-below m on every axis found each minimum strictly inside the stencil.
+below m on every axis found each minimum strictly inside the stencil.  It
+counts row-steps, each stacked row of a call as one step, so its counts do
+not depend on how a caller batches its rows (the radius of a stack is its
+rows' largest, so a row counts at m when any row of its stack reaches m).
 
 The per-destination min is a map over destination points with read-only
 access to the previous slice, so results do not depend on thread count.
@@ -167,7 +170,7 @@ class StepKernel:
         self.offsets = offsets = stencil_offsets(grid, v_max, dt)
         self.n_offsets = offsets.shape[0]
         self._m = m = int(np.max(np.abs(offsets)))  # the stencil radius in cells
-        # the largest radius per axis and the counts of pruned steps (stencil_reach)
+        # the largest radius per axis and the counts of pruned row-steps (stencil_reach)
         self._reach_seen, self._steps, self._full_steps = [0] * grid.dim, 0, 0
 
         self._kinetic = 0.5 * np.sum((offsets * grid.dx / dt) ** 2, axis=1)  # (n_off,)
@@ -278,17 +281,20 @@ class StepKernel:
             radius.append(bisect.bisect_right(s, largest * (1 + 4 * _EPS) + floor))
         return tuple(radius)
 
-    def _note(self, radius):
-        """Record a pruned step's radius for ``stencil_reach``."""
+    def _note(self, radius, rows):
+        """Record the radius of a pruned step of ``rows`` stacked rows for
+        ``stencil_reach``."""
         for i, r in enumerate(radius):
             if r > self._reach_seen[i]:
                 self._reach_seen[i] = r
-        self._steps += 1
-        self._full_steps += max(radius) == self._m
+        self._steps += rows
+        self._full_steps += rows if max(radius) == self._m else 0
 
     def stencil_reach(self) -> dict:
         """The largest radius per axis over the pruned steps so far, m, and
-        the counts of those steps and of those whose radius reached m."""
+        the counts of the rows those steps stepped and of the rows of those
+        whose radius reached m: a stack of k rows counts k, as k one-row
+        steps would."""
         return {"radius": list(self._reach_seen), "m": self._m,
                 "steps": self._steps, "steps_at_m": self._full_steps}
 
@@ -382,7 +388,7 @@ class StepKernel:
         if row_path(self.grid, self.quadrature):
             return self._row_min(a)
         radius = self._radius(self._shaped(a))
-        self._note(radius)
+        self._note(radius, a.size // self.grid.size)
         return self._window_min(a, radius)
 
     def _window_min(self, a: np.ndarray, radius=None) -> np.ndarray:
@@ -412,7 +418,7 @@ class StepKernel:
         rows = a.reshape(-1, n, n)
         rows += self._start_cost
         r1, r2 = self._radius(rows)
-        self._note((r1, r2))
+        self._note((r1, r2), rows.shape[0])
         width = n + 2 * r2
         span = (n + 2 * r1) * width - 2 * r2  # B is formed at flat positions [0, span)
         # rows o1 (|o1| <= r1) are folded into res once B of their reach is formed

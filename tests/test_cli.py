@@ -496,6 +496,27 @@ def test_huge_horizon_is_rejected_before_output_naming_the_horizon(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,overrides,key",
+    [("oracle", dict(solver={"T": 1e300}), "solver.T"),
+     ("check", dict(oracle={"dt_fd": 1e-8}), "oracle.dt_fd"),
+     ("oracle", dict(oracle={"dt_fd": 1e-8}), "oracle.dt_fd")],
+    ids=["oracle-horizon", "check-dt_fd", "oracle-dt_fd"],
+)
+def test_oracle_work_past_the_budget_is_rejected_before_output(
+        tmp_path, capsys, command, overrides, key):
+    # 1e303 steps of the default dt_fd 1e-3, or 1e8 of dt_fd 1e-8, on 64
+    # points: each step counts its points and a fixed 1024.  The key is
+    # solver.T when even the largest dt_fd the scheme allows is too small
+    cfg = write_config(tmp_path / "run.yaml", **overrides)
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"config error: config key `{key}`: ")
+    assert "Lax-Friedrichs point-steps" in err
+    assert not out.exists()
+
+
 def test_over_budget_solve_says_it_would_stream_the_slab(tmp_path, capsys):
     # nearly all of solve's estimate at T = 1e300 is the slab.csv text it
     # would stream, which no process holds; check holds its slab

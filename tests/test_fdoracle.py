@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,14 +144,52 @@ def test_stepper_equals_eval_h_step(family, dim):
 
 
 def test_non_finite_step_raises_numeric_error():
-    m = discounted_pendulum()
-    g = Grid(1, 16)
-    cfg = LFConfig(m, g, 4.1, 1e-3)
-    # finite data whose difference quotients overflow
-    phi = GridField(g, np.where(np.arange(g.size) % 2, 1e308, -1e308))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError, match="step 1 "):
-            lf_final(cfg, phi, 2e-3)
+    # in 2-D the data alternate along the stride-1 axis, as in 1-D
+    for m in (discounted_pendulum(), family_model("quadratic-discounted", 2)):
+        g = Grid(m.dim, 16)
+        cfg = LFConfig(m, g, 4.1, 1e-3)
+        # finite data whose difference quotients overflow
+        phi = GridField(g, np.where(np.arange(g.size) % 2, 1e308, -1e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="step 1 "):
+                lf_final(cfg, phi, 2e-3)
+
+
+def assert_steps_as_eval_h_step(cfg, phi, n):
+    # byte for byte, so a zero of the other sign is a difference too
+    cur = phi
+    for values in list(_lf_march(cfg, phi, n))[1:]:
+        cur = eval_h_step(cfg.model, cur, cfg)
+        assert values.tobytes() == cur.values.tobytes()
+
+
+@pytest.mark.parametrize("shift", [0.3, 0.0, -0.0], ids=["shift", "zero", "minus-zero"])
+@pytest.mark.parametrize("n", [2, 3, 15])
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+@pytest.mark.parametrize(
+    "family", ["quadratic-mechanical", "quadratic-discounted", "quadratic-nonlinear-u"]
+)
+def test_wrap_layers_step_as_eval_h_step(family, dim, n, shift):
+    # at N = 2 and 3 every cell lies on the wrap layer of some axis; N = 15
+    # is odd, so no flat stride is a power of two
+    m = replace(family_model(family, dim), action_shift=shift)
+    g = Grid(dim, n)
+    cfg = LFConfig(m, g, 5.8, 0.5 * g.dx / 5.8)
+    phi = GridField(g, np.random.default_rng(n).uniform(-0.5, 0.5, g.size))
+    assert_steps_as_eval_h_step(cfg, phi, 6)
+
+
+@pytest.mark.parametrize("shift", [0.0, -0.0], ids=["zero", "minus-zero"])
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_signed_zeros_step_as_eval_h_step(dim, shift):
+    # V = 0 and phi of +0.0 and -0.0: every difference, Laplacian term and H
+    # is a zero of some sign, and the slices keep the signs eval_H's step gives
+    m = HamiltonianModel("quadratic-mechanical", dim=dim, potential=TrigPotential(dim),
+                         action_shift=shift)
+    g = Grid(dim, 5)
+    cfg = LFConfig(m, g, 1.0, 0.5 * g.dx)
+    phi = GridField(g, np.where(np.arange(g.size) % 3, 0.0, -0.0))
+    assert_steps_as_eval_h_step(cfg, phi, 3)
 
 
 @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])

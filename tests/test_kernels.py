@@ -524,6 +524,32 @@ def test_wrap_pair_counts_as_a_one_cell_change(grid):
     assert np.all(got[i1 == 58] == 36 / 512)
 
 
+@pytest.mark.parametrize(
+    "grid,dt,v_max,quadrature",
+    [(Grid(1, 256), 1 / 64, 2.0, "exact"), (Grid(2, 32), 1 / 16, 4.0, "left")],
+    ids=["1d-binding", "2d-left-rows"],
+)
+def test_reach_counts_row_steps_whatever_the_batching(grid, dt, v_max, quadrature):
+    # check steps its march of phi alone and the battery's three probe rows
+    # together: one kernel stepping all four rows in one call and one stepping
+    # 1 + 3 rows count the same row-steps
+    x = grid.points()[:, 0]
+    phi = 0.5 * np.cos(2 * np.pi * x)
+    psi = phi + 0.2 * np.cos(2 * np.pi * x + 1.0)
+    rows = np.stack([phi, psi, np.minimum(phi, psi), np.maximum(phi, psi)])
+    stacked, split = (StepKernel(smooth_model(grid.dim), grid, dt, v_max, quadrature)
+                      for _ in range(2))
+    for _ in range(8):
+        one, three = split.apply(rows[0], rows[0]), split.apply(rows[1:], rows[1:])
+        rows = stacked.apply(rows, rows)
+        assert np.array_equal(np.vstack([one, three]), rows)
+    reach, apart = stacked.stencil_reach(), split.stencil_reach()
+    assert reach["steps"] == apart["steps"] == 4 * 8
+    assert reach["radius"] == apart["radius"]
+    # a stack's radius is its rows' largest: a row counts at m with its stack
+    assert 0 < apart["steps_at_m"] <= reach["steps_at_m"]
+
+
 @pytest.mark.parametrize("v_max,m,radius,steps_at_m", [(2.0, 8, 8, 11), (4.0, 16, 13, 0)])
 def test_march_reach_shows_a_binding_v_max(v_max, m, radius, steps_at_m):
     # 1-D discounted, V = cos 2 pi x, phi = 0.5 cos 2 pi x: v_max 2 binds at
