@@ -4,16 +4,18 @@ Each subcommand computes one thing from a validated run configuration and
 writes CSVs and a ``manifest.json`` into the output directory, each file
 as name.part renamed once complete.  ``main`` owns the lifecycle: before
 it makes the output directory, ``_check_command`` rejects, naming the
-config key, what the command cannot step or hold: a missing ``char``
-block; a horizon off the time grid or past the float range of steps, or
-for ``check`` under 3 steps of grid.dt or 2 RK4 steps of its dH-law flow
-(``solver.T``); a ``char`` flow under 2 RK4 steps (``char.t``); a
-non-finite coupling at ``solver.a``; a planned size above
-``MEMORY_BUDGET_BYTES`` (``solve`` counts the slab it streams, held by no
-process, to bound its horizon); and for ``oracle`` and ``check`` a
-Lax-Friedrichs run above ``_LF_WORK_BUDGET`` point-steps (``solver.T`` or
-``oracle.dt_fd``).  ``_run`` then times ``cmd_*(cfg, out_dir)``,
-which returns ``(exit_code, manifest_extra)``, and writes the one manifest.
+config key, what the command cannot step, hold or do, from the command's
+run plan (``_plan``): a missing ``char`` block; a horizon off the time
+grid or past the float range of steps, or for ``check`` under 3 steps of
+grid.dt or 2 RK4 steps of its dH-law flow (``solver.T``); a ``char`` flow
+under 2 RK4 steps (``char.t``); a non-finite coupling at ``solver.a``;
+bytes above ``MEMORY_BUDGET_BYTES`` (``solve`` counts the slab it
+streams, held by no process, to bound its horizon); and work above
+``_WORK_BUDGET_NS``: Lax-Friedrichs point-steps for ``oracle`` and
+``check`` (``solver.T`` or ``oracle.dt_fd``), kernel candidates for
+``action`` (``solver.T``).  ``_run`` then times ``cmd_*(cfg, out_dir)``,
+which returns ``(exit_code, manifest_extra)``, and writes the one manifest,
+which records the plan.
 
 Exit codes: 0 success, 1 a check suite failed, 2 an invalid configuration
 or a failed write, 3 a numeric failure.  A ``NumericError`` from any
@@ -77,8 +79,11 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# the most bytes _check_command lets a command plan to hold (1 GiB)
+# the most bytes a command may plan to hold (1 GiB)
 MEMORY_BUDGET_BYTES = 1 << 30
+# the most work a command may plan, in ns: about 9 minutes, 4e10
+# Lax-Friedrichs point-steps at 14 ns
+_WORK_BUDGET_NS = 5.6e11
 # per stacked row, the slices a kernel or Lax-Friedrichs step holds beside its
 # input (measured: at most 7.4, and 11.1 for a whole Lax-Friedrichs run of any
 # family on 1-D N=256 to 65536 and 2-D N=32 to 256, its buffers dp, dm and c
@@ -96,12 +101,16 @@ _CHAR_STATE_BYTES = 512
 # candidate blocks of _BLOCK_ELEMENTS (measured: at most 3.5 blocks where the
 # vectors are negligible)
 _POLICY_VECTORS, _POLICY_BLOCKS = 32, 4
-# the most Lax-Friedrichs point-steps _check_command lets oracle and check plan,
-# about 9 minutes at 14 ns a point-step; a step counts its size plus
-# _LF_STEP_POINTS, its fixed cost in points (measured: 11-14 us a step up to
-# 256 points and at most 12.1 ns a point-step beyond, at 2-D N=256, so 14 ns
-# times size + 1024 bounds every step measured from 1-D N=16 to 2-D N=256)
-_LF_WORK_BUDGET, _LF_STEP_POINTS = 4e10, 1024
+# a Lax-Friedrichs step counts its size plus _LF_STEP_POINTS, its fixed cost in
+# points, at _LF_POINT_NS each (measured: 11-14 us a step up to 256 points and
+# at most 12.1 ns a point-step beyond, at 2-D N=256, so 14 ns times size + 1024
+# bounds every step measured from 1-D N=16 to 2-D N=256)
+_LF_POINT_NS, _LF_STEP_POINTS = 14, 1024
+# the ns of action's table step per candidate, size * size * n_offsets a step
+# (measured over the full stencil: 0.7-3.2 ns from 1-D N=64 and 2-D N=8 up to
+# 1-D N=1024 and 2-D N=32; a step's fixed cost of about 40 us makes it 17 ns
+# at 1-D N=16)
+_CANDIDATE_NS = 4
 # the RK4 step of check's dH-law flow
 _CHECK_DT_ODE = 1e-3
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
@@ -164,9 +173,101 @@ def _property_horizons(cfg: RunConfig) -> list:
     return [t for t in (0.5, 1.0) if t <= cfg.T + 1e-9] or [cfg.T]
 
 
+def _plan(command: str, cfg: RunConfig) -> dict:
+    """What a command plans to step, hold and do, built from its parsed
+    config; building it rejects, naming the config key, a run the command
+    cannot step.  ``_check_command`` compares it with its budgets, and the
+    manifest records it (a pure function of the config, built again there).
+
+    ``steps`` holds the step count of each stage; ``bytes`` the bytes of
+    each named part (``_check_command`` says what each counts);
+    ``bytes_key`` the config key that mends a run over the memory budget:
+    ``solver.T`` when the horizon's n + 1 slices at one float each exceed
+    it (no grid could hold or stream them), ``solver.checkpoints`` when
+    converge's history alone does, ``char.t`` for ``char``, and ``grid.N``
+    otherwise; ``work``, one entry per unit of work, its count, the ns of
+    one, the config key that mends it and the steps it counts; ``budgets``,
+    the memory and work budgets.  Only this function reads the budgets
+    and the measured constants beside them.
+    """
+    grid, size, text_rows = cfg.grid, cfg.grid.size, cfg.grid.size
+    row = size * 8  # the bytes of one slice
+    steps, parts, work, key = {}, {}, [], "grid.N"
+    if command in ("critical", "action"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            _require(math.isfinite(cfg.model.coupling(cfg.a)), "solver.a",
+                     f"the coupling at the frozen level {cfg.a:g} is past the float range")
+    if command in ("solve", "action", "check"):
+        steps["march"] = n = _named("solver.T", _horizon_steps, cfg.T, cfg.dt)
+        key = "solver.T" if (n + 1) * 8 > MEMORY_BUDGET_BYTES else key
+    if command == "check":
+        for t in _property_horizons(cfg):
+            try:
+                _horizon_steps(t, cfg.dt)
+            except ConfigurationError:
+                _require(False, "grid.dt", f"dt={cfg.dt:g} does not divide check's fixed "
+                         f"property horizon {t:g} into a whole number of steps")
+        _require(n >= 3, "solver.T", f"check needs at least 3 steps of grid.dt={cfg.dt:g}, got {n}")
+        steps["rk4"] = law = int(round(min(cfg.T, 1.0) / _CHECK_DT_ODE))
+        _require(law >= 2, "solver.T", f"check's dH-law flow over min(T, 1) needs at "
+                 f"least 2 RK4 steps of {_CHECK_DT_ODE:g}, got {law}")
+    if command in ("oracle", "check"):
+        steps["oracle"] = lf = cfg.T_fd / cfg.dt_fd  # T_fd raises naming solver.T
+        # the largest step both of the oracle's conditions allow
+        dt_most = 0.5 * grid.dx / cfg.alpha
+        if cfg.model.lipschitz_u:
+            dt_most = min(dt_most, 1.0 / cfg.model.lipschitz_u)
+        at_most = max(1.0, cfg.T / dt_most) * (size + _LF_STEP_POINTS) * _LF_POINT_NS
+        work.append({"unit": "Lax-Friedrichs point-steps", "count": lf * (size + _LF_STEP_POINTS),
+                     "ns_each": _LF_POINT_NS, "steps": f"{lf:.3g} steps of dt_fd={cfg.dt_fd:g}",
+                     "key": "solver.T" if at_most > _WORK_BUDGET_NS else "oracle.dt_fd"})
+        # one Lax-Friedrichs step, and the slice oracle streams
+        parts["lf_step"] = (_LF_COPIES + (command == "oracle")) * row
+    offsets = len(stencil_offsets(grid, cfg.v_max, cfg.dt))
+    if command in ("solve", "check", "converge", "critical"):
+        # V and a start cost, and base_cost where it is built
+        built = command == "critical" or not row_path(grid, cfg.quadrature)
+        parts["kernel_tables"] = (5 + offsets * built) * row
+    if command == "critical":
+        parts["policy_vectors"] = _POLICY_VECTORS * row
+        parts["policy_blocks"] = _POLICY_BLOCKS * _BLOCK_ELEMENTS * 8
+    elif command == "action":
+        parts["table_rows"] = (1 + _KERNEL_COPIES) * size * row
+        work.append({"unit": "kernel candidates", "count": float(n) * size * size * offsets,
+                     "ns_each": _CANDIDATE_NS, "steps": f"{n:.3g} steps of dt={cfg.dt:g}",
+                     "key": "solver.T"})
+    elif command == "solve":
+        steps["picard_rows"] = rows = n + 1 if cfg.model.lipschitz_u else 1
+        parts["slab"] = (n + 1) * row
+        parts["stacked_rows"] = (1 + (1 + _KERNEL_COPIES) * (rows + 1)) * row
+    elif command == "check":
+        parts["slab"] = (n + 1) * row
+        parts["stacked_rows"] = 3 * (1 + _KERNEL_COPIES) * row
+    elif command == "converge":
+        # a float, so a horizon past the float range of steps reads inf
+        steps["march"] = max(cfg.checkpoints) / cfg.dt
+        parts["stacked_rows"] = (2 + _KERNEL_COPIES) * row
+        parts["history"] = (steps["march"] + 2) * _HISTORY_BYTES
+        key = "solver.checkpoints" if parts["history"] > MEMORY_BUDGET_BYTES else key
+        text_rows = max(size, _TABLE_ROWS)
+    elif command == "char":
+        _require(cfg.char is not None, "char", "block is required for the char command")
+        # a float, so a trajectory past the float range of states reads inf
+        steps["rk4"] = states = cfg.char["t"] / cfg.char["dt_ode"]
+        count = int(round(states)) if math.isfinite(states) else math.inf
+        _require(count >= 2, "char.t", f"char needs at least 2 RK4 steps of "
+                 f"dt_ode={cfg.char['dt_ode']:g} for the dH law, got {count}")
+        parts["rk4_states"] = (states + 2) * _CHAR_STATE_BYTES
+        text_rows, key = _TABLE_ROWS, "char.t"
+    parts["candidate_block"] = _BLOCK_ELEMENTS * 8
+    parts["text_block"] = text_rows * _ROW_BYTES
+    return {"steps": steps, "bytes": parts, "bytes_key": key, "work": work,
+            "budgets": {"bytes": MEMORY_BUDGET_BYTES, "work_ns": _WORK_BUDGET_NS}}
+
+
 def _check_command(command: str, cfg: RunConfig) -> int:
-    """Reject, naming the config key, what a command cannot step or hold;
-    return the bytes it plans to hold.
+    """Reject, naming the config key, what a command cannot step, hold or
+    do; return the bytes its ``_plan`` holds.
 
     Steps: ``char`` needs its ``char`` block and at least 2 RK4 steps of
     ``char.dt_ode`` (``flow``'s count, ``int(round(t / dt_ode))``) for the
@@ -182,123 +283,67 @@ def _check_command(command: str, cfg: RunConfig) -> int:
     mends: that one is named ``grid.dt``.  ``critical`` and
     ``action`` need a finite coupling at their frozen level ``solver.a``.
 
-    Memory: CSVs are streamed one block of at most grid.size rows
-    (``_TABLE_ROWS`` for a table without a grid axis) at a time, so this
-    counts the arrays plus one text block of ``_ROW_BYTES`` a row.  A step
-    holds one block of ``_BLOCK_ELEMENTS`` floats and, per stacked row,
-    ``_KERNEL_COPIES`` (kernel) or ``_LF_COPIES`` (Lax-Friedrichs) slices.
-    A kernel's tables are V and, on 2-D "left", a start cost (at most
-    5*size), and the n_offsets*size ``base_cost`` where it is built: off
-    the row path (``kernels.row_path``) and by ``critical``.  The table is
-    built in blocks of offsets whose temporaries hold about
-    ``_BLOCK_ELEMENTS`` floats, so the build falls inside the step's block.
-    - ``critical`` the kernel's tables, ``_POLICY_VECTORS`` size-length
-      vectors and ``_POLICY_BLOCKS`` candidate blocks;
-    - ``action`` its table and a step of its size rows;
-    - ``oracle`` one Lax-Friedrichs step (the slice it streams), no slab;
-    - ``solve`` the kernel's tables, the Picard wavefront (iterate 0 and up
-      to n + 1 rows, one if H does not depend on u) with a step of its rows,
-      the writer's march of one row with a step of it, as ``check`` counts
-      its oracle's step (the writer holds the one text block), and the n + 1
-      slices slab.csv streams, which no process holds: for a u-independent
-      model only they grow with T, so they keep a horizon such as 1e300
-      from running unbounded;
-    - ``check`` the kernel's tables, its one slab over [0, T] (the march of
-      phi, filled from ``_march``, that the battery reads and the backtrack
-      walks), the three probe rows the battery steps together with one step
-      of them (the march's one-row step is smaller), and one Lax-Friedrichs
-      step;
-    - ``converge`` the kernel's tables, its slice and one step of it, and
-      ``_HISTORY_BYTES`` per step of its history; when the history alone
-      exceeds the budget the message names ``solver.checkpoints``;
-    - ``char`` ``_CHAR_STATE_BYTES`` per RK4 state of its one trajectory,
-      named ``char.t``.
-    For ``solve`` and ``check`` the message names ``solver.T`` when the
-    horizon alone exceeds the budget, its n + 1 slices at one float each
-    (no grid could hold or stream them), and ``grid.N`` otherwise; for
-    ``solve`` it says what the estimate counts, what the run would hold
-    and stream to slab.csv.
+    Memory: the plan's parts, summed, must fit ``MEMORY_BUDGET_BYTES``.
+    CSVs are streamed one block of at most grid.size rows (``_TABLE_ROWS``
+    for a table without a grid axis) at a time, so every command holds
+    ``text_block``, that block at ``_ROW_BYTES`` a row, and
+    ``candidate_block``, one block of ``_BLOCK_ELEMENTS`` floats of a step.
+    A step holds, per stacked row, ``_KERNEL_COPIES`` (kernel) or
+    ``_LF_COPIES`` (Lax-Friedrichs) slices.  ``kernel_tables`` are V and,
+    on 2-D "left", a start cost (at most 5*size), and the n_offsets*size
+    ``base_cost`` where it is built: off the row path (``kernels.row_path``)
+    and by ``critical``; the build falls inside the step's block.
+    - ``critical``: ``kernel_tables``, ``policy_vectors`` (``_POLICY_VECTORS``
+      size-length vectors) and ``policy_blocks`` (``_POLICY_BLOCKS``
+      candidate blocks);
+    - ``action``: ``table_rows``, its table and a step of its size rows;
+    - ``oracle``: ``lf_step``, one Lax-Friedrichs step (the slice it
+      streams), no slab;
+    - ``solve``: ``kernel_tables``; ``slab``, the n + 1 slices slab.csv
+      streams, which no process holds: for a u-independent model only they
+      grow with T, so they keep a horizon such as 1e300 from running
+      unbounded; ``stacked_rows``, the Picard wavefront (iterate 0 and up to
+      n + 1 rows, one if H does not depend on u) with a step of its rows,
+      and the writer's march of one row with a step of it, as ``check``
+      counts its oracle's step (the writer holds the one text block);
+    - ``check``: ``kernel_tables``; ``slab``, its one slab over [0, T] (the
+      march of phi, filled from ``_march``, that the battery reads and the
+      backtrack walks); ``stacked_rows``, the three probe rows the battery
+      steps together with one step of them (the march's one-row step is
+      smaller); and ``lf_step``, one Lax-Friedrichs step;
+    - ``converge``: ``kernel_tables``, ``stacked_rows`` (its slice and one
+      step of it) and ``history``, ``_HISTORY_BYTES`` per step;
+    - ``char``: ``rk4_states``, ``_CHAR_STATE_BYTES`` per RK4 state of its
+      one trajectory.
+    A run over the budget is named by the key of a part no grid could fit
+    even at one point, ``slab`` (``solver.T``) or ``history``
+    (``solver.checkpoints``), and otherwise by ``grid.N``; ``char`` always
+    names ``char.t``.  For ``solve`` the message says
+    what the estimate counts, what the run would hold and stream to
+    slab.csv.
 
-    Work: ``oracle`` and ``check`` take round(T / oracle.dt_fd) (at least
-    1) Lax-Friedrichs steps, each counted as its size plus
-    ``_LF_STEP_POINTS`` point-steps.  A run above ``_LF_WORK_BUDGET`` is
-    rejected after the memory check, naming ``solver.T`` when even the
-    largest step both of the oracle's conditions allow would exceed it, and
-    ``oracle.dt_fd`` otherwise.
+    Work: the plan's work, summed in ns, must fit ``_WORK_BUDGET_NS``.
+    ``oracle`` and ``check`` take round(T / oracle.dt_fd) (at least 1)
+    Lax-Friedrichs steps, each counted as its size plus ``_LF_STEP_POINTS``
+    point-steps of ``_LF_POINT_NS``; a run over the budget is named by
+    ``solver.T`` when even the largest step both of the oracle's conditions
+    allow would exceed it, and ``oracle.dt_fd`` otherwise.  ``action``
+    forms size * size * n_offsets candidates of ``_CANDIDATE_NS`` a step,
+    named ``solver.T``.  Work is checked after memory.
     """
-    grid, size = cfg.grid, cfg.grid.size
-    text_rows, key = size, "grid.N"
-    if command in ("critical", "action"):
-        with np.errstate(over="ignore", invalid="ignore"):
-            _require(math.isfinite(cfg.model.coupling(cfg.a)), "solver.a",
-                     f"the coupling at the frozen level {cfg.a:g} is past the float range")
-    if command in ("solve", "action", "check"):
-        n = _named("solver.T", _horizon_steps, cfg.T, cfg.dt)
-        key = "solver.T" if (n + 1) * 8 > MEMORY_BUDGET_BYTES else key
-    if command == "check":
-        for t in _property_horizons(cfg):
-            try:
-                _horizon_steps(t, cfg.dt)
-            except ConfigurationError:
-                _require(False, "grid.dt", f"dt={cfg.dt:g} does not divide check's fixed "
-                         f"property horizon {t:g} into a whole number of steps")
-        _require(n >= 3, "solver.T", f"check needs at least 3 steps of grid.dt={cfg.dt:g}, got {n}")
-        law_steps = int(round(min(cfg.T, 1.0) / _CHECK_DT_ODE))
-        _require(law_steps >= 2, "solver.T", f"check's dH-law flow over min(T, 1) needs at "
-                 f"least 2 RK4 steps of {_CHECK_DT_ODE:g}, got {law_steps}")
-    if command in ("oracle", "check"):
-        cfg.T_fd  # raises naming solver.T
-    if command in ("solve", "check", "converge", "critical"):
-        tables = 5  # V and a start cost, and base_cost where it is built
-        if command == "critical" or not row_path(grid, cfg.quadrature):
-            tables += len(stencil_offsets(grid, cfg.v_max, cfg.dt))
-    if command == "critical":
-        planned = (tables + _POLICY_VECTORS) * size * 8
-        planned += _POLICY_BLOCKS * _BLOCK_ELEMENTS * 8
-    elif command == "action":
-        planned = (1 + _KERNEL_COPIES) * size * size * 8
-    elif command == "oracle":
-        planned = (1 + _LF_COPIES) * size * 8
-    elif command == "solve":
-        rows = n + 1 if cfg.model.lipschitz_u else 1
-        planned = (n + 2 + (1 + _KERNEL_COPIES) * (rows + 1) + tables) * size * 8
-    elif command == "check":
-        planned = (n + 1 + 3 * (1 + _KERNEL_COPIES) + _LF_COPIES + tables) * size * 8
-    elif command == "converge":
-        # a float, so a horizon past the float range of steps reads inf
-        history = (max(cfg.checkpoints) / cfg.dt + 2) * _HISTORY_BYTES
-        key = "solver.checkpoints" if history > MEMORY_BUDGET_BYTES else key
-        planned = (2 + _KERNEL_COPIES + tables) * size * 8 + history
-        text_rows = max(size, _TABLE_ROWS)
-    elif command == "char":
-        _require(cfg.char is not None, "char", "block is required for the char command")
-        # a float, so a trajectory past the float range of states reads inf
-        states = cfg.char["t"] / cfg.char["dt_ode"]
-        steps = int(round(states)) if math.isfinite(states) else math.inf
-        _require(steps >= 2, "char.t", f"char needs at least 2 RK4 steps of "
-                 f"dt_ode={cfg.char['dt_ode']:g} for the dH law, got {steps}")
-        planned = (states + 2) * _CHAR_STATE_BYTES
-        text_rows, key = _TABLE_ROWS, "char.t"
-    else:
-        return 0
-    planned += _BLOCK_ELEMENTS * 8 + text_rows * _ROW_BYTES
+    plan = _plan(command, cfg)
+    grid, budget, work = cfg.grid, plan["budgets"], plan["work"]
+    planned = sum(plan["bytes"].values())
     holds = "hold and stream to slab.csv" if command == "solve" else "hold"
-    _require(planned <= MEMORY_BUDGET_BYTES, key,
+    _require(planned <= budget["bytes"], plan["bytes_key"],
              f"{command} on {grid.dim}-D N={grid.n} would {holds} about "
-             f"{planned / 2**30:.3g} GiB, above the budget of {MEMORY_BUDGET_BYTES / 2**30:g} GiB")
-    if command in ("oracle", "check"):
-        # the largest step both of the oracle's conditions allow
-        dt_most = 0.5 * grid.dx / cfg.alpha
-        if cfg.model.lipschitz_u:
-            dt_most = min(dt_most, 1.0 / cfg.model.lipschitz_u)
-        steps = cfg.T_fd / cfg.dt_fd
-        work = steps * (size + _LF_STEP_POINTS)
-        at_most = max(1.0, cfg.T / dt_most) * (size + _LF_STEP_POINTS)
-        _require(work <= _LF_WORK_BUDGET,
-                 "solver.T" if at_most > _LF_WORK_BUDGET else "oracle.dt_fd",
-                 f"{command} on {grid.dim}-D N={grid.n} would take about {work:.3g} "
-                 f"Lax-Friedrichs point-steps ({steps:.3g} steps of dt_fd={cfg.dt_fd:g}), "
-                 f"above the budget of {_LF_WORK_BUDGET:g}")
+             f"{planned / 2**30:.3g} GiB, above the budget of {budget['bytes'] / 2**30:g} GiB")
+    if work:
+        most = max(work, key=lambda w: w["count"] * w["ns_each"])
+        _require(sum(w["count"] * w["ns_each"] for w in work) <= budget["work_ns"], most["key"],
+                 f"{command} on {grid.dim}-D N={grid.n} would take about {most['count']:.3g} "
+                 f"{most['unit']} ({most['steps']}), above the budget of "
+                 f"{budget['work_ns'] / most['ns_each']:g}")
     return int(planned)
 
 
@@ -336,6 +381,7 @@ def _manifest(cfg: RunConfig, out_dir: str, command: str, threads: int, elapsed:
         "threads": threads,
         "elapsed_seconds": elapsed,
         "resolved_config": cfg.resolved(),
+        "plan": _plan(command, cfg),
         **extra,
     }
     _write(out_dir, "manifest.json", json.dumps(doc, indent=2, default=str) + "\n")

@@ -49,8 +49,8 @@ amplitudes must also have a finite sum of absolute values, which bounds
 checks (``PiecewiseLinearMap``, ``HamiltonianModel``, ``check_dt_lambda``,
 ``stencil_offsets``, ``LFConfig``) run through ``_named``, which re-raises
 a failure naming the key.  What depends on the command (stepped horizons,
-their least step counts, memory) ``weakkam.cli._check_command`` checks
-before the output directory is made.
+their least step counts, memory and work) ``weakkam.cli._check_command``
+checks against the command's run plan before the output directory is made.
 
 The semigroup is computed by the forward march, which is its exact fixed
 point, and ``solve``'s slab is always that march.  ``solver.tol`` only

@@ -76,9 +76,11 @@ blocks; the row path bounds its rows o1 by r_1 and its reach by r_2.
 ``apply_with_argmin`` and ``action._best_starts`` take the full stencil.
 ``stencil_reach`` reports the largest radii taken: a step whose radius is
 below m on every axis found each minimum strictly inside the stencil.  It
-counts row-steps, each stacked row of a call as one step, so its counts do
-not depend on how a caller batches its rows (the radius of a stack is its
-rows' largest, so a row counts at m when any row of its stack reaches m).
+counts row-steps, each stacked row of a call as one step, at m when the
+row's own radius (the one it takes stepped alone) reaches m, so its counts
+do not depend on how a caller batches its rows.  A stack is pruned at the
+radius of all its rows taken as one input, at least each row's own, which
+keeps each row's minimum with its bits.
 
 The per-destination min is a map over destination points with read-only
 access to the previous slice, so results do not depend on thread count.
@@ -258,37 +260,51 @@ class StepKernel:
         suffix = np.minimum.accumulate(gains[:, :0:-1], axis=1)[:, ::-1]
         return [row.tolist() for row in suffix], cost_max
 
-    def _radius(self, a: np.ndarray) -> tuple:
+    def _radii(self, a: np.ndarray, groups: int) -> list:
         """The per-axis radius r of the pruning rule for the step input a,
-        (..., n[, n]).  It holds one array like a, its one-cell changes, and
-        frees it before any block of the step is formed."""
+        (..., n[, n]), split into ``groups`` equal runs of stacked rows, one
+        tuple a group: 1 gives the radius of the whole step, the row count
+        the radius each row takes when stepped alone.  It holds one array
+        like a, its one-cell changes, and frees it before any block of the
+        step is formed."""
+        flat = a.reshape(groups, -1)
+        his, los = flat.max(axis=1).tolist(), flat.min(axis=1).tolist()
         full = (self._m,) * self.grid.dim
-        hi, lo = float(a.max()), float(a.min())
-        if not math.isfinite(hi - lo):
-            return full
+        finite = [math.isfinite(hi - lo) for hi, lo in zip(his, los)]
+        if not any(finite):
+            return [full] * groups
         suffix, cost_max = self._gains
-        floor = 16 * _EPS * (max(hi, -lo) + cost_max)
-        radius = []
+        floors = [16 * _EPS * (max(hi, -lo) + cost_max) for hi, lo in zip(his, los)]
+        radii = []
         change = np.empty_like(a)
-        for i, s in enumerate(suffix):
-            cut = (slice(None),) * (a.ndim - self.grid.dim + i)
-            # change[..., k, ...] = a[..., k + 1, ...] - a[..., k, ...] along axis i, periodically
-            np.subtract(a[cut + (slice(1, None),)], a[cut + (slice(-1),)],
-                        out=change[cut + (slice(-1),)])
-            np.subtract(a[cut + (slice(1),)], a[cut + (slice(-1, None),)],
-                        out=change[cut + (slice(-1, None),)])
-            largest = float(np.abs(change, out=change).max())
-            radius.append(bisect.bisect_right(s, largest * (1 + 4 * _EPS) + floor))
-        return tuple(radius)
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite group takes m
+            for i, s in enumerate(suffix):
+                cut = (slice(None),) * (a.ndim - self.grid.dim + i)
+                # change[..., k, ...] = a[..., k + 1, ...] - a[..., k, ...] along axis i, periodically
+                np.subtract(a[cut + (slice(1, None),)], a[cut + (slice(-1),)],
+                            out=change[cut + (slice(-1),)])
+                np.subtract(a[cut + (slice(1),)], a[cut + (slice(-1, None),)],
+                            out=change[cut + (slice(-1, None),)])
+                largest = np.abs(change, out=change).reshape(groups, -1).max(axis=1).tolist()
+                radii.append([bisect.bisect_right(s, c * (1 + 4 * _EPS) + floor)
+                              for c, floor in zip(largest, floors)])
+        return [r if ok else full for r, ok in zip(zip(*radii), finite)]
 
-    def _note(self, radius, rows):
-        """Record the radius of a pruned step of ``rows`` stacked rows for
-        ``stencil_reach``."""
+    def _radius(self, a: np.ndarray) -> tuple:
+        """The per-axis radius of a step of the stacked rows a, all taken as one."""
+        return self._radii(a, 1)[0]
+
+    def _note(self, radius, a: np.ndarray):
+        """Record a pruned step at radius of the stacked rows a for
+        ``stencil_reach``: a row counts at m when its own radius reaches m,
+        which needs the step's radius to reach m."""
+        rows = a.size // self.grid.size
         for i, r in enumerate(radius):
             if r > self._reach_seen[i]:
                 self._reach_seen[i] = r
         self._steps += rows
-        self._full_steps += rows if max(radius) == self._m else 0
+        if max(radius) == self._m:
+            self._full_steps += sum(max(r) == self._m for r in self._radii(a, rows))
 
     def stencil_reach(self) -> dict:
         """The largest radius per axis over the pruned steps so far, m, and
@@ -387,8 +403,9 @@ class StepKernel:
         """
         if row_path(self.grid, self.quadrature):
             return self._row_min(a)
-        radius = self._radius(self._shaped(a))
-        self._note(radius, a.size // self.grid.size)
+        shaped = self._shaped(a)
+        radius = self._radius(shaped)
+        self._note(radius, shaped)
         return self._window_min(a, radius)
 
     def _window_min(self, a: np.ndarray, radius=None) -> np.ndarray:
@@ -418,7 +435,7 @@ class StepKernel:
         rows = a.reshape(-1, n, n)
         rows += self._start_cost
         r1, r2 = self._radius(rows)
-        self._note((r1, r2), rows.shape[0])
+        self._note((r1, r2), rows)
         width = n + 2 * r2
         span = (n + 2 * r1) * width - 2 * r2  # B is formed at flat positions [0, span)
         # rows o1 (|o1| <= r1) are folded into res once B of their reach is formed

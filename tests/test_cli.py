@@ -22,6 +22,9 @@ from weakkam.config import load_config
 from weakkam.errors import ConfigurationError, NumericError
 from weakkam.semigroup import _march, fixed_point
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+import workloads  # noqa: E402
+
 
 def write_config(path, **overrides):
     doc = {
@@ -480,19 +483,21 @@ def test_converge_history_past_the_budget_names_the_checkpoints(tmp_path, capsys
 @pytest.mark.parametrize(
     "command,T",
     [("solve", 1e308), ("oracle", 1e308), ("check", 1e308), ("action", 1e308),
-     ("solve", 1e300), ("check", 1e300)],
+     ("solve", 1e300), ("check", 1e300), ("action", 1e300)],
     ids=["solve-inf-steps", "oracle-inf-steps", "check-inf-steps", "action-inf-steps",
-         "solve-budget", "check-budget"],
+         "solve-budget", "check-budget", "action-work"],
 )
 def test_huge_horizon_is_rejected_before_output_naming_the_horizon(tmp_path, capsys, command, T):
     # 1e308 / (1/16) is past the float range (an OverflowError traceback,
     # and for oracle after its output directory); 1.6e301 steps of 1/16 hold
-    # a slab no grid could fit, so the budget names the horizon, not grid.N
+    # a slab no grid could fit, so the budget names the horizon, not grid.N,
+    # and action's table, whose size does not grow with T, would take them
+    # unbounded: its work budget names the horizon
     cfg = write_config(tmp_path / "run.yaml", solver={"T": T})
     out = tmp_path / "out"
     assert run([command, "--config", cfg, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert "config key `solver.T`" in err and len(err) < 200
+    assert "config key `solver.T`" in err and len(err) < 200 and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -1040,6 +1045,25 @@ def test_benchmark_sized_slab_commands_fit_the_budget(tmp_path):
     for command, path in (("solve", one_d), ("oracle", one_d), ("oracle", two_d),
                           ("check", two_d), ("converge", longtime)):
         _check_command(command, load_config(path))
+
+
+@pytest.mark.parametrize("command,config", [("solve", "solve"), ("check", "check"),
+                                            ("critical", "longtime"), ("converge", "longtime")])
+def test_manifest_records_the_validated_plan_on_the_benchmark_configs(tmp_path, command, config):
+    # the benchmark's own configs, as its workloads write them
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(getattr(workloads, f"{config}_config")(1)))
+    out = tmp_path / "out"
+    assert run([command, "--config", path, "--out", out]) in (0, 1)
+    manifest = json.loads((out / "manifest.json").read_text())
+    plan = manifest["plan"]
+    assert int(sum(plan["bytes"].values())) == _check_command(command, load_config(str(path)))
+    assert plan["budgets"] == {"bytes": 2**30, "work_ns": 5.6e11}
+    assert manifest.get("stencil_reach", {"steps_at_m": 0})["steps_at_m"] == 0
+    if command == "solve":
+        # the Picard wavefront the plan counts holds every row the certificate reports
+        certificate = (out / "fixedpoint.csv").read_text().splitlines()[1:]
+        assert plan["steps"]["picard_rows"] >= len(certificate) > 1
 
 
 def test_2d_converge_budget_counts_base_cost_only_where_it_is_built(tmp_path):

@@ -176,6 +176,59 @@ def test_key_message_scan_sees_each_restatement():
 
 
 
+# the budgets and measured constants of a command's run plan: cli._plan alone
+# reads them, and validation and the manifest read the plan it builds
+PLAN_CONSTANTS = {
+    "MEMORY_BUDGET_BYTES", "_WORK_BUDGET_NS", "_KERNEL_COPIES", "_LF_COPIES", "_ROW_BYTES",
+    "_HISTORY_BYTES", "_CHAR_STATE_BYTES", "_POLICY_VECTORS", "_POLICY_BLOCKS", "_LF_POINT_NS",
+    "_LF_STEP_POINTS", "_CANDIDATE_NS",
+}
+
+
+def plan_constant_reads(source: str, module: str) -> list:
+    """The reads of a plan constant in ``source``, by name or as an
+    attribute, outside ``_plan`` of the module ``cli``."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        if (module, owner) == ("cli", "_plan"):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            else:
+                name = getattr(node, "attr", None)
+            if name in PLAN_CONSTANTS:
+                found.append(f"{name} in {owner} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.parent.name == "weakkam"], ids=lambda p: p.name,
+)
+def test_only_the_plan_reads_the_budgets_and_byte_constants(path):
+    assert plan_constant_reads(path.read_text(), path.stem) == []
+
+
+def test_plan_constant_scan_sees_each_restatement():
+    source = (
+        "MEMORY_BUDGET_BYTES, _KERNEL_COPIES = 1 << 30, 8\n"
+        "def _plan(command):\n    return {'bytes': MEMORY_BUDGET_BYTES * _KERNEL_COPIES}\n"
+        "def _check_command(planned):\n    return planned <= MEMORY_BUDGET_BYTES\n"
+        "LIMIT = 2 * _WORK_BUDGET_NS\n"
+        "def peak(cli):\n    return cli._ROW_BYTES\n"
+    )
+    outside = ["MEMORY_BUDGET_BYTES in _check_command (line 5)",
+               "_WORK_BUDGET_NS in None (line 6)", "_ROW_BYTES in peak (line 8)"]
+    assert plan_constant_reads(source, "cli") == outside
+    # in another module _plan is no exception
+    assert plan_constant_reads(source, "kernels") == [
+        "MEMORY_BUDGET_BYTES in _plan (line 3)", "_KERNEL_COPIES in _plan (line 3)", *outside]
+    # the real plan reads every constant the rule names: the set holds no stale name
+    cli = (ROOT / "src" / "weakkam" / "cli.py").read_text()
+    assert {f.split()[0] for f in plan_constant_reads(cli, "plan")} == PLAN_CONSTANTS
+
+
 # the PyYAML calls that read a document; config.load_config alone makes them
 YAML_READS = {"load", "safe_load"}
 
