@@ -2,20 +2,20 @@
 
 Each subcommand computes one thing from a validated run configuration and
 writes CSVs and a ``manifest.json`` into the output directory, each file
-as name.part renamed once complete.  ``main`` owns the lifecycle: before
-it makes the output directory, ``_check_command`` rejects, naming the
-config key, what the command cannot step, hold or do, from the command's
-run plan (``_plan``): a missing ``char`` block; a horizon off the time
-grid or past the float range of steps, or for ``check`` under 3 steps of
-grid.dt or 2 RK4 steps of its dH-law flow (``solver.T``); a ``char`` flow
-under 2 RK4 steps (``char.t``); a non-finite coupling at ``solver.a``;
-bytes above ``MEMORY_BUDGET_BYTES`` (``solve`` counts the slab it
-streams, held by no process, to bound its horizon); and work above
-``_WORK_BUDGET_NS``: Lax-Friedrichs point-steps for ``oracle`` and
-``check`` (``solver.T`` or ``oracle.dt_fd``), kernel candidates for
-``action`` (``solver.T``).  ``_run`` then times ``cmd_*(cfg, out_dir)``,
-which returns ``(exit_code, manifest_extra)``, and writes the one manifest,
-which records the plan.
+as name.part renamed once complete.  ``main`` owns the lifecycle: it
+builds the command's run plan (``_plan``) once, and before it makes the
+output directory, ``_check_command`` rejects, naming the config key, what
+the command cannot step, hold or do, from that plan: a missing ``char``
+block; a horizon off the time grid or past the float range of steps, or
+for ``check`` under 3 steps of grid.dt or 2 RK4 steps of its dH-law flow
+(``solver.T``); a ``char`` flow under 2 RK4 steps (``char.t``); a
+non-finite coupling at ``solver.a``; bytes above ``MEMORY_BUDGET_BYTES``
+(``solve`` counts the slab it streams, held by no process, to bound its
+horizon); and work above ``_WORK_BUDGET_NS``: Lax-Friedrichs point-steps
+for ``oracle`` and ``check`` (``solver.T`` or ``oracle.dt_fd``), kernel
+candidates for ``action`` (``solver.T``).  ``_run`` then times
+``cmd_*(cfg, out_dir)``, which returns ``(exit_code, manifest_extra)``, and
+writes the one manifest, which records the same plan.
 
 Exit codes: 0 success, 1 a check suite failed, 2 an invalid configuration
 or a failed write, 3 a numeric failure.  A ``NumericError`` from any
@@ -31,9 +31,12 @@ the fixed point, and streams it into slab.csv as ``oracle`` streams its
 scheme, while this process runs the Picard wavefront that certifies it;
 ``check``'s child runs the Lax-Friedrichs oracle and returns its final
 slice, beside the variational suites, which step phi once: ``_march`` fills
-the slab that the property battery, the backtrack and the match read.  With
-one usable CPU, or when no process can be forked, the same work runs here
-afterwards.
+the slab that the property battery, the backtrack and the match read, and
+``check``'s ``stencil_reach`` is that march's alone.  With one usable CPU,
+or when no process can be forked, the same work runs here afterwards.
+``check``'s dH-law flow starts at the argmin of u(T) with the fixed
+momentum ``_CHECK_MOMENTUM`` on every axis, so ``seed`` is only recorded
+in the manifest.
 """
 
 from __future__ import annotations
@@ -106,66 +109,19 @@ _POLICY_VECTORS, _POLICY_BLOCKS = 32, 4
 # at most 12.1 ns a point-step beyond, at 2-D N=256, so 14 ns times size + 1024
 # bounds every step measured from 1-D N=16 to 2-D N=256)
 _LF_POINT_NS, _LF_STEP_POINTS = 14, 1024
-# the ns of action's table step per candidate, size * size * n_offsets a step
-# (measured over the full stencil: 0.7-3.2 ns from 1-D N=64 and 2-D N=8 up to
-# 1-D N=1024 and 2-D N=32; a step's fixed cost of about 40 us makes it 17 ns
-# at 1-D N=16)
-_CANDIDATE_NS = 4
+# an action table step counts size * size * n_offsets candidates plus
+# _TABLE_STEP_CANDIDATES, its fixed cost in candidates, at _CANDIDATE_NS each
+# (measured: 0.7-3.2 ns a candidate over the full stencil from 1-D N=64 and
+# 2-D N=8 up to 1-D N=1024 and 2-D N=32; 53-270 us a step from 1-D N=2 to 64
+# and at 2-D N=4, 61-97 us at 1-D N=16 with 9 offsets; so 4 ns times the
+# candidates + 65536 bounds each of those steps)
+_CANDIDATE_NS, _TABLE_STEP_CANDIDATES = 4, 65536
 # the RK4 step of check's dH-law flow
 _CHECK_DT_ODE = 1e-3
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-# PCG's 128-bit LCG multiplier
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _launch_momentum(seed: int, dim: int) -> list:
-    """numpy's ``default_rng(seed).uniform(-1.0, 1.0, size=dim)``, bitwise,
-    without importing ``numpy.random``.
-
-    numpy's ``SeedSequence`` hashes the seed's 32-bit words into a pool of
-    four and draws eight words from it, which seed PCG64; each draw steps
-    its 128-bit LCG and outputs XSL-RR of the state (O'Neill,
-    HMC-CS-2014-0905), whose top 53 bits make the double in [0, 1).
-    """
-    hash_const = 0x43B0D7E5
-
-    def hashmix(value):
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * 0x931E8875 & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        value = 0xCA01F9DD * x - 0x4973F715 * y & _MASK32
-        return value ^ value >> 16
-
-    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for i_src in range(4):
-        for i_dst in range(4):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in words[4:]:
-        for i_dst in range(4):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
-    state, hash_const = [], 0x8B51F9DD
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * 0x58F38DED & _MASK32
-        value = value * hash_const & _MASK32
-        state.append(value ^ value >> 16)
-    # eight little-endian words: the 128-bit initial state, then the stream
-    init = [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
-    inc = (init[2] << 64 | init[3]) << 1 & _MASK128 | 1
-    lcg = ((init[0] << 64 | init[1]) + inc) * _PCG_MULT + inc & _MASK128
-    momentum = []
-    for _ in range(dim):
-        lcg = lcg * _PCG_MULT + inc & _MASK128
-        rot, out = lcg >> 122, (lcg >> 64 ^ lcg) & _MASK64
-        out = (out >> rot | out << (64 - rot)) & _MASK64
-        momentum.append(-1.0 + 2.0 * ((out >> 11) * 2.0 ** -53))
-    return momentum
+# the momentum, on every axis, from which check launches its dH-law flow: the
+# law holds along any flow, and at the argmin of u(T) a zero momentum is an
+# equilibrium of a mechanical model, where the law would test nothing
+_CHECK_MOMENTUM = 0.5
 
 
 def _property_horizons(cfg: RunConfig) -> list:
@@ -176,8 +132,8 @@ def _property_horizons(cfg: RunConfig) -> list:
 def _plan(command: str, cfg: RunConfig) -> dict:
     """What a command plans to step, hold and do, built from its parsed
     config; building it rejects, naming the config key, a run the command
-    cannot step.  ``_check_command`` compares it with its budgets, and the
-    manifest records it (a pure function of the config, built again there).
+    cannot step.  ``main`` builds it once, ``_check_command`` compares it
+    with its budgets, and the manifest records it.
 
     ``steps`` holds the step count of each stage; ``bytes`` the bytes of
     each named part (``_check_command`` says what each counts);
@@ -233,7 +189,8 @@ def _plan(command: str, cfg: RunConfig) -> dict:
         parts["policy_blocks"] = _POLICY_BLOCKS * _BLOCK_ELEMENTS * 8
     elif command == "action":
         parts["table_rows"] = (1 + _KERNEL_COPIES) * size * row
-        work.append({"unit": "kernel candidates", "count": float(n) * size * size * offsets,
+        work.append({"unit": "kernel candidates",
+                     "count": float(n) * (size * size * offsets + _TABLE_STEP_CANDIDATES),
                      "ns_each": _CANDIDATE_NS, "steps": f"{n:.3g} steps of dt={cfg.dt:g}",
                      "key": "solver.T"})
     elif command == "solve":
@@ -265,9 +222,9 @@ def _plan(command: str, cfg: RunConfig) -> dict:
             "budgets": {"bytes": MEMORY_BUDGET_BYTES, "work_ns": _WORK_BUDGET_NS}}
 
 
-def _check_command(command: str, cfg: RunConfig) -> int:
+def _check_command(command: str, cfg: RunConfig, plan: dict) -> int:
     """Reject, naming the config key, what a command cannot step, hold or
-    do; return the bytes its ``_plan`` holds.
+    do; return the bytes its ``plan``, built by ``_plan``, holds.
 
     Steps: ``char`` needs its ``char`` block and at least 2 RK4 steps of
     ``char.dt_ode`` (``flow``'s count, ``int(round(t / dt_ode))``) for the
@@ -328,10 +285,10 @@ def _check_command(command: str, cfg: RunConfig) -> int:
     point-steps of ``_LF_POINT_NS``; a run over the budget is named by
     ``solver.T`` when even the largest step both of the oracle's conditions
     allow would exceed it, and ``oracle.dt_fd`` otherwise.  ``action``
-    forms size * size * n_offsets candidates of ``_CANDIDATE_NS`` a step,
-    named ``solver.T``.  Work is checked after memory.
+    counts size * size * n_offsets candidates of ``_CANDIDATE_NS`` a table
+    step, plus ``_TABLE_STEP_CANDIDATES`` for its fixed cost, named
+    ``solver.T``.  Work is checked after memory.
     """
-    plan = _plan(command, cfg)
     grid, budget, work = cfg.grid, plan["budgets"], plan["work"]
     planned = sum(plan["bytes"].values())
     holds = "hold and stream to slab.csv" if command == "solve" else "hold"
@@ -373,7 +330,8 @@ def _write(out_dir: str, name: str, content):
         raise
 
 
-def _manifest(cfg: RunConfig, out_dir: str, command: str, threads: int, elapsed: float, extra):
+def _manifest(cfg: RunConfig, out_dir: str, command: str, threads: int, elapsed: float,
+              plan: dict, extra):
     doc = {
         "command": command,
         "version": __version__,
@@ -381,7 +339,7 @@ def _manifest(cfg: RunConfig, out_dir: str, command: str, threads: int, elapsed:
         "threads": threads,
         "elapsed_seconds": elapsed,
         "resolved_config": cfg.resolved(),
-        "plan": _plan(command, cfg),
+        "plan": plan,
         **extra,
     }
     _write(out_dir, "manifest.json", json.dumps(doc, indent=2, default=str) + "\n")
@@ -577,7 +535,10 @@ def cmd_check(cfg: RunConfig, out_dir: str) -> tuple:
     child runs it beside the variational suites and returns its final slice
     (on one CPU it runs here, after them); this process writes residual.csv
     before it waits for that slice.  The manifest's ``oracle_process`` block
-    is the child's CPU and peak RSS, or null.
+    is the child's CPU and peak RSS, or null, and its ``stencil_reach`` that
+    of the march of phi, read before the battery steps its probe rows.  The
+    dH-law flow runs over min(T, 1) from x_end, the argmin of u(T), at u(T)
+    there, with momentum ``_CHECK_MOMENTUM`` on every axis.
     """
     failures = []
     rows = ["suite,passed,detail"]
@@ -602,6 +563,7 @@ def cmd_check(cfg: RunConfig, out_dir: str) -> tuple:
         slab = np.empty((_horizon_steps(cfg.T, kern.dt) + 1, cfg.grid.size))
         for k, values in enumerate(_march(kern, phi, len(slab) - 1)):
             slab[k] = values
+        reach = kern.stencil_reach()  # the march's alone: the probe rows are steeper than phi
         u = SpaceTimeField(cfg.grid, kern.dt, slab)
         prop = check_properties(kern, u, psi, _property_horizons(cfg))
         record("semigroup_properties", prop.all_within(2 * max(cfg.tol, 1e-12)),
@@ -615,7 +577,7 @@ def cmd_check(cfg: RunConfig, out_dir: str) -> tuple:
 
         s0 = CharacteristicState(
             x=cfg.grid.points()[x_end], u=float(u.values[-1, x_end]),
-            p=_launch_momentum(cfg.seed, cfg.grid.dim),
+            p=[_CHECK_MOMENTUM] * cfg.grid.dim,
         )
         law = dH_law_residual(cfg.model, flow(cfg.model, s0, min(cfg.T, 1.0), _CHECK_DT_ODE))
         record("dh_law", law.rms_residual <= 1e-4, f"rms={law.rms_residual!r}")
@@ -641,8 +603,7 @@ def cmd_check(cfg: RunConfig, out_dir: str) -> tuple:
     if failures:
         print("check: failing suites: " + ", ".join(failures), file=sys.stderr)
     return EXIT_CHECK_FAILED if failures else EXIT_OK, {
-        "failures": failures, "stencil_reach": kern.stencil_reach(),
-        "oracle_process": oracle.usage}
+        "failures": failures, "stencil_reach": reach, "oracle_process": oracle.usage}
 
 
 _COMMANDS = {
@@ -656,16 +617,17 @@ _COMMANDS = {
 }
 
 
-def _run(command: str, cfg: RunConfig, out_dir: str, threads: int) -> int:
-    """Time a command in its prepared output directory and write its manifest;
-    a ``NumericError`` prints ``<command>: <message>`` and exits 3 without one."""
+def _run(command: str, cfg: RunConfig, out_dir: str, threads: int, plan: dict) -> int:
+    """Time a command in its prepared output directory and write its manifest,
+    which records the command's validated ``plan``; a ``NumericError`` prints
+    ``<command>: <message>`` and exits 3 without one."""
     t0 = time.perf_counter()
     try:
         code, extra = _COMMANDS[command](cfg, out_dir)
     except NumericError as e:
         print(f"{command}: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    _manifest(cfg, out_dir, command, threads, time.perf_counter() - t0, extra)
+    _manifest(cfg, out_dir, command, threads, time.perf_counter() - t0, plan, extra)
     return code
 
 
@@ -694,9 +656,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         out_dir = args.out or cfg.out_dir
         _require(out_dir is not None, "output.directory", "required unless --out is given")
-        _check_command(args.command, cfg)
+        plan = _plan(args.command, cfg)
+        _check_command(args.command, cfg, plan)
         _prepare_out(out_dir, args.overwrite)
-        return _run(args.command, cfg, out_dir, args.threads)
+        return _run(args.command, cfg, out_dir, args.threads, plan)
     except (ConfigurationError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -39,7 +39,7 @@ Schema (defaults in parentheses):
       dt_fd: float                   (respecting both CFL conditions)
     output:
       directory: str                 (overridden by --out)
-    seed: int >= 0                   (0)
+    seed: int >= 0                   (0, only recorded in the manifest)
 
 Every number, a list entry or a mode's wavenumbers and amplitude too, is
 checked by ``_number`` (a finite float) or ``_integer``; a mode list's

@@ -17,7 +17,7 @@ from oracles import march
 from test_action import assert_matches_karp
 from test_config import assert_loaders_agree
 from weakkam import action, fdoracle, kernels, models, torus
-from weakkam.cli import _check_command, _Forked, _launch_momentum, _run, main
+from weakkam.cli import _check_command, _Forked, _plan, _run, main
 from weakkam.config import load_config
 from weakkam.errors import ConfigurationError, NumericError
 from weakkam.semigroup import _march, fixed_point
@@ -49,6 +49,11 @@ def write_config(path, **overrides):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def planned(command, cfg):
+    """What ``main`` validates: ``_check_command`` on the command's plan, the bytes it holds."""
+    return _check_command(command, cfg, _plan(command, cfg))
 
 
 def assert_no_child_process():
@@ -501,6 +506,16 @@ def test_huge_horizon_is_rejected_before_output_naming_the_horizon(tmp_path, cap
     assert not out.exists()
 
 
+def test_action_work_counts_a_fixed_cost_per_table_step(tmp_path):
+    # 1-D N=16 with 9 offsets: 2,304 candidates a table step would take 9 us
+    # at 4 ns, but a step takes 60-100 us, so 3.2e7 steps (T = 2e6) would run
+    # 30-50 minutes, past the 9-minute budget, though their candidates fit it
+    cfg = load_config(write_config(tmp_path / "run.yaml", grid={"N": 16, "dt": 1 / 16},
+                                   solver={"T": 2e6}))
+    with pytest.raises(ConfigurationError, match="config key `solver.T`: .* kernel candidates"):
+        planned("action", cfg)
+
+
 @pytest.mark.parametrize(
     "command,overrides,key",
     [("oracle", dict(solver={"T": 1e300}), "solver.T"),
@@ -552,7 +567,8 @@ def test_char_past_the_budget_is_rejected_before_output(tmp_path, capsys, t, dt_
 @pytest.mark.parametrize("v_max,radius,m", [(2.0, 8, 8), (4.0, 13, 16)])
 def test_manifests_record_the_stencil_reach(tmp_path, v_max, radius, m):
     # 1-D discounted, V = cos 2 pi x, phi = 0.5 cos 2 pi x: v_max 2 truncates
-    # minimizers (the reach is m), v_max 4 does not
+    # minimizers (the reach is m), v_max 4 does not.  check reports its march
+    # of phi alone: the steeper probe rows its battery steps reach m at v_max 4
     cfg = write_config(tmp_path / "run.yaml", grid={"N": 256, "dt": 1 / 64, "v_max": v_max},
                        solver={"phi": [[1, 0.5]], "quadrature": "exact", "checkpoints": [1.0]})
     for command in ("solve", "converge", "check"):
@@ -560,9 +576,8 @@ def test_manifests_record_the_stencil_reach(tmp_path, v_max, radius, m):
         assert run([command, "--config", cfg, "--out", out]) in (0, 1, 3)
         reach = json.loads((out / "manifest.json").read_text())["stencil_reach"]
         assert reach["m"] == m and reach["steps"] > 0
-        if command == "solve":
-            assert reach["radius"] == [radius]
-            assert (reach["steps_at_m"] > 0) == (radius == m)
+        assert reach["radius"] == [radius], command
+        assert (reach["steps_at_m"] > 0) == (radius == m), command
 
 
 def test_critical_value_run(tmp_path, capsys):
@@ -643,8 +658,7 @@ def test_char_requires_char_block(tmp_path, capsys):
         ("solve", dict(solver={"phi": [[1, float("inf")]]}), "solver.phi[0][1]"),
         ("solve", dict(model={"potential": [[1, 1e308], [2, 1e308]]}), "model.potential"),
         ("solve", dict(solver={"phi": [[1, 1e308], [2, 1e308]]}), "solver.phi"),
-        # a negative seed: check's launch momentum hashes the seed's 32-bit
-        # words, so seeds are the non-negative integers
+        # a negative seed: seed is only recorded, but it stays a non-negative integer
         ("check", dict(solver={"T": 0.5}, seed=-1), "seed"),
         # a frozen level whose coupling lambda*a overflows
         ("critical", dict(model={"lambda": 2.0}, grid={"N": 256, "dt": 1 / 32},
@@ -766,7 +780,7 @@ def test_oracle_peak_does_not_grow_with_the_horizon(tmp_path):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            assert _run("oracle", cfg, str(out), 1) == 0
+            assert _run("oracle", cfg, str(out), 1, _plan("oracle", cfg)) == 0
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()
@@ -913,21 +927,30 @@ def test_check_2d_builds_one_kernel_and_stores_no_lf_slab(tmp_path, monkeypatch)
     assert lf_solves == []
 
 
-# one to three 32-bit seed words (2**73 + 12345 is a 74-bit seed), and seven,
-# which SeedSequence mixes into its pool of four after the first four
-MOMENTUM_SEEDS = [*range(300), 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1, 2**64 + 5,
-                  2**73 + 12345, 2**200 - 1]
+def test_check_csv_is_the_same_for_every_seed(tmp_path):
+    # check launches its dH-law flow from a fixed momentum: seed is only recorded
+    for seed in (0, 7):
+        cfg = write_config(tmp_path / f"run{seed}.yaml", solver={"T": 0.5}, seed=seed)
+        assert run(["check", "--config", cfg, "--out", tmp_path / str(seed)]) in (0, 1)
+        manifest = json.loads((tmp_path / str(seed) / "manifest.json").read_text())
+        assert manifest["resolved_config"]["seed"] == seed
+    assert (tmp_path / "0" / "check.csv").read_bytes() == (
+        tmp_path / "7" / "check.csv").read_bytes()
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_launch_momentum_is_numpys_uniform_stream(dim):
-    for seed in MOMENTUM_SEEDS:
-        want = np.random.default_rng(seed).uniform(-1.0, 1.0, size=dim)
-        assert np.array(_launch_momentum(seed, dim)).tobytes() == want.tobytes(), seed
+def test_check_dh_law_flow_on_a_mechanical_model_leaves_its_launch(tmp_path):
+    # a zero momentum at the argmin of u(T) is an equilibrium of a mechanical
+    # model, where the law's residual is exactly 0 and tests nothing
+    cfg = write_config(tmp_path / "run.yaml", model={"family": "quadratic-mechanical",
+                                                      "lambda": 0.0}, solver={"T": 0.5})
+    assert run(["check", "--config", cfg, "--out", tmp_path / "out"]) in (0, 1)
+    rows = dict(row.split(",", 1) for row in (tmp_path / "out" / "check.csv").read_text().split())
+    passed, detail = rows["dh_law"].split(",")
+    assert passed == "1" and float(detail.removeprefix("rms=")) > 0
 
 
 def test_check_leaves_numpy_random_unimported(tmp_path):
-    # a fresh interpreter: this one has numpy.random from the test above
+    # a fresh interpreter: the tests import numpy.random into this one
     cfg = write_config(tmp_path / "run.yaml", solver={"T": 0.5}, oracle={"alpha": 4.1}, seed=7)
     script = ("import sys\nfrom weakkam.cli import main\ncode = main(sys.argv[1:])\n"
               "print(code, 'numpy.random' in sys.modules)\n")
@@ -1044,7 +1067,7 @@ def test_benchmark_sized_slab_commands_fit_the_budget(tmp_path):
     )
     for command, path in (("solve", one_d), ("oracle", one_d), ("oracle", two_d),
                           ("check", two_d), ("converge", longtime)):
-        _check_command(command, load_config(path))
+        planned(command, load_config(path))
 
 
 @pytest.mark.parametrize("command,config", [("solve", "solve"), ("check", "check"),
@@ -1057,13 +1080,27 @@ def test_manifest_records_the_validated_plan_on_the_benchmark_configs(tmp_path, 
     assert run([command, "--config", path, "--out", out]) in (0, 1)
     manifest = json.loads((out / "manifest.json").read_text())
     plan = manifest["plan"]
-    assert int(sum(plan["bytes"].values())) == _check_command(command, load_config(str(path)))
+    assert int(sum(plan["bytes"].values())) == planned(command, load_config(str(path)))
     assert plan["budgets"] == {"bytes": 2**30, "work_ns": 5.6e11}
     assert manifest.get("stencil_reach", {"steps_at_m": 0})["steps_at_m"] == 0
     if command == "solve":
         # the Picard wavefront the plan counts holds every row the certificate reports
         certificate = (out / "fixedpoint.csv").read_text().splitlines()[1:]
         assert plan["steps"]["picard_rows"] >= len(certificate) > 1
+
+
+def test_main_builds_the_run_plan_once(tmp_path, monkeypatch):
+    # validation and the manifest read the one plan main builds
+    calls = []
+    monkeypatch.setattr("weakkam.cli._plan", lambda *args: calls.append(args) or _plan(*args))
+    cfg = write_config(tmp_path / "run.yaml", solver={"T": 0.5, "checkpoints": [1.0]},
+                       char={"x0": [0.3], "p0": [0.5], "t": 0.1})
+    for command in ("solve", "converge", "critical", "action", "char", "oracle", "check"):
+        calls.clear()
+        assert run([command, "--config", cfg, "--out", tmp_path / command]) in (0, 1, 3)
+        assert len(calls) == 1, command
+        manifest = json.loads((tmp_path / command / "manifest.json").read_text())
+        assert manifest["plan"] == json.loads(json.dumps(_plan(*calls[0])))
 
 
 def test_2d_converge_budget_counts_base_cost_only_where_it_is_built(tmp_path):
@@ -1078,9 +1115,9 @@ def test_2d_converge_budget_counts_base_cost_only_where_it_is_built(tmp_path):
             solver={"quadrature": quadrature},
         ))
 
-    assert _check_command("converge", config("left")) <= 0.2 * 2**30
+    assert planned("converge", config("left")) <= 0.2 * 2**30
     with pytest.raises(ConfigurationError, match="config key `grid.N`"):
-        _check_command("converge", config("exact"))
+        planned("converge", config("exact"))
 
 
 def test_2d_n128_critical_fits_the_budget(tmp_path):
@@ -1091,7 +1128,7 @@ def test_2d_n128_critical_fits_the_budget(tmp_path):
         model={"dim": 2, "potential": [[1, 0, 1.0], [0, 1, 0.5]]},
         grid={"N": 128, "dt": 1.0 / 64, "v_max": 4.0},
     )
-    assert _check_command("critical", load_config(cfg)) <= 80e6
+    assert planned("critical", load_config(cfg)) <= 80e6
 
 
 # bytes of the table of a str-keyed dict (CPython 3.11 layout) of 2**k slots,
@@ -1131,13 +1168,14 @@ def test_budget_estimate_bounds_the_traced_peak(tmp_path, command, overrides, co
     # numpy's buffers and every Python object, so no OS-level measurement is
     # needed
     cfg = load_config(write_config(tmp_path / "run.yaml", **overrides))
-    planned = _check_command(command, cfg)
+    plan = _plan(command, cfg)
+    planned = _check_command(command, cfg, plan)
     # one untraced run first: what a first run makes once and keeps (modules
     # imported on first use, the interpreter's interned-string table grown) is
     # code and interpreter state, not data, and would make the peak depend on
     # what ran before
     (tmp_path / "warm").mkdir()
-    assert _run(command, cfg, str(tmp_path / "warm"), 1) == code
+    assert _run(command, cfg, str(tmp_path / "warm"), 1, plan) == code
     # the interned-string table is interpreter state too, but it is resized
     # at any call once its freed slots run out, and numpy interns the keys of
     # every __array_interface__ it builds (as_strided): the whole new table
@@ -1150,7 +1188,7 @@ def test_budget_estimate_bounds_the_traced_peak(tmp_path, command, overrides, co
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            assert _run(command, cfg, str(out), 1) == code
+            assert _run(command, cfg, str(out), 1, plan) == code
             peak = tracemalloc.get_traced_memory()[1] - base
             resized = any(t.size in INTERNED_TABLE_BYTES
                           for t in tracemalloc.take_snapshot().traces)

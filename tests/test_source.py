@@ -181,7 +181,7 @@ def test_key_message_scan_sees_each_restatement():
 PLAN_CONSTANTS = {
     "MEMORY_BUDGET_BYTES", "_WORK_BUDGET_NS", "_KERNEL_COPIES", "_LF_COPIES", "_ROW_BYTES",
     "_HISTORY_BYTES", "_CHAR_STATE_BYTES", "_POLICY_VECTORS", "_POLICY_BLOCKS", "_LF_POINT_NS",
-    "_LF_STEP_POINTS", "_CANDIDATE_NS",
+    "_LF_STEP_POINTS", "_CANDIDATE_NS", "_TABLE_STEP_CANDIDATES",
 }
 
 
@@ -276,6 +276,52 @@ def test_yaml_read_scan_sees_each_call():
     # the one call the rule allows is the one the real config module makes
     config = (ROOT / "src" / "weakkam" / "config.py").read_text()
     assert [f.split()[-3] for f in yaml_reads(config, "cli")] == ["load_config"]
+
+
+# numpy.random adds about 2 MB to a command's peak RSS (BENCH_33.json), and no
+# module of the package draws a random number
+def numpy_random_reaches(source: str) -> list:
+    """The imports of numpy.random in ``source`` (``import numpy.random``,
+    ``from numpy.random import ...``, ``from numpy import random``) and its
+    reads as an attribute of numpy under any name numpy is imported as."""
+    tree = ast.parse(source)
+    numpy_names = {"np", "numpy"} | {alias.asname or alias.name for node in ast.walk(tree)
+                                     if isinstance(node, ast.Import)
+                                     for alias in node.names if alias.name == "numpy"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {alias.name}") for alias in node.names
+                      if alias.name.split(".")[:2] == ["numpy", "random"]]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [alias.name for alias in node.names]
+            if node.module.split(".")[:2] == ["numpy", "random"]:
+                found.append((node.lineno, f"from {node.module} import {', '.join(names)}"))
+            elif node.module == "numpy" and "random" in names:
+                found.append((node.lineno, "from numpy import random"))
+        elif (isinstance(node, ast.Attribute) and node.attr == "random"
+              and getattr(node.value, "id", None) in numpy_names):
+            found.append((node.lineno, f"{node.value.id}.random"))
+    return [f"{text} (line {line})" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "weakkam").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_package_module_reaches_numpy_random(path):
+    assert numpy_random_reaches(path.read_text()) == []
+
+
+def test_numpy_random_scan_sees_each_reach():
+    source = (
+        "import numpy as xp\nimport numpy.random\nfrom numpy.random import default_rng, Generator\n"
+        "from numpy import random, pi\nrng = xp.random.default_rng(0)\n"
+        "def draw():\n    return np.random.uniform(), xp.pi, random.random()\n"
+    )
+    assert numpy_random_reaches(source) == [
+        "import numpy.random (line 2)", "from numpy.random import default_rng, Generator (line 3)",
+        "from numpy import random (line 4)", "xp.random (line 5)", "np.random (line 7)"]
+    # the tests draw their random states from it
+    assert numpy_random_reaches((ROOT / "tests" / "test_characteristics.py").read_text()) != []
 
 
 # the functions that may compare a grid dimension with an integer literal: the
