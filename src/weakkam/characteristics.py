@@ -16,9 +16,9 @@ With two modes a discounted step takes about 4.5 us in either dimension
 (best of 40 flows of 500 steps, Python 3.11.7 on a 2-core VM), against 20
 us in 2-D and 16 us in 1-D when each stage was a list comprehension.  H_x is the analytic
 gradient of the potential, H_u the coupling's derivative and H_p = p, the
-closed forms of the quadratic catalog, so x' is the stage's p; the
-mechanical and discounted couplings are lam*u with H_u = lam, and
-nonlinear-u calls the model's numpy coupling and H_u.  H at each state is
+closed forms of the quadratic catalog, so x' is the stage's p; a coupling
+without f is lam*u with H_u = lam (lam = 0 for the mechanical family), and
+one with f calls the model's numpy coupling and H_u.  H at each state is
 taken from the first stage of the step that leaves it.  A mode's phase k.x
 is summed in axis order, without the fused multiply-add a BLAS dot may use.
 """
@@ -81,9 +81,9 @@ def _rhs(model: HamiltonianModel):
         k1, k2 = (*map(float, k), 0.0)[:2]
         modes.append((k1, k2, a, -a * 2.0 * math.pi))
     shift = model.action_shift
-    # the mechanical (lam = 0) and discounted couplings lam*u and their H_u
-    # are formed on floats; 0.0*u adds a signed zero to 0.5*pp >= 0
-    nonlinear, lam = model.family == "quadratic-nonlinear-u", model.lipschitz_u
+    # a coupling lam*u (mechanical: lam = 0) and its H_u are formed on floats;
+    # 0.0*u adds a signed zero to 0.5*pp >= 0
+    nonlinear, lam = model.f is not None, model.lipschitz_u
 
     def rhs(x1, x2, u, p1, p2):
         pot = g1 = g2 = 0.0

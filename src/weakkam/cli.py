@@ -2,20 +2,15 @@
 
 Each subcommand computes one thing from a validated run configuration and
 writes CSVs and a ``manifest.json`` into the output directory, each file
-as name.part renamed once complete.  ``main`` owns the lifecycle: it
-builds the command's run plan (``_plan``) once, and before it makes the
-output directory, ``_check_command`` rejects, naming the config key, what
-the command cannot step, hold or do, from that plan: a missing ``char``
-block; a horizon off the time grid or past the float range of steps, or
-for ``check`` under 3 steps of grid.dt or 2 RK4 steps of its dH-law flow
-(``solver.T``); a ``char`` flow under 2 RK4 steps (``char.t``); a
-non-finite coupling at ``solver.a``; bytes above ``MEMORY_BUDGET_BYTES``
-(``solve`` counts the slab it streams, held by no process, to bound its
-horizon); and work above ``_WORK_BUDGET_NS``: Lax-Friedrichs point-steps
-for ``oracle`` and ``check`` (``solver.T`` or ``oracle.dt_fd``), kernel
-candidates for ``action`` (``solver.T``).  ``_run`` then times
-``cmd_*(cfg, out_dir)``, which returns ``(exit_code, manifest_extra)``, and
-writes the one manifest, which records the same plan.
+as name.part renamed once complete.  ``main`` owns the lifecycle: before
+it makes the output directory it builds the command's run plan
+(``_plan``) once, and building it rejects, naming the config key, what
+the command cannot step, hold or do: a missing ``char`` block, a horizon
+it cannot step, a non-finite coupling at ``solver.a``, bytes above
+``MEMORY_BUDGET_BYTES`` or work above ``_WORK_BUDGET_NS``.  ``_run`` then
+times ``cmd_*(cfg, out_dir)``, which returns ``(exit_code,
+manifest_extra)``, and writes the one manifest, which records the same
+plan.
 
 Exit codes: 0 success, 1 a check suite failed, 2 an invalid configuration
 or a failed write, 3 a numeric failure.  A ``NumericError`` from any
@@ -63,7 +58,7 @@ from .characteristics import (
 )
 from .config import RunConfig, _named, _require, load_config
 from .errors import ConfigurationError, NumericError
-from .fdoracle import _lf_march, lf_final
+from .fdoracle import _lf_march, _stable_step, lf_final
 from .kernels import _BLOCK_ELEMENTS, row_path
 from .semigroup import (
     _backtrack,
@@ -131,20 +126,79 @@ def _property_horizons(cfg: RunConfig) -> list:
 
 def _plan(command: str, cfg: RunConfig) -> dict:
     """What a command plans to step, hold and do, built from its parsed
-    config; building it rejects, naming the config key, a run the command
-    cannot step.  ``main`` builds it once, ``_check_command`` compares it
-    with its budgets, and the manifest records it.
+    config; building it rejects, naming the config key, what the command
+    cannot step, hold or do.  ``main`` builds it once, before the output
+    directory, and the manifest records it.
 
     ``steps`` holds the step count of each stage; ``bytes`` the bytes of
-    each named part (``_check_command`` says what each counts);
-    ``bytes_key`` the config key that mends a run over the memory budget:
-    ``solver.T`` when the horizon's n + 1 slices at one float each exceed
-    it (no grid could hold or stream them), ``solver.checkpoints`` when
-    converge's history alone does, ``char.t`` for ``char``, and ``grid.N``
-    otherwise; ``work``, one entry per unit of work, its count, the ns of
-    one, the config key that mends it and the steps it counts; ``budgets``,
-    the memory and work budgets.  Only this function reads the budgets
-    and the measured constants beside them.
+    each named part; ``bytes_key`` the config key that mends a run over
+    the memory budget; ``work``, one entry per unit of work, its count, the
+    ns of one, the config key that mends it and the steps it counts;
+    ``budgets``, the memory and work budgets.  Only this function reads
+    the budgets and the measured constants beside them.
+
+    Steps: ``char`` needs its ``char`` block and at least 2 RK4 steps of
+    ``char.dt_ode`` (``flow``'s count, ``int(round(t / dt_ode))``) for the
+    dH law's centred difference, named ``char.t``.  ``solve``, ``action``
+    and ``check`` step solver.T, and ``check`` its property horizons, by
+    grid.dt: each must be a positive multiple of it, in a step count a
+    float can hold.  ``check`` also needs at least 3 steps (the calibrated
+    chain is matched from its first interior slice to the one before its
+    end) and a dH-law flow over min(T, 1) of at least 2 RK4 steps of
+    ``_CHECK_DT_ODE``; ``oracle`` and ``check`` need a count of oracle.dt_fd
+    steps a float can hold.  Each is named ``solver.T``, but for a fixed
+    property horizon (0.5 or 1) that grid.dt does not divide, which no T
+    mends: that one is named ``grid.dt``.  ``critical`` and ``action`` need
+    a finite coupling at their frozen level ``solver.a``.
+
+    Memory: the parts, summed, must fit ``MEMORY_BUDGET_BYTES``.  CSVs are
+    streamed one block of at most grid.size rows (``_TABLE_ROWS`` for a
+    table without a grid axis) at a time, so every command holds
+    ``text_block``, that block at ``_ROW_BYTES`` a row, and
+    ``candidate_block``, one block of ``_BLOCK_ELEMENTS`` floats of a step.
+    A step holds, per stacked row, ``_KERNEL_COPIES`` (kernel) or
+    ``_LF_COPIES`` (Lax-Friedrichs) slices.  ``kernel_tables`` are V and,
+    on 2-D "left", a start cost (at most 5*size), and the n_offsets*size
+    ``base_cost`` where it is built: off the row path (``kernels.row_path``)
+    and by ``critical``; the build falls inside the step's block.
+    - ``critical``: ``kernel_tables``, ``policy_vectors`` (``_POLICY_VECTORS``
+      size-length vectors) and ``policy_blocks`` (``_POLICY_BLOCKS``
+      candidate blocks);
+    - ``action``: ``table_rows``, its table and a step of its size rows;
+    - ``oracle``: ``lf_step``, one Lax-Friedrichs step (the slice it
+      streams), no slab;
+    - ``solve``: ``kernel_tables``; ``slab``, the n + 1 slices slab.csv
+      streams, which no process holds: for a u-independent model only they
+      grow with T, so they keep a horizon such as 1e300 from running
+      unbounded; ``stacked_rows``, the Picard wavefront (iterate 0 and up to
+      n + 1 rows, one if H does not depend on u) with a step of its rows,
+      and the writer's march of one row with a step of it, as ``check``
+      counts its oracle's step (the writer holds the one text block);
+    - ``check``: ``kernel_tables``; ``slab``, its one slab over [0, T] (the
+      march of phi, filled from ``_march``, that the battery reads and the
+      backtrack walks); ``stacked_rows``, the three probe rows the battery
+      steps together with one step of them (the march's one-row step is
+      smaller); and ``lf_step``, one Lax-Friedrichs step;
+    - ``converge``: ``kernel_tables``, ``stacked_rows`` (its slice and one
+      step of it) and ``history``, ``_HISTORY_BYTES`` per step;
+    - ``char``: ``rk4_states``, ``_CHAR_STATE_BYTES`` per RK4 state of its
+      one trajectory.
+    A run over the budget is named by ``bytes_key``: ``solver.T`` when the
+    horizon's n + 1 slices at one float each exceed it (no grid could hold
+    or stream them), ``solver.checkpoints`` when converge's history alone
+    does, ``char.t`` for ``char``, and ``grid.N`` otherwise.  For ``solve``
+    the message says what the estimate counts, what the run would hold and
+    stream to slab.csv.
+
+    Work: the work, summed in ns, must fit ``_WORK_BUDGET_NS``.  ``oracle``
+    and ``check`` take round(T / oracle.dt_fd) (at least 1) Lax-Friedrichs
+    steps, each counted as its size plus ``_LF_STEP_POINTS`` point-steps of
+    ``_LF_POINT_NS``; a run over the budget is named by ``solver.T`` when
+    even the largest step both of the oracle's conditions allow
+    (``fdoracle._stable_step``) would exceed it, and ``oracle.dt_fd``
+    otherwise.  ``action`` counts size * size * n_offsets candidates of
+    ``_CANDIDATE_NS`` a table step, plus ``_TABLE_STEP_CANDIDATES`` for its
+    fixed cost, named ``solver.T``.  Work is checked after memory.
     """
     grid, size, text_rows = cfg.grid, cfg.grid.size, cfg.grid.size
     row = size * 8  # the bytes of one slice
@@ -169,10 +223,7 @@ def _plan(command: str, cfg: RunConfig) -> dict:
                  f"least 2 RK4 steps of {_CHECK_DT_ODE:g}, got {law}")
     if command in ("oracle", "check"):
         steps["oracle"] = lf = cfg.T_fd / cfg.dt_fd  # T_fd raises naming solver.T
-        # the largest step both of the oracle's conditions allow
-        dt_most = 0.5 * grid.dx / cfg.alpha
-        if cfg.model.lipschitz_u:
-            dt_most = min(dt_most, 1.0 / cfg.model.lipschitz_u)
+        dt_most = _stable_step(cfg.model, grid, cfg.alpha)  # the oracle's largest step
         at_most = max(1.0, cfg.T / dt_most) * (size + _LF_STEP_POINTS) * _LF_POINT_NS
         work.append({"unit": "Lax-Friedrichs point-steps", "count": lf * (size + _LF_STEP_POINTS),
                      "ns_each": _LF_POINT_NS, "steps": f"{lf:.3g} steps of dt_fd={cfg.dt_fd:g}",
@@ -218,90 +269,19 @@ def _plan(command: str, cfg: RunConfig) -> dict:
         text_rows, key = _TABLE_ROWS, "char.t"
     parts["candidate_block"] = _BLOCK_ELEMENTS * 8
     parts["text_block"] = text_rows * _ROW_BYTES
-    return {"steps": steps, "bytes": parts, "bytes_key": key, "work": work,
-            "budgets": {"bytes": MEMORY_BUDGET_BYTES, "work_ns": _WORK_BUDGET_NS}}
-
-
-def _check_command(command: str, cfg: RunConfig, plan: dict) -> int:
-    """Reject, naming the config key, what a command cannot step, hold or
-    do; return the bytes its ``plan``, built by ``_plan``, holds.
-
-    Steps: ``char`` needs its ``char`` block and at least 2 RK4 steps of
-    ``char.dt_ode`` (``flow``'s count, ``int(round(t / dt_ode))``) for the
-    dH law's centred difference, named ``char.t``.  ``solve``, ``action``
-    and ``check`` step solver.T, and ``check`` its property horizons, by
-    grid.dt: each must be a positive multiple of it, in a step count a
-    float can hold.  ``check`` also needs at least 3 steps (the calibrated
-    chain is matched from its first interior slice to the one before its
-    end) and a dH-law flow over min(T, 1) of at least 2 RK4 steps of
-    ``_CHECK_DT_ODE``; ``oracle`` and ``check`` need a count of oracle.dt_fd
-    steps a float can hold.  Each is named ``solver.T``, but for a fixed
-    property horizon (0.5 or 1) that grid.dt does not divide, which no T
-    mends: that one is named ``grid.dt``.  ``critical`` and
-    ``action`` need a finite coupling at their frozen level ``solver.a``.
-
-    Memory: the plan's parts, summed, must fit ``MEMORY_BUDGET_BYTES``.
-    CSVs are streamed one block of at most grid.size rows (``_TABLE_ROWS``
-    for a table without a grid axis) at a time, so every command holds
-    ``text_block``, that block at ``_ROW_BYTES`` a row, and
-    ``candidate_block``, one block of ``_BLOCK_ELEMENTS`` floats of a step.
-    A step holds, per stacked row, ``_KERNEL_COPIES`` (kernel) or
-    ``_LF_COPIES`` (Lax-Friedrichs) slices.  ``kernel_tables`` are V and,
-    on 2-D "left", a start cost (at most 5*size), and the n_offsets*size
-    ``base_cost`` where it is built: off the row path (``kernels.row_path``)
-    and by ``critical``; the build falls inside the step's block.
-    - ``critical``: ``kernel_tables``, ``policy_vectors`` (``_POLICY_VECTORS``
-      size-length vectors) and ``policy_blocks`` (``_POLICY_BLOCKS``
-      candidate blocks);
-    - ``action``: ``table_rows``, its table and a step of its size rows;
-    - ``oracle``: ``lf_step``, one Lax-Friedrichs step (the slice it
-      streams), no slab;
-    - ``solve``: ``kernel_tables``; ``slab``, the n + 1 slices slab.csv
-      streams, which no process holds: for a u-independent model only they
-      grow with T, so they keep a horizon such as 1e300 from running
-      unbounded; ``stacked_rows``, the Picard wavefront (iterate 0 and up to
-      n + 1 rows, one if H does not depend on u) with a step of its rows,
-      and the writer's march of one row with a step of it, as ``check``
-      counts its oracle's step (the writer holds the one text block);
-    - ``check``: ``kernel_tables``; ``slab``, its one slab over [0, T] (the
-      march of phi, filled from ``_march``, that the battery reads and the
-      backtrack walks); ``stacked_rows``, the three probe rows the battery
-      steps together with one step of them (the march's one-row step is
-      smaller); and ``lf_step``, one Lax-Friedrichs step;
-    - ``converge``: ``kernel_tables``, ``stacked_rows`` (its slice and one
-      step of it) and ``history``, ``_HISTORY_BYTES`` per step;
-    - ``char``: ``rk4_states``, ``_CHAR_STATE_BYTES`` per RK4 state of its
-      one trajectory.
-    A run over the budget is named by the key of a part no grid could fit
-    even at one point, ``slab`` (``solver.T``) or ``history``
-    (``solver.checkpoints``), and otherwise by ``grid.N``; ``char`` always
-    names ``char.t``.  For ``solve`` the message says
-    what the estimate counts, what the run would hold and stream to
-    slab.csv.
-
-    Work: the plan's work, summed in ns, must fit ``_WORK_BUDGET_NS``.
-    ``oracle`` and ``check`` take round(T / oracle.dt_fd) (at least 1)
-    Lax-Friedrichs steps, each counted as its size plus ``_LF_STEP_POINTS``
-    point-steps of ``_LF_POINT_NS``; a run over the budget is named by
-    ``solver.T`` when even the largest step both of the oracle's conditions
-    allow would exceed it, and ``oracle.dt_fd`` otherwise.  ``action``
-    counts size * size * n_offsets candidates of ``_CANDIDATE_NS`` a table
-    step, plus ``_TABLE_STEP_CANDIDATES`` for its fixed cost, named
-    ``solver.T``.  Work is checked after memory.
-    """
-    grid, budget, work = cfg.grid, plan["budgets"], plan["work"]
-    planned = sum(plan["bytes"].values())
+    planned = sum(parts.values())
     holds = "hold and stream to slab.csv" if command == "solve" else "hold"
-    _require(planned <= budget["bytes"], plan["bytes_key"],
+    _require(planned <= MEMORY_BUDGET_BYTES, key,
              f"{command} on {grid.dim}-D N={grid.n} would {holds} about "
-             f"{planned / 2**30:.3g} GiB, above the budget of {budget['bytes'] / 2**30:g} GiB")
+             f"{planned / 2**30:.3g} GiB, above the budget of {MEMORY_BUDGET_BYTES / 2**30:g} GiB")
     if work:
         most = max(work, key=lambda w: w["count"] * w["ns_each"])
-        _require(sum(w["count"] * w["ns_each"] for w in work) <= budget["work_ns"], most["key"],
+        _require(sum(w["count"] * w["ns_each"] for w in work) <= _WORK_BUDGET_NS, most["key"],
                  f"{command} on {grid.dim}-D N={grid.n} would take about {most['count']:.3g} "
                  f"{most['unit']} ({most['steps']}), above the budget of "
-                 f"{budget['work_ns'] / most['ns_each']:g}")
-    return int(planned)
+                 f"{_WORK_BUDGET_NS / most['ns_each']:g}")
+    return {"steps": steps, "bytes": parts, "bytes_key": key, "work": work,
+            "budgets": {"bytes": MEMORY_BUDGET_BYTES, "work_ns": _WORK_BUDGET_NS}}
 
 
 def _prepare_out(out_dir: str, overwrite: bool):
@@ -657,7 +637,6 @@ def main(argv=None) -> int:
         out_dir = args.out or cfg.out_dir
         _require(out_dir is not None, "output.directory", "required unless --out is given")
         plan = _plan(args.command, cfg)
-        _check_command(args.command, cfg, plan)
         _prepare_out(out_dir, args.overwrite)
         return _run(args.command, cfg, out_dir, args.threads, plan)
     except (ConfigurationError, OSError) as e:

@@ -10,9 +10,12 @@ Schema (defaults in parentheses):
     model:
       family: quadratic-mechanical | quadratic-discounted | quadratic-nonlinear-u
       dim: 1 | 2                     (1)
-      lambda: float >= 0             (0.0, discounted family)
+      lambda: float >= 0             (0.0; discounted family only, else
+                                      rejected naming model.family unless 0)
       potential: [[k..., amplitude], ...]   ([], meaning V = 0)
-      f: {knots_u: [...], knots_f: [...]}   (nonlinear family only)
+      f: {knots_u: [...], knots_f: [...]}   (nonlinear-u family only, where it
+                                      is required; else rejected naming
+                                      model.family)
       action_shift: float            (0.0)
     grid:
       N: int >= 2
@@ -36,7 +39,8 @@ Schema (defaults in parentheses):
       dt_ode: float > 0              (1e-3)
     oracle:
       alpha: float                   (audited max |H_p| + 0.1)
-      dt_fd: float                   (respecting both CFL conditions)
+      dt_fd: float                   (min(1e-3, the largest step both
+                                      conditions of the oracle allow))
     output:
       directory: str                 (overridden by --out)
     seed: int >= 0                   (0, only recorded in the manifest)
@@ -49,8 +53,8 @@ amplitudes must also have a finite sum of absolute values, which bounds
 checks (``PiecewiseLinearMap``, ``HamiltonianModel``, ``check_dt_lambda``,
 ``stencil_offsets``, ``LFConfig``) run through ``_named``, which re-raises
 a failure naming the key.  What depends on the command (stepped horizons,
-their least step counts, memory and work) ``weakkam.cli._check_command``
-checks against the command's run plan before the output directory is made.
+their least step counts, memory and work) ``weakkam.cli._plan`` checks
+as it builds the command's run plan, before the output directory is made.
 
 The semigroup is computed by the forward march, which is its exact fixed
 point, and ``solve``'s slab is always that march.  ``solver.tol`` only
@@ -67,7 +71,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigurationError
-from .fdoracle import LFConfig
+from .fdoracle import LFConfig, _stable_step
 from .kernels import QUADRATURES, StepKernel, check_dt_lambda
 from .models import (
     AssumptionAudit,
@@ -316,8 +320,7 @@ def parse_config(data: dict) -> RunConfig:
     alpha = _number(oblock, "oracle", "alpha", default=alpha_default, lo=0.0, lo_strict=True)
     _require(alpha >= audit.max_Hp + 0.1 - 1e-12, "oracle.alpha",
              f"{alpha:g} is below the audited max |H_p| {audit.max_Hp:g} + 0.1")
-    dt_fd_default = min(0.5 * grid.dx / alpha, 1e-3 if model.lipschitz_u == 0
-                        else min(1e-3, 1.0 / model.lipschitz_u))
+    dt_fd_default = min(_stable_step(model, grid, alpha), 1e-3)
     dt_fd = _number(oblock, "oracle", "dt_fd", default=dt_fd_default, lo=0.0, lo_strict=True)
     _named("oracle.dt_fd", LFConfig, model, grid, alpha, dt_fd)
 

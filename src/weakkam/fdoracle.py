@@ -35,6 +35,13 @@ from .models import HamiltonianModel
 from .torus import Grid, GridField, SpaceTimeField, _horizon_steps
 
 
+def _stable_step(model: HamiltonianModel, grid: Grid, alpha: float) -> float:
+    """The largest dt_fd both of ``LFConfig``'s conditions allow:
+    min(0.5 * dx / alpha, 1 / lambda_L), the second only where lambda_L > 0."""
+    most = 0.5 * grid.dx / alpha
+    return min(most, 1.0 / model.lipschitz_u) if model.lipschitz_u else most
+
+
 @dataclass(frozen=True)
 class LFConfig:
     model: HamiltonianModel

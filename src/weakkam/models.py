@@ -7,15 +7,19 @@ Every family is quadratic in the momentum with an additive coupling in u:
     quadratic-nonlinear-u:  H = |p|^2/2 + f(u) + V(x)
 
 with V a trigonometric polynomial and f a globally Lipschitz piecewise-linear
-map.  The map may decrease: monotonicity in u is the audited (H5), not a
-condition of the model.  An optional additive normalization shifts H by -c
-(equivalently the Lagrangian by +c), used to set the critical value to zero.
+map.  The family picks the coupling g(u): ``lam * u`` when no f is set (the
+mechanical family is lam = 0) and f(u) otherwise, so each family rejects
+the parameter it does not read, a nonzero lam outside the discounted
+family and an f outside nonlinear-u.  The map may decrease: monotonicity
+in u is the audited (H5), not a condition of the model.  An optional
+additive normalization shifts H by -c (equivalently the Lagrangian by +c),
+used to set the critical value to zero.
 
 The Legendre conjugate L(x,u,v) = sup_p { <v,p> - H(x,u,p) } has the closed
 form L = |v|^2/2 - coupling(u) - V(x) + action_shift with argmax p = v, so
 the assumptions on L follow from those audited on H.
 
-The partial derivatives have closed forms: H_p = p, H_u = f'(u) (lam, or 0)
+The partial derivatives have closed forms: H_p = p, H_u = f'(u) (or lam)
 from ``coupling_derivative``, and H_x the gradient of V, which only the
 characteristic flow forms.  The standing structural assumptions (strict
 convexity in p, uniform Lipschitz continuity and monotonicity in u) are
@@ -140,7 +144,11 @@ class HamiltonianModel:
             object.__setattr__(self, "potential", TrigPotential(self.dim))
         if self.potential.dim != self.dim:
             raise ValueError("potential dimension does not match model")
-        if self.family == "quadratic-discounted" and self.lam < 0:
+        if self.lam != 0.0 and self.family != "quadratic-discounted":
+            raise ValueError(f"{self.family} does not read model.lambda, got {self.lam!r}")
+        if self.f is not None and self.family != "quadratic-nonlinear-u":
+            raise ValueError(f"{self.family} does not read model.f")
+        if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
         if self.family == "quadratic-nonlinear-u" and self.f is None:
             raise ValueError("nonlinear-u family requires f")
@@ -148,33 +156,21 @@ class HamiltonianModel:
     # u-coupling term g(u) and its derivative
     def coupling(self, u):
         u = np.asarray(u, dtype=float)
-        if self.family == "quadratic-mechanical":
-            return np.zeros_like(u)
-        if self.family == "quadratic-discounted":
-            return self.lam * u
-        return self.f(u)
+        return self.lam * u if self.f is None else self.f(u)
 
     def coupling_derivative(self, u):
         u = np.asarray(u, dtype=float)
-        if self.family == "quadratic-mechanical":
-            return np.zeros_like(u)
-        if self.family == "quadratic-discounted":
-            return np.full_like(u, self.lam)
-        return self.f.derivative(u)
+        return np.full_like(u, self.lam) if self.f is None else self.f.derivative(u)
 
     @property
     def lipschitz_u(self) -> float:
         """Uniform Lipschitz constant of H (and L) in u, from the formula."""
-        if self.family == "quadratic-mechanical":
-            return 0.0
-        if self.family == "quadratic-discounted":
-            return float(self.lam)
-        return self.f.lipschitz_constant()
+        return float(self.lam) if self.f is None else self.f.lipschitz_constant()
 
     @property
     def kinks_u(self) -> tuple:
         """The u values where H_u jumps: the interior knots of f."""
-        return self.f.knots_u[1:-1] if self.family == "quadratic-nonlinear-u" else ()
+        return () if self.f is None else self.f.knots_u[1:-1]
 
 
 def eval_H(model: HamiltonianModel, x, u, p):

@@ -17,7 +17,7 @@ from oracles import march
 from test_action import assert_matches_karp
 from test_config import assert_loaders_agree
 from weakkam import action, fdoracle, kernels, models, torus
-from weakkam.cli import _check_command, _Forked, _plan, _run, main
+from weakkam.cli import _Forked, _plan, _run, main
 from weakkam.config import load_config
 from weakkam.errors import ConfigurationError, NumericError
 from weakkam.semigroup import _march, fixed_point
@@ -52,8 +52,8 @@ def run(args):
 
 
 def planned(command, cfg):
-    """What ``main`` validates: ``_check_command`` on the command's plan, the bytes it holds."""
-    return _check_command(command, cfg, _plan(command, cfg))
+    """What ``main`` validates: ``_plan`` for the command, the bytes it holds."""
+    return int(sum(_plan(command, cfg)["bytes"].values()))
 
 
 def assert_no_child_process():
@@ -690,7 +690,8 @@ def test_check_whose_flow_overflows_exits_3_with_one_line_and_no_manifest(
     # first RK4 step, while the forked oracle is still running
     with_cpus(monkeypatch, 2)
     cfg = write_config(tmp_path / "run.yaml",
-                       model={"family": "quadratic-mechanical", "potential": [[1, 1e200]]})
+                       model={"family": "quadratic-mechanical", "lambda": 0.0,
+                              "potential": [[1, 1e200]]})
     out = tmp_path / "out"
     assert run(["check", "--config", cfg, "--out", out]) == 3
     assert_no_child_process()
@@ -927,6 +928,55 @@ def test_check_2d_builds_one_kernel_and_stores_no_lf_slab(tmp_path, monkeypatch)
     assert lf_solves == []
 
 
+COMMANDS = ("solve", "converge", "critical", "action", "char", "oracle", "check")
+F_BLOCK = {"knots_u": [-1.0, 0.0, 1.0], "knots_f": [-2.0, 0.0, 0.5]}
+
+
+@pytest.mark.parametrize("model,key", [
+    ({"family": "quadratic-mechanical", "lambda": 2.0}, "lambda"),
+    ({"family": "quadratic-mechanical", "lambda": 0.0, "f": F_BLOCK}, "f"),
+    ({"family": "quadratic-discounted", "f": F_BLOCK}, "f"),
+    ({"family": "quadratic-nonlinear-u", "lambda": 3.0, "f": F_BLOCK}, "lambda"),
+], ids=["mechanical-lambda", "mechanical-f", "discounted-f", "nonlinear-u-lambda"])
+def test_a_key_the_family_does_not_read_is_rejected_before_output(tmp_path, capsys, model, key):
+    # each ran to exit 0 and recorded the key in its manifest as if it were in effect
+    cfg = write_config(tmp_path / "run.yaml", model=model, solver={"T": 0.25})
+    for command in COMMANDS:
+        out = tmp_path / command
+        assert run([command, "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert err.startswith("config error: config key `model.family`: "
+                              f"{model['family']} does not read model.{key}"), err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("dim,quadrature", [(1, "left"), (1, "exact"), (2, "left"), (2, "exact")],
+                         ids=["1d-left", "1d-exact", "2d-left", "2d-exact"])
+def test_mechanical_runs_as_discounted_at_lambda_zero(tmp_path, dim, quadrature):
+    # the family picks the coupling lam*u, with lam = 0 for the mechanical
+    # family, so every command writes the same bytes for the two
+    potential = [[1, 1.0]] if dim == 1 else [[1, 0, 1.0], [0, 1, 0.5]]
+    phi = [[1, -0.3]] if dim == 1 else [[1, 1, -0.3]]
+    written = {}
+    for family in ("quadratic-mechanical", "quadratic-discounted"):
+        cfg = write_config(
+            tmp_path / f"{family}.yaml",
+            model={"family": family, "dim": dim, "lambda": 0.0, "potential": potential},
+            grid={"N": 16 if dim == 1 else 8, "dt": 1 / 16},
+            solver={"T": 0.25, "quadrature": quadrature, "checkpoints": [1.0], "phi": phi},
+            char={"x0": [0.3] * dim, "p0": [0.5] * dim, "t": 0.25, "dt_ode": 0.01},
+        )
+        for command in COMMANDS:
+            out = tmp_path / family / command
+            code = run([command, "--config", cfg, "--out", out])
+            written[family, command] = code, {p.name: p.read_bytes() for p in out.glob("*.csv")}
+    for command in COMMANDS:
+        mechanical = written["quadratic-mechanical", command]
+        assert mechanical[1], command
+        assert mechanical == written["quadratic-discounted", command], command
+
+
 def test_check_csv_is_the_same_for_every_seed(tmp_path):
     # check launches its dH-law flow from a fixed momentum: seed is only recorded
     for seed in (0, 7):
@@ -1060,7 +1110,8 @@ def test_benchmark_sized_slab_commands_fit_the_budget(tmp_path):
     )
     longtime = write_config(
         tmp_path / "c.yaml",
-        model={"family": "quadratic-nonlinear-u", "potential": [[1, 1.0], [2, -0.4]],
+        model={"family": "quadratic-nonlinear-u", "lambda": 0.0,
+               "potential": [[1, 1.0], [2, -0.4]],
                "f": {"knots_u": [-1.0, 0.0, 1.0], "knots_f": [-2.0, 0.0, 0.5]}},
         grid={"N": 512, "dt": 1.0 / 32},
         solver={"quadrature": "exact", "checkpoints": [64.0], "stop_eps": 1e-6},
@@ -1142,7 +1193,8 @@ INTERNED_TABLE_BYTES = {32 + 4 * 2**k + 16 * (2 ** (k + 1) // 3) for k in range(
     [
         # nonlinear u-coupling with T*lambda_L = 8: the Picard wavefront grows to 40 rows
         ("solve", dict(
-            model={"family": "quadratic-nonlinear-u", "potential": [[1, 1.0], [2, -0.4]],
+            model={"family": "quadratic-nonlinear-u", "lambda": 0.0,
+                   "potential": [[1, 1.0], [2, -0.4]],
                    "f": {"knots_u": [-1.0, 0.0, 1.0], "knots_f": [-2.0, 0.0, 0.5]}},
             grid={"N": 512, "dt": 1.0 / 16}, solver={"T": 4.0, "quadrature": "midpoint"},
         ), 0),
@@ -1169,7 +1221,7 @@ def test_budget_estimate_bounds_the_traced_peak(tmp_path, command, overrides, co
     # needed
     cfg = load_config(write_config(tmp_path / "run.yaml", **overrides))
     plan = _plan(command, cfg)
-    planned = _check_command(command, cfg, plan)
+    planned = int(sum(plan["bytes"].values()))
     # one untraced run first: what a first run makes once and keeps (modules
     # imported on first use, the interpreter's interned-string table grown) is
     # code and interpreter state, not data, and would make the peak depend on

@@ -1,12 +1,17 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
-from weakkam import config
+from weakkam import config, fdoracle
 from weakkam.config import load_config, parse_config
 from weakkam.errors import ConfigurationError
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+import workloads  # noqa: E402
 
 
 def base():
@@ -120,6 +125,24 @@ def test_oracle_u_sensitivity_is_checked():
     doc["oracle"] = {"alpha": 4.1, "dt_fd": 0.0015}
     with pytest.raises(ConfigurationError, match="`oracle.dt_fd`: dt_fd\\*lambda_L"):
         parse_config(doc)
+
+
+def discounted_lambda_4():
+    doc = base()
+    doc["model"]["lambda"] = 4.0
+    return doc
+
+
+@pytest.mark.parametrize("doc", [workloads.check_config(3), discounted_lambda_4()],
+                         ids=["check-2d", "discounted-lambda-4"])
+def test_default_dt_fd_is_the_stable_step_capped_at_1e_3(doc):
+    # fdoracle states the largest step both conditions allow; the default
+    # keeps the bits of min(0.5 * dx / alpha, 1e-3, 1 / lambda_L)
+    cfg = parse_config(doc)
+    step = fdoracle._stable_step(cfg.model, cfg.grid, cfg.alpha)
+    assert cfg.dt_fd.hex() == min(step, 1e-3).hex()
+    lam = cfg.model.lipschitz_u
+    assert cfg.dt_fd.hex() == min(0.5 * cfg.grid.dx / cfg.alpha, 1e-3, 1.0 / lam).hex()
 
 
 def test_oracle_discretization_and_horizon():

@@ -339,11 +339,11 @@ def _is_dim(node) -> bool:
         isinstance(node, ast.Name) and node.id in ("dim", "d"))
 
 
-def _is_int_literal(node) -> bool:
-    """An integer literal, or a tuple, list or set of them."""
+def _is_literal(node, kind) -> bool:
+    """A literal of type kind, or a tuple, list or set of them."""
     if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-        return bool(node.elts) and all(map(_is_int_literal, node.elts))
-    return isinstance(node, ast.Constant) and type(node.value) is int
+        return bool(node.elts) and all(_is_literal(e, kind) for e in node.elts)
+    return isinstance(node, ast.Constant) and type(node.value) is kind
 
 
 def dimension_forks(source: str, module: str, allowed=DIM_COMPARISONS_ALLOWED) -> list:
@@ -356,7 +356,7 @@ def dimension_forks(source: str, module: str, allowed=DIM_COMPARISONS_ALLOWED) -
             owner = f"{owner}.{node.name}"
         elif isinstance(node, ast.Compare):
             operands = [node.left, *node.comparators]
-            if any(map(_is_dim, operands)) and any(map(_is_int_literal, operands)):
+            if any(map(_is_dim, operands)) and any(_is_literal(o, int) for o in operands):
                 if owner not in allowed:
                     found.append(f"{owner} (line {node.lineno})")
         for child in ast.iter_child_nodes(node):
@@ -389,6 +389,67 @@ def test_dimension_scan_sees_a_fork():
             seen.update(f.split()[0] for f in dimension_forks(path.read_text(), path.stem, set()))
     assert seen == DIM_COMPARISONS_ALLOWED
 
+
+# the input rules each stated by one module: ``models`` picks a family's
+# coupling, so it alone compares a family with a string, and ``fdoracle``
+# alone states the oracle's largest stable step, a division by alpha
+def _is_named(node, name) -> bool:
+    """x.name, or a name itself."""
+    return (isinstance(node, ast.Attribute) and node.attr == name) or (
+        isinstance(node, ast.Name) and node.id == name)
+
+
+def owned_rules(source: str, module: str) -> list:
+    """The comparisons of a family with a string literal in ``source`` outside
+    the module ``models``, and its divisions by an alpha outside ``fdoracle``,
+    as rule in module.[Class.]function (line)."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}"
+        elif isinstance(node, ast.Compare) and module != "models":
+            operands = [node.left, *node.comparators]
+            if (any(_is_named(o, "family") for o in operands)
+                    and any(_is_literal(o, str) for o in operands)):
+                found.append(f"family in {owner} (line {node.lineno})")
+        elif (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+              and module != "fdoracle"):
+            if _is_named(node.right if isinstance(node, ast.BinOp) else node.value, "alpha"):
+                found.append(f"/alpha in {owner} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.parent.name == "weakkam"], ids=lambda p: p.name,
+)
+def test_only_models_reads_a_family_and_only_fdoracle_divides_by_alpha(path):
+    assert owned_rules(path.read_text(), path.stem) == []
+
+
+def test_owned_rule_scan_sees_each_restatement():
+    source = (
+        "def rhs(model):\n    return model.family == 'quadratic-nonlinear-u'\n"
+        "class Plan:\n    def step(self, cfg, family):\n"
+        "        if family in ('quadratic-mechanical', 'quadratic-discounted'):\n"
+        "            return 0.5 * cfg.grid.dx / cfg.alpha\n"
+        "def default(dx, alpha, family, FAMILIES):\n    dx /= alpha\n"
+        "    return family in FAMILIES, dx * alpha, alpha / dx, family == 1\n"
+    )
+    families = ["family in cli.rhs (line 2)", "family in cli.Plan.step (line 5)"]
+    divisions = ["/alpha in cli.Plan.step (line 6)", "/alpha in cli.default (line 8)"]
+    assert owned_rules(source, "cli") == [*families, *divisions]
+    assert owned_rules(source, "models") == [f.replace("cli", "models") for f in divisions]
+    assert owned_rules(source, "fdoracle") == [f.replace("cli", "fdoracle") for f in families]
+    # the owners hold such a statement: scanned as another module, each is seen
+    package = ROOT / "src" / "weakkam"
+    assert any(f.startswith("family") for f in owned_rules((package / "models.py").read_text(), "x"))
+    assert [f.split()[2] for f in owned_rules((package / "fdoracle.py").read_text(), "x")] == [
+        "x._stable_step"]
 
 
 # held by `perfbench/tracing.py` until ROADMAP item 3: the benchmark's tracer
