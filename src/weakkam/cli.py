@@ -177,8 +177,9 @@ def _plan(command: str, cfg: RunConfig) -> dict:
     - ``check``: ``kernel_tables``; ``slab``, its one slab over [0, T] (the
       march of phi, filled from ``_march``, that the battery reads and the
       backtrack walks); ``stacked_rows``, the three probe rows the battery
-      steps together with one step of them (the march's one-row step is
-      smaller); and ``lf_step``, one Lax-Friedrichs step;
+      steps one at a time, with one row's step beside them (the march's
+      one-row step, and the weak KAM residual's slopes and H, are smaller);
+      and ``lf_step``, one Lax-Friedrichs step;
     - ``converge``: ``kernel_tables``, ``stacked_rows`` (its slice and one
       step of it) and ``history``, ``_HISTORY_BYTES`` per step;
     - ``char``: ``rk4_states``, ``_CHAR_STATE_BYTES`` per RK4 state of its
@@ -250,7 +251,7 @@ def _plan(command: str, cfg: RunConfig) -> dict:
         parts["stacked_rows"] = (1 + (1 + _KERNEL_COPIES) * (rows + 1)) * row
     elif command == "check":
         parts["slab"] = (n + 1) * row
-        parts["stacked_rows"] = 3 * (1 + _KERNEL_COPIES) * row
+        parts["stacked_rows"] = (3 + _KERNEL_COPIES) * row
     elif command == "converge":
         # a float, so a horizon past the float range of steps reads inf
         steps["march"] = max(cfg.checkpoints) / cfg.dt

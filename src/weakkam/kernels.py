@@ -74,13 +74,14 @@ holding a -0 gets no pruning).  The kept offsets of one stencil row form
 one run of offset indices, so the window path folds runs of offsets in
 blocks; the row path bounds its rows o1 by r_1 and its reach by r_2.
 ``apply_with_argmin`` and ``action._best_starts`` take the full stencil.
-``stencil_reach`` reports the largest radii taken: a step whose radius is
-below m on every axis found each minimum strictly inside the stencil.  It
-counts row-steps, each stacked row of a call as one step, at m when the
-row's own radius (the one it takes stepped alone) reaches m, so its counts
-do not depend on how a caller batches its rows.  A stack is pruned at the
-radius of all its rows taken as one input, at least each row's own, which
-keeps each row's minimum with its bits.
+``stencil_reach`` reports the largest radii ``apply`` took (``apply_table``
+steps are not counted): a step whose radius is below m on every axis found
+each minimum strictly inside the stencil.  It counts row-steps, each
+stacked row of a call as one step, at m when the row's own radius (the one
+it takes stepped alone) reaches m, so its counts do not depend on how a
+caller batches its rows.  A stack is pruned at the radius of all its rows
+taken as one input, at least each row's own, which keeps each row's
+minimum with its bits.
 
 The per-destination min is a map over destination points with read-only
 access to the previous slice, so results do not depend on thread count.
@@ -307,7 +308,7 @@ class StepKernel:
             self._full_steps += sum(max(r) == self._m for r in self._radii(a, rows))
 
     def stencil_reach(self) -> dict:
-        """The largest radius per axis over the pruned steps so far, m, and
+        """The largest radius per axis over the ``apply`` steps so far, m, and
         the counts of the rows those steps stepped and of the rows of those
         whose radius reached m: a stack of k rows counts k, as k one-row
         steps would."""
@@ -394,18 +395,20 @@ class StepKernel:
         per = max(1, _BLOCK_ELEMENTS // (rows * self.grid.size))
         return [slice(lo, min(lo + per, hi)) for start, hi in runs for lo in range(start, hi, per)]
 
-    def _min_over_offsets(self, a: np.ndarray) -> np.ndarray:
+    def _min_over_offsets(self, a: np.ndarray, note: bool) -> np.ndarray:
         """min_k a(x_j - offsets[k]*dx) + base_cost[k, j] over the last axis of a,
-        over the offsets within the pruning radius (module docstring).
+        over the offsets within the pruning radius (module docstring); the
+        step is recorded for ``stencil_reach`` if note.
 
         a is the caller's temporary, which the row path overwrites and
         returns; it forms the same candidates with the sums in another order.
         """
         if row_path(self.grid, self.quadrature):
-            return self._row_min(a)
+            return self._row_min(a, note)
         shaped = self._shaped(a)
         radius = self._radius(shaped)
-        self._note(radius, shaped)
+        if note:
+            self._note(radius, shaped)
         return self._window_min(a, radius)
 
     def _window_min(self, a: np.ndarray, radius=None) -> np.ndarray:
@@ -417,7 +420,7 @@ class StepKernel:
             np.minimum(out, self._candidates(windows, blk).min(axis=-2), out=out)
         return out
 
-    def _row_min(self, a: np.ndarray) -> np.ndarray:
+    def _row_min(self, a: np.ndarray, note: bool) -> np.ndarray:
         """The row path of _min_over_offsets (2-D, "left"), in blocks of leading rows.
 
         The input plus the start cost is wrap-padded by the radius (r1, r2)
@@ -435,7 +438,8 @@ class StepKernel:
         rows = a.reshape(-1, n, n)
         rows += self._start_cost
         r1, r2 = self._radius(rows)
-        self._note((r1, r2), rows)
+        if note:
+            self._note((r1, r2), rows)
         width = n + 2 * r2
         span = (n + 2 * r1) * width - 2 * r2  # B is formed at flat positions [0, span)
         # rows o1 (|o1| <= r1) are folded into res once B of their reach is formed
@@ -467,7 +471,7 @@ class StepKernel:
 
     def apply(self, w: np.ndarray, u_slice: np.ndarray) -> np.ndarray:
         """One DP step of a slice (shape (size,)), each row on its own if stacked."""
-        return self._min_over_offsets(w + self.step_cost(u_slice))
+        return self._min_over_offsets(w + self.step_cost(u_slice), note=True)
 
     def apply_with_argmin(self, w: np.ndarray, u_slice: np.ndarray):
         """One DP step over the full stencil returning (values, start indices
@@ -490,9 +494,12 @@ class StepKernel:
         return vals, arg
 
     def apply_table(self, w: np.ndarray, a_level: float) -> np.ndarray:
-        """One DP step of an action table (rows = start points, frozen u)."""
+        """One DP step of an action table (rows = start points, frozen u),
+        not counted by ``stencil_reach``: no command reports an action
+        table's reach, and counting its rows at m would derive each row's
+        radius on every such step."""
         shift = self.step_cost(np.full(1, a_level))[0]
-        return self._min_over_offsets(w + shift)
+        return self._min_over_offsets(w + shift, note=False)
 
 
 def min_plus_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -248,9 +248,11 @@ def audit_assumptions(model: HamiltonianModel, sample_box, n_samples: int) -> As
 
     verdicts, worst = {}, {}
 
-    # (H1): midpoint convexity with the quadratic margin |p1-p2|^2/8
+    # (H1): midpoint convexity with the quadratic margin |p1-p2|^2/8; a margin
+    # past the float range (an action_shift near it) reads -inf and fails
     gap2 = np.sum((p1 - p2) ** 2, axis=1)
-    margin_h1 = 0.5 * (H_u1p1 + H_u1p2) - H_mid - gap2 / 8.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin_h1 = 0.5 * (H_u1p1 + H_u1p2) - H_mid - gap2 / 8.0
     i = int(np.argmin(margin_h1))
     verdicts["H1"] = bool(margin_h1[i] >= -tol)
     worst["H1"] = (float(margin_h1[i]), s[i].tolist())

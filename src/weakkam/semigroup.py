@@ -20,7 +20,10 @@ whole, which ``check`` alone does: it fills its slab from ``_march``, the
 slices ``solve`` streams to slab.csv, and its property battery, backtrack
 and match read that one march of phi.  ``fixed_point``, the battery's probe
 rows, the fixed-point check of ``extract_calibrated_curve`` and ``converge``
-step rows and reduce each slice as it is formed, holding a few slices.
+step rows and reduce each slice as it is formed, holding a few slices; the
+battery steps its three rows one at a time, so beside them it holds one
+row's step.  The weak KAM residual forms its slopes in reused buffers and
+holds the centered gradient and the smooth mask, no copy of the field.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericError
 from .kernels import StepKernel
 from .models import HamiltonianModel, eval_H
 from .torus import Grid, GridField, SpaceTimeField, _horizon_steps, _write_table, periodic_delta
@@ -72,13 +75,18 @@ def _march(kern: StepKernel, phi: GridField, n: int):
     u = step(u, u), flat, as ``fdoracle._lf_march`` yields the oracle's.
 
     Each slice is bitwise the wavefront's top row at that slice (the last is
-    ``fixed_point``'s u_T), and only the last one is held.
+    ``fixed_point``'s u_T), and only the last one is held.  A non-finite
+    slice raises ``NumericError`` naming its step, as the oracle's does.
     """
     _on_grid(kern, phi, "phi")
     u = phi.values
     yield u
-    for _ in range(n):
-        u = kern.apply(u, u)
+    for k in range(n):
+        # a blown-up step overflows quietly; the isfinite check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = kern.apply(u, u)
+        if not np.isfinite(u).all():
+            raise NumericError(f"march step {k + 1} produced a non-finite value")
         yield u
 
 
@@ -112,8 +120,8 @@ def fixed_point(kern: StepKernel, phi: GridField, T: float, tol: float = 1e-10):
         if gaps[-1] > 0.0 and model.lipschitz_u != 0.0:
             rows = np.concatenate([rows, rows[-1:]])
             gaps = np.append(gaps, 0.0)
-        rows[1:] = kern.apply(rows[1:], rows[:-1])
         with np.errstate(over="ignore", invalid="ignore"):  # the report carries a non-finite gap
+            rows[1:] = kern.apply(rows[1:], rows[:-1])
             np.maximum(gaps, np.max(np.abs(rows[1:] - rows[:-1]), axis=1), out=gaps)
     u_T = rows[-1].copy()  # a view would keep every row alive
     if model.lipschitz_u == 0.0:
@@ -171,8 +179,11 @@ def check_properties(
     ``u`` is the march of phi by ``kern`` (``_march``'s slices), which the
     caller holds; the battery reads phi's slices from it.  It steps only
     three probe rows: psi, and the ordered pair (phi ^ psi, phi v psi) on
-    which monotonicity is probed.  They advance together, one batched step
-    per slice, and each slice is reduced as it is formed.  Violations are
+    which monotonicity is probed.  They advance one at a time, three
+    one-row steps per slice, so beside the three rows only one row's step
+    is held; a row stepped alone gets the bits a stacked step would give it
+    (``kernels``: a stack is pruned at a radius at least each row's own).
+    Each slice is reduced as it is formed.  Violations are
     recorded in the report, never raised.  ConfigurationError rejects a
     march on another grid or dt, one with fewer slices than the last
     horizon needs, and a horizon that is not a positive multiple of the
@@ -185,13 +196,14 @@ def check_properties(
         raise ConfigurationError(
             f"u has {u.n_steps} steps, the last horizon needs {max(steps)}")
     phi = u.values[0]
-    rows = np.stack([psi.values, np.minimum(phi, psi.values), np.maximum(phi, psi.values)])
+    rows = [psi.values, np.minimum(phi, psi.values), np.maximum(phi, psi.values)]
     base_gap = float(np.max(np.abs(phi - psi.values)))
     report = PropertyReport()
     at = {}
     for k in range(max(steps) + 1):
-        if k:
-            rows = kern.apply(rows, rows)
+        if k:  # one row a step: a row's old slice is freed before the next row steps
+            for i in range(len(rows)):
+                rows[i] = kern.apply(rows[i], rows[i])
         u_k = u.values[k]
         # np.maximum keeps a NaN of either march
         report.uniform_bound = max(report.uniform_bound, float(
@@ -303,18 +315,37 @@ def kink_threshold(grid: Grid) -> float:
 
 
 def _one_sided_slopes(field: GridField):
-    """Per axis the (backward, forward) difference quotients, and the flat
-    mask of smooth points: where on every axis the two slopes differ by at
-    most the kink threshold."""
+    """The centered gradient, (size, dim), and the flat mask of smooth points:
+    where on every axis the backward and forward difference quotients differ
+    by at most the kink threshold.
+
+    Per axis the forward quotients fwd[k] = (v[k + 1] - v[k]) / dx go into
+    one reused buffer by slicing, the wrap pair last; the backward quotient
+    at k is fwd[k - 1], read by slicing as well.  So the centered quotient
+    0.5 * (fwd + bwd) and the gap |bwd - fwd| are the same subtractions a
+    rolled copy of v gives, bitwise, and no copy of v or of a slope is held.
+    """
     grid = field.grid
     v = field._shaped()
-    slopes, smooth = [], np.ones(grid.size, dtype=bool)
+    fwd, gap = np.empty_like(v), np.empty_like(v)
+    centered = np.empty((grid.dim,) + v.shape)
+    smooth = np.ones(v.shape, dtype=bool)
     for ax in range(grid.dim):
-        bwd = (v - np.roll(v, 1, axis=ax)) / grid.dx
-        fwd = (np.roll(v, -1, axis=ax) - v) / grid.dx
-        slopes.append((bwd, fwd))
-        smooth &= (np.abs(bwd - fwd) <= kink_threshold(grid)).ravel()
-    return slopes, smooth
+        cut = (slice(None),) * ax
+        # cells 0..n-2 and 1..n-1 along ax, and the wrap pair: cell n-1 and cell 0
+        head, tail = cut + (slice(-1),), cut + (slice(1, None),)
+        last, first = cut + (slice(-1, None),), cut + (slice(1),)
+        np.subtract(v[tail], v[head], out=fwd[head])
+        np.subtract(v[first], v[last], out=fwd[last])
+        fwd /= grid.dx
+        c = centered[ax]
+        np.add(fwd[tail], fwd[head], out=c[tail])
+        np.add(fwd[first], fwd[last], out=c[first])
+        c *= 0.5
+        np.subtract(fwd[head], fwd[tail], out=gap[tail])
+        np.subtract(fwd[last], fwd[first], out=gap[first])
+        smooth &= np.abs(gap, out=gap) <= kink_threshold(grid)
+    return centered.reshape(grid.dim, -1).T, smooth.ravel()
 
 
 def weak_kam_residual(model: HamiltonianModel, u: GridField) -> ResidualStats:
@@ -325,8 +356,7 @@ def weak_kam_residual(model: HamiltonianModel, u: GridField) -> ResidualStats:
     statistic past the float range reads inf, without a warning.
     """
     grid = u.grid
-    slopes, smooth = _one_sided_slopes(u)
-    centered = np.stack([(0.5 * (fwd + bwd)).ravel() for bwd, fwd in slopes], axis=1)
+    centered, smooth = _one_sided_slopes(u)
     res = eval_H(model, grid.points(), u.values, centered)
     sm = np.abs(res[smooth])
     with np.errstate(over="ignore"):
@@ -367,7 +397,8 @@ def converge(
     it goes.  Windows of ``default_block_length`` group the steps for
     ``block_increments`` and the stopping rule: the march stops once every
     step increment within a window falls below stop_eps, or flags
-    non-convergence at t_final.
+    non-convergence at t_final.  A step whose increment is not finite (a
+    blown-up slice has one) raises ``NumericError`` naming the step.
     """
     _on_grid(kern, phi, "phi")
     model, dt = kern.model, kern.dt
@@ -383,9 +414,13 @@ def converge(
         n_steps = int(round(span / dt))
         step_times.extend((t + dt * np.arange(1, n_steps + 1)).tolist())
         for _ in range(n_steps):
-            nxt = kern.apply(cur, cur)
-            with np.errstate(over="ignore", invalid="ignore"):  # the residual reports a blow-up
-                step_incs.append(float(np.max(np.abs(nxt - cur))))
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                nxt = kern.apply(cur, cur)
+                inc = float(np.max(np.abs(nxt - cur)))
+            if not math.isfinite(inc):
+                raise NumericError(
+                    f"the increment of step {len(step_incs) + 1} is not finite: {inc!r}")
+            step_incs.append(inc)
             cur = nxt
         t += span
         block_times.append(t)

@@ -21,7 +21,7 @@ from weakkam.characteristics import CharacteristicState, Trajectory
 from weakkam.errors import ConfigurationError, NumericError
 from weakkam.kernels import StepKernel
 from weakkam.models import HamiltonianModel, TrigPotential
-from weakkam.semigroup import _one_sided_slopes
+from weakkam.semigroup import _one_sided_slopes, kink_threshold
 from weakkam.torus import (
     Grid, GridField, SpaceTimeField, _horizon_steps, _lattice, periodic_delta, wrap,
 )
@@ -42,6 +42,21 @@ def march(kern: StepKernel, phi: GridField, T: float) -> SpaceTimeField:
     for n in range(len(out) - 1):
         out[n + 1] = kern.apply(out[n], out[n])
     return SpaceTimeField(phi.grid, kern.dt, out)
+
+
+def rolled_slopes(field: GridField):
+    """``_one_sided_slopes`` from rolled copies of v: per axis the backward
+    and forward quotients as whole arrays, then the centered gradient
+    (size, dim) and the smooth mask."""
+    grid = field.grid
+    v = field._shaped()
+    centered, smooth = [], np.ones(grid.size, dtype=bool)
+    for ax in range(grid.dim):
+        bwd = (v - np.roll(v, 1, axis=ax)) / grid.dx
+        fwd = (np.roll(v, -1, axis=ax) - v) / grid.dx
+        centered.append((0.5 * (fwd + bwd)).ravel())
+        smooth &= (np.abs(bwd - fwd) <= kink_threshold(grid)).ravel()
+    return np.stack(centered, axis=1), smooth
 
 
 def lipschitz_seminorm(f: GridField) -> float:

@@ -389,8 +389,8 @@ def test_converge_whose_residual_is_not_finite_exits_3_and_writes_nothing(
 
 def test_converge_whose_step_increment_overflows_exits_3_without_a_warning(
         tmp_path, capfd, recwarn):
-    # phi = 1e308 cos(2 pi x) under the default v_max: the increment of a
-    # step leaves the float range
+    # phi = 1e308 cos(2 pi x) under the default v_max: the increment of the
+    # first step leaves the float range, though its slice stays finite
     cfg = str(tmp_path / "run.yaml")
     with open(cfg, "w") as fh:
         yaml.safe_dump({"model": {"family": "quadratic-discounted", "lambda": 1.0,
@@ -399,11 +399,34 @@ def test_converge_whose_step_increment_overflows_exits_3_without_a_warning(
                         "solver": {"T": 1.0, "tol": 0.0, "phi": [[1, 1e308]]}}, fh)
     out = tmp_path / "out"
     assert run(["converge", "--config", cfg, "--out", out]) == 3
-    err = capfd.readouterr().err
-    assert err.startswith("converge: the weak KAM residual is not finite: ")
-    assert err.count("\n") == 1 and "RuntimeWarning" not in err
+    assert capfd.readouterr().err == "converge: the increment of step 1 is not finite: inf\n"
     assert os.listdir(out) == []
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+# a numpy overflow warning raised as an error fails these: the step that blows
+# up must report itself only through NumericError
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command,message", [
+    ("solve", "solve: march step 29 produced a non-finite value\n"),
+    ("converge", "converge: the increment of step 29 is not finite: inf\n"),
+    ("check", "check: march step 29 produced a non-finite value\n"),
+])
+def test_march_that_leaves_the_float_range_exits_3_and_leaves_no_file(
+        tmp_path, monkeypatch, capfd, command, message):
+    # mechanical, V = cos 2 pi x: each step adds about dt * 1e308, so slice 29
+    # (t = 1.8125) overflows; one Picard row certifies a mechanical model, so
+    # solve's gap stays 0 and its writer's march reports the blow-up
+    with_cpus(monkeypatch, 2)  # solve's writer and check's oracle run in forked children
+    cfg = write_config(tmp_path / "run.yaml",
+                       model={"family": "quadratic-mechanical", "lambda": 0.0,
+                              "action_shift": 1e308},
+                       grid={"N": 16, "dt": 1 / 16}, solver={"T": 4.0})
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == 3
+    assert_no_child_process()
+    assert capfd.readouterr().err == message
+    assert os.listdir(out) == []
 
 
 def test_solve_2d_writes_march_and_certificate(tmp_path):
@@ -840,7 +863,7 @@ def test_runs_are_byte_identical_across_thread_counts(tmp_path):
 def test_check_steps_phi_once(tmp_path, monkeypatch, T, horizons):
     # the march of phi fills the slab the battery, the backtrack and the match
     # read, one kernel step a slice; then the battery steps its three probe
-    # rows together up to the last horizon
+    # rows one at a time, three one-row steps a slice, up to the last horizon
     with_cpus(monkeypatch, 1)
     rows = []
     real_apply = kernels.StepKernel.apply
@@ -857,8 +880,8 @@ def test_check_steps_phi_once(tmp_path, monkeypatch, T, horizons):
         solver={"T": T, "tol": 0.0, "phi": [[1, 1, 0.3]]},
     )
     assert run(["check", "--config", cfg, "--out", tmp_path / "out"]) in (0, 1)
-    n_steps, batched = round(16 * T), 8 * horizons
-    assert rows == [1] * n_steps + [3] * batched
+    n_steps, battery = round(16 * T), 8 * horizons
+    assert rows == [1] * (n_steps + 3 * battery)
 
 
 def test_check_audits_assumptions_once(tmp_path, monkeypatch):

@@ -425,11 +425,12 @@ def test_row_path_pruned_step_equals_gather_bitwise_when_sums_are_exact():
 
 
 @pytest.mark.parametrize("grid,quadrature", [(Grid(1, 128), "exact"), (Grid(2, 32), "left"),
-                                             (Grid(2, 32), "midpoint")],
-                         ids=["1d", "2d-rows", "2d-windows"])
+                                             (Grid(2, 32), "midpoint"), (Grid(2, 32), "exact")],
+                         ids=["1d", "2d-rows", "2d-windows", "2d-windows-exact"])
 def test_stacked_rows_equal_rows_stepped_one_at_a_time(grid, quadrature):
     # one radius serves the whole stack (the steepest row sets it); each row
-    # must still be its own step bitwise
+    # must still be its own step bitwise, so check's battery may step its
+    # probe rows one at a time and fixed_point its wavefront as one stack
     kern = StepKernel(smooth_model(grid.dim), grid, 1 / 16 if grid.dim == 2 else 1 / 32, 4.0,
                       quadrature)
     ws = np.stack([smooth_slice(grid, s, s) for s in (0.02, 0.1, 0.3)])
@@ -451,9 +452,12 @@ def test_table_holding_inf_takes_the_full_stencil_without_warnings(grid, quadrat
     table = np.stack([smooth_slice(grid, s) for s in (0.1, 0.2)])
     table[1, :3] = np.inf
     got = kern.apply_table(table, 0.3)
-    assert kern.stencil_reach()["radius"] == [kern._m] * grid.dim
+    a = table + kern.step_cost(np.full(1, 0.3))[0]
+    assert step_radius(kern, a) == (kern._m,) * grid.dim
+    # stencil_reach counts apply steps only
+    assert kern.stencil_reach()["steps"] == 0
     assert np.isfinite(got).all()
-    ref, _ = gather_step(kern, table + kern.step_cost(np.full(1, 0.3))[0])
+    ref, _ = gather_step(kern, a)
     assert_row_path_matches(got, ref, not row_path(grid, quadrature))
 
 
@@ -530,9 +534,8 @@ def test_wrap_pair_counts_as_a_one_cell_change(grid):
     ids=["1d-binding", "2d-left-rows"],
 )
 def test_reach_counts_row_steps_whatever_the_batching(grid, dt, v_max, quadrature):
-    # check steps its march of phi alone and the battery's three probe rows
-    # together: one kernel stepping all four rows in one call and one stepping
-    # 1 + 3 rows count the same row-steps
+    # one kernel stepping check's four rows (phi and the battery's three probe
+    # rows) in one call and one stepping 1 + 3 rows count the same row-steps
     x = grid.points()[:, 0]
     phi = 0.5 * np.cos(2 * np.pi * x)
     psi = phi + 0.2 * np.cos(2 * np.pi * x + 1.0)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from oracles import (
-    check_Ltilde, equi_lipschitz, lagrangian_values, march, normalized, semigroup_defect, step_T,
-    subsolution_gap,
+    check_Ltilde, equi_lipschitz, lagrangian_values, march, normalized, rolled_slopes,
+    semigroup_defect, step_T, subsolution_gap,
 )
 from test_action import pendulum
 from weakkam.action import critical_value
@@ -347,6 +347,21 @@ def test_residual_zero_for_flat_discounted_solution():
     assert stats.kink_count == 0
     assert stats.max_abs_smooth <= 1e-14
     assert stats.rms_smooth <= 1e-14
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 64), Grid(1, 2), Grid(2, 16), Grid(2, 7)],
+                         ids=["1d", "1d-two-cells", "2d", "2d-odd"])
+def test_slopes_are_the_rolled_quotients_bitwise(grid):
+    # |sin| has a kink on every axis, and the wrap pair is a kink in 1-D
+    x = grid.points()
+    u = GridField(grid, np.abs(np.sin(np.pi * x.sum(axis=1) + 0.3)) + 0.1 * x[:, 0])
+    centered, smooth = _one_sided_slopes(u)
+    ref_centered, ref_smooth = rolled_slopes(u)
+    assert centered.shape == ref_centered.shape
+    assert np.ascontiguousarray(centered).tobytes() == ref_centered.tobytes()
+    assert np.array_equal(smooth, ref_smooth)
+    if grid.n > 2:
+        assert 0 < np.count_nonzero(smooth) < grid.size
 
 
 def test_converged_field_is_a_subsolution_along_test_curves():
